@@ -12,6 +12,9 @@ array/pool/store stack depends on, grounded in a real past bug.
 ``ARR002``    buffers built in the persisted/shared tiers (``store/``,
               ``parallel/``, ``core/csr.py``) are int64, matching
               ``docs/FORMAT.md`` and ``SharedCSRBuffers``
+``ARR003``    no bare 1-D ``np.unique(...)`` in ``core/``/``graph/``:
+              numpy 2.x dedupes it through a hash table, tens of times
+              slower than the sort-based ``_sorted_unique``
 ``KER001``    ``@kernel``-registered functions stay free of interpreted
               per-element Python (``for i in range(...)``, ``.tolist()``,
               dict/set building) — the raw-speed tier must not rot
@@ -42,6 +45,7 @@ __all__ = [
     "SharedMemoryReleaseRule",
     "ExplicitDtypeRule",
     "Int64BufferRule",
+    "SortedUniqueRule",
     "KernelPurityRule",
     "PicklableWorkerPayloadRule",
     "ErrorTaxonomyRule",
@@ -299,6 +303,69 @@ class Int64BufferRule(_DtypeRuleBase):
         if name and _last(name) in self._OK_ATTRS:
             return True
         return isinstance(value, ast.Constant) and value.value in self._OK_STRINGS
+
+
+# ----------------------------------------------------------------------
+@register
+class SortedUniqueRule(Rule):
+    """ARR003 — no bare 1-D ``np.unique`` in the array tiers.
+
+    numpy 2.x answers ``np.unique(keys)`` without further arguments from a
+    hash table and sorts only the distinct values afterwards.  On the large,
+    nearly sorted int64 key arrays of ``core/`` and ``graph/`` that costs
+    tens of times more than a sort plus an adjacent-difference pass, which
+    is what :func:`repro.graph.csr_graph._sorted_unique` does with the same
+    result.  ``axis=``, ``return_index=``, ``return_inverse=`` or
+    ``return_counts=`` already take numpy's sort path and are allowed.
+    """
+
+    code = "ARR003"
+    name = "sorted-unique"
+    description = (
+        "bare 1-D np.unique(...) in core/ or graph/ (hash-based under "
+        "numpy 2.x); use _sorted_unique"
+    )
+
+    _SCOPE = {"core", "graph"}
+    _SORT_PATH_KEYWORDS = {
+        "axis",
+        "return_index",
+        "return_inverse",
+        "return_counts",
+    }
+
+    @classmethod
+    def applies_to(cls, path: str) -> bool:
+        return bool(cls._SCOPE.intersection(path.split("/")))
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(node)
+        if (
+            "." in name
+            and _last(name) == "unique"
+            and _last(name.rsplit(".", 1)[0]) in _NUMPY_ALIASES
+            and not self._takes_sort_path(node)
+        ):
+            self.report(
+                node,
+                "bare np.unique(...) dedupes through a hash table under "
+                "numpy 2.x — use repro.graph.csr_graph._sorted_unique for "
+                "1-D int64 keys",
+            )
+        self.generic_visit(node)
+
+    def _takes_sort_path(self, call: ast.Call) -> bool:
+        for kw in call.keywords:
+            if kw.arg not in self._SORT_PATH_KEYWORDS:
+                continue
+            value = kw.value
+            # ``is``: ``axis=0`` must not compare equal to ``False``
+            if not (
+                isinstance(value, ast.Constant)
+                and (value.value is None or value.value is False)
+            ):
+                return True
+        return False
 
 
 # ----------------------------------------------------------------------

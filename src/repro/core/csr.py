@@ -44,7 +44,12 @@ from repro.core.kernels import kernel
 from repro.core.result import DecompositionResult, IterationStats
 from repro.core.space import NucleusSpace, _binomial
 from repro.graph.cliques import canonical_clique, enumerate_k_cliques
-from repro.graph.csr_graph import CliqueArrayView, CSRGraph, _check_key_space
+from repro.graph.csr_graph import (
+    CliqueArrayView,
+    CSRGraph,
+    _check_key_space,
+    _sorted_unique,
+)
 from repro.graph.graph import Graph, sorted_vertices
 from repro.graph.triangles import degeneracy_ordering
 from repro.resilience.errors import MissingDependencyError
@@ -454,7 +459,7 @@ class CSRSpace:
         vectorised equivalent of :meth:`_from_incidence`: a stable argsort
         over the group owners places every context slot, one fancy-indexed
         gather scatters the "other members" rows, and the neighbour relation
-        falls out of a single ``np.unique`` over packed (owner, member)
+        falls out of one sort-based dedupe over packed (owner, member)
         keys.  ``cliques`` becomes a lazy :class:`CliqueArrayView` — no
         per-clique tuples are materialised here.
         """
@@ -476,7 +481,9 @@ class CSRSpace:
             others = groups[:, cols].reshape(num_s * group_size, stride)
             ctx_members_np = others[order].reshape(-1)
             _check_key_space(n, n)
-            pair_keys = _np.unique(_np.repeat(flat, stride) * n + others.reshape(-1))
+            pair_keys = _sorted_unique(
+                _np.repeat(flat, stride) * n + others.reshape(-1)
+            )
             nbr_members_np = pair_keys % n
             nbr_offsets_np = _np.zeros(n + 1, dtype=_np.int64)
             _np.cumsum(
@@ -522,7 +529,13 @@ class CSRSpace:
         return found
 
     def find_index(self, clique: Sequence) -> Optional[int]:
-        """Index of an r-clique given in any vertex order, or ``None``."""
+        """Index of an r-clique given in any vertex order, or ``None``.
+
+        An array-built space binary-searches its id table
+        (:meth:`CliqueArrayView.find`); a list-backed one keeps a dict.
+        """
+        if isinstance(self.cliques, CliqueArrayView):
+            return self.cliques.find(clique)
         if self._index is None:
             self._index = {c: i for i, c in enumerate(self.cliques)}
         return self._index.get(canonical_clique(tuple(clique)))
@@ -592,31 +605,39 @@ class CSRSpace:
 
         Returns CSR arrays ``(offsets, context_ids)``: clique ``i`` is a
         *member* (not the owner) of contexts
-        ``context_ids[offsets[i] : offsets[i + 1]]``, where a context id ``c``
-        addresses ``ctx_members[c * stride : (c + 1) * stride]`` and the ρ
-        slot ``c`` of the AND kernel.  Built on first use with a counting
-        sort and cached; the incremental-ρ maintenance of
-        :func:`and_decomposition_csr` walks it on every τ decrease.
+        ``context_ids[offsets[i] : offsets[i + 1]]``, ascending, where a
+        context id ``c`` addresses ``ctx_members[c * stride : (c + 1) *
+        stride]`` and the ρ slot ``c`` of the AND kernel.  Built on first
+        use by a stable sort of the member slots and cached; the
+        incremental-ρ maintenance of :func:`and_decomposition_csr` walks it
+        on every τ decrease.
         """
         if self._inverse is None:
             n = len(self)
             stride = self.stride
-            cm = self.ctx_members
-            counts = [0] * (n + 1)
-            for m in cm:
-                counts[m + 1] += 1
-            offsets = array("q", [0] * (n + 1))
-            for i in range(n):
-                offsets[i + 1] = offsets[i] + counts[i + 1]
-            cursor = list(offsets[:n])
-            ids = array("q", bytes(8 * len(cm)))
-            for c in range(len(cm) // stride if stride else 0):
-                base = c * stride
-                for j in range(base, base + stride):
-                    m = cm[j]
-                    ids[cursor[m]] = c
-                    cursor[m] += 1
-            self._inverse = (offsets, ids)
+            if _np is None:  # pragma: no cover - exercised on numpy-free installs
+                cm = self.ctx_members
+                counts = [0] * (n + 1)
+                for m in cm:
+                    counts[m + 1] += 1
+                for i in range(n):
+                    counts[i + 1] += counts[i]
+                slots = sorted(range(len(cm)), key=cm.__getitem__)
+                self._inverse = (
+                    array("q", counts),
+                    array("q", [j // stride for j in slots]),
+                )
+            else:
+                members = _np.frombuffer(self.ctx_members, dtype=_np.int64)
+                offsets = array("q", [0]) * (n + 1)
+                ids = array("q", [0]) * len(members)
+                _member_contexts_arrays(
+                    members,
+                    stride,
+                    _np.frombuffer(offsets, dtype=_np.int64),
+                    _np.frombuffer(ids, dtype=_np.int64),
+                )
+                self._inverse = (offsets, ids)
         return self._inverse
 
     # ------------------------------------------------------------------
@@ -793,9 +814,26 @@ def _incidence_generic(graph: Graph, r: int, s: int):
 # ----------------------------------------------------------------------
 def _as_int64_buffer(values) -> array:
     """Copy a numpy int64 array into the canonical ``array('q')`` storage."""
-    out = array("q")
-    out.frombytes(_np.ascontiguousarray(values, dtype=_np.int64).tobytes())
+    values = _np.asarray(values, dtype=_np.int64).reshape(-1)
+    out = array("q", [0]) * len(values)
+    _np.frombuffer(out, dtype=_np.int64)[:] = values
     return out
+
+
+@kernel
+def _member_contexts_arrays(members, stride: int, offsets, ids) -> None:
+    """Fill the reverse incidence of :meth:`CSRSpace.member_contexts`.
+
+    ``offsets`` (length ``n + 1``) and ``ids`` (``len(members)``) are
+    preallocated int64 outputs.  A stable argsort of the member slots groups
+    them by member and keeps each group in slot order, so slot ``j`` maps
+    to its context ``j // stride`` with context ids ascending per member,
+    the order a counting sort over the slots produces.
+    """
+    offsets[0] = 0
+    _np.cumsum(_np.bincount(members, minlength=len(offsets) - 1), out=offsets[1:])
+    slots = _np.argsort(members, kind="stable")
+    _np.floor_divide(slots, stride, out=ids)
 
 
 def _stack_rows(rows, width: int):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.kernels import kernel
 from repro.graph.cliques import canonical_clique
 from repro.graph.graph import Edge, Graph, Vertex, sorted_vertices
 from repro.resilience.errors import MissingDependencyError
@@ -45,7 +46,7 @@ try:  # numpy is an optional extra of the package, required only here
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     np = None
 
-__all__ = ["CSRGraph", "CliqueArrayView", "HAVE_NUMPY"]
+__all__ = ["CSRGraph", "CliqueArrayView", "SortedRows", "HAVE_NUMPY"]
 
 HAVE_NUMPY = np is not None
 
@@ -76,14 +77,16 @@ class CliqueArrayView:
     of canonical clique tuples, but a tuple is only materialised when an
     index is read.  ``ids`` rows hold vertex ids sorted ascending and
     ``labels`` is any id-indexable label table (a list, or ``range(n)`` for
-    identity labels), so the whole view is two compact references.
+    identity labels), so the whole view is two compact references plus the
+    lookup index :meth:`find` builds on first use.
     """
 
-    __slots__ = ("ids", "labels")
+    __slots__ = ("ids", "labels", "_lookup")
 
     def __init__(self, ids, labels) -> None:
         self.ids = ids
         self.labels = labels
+        self._lookup = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -102,6 +105,27 @@ class CliqueArrayView:
     def __contains__(self, clique) -> bool:
         return any(c == clique for c in self)
 
+    def find(self, clique) -> Optional[int]:
+        """Index of ``clique`` (vertex labels in any order), or ``None``.
+
+        The label → id map and a :class:`SortedRows` index over ``ids`` are
+        built on first use and cached, so a lookup is a few binary searches
+        and no clique tuple is materialised.
+        """
+        if self._lookup is None:
+            labels = self.labels
+            plain = labels.tolist() if hasattr(labels, "tolist") else labels
+            self._lookup = (
+                {label: i for i, label in enumerate(plain)},
+                SortedRows(self.ids),
+            )
+        label_ids, rows = self._lookup
+        try:
+            row = [label_ids[v] for v in clique]
+        except KeyError:
+            return None
+        return rows.find(row)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, CliqueArrayView)):
             return len(self) == len(other) and all(
@@ -117,9 +141,60 @@ class CliqueArrayView:
         return f"CliqueArrayView({len(self)} cliques of {width} vertices)"
 
 
+class SortedRows:
+    """Binary-search index over the rows of an ``(n, k)`` int64 id table.
+
+    Each row is read as a vertex set (its ids sorted), and the rows are put
+    in lexicographic order by one stable sort.  :meth:`find` then narrows
+    the matching range one column at a time with ``searchsorted``:
+    O(k log n) per lookup instead of comparing the query with every row.
+    Equal rows keep their table order, so the lowest index wins, as in a
+    first-hit scan.
+    """
+
+    __slots__ = ("perm", "columns")
+
+    def __init__(self, table) -> None:
+        table = np.asarray(table, dtype=np.int64)
+        if table.ndim == 1:
+            table = table.reshape(-1, 1)
+        table = np.sort(table, axis=1)
+        self.perm = np.lexsort(table.T[::-1])
+        self.columns = [np.ascontiguousarray(col[self.perm]) for col in table.T]
+
+    def find(self, row) -> Optional[int]:
+        """Table index of the row holding the ids of ``row``, or ``None``."""
+        if len(row) != len(self.columns):
+            return None
+        lo, hi = 0, len(self.perm)
+        for column, value in zip(self.columns, sorted(row)):
+            segment = column[lo:hi]
+            lo, hi = (
+                lo + int(np.searchsorted(segment, value, "left")),
+                lo + int(np.searchsorted(segment, value, "right")),
+            )
+            if lo == hi:
+                return None
+        return int(self.perm[lo])
+
+
 # ----------------------------------------------------------------------
 # flat-array helpers (module-level so the incidence builders can reuse them)
 # ----------------------------------------------------------------------
+@kernel
+def _sorted_unique(keys):
+    """Sorted distinct values of a 1-D int64 array; equals ``np.unique(keys)``.
+
+    numpy 2.x answers a bare ``np.unique`` from a hash table, which on the
+    large, nearly sorted key arrays of this package costs tens of times
+    more than a sort followed by dropping each element equal to its
+    predecessor.
+    """
+    keys = np.sort(keys)
+    distinct = keys[1:] != keys[:-1]
+    return np.concatenate((keys[:1], keys[1:][distinct]))
+
+
 def _segment_take(ptr, data, rows):
     """Concatenate ``data[ptr[r]:ptr[r+1]]`` for every ``r`` in ``rows``."""
     counts = ptr[rows + 1] - ptr[rows]
@@ -294,7 +369,7 @@ class CSRGraph:
         # back sorted, which *is* the CSR layout (rows ascending, sorted
         # neighbours within each row)
         _check_key_space(n, n)
-        key = np.unique(
+        key = _sorted_unique(
             np.concatenate((src * n + dst, dst * n + src))
             if src.size
             else np.empty(0, dtype=np.int64)
@@ -438,13 +513,13 @@ class CSRGraph:
             raise ValueError("radius must be non-negative")
         n = self.number_of_vertices()
         visited = np.zeros(n, dtype=bool)
-        frontier = np.unique(np.asarray(seed_ids, dtype=np.int64))
+        frontier = _sorted_unique(np.asarray(seed_ids, dtype=np.int64))
         visited[frontier] = True
         for _ in range(radius):
             if frontier.size == 0:
                 break
             nbrs = _segment_take(self.indptr, self.indices, frontier)
-            nbrs = np.unique(nbrs[~visited[nbrs]])
+            nbrs = _sorted_unique(nbrs[~visited[nbrs]])
             if nbrs.size == 0:
                 break
             visited[nbrs] = True
@@ -454,7 +529,7 @@ class CSRGraph:
     def subgraph_ids(self, ids) -> "CSRGraph":
         """Induced subgraph of the given ids (labels preserved, relabelled
         to a compact id range in the same ascending order)."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = _sorted_unique(np.asarray(ids, dtype=np.int64))
         n = self.number_of_vertices()
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
@@ -596,7 +671,7 @@ class CSRGraph:
                         cur -= np.bincount(nbrs, minlength=n)
                     else:
                         np.subtract.at(cur, nbrs, 1)
-                    touched = np.unique(nbrs)
+                    touched = _sorted_unique(nbrs)
                     batch = touched[cur[touched] <= k]
                 else:
                     batch = np.empty(0, dtype=np.int64)

@@ -846,7 +846,9 @@ def _make_numpy_and_sweep_arrays(ctx_off, mem2d, tau, nbr_off, nbr_mem, act):
                 frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
                 done = hi - lo
             else:
-                flagged = lo + _np.flatnonzero(act[lo:hi])
+                # scan a private snapshot: peers set flags in this range
+                # while it is read, which flatnonzero must not observe
+                flagged = lo + _np.flatnonzero(act[lo:hi].copy())
                 act[flagged] = 0  # claim before reading any neighbour value
                 frontier = flagged[tau[flagged] > 0]
                 done = len(flagged)

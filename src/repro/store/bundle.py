@@ -433,7 +433,6 @@ class Bundle:
         self._space = None
         self._result = None
         self._index = None
-        self._label_ids = None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -609,27 +608,18 @@ class Bundle:
     def clique_index_of(self, clique: Sequence) -> Optional[int]:
         """Index of an r-clique (given as vertex labels), or ``None``.
 
-        Labels resolve through the stored label table; the id row is then
-        matched against the clique table with one vectorised comparison —
-        no per-clique tuples and no dict over the clique sequence are ever
-        built (unlike ``CSRSpace.find_index``).
+        Served by the stored space's :class:`CliqueArrayView`: its label
+        map and a binary-search index over the memmapped clique table are
+        built on the first lookup and cached, so a lookup is a few
+        ``searchsorted`` calls and no per-clique tuple is ever built.
         """
-        spec = self._component("space")
-        ids = self._label_id_map(spec)
-        try:
-            row = sorted(ids[v] for v in clique)
-        except KeyError:
-            return None
-        table = self.load_array("space.clique_ids")
-        if len(row) != table.shape[1]:
+        width = self.load_array("space.clique_ids").shape[1]
+        if len(clique) != width:
             raise ValueError(
-                f"query has {len(row)} vertices, the space stores "
-                f"{table.shape[1]}-cliques"
+                f"query has {len(clique)} vertices, the space stores "
+                f"{width}-cliques"
             )
-        hits = _np.flatnonzero(
-            (table == _np.asarray(row, dtype=_np.int64)).all(axis=1)
-        )
-        return int(hits[0]) if hits.size else None
+        return self.space.find_index(clique)
 
     def kappa_of(self, clique: Iterable) -> int:
         """κ of one r-clique, straight off the memmaps (KeyError if absent)."""
@@ -637,17 +627,6 @@ class Bundle:
         if index is None:
             raise KeyError(tuple(clique))
         return int(self.kappa[index])
-
-    def _label_id_map(self, spec: Dict[str, Any]) -> Dict[Any, int]:
-        if self._label_ids is None:
-            labels = _decode_labels(spec["labels"], self.load_array)
-            if isinstance(labels, range):
-                self._label_ids = {i: i for i in labels}
-            else:
-                self._label_ids = {
-                    label: i for i, label in enumerate(_as_plain(labels))
-                }
-        return self._label_ids
 
     def summary(self) -> str:
         """One-line human-readable description (used by the CLI)."""
@@ -662,10 +641,3 @@ class Bundle:
                 f"{self.manifest['buffers']['result.kappa']['shape'][0]} r-cliques"
             )
         return " — ".join(parts)
-
-
-def _as_plain(labels: Iterable[Any]) -> Iterable[Any]:
-    """Iterate a label table yielding plain Python scalars."""
-    if hasattr(labels, "tolist"):
-        return labels.tolist()
-    return labels

@@ -32,12 +32,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 
 #: code -> (fixture stem, virtual path the fixture is analysed under).
-#: The virtual path matters for the path-scoped rules (ARR001/ARR002);
+#: The virtual path matters for the path-scoped rules (ARR001-ARR003);
 #: the others just need any plausible library path.
 CASES = {
     "RES001": ("res001", "src/repro/parallel/fixture.py"),
     "ARR001": ("arr001", "src/repro/core/fixture.py"),
     "ARR002": ("arr002", "src/repro/store/fixture.py"),
+    "ARR003": ("arr003", "src/repro/graph/fixture.py"),
     "KER001": ("ker001", "src/repro/core/fixture.py"),
     "PAR001": ("par001", "src/repro/parallel/fixture.py"),
     "ERR001": ("err001", "src/repro/core/fixture.py"),
@@ -96,6 +97,7 @@ class TestRulesFireOnBadFixtures(unittest.TestCase):
             "RES001": 1,
             "ARR001": 3,
             "ARR002": 3,
+            "ARR003": 4,
             "KER001": 4,
             "PAR001": 4,
             "ERR001": 3,
@@ -123,6 +125,14 @@ class TestPathScoping(unittest.TestCase):
         inside, _ = analyze_source(source, "src/repro/core/csr.py", ["ARR002"])
         self.assertTrue(inside)
         outside, _ = analyze_source(source, "src/repro/core/snd.py", ["ARR002"])
+        self.assertEqual(outside, [])
+
+    def test_arr003_binds_in_core_and_graph_only(self):
+        source = (FIXTURES / "arr003_bad.py").read_text(encoding="utf-8")
+        for path in ("src/repro/core/csr.py", "src/repro/graph/csr_graph.py"):
+            inside, _ = analyze_source(source, path, ["ARR003"])
+            self.assertEqual(len(inside), 4, path)
+        outside, _ = analyze_source(source, "src/repro/store/bundle.py", ["ARR003"])
         self.assertEqual(outside, [])
 
 

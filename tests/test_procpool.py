@@ -16,6 +16,8 @@ Three contracts under test:
 """
 
 import multiprocessing as mp
+import os
+import time
 from multiprocessing import shared_memory
 
 import pytest
@@ -24,7 +26,8 @@ from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
-from repro.graph.generators import ring_of_cliques
+from repro.graph.csr_graph import CSRGraph
+from repro.graph.generators import powerlaw_cluster_graph, ring_of_cliques
 from repro.graph.graph import Graph
 from repro.parallel import procpool
 from repro.parallel.procpool import (
@@ -231,6 +234,27 @@ class TestRebalancing:
             assert first.kappa == second.kappa == exact
             assert first.operations["rebalances"] > 0
             assert second.operations["rebalances"] > 0
+
+
+class TestActiveBitmapScan:
+    """Workers scan their range of the shared active bitmap while peers
+    set flags in it; the scan must read a private snapshot."""
+
+    def test_oversubscribed_repeated_runs_keep_kappa(self):
+        # more workers than cores makes peers write mid-scan often; the
+        # live-bitmap scan used to raise "number of non-zero array elements
+        # changed" within a few calls here
+        graph = CSRGraph.from_graph(powerlaw_cluster_graph(1000, 8, 0.9, seed=5))
+        csr = CSRSpace.from_graph(graph, 2, 3)
+        exact = peeling_decomposition(csr).kappa
+        workers = min(8, max(4, 2 * (os.cpu_count() or 1)))
+        deadline = time.monotonic() + 10.0
+        runs = 0
+        with PersistentPool(workers=workers) as pool:
+            while runs < 80 and time.monotonic() < deadline:
+                assert pool.run_and(csr).kappa == exact
+                runs += 1
+        assert runs >= 3
 
 
 class TestPersistentPool:
