@@ -97,7 +97,6 @@ def test_and_csr_speedup(spaces, smoke_mode, bench_record):
 
 def test_and_numpy_speedup(spaces, smoke_mode, bench_record):
     """Frontier-batched AND tier (engine="numpy") vs the dict backend."""
-    pytest.importorskip("numpy")
     space, csr = spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
     t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
@@ -192,7 +191,6 @@ def test_three_four_and_numpy_speedup(three_four_spaces, smoke_mode, bench_recor
     is still large but the instance converges in very few rounds, so this
     row is held to a no-regression bound rather than the (2, 3) target.
     """
-    pytest.importorskip("numpy")
     space, csr = three_four_spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
     t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")

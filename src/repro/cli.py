@@ -147,17 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "dict", "csr"],
         default="auto",
         help="space representation the kernels run on: the tuple/set "
-        "NucleusSpace ('dict'), flat CSR int arrays ('csr'), or size-based "
-        "selection ('auto', the default); kappa is identical either way",
+        "NucleusSpace ('dict') or flat CSR int arrays ('csr'; 'auto', the "
+        "default, means csr); kappa is identical either way",
     )
     dec.add_argument(
         "--parallel",
-        choices=["thread", "process"],
+        choices=["process"],
         default=None,
         help="run the local algorithms on a pool: 'process' shares the CSR "
         "buffers across worker processes (real multi-core, and also "
-        "parallelises space construction), 'thread' runs snd (GIL-bound "
-        "correctness check) or and (batched numpy chunk sweep, csr only)",
+        "parallelises space construction)",
     )
     dec.add_argument(
         "--workers",
@@ -220,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "decompose" and args.workers is not None and args.parallel is None:
         # a silently discarded worker count looks like a slow parallel run;
         # fail loudly instead
-        parser.error("--workers requires --parallel {thread,process}")
+        parser.error("--workers requires --parallel process")
     if args.command == "decompose" and args.parallel != "process":
         if args.resilient:
             parser.error("--resilient requires --parallel process")
@@ -302,13 +301,11 @@ def _ingest_edge_list(path: str, backend: str):
     else (``csr`` and ``auto``) ingests through
     :func:`~repro.graph.io.read_edge_list_arrays` into a
     :class:`~repro.graph.csr_graph.CSRGraph` — no dict adjacency is ever
-    built on the array path.  Without numpy the dict reader is the only
-    option and ``auto`` falls back to it.
+    built on the array path.
     """
-    from repro.graph.csr_graph import HAVE_NUMPY
     from repro.graph.io import read_edge_list, read_edge_list_arrays
 
-    if backend != "dict" and HAVE_NUMPY:
+    if backend != "dict":
         return read_edge_list_arrays(path)
     return read_edge_list(path)
 
@@ -338,7 +335,7 @@ def _run_decompose(args: argparse.Namespace) -> None:
     if need_space:
         backend = (
             resolve_process_backend(args.backend)
-            if args.parallel == "process"
+            if args.parallel
             else args.backend
         )
         # --parallel process also parallelises the space *construction* when
@@ -346,7 +343,7 @@ def _run_decompose(args: argparse.Namespace) -> None:
         # graphs build serially (identical buffers either way)
         space, _ = resolve_space_for_backend(
             graph, args.r, args.s, backend,
-            parallel="process" if args.parallel == "process" else None,
+            parallel=args.parallel,
             workers=args.workers,
         )
         source = space

@@ -20,7 +20,6 @@ from repro.core.csr import (
     BACKENDS,
     CSRSpace,
     and_decomposition_csr,
-    auto_csr_threshold,
     snd_decomposition_csr,
 )
 from repro.core.hindex import h_index, sustains_h
@@ -58,7 +57,6 @@ __all__ = [
     "space_graph",
     "vertices_of",
     "BACKENDS",
-    "auto_csr_threshold",
     "and_decomposition_csr",
     "snd_decomposition_csr",
     "h_index",

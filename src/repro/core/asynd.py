@@ -123,23 +123,21 @@ def and_decomposition(
         ``"dict"`` runs this module's kernel over the tuple/set structure of
         :class:`NucleusSpace`; ``"csr"`` flattens the space and runs
         :func:`repro.core.csr.and_decomposition_csr` over flat int arrays;
-        ``"auto"`` (default) picks CSR for large spaces.  κ is identical
+        ``"auto"`` (default) means ``"csr"``.  κ is identical
         either way (the test-suite asserts it); only speed and the
         operation counters differ.
     engine:
         CSR execution tier, forwarded to
-        :func:`repro.core.csr.and_decomposition_csr` — ``"python"``,
-        ``"numpy"`` (frontier-batched), ``"numba"`` (JIT per-visit, falls
-        back to python), or ``"auto"``.  Passing a non-default engine
-        forces the CSR backend, so it cannot be combined with
-        ``backend="dict"``.
+        :func:`repro.core.csr.and_decomposition_csr` — ``"python"``
+        (per-visit), ``"numpy"`` (frontier-batched) or ``"auto"``.  A
+        non-default engine runs on the CSR backend, so it cannot be combined
+        with ``backend="dict"``.
     """
     if engine != "auto" and backend not in ("auto", "csr"):
         raise ValueError(
             f"engine={engine!r} requires the csr backend, got backend={backend!r}"
         )
-    request = "csr" if engine != "auto" else backend
-    space, resolved = resolve_space_for_backend(source, r, s, request)
+    space, resolved = resolve_space_for_backend(source, r, s, backend)
     if resolved == "csr":
         return and_decomposition_csr(
             space,

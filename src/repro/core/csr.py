@@ -21,8 +21,8 @@ A ``CSRSpace`` is cheap to pickle and can be shared across worker processes
 (flat ``array('q')`` buffers, no per-element Python objects), which is what
 the parallel runners need; and the kernels below —
 :func:`and_decomposition_csr` / :func:`snd_decomposition_csr` — run the τ
-iteration entirely over these preallocated arrays, optionally vectorising the
-SND Jacobi step with numpy when it is installed.  Both kernels produce κ
+iteration entirely over these preallocated arrays, with numpy vectorising
+the SND Jacobi step and the batched AND passes.  Both kernels produce κ
 values identical to the dict-backend implementations in
 :mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
 asserts property-style.
@@ -30,16 +30,14 @@ asserts property-style.
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import time
 from array import array
 from bisect import bisect_left
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from itertools import combinations
 
-from repro.core.hindex import h_index
+import numpy as _np
+
 from repro.core.kernels import kernel
 from repro.core.result import DecompositionResult, IterationStats
 from repro.core.space import NucleusSpace, _binomial
@@ -52,25 +50,12 @@ from repro.graph.csr_graph import (
 )
 from repro.graph.graph import Graph, sorted_vertices
 from repro.graph.triangles import degeneracy_ordering
-from repro.resilience.errors import MissingDependencyError
-
-try:  # numpy is an optional extra; every code path has a pure-Python fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 __all__ = [
     "CSRSpace",
     "GraphSource",
     "BACKENDS",
-    "AUTO_CSR_THRESHOLD",
-    "MIN_AUTO_CSR_THRESHOLD",
-    "AUTO_CSR_THRESHOLD_ENV",
-    "auto_csr_threshold",
-    "HAVE_NUMPY",
-    "HAVE_NUMBA",
     "ENGINES",
-    "estimate_r_clique_count",
     "resolve_backend",
     "resolve_process_backend",
     "and_decomposition_csr",
@@ -79,43 +64,16 @@ __all__ = [
     "weighted_ranges",
 ]
 
-HAVE_NUMPY = _np is not None
-
-#: Whether the optional numba extra is importable (the JIT itself compiles
-#: lazily on first use; see :func:`_numba_sweep`).  numba without numpy is
-#: not a usable configuration, so numpy-free installs report ``False``.
-HAVE_NUMBA = HAVE_NUMPY and importlib.util.find_spec("numba") is not None
-
 #: Valid values of the ``backend=`` parameter accepted by the decompositions.
+#: ``"auto"`` means ``"csr"``; the dict backend runs only when asked for.
 BACKENDS = ("auto", "dict", "csr")
 
 #: Valid values of the ``engine=`` parameter of the AND kernels: the CSR
-#: sweep comes in three tiers — ``"python"`` (per-visit interpreted loop,
-#: the exact dict-backend trajectory), ``"numpy"`` (frontier-batched array
-#: passes; same κ fixed point, different iteration counts) and ``"numba"``
-#: (JIT-compiled per-visit loop; exact trajectory at compiled speed).
+#: sweep comes in two tiers — ``"python"`` (per-visit interpreted loop,
+#: the exact dict-backend trajectory) and ``"numpy"`` (frontier-batched
+#: array passes; same κ fixed point, different iteration counts).
 #: ``"auto"`` picks per request; see :func:`_resolve_and_engine`.
-ENGINES = ("auto", "python", "numpy", "numba")
-
-#: Fallback value of the ``backend="auto"`` switch-over point (in r-cliques):
-#: below the threshold the one-off flattening cost outweighs the
-#: per-iteration savings.  The *effective* threshold comes from
-#: :func:`auto_csr_threshold`, which calibrates it per process with a tiny
-#: timing probe (clamped so it can only move the switch-over point earlier
-#: than this conservative default, never later).
-AUTO_CSR_THRESHOLD = 256
-
-#: Smallest calibrated threshold: below ~this many r-cliques both backends
-#: finish in microseconds and the routing choice is immaterial.
-MIN_AUTO_CSR_THRESHOLD = 32
-
-#: Environment variable overriding the calibrated threshold (useful for
-#: deterministic tests and for operators who have measured their fleet).
-AUTO_CSR_THRESHOLD_ENV = "REPRO_AUTO_CSR_THRESHOLD"
-
-#: Memoised calibration result; ``None`` until the first ``backend="auto"``
-#: decision (or explicit :func:`auto_csr_threshold` call) of the process.
-_CALIBRATED: Optional[int] = None
+ENGINES = ("auto", "python", "numpy")
 
 Clique = Tuple
 
@@ -404,8 +362,6 @@ class CSRSpace:
         the same stream — including the pool's one-big-batch parallel
         enumeration — assembles byte-identical buffers.
         """
-        if _np is None:  # pragma: no cover - CSRGraph itself requires numpy
-            raise MissingDependencyError("CSRGraph sources require numpy")
         if enum is None:
             enum = graph.clique_batches
         if (r, s) == (1, 2):
@@ -613,31 +569,16 @@ class CSRSpace:
         on every τ decrease.
         """
         if self._inverse is None:
-            n = len(self)
-            stride = self.stride
-            if _np is None:  # pragma: no cover - exercised on numpy-free installs
-                cm = self.ctx_members
-                counts = [0] * (n + 1)
-                for m in cm:
-                    counts[m + 1] += 1
-                for i in range(n):
-                    counts[i + 1] += counts[i]
-                slots = sorted(range(len(cm)), key=cm.__getitem__)
-                self._inverse = (
-                    array("q", counts),
-                    array("q", [j // stride for j in slots]),
-                )
-            else:
-                members = _np.frombuffer(self.ctx_members, dtype=_np.int64)
-                offsets = array("q", [0]) * (n + 1)
-                ids = array("q", [0]) * len(members)
-                _member_contexts_arrays(
-                    members,
-                    stride,
-                    _np.frombuffer(offsets, dtype=_np.int64),
-                    _np.frombuffer(ids, dtype=_np.int64),
-                )
-                self._inverse = (offsets, ids)
+            members = _np.frombuffer(self.ctx_members, dtype=_np.int64)
+            offsets = array("q", [0]) * (len(self) + 1)
+            ids = array("q", [0]) * len(members)
+            _member_contexts_arrays(
+                members,
+                self.stride,
+                _np.frombuffer(offsets, dtype=_np.int64),
+                _np.frombuffer(ids, dtype=_np.int64),
+            )
+            self._inverse = (offsets, ids)
         return self._inverse
 
     # ------------------------------------------------------------------
@@ -971,126 +912,15 @@ def _lookup_rows(table, queries):
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------
-def auto_csr_threshold() -> int:
-    """The calibrated ``backend="auto"`` switch-over size, in r-cliques.
-
-    The first call of a process runs a one-shot timing probe (see
-    :func:`_calibrate_threshold`) and memoises the answer; every later call
-    is a cached read.  The :data:`AUTO_CSR_THRESHOLD_ENV` environment
-    variable overrides the probe entirely, and any probe failure falls back
-    to the conservative :data:`AUTO_CSR_THRESHOLD` constant.
-    """
-    global _CALIBRATED
-    if _CALIBRATED is None:
-        try:
-            override = os.environ.get(AUTO_CSR_THRESHOLD_ENV)
-            if override is not None:
-                _CALIBRATED = max(int(override), 1)
-            else:
-                _CALIBRATED = _calibrate_threshold()
-        except Exception:
-            # calibration is best-effort: any failure (a malformed override,
-            # no generators in a stripped install, instrumented spaces in a
-            # test harness) keeps the documented default
-            _CALIBRATED = AUTO_CSR_THRESHOLD
-    return _CALIBRATED
-
-
-def _calibrate_threshold() -> int:
-    """One-shot timing probe replacing the old magic switch-over constant.
-
-    Runs the full auto-routing decision at a small known size: the dict
-    route (``NucleusSpace`` construction + dict AND kernel) against the CSR
-    route (``from_graph`` + CSR AND kernel) on a deterministic ~140-edge
-    (2, 3) probe instance.  Both routes scale roughly linearly with space
-    size at fixed density, so the break-even size is estimated by scaling
-    the probe size with the observed cost ratio, then clamped to
-    ``[MIN_AUTO_CSR_THRESHOLD, AUTO_CSR_THRESHOLD]`` — the probe can only
-    discover that CSR pays off *earlier* than the conservative default, and
-    millisecond timings are too noisy to justify routing large spaces to
-    the dict backend.
-
-    Each route is timed best-of-two: a single trial wobbled by ±40% from
-    one-off allocator and cache effects, while the minimum of two is stable
-    within a few per cent (measured: the batched CSR kernel puts the
-    crossover at ≈90 r-cliques, ratio ≈0.67 at probe size).
-    """
-    from repro.core.asynd import and_decomposition  # deferred: import cycle
-    from repro.graph.generators import powerlaw_cluster_graph
-
-    graph = powerlaw_cluster_graph(48, 3, 0.5, seed=20)
-    probe_size = graph.number_of_edges()  # = |R(G)| of the (2, 3) instance
-
-    def best_of(run, trials=2):
-        best = float("inf")
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_dict = best_of(lambda: and_decomposition(NucleusSpace(graph, 2, 3), backend="dict"))
-    t_csr = best_of(lambda: and_decomposition_csr(CSRSpace.from_graph(graph, 2, 3)))
-    if t_dict <= 0.0:
-        return AUTO_CSR_THRESHOLD
-    estimate = int(probe_size * (t_csr / t_dict))
-    return max(MIN_AUTO_CSR_THRESHOLD, min(estimate, AUTO_CSR_THRESHOLD))
-
-
-def estimate_r_clique_count(
-    graph: GraphSource, r: int, *, limit: Optional[int] = None
-) -> int:
-    """Cheaply count (or bound) the r-cliques of ``graph``.
-
-    This is the size estimator behind ``backend="auto"`` routing of graph
-    sources: the decision "is the space at least
-    :data:`AUTO_CSR_THRESHOLD` r-cliques?" must not cost a full space
-    construction.  ``r = 1`` and ``r = 2`` are O(1) lookups (vertex / edge
-    counts); ``r = 3`` counts oriented triangles; the generic case walks the
-    shared clique enumerator.  With ``limit`` the count stops as soon as it
-    reaches the limit, so the answer is exact below the limit and exactly
-    ``limit`` once it is reached — exactly what a threshold comparison
-    needs.  Accepts a :class:`CSRGraph` too, where ``r >= 3`` runs the
-    count-only array expansion with the cap applied inside each chunk.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    if r == 1:
-        return graph.number_of_vertices()
-    if r == 2:
-        return graph.number_of_edges()
-    if isinstance(graph, CSRGraph):
-        return graph.count_k_cliques(r, limit=limit)
-    count = 0
-    if r == 3:
-        order, forward = _oriented_forward(graph)
-        has_edge = graph.has_edge
-        for u in order:
-            out = forward[u]
-            for i, v in enumerate(out):
-                for w in out[i + 1:]:
-                    if has_edge(v, w):
-                        count += 1
-                        if limit is not None and count >= limit:
-                            return count
-        return count
-    for _ in enumerate_k_cliques(graph, r):
-        count += 1
-        if limit is not None and count >= limit:
-            return count
-    return count
-
-
 def resolve_backend(
     backend: str, space: Union[NucleusSpace, CSRSpace]
 ) -> str:
     """Resolve a ``backend=`` argument to ``"dict"`` or ``"csr"``.
 
-    ``"auto"`` picks the CSR kernels once the space has at least
-    :func:`auto_csr_threshold` r-cliques (below that the flattening cost
-    dominates).  A prebuilt :class:`CSRSpace` always runs on the CSR kernels —
-    asking for the dict backend on one is an error because the tuple-keyed
-    structure it would need has been discarded.
+    ``"auto"`` always means the CSR kernels; the dict kernels run only on an
+    explicit ``backend="dict"``.  A prebuilt :class:`CSRSpace` always runs
+    on the CSR kernels — asking for the dict backend on one is an error
+    because the tuple-keyed structure it would need has been discarded.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -1098,9 +928,7 @@ def resolve_backend(
         if backend == "dict":
             raise ValueError("cannot run the dict backend on a CSRSpace")
         return "csr"
-    if backend == "auto":
-        return "csr" if len(space) >= auto_csr_threshold() else "dict"
-    return backend
+    return "dict" if backend == "dict" else "csr"
 
 
 def resolve_process_backend(backend: str) -> str:
@@ -1185,20 +1013,12 @@ def resolve_space_for_backend(
 ) -> Tuple[Union[NucleusSpace, CSRSpace], str]:
     """Resolve source and backend together, skipping the dict detour.
 
-    A :class:`Graph` source with ``backend="csr"`` is constructed directly
-    via :meth:`CSRSpace.from_graph` — the :class:`NucleusSpace` is never
-    built.  ``backend="auto"`` on a Graph sizes the space with the cheap
-    :func:`estimate_r_clique_count` estimator (early-exiting at the
-    threshold) and routes at-or-above-threshold graphs straight to
-    ``from_graph`` as well, instead of paying the dict-space construction
-    just to measure it; below the threshold the dict space is built as
-    before.
-
-    A :class:`CSRGraph` source is already array-native, so ``"auto"``
-    always resolves to the CSR route (no size probe — flattening back into
-    Python objects could never pay off); an explicit ``backend="dict"``
-    converts through :meth:`CSRGraph.to_graph` to honour the request.
-    Every other combination behaves like :func:`resolve_space` followed by
+    A :class:`Graph` or :class:`CSRGraph` source with ``backend="csr"`` or
+    ``"auto"`` is constructed directly via :meth:`CSRSpace.from_graph` —
+    the :class:`NucleusSpace` is never built.  An explicit
+    ``backend="dict"`` builds the :class:`NucleusSpace` (through
+    :meth:`CSRGraph.to_graph` for an array source).  Every other
+    combination behaves like :func:`resolve_space` followed by
     :func:`resolve_backend`.
 
     ``parallel="process"`` routes a :class:`CSRGraph` source's space
@@ -1210,12 +1030,14 @@ def resolve_space_for_backend(
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     source = _unwrap_bundle(source, r, s, prefer_graph=backend == "dict")
-    if isinstance(source, CSRGraph):
+    if isinstance(source, (Graph, CSRGraph)):
         if r is None or s is None:
             raise ValueError("r and s are required when passing a graph")
         if backend == "dict":
-            return NucleusSpace(source.to_graph(), r, s), "dict"
-        if parallel == "process":
+            if isinstance(source, CSRGraph):
+                source = source.to_graph()
+            return NucleusSpace(source, r, s), "dict"
+        if parallel == "process" and isinstance(source, CSRGraph):
             return (
                 CSRSpace.from_graph(
                     source, r, s, parallel="process", workers=workers
@@ -1223,14 +1045,6 @@ def resolve_space_for_backend(
                 "csr",
             )
         return CSRSpace.from_graph(source, r, s), "csr"
-    if isinstance(source, Graph) and backend in ("csr", "auto"):
-        if r is None or s is None:
-            raise ValueError("r and s are required when passing a Graph")
-        threshold = auto_csr_threshold() if backend == "auto" else 0
-        if backend == "csr" or (
-            estimate_r_clique_count(source, r, limit=threshold) >= threshold
-        ):
-            return CSRSpace.from_graph(source, r, s), "csr"
     space = resolve_space(source, r, s)
     return space, resolve_backend(backend, space)
 
@@ -1284,21 +1098,17 @@ _ORDER_NAMES = frozenset(
 
 
 def _make_converged_counter(
-    reference_kappa: Optional[List[int]], n: int
+    reference_kappa: Optional[List[int]],
 ) -> Callable[[Sequence[int]], int]:
     """Per-iteration convergence counter against a reference κ array.
 
-    Vectorised when numpy is available — the interpreted ``sum(...)`` over
-    all ``n`` cliques used to dominate instrumented kernel timings — with
-    the original scan as the numpy-free fallback.
+    Vectorised: the interpreted ``sum(...)`` over all ``n`` cliques used to
+    dominate instrumented kernel timings.
     """
     if reference_kappa is None:
         return lambda tau: -1
-    if _np is not None:
-        ref = _np.asarray(reference_kappa, dtype=_np.int64)
-        return lambda tau: int((_np.asarray(tau, dtype=_np.int64) == ref).sum())
-    ref_list = list(reference_kappa)
-    return lambda tau: sum(1 for i in range(n) if tau[i] == ref_list[i])
+    ref = _np.asarray(reference_kappa, dtype=_np.int64)
+    return lambda tau: int((_np.asarray(tau, dtype=_np.int64) == ref).sum())
 
 
 def _resolve_and_engine(
@@ -1314,25 +1124,15 @@ def _resolve_and_engine(
 
     ``"auto"`` routes *trajectory-sensitive* requests — recorded history,
     per-iteration callbacks, reference-κ instrumentation, iteration caps,
-    or any non-natural processing order — to a per-visit engine, because
-    only the per-visit schedule reproduces the dict backend's exact τ
-    trajectory (numba-JIT when importable, interpreted otherwise).  Plain
-    fixed-point requests take the batched numpy kernel, the fastest tier.
-    An explicit ``"numba"`` request without numba installed falls back to
-    the pure-Python per-visit loop (identical trajectory, no JIT) — the
-    extra is optional by design; an explicit ``"numpy"`` without numpy is
-    an error because no fallback computes the same batched schedule.
+    or any non-natural processing order — to the per-visit python engine,
+    because only the per-visit schedule reproduces the dict backend's exact
+    τ trajectory.  Plain fixed-point requests take the batched numpy
+    kernel, the fastest tier.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "python":
-        return "python"
-    if engine == "numpy":
-        if _np is None:
-            raise MissingDependencyError("engine='numpy' requires numpy")
-        return "numpy"
-    if engine == "numba":
-        return "numba" if HAVE_NUMBA else "python"
+    if engine != "auto":
+        return engine
     trajectory_sensitive = (
         record_history
         or on_iteration is not None
@@ -1340,11 +1140,7 @@ def _resolve_and_engine(
         or max_iterations is not None
         or not (order is None or order == "natural")
     )
-    if trajectory_sensitive:
-        return "numba" if HAVE_NUMBA else "python"
-    if _np is not None:
-        return "numpy"
-    return "python"
+    return "python" if trajectory_sensitive else "numpy"
 
 
 def and_decomposition_csr(
@@ -1364,7 +1160,7 @@ def and_decomposition_csr(
 ) -> DecompositionResult:
     """Array-native AND (Algorithm 3) over a :class:`CSRSpace`.
 
-    The sweep runs on one of three kernel tiers, selected by ``engine``:
+    The sweep runs on one of two kernel tiers, selected by ``engine``:
 
     * ``"python"`` — the per-visit interpreted loop.  Semantics match
       :func:`repro.core.asynd.and_decomposition` exactly: same τ
@@ -1377,17 +1173,13 @@ def and_decomposition_csr(
       ``np.minimum.at`` and computes the next frontier from the neighbour
       CSR.  κ is the same unique fixed point, but the schedule is Jacobi
       *within* a pass, so iteration counts and τ trajectories differ from
-      the per-visit engines; ``order``/``seed``/``kappa_hint`` are
+      the per-visit engine; ``order``/``seed``/``kappa_hint`` are
       validated and then ignored (the fixed point is order-independent).
-    * ``"numba"`` — the per-visit loop JIT-compiled by the optional numba
-      extra (:func:`_and_csr_numba`): the exact python-engine trajectory
-      at compiled speed.  Falls back to the pure-Python loop when numba
-      is not importable.
 
     ``"auto"`` (default) resolves per request — see
     :func:`_resolve_and_engine` — and ``operations["engine"]`` records the
-    tier that ran.  All per-visit tiers share three optimisations on top
-    of the flat-array layout (the batched tier keeps the first and third):
+    tier that ran.  The per-visit tier has three optimisations on top of
+    the flat-array layout (the batched tier keeps the first and third):
 
     * **incremental ρ maintenance**: because τ never increases, the per-
       context minima only ever decrease, so the kernel keeps a flat ``rho``
@@ -1423,8 +1215,7 @@ def and_decomposition_csr(
             reference_kappa=reference_kappa,
             on_iteration=on_iteration,
         )
-    runner = _and_csr_numba if resolved == "numba" else _and_csr_python
-    return runner(
+    return _and_csr_python(
         space,
         order=order,
         seed=seed,
@@ -1457,7 +1248,6 @@ def _and_csr_python(
     # kernel-local plain lists: int indexing on lists is the fastest pure-
     # Python access path, while the canonical storage stays compact arrays
     ctx_off = list(space.ctx_offsets)
-    cm = list(space.ctx_members)
     nbr_off = list(space.nbr_offsets)
     nm = list(space.nbr_members)
     inv_offsets, inv_ids = space.member_contexts()
@@ -1467,22 +1257,12 @@ def _and_csr_python(
     tau = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
     # rho[c] = min over the members of context c of the current tau values;
     # initialised from the S-degrees and maintained on every tau decrease
-    total = len(cm) // stride if stride else 0
-    if _np is not None and total:
-        members = _np.frombuffer(space.ctx_members, dtype=_np.int64)
-        rho = (
-            _np.asarray(tau, dtype=_np.int64)[members.reshape(total, stride)]
-            .min(axis=1)
-            .tolist()
-        )
-    elif stride == 2:
-        it = iter(cm)
-        rho = [min(tau[x], tau[y]) for x, y in zip(it, it)]
-    else:
-        rho = [
-            min(tau[cm[j]] for j in range(c * stride, (c + 1) * stride))
-            for c in range(total)
-        ]
+    members = _np.frombuffer(space.ctx_members, dtype=_np.int64)
+    rho = (
+        _np.asarray(tau, dtype=_np.int64)[members.reshape(ctx_off[n], stride)]
+        .min(axis=1)
+        .tolist()
+    )
     perm = processing_order(space, order if order is not None else "natural",
                             seed=seed, kappa_hint=kappa_hint)
     active = [True] * n
@@ -1491,7 +1271,7 @@ def _and_csr_python(
     rho_evaluations = 0
     h_calls = 0
     skipped_total = 0
-    count_converged = _make_converged_counter(reference_kappa, n)
+    count_converged = _make_converged_counter(reference_kappa)
 
     def finish_iteration(iteration, updated, processed, skipped, max_change):
         nonlocal skipped_total, converged
@@ -1786,220 +1566,6 @@ def _and_csr_numpy(
     )
 
 
-def _and_sweep_pervisit(
-    perm, tau, rho, ctx_off, inv_off, inv_ids, nbr_off, nbr_mem, active,
-    use_notification,
-):
-    """One per-visit AND pass over flat int64 arrays (numba-compilable).
-
-    The same body runs JIT-compiled (:func:`_numba_sweep`) or interpreted
-    (the parity path of the tests, and the graceful fallback when numba
-    breaks at import time); either way it reproduces the python engine's
-    exact per-visit τ trajectory — sustainability early exit, clamped
-    counting h-index, incremental ρ scatter, neighbour notification.
-    Deliberately *not* an ``@kernel``: its whole point is the per-visit
-    Gauss–Seidel loop that the batched kernel cannot express.
-    """
-    updated = 0
-    processed = 0
-    max_change = 0
-    rho_evals = 0
-    h_calls = 0
-    for k in range(perm.shape[0]):
-        i = perm[k]
-        if use_notification and active[i] == 0:
-            continue
-        processed += 1
-        current = tau[i]
-        if current == 0:
-            # τ is non-increasing: a clique at 0 can never change again
-            active[i] = 0
-            continue
-        start = ctx_off[i]
-        end = ctx_off[i + 1]
-        rho_evals += end - start
-        # sustainability scan with early exit over the maintained ρ array
-        need = current
-        for c in range(start, end):
-            if rho[c] >= current:
-                need -= 1
-                if need == 0:
-                    break
-        if need != 0:
-            # not sustained: h is < current, so the clique must drop;
-            # counting h-index clamped to current - 1 (same as _h_below)
-            limit = current - 1
-            new_value = 0
-            if limit > 0:
-                counts = _np.zeros(limit + 1, dtype=_np.int64)
-                for c in range(start, end):
-                    v = rho[c]
-                    if v > limit:
-                        v = limit
-                    counts[v] += 1
-                running = 0
-                for h in range(limit, 0, -1):
-                    running += counts[h]
-                    if running >= h:
-                        new_value = h
-                        break
-            h_calls += 1
-            tau[i] = new_value
-            updated += 1
-            change = current - new_value
-            if change > max_change:
-                max_change = change
-            for p in range(inv_off[i], inv_off[i + 1]):
-                ctx = inv_ids[p]
-                if new_value < rho[ctx]:
-                    rho[ctx] = new_value
-            if use_notification:
-                for p in range(nbr_off[i], nbr_off[i + 1]):
-                    active[nbr_mem[p]] = 1
-        active[i] = 0
-    return updated, processed, max_change, rho_evals, h_calls
-
-
-#: Memoised JIT compilation state of :func:`_and_sweep_pervisit`.
-_NUMBA_SWEEP: Optional[Callable] = None
-_NUMBA_FAILED = False
-
-
-def _numba_sweep() -> Optional[Callable]:
-    """The JIT-compiled per-visit sweep, or ``None`` if numba cannot load.
-
-    Importing numba costs on the order of a second, so the compilation is
-    lazy and memoised per process; a numba that is installed but broken
-    (unsupported Python, missing llvmlite) degrades to the interpreted
-    sweep instead of failing the decomposition.
-    """
-    global _NUMBA_SWEEP, _NUMBA_FAILED
-    if _NUMBA_SWEEP is None and not _NUMBA_FAILED:
-        try:  # pragma: no cover - exercised only with the numba extra
-            import numba
-
-            _NUMBA_SWEEP = numba.njit(cache=True)(_and_sweep_pervisit)
-        except Exception:  # pragma: no cover - broken optional extra
-            _NUMBA_FAILED = True
-    return _NUMBA_SWEEP
-
-
-def _and_csr_numba(
-    space: CSRSpace,
-    *,
-    order=None,
-    seed: Optional[int] = None,
-    kappa_hint: Optional[List[int]] = None,
-    notification: bool = True,
-    max_iterations: Optional[int] = None,
-    record_history: bool = False,
-    reference_kappa: Optional[List[int]] = None,
-    on_iteration: Optional[Callable[[int, List[int]], None]] = None,
-    _interpreted: bool = False,
-) -> DecompositionResult:
-    """Per-visit AND over numpy arrays, JIT-compiled when numba is present.
-
-    Runs :func:`_and_sweep_pervisit` once per iteration, so history,
-    per-iteration stats and the τ trajectory are identical to the python
-    engine's; only the inner loop's execution mode differs.  With
-    ``_interpreted=True`` (tests) the sweep body runs uncompiled, making
-    trajectory parity checkable on installs without numba;
-    ``operations["jit"]`` records whether the compiled sweep actually ran.
-    """
-    from repro.core.asynd import processing_order
-
-    n = len(space)
-    stride = space.stride
-    ctx_off = _np.frombuffer(space.ctx_offsets, dtype=_np.int64).copy()
-    members = _np.frombuffer(space.ctx_members, dtype=_np.int64).copy()
-    nbr_off = _np.frombuffer(space.nbr_offsets, dtype=_np.int64).copy()
-    nbr_mem = _np.frombuffer(space.nbr_members, dtype=_np.int64).copy()
-    inv_offsets, inv_ids = space.member_contexts()
-    inv_off = _np.frombuffer(inv_offsets, dtype=_np.int64).copy()
-    inv = _np.frombuffer(inv_ids, dtype=_np.int64).copy()
-    total = int(ctx_off[n]) if n else 0
-    tau = ctx_off[1:] - ctx_off[:-1]
-    if total:
-        rho = tau[members.reshape(total, stride)].min(axis=1)
-    else:
-        rho = _np.empty(0, dtype=_np.int64)
-    perm = _np.asarray(
-        processing_order(
-            space,
-            order if order is not None else "natural",
-            seed=seed,
-            kappa_hint=kappa_hint,
-        ),
-        dtype=_np.int64,
-    )
-    # kernel-local flag scratch (uint8 so the JIT sweep indexes bytes),
-    # never a shared/persisted buffer
-    active = _np.ones(n, dtype=_np.uint8)  # repro: noqa[ARR002]
-    sweep = None if _interpreted else _numba_sweep()
-    jit = sweep is not None
-    if sweep is None:
-        sweep = _and_sweep_pervisit
-    ref = (
-        _np.asarray(reference_kappa, dtype=_np.int64)
-        if reference_kappa is not None
-        else None
-    )
-    history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
-    stats: List[IterationStats] = []
-    rho_evaluations = 0
-    h_calls = 0
-    skipped_total = 0
-
-    iteration = 0
-    converged = n == 0
-    while not converged:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        iteration += 1
-        updated, processed, max_change, rho_inc, h_inc = sweep(
-            perm, tau, rho, ctx_off, inv_off, inv, nbr_off, nbr_mem, active,
-            notification,
-        )
-        updated = int(updated)
-        rho_evaluations += int(rho_inc)
-        h_calls += int(h_inc)
-        skipped_total += n - int(processed)
-        converged = updated == 0
-        if history is not None:
-            history.append(tau.tolist())
-        if on_iteration is not None:
-            on_iteration(iteration, tau.tolist())
-        converged_count = int((tau == ref).sum()) if ref is not None else -1
-        stats.append(
-            IterationStats(
-                iteration=iteration,
-                updated=updated,
-                processed=int(processed),
-                skipped=n - int(processed),
-                max_change=int(max_change),
-                converged_count=converged_count,
-            )
-        )
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="and",
-        kappa=[int(v) for v in tau],
-        iterations=iteration,
-        converged=converged,
-        tau_history=history,
-        iteration_stats=stats,
-        operations={
-            "rho_evaluations": rho_evaluations,
-            "h_index_calls": h_calls,
-            "skipped_cliques": skipped_total,
-            "backend": "csr",
-            "engine": "numba",
-            "jit": int(jit),
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # SND kernel
 # ----------------------------------------------------------------------
@@ -2012,123 +1578,21 @@ def snd_decomposition_csr(
     record_history: bool = False,
     reference_kappa: Optional[List[int]] = None,
     on_iteration: Optional[Callable[[int, List[int]], None]] = None,
-    use_numpy: Optional[bool] = None,
 ) -> DecompositionResult:
     """Array-native SND (Algorithm 2) over a :class:`CSRSpace`.
 
-    The Jacobi step is vectorised with numpy when available (``use_numpy``
-    forces either path): the per-context minima become one fancy-indexed
-    ``min(axis=1)``, and the per-clique h-indices come from a segment-sorted
-    threshold count.  The pure-Python fallback runs the same flat-array loops
-    as the AND kernel.  κ, iteration counts and per-iteration stats are
-    identical to :func:`repro.core.snd.snd_decomposition`.
+    The Jacobi step is vectorised: the per-context minima become one
+    fancy-indexed ``min(axis=1)``, and the per-clique h-indices come from a
+    segment-sorted threshold count.  κ, iteration counts and per-iteration
+    stats are identical to :func:`repro.core.snd.snd_decomposition`.
     """
     space = _as_csr(source, r, s)
-    if use_numpy is None:
-        use_numpy = _np is not None
-    if use_numpy and _np is None:
-        raise ValueError("use_numpy=True but numpy is not installed")
-    runner = _snd_csr_numpy if use_numpy else _snd_csr_python
-    return runner(
+    return _snd_csr_numpy(
         space,
         max_iterations=max_iterations,
         record_history=record_history,
         reference_kappa=reference_kappa,
         on_iteration=on_iteration,
-    )
-
-
-def _snd_csr_python(
-    space: CSRSpace,
-    *,
-    max_iterations: Optional[int],
-    record_history: bool,
-    reference_kappa: Optional[List[int]],
-    on_iteration: Optional[Callable[[int, List[int]], None]],
-) -> DecompositionResult:
-    n = len(space)
-    stride = space.stride
-    ctx_off = list(space.ctx_offsets)
-    cm = list(space.ctx_members)
-    tau = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
-    history: Optional[List[List[int]]] = [list(tau)] if record_history else None
-    stats: List[IterationStats] = []
-    rho_evaluations = 0
-    h_calls = 0
-
-    iteration = 0
-    converged = n == 0
-    while not converged:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        iteration += 1
-        previous = tau
-        tau = [0] * n
-        updated = 0
-        max_change = 0
-        for i in range(n):
-            start = ctx_off[i]
-            end = ctx_off[i + 1]
-            if stride == 2:
-                rho_values = [
-                    min(previous[cm[2 * c]], previous[cm[2 * c + 1]])
-                    for c in range(start, end)
-                ]
-            else:
-                rho_values = []
-                append = rho_values.append
-                for c in range(start, end):
-                    b = c * stride
-                    v = previous[cm[b]]
-                    for j in range(b + 1, b + stride):
-                        w = previous[cm[j]]
-                        if w < v:
-                            v = w
-                    append(v)
-            rho_evaluations += end - start
-            new_value = h_index(rho_values)
-            h_calls += 1
-            tau[i] = new_value
-            if new_value != previous[i]:
-                updated += 1
-                change = previous[i] - new_value
-                if change > max_change:
-                    max_change = change
-        converged = updated == 0
-        if history is not None:
-            history.append(list(tau))
-        if on_iteration is not None:
-            on_iteration(iteration, tau)
-        converged_count = (
-            sum(1 for i in range(n) if tau[i] == reference_kappa[i])
-            if reference_kappa is not None
-            else -1
-        )
-        stats.append(
-            IterationStats(
-                iteration=iteration,
-                updated=updated,
-                processed=n,
-                skipped=0,
-                max_change=max_change,
-                converged_count=converged_count,
-            )
-        )
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="snd",
-        kappa=tau,
-        iterations=iteration,
-        converged=converged,
-        tau_history=history,
-        iteration_stats=stats,
-        operations={
-            "rho_evaluations": rho_evaluations,
-            "h_index_calls": h_calls,
-            "backend": "csr",
-            "numpy": 0,
-        },
     )
 
 
@@ -2220,7 +1684,6 @@ def _snd_csr_numpy(
             "rho_evaluations": rho_evaluations,
             "h_index_calls": h_calls,
             "backend": "csr",
-            "numpy": 1,
         },
     )
 

@@ -42,7 +42,7 @@ __all__ = [
 ALGORITHMS = ("peeling", "snd", "and")
 
 #: Valid values of the ``parallel=`` parameter (``None`` means serial).
-PARALLEL_MODES = ("thread", "process")
+PARALLEL_MODES = ("process",)
 
 
 def nucleus_decomposition(
@@ -79,16 +79,13 @@ def nucleus_decomposition(
     backend:
         Space representation the kernels run on: ``"dict"`` (the tuple/set
         :class:`NucleusSpace` structure), ``"csr"`` (flat int arrays, see
-        :mod:`repro.core.csr`) or ``"auto"`` (default; CSR for large spaces).
+        :mod:`repro.core.csr`) or ``"auto"`` (default; means ``"csr"``).
         A :class:`Graph` source with ``backend="csr"`` is flattened directly
         by :meth:`CSRSpace.from_graph` — the dict space is never built.
         κ is backend-independent.
     parallel:
-        ``None`` (serial, the default), ``"thread"`` (SND or AND on a
-        thread pool — SND is a GIL-bound correctness check; AND drives the
-        process pool's batched numpy chunk sweep over in-process arrays,
-        CSR-only) or ``"process"`` (SND or AND on the shared-memory process
-        pool of :mod:`repro.parallel.procpool` — the real multi-core path).
+        ``None`` (serial, the default) or ``"process"`` (SND or AND on the
+        shared-memory process pool of :mod:`repro.parallel.procpool`).
     workers:
         Worker count for the parallel modes (default 4); requires
         ``parallel``.
@@ -107,7 +104,7 @@ def nucleus_decomposition(
         :func:`repro.core.csr.and_decomposition_csr`).  The parallel
         dispatch rejects options its runners do not support, including
         ``engine`` (the process pool always runs its own batched chunk
-        kernel when numpy is available).
+        kernel).
 
     Returns
     -------
@@ -153,7 +150,7 @@ def nucleus_decomposition(
             options,
         )
     if workers is not None:
-        raise ValueError("workers= requires parallel='thread' or 'process'")
+        raise ValueError("workers= requires parallel='process'")
     if resilience not in (None, False):
         raise ValueError("resilience= requires parallel='process'")
 
@@ -179,31 +176,12 @@ def _parallel_dispatch(
     resilience,
     options: Dict[str, object],
 ) -> DecompositionResult:
-    """Route ``parallel=`` requests to the thread or process runners."""
+    """Route ``parallel=`` requests to the process pool."""
     if parallel not in PARALLEL_MODES:
         raise ValueError(
             f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
         )
     workers = 4 if workers is None else workers
-    if parallel == "thread":
-        if resilience not in (None, False):
-            raise ValueError("resilience= requires parallel='process'")
-        if algorithm == "peeling":
-            raise ValueError(
-                "parallel execution supports the local algorithms "
-                "('snd', 'and'); peeling is the sequential baseline"
-            )
-        if algorithm == "and":
-            from repro.parallel.runner import parallel_and_decomposition
-
-            return parallel_and_decomposition(
-                source, r, s, num_threads=workers, backend=backend, **options
-            )
-        from repro.parallel.runner import parallel_snd_decomposition
-
-        return parallel_snd_decomposition(
-            source, r, s, num_threads=workers, backend=backend, **options
-        )
     if algorithm == "peeling":
         raise ValueError(
             "parallel execution supports the local algorithms ('snd', 'and'); "

@@ -19,7 +19,7 @@ incidence:
 
 * every s-clique connects its member r-cliques for all thresholds up to the
   minimum κ among them, so each s-clique is applied exactly once — at that
-  minimum (numpy-vectorised grouping over the CSR arrays when available);
+  minimum (numpy-vectorised grouping over the arrays of a CSR space);
 * r-cliques enter the structure at their own κ (sorted by κ once, up front);
 * a union-find root therefore *is* the nucleus at the current threshold, a
   node is emitted whenever a root's member set changes between thresholds,
@@ -36,14 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.core.protocol import SpaceLike, space_graph, vertices_of
 from repro.core.result import DecompositionResult
 from repro.graph.graph import Vertex
-
-try:  # numpy is an optional extra; the grouping has a pure-Python fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 __all__ = ["Nucleus", "NucleusHierarchy", "build_hierarchy"]
 
@@ -217,7 +214,6 @@ class NucleusHierarchy:
         walking :class:`Nucleus` objects or materialising vertex sets.  The
         arrays are what :mod:`repro.store.bundle` persists, so a bundle
         reopened via memmap serves the same queries with zero rebuild.
-        Requires numpy.
         """
         if self._interval_index is None:
             from repro.core.intervals import build_interval_index
@@ -416,11 +412,11 @@ def _grouped_s_cliques(
 
     The minimum κ is the highest threshold at which the s-clique connects
     its members, i.e. the unique sweep level it must be applied at.  On a
-    CSR space with numpy the dedup (owner is the smallest member) and the
+    CSR space the dedup (owner is the smallest member) and the
     per-group minima are computed vectorised over the flat arrays; the
     generic path walks :meth:`SpaceLike.s_clique_groups`.
     """
-    if _np is not None and hasattr(space, "ctx_members"):
+    if hasattr(space, "ctx_members"):
         n = len(space)
         stride = space.stride
         offsets = _np.frombuffer(space.ctx_offsets, dtype=_np.int64)

@@ -24,9 +24,6 @@ member counts and member enumeration therefore never touch a
 is a flat int64 buffer — directly persistable and reopenable via
 ``numpy.memmap`` (see :mod:`repro.store.bundle`).
 
-numpy is required; the object-walking :class:`NucleusHierarchy` API remains
-the numpy-free fallback.
-
 Examples
 --------
 >>> from repro.core.hierarchy import build_hierarchy
@@ -47,12 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.resilience.errors import MissingDependencyError
-
-try:  # numpy is an optional extra of the package
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 __all__ = ["HierarchyIndex", "build_interval_index"]
 
@@ -72,14 +64,6 @@ INDEX_ARRAYS = (
     "member_lo",
     "member_hi",
 )
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - exercised on numpy-free installs
-        raise MissingDependencyError(
-            "the interval hierarchy index requires numpy; use the "
-            "object-walking NucleusHierarchy API instead"
-        )
 
 
 class HierarchyIndex:
@@ -121,7 +105,6 @@ class HierarchyIndex:
     __slots__ = tuple(INDEX_ARRAYS)
 
     def __init__(self, **arrays) -> None:
-        _require_numpy()
         missing = [name for name in INDEX_ARRAYS if name not in arrays]
         if missing:
             raise ValueError(f"missing index arrays: {missing}")
@@ -291,7 +274,6 @@ def build_interval_index(hierarchy) -> HierarchyIndex:
         questions as the object API; parity is property-tested in
         ``tests/test_intervals.py``.
     """
-    _require_numpy()
     nodes = hierarchy.nodes
     count = len(nodes)
     num_cliques = len(hierarchy.kappa)

@@ -57,9 +57,8 @@ def snd_decomposition(
     backend:
         ``"dict"`` runs this module's kernel over :class:`NucleusSpace`;
         ``"csr"`` runs :func:`repro.core.csr.snd_decomposition_csr` over flat
-        arrays (numpy-vectorised Jacobi step when numpy is installed);
-        ``"auto"`` (default) picks CSR for large spaces.  κ is identical
-        either way.
+        arrays (numpy-vectorised Jacobi step); ``"auto"`` (default) means
+        ``"csr"``.  κ is identical either way.
 
     Returns
     -------

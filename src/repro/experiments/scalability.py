@@ -24,7 +24,6 @@ from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
 from repro.datasets.registry import load_dataset
-from repro.graph.csr_graph import HAVE_NUMPY
 from repro.experiments.tables import format_table
 from repro.parallel.procpool import PersistentPool
 from repro.parallel.runner import (
@@ -117,11 +116,10 @@ def run_measured_scalability(
         raise ValueError(f"algorithm must be 'snd' or 'and', got {algorithm!r}")
     rows: List[Dict[str, object]] = []
     # the pool runs on CSR buffers anyway, so feed it from the array-native
-    # substrate when numpy is available: the space is filled straight from
-    # the CSRGraph batch enumerators instead of the dict enumeration
-    representation = "csr" if HAVE_NUMPY else "dict"
+    # substrate: the space is filled straight from the CSRGraph batch
+    # enumerators instead of the dict enumeration
     for dataset in datasets:
-        graph = load_dataset(dataset, representation=representation)
+        graph = load_dataset(dataset, representation="csr")
         space = CSRSpace.from_graph(graph, r, s)
         baseline: Optional[float] = None
         reference_kappa: Optional[List[int]] = None

@@ -28,27 +28,19 @@ built from a :class:`CSRGraph`, materialising a canonical label tuple only
 when an index is actually read (a human-facing answer), not during
 construction or kernel execution.
 
-numpy is required for everything in this module; the dict ``Graph`` path
-remains fully functional without it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.kernels import kernel
 from repro.graph.cliques import canonical_clique
 from repro.graph.graph import Edge, Graph, Vertex, sorted_vertices
-from repro.resilience.errors import MissingDependencyError
 
-try:  # numpy is an optional extra of the package, required only here
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
-
-__all__ = ["CSRGraph", "CliqueArrayView", "SortedRows", "HAVE_NUMPY"]
-
-HAVE_NUMPY = np is not None
+__all__ = ["CSRGraph", "CliqueArrayView", "SortedRows"]
 
 #: Default bound on the number of candidate pairs examined per enumeration
 #: batch; one batch materialises a few int64 arrays of roughly this length.
@@ -59,14 +51,6 @@ DEFAULT_BATCH_SIZE = 1 << 20
 #: probe that early-exits touches only a few thousand pairs while an
 #: unbounded count still converges to :data:`DEFAULT_BATCH_SIZE` chunks.
 PROBE_BATCH_SIZE = 1 << 12
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - exercised on numpy-free installs
-        raise MissingDependencyError(
-            "CSRGraph requires numpy; install the 'numpy' extra or use the "
-            "dict-backed repro.graph.graph.Graph instead"
-        )
 
 
 class CliqueArrayView:
@@ -315,7 +299,6 @@ class CSRGraph:
     )
 
     def __init__(self, indptr, indices, labels=None) -> None:
-        _require_numpy()
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         n = len(self.indptr) - 1
@@ -351,7 +334,6 @@ class CSRGraph:
         ``num_vertices`` covers trailing isolated vertices; ``labels`` maps
         ids back to original vertex labels (identity when omitted).
         """
-        _require_numpy()
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
@@ -388,7 +370,6 @@ class CSRGraph:
         :func:`sorted_vertices` for homogeneous label types — the invariant
         the lazy clique materialisation relies on.
         """
-        _require_numpy()
         u = np.asarray(u)
         v = np.asarray(v)
         uniq, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
@@ -408,7 +389,6 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build from an iterable of ``(u, v)`` label pairs (plus isolated
         vertices), the convenience mirror of ``Graph(edges, vertices)``."""
-        _require_numpy()
         edge_list = [(u, v) for u, v in edges]
         seen: Set[Vertex] = set()
         for u, v in edge_list:
@@ -855,7 +835,7 @@ class CSRGraph:
         (:meth:`_count_chunk`).  With ``limit`` the source vertices are
         consumed in *adaptively sized* chunks — starting at
         :data:`PROBE_BATCH_SIZE` candidate pairs and doubling after every
-        chunk that stays below the limit — so an estimator probe on a dense
+        chunk that stays below the limit — so a capped count on a dense
         graph exits inside its first few thousand pairs instead of paying a
         full :data:`DEFAULT_BATCH_SIZE` chunk first.  The answer is exact
         below the limit and exactly ``limit`` once reached: the cap is

@@ -104,14 +104,11 @@ def read_edge_list_arrays(
     duplicates collapse, integer tokens become ``int`` labels and anything
     else stays a string.  ``.gz`` / ``.bz2`` are decompressed transparently
     and ``delimiter`` overrides whitespace splitting.
-
-    Requires numpy (the CSR substrate is array-native by definition).
     """
     import numpy as np
 
-    from repro.graph.csr_graph import CSRGraph, _require_numpy
+    from repro.graph.csr_graph import CSRGraph
 
-    _require_numpy()
     path = Path(path)
     with _open_text(path) as handle:
         text = handle.read()

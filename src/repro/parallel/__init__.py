@@ -1,58 +1,41 @@
 """Shared-memory parallel execution substrate.
 
 The paper parallelises the local algorithms with OpenMP and studies static vs
-dynamic scheduling.  This package provides three complementary backends:
+dynamic scheduling.  This package provides two complementary pieces:
 
 * :class:`repro.parallel.scheduler.SimulatedScheduler` — a deterministic cost
   model that assigns per-r-clique work to ``p`` virtual threads under static
   or dynamic scheduling and reports the makespan.  The simulated scalability
   experiments (E5) are produced from these makespans, which reproduce the
   load-imbalance behaviour the paper discusses.
-* :class:`repro.parallel.scheduler.ThreadPoolBackend` — a real
-  ``concurrent.futures`` thread pool used to validate that the SND iteration
-  is safe to execute concurrently (functional correctness; no speedup under
-  the GIL).  :func:`repro.parallel.runner.parallel_and_decomposition` adds a
-  thread transport for the asynchronous AND schedule, driving the process
-  pool's batched numpy chunk sweep over in-process arrays.
-* :class:`repro.parallel.procpool.ProcessPoolBackend` — worker *processes*
+* :class:`repro.parallel.procpool.PersistentPool` — worker *processes*
   attached zero-copy to the CSR buffers via ``multiprocessing.shared_memory``:
   the real multi-core path (SND Jacobi with a double-buffered shared τ, and
   an asynchronous AND variant with per-chunk τ ownership and a shared
-  notification bitmap).  :class:`repro.parallel.procpool.PersistentPool`
-  keeps those workers and segments alive across decomposition calls so
-  experiment sweeps pay the fork once.
+  notification bitmap).  The pool keeps its workers and segments alive
+  across decomposition calls so experiment sweeps pay the fork once; a
+  single run is a ``with PersistentPool(...)`` block
+  (:func:`repro.parallel.procpool.process_snd_decomposition`,
+  :func:`repro.parallel.procpool.process_and_decomposition`).
 """
 
 from repro.parallel.procpool import (
     PersistentPool,
-    ProcessPoolBackend,
     SharedCSRBuffers,
     process_and_decomposition,
     process_snd_decomposition,
 )
 from repro.parallel.runner import (
-    PARALLEL_MODES,
-    parallel_and_decomposition,
-    parallel_snd_decomposition,
     simulate_local_scalability,
     simulate_peeling_scalability,
 )
-from repro.parallel.scheduler import (
-    ScheduleReport,
-    SimulatedScheduler,
-    ThreadPoolBackend,
-)
+from repro.parallel.scheduler import ScheduleReport, SimulatedScheduler
 
 __all__ = [
-    "PARALLEL_MODES",
     "PersistentPool",
-    "ProcessPoolBackend",
     "ScheduleReport",
     "SharedCSRBuffers",
     "SimulatedScheduler",
-    "ThreadPoolBackend",
-    "parallel_and_decomposition",
-    "parallel_snd_decomposition",
     "process_and_decomposition",
     "process_snd_decomposition",
     "simulate_local_scalability",

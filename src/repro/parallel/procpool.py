@@ -1,8 +1,6 @@
 """Shared-memory process-pool decomposition over CSR buffers.
 
-The thread-pool runner in :mod:`repro.parallel.runner` proves the chunked
-sweep structure but cannot speed anything up under the GIL.  This module is
-the real multi-core path:
+This module is the multi-core path of the local algorithms:
 
 * the flat ``array('q')`` buffers of a :class:`repro.core.csr.CSRSpace` are
   placed into :mod:`multiprocessing.shared_memory` segments **once** by the
@@ -16,18 +14,17 @@ the real multi-core path:
   the next buffer, with a two-phase barrier between rounds (publish
   per-worker update counts, then agree on convergence);
 * **AND** runs the paper's partitioned asynchronous schedule: each worker
-  *owns* one contiguous chunk of τ, updates it in place Gauss–Seidel style
-  using the freshest own values plus the neighbours' latest published
-  values.  With ``notification=True`` (the default) a shared per-clique
-  *active bitmap* carries the paper's notification mechanism across chunk
-  boundaries: a worker sweeps only the active cliques of its chunk, a τ
-  decrease re-activates the neighbours — also those owned by other workers —
-  and termination is confirmed by a full verification sweep, so the result
-  is a true fixed point even under cross-process flag races;
-* cleanup is unconditional: segments are closed and unlinked in a
-  ``finally`` block on normal exit, worker failure and ``KeyboardInterrupt``
-  alike, and a failing worker aborts the barrier so its peers exit instead
-  of deadlocking.
+  *owns* one contiguous chunk of τ, updates it in place using the freshest
+  own values plus the neighbours' latest published values.  With
+  ``notification=True`` (the default) a shared per-clique *active bitmap*
+  carries the paper's notification mechanism across chunk boundaries: a
+  worker sweeps only the active cliques of its chunk, a τ decrease
+  re-activates the neighbours — also those owned by other workers — and
+  termination is confirmed by a full verification sweep, so the result is a
+  true fixed point even under cross-process flag races;
+* cleanup is unconditional: segments are closed and unlinked on normal
+  exit, worker failure and ``KeyboardInterrupt`` alike, and a failing
+  worker aborts the barrier so its peers exit instead of deadlocking.
 
 The same pool also parallelises **clique enumeration** (the dominant cost
 of space *construction* at (3, 4)): :meth:`PersistentPool.run_enumerate`
@@ -42,19 +39,16 @@ binding survives into the subsequent decomposition sweep: the space's
 segments are attached late, over the same worker processes, with no second
 fork.
 
-Two parent-side lifecycles share the same worker kernels:
+:class:`PersistentPool` is the one parent-side lifecycle: the first call on
+a space forks the workers and creates the segments; subsequent calls only
+reset the τ/meta buffers and send a job description down a pipe, so
+experiment sweeps (many decompositions of the same space) amortise the
+setup across calls.  A single run (:func:`process_snd_decomposition`,
+:func:`process_and_decomposition`) is simply ``with PersistentPool(...)``.
 
-* :class:`ProcessPoolBackend` — one-shot: fork, sweep, join, unlink.  Every
-  call pays the fork + segment setup.
-* :class:`PersistentPool` — reusable: the first call on a space forks the
-  workers and creates the segments; subsequent calls only reset the τ/meta
-  buffers and send a job description down a pipe, so experiment sweeps
-  (many decompositions of the same space) amortise the setup across calls.
-  Use it as a context manager or call :meth:`PersistentPool.close`.
-
-Both entry points produce κ identical to the serial kernels — byte-for-byte
-for SND (Jacobi is deterministic, so even the iteration count matches) and
-by fixed-point uniqueness for AND — which the test-suite asserts.
+κ is identical to the serial kernels — byte-for-byte for SND (Jacobi is
+deterministic, so even the iteration count matches) and by fixed-point
+uniqueness for AND — which the test-suite asserts.
 """
 
 from __future__ import annotations
@@ -73,8 +67,9 @@ from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.core.csr import CSRSpace, _as_csr, snd_decomposition_csr, weighted_ranges
-from repro.core.hindex import h_index
 from repro.core.kernels import kernel
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
@@ -88,16 +83,10 @@ from repro.resilience.errors import (
 from repro.resilience.faults import ENUM_KINDS as _ENUM_KINDS
 from repro.resilience.faults import get_active as _active_faults
 
-try:  # numpy accelerates the worker sweeps; every path has a fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 __all__ = [
     "SharedCSRBuffers",
     "WorkerSpec",
     "JobSpec",
-    "ProcessPoolBackend",
     "PersistentPool",
     "process_snd_decomposition",
     "process_and_decomposition",
@@ -174,20 +163,17 @@ class WorkerSpec:
     worker anyway — immutability makes that impossible to rely on.  Every
     field is picklable by construction (strings, ints, tuples of dicts);
     ``tests/test_procpool_pickling.py`` asserts the round-trip under both
-    start methods.
-
-    ``kind`` / ``max_iterations`` / ``notification`` are set for one-shot
-    workers, whose spec doubles as their only job; persistent workers leave
-    them at their defaults and receive :class:`JobSpec` objects over a pipe
-    instead.
+    start methods.  The jobs themselves arrive later as :class:`JobSpec`
+    objects over a pipe.
 
     ``graph_shape`` is set when the binding shares a :class:`CSRGraph` for
     enumeration jobs: ``(num_vertices, len(indices), len(forward_indices))``
     — the element counts of the shared graph segments, which cannot be
     recovered from the segment sizes (they are rounded up to an 8-byte
-    minimum).  For such a binding ``bounds`` is a *vertex* range and
-    ``n``/``stride`` stay 0 until a space is attached late via
-    :class:`JobSpec`.
+    minimum).  Such a binding enumerates over ``vertex_range`` and keeps
+    ``n``/``stride``/``bounds`` empty until a space is attached late via
+    :class:`JobSpec`; the late binding replaces only the sweep geometry, so
+    the vertex range still serves every later enumeration job.
     """
 
     names: Dict[str, str]
@@ -196,12 +182,10 @@ class WorkerSpec:
     bounds: Tuple[int, int]
     wid: int
     barrier_timeout: float
-    kind: Optional[str] = None
-    max_iterations: Optional[int] = None
-    notification: bool = True
     faults: Optional[Tuple[dict, ...]] = None
     num_workers: int = 0
     graph_shape: Optional[Tuple[int, int, int]] = None
+    vertex_range: Tuple[int, int] = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -382,36 +366,31 @@ def _bounds_array(ranges: List[Tuple[int, int]]) -> array:
 def _create_shared_space(
     arena: SharedCSRBuffers,
     space: CSRSpace,
-    degrees: array,
+    degrees,
     ranges: List[Tuple[int, int]],
     *,
-    double_tau: bool,
-    neighbours: bool,
     control: bool = True,
 ) -> None:
-    """Create every segment one pool run (or pool binding) needs.
+    """Create every segment a space binding needs, for any job kind.
 
-    ``double_tau`` adds the second Jacobi buffer (SND); ``neighbours`` adds
-    the CSR neighbour relation, the per-clique active bitmap (AND with
-    notification) and the shared chunk-``bounds`` cut points that dynamic
-    re-balancing rewrites between rounds.  A persistent binding creates all
-    of them so any job kind can run on the same segments.  ``control=False``
-    skips the counts/proc/meta control segments — a pool that bound a graph
-    first already created them (segment tags are create-once).
+    That is the context incidence, both Jacobi τ buffers (AND uses only
+    ``tau_a``), the CSR neighbour relation, the per-clique active bitmap
+    (AND with notification) and the shared chunk-``bounds`` cut points that
+    dynamic re-balancing rewrites between rounds.  ``control=False`` skips
+    the counts/proc/meta control segments — a pool that bound a graph first
+    already created them (segment tags are create-once).
     """
     n = len(space)
     num_workers = len(ranges)
     arena.create_from("ctx_offsets", space.ctx_offsets)
     arena.create_from("ctx_members", space.ctx_members)
     arena.create_from("tau_a", degrees)
-    if double_tau:
-        arena.create("tau_b", n * _ITEMSIZE)
-    if neighbours:
-        arena.create_from("nbr_offsets", space.nbr_offsets)
-        arena.create_from("nbr_members", space.nbr_members)
-        active = arena.create("active", n)
-        active.buf[:n] = b"\x01" * n
-        arena.create_from("bounds", _bounds_array(ranges))
+    arena.create("tau_b", n * _ITEMSIZE)
+    arena.create_from("nbr_offsets", space.nbr_offsets)
+    arena.create_from("nbr_members", space.nbr_members)
+    active = arena.create("active", n)
+    active.buf[:n] = b"\x01" * n
+    arena.create_from("bounds", _bounds_array(ranges))
     if control:
         arena.create("counts", num_workers * _ITEMSIZE)
         arena.create("proc", num_workers * _ITEMSIZE)
@@ -438,6 +417,11 @@ def _create_shared_graph(
     arena.create("proc", num_workers * _ITEMSIZE)
     arena.create("meta", _META_SLOTS * _ITEMSIZE)
     return (graph.number_of_vertices(), len(graph.indices), len(fidx))
+
+
+def _degrees(space: CSRSpace):
+    """The S-degrees of ``space`` (the initial τ of every sweep), int64."""
+    return _np.diff(_np.asarray(space.ctx_offsets, dtype=_np.int64))
 
 
 def _read_int64(shm: shared_memory.SharedMemory, count: int) -> array:
@@ -477,10 +461,9 @@ def _attach_views(
 ) -> dict:
     """Attach to every segment named in ``spec`` and build the typed views.
 
-    Called once per worker process — one-shot workers use the views for a
-    single job, persistent workers keep them across jobs (the numpy SND
-    sweep closure is cached lazily under ``"snd_sweep"``).  A graph-first
-    persistent binding starts with only the control + graph segments; the
+    Called once per worker process; the views live across jobs (the sweep
+    closures are cached lazily under ``"snd_sweep"`` / ``"and_sweep"``).  A
+    graph-first binding starts with only the control + graph segments; the
     space views are attached late by :func:`_attach_space_views` when the
     first sweep job carries the space segment names.
     """
@@ -502,27 +485,17 @@ def _attach_space_views(
 ) -> None:
     """Attach the space segments named in ``spec`` into ``views`` in place."""
     names = spec.names
-    off_shm = _attach(names["ctx_offsets"], attached)
-    cm_shm = _attach(names["ctx_members"], attached)
-    views["off_shm"] = off_shm
-    views["cm_shm"] = cm_shm
-    views["ctx_off"] = memoryview(off_shm.buf).cast("q")
-    views["cm"] = memoryview(cm_shm.buf).cast("q")
-    tau_shms = [_attach(names["tau_a"], attached)]
-    if "tau_b" in names:
-        tau_shms.append(_attach(names["tau_b"], attached))
-    views["tau_shms"] = tau_shms
-    views["tau"] = [memoryview(s.buf).cast("q") for s in tau_shms]
-    if "nbr_offsets" in names:
-        views["nbr_off"] = memoryview(_attach(names["nbr_offsets"], attached).buf).cast("q")
-        views["nbr_mem"] = memoryview(_attach(names["nbr_members"], attached).buf).cast("q")
-        views["active"] = memoryview(_attach(names["active"], attached).buf).cast("b")
-    else:
-        views["nbr_off"] = views["nbr_mem"] = views["active"] = None
-    if "bounds" in names:
-        views["bounds"] = memoryview(_attach(names["bounds"], attached).buf).cast("q")
-    else:
-        views["bounds"] = None
+    views["off_shm"] = _attach(names["ctx_offsets"], attached)
+    views["cm_shm"] = _attach(names["ctx_members"], attached)
+    views["ctx_off"] = memoryview(views["off_shm"].buf).cast("q")
+    views["tau_shms"] = [
+        _attach(names["tau_a"], attached),
+        _attach(names["tau_b"], attached),
+    ]
+    views["nbr_off"] = memoryview(_attach(names["nbr_offsets"], attached).buf).cast("q")
+    views["nbr_mem"] = memoryview(_attach(names["nbr_members"], attached).buf).cast("q")
+    views["active"] = memoryview(_attach(names["active"], attached).buf).cast("b")
+    views["bounds"] = memoryview(_attach(names["bounds"], attached).buf).cast("q")
 
 
 def _attach_graph_views(
@@ -615,7 +588,7 @@ def _enum_count_job(views: dict, spec: WorkerSpec, job: JobSpec) -> None:
     _fire_enum_faults(job, 0)
     graph = _worker_graph(views, spec)
     arr = _concat_batches(
-        graph.clique_batches(job.k, vertex_range=spec.bounds), job.k
+        graph.clique_batches(job.k, vertex_range=spec.vertex_range), job.k
     )
     views["enum_cache"] = (int(job.k), arr)
     views["counts"][spec.wid] = arr.shape[0]
@@ -637,7 +610,7 @@ def _enum_fill_job(views: dict, spec: WorkerSpec, job: JobSpec) -> None:
     else:  # pragma: no cover - defensive replay path
         graph = _worker_graph(views, spec)
         arr = _concat_batches(
-            graph.clique_batches(job.k, vertex_range=spec.bounds), job.k
+            graph.clique_batches(job.k, vertex_range=spec.vertex_range), job.k
         )
     if arr.size == 0:
         return
@@ -680,23 +653,16 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     max_rounds = job.max_iterations
     counts_mv = views["counts"]
     meta_mv = views["meta"]
-
-    use_numpy = _np is not None
-    if use_numpy:
-        if "snd_sweep" not in views:
-            views["snd_sweep"] = _make_numpy_sweep(
-                views["cm_shm"], views["off_shm"], n, stride, lo, hi
-            )
-            views["tau_np"] = [
-                _np.frombuffer(s.buf, dtype=_np.int64, count=n)
-                for s in views["tau_shms"]
-            ]
-        sweep = views["snd_sweep"]
-        tau_views = views["tau_np"]
-    else:
-        tau_views = views["tau"]
-        ctx_off = views["ctx_off"]
-        cm = views["cm"]
+    if "snd_sweep" not in views:
+        views["snd_sweep"] = _make_numpy_sweep(
+            views["cm_shm"], views["off_shm"], n, stride, lo, hi
+        )
+        views["tau_np"] = [
+            _np.frombuffer(s.buf, dtype=_np.int64, count=n)
+            for s in views["tau_shms"]
+        ]
+    sweep = views["snd_sweep"]
+    tau_views = views["tau_np"]
 
     rounds = 0
     cur = 0
@@ -706,11 +672,7 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
         if max_rounds is not None and rounds >= max_rounds:
             break
         _fire_round_faults(job, rounds)
-        prev, nxt = tau_views[cur], tau_views[1 - cur]
-        if use_numpy:
-            updated = sweep(prev, nxt)
-        else:
-            updated = _sweep_snd_python(ctx_off, cm, stride, prev, nxt, lo, hi)
+        updated = sweep(tau_views[cur], tau_views[1 - cur])
         total = _round_sync(barrier, counts_mv, wid, updated, timeout)
         updates_total += total
         rounds += 1
@@ -761,38 +723,24 @@ def _make_numpy_sweep(cm_shm, off_shm, n: int, stride: int, lo: int, hi: int):
     return sweep
 
 
-def _sweep_snd_python(ctx_off, cm, stride, prev, nxt, lo: int, hi: int) -> int:
-    """Pure-Python chunk sweep reading straight from the shared buffers."""
-    previous = prev.tolist()  # value snapshot of the frozen round buffer
-    updated = 0
-    for i in range(lo, hi):
-        rho_values = []
-        append = rho_values.append
-        for c in range(ctx_off[i], ctx_off[i + 1]):
-            b = c * stride
-            v = previous[cm[b]]
-            for j in range(b + 1, b + stride):
-                w = previous[cm[j]]
-                if w < v:
-                    v = w
-            append(v)
-        new_value = h_index(rho_values)
-        nxt[i] = new_value
-        if new_value != previous[i]:
-            updated += 1
-    return updated
-
-
 @kernel
 def _make_numpy_and_sweep(views: dict, n: int, stride: int):
-    """Batched AND chunk sweep over the *shared-memory* views.
+    """Batched AND chunk sweep: the worker's whole frontier in one pass.
 
-    Thin attach layer: builds zero-copy numpy views over the shared
-    segments and hands them to :func:`_make_numpy_and_sweep_arrays`, which
-    owns the actual reduction.  The thread-pool AND runner
-    (:func:`repro.parallel.runner.parallel_and_decomposition`) calls the
-    array-level core directly over in-process arrays — one kernel, two
-    transports.
+    All inputs are zero-copy numpy views over the shared segments.  The
+    same frontier-batched reduction as the serial
+    :func:`repro.core.csr._and_csr_numpy` — gather ρ segments with
+    repeat/arange bookkeeping, vectorised Section-4.4 sustainability check,
+    packed-key-sort h-index over the failed segments only, neighbour-flag
+    scatter — except that there is no worker-local maintained ρ array:
+    co-member τ values live in other workers' chunks, so ρ is gathered
+    straight from the live shared τ.  Elementwise int64 reads of a
+    monotonically decreasing shared array are always valid, and the
+    full-verification-sweep termination protocol in :func:`_and_job` holds
+    regardless of which published values a pass observed.
+
+    Bounds are arguments of the returned closure (not baked in like the SND
+    sweep's) so dynamic re-balancing can hand each round a different chunk.
     """
     ctx_off = _np.frombuffer(views["off_shm"].buf, dtype=_np.int64, count=n + 1)
     total = int(ctx_off[n])
@@ -801,41 +749,12 @@ def _make_numpy_and_sweep(views: dict, n: int, stride: int):
     )
     mem2d = members.reshape(total, stride)
     tau = _np.frombuffer(views["tau_shms"][0].buf, dtype=_np.int64, count=n)
-    if views["nbr_off"] is not None:
-        nbr_off = _np.frombuffer(views["nbr_off"], dtype=_np.int64, count=n + 1)
-        nbr_mem = _np.frombuffer(
-            views["nbr_mem"], dtype=_np.int64, count=int(nbr_off[n])
-        )
-        # byte-wide shared flags, never reinterpreted as int64 anywhere
-        act = _np.frombuffer(views["active"], dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
-    else:
-        # notification disabled: the sweep is only ever called with
-        # use_active=False, so the flag/neighbour paths are unreachable
-        nbr_off = nbr_mem = act = None
-    return _make_numpy_and_sweep_arrays(ctx_off, mem2d, tau, nbr_off, nbr_mem, act)
-
-
-@kernel
-def _make_numpy_and_sweep_arrays(ctx_off, mem2d, tau, nbr_off, nbr_mem, act):
-    """Batched AND chunk sweep: the worker's whole frontier in one pass.
-
-    The same frontier-batched reduction as the serial
-    :func:`repro.core.csr._and_csr_numpy` — gather ρ segments with
-    repeat/arange bookkeeping, vectorised Section-4.4 sustainability check,
-    packed-key-sort h-index over the failed segments only, neighbour-flag
-    scatter — except that there is no worker-local maintained ρ array:
-    co-member τ values live in other workers' chunks, so ρ is gathered
-    straight from the live shared τ.  Elementwise int64 reads of a
-    monotonically decreasing shared array are always valid (the same
-    argument that lets the per-visit fallback read the shared view), and
-    the full-verification-sweep termination protocol in :func:`_and_job`
-    holds regardless of which published values a pass observed.  The same
-    argument covers thread workers over in-process arrays — chunk ownership
-    and the verification sweep, not the transport, carry the correctness.
-
-    Bounds are arguments of the returned closure (not baked in like the SND
-    sweep's) so dynamic re-balancing can hand each round a different chunk.
-    """
+    nbr_off = _np.frombuffer(views["nbr_off"], dtype=_np.int64, count=n + 1)
+    nbr_mem = _np.frombuffer(
+        views["nbr_mem"], dtype=_np.int64, count=int(nbr_off[n])
+    )
+    # byte-wide shared flags, never reinterpreted as int64 anywhere
+    act = _np.frombuffer(views["active"], dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
     degrees = ctx_off[1:] - ctx_off[:-1]
     pack = int(degrees.max(initial=0)) + 2
 
@@ -912,45 +831,27 @@ def _rebalance_bounds(bounds_mv, active_mv, ctx_off, n: int, num_workers: int) -
     frontier (zero total weight) keeps the previous split — the round then
     sweeps nothing anyway.
     """
-    if _np is not None:
-        act = _np.frombuffer(active_mv, dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
-        offs = _np.frombuffer(ctx_off, dtype=_np.int64, count=n + 1)
-        weights = (offs[1:] - offs[:-1] + 1) * (act != 0)
-        cum = _np.cumsum(weights)
-        grand = int(cum[-1])
-        if grand == 0:
-            return
-        targets = (grand * _np.arange(1, num_workers, dtype=_np.int64)) // num_workers
-        cuts = _np.searchsorted(cum, targets, side="left") + 1
-        for w in range(1, num_workers):
-            bounds_mv[w] = int(cuts[w - 1])
-        return
-    prefix = []
-    grand = 0
-    for i in range(n):
-        if active_mv[i]:
-            grand += ctx_off[i + 1] - ctx_off[i] + 1
-        prefix.append(grand)
+    act = _np.frombuffer(active_mv, dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
+    offs = _np.frombuffer(ctx_off, dtype=_np.int64, count=n + 1)
+    weights = (offs[1:] - offs[:-1] + 1) * (act != 0)
+    cum = _np.cumsum(weights)
+    grand = int(cum[-1])
     if grand == 0:
         return
-    w = 1
-    for i in range(n):
-        while w < num_workers and prefix[i] >= (grand * w) // num_workers:
-            bounds_mv[w] = i + 1
-            w += 1
-    while w < num_workers:  # pragma: no cover - defensive, cuts always land
-        bounds_mv[w] = n
-        w += 1
+    targets = (grand * _np.arange(1, num_workers, dtype=_np.int64)) // num_workers
+    cuts = _np.searchsorted(cum, targets, side="left") + 1
+    for w in range(1, num_workers):
+        bounds_mv[w] = int(cuts[w - 1])
 
 
 def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     """Asynchronous AND rounds over one *owned* chunk of a single shared τ.
 
     The worker is the only writer of ``τ[lo:hi]``; within a round it applies
-    its chunk's updates (batched numpy frontier pass when numpy is
-    available, otherwise an in-place Gauss–Seidel per-clique loop) while
-    neighbours in other chunks are read at their latest published value —
-    any published value is valid because τ only decreases.
+    its chunk's updates (one batched frontier pass,
+    :func:`_make_numpy_and_sweep`) while neighbours in other chunks are read
+    at their latest published value — any published value is valid because
+    τ only decreases.
 
     With ``job.notification`` the shared active bitmap restricts a round
     to the cliques flagged since their last scan: the flag is *claimed*
@@ -971,31 +872,17 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     partition ``[0, n)`` disjointly in every round, so the
     single-writer-per-chunk ownership argument is unchanged.
     """
-    stride = spec.stride
     wid = spec.wid
     timeout = spec.barrier_timeout
     max_rounds = job.max_iterations
-    ctx_off = views["ctx_off"]
-    cm = views["cm"]
-    tau_mv = views["tau"][0]
     counts_mv = views["counts"]
     meta_mv = views["meta"]
-    active = views["active"]
-    nbr_off = views["nbr_off"]
-    nbr_mem = views["nbr_mem"]
-    bounds_mv = views.get("bounds")
-    use_active = job.notification and active is not None
-    use_numpy = _np is not None
-    if use_numpy:
-        if "and_sweep" not in views:
-            views["and_sweep"] = _make_numpy_and_sweep(views, spec.n, stride)
-        batched = views["and_sweep"]
-    can_rebalance = (
-        job.rebalance
-        and use_active
-        and bounds_mv is not None
-        and spec.num_workers > 1
-    )
+    bounds_mv = views["bounds"]
+    use_active = job.notification
+    if "and_sweep" not in views:
+        views["and_sweep"] = _make_numpy_and_sweep(views, spec.n, spec.stride)
+    sweep = views["and_sweep"]
+    can_rebalance = job.rebalance and use_active and spec.num_workers > 1
 
     rounds = 0
     converged = False
@@ -1015,54 +902,16 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             # stays identical across the pool
             if wid == 0:
                 _rebalance_bounds(
-                    bounds_mv, active, ctx_off, spec.n, spec.num_workers
+                    bounds_mv, views["active"], views["ctx_off"], spec.n,
+                    spec.num_workers,
                 )
                 rebalances += 1
             barrier.wait(timeout)  # publish the new cuts before anyone reads
             lo, hi = bounds_mv[wid], bounds_mv[wid + 1]
         else:
             lo, hi = spec.bounds
-        if use_numpy:
-            updated, done = batched(lo, hi, full_sweep, use_active)
-            processed += done
-        else:
-            if use_active and not full_sweep:
-                # sparse active round: skip the O(n) snapshot copy and read
-                # the shared view directly — any published value is valid
-                # (τ only decreases), and the few flagged cliques do not
-                # amortise a full-array copy the way a full sweep does
-                tau = tau_mv
-            else:
-                tau = tau_mv.tolist()  # latest published values
-            updated = 0
-            for i in range(lo, hi):
-                if use_active:
-                    if not full_sweep and not active[i]:
-                        continue
-                    active[i] = 0  # claim before reading neighbour values
-                processed += 1
-                current = tau[i]
-                if current == 0:
-                    continue  # τ is non-increasing: settled for good
-                rho_values = []
-                append = rho_values.append
-                for c in range(ctx_off[i], ctx_off[i + 1]):
-                    b = c * stride
-                    v = tau[cm[b]]
-                    for j in range(b + 1, b + stride):
-                        w = tau[cm[j]]
-                        if w < v:
-                            v = w
-                    append(v)
-                new_value = h_index(rho_values)
-                if new_value != current:
-                    if tau is not tau_mv:
-                        tau[i] = new_value
-                    tau_mv[i] = new_value  # publish immediately
-                    updated += 1
-                    if use_active:
-                        for p in range(nbr_off[i], nbr_off[i + 1]):
-                            active[nbr_mem[p]] = 1  # cross-chunk notification
+        updated, done = sweep(lo, hi, full_sweep, use_active)
+        processed += done
         total = _round_sync(barrier, counts_mv, wid, updated, timeout)
         updates_total += total
         rounds += 1
@@ -1079,32 +928,6 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
         meta_mv[_META_CONVERGED] = 1 if converged else 0
         meta_mv[_META_UPDATES] = updates_total
         meta_mv[_META_REBALANCES] = rebalances
-
-
-def _worker_main(spec: WorkerSpec, barrier, errq) -> None:
-    """Entry point of one one-shot worker process (SND or AND)."""
-    _reset_inherited_signals()
-    attached: List[shared_memory.SharedMemory] = []
-    views: Optional[dict] = None
-    try:
-        _fire_entry_faults(spec)
-        views = _attach_views(spec, attached)
-        job = JobSpec(
-            kind=spec.kind,
-            max_iterations=spec.max_iterations,
-            notification=spec.notification,
-            faults=spec.faults,
-        )
-        _run_job(views, spec, job, barrier)
-    except threading.BrokenBarrierError:
-        # a peer failed (abort) or vanished (timeout); the nonzero exit code
-        # tells the parent this run produced no trustworthy result
-        sys.exit(3)
-    except BaseException:
-        errq.put((spec.wid, traceback.format_exc()))
-        barrier.abort()  # unblock peers waiting on the round barrier
-    finally:
-        _close_attached(attached, views)
 
 
 def _persistent_worker_main(
@@ -1164,195 +987,6 @@ def _persistent_worker_main(
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class ProcessPoolBackend:
-    """One-shot multi-core decomposition runner over shared CSR buffers.
-
-    Every call forks fresh workers and creates fresh shared-memory segments;
-    use :class:`PersistentPool` to amortise that setup across many calls.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes (clamped to the number of r-cliques;
-        chunk ownership needs at least one index per worker).
-    start_method:
-        ``multiprocessing`` start method; defaults to ``"fork"`` where
-        available (cheapest — the CSR arrays are shared either way).
-    barrier_timeout:
-        Safety net: how long a worker waits at a round barrier before
-        treating the pool as broken.  Prevents a hard-killed peer from
-        deadlocking the survivors.
-    """
-
-    def __init__(
-        self,
-        workers: int = 4,
-        *,
-        start_method: Optional[str] = None,
-        barrier_timeout: float = 600.0,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if start_method is None and "fork" in mp.get_all_start_methods():
-            start_method = "fork"
-        self.workers = workers
-        self.barrier_timeout = barrier_timeout
-        self._ctx = mp.get_context(start_method)
-
-    # ------------------------------------------------------------------
-    def run_snd(
-        self, space: CSRSpace, *, max_iterations: Optional[int] = None
-    ) -> DecompositionResult:
-        """SND Jacobi over the pool; κ, iterations match the serial kernel."""
-        return self._run("snd", space, max_iterations)
-
-    def run_and(
-        self,
-        space: CSRSpace,
-        *,
-        max_iterations: Optional[int] = None,
-        notification: bool = True,
-    ) -> DecompositionResult:
-        """Asynchronous AND with per-chunk τ ownership; κ matches serial.
-
-        ``notification=True`` (default) sweeps only the cliques whose shared
-        active flag is raised, re-activating neighbours across chunk
-        boundaries on every τ decrease; ``False`` sweeps every chunk fully
-        each round (the pre-notification schedule, kept for measuring the
-        redundant work).
-        """
-        return self._run("and", space, max_iterations, notification=notification)
-
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        kind: str,
-        space: CSRSpace,
-        max_iterations: Optional[int],
-        notification: bool = True,
-    ) -> DecompositionResult:
-        n = len(space)
-        algorithm = f"{kind}-process"
-        if n == 0:
-            result = snd_decomposition_csr(space, max_iterations=max_iterations)
-            result.algorithm = algorithm
-            result.operations = {"workers": 0, "parallel": "process", "backend": "csr"}
-            return result
-
-        ranges = weighted_ranges(space.ctx_offsets, self.workers)
-        num_workers = len(ranges)
-        degrees = array("q", [
-            space.ctx_offsets[i + 1] - space.ctx_offsets[i] for i in range(n)
-        ])
-
-        arena = SharedCSRBuffers()
-        procs: List = []
-        try:
-            _create_shared_space(
-                arena,
-                space,
-                degrees,
-                ranges,
-                double_tau=kind == "snd",
-                neighbours=kind == "and" and notification,
-            )
-            shared_nbytes = arena.nbytes()
-            barrier = self._ctx.Barrier(num_workers)
-            errq = self._ctx.SimpleQueue()
-            names = dict(arena.names)
-            injector = _active_faults()
-            for wid, bounds in enumerate(ranges):
-                spec = WorkerSpec(
-                    names=names,
-                    n=n,
-                    stride=space.stride,
-                    bounds=bounds,
-                    wid=wid,
-                    barrier_timeout=self.barrier_timeout,
-                    kind=kind,
-                    max_iterations=max_iterations,
-                    notification=notification,
-                    num_workers=num_workers,
-                )
-                if injector is not None:
-                    directives = injector.entry_faults(wid)
-                    round_faults, _ = injector.dispatch_faults(wid, pipe=False)
-                    directives += round_faults
-                    if directives:
-                        spec = replace(spec, faults=tuple(directives))
-                proc = self._ctx.Process(
-                    target=_worker_main, args=(spec, barrier, errq), daemon=True
-                )
-                proc.start()
-                procs.append(proc)
-
-            self._wait(procs)
-            if not errq.empty():
-                wid, tb = errq.get()
-                raise WorkerCrashError(
-                    f"process-pool worker {wid} failed:\n{tb}", worker=wid
-                )
-            bad = [p.exitcode for p in procs if p.exitcode != 0]
-            if bad:
-                raise WorkerCrashError(
-                    f"process-pool workers died with exit codes {bad}",
-                    exit_codes=bad,
-                )
-
-            rounds, converged, updates_total, processed, _, kappa = (
-                _extract_result(arena, kind, n, num_workers)
-            )
-        finally:
-            _stop_processes(procs)
-            arena.destroy()
-
-        operations = {
-            "workers": num_workers,
-            "parallel": "process",
-            "backend": "csr",
-            "chunks": num_workers,
-            "updates": updates_total,
-            "processed": processed,
-            "shared_nbytes": shared_nbytes,
-        }
-        if kind == "and":
-            operations["notification"] = notification
-        return DecompositionResult.from_space(
-            space,
-            algorithm=algorithm,
-            kappa=kappa,
-            iterations=rounds,
-            converged=converged,
-            operations=operations,
-        )
-
-    def _wait(self, procs) -> None:
-        """Join all workers, reacting promptly to abnormal deaths.
-
-        A worker that dies without running its exception handler (OOM kill,
-        ``os._exit``) never aborts the barrier, so its peers would sit in
-        ``barrier.wait`` until the safety timeout.  Polling the exit codes
-        lets the parent terminate the survivors within the poll interval
-        instead of stalling the whole run.  (Separate method so tests can
-        inject interrupts.)
-        """
-        pending = list(procs)
-        while pending:
-            for p in list(pending):
-                p.join(timeout=0.05)
-                if p.exitcode is None:
-                    continue
-                pending.remove(p)
-                if p.exitcode != 0:
-                    # a peer failed; anyone still sweeping may be blocked at
-                    # the round barrier — stop them now, the result is void
-                    for q in pending:
-                        q.terminate()
-                    for q in pending:
-                        q.join()
-                    return
-
-
 class PersistentPool:
     """Reusable process pool: fork once per space, decompose many times.
 
@@ -1375,9 +1009,7 @@ class PersistentPool:
     2
 
     A failed or interrupted job leaves the worker barriers in an unknown
-    state, so any error closes the pool; κ parity with the serial kernels is
-    the same contract as :class:`ProcessPoolBackend` (the workers run the
-    identical sweep kernels).  The source-reuse cache is keyed on the source
+    state, so any error closes the pool.  The source-reuse cache is keyed on the source
     object *and* its ``(r, s)`` instance — the same Graph at a different
     instance rebinds — but a source **mutated in place** between calls is
     not detected; rebuild or re-pass a fresh object after mutating.
@@ -1736,133 +1368,111 @@ class PersistentPool:
         self._teardown(graceful=True)  # rebinding: drop the old workers
         n = len(space)
         ranges = weighted_ranges(space.ctx_offsets, self.workers)
-        degrees = array("q", [
-            space.ctx_offsets[i + 1] - space.ctx_offsets[i] for i in range(n)
-        ])
-        self._num_workers = len(ranges)
+        degrees = _degrees(space)
         self._degree_bytes = degrees.tobytes()
         self._bounds_bytes = _bounds_array(ranges).tobytes()
         self._arena = SharedCSRBuffers(prefix="rp")
         try:
-            # a persistent binding creates every segment any job kind needs
-            _create_shared_space(
-                self._arena, space, degrees, ranges,
-                double_tau=True, neighbours=True,
-            )
-            barrier = self._ctx.Barrier(self._num_workers)
-            # keep a reference for the binding's lifetime: under spawn the
-            # children *rebuild* the barrier's named semaphores from the
-            # pickled spec, and dropping the last parent-side reference
-            # would finalize (sem_unlink) them before a slow child attaches
-            self._barrier = barrier
-            self._doneq = self._ctx.SimpleQueue()
-            self._errq = self._ctx.SimpleQueue()
+            # a binding creates every segment any job kind needs
+            _create_shared_space(self._arena, space, degrees, ranges)
             names = dict(self._arena.names)
-            injector = _active_faults()
-            for wid, bounds in enumerate(ranges):
-                spec = WorkerSpec(
+            self._fork([
+                WorkerSpec(
                     names=names,
                     n=n,
                     stride=space.stride,
                     bounds=bounds,
                     wid=wid,
                     barrier_timeout=self.barrier_timeout,
-                    num_workers=self._num_workers,
+                    num_workers=len(ranges),
                 )
-                if injector is not None:
-                    entry = injector.entry_faults(wid)
-                    if entry:
-                        spec = replace(spec, faults=tuple(entry))
-                parent_conn, child_conn = self._ctx.Pipe()
-                self._conns.append(parent_conn)
-                # under fork the child's fd table copies every parent-side
-                # pipe end created so far; hand them over for closing so a
-                # parent-side close can actually deliver EOF (under spawn
-                # nothing is inherited and there is nothing to close)
-                stale = (
-                    list(self._conns)
-                    if self._ctx.get_start_method() == "fork"
-                    else []
-                )
-                proc = self._ctx.Process(
-                    target=_persistent_worker_main,
-                    args=(
-                        spec, barrier, child_conn, self._doneq, self._errq,
-                        stale,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
+                for wid, bounds in enumerate(ranges)
+            ])
         except BaseException:
             self._teardown(graceful=False)
             raise
         self._space = space
         self._source = source
         self._source_rs = rs
-        self.forks += self._num_workers
 
     def _bind_graph(self, graph: CSRGraph) -> None:
         """Share ``graph`` and fork enumeration-capable workers (idempotent).
 
         The vertex range is partitioned by out-degree weight (each vertex's
         enumeration cost grows with its forward out-degree), reusing the
-        same contiguous-cut balancer as the sweep chunks.
+        same contiguous-cut balancer as the sweep chunks.  A graph binding
+        that already carries a late-bound space keeps serving enumeration
+        jobs: each worker enumerates its :attr:`WorkerSpec.vertex_range`,
+        which the late space binding leaves untouched.
         """
         if graph is self._graph and self._procs:
             return
         self._teardown(graceful=True)
         fptr, _ = graph.forward_csr()
         ranges = weighted_ranges(fptr, self.workers)
-        self._num_workers = len(ranges)
         self._arena = SharedCSRBuffers(prefix="rp")
         try:
-            shape = _create_shared_graph(self._arena, graph, self._num_workers)
-            barrier = self._ctx.Barrier(self._num_workers)
-            self._barrier = barrier  # see _bind: outlive spawn re-pickling
-            self._doneq = self._ctx.SimpleQueue()
-            self._errq = self._ctx.SimpleQueue()
+            shape = _create_shared_graph(self._arena, graph, len(ranges))
             names = dict(self._arena.names)
-            injector = _active_faults()
-            for wid, bounds in enumerate(ranges):
-                spec = WorkerSpec(
+            self._fork([
+                WorkerSpec(
                     names=names,
                     n=0,
                     stride=0,
-                    bounds=bounds,
+                    bounds=(0, 0),
                     wid=wid,
                     barrier_timeout=self.barrier_timeout,
-                    num_workers=self._num_workers,
+                    num_workers=len(ranges),
                     graph_shape=shape,
+                    vertex_range=vertex_range,
                 )
-                if injector is not None:
-                    entry = injector.entry_faults(wid)
-                    if entry:
-                        spec = replace(spec, faults=tuple(entry))
-                parent_conn, child_conn = self._ctx.Pipe()
-                self._conns.append(parent_conn)
-                stale = (
-                    list(self._conns)
-                    if self._ctx.get_start_method() == "fork"
-                    else []
-                )
-                proc = self._ctx.Process(
-                    target=_persistent_worker_main,
-                    args=(
-                        spec, barrier, child_conn, self._doneq, self._errq,
-                        stale,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
+                for wid, vertex_range in enumerate(ranges)
+            ])
         except BaseException:
             self._teardown(graceful=False)
             raise
         self._graph = graph
-        self.forks += self._num_workers
+
+    def _fork(self, specs: List[WorkerSpec]) -> None:
+        """Start one worker per spec, all sharing one round barrier."""
+        self._num_workers = len(specs)
+        barrier = self._ctx.Barrier(len(specs))
+        # keep a reference for the binding's lifetime: under spawn the
+        # children *rebuild* the barrier's named semaphores from the
+        # pickled spec, and dropping the last parent-side reference
+        # would finalize (sem_unlink) them before a slow child attaches
+        self._barrier = barrier
+        self._doneq = self._ctx.SimpleQueue()
+        self._errq = self._ctx.SimpleQueue()
+        injector = _active_faults()
+        for spec in specs:
+            if injector is not None:
+                entry = injector.entry_faults(spec.wid)
+                if entry:
+                    spec = replace(spec, faults=tuple(entry))
+            parent_conn, child_conn = self._ctx.Pipe()
+            self._conns.append(parent_conn)
+            # under fork the child's fd table copies every parent-side
+            # pipe end created so far; hand them over for closing so a
+            # parent-side close can actually deliver EOF (under spawn
+            # nothing is inherited and there is nothing to close)
+            stale = (
+                list(self._conns)
+                if self._ctx.get_start_method() == "fork"
+                else []
+            )
+            proc = self._ctx.Process(
+                target=_persistent_worker_main,
+                args=(
+                    spec, barrier, child_conn, self._doneq, self._errq,
+                    stale,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._procs.append(proc)
+        self.forks += len(specs)
 
     def _bind_space_late(self, space: CSRSpace) -> None:
         """Attach ``space`` to an existing graph-first binding (no refork).
@@ -1878,14 +1488,11 @@ class PersistentPool:
         n = len(space)
         ranges = weighted_ranges(space.ctx_offsets, self._num_workers)
         ranges = list(ranges) + [(n, n)] * (self._num_workers - len(ranges))
-        degrees = array("q", [
-            space.ctx_offsets[i + 1] - space.ctx_offsets[i] for i in range(n)
-        ])
+        degrees = _degrees(space)
         self._degree_bytes = degrees.tobytes()
         self._bounds_bytes = _bounds_array(ranges).tobytes()
         _create_shared_space(
-            self._arena, space, degrees, ranges,
-            double_tau=True, neighbours=True, control=False,
+            self._arena, space, degrees, ranges, control=False
         )
         space_names = {
             tag: self._arena.names[tag]
@@ -1998,8 +1605,15 @@ class PersistentPool:
             arena.destroy()
 
 
+def _pool_space(pool: PersistentPool, source, r, s) -> CSRSpace:
+    """The CSR space of ``source``, enumerated on ``pool`` for a CSRGraph."""
+    if isinstance(source, CSRGraph):
+        return CSRSpace.from_graph(source, r, s, pool=pool)
+    return _as_csr(source, r, s)
+
+
 def process_snd_decomposition(
-    source: Union[Graph, NucleusSpace, CSRSpace],
+    source: Union[Graph, CSRGraph, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
     s: Optional[int] = None,
     *,
@@ -2007,7 +1621,7 @@ def process_snd_decomposition(
     max_iterations: Optional[int] = None,
     start_method: Optional[str] = None,
 ) -> DecompositionResult:
-    """SND on a process pool sharing the CSR buffers across workers.
+    """SND on a fresh :class:`PersistentPool` sharing the CSR buffers.
 
     A :class:`Graph` source is flattened directly with
     :meth:`CSRSpace.from_graph` (no dict-space detour).  κ and the iteration
@@ -2015,22 +1629,19 @@ def process_snd_decomposition(
     synchronous schedule is deterministic regardless of how many workers
     sweep it.
 
-    A :class:`CSRGraph` source runs the whole path on one
-    :class:`PersistentPool` binding: the workers enumerate the space's
-    cliques in parallel (:meth:`PersistentPool.run_enumerate`) and then
-    sweep the assembled space without being reforked.
+    A :class:`CSRGraph` source runs the whole path on the one pool
+    binding: the workers enumerate the space's cliques in parallel
+    (:meth:`PersistentPool.run_enumerate`) and then sweep the assembled
+    space without being reforked.
     """
-    if isinstance(source, CSRGraph):
-        with PersistentPool(workers, start_method=start_method) as pool:
-            space = CSRSpace.from_graph(source, r, s, pool=pool)
-            return pool.run_snd(space, max_iterations=max_iterations)
-    space = _as_csr(source, r, s)
-    backend = ProcessPoolBackend(workers, start_method=start_method)
-    return backend.run_snd(space, max_iterations=max_iterations)
+    with PersistentPool(workers, start_method=start_method) as pool:
+        return pool.run_snd(
+            _pool_space(pool, source, r, s), max_iterations=max_iterations
+        )
 
 
 def process_and_decomposition(
-    source: Union[Graph, NucleusSpace, CSRSpace],
+    source: Union[Graph, CSRGraph, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
     s: Optional[int] = None,
     *,
@@ -2039,24 +1650,19 @@ def process_and_decomposition(
     notification: bool = True,
     start_method: Optional[str] = None,
 ) -> DecompositionResult:
-    """Asynchronous AND on a process pool with per-chunk τ ownership.
+    """Asynchronous AND on a fresh pool with per-chunk τ ownership.
 
     Each worker owns a contiguous chunk of the shared τ array and updates it
     in place; ``notification=True`` (default) additionally shares a
     per-clique active bitmap so each round sweeps only the cliques whose
     neighbourhood changed, with cross-chunk re-activation.  The final κ
     equals the serial algorithms' output (unique fixed point), though the
-    round count depends on the partitioning.
-
-    A :class:`CSRGraph` source runs enumeration *and* the sweep on one
-    :class:`PersistentPool` binding — see :func:`process_snd_decomposition`.
+    round count depends on the partitioning.  Source handling is that of
+    :func:`process_snd_decomposition`.
     """
-    if isinstance(source, CSRGraph):
-        with PersistentPool(workers, start_method=start_method) as pool:
-            space = CSRSpace.from_graph(source, r, s, pool=pool)
-            return pool.run_and(space, max_iterations=max_iterations,
-                                notification=notification)
-    space = _as_csr(source, r, s)
-    backend = ProcessPoolBackend(workers, start_method=start_method)
-    return backend.run_and(space, max_iterations=max_iterations,
-                           notification=notification)
+    with PersistentPool(workers, start_method=start_method) as pool:
+        return pool.run_and(
+            _pool_space(pool, source, r, s),
+            max_iterations=max_iterations,
+            notification=notification,
+        )

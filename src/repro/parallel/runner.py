@@ -1,373 +1,22 @@
-"""Parallel runners: thread/process SND and simulated scalability experiments.
+"""Simulated scalability experiments (Figure 1b).
 
-Four things live here:
-
-* :func:`parallel_snd_decomposition` — an SND implementation whose
-  per-iteration updates are dispatched through a
-  :class:`repro.parallel.scheduler.ThreadPoolBackend`
-  (``parallel="thread"``, correctness under the GIL) or through the
-  shared-memory process pool of :mod:`repro.parallel.procpool`
-  (``parallel="process"``, real multi-core).  Either way it produces exactly
-  the same κ indices as the sequential SND (the synchronous update only reads
-  the previous iteration's values), which the test-suite asserts.
-* :func:`parallel_and_decomposition` — the asynchronous AND schedule on
-  threads (or, delegated, on the process pool).  The thread mode drives the
-  same batched numpy chunk sweep the process workers run
-  (:func:`repro.parallel.procpool._make_numpy_and_sweep_arrays`) over
-  in-process arrays, with per-thread chunk ownership, a round barrier and
-  the full-verification-sweep termination protocol — so one kernel serves
-  both transports and κ equals the serial fixed point either way.
-* :func:`simulate_local_scalability` / :func:`simulate_peeling_scalability` —
-  the cost models behind experiment E5 (Figure 1b): how the local algorithms
-  and the (only partially parallelisable) peeling baseline scale with the
-  number of threads.
+:func:`simulate_local_scalability` / :func:`simulate_peeling_scalability`
+are the cost models behind experiment E5: how the local algorithms and the
+(only partially parallelisable) peeling baseline scale with the number of
+threads.  Real multi-core runs live in :mod:`repro.parallel.procpool`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.csr import (
-    BACKENDS,
-    CSRSpace,
-    chunk_ranges,
-    resolve_process_backend,
-    resolve_space_for_backend,
-    weighted_ranges,
-)
-from repro.core.hindex import h_index
-from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
-from repro.graph.graph import Graph
-from repro.parallel.scheduler import ScheduleReport, SimulatedScheduler, ThreadPoolBackend
-from repro.resilience.errors import MissingDependencyError
-
-try:  # the thread AND path runs the batched numpy kernel
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.parallel.scheduler import ScheduleReport, SimulatedScheduler
 
 __all__ = [
-    "PARALLEL_MODES",
-    "parallel_snd_decomposition",
-    "parallel_and_decomposition",
     "simulate_local_scalability",
     "simulate_peeling_scalability",
 ]
-
-#: Valid values of the ``parallel=`` parameter accepted by the runners.
-PARALLEL_MODES = ("thread", "process")
-
-
-def parallel_snd_decomposition(
-    source: Union[Graph, NucleusSpace, CSRSpace],
-    r: Optional[int] = None,
-    s: Optional[int] = None,
-    *,
-    num_threads: int = 4,
-    max_iterations: Optional[int] = None,
-    backend: str = "auto",
-    chunks_per_thread: int = 4,
-    parallel: str = "thread",
-) -> DecompositionResult:
-    """SND with per-iteration updates evaluated on a thread or process pool.
-
-    Semantically identical to :func:`repro.core.snd.snd_decomposition`; the
-    synchronous (Jacobi) structure means every task only reads the frozen
-    previous-iteration vector, so concurrent evaluation is trivially safe.
-
-    ``parallel="process"`` delegates to
-    :func:`repro.parallel.procpool.process_snd_decomposition`: ``num_threads``
-    worker *processes* attach to shared-memory CSR buffers and sweep
-    context-balanced chunks — the only mode that can beat the GIL.
-
-    With ``parallel="thread"`` and ``backend="csr"`` (or ``"auto"`` on a
-    large space) the per-index task dispatch is replaced by *chunked CSR
-    ranges*: the clique index space is cut into
-    ``num_threads * chunks_per_thread`` contiguous ranges and each pool task
-    sweeps one range over the flat arrays, amortising the dispatch overhead
-    over many ρ evaluations while keeping enough chunks for dynamic load
-    balancing.
-    """
-    if parallel not in PARALLEL_MODES:
-        raise ValueError(
-            f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-        )
-    if parallel == "process":
-        resolve_process_backend(backend)  # "auto" means "csr"; "dict" errors
-        from repro.parallel.procpool import process_snd_decomposition
-
-        return process_snd_decomposition(
-            source, r, s, workers=num_threads, max_iterations=max_iterations
-        )
-    space, resolved = resolve_space_for_backend(source, r, s, backend)
-    pool = ThreadPoolBackend(num_threads)
-    if resolved == "csr":
-        csr = space if isinstance(space, CSRSpace) else space.to_csr()
-        return _parallel_snd_csr(
-            csr, pool, num_threads * max(chunks_per_thread, 1), max_iterations
-        )
-    n = len(space)
-    tau = space.s_degrees()
-    iteration = 0
-    converged = n == 0
-
-    while not converged:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        iteration += 1
-        previous = list(tau)
-
-        def update(i: int, _prev: List[int] = previous) -> int:
-            rho_values = [
-                min(_prev[o] for o in others) if others else 0
-                for others in space.contexts(i)
-            ]
-            return h_index(rho_values)
-
-        tau = pool.map(update, list(range(n)))
-        converged = tau == previous
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="snd-parallel",
-        kappa=list(tau),
-        iterations=iteration,
-        converged=converged,
-        operations={"num_threads": num_threads},
-    )
-
-
-def _parallel_snd_csr(
-    space: CSRSpace,
-    pool: ThreadPoolBackend,
-    num_chunks: int,
-    max_iterations: Optional[int],
-) -> DecompositionResult:
-    """Jacobi iterations where each pool task sweeps one CSR index range."""
-    n = len(space)
-    stride = space.stride
-    ctx_off = list(space.ctx_offsets)
-    cm = list(space.ctx_members)
-    ranges = list(chunk_ranges(n, num_chunks))
-    tau = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
-    iteration = 0
-    converged = n == 0
-
-    while not converged:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        iteration += 1
-        previous = tau
-
-        def sweep(bounds, _prev: List[int] = previous) -> List[int]:
-            lo, hi = bounds
-            out = []
-            append = out.append
-            for i in range(lo, hi):
-                rho_values = []
-                for c in range(ctx_off[i], ctx_off[i + 1]):
-                    b = c * stride
-                    v = _prev[cm[b]]
-                    for j in range(b + 1, b + stride):
-                        w = _prev[cm[j]]
-                        if w < v:
-                            v = w
-                    rho_values.append(v)
-                append(h_index(rho_values))
-            return out
-
-        parts = pool.map(sweep, ranges)
-        tau = [v for part in parts for v in part]
-        converged = tau == previous
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="snd-parallel",
-        kappa=list(tau),
-        iterations=iteration,
-        converged=converged,
-        operations={
-            "num_threads": pool.num_threads,
-            "chunks": len(ranges),
-            "backend": "csr",
-        },
-    )
-
-
-def parallel_and_decomposition(
-    source: Union[Graph, NucleusSpace, CSRSpace],
-    r: Optional[int] = None,
-    s: Optional[int] = None,
-    *,
-    num_threads: int = 4,
-    max_iterations: Optional[int] = None,
-    backend: str = "auto",
-    notification: bool = True,
-    parallel: str = "thread",
-) -> DecompositionResult:
-    """Asynchronous AND with per-chunk τ ownership on a thread or process pool.
-
-    Semantically identical to :func:`repro.core.and_algo.and_decomposition`
-    — κ is the unique fixed point, so any ownership partition and update
-    interleaving converges to the same values (the iteration count is
-    schedule-dependent).
-
-    ``parallel="process"`` delegates to
-    :func:`repro.parallel.procpool.process_and_decomposition` (shared-memory
-    workers, the only mode that can beat the GIL).
-
-    ``parallel="thread"`` (default) runs the *same batched numpy chunk
-    sweep* the process workers use —
-    :func:`repro.parallel.procpool._make_numpy_and_sweep_arrays` — over
-    in-process arrays: each thread owns one context-weighted contiguous
-    chunk of τ, rounds are separated by a two-phase barrier (publish
-    per-thread update counts, then agree), and with ``notification`` a
-    shared active bitmap restricts rounds to flagged cliques, with a full
-    verification sweep confirming any candidate fixed point.  The batched
-    gather releases the GIL inside numpy for large chunks; correctness
-    never depends on it (chunk ownership plus the verification sweep carry
-    the argument, exactly as in the process pool).
-
-    The batched kernel runs on CSR buffers only, so ``backend="auto"``
-    means ``"csr"`` here and ``backend="dict"`` is an error.
-    """
-    if parallel not in PARALLEL_MODES:
-        raise ValueError(
-            f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-        )
-    if parallel == "process":
-        resolve_process_backend(backend)  # "auto" means "csr"; "dict" errors
-        from repro.parallel.procpool import process_and_decomposition
-
-        return process_and_decomposition(
-            source, r, s, workers=num_threads,
-            max_iterations=max_iterations, notification=notification,
-        )
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "dict":
-        raise ValueError(
-            "parallel='thread' AND runs the batched numpy kernel over CSR "
-            "buffers; backend='dict' cannot be honoured (use 'csr' or 'auto')"
-        )
-    space, _ = resolve_space_for_backend(source, r, s, "csr")
-    csr = space if isinstance(space, CSRSpace) else space.to_csr()
-    return _parallel_and_csr(csr, num_threads, max_iterations, notification)
-
-
-def _parallel_and_csr(
-    space: CSRSpace,
-    num_threads: int,
-    max_iterations: Optional[int],
-    notification: bool,
-) -> DecompositionResult:
-    """Thread transport of the batched AND chunk sweep.
-
-    Mirrors the round protocol of :func:`repro.parallel.procpool._and_job`:
-    every thread sweeps its owned chunk, publishes its update count, and the
-    shared round total drives the sparse/full-sweep state machine — a
-    zero-update sparse round is only a candidate fixed point, confirmed by
-    one full verification sweep.  All threads derive the identical
-    ``full_sweep`` trajectory from the same totals, so barrier parties
-    always match.
-    """
-    if _np is None:
-        raise MissingDependencyError(
-            "parallel='thread' AND requires numpy for the batched sweep kernel"
-        )
-    from repro.parallel.procpool import _make_numpy_and_sweep_arrays
-
-    n = len(space)
-    if n == 0:
-        return DecompositionResult.from_space(
-            space,
-            algorithm="and-parallel",
-            kappa=[],
-            iterations=0,
-            converged=True,
-            operations={
-                "num_threads": 0, "backend": "csr",
-                "notification": notification, "updates": 0,
-            },
-        )
-    stride = space.stride
-    ctx_off = _np.asarray(space.ctx_offsets, dtype=_np.int64)
-    total = int(ctx_off[n])
-    mem2d = _np.asarray(space.ctx_members, dtype=_np.int64).reshape(total, stride)
-    tau = ctx_off[1:] - ctx_off[:-1]  # fresh writable array: the S-degrees
-    if notification:
-        nbr_off = _np.asarray(space.nbr_offsets, dtype=_np.int64)
-        nbr_mem = _np.asarray(space.nbr_members, dtype=_np.int64)
-        act = _np.ones(n, dtype=_np.uint8)  # repro: noqa[ARR002] — active bitmap is bytes by design
-    else:
-        nbr_off = nbr_mem = act = None
-    sweep = _make_numpy_and_sweep_arrays(ctx_off, mem2d, tau, nbr_off, nbr_mem, act)
-
-    ranges = list(weighted_ranges(space.ctx_offsets, max(num_threads, 1)))
-    nw = len(ranges)
-    counts = [0] * nw
-    barrier = threading.Barrier(nw)
-    state = {"rounds": 0, "converged": False, "updates": 0}
-    errors: List[BaseException] = []
-
-    def worker(wid: int, lo: int, hi: int) -> None:
-        full_sweep = True
-        rounds = 0
-        updates_total = 0
-        try:
-            while True:
-                if max_iterations is not None and rounds >= max_iterations:
-                    break
-                updated, _ = sweep(lo, hi, full_sweep, notification)
-                counts[wid] = updated
-                barrier.wait()  # publish counts
-                round_total = sum(counts)
-                barrier.wait()  # everyone read before the next round writes
-                rounds += 1
-                updates_total += round_total
-                if round_total == 0:
-                    if full_sweep:
-                        state["converged"] = True
-                        break
-                    full_sweep = True  # verify the candidate fixed point fully
-                elif notification:
-                    full_sweep = False
-            if wid == 0:
-                state["rounds"] = rounds
-                state["updates"] = updates_total
-        except BaseException as exc:  # pragma: no cover - defensive
-            errors.append(exc)
-            barrier.abort()  # unblock peers instead of deadlocking
-
-    threads = [
-        threading.Thread(target=worker, args=(wid, lo, hi), daemon=True)
-        for wid, (lo, hi) in enumerate(ranges)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:  # pragma: no cover - defensive
-        for exc in errors:
-            if not isinstance(exc, threading.BrokenBarrierError):
-                raise exc
-        raise errors[0]
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="and-parallel",
-        kappa=[int(v) for v in tau],
-        iterations=state["rounds"],
-        converged=state["converged"],
-        operations={
-            "num_threads": nw,
-            "backend": "csr",
-            "notification": notification,
-            "updates": state["updates"],
-        },
-    )
 
 
 def simulate_local_scalability(

@@ -1,4 +1,4 @@
-"""Static/dynamic scheduling simulation and a real thread-pool backend.
+"""Static/dynamic scheduling simulation for the scalability experiments.
 
 The central object is :class:`SimulatedScheduler`: given a list of task costs
 (one per r-clique, typically its S-degree, i.e. the number of ρ evaluations
@@ -17,14 +17,10 @@ needing real threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, TypeVar
+from typing import List, Sequence
 
-__all__ = ["ScheduleReport", "SimulatedScheduler", "ThreadPoolBackend"]
-
-T = TypeVar("T")
-R = TypeVar("R")
+__all__ = ["ScheduleReport", "SimulatedScheduler"]
 
 
 @dataclass
@@ -142,24 +138,3 @@ class SimulatedScheduler:
             per_thread[target] += sum(chunk)
         return per_thread
 
-
-class ThreadPoolBackend:
-    """Thin wrapper over :class:`concurrent.futures.ThreadPoolExecutor`.
-
-    Used to check that the synchronous update is safe to evaluate
-    concurrently (each task reads the previous iteration's τ and writes a
-    disjoint slot).  It does not provide real speedup under the GIL; see
-    DESIGN.md §3.
-    """
-
-    def __init__(self, num_threads: int) -> None:
-        if num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        self.num_threads = num_threads
-
-    def map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``func`` to every item using the pool; preserves order."""
-        if not items:
-            return []
-        with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-            return list(pool.map(func, items))

@@ -18,7 +18,6 @@ the process pool, which imports this package — PEP 562 keeps the cycle open.
 
 from repro.resilience.errors import (
     JobTimeoutError,
-    MissingDependencyError,
     PoolPoisonedError,
     ReproError,
     StoreFormatError,
@@ -32,7 +31,6 @@ __all__ = [
     "JobTimeoutError",
     "PoolPoisonedError",
     "StoreFormatError",
-    "MissingDependencyError",
     "FaultInjector",
     "fault_plan",
     "ResiliencePolicy",

@@ -23,7 +23,6 @@ __all__ = [
     "JobTimeoutError",
     "PoolPoisonedError",
     "StoreFormatError",
-    "MissingDependencyError",
 ]
 
 
@@ -104,20 +103,6 @@ class PoolPoisonedError(ReproError):
     """
 
     retryable = True
-
-
-class MissingDependencyError(ReproError):
-    """An optional dependency required by the requested path is missing.
-
-    Raised by the numpy-only tiers (:class:`~repro.graph.csr_graph.CSRGraph`,
-    the on-disk store, the interval index) on numpy-free installs — always
-    with a message naming the missing extra and the dict-backed alternative.
-
-    Not retryable: the environment does not change between attempts.  The
-    recovery path is installing the extra or using the pure-Python route.
-    """
-
-    retryable = False
 
 
 class StoreFormatError(ReproError):

@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 #: Shared-memory name pattern of the pool arenas: ``<prefix>-<pid>-<hex>-<tag>``
-#: (``rn`` = one-shot :class:`ProcessPoolBackend`, ``rp`` = persistent pool).
+#: (``rn`` = default :class:`SharedCSRBuffers` prefix, ``rp`` = persistent pool).
 _SEGMENT_NAME = re.compile(r"^(?:rn|rp)-(\d+)-[0-9a-f]+-")
 
 #: Where POSIX shared memory is mounted (the reaper scans it when present).

@@ -53,6 +53,8 @@ from typing import (
     Union,
 )
 
+import numpy as _np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.intervals import HierarchyIndex
 
@@ -62,13 +64,8 @@ from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace, _binomial
 from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.graph import Graph, sorted_vertices
-from repro.resilience.errors import MissingDependencyError, StoreFormatError
+from repro.resilience.errors import StoreFormatError
 from repro.resilience.faults import get_active as _active_faults
-
-try:  # numpy is an optional extra; the store cannot operate without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 __all__ = [
     "Bundle",
@@ -108,13 +105,6 @@ RESULT_BUFFERS = ("result.kappa",)
 # StoreFormatError lives in repro.resilience.errors now (re-parented under
 # the taxonomy so supervisors can classify it as fatal); it stays importable
 # from here, where it is raised and callers have always found it.
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - exercised on numpy-free installs
-        raise MissingDependencyError(
-            "the on-disk bundle store requires numpy; install the 'numpy' extra"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +241,6 @@ def save_bundle(
     ...     list(bundle.graph.neighbors("b"))
     ['a', 'c']
     """
-    _require_numpy()
     if graph is None and space is None and result is None and hierarchy is None:
         raise ValueError("save_bundle needs at least one component")
     target = Path(path)
@@ -379,7 +368,6 @@ def open_bundle(
         ...
     repro.store.bundle.StoreFormatError: ...
     """
-    _require_numpy()
     target = Path(path)
     manifest_path = target / MANIFEST_NAME
     if not manifest_path.is_file():

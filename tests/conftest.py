@@ -8,8 +8,6 @@ fixture for the local algorithms.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.graph.generators import (
@@ -19,14 +17,6 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
-
-# Pin the backend="auto" switch-over point to the documented default: the
-# calibrated per-process threshold (repro.core.csr.auto_csr_threshold) is
-# machine-dependent, and the routing tests assert which side of the line
-# specific fixture sizes fall on — so an operator's exported override must
-# not leak in either.  Calibration itself is tested explicitly
-# (tests/test_csr_pipeline.py) by clearing this override.
-os.environ["REPRO_AUTO_CSR_THRESHOLD"] = "256"
 
 
 @pytest.fixture

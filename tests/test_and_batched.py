@@ -5,21 +5,16 @@ Gauss–Seidel-across-passes schedule, so its iteration counts and τ
 trajectories legitimately differ from the per-visit engines — what must
 hold, and what these tests enforce, is the *fixed point*: κ parity with the
 dict backend and the per-visit serial CSR kernel on random and degenerate
-inputs, with and without notification, under shuffled orders.  The numba
-tier promises the opposite contract — the exact per-visit trajectory — which
-is asserted through its interpreted parity path (always) and the real JIT
-(when numba is importable).
+inputs, with and without notification, under shuffled orders.  The
+per-visit python tier promises the opposite contract — the exact dict
+trajectory — which ``tests/test_csr.py`` asserts.
 """
 
 import pytest
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import (
-    ENGINES,
-    HAVE_NUMBA,
-    _and_csr_numba,
-    and_decomposition_csr,
-)
+from repro.core.csr import ENGINES, and_decomposition_csr, snd_decomposition_csr
+from repro.core.decomposition import nucleus_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.generators import (
     complete_graph,
@@ -77,7 +72,7 @@ class TestBatchedFixedPoint:
             space.to_csr(), order="random", seed=seed
         )
         assert shuffled.kappa == reference.kappa
-        assert shuffled.operations["engine"] in ("python", "numba")
+        assert shuffled.operations["engine"] == "python"
         # ...while the batched engine accepts and ignores it: the fixed
         # point is order-independent
         batched = _kappa(space, order="random", seed=seed, engine="numpy")
@@ -119,7 +114,7 @@ class TestEngineSeam:
         space = NucleusSpace(complete_graph(4), 1, 2)
         with pytest.raises(ValueError, match="engine"):
             and_decomposition_csr(space.to_csr(), engine="fortran")
-        assert "numpy" in ENGINES and "numba" in ENGINES
+        assert ENGINES == ("auto", "python", "numpy")
 
     def test_batched_engine_validates_order_names(self):
         space = NucleusSpace(complete_graph(4), 1, 2)
@@ -134,7 +129,7 @@ class TestEngineSeam:
             and_decomposition(space, backend="dict", engine="numpy")
 
     def test_explicit_engine_forces_csr_resolution(self):
-        # a space small enough that backend="auto" would pick dict
+        # an explicit engine on a graph source routes through the csr backend
         result = and_decomposition(complete_graph(4), 1, 2, engine="numpy")
         assert result.operations["backend"] == "csr"
         assert result.operations["engine"] == "numpy"
@@ -145,48 +140,18 @@ class TestEngineSeam:
         plain = and_decomposition_csr(csr)
         traced = and_decomposition_csr(csr, record_history=True)
         assert plain.operations["engine"] == "numpy"
-        assert traced.operations["engine"] in ("python", "numba")
+        assert traced.operations["engine"] == "python"
 
-    def test_numba_engine_falls_back_without_numba(self):
-        space = NucleusSpace(complete_graph(5), 2, 3)
-        result = and_decomposition_csr(space.to_csr(), engine="numba")
-        expected = "numba" if HAVE_NUMBA else "python"
-        assert result.operations["engine"] == expected
-
-
-class TestPerVisitTrajectoryParity:
-    """The numba sweep body must reproduce the python engine *exactly*."""
-
-    @pytest.mark.parametrize("notification", [True, False])
-    def test_interpreted_sweep_trajectory(self, notification):
-        space = NucleusSpace(powerlaw_cluster_graph(60, 5, 0.7, seed=23), 2, 3)
-        csr = space.to_csr()
-        a = and_decomposition_csr(
-            csr,
-            engine="python",
-            notification=notification,
-            record_history=True,
-        )
-        b = _and_csr_numba(
-            csr,
-            notification=notification,
-            record_history=True,
-            _interpreted=True,
-        )
-        assert b.kappa == a.kappa
-        assert b.iterations == a.iterations
-        assert b.tau_history == a.tau_history
-        rows_a = [s.as_row() for s in a.iteration_stats]
-        rows_b = [s.as_row() for s in b.iteration_stats]
-        assert rows_a == rows_b
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_sweep_trajectory(self):
-        space = NucleusSpace(powerlaw_cluster_graph(60, 5, 0.7, seed=23), 2, 3)
-        csr = space.to_csr()
-        a = and_decomposition_csr(csr, engine="python", record_history=True)
-        b = and_decomposition_csr(csr, engine="numba", record_history=True)
-        assert b.operations["engine"] == "numba"
-        assert b.kappa == a.kappa
-        assert b.iterations == a.iterations
-        assert b.tau_history == a.tau_history
+    def test_removed_routes_are_rejected(self):
+        """The deleted thread transport, numba tier and ``use_numpy=`` knob
+        fail loudly instead of silently running another route."""
+        graph = complete_graph(5)
+        csr = NucleusSpace(graph, 2, 3).to_csr()
+        with pytest.raises(ValueError, match=r"'auto', 'python', 'numpy'"):
+            and_decomposition_csr(csr, engine="numba")
+        with pytest.raises(ValueError, match=r"\('process',\)"):
+            nucleus_decomposition(graph, 2, 3, parallel="thread")
+        with pytest.raises(TypeError, match="use_numpy"):
+            snd_decomposition_csr(csr, use_numpy=True)
+        with pytest.raises(TypeError, match="use_numpy"):
+            nucleus_decomposition(graph, 2, 3, algorithm="snd", use_numpy=False)

@@ -204,7 +204,6 @@ class TestSaveLoad:
         return path, capsys.readouterr().out
 
     def test_save_writes_a_bundle(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         path, out = self._saved(tmp_path, capsys)
         assert "saved bundle" in out
         from repro.store import open_bundle
@@ -213,7 +212,6 @@ class TestSaveLoad:
         assert all(bundle.has(c) for c in ("graph", "space", "result", "index"))
 
     def test_load_reprints_the_same_summary(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         path, cold = self._saved(tmp_path, capsys)
         assert main(["decompose", "--load", path]) == 0
         warm = capsys.readouterr().out
@@ -222,7 +220,6 @@ class TestSaveLoad:
         assert cold_hist.strip() in warm
 
     def test_load_runs_applications_from_the_bundle(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         path, _ = self._saved(tmp_path, capsys)
         assert main(["decompose", "--load", path, "--hierarchy", "--densest"]) == 0
         out = capsys.readouterr().out
@@ -239,7 +236,6 @@ class TestSaveLoad:
                 main(["decompose", "--load", str(tmp_path / "b")] + extra)
 
     def test_load_missing_bundle_raises_store_error(self, tmp_path):
-        pytest.importorskip("numpy")
         from repro.store import StoreFormatError
 
         with pytest.raises(StoreFormatError):

@@ -12,11 +12,8 @@ import pytest
 
 from repro.core.asynd import and_decomposition
 from repro.core.csr import (
-    AUTO_CSR_THRESHOLD,
-    HAVE_NUMPY,
     CSRSpace,
     and_decomposition_csr,
-    estimate_r_clique_count,
     resolve_backend,
     resolve_process_backend,
     snd_decomposition_csr,
@@ -167,7 +164,7 @@ class TestFromGraph:
         exact = peeling_decomposition(any_graph, 2, 3, backend="dict")
         assert peeling_decomposition(direct).kappa == exact.kappa
         assert and_decomposition_csr(direct).kappa == exact.kappa
-        assert snd_decomposition_csr(direct, use_numpy=False).kappa == exact.kappa
+        assert snd_decomposition_csr(direct).kappa == exact.kappa
 
     def test_invalid_rs(self):
         with pytest.raises(ValueError):
@@ -198,38 +195,19 @@ class TestBackendSelection:
         small = NucleusSpace(ring_of_cliques(3, 4), 1, 2)
         assert resolve_backend("dict", small) == "dict"
         assert resolve_backend("csr", small) == "csr"
-        assert resolve_backend("auto", small) == "dict"  # below the threshold
-        assert len(small) < AUTO_CSR_THRESHOLD
+        assert resolve_backend("auto", small) == "csr"  # a fixed rule, no size probe
         with pytest.raises(ValueError):
             resolve_backend("magic", small)
 
     def test_auto_picks_csr_for_large_spaces(self):
         space = NucleusSpace(powerlaw_cluster_graph(400, 4, 0.3, seed=4), 1, 2)
-        assert len(space) >= AUTO_CSR_THRESHOLD
         assert resolve_backend("auto", space) == "csr"
         result = and_decomposition(space)  # backend="auto"
         assert result.operations.get("backend") == "csr"
 
-    @pytest.mark.parametrize("rs", INSTANCES + [(2, 4)])
-    def test_estimator_exact(self, any_graph, rs):
-        r = rs[0]
-        expected = len(NucleusSpace(any_graph, *rs))
-        assert estimate_r_clique_count(any_graph, r) == expected
-
-    def test_estimator_early_exit(self):
-        graph = powerlaw_cluster_graph(200, 4, 0.4, seed=9)
-        full = estimate_r_clique_count(graph, 2)
-        assert full == graph.number_of_edges()
-        capped = estimate_r_clique_count(graph, 3, limit=10)
-        assert capped == 10  # stops counting at the limit
-        assert estimate_r_clique_count(graph, 3) >= 10
-        with pytest.raises(ValueError):
-            estimate_r_clique_count(graph, 0)
-
     def test_auto_routes_large_graph_straight_to_csr(self, monkeypatch):
         """backend='auto' on a large Graph must never build the dict space."""
         graph = powerlaw_cluster_graph(400, 4, 0.3, seed=4)
-        assert graph.number_of_vertices() >= AUTO_CSR_THRESHOLD
         expected = peeling_decomposition(graph, 1, 2, backend="dict").kappa
 
         def forbidden(self, *args, **kwargs):
@@ -240,9 +218,13 @@ class TestBackendSelection:
         assert result.kappa == expected
         assert result.operations["backend"] == "csr"
 
-    def test_auto_keeps_dict_for_small_graph(self, triangle_graph):
+    def test_auto_picks_csr_for_small_graph(self, triangle_graph):
         result = nucleus_decomposition(triangle_graph, 1, 2, algorithm="and")
-        assert result.operations["backend"] == "dict"
+        assert result.operations["backend"] == "csr"
+        explicit = nucleus_decomposition(
+            triangle_graph, 1, 2, algorithm="and", backend="dict"
+        )
+        assert explicit.kappa == result.kappa
 
     def test_resolve_process_backend(self):
         assert resolve_process_backend("auto") == "csr"
@@ -256,7 +238,6 @@ class TestBackendSelection:
         """Regression: a small prebuilt NucleusSpace with backend='auto' and
         parallel='process' must run on CSR, not fall back to dict sizing."""
         space = NucleusSpace(small_powerlaw_graph, 1, 2)
-        assert resolve_backend("auto", space) == "dict"  # small: auto says dict
         result = nucleus_decomposition(
             space, parallel="process", algorithm="snd", workers=2, backend="auto"
         )
@@ -343,36 +324,19 @@ class TestKernelParity:
         space = NucleusSpace(any_graph, *rs)
         csr = space.to_csr()
         reference = snd_decomposition(space, backend="dict", record_history=True)
-        python_result = snd_decomposition_csr(
-            csr, use_numpy=False, record_history=True
-        )
-        assert python_result.kappa == reference.kappa
-        assert python_result.iterations == reference.iterations
-        assert python_result.tau_history == reference.tau_history
-        if HAVE_NUMPY:
-            numpy_result = snd_decomposition_csr(
-                csr, use_numpy=True, record_history=True
-            )
-            assert numpy_result.kappa == reference.kappa
-            assert numpy_result.iterations == reference.iterations
-            assert numpy_result.tau_history == reference.tau_history
+        result = snd_decomposition_csr(csr, record_history=True)
+        assert result.kappa == reference.kappa
+        assert result.iterations == reference.iterations
+        assert result.tau_history == reference.tau_history
 
     def test_snd_max_iterations_parity(self, any_graph):
         space = NucleusSpace(any_graph, 2, 3)
         csr = space.to_csr()
         for cap in (0, 1, 3):
             a = snd_decomposition(space, max_iterations=cap, backend="dict")
-            b = snd_decomposition_csr(csr, use_numpy=False, max_iterations=cap)
+            b = snd_decomposition_csr(csr, max_iterations=cap)
             assert a.kappa == b.kappa and a.converged == b.converged
-            if HAVE_NUMPY:
-                c = snd_decomposition_csr(csr, use_numpy=True, max_iterations=cap)
-                assert a.kappa == c.kappa and a.converged == c.converged
-
-    def test_snd_use_numpy_requires_numpy(self):
-        csr = NucleusSpace(ring_of_cliques(3, 4), 1, 2).to_csr()
-        if not HAVE_NUMPY:
-            with pytest.raises(ValueError):
-                snd_decomposition_csr(csr, use_numpy=True)
+            assert a.iterations == b.iterations
 
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_peeling_parity(self, any_graph, rs):
@@ -411,9 +375,7 @@ class TestEdgeCases:
         csr.validate()
         assert len(csr) == 0
         assert and_decomposition_csr(csr).kappa == []
-        assert snd_decomposition_csr(csr, use_numpy=False).kappa == []
-        if HAVE_NUMPY:
-            assert snd_decomposition_csr(csr, use_numpy=True).kappa == []
+        assert snd_decomposition_csr(csr).kappa == []
 
     def test_isolated_vertices(self):
         graph = Graph(edges=[(0, 1)], vertices=[0, 1, 2, 3])

@@ -10,9 +10,10 @@ reference space.
 
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.core.csr import CSRSpace, estimate_r_clique_count
+from repro.core.csr import CSRSpace
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.cliques import enumerate_k_cliques
@@ -24,8 +25,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.triangles import degeneracy_ordering, enumerate_triangles
-
-np = pytest.importorskip("numpy")
 
 
 def random_graphs():
@@ -162,13 +161,13 @@ class TestEnumeration:
             list(cg.clique_batches(0))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_estimate_r_clique_count_matches_reference(self, r):
+    def test_count_k_cliques_matches_reference(self, r):
         graph = powerlaw_cluster_graph(50, 4, 0.5, seed=4)
         cg = CSRGraph.from_graph(graph)
         exact = sum(1 for _ in enumerate_k_cliques(graph, r))
-        assert estimate_r_clique_count(cg, r) == exact
+        assert cg.count_k_cliques(r) == exact
         if exact > 4:
-            assert estimate_r_clique_count(cg, r, limit=4) >= 4
+            assert cg.count_k_cliques(r, limit=4) >= 4
 
 
 class TestBallsAndSubgraphs:

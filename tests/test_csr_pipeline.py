@@ -1,4 +1,4 @@
-"""End-to-end CSR pipeline guarantees, threshold calibration, result caching.
+"""End-to-end CSR pipeline guarantees and result caching.
 
 The headline acceptance property of the backend-agnostic application layer:
 a CSR-backed end-to-end run (``from_graph`` → kernel → ``build_hierarchy`` →
@@ -8,14 +8,7 @@ materialises a tuple-keyed κ dict — asserted here by instrumenting both away.
 
 import pytest
 
-import repro.core.csr as csr_module
-from repro.core.csr import (
-    AUTO_CSR_THRESHOLD,
-    AUTO_CSR_THRESHOLD_ENV,
-    CSRSpace,
-    MIN_AUTO_CSR_THRESHOLD,
-    auto_csr_threshold,
-)
+from repro.core.csr import CSRSpace
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.densest import best_nucleus
 from repro.core.hierarchy import build_hierarchy
@@ -24,7 +17,7 @@ from repro.core.peeling import peeling_decomposition
 from repro.core.query import estimate_local_indices
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
-from repro.graph.csr_graph import HAVE_NUMPY, CliqueArrayView
+from repro.graph.csr_graph import CliqueArrayView
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, read_edge_list_arrays, write_edge_list
@@ -92,7 +85,6 @@ class TestNoDictEndToEnd:
         assert [result.kappa_at(i) for i in range(len(result))] == result.kappa
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array substrate requires numpy")
 class TestArrayIngestEndToEnd:
     """Edge-list file → CSRGraph → CSRSpace → DecompositionResult, with the
     dict graph adjacency and every per-clique Python tuple instrumented away:
@@ -155,52 +147,6 @@ class TestArrayIngestEndToEnd:
             graph = read_edge_list_arrays(edge_list_path)
             result = nucleus_decomposition(graph, 2, 3, backend="auto")
             assert result.operations["backend"] == "csr"
-
-
-class TestAutoThresholdCalibration:
-    @pytest.fixture
-    def fresh_calibration(self, monkeypatch):
-        monkeypatch.delenv(AUTO_CSR_THRESHOLD_ENV, raising=False)
-        monkeypatch.setattr(csr_module, "_CALIBRATED", None)
-
-    def test_probe_produces_a_clamped_threshold(self, fresh_calibration):
-        threshold = auto_csr_threshold()
-        assert MIN_AUTO_CSR_THRESHOLD <= threshold <= AUTO_CSR_THRESHOLD
-
-    def test_probe_runs_once_per_process(self, fresh_calibration, monkeypatch):
-        calls = []
-
-        def fake_probe():
-            calls.append(1)
-            return 99
-
-        monkeypatch.setattr(csr_module, "_calibrate_threshold", fake_probe)
-        assert auto_csr_threshold() == 99
-        assert auto_csr_threshold() == 99
-        assert len(calls) == 1
-
-    def test_env_override_wins(self, fresh_calibration, monkeypatch):
-        monkeypatch.setenv(AUTO_CSR_THRESHOLD_ENV, "123")
-        assert auto_csr_threshold() == 123
-
-    def test_malformed_env_override_falls_back(self, fresh_calibration, monkeypatch):
-        monkeypatch.setenv(AUTO_CSR_THRESHOLD_ENV, "not-a-number")
-        assert auto_csr_threshold() == AUTO_CSR_THRESHOLD
-
-    def test_probe_failure_falls_back_to_default(self, fresh_calibration, monkeypatch):
-        def broken_probe():
-            raise RuntimeError("no timers here")
-
-        monkeypatch.setattr(csr_module, "_calibrate_threshold", broken_probe)
-        assert auto_csr_threshold() == AUTO_CSR_THRESHOLD
-
-    def test_routing_uses_the_calibrated_value(self, fresh_calibration, monkeypatch):
-        monkeypatch.setattr(csr_module, "_CALIBRATED", 10)
-        space = NucleusSpace(powerlaw_cluster_graph(30, 3, 0.5, seed=1), 1, 2)
-        assert len(space) >= 10
-        assert csr_module.resolve_backend("auto", space) == "csr"
-        monkeypatch.setattr(csr_module, "_CALIBRATED", 10_000)
-        assert csr_module.resolve_backend("auto", space) == "dict"
 
 
 class TestResultCaching:

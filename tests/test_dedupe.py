@@ -7,6 +7,7 @@ functions used to be; outputs must match them exactly, buffer for buffer.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.csr import CSRSpace
@@ -20,8 +21,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.store import open_bundle, save_bundle
-
-np = pytest.importorskip("numpy")
 
 
 def star_graph(leaves: int) -> Graph:

@@ -20,7 +20,6 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 #: The curated doctest surface: public-API modules whose examples must run.
-#: Modules needing numpy are skipped gracefully on numpy-free installs.
 DOCTEST_MODULES = [
     "repro.core.decomposition",
     "repro.core.result",
@@ -33,15 +32,6 @@ DOCTEST_MODULES = [
     "repro.resilience.supervisor",
 ]
 
-NUMPY_ONLY = {
-    "repro.core.intervals",
-    "repro.core.csr",
-    "repro.graph.csr_graph",
-    "repro.store.bundle",
-    "repro.parallel.procpool",
-    "repro.resilience.supervisor",
-}
-
 MARKDOWN_FILES = sorted(
     [REPO / "README.md", *(REPO / "docs").glob("*.md")]
 )
@@ -52,8 +42,6 @@ _HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
 def test_doctests_execute(module_name):
-    if module_name in NUMPY_ONLY:
-        pytest.importorskip("numpy")
     module = importlib.import_module(module_name)
     results = doctest.testmod(
         module, verbose=False, optionflags=doctest.IGNORE_EXCEPTION_DETAIL
@@ -104,8 +92,6 @@ def test_readme_mentions_the_new_surfaces():
         "open_bundle",
         "--save",
         "--load",
-        "auto_csr_threshold",
-        "REPRO_AUTO_CSR_THRESHOLD",
         "docs/ARCHITECTURE.md",
         "docs/FORMAT.md",
     ):

@@ -5,7 +5,6 @@ import gzip
 
 import pytest
 
-from repro.graph.csr_graph import HAVE_NUMPY
 from repro.graph.graph import Graph
 from repro.graph.io import (
     read_edge_list,
@@ -105,7 +104,6 @@ def test_read_edge_list_delimiter(tmp_path):
     assert g.number_of_edges() == 2 and g.has_edge(1, 2)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array reader requires numpy")
 class TestReadEdgeListArrays:
     """The array reader must agree with the dict reader on every input."""
 

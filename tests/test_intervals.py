@@ -9,6 +9,7 @@ index must produce those answers without ever materialising a
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.csr import CSRSpace
@@ -21,8 +22,6 @@ from repro.graph.generators import (
     ring_of_cliques,
     watts_strogatz_graph,
 )
-
-np = pytest.importorskip("numpy")
 
 # a spread of shapes: dense clustered, ring-of-cliques (deep forests),
 # sparse rewired rings (many shallow components), across (r, s) instances

@@ -1,4 +1,4 @@
-"""Tests for the parallel substrate (simulated scheduler + thread pool)."""
+"""Tests for the parallel substrate (simulated scheduler + process pool)."""
 
 import pytest
 
@@ -6,12 +6,12 @@ from repro.core.csr import CSRSpace, chunk_ranges, weighted_ranges
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
+from repro.parallel.procpool import process_snd_decomposition
 from repro.parallel.runner import (
-    parallel_snd_decomposition,
     simulate_local_scalability,
     simulate_peeling_scalability,
 )
-from repro.parallel.scheduler import ScheduleReport, SimulatedScheduler, ThreadPoolBackend
+from repro.parallel.scheduler import ScheduleReport, SimulatedScheduler
 
 
 class TestChunkRanges:
@@ -122,57 +122,38 @@ class TestSimulatedScheduler:
             SimulatedScheduler(2, chunk_size=0)
 
 
-class TestThreadPoolBackend:
-    def test_map_preserves_order(self):
-        backend = ThreadPoolBackend(4)
-        assert backend.map(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
-
-    def test_empty_items(self):
-        assert ThreadPoolBackend(2).map(lambda x: x, []) == []
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(ValueError):
-            ThreadPoolBackend(0)
-
-
 class TestParallelSnd:
     @pytest.mark.parametrize("r,s", [(1, 2), (2, 3)])
     def test_matches_sequential(self, small_powerlaw_graph, r, s):
         space = NucleusSpace(small_powerlaw_graph, r, s)
         exact = peeling_decomposition(space).kappa
-        result = parallel_snd_decomposition(space, num_threads=4)
+        result = process_snd_decomposition(space, workers=4)
         assert result.kappa == exact
         assert result.converged
 
     def test_max_iterations(self, small_powerlaw_graph):
         space = NucleusSpace(small_powerlaw_graph, 1, 2)
-        result = parallel_snd_decomposition(space, num_threads=2, max_iterations=1)
+        result = process_snd_decomposition(space, workers=2, max_iterations=1)
         assert result.iterations == 1
 
     def test_process_mode_matches_sequential(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 2, 3).kappa
-        result = parallel_snd_decomposition(
-            small_powerlaw_graph, 2, 3, num_threads=2, parallel="process"
+        result = nucleus_decomposition(
+            small_powerlaw_graph, 2, 3, algorithm="snd", parallel="process",
+            workers=2,
         )
         assert result.kappa == exact
         assert result.operations["parallel"] == "process"
 
     def test_invalid_parallel_mode(self, small_powerlaw_graph):
-        with pytest.raises(ValueError):
-            parallel_snd_decomposition(
-                small_powerlaw_graph, 1, 2, parallel="fibers"
+        with pytest.raises(ValueError, match="process"):
+            nucleus_decomposition(
+                small_powerlaw_graph, 1, 2, algorithm="snd", parallel="fibers"
             )
 
 
 class TestParallelDispatch:
     """nucleus_decomposition(parallel=..., workers=...) routing."""
-
-    def test_thread_snd(self, small_powerlaw_graph):
-        exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
-        result = nucleus_decomposition(
-            small_powerlaw_graph, 1, 2, algorithm="snd", parallel="thread", workers=2
-        )
-        assert result.kappa == exact
 
     @pytest.mark.parametrize("algorithm", ["snd", "and"])
     def test_process_local_algorithms(self, small_powerlaw_graph, algorithm):
@@ -192,18 +173,6 @@ class TestParallelDispatch:
         with pytest.raises(ValueError, match="workers"):
             nucleus_decomposition(small_powerlaw_graph, 1, 2, workers=4)
 
-    def test_thread_and_runs_batched_sweep(self, small_powerlaw_graph):
-        # thread AND used to be rejected; it now runs the batched numpy
-        # chunk sweep (see tests/test_parallel_construction.py for the
-        # full parity matrix)
-        pytest.importorskip("numpy")
-        serial = nucleus_decomposition(small_powerlaw_graph, 1, 2, algorithm="and")
-        result = nucleus_decomposition(
-            small_powerlaw_graph, 1, 2, algorithm="and", parallel="thread"
-        )
-        assert result.kappa == serial.kappa
-        assert result.algorithm == "and-parallel"
-
     def test_parallel_peeling_rejected(self, small_powerlaw_graph):
         with pytest.raises(ValueError, match="peeling"):
             nucleus_decomposition(
@@ -222,8 +191,9 @@ class TestParallelDispatch:
                 small_powerlaw_graph, 1, 2, parallel="process", backend="dict"
             )
         with pytest.raises(ValueError, match="dict"):
-            parallel_snd_decomposition(
-                small_powerlaw_graph, 1, 2, parallel="process", backend="dict"
+            nucleus_decomposition(
+                small_powerlaw_graph, 1, 2, algorithm="and",
+                parallel="process", backend="dict",
             )
 
     def test_process_rejects_serial_only_options(self, small_powerlaw_graph):

@@ -12,10 +12,12 @@ supervised recovery path when enumeration jobs crash or stall mid-flight.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.csr import CSRSpace, and_decomposition_csr
 from repro.core.decomposition import nucleus_decomposition
+from repro.core.peeling import peeling_decomposition
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.generators import (
     complete_graph,
@@ -23,12 +25,9 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
-from repro.parallel.procpool import PersistentPool
-from repro.parallel.runner import parallel_and_decomposition
+from repro.parallel.procpool import PersistentPool, process_and_decomposition
 from repro.resilience import faults
 from repro.resilience.supervisor import ResiliencePolicy, SupervisedPool
-
-np = pytest.importorskip("numpy")
 
 
 def space_bytes(space: CSRSpace):
@@ -120,6 +119,19 @@ class TestSharedBinding:
             assert pool.forks == forks_after_build, "sweep re-forked the pool"
             assert pool.enumerations == 2  # k=3 and k=4 enumeration passes
         assert result.kappa == serial.kappa
+
+    def test_second_space_on_a_graph_bound_pool(self):
+        """A pool whose graph binding already carries a late-bound space
+        still enumerates over vertex ranges when the graph is rebuilt."""
+        graph = CSRGraph.from_graph(powerlaw_cluster_graph(200, 5, 0.5, seed=3))
+        serial = CSRSpace.from_graph(graph, 2, 3)
+        exact = peeling_decomposition(serial).kappa
+        with PersistentPool(2) as pool:
+            first = CSRSpace.from_graph(graph, 2, 3, pool=pool)
+            assert pool.run_and(first).kappa == exact
+            second = CSRSpace.from_graph(graph, 2, 3, pool=pool)
+            assert space_bytes(second) == space_bytes(serial)
+            assert pool.run_and(second).kappa == exact
 
     def test_process_decomposition_from_graph_source(self):
         """The one-shot wrappers route CSRGraph sources through the pool."""
@@ -217,39 +229,40 @@ class TestEnumerationChaos:
         assert space_bytes(space) == space_bytes(space_serial)
 
 
-class TestThreadAnd:
-    """The thread transport of the batched AND chunk sweep (satellite of the
-    same PR): κ parity with serial, across thread counts and notification."""
+class TestProcessAnd:
+    """The process-pool AND: κ parity with serial, across worker counts and
+    notification, for dict-graph sources."""
 
-    @pytest.mark.parametrize("num_threads", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("notification", [True, False])
-    def test_kappa_parity(self, num_threads, notification):
+    def test_kappa_parity(self, workers, notification):
         graph = powerlaw_cluster_graph(80, 3, 0.4, seed=5)
         serial = nucleus_decomposition(graph, 2, 3, algorithm="and")
-        result = parallel_and_decomposition(
-            graph, 2, 3, num_threads=num_threads, notification=notification
+        result = process_and_decomposition(
+            graph, 2, 3, workers=workers, notification=notification
         )
         assert result.kappa == serial.kappa
         assert result.converged
-        assert result.algorithm == "and-parallel"
+        assert result.algorithm == "and-process"
 
     def test_dispatch_through_nucleus_decomposition(self):
         graph = ring_of_cliques(5, 4)
         serial = nucleus_decomposition(graph, 2, 3, algorithm="and")
         result = nucleus_decomposition(
-            graph, 2, 3, algorithm="and", parallel="thread", workers=3
+            graph, 2, 3, algorithm="and", parallel="process", workers=3
         )
         assert result.kappa == serial.kappa
         assert result.operations["backend"] == "csr"
 
     def test_dict_backend_rejected(self):
         with pytest.raises(ValueError, match="dict"):
-            parallel_and_decomposition(
-                ring_of_cliques(3, 4), 2, 3, backend="dict"
+            nucleus_decomposition(
+                ring_of_cliques(3, 4), 2, 3, algorithm="and",
+                parallel="process", backend="dict",
             )
 
     def test_empty_space(self):
-        result = parallel_and_decomposition(star_graph(8), 3, 4)
+        result = process_and_decomposition(star_graph(8), 3, 4)
         assert result.kappa == [] and result.converged
 
 

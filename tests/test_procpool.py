@@ -4,8 +4,8 @@ Three contracts under test:
 
 * the pool output is byte-identical to the serial kernels (and for SND even
   the iteration count matches — the Jacobi schedule is deterministic no
-  matter how many workers sweep it), for the one-shot and the persistent
-  pool alike, with and without the AND notification bitmap;
+  matter how many workers sweep it), for one-shot and reused pools alike,
+  with and without the AND notification bitmap;
 * every shared-memory segment the parent creates is unlinked again on
   normal exit, on worker failure, on KeyboardInterrupt and on
   ``PersistentPool.close`` — no leaked ``/dev/shm`` entries, no matter how
@@ -29,10 +29,8 @@ from repro.core.space import NucleusSpace
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster_graph, ring_of_cliques
 from repro.graph.graph import Graph
-from repro.parallel import procpool
 from repro.parallel.procpool import (
     PersistentPool,
-    ProcessPoolBackend,
     SharedCSRBuffers,
     process_and_decomposition,
     process_snd_decomposition,
@@ -117,9 +115,9 @@ class TestKappaParity:
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            ProcessPoolBackend(0)
-        with pytest.raises(ValueError):
             PersistentPool(0)
+        with pytest.raises(ValueError):
+            process_snd_decomposition(ring_of_cliques(2, 3), 1, 2, workers=0)
 
     @pytest.mark.parametrize("rs", [(2, 3), (3, 4)])
     def test_zero_s_clique_space(self, rs):
@@ -446,13 +444,15 @@ class TestSegmentLifecycle:
     def test_unlinked_on_parent_keyboard_interrupt(
         self, small_powerlaw_graph, captured_segments
     ):
-        class InterruptedBackend(ProcessPoolBackend):
-            def _wait(self, procs):
+        class InterruptedPool(PersistentPool):
+            def _collect(self, generation):
                 raise KeyboardInterrupt
 
         csr = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
+        pool = InterruptedPool(2)
         with pytest.raises(KeyboardInterrupt):
-            InterruptedBackend(2).run_snd(csr)
+            pool.run_snd(csr)
+        assert pool.closed
         assert_all_unlinked(captured_segments)
 
     def test_destroy_is_idempotent(self):

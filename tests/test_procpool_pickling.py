@@ -26,10 +26,10 @@ EXAMPLES = {
         bounds=(4, 9),
         wid=1,
         barrier_timeout=600.0,
-        kind="and",
-        max_iterations=7,
-        notification=False,
         faults=({"kind": "crash-entry", "mode": "raise"},),
+        num_workers=3,
+        graph_shape=(40, 180, 90),
+        vertex_range=(10, 25),
     ),
     JobSpec: JobSpec(
         kind="snd",
@@ -78,7 +78,7 @@ class TestPlainPickleRoundTrip(unittest.TestCase):
                     self.assertIsNot(clone, example)
 
     def test_default_instances_round_trip(self):
-        # persistent-pool specs leave the job fields at their defaults
+        # a space binding leaves the graph fields at their defaults
         spec = WorkerSpec(
             names={}, n=1, stride=1, bounds=(0, 1), wid=0, barrier_timeout=1.0
         )

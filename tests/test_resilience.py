@@ -374,11 +374,6 @@ class TestPublicSurface:
             nucleus_decomposition(
                 small_powerlaw_graph, 1, 2, resilience=True
             )
-        with pytest.raises(ValueError, match="parallel='process'"):
-            nucleus_decomposition(
-                small_powerlaw_graph, 1, 2,
-                algorithm="snd", parallel="thread", resilience=True,
-            )
 
     def test_resilience_false_is_unsupervised(self, small_powerlaw_graph):
         result = nucleus_decomposition(

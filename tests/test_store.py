@@ -10,6 +10,7 @@ shape error).
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.csr import CSRSpace, resolve_space, resolve_space_for_backend
@@ -29,8 +30,6 @@ from repro.store import (
     open_bundle,
     save_bundle,
 )
-
-np = pytest.importorskip("numpy")
 
 
 @pytest.fixture()
