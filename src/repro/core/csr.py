@@ -17,20 +17,25 @@ into five integer arrays:
 
 The S-degree of clique ``i`` is ``ctx_offsets[i+1] - ctx_offsets[i]``.
 
-A ``CSRSpace`` is cheap to pickle and can be shared across worker processes
-(flat ``array('q')`` buffers, no per-element Python objects), which is what
-the parallel runners need; and the kernels below —
-:func:`and_decomposition_csr` / :func:`snd_decomposition_csr` — run the τ
-iteration entirely over these preallocated arrays, with numpy vectorising
-the SND Jacobi step and the batched AND passes.  Both kernels produce κ
-values identical to the dict-backend implementations in
-:mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
+The four incidence buffers are numpy int64 arrays on every route: built in
+memory, or read-only memmaps when reopened from an on-disk bundle.  A
+``CSRSpace`` is cheap to pickle and to place in shared memory (flat buffers,
+no per-element Python objects), which is what the process pool needs.
+
+Each local algorithm has one round kernel here, and every tier runs it:
+:func:`_and_sweep` (one frontier-batched AND pass over a chunk of cliques)
+and :func:`_snd_sweep` (one Jacobi SND step over a chunk).  The serial
+engines of :func:`and_decomposition_csr` / :func:`snd_decomposition_csr`
+run them over the single chunk ``[0, n)`` and keep only the iteration
+stats, history and callbacks; the workers of
+:class:`repro.parallel.procpool.PersistentPool` run them over their own
+chunks of shared-memory views.  κ equals the dict-backend implementations
+in :mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
 asserts property-style.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -87,8 +92,8 @@ class CSRSpace:
 
     Build one with :meth:`from_graph` (straight from either graph
     representation, no dict space in between), :meth:`from_space` (or
-    ``NucleusSpace.to_csr()``); the constructor takes prebuilt arrays and
-    is mostly useful for tests and deserialisation.  The read API mirrors
+    ``NucleusSpace.to_csr()``); both end in the constructor, which takes
+    prebuilt buffers and stores them as int64 arrays.  The read API mirrors
     :class:`NucleusSpace` (``__len__``, ``s_degree``, ``s_degrees``,
     ``contexts``, ``neighbors``, ``as_dict``) so ordering helpers and
     result construction work on either representation.
@@ -111,10 +116,9 @@ class CSRSpace:
     nbr_offsets, nbr_members : flat int64 buffers
         CSR adjacency of distinct S-neighbours.
 
-    The four incidence buffers are opaque int64 sequences (``array('q')``
-    when built in memory, read-only memmaps when reopened from an on-disk
-    bundle); the kernels view them through ``numpy.frombuffer`` either
-    way.
+    The four incidence buffers are numpy int64 arrays (read-only memmaps
+    when reopened from an on-disk bundle); the read API below returns
+    Python ints and tuples either way.
 
     Examples
     --------
@@ -160,12 +164,15 @@ class CSRSpace:
         self.r = r
         self.s = s
         self.stride = _binomial(s, r) - 1
-        self.cliques = list(cliques)
+        # a lazy id-table view stays lazy; any other sequence is copied
+        self.cliques = (
+            cliques if isinstance(cliques, CliqueArrayView) else list(cliques)
+        )
         self.graph = graph
-        self.ctx_offsets = array("q", ctx_offsets)
-        self.ctx_members = array("q", ctx_members)
-        self.nbr_offsets = array("q", nbr_offsets)
-        self.nbr_members = array("q", nbr_members)
+        self.ctx_offsets = _np.asarray(ctx_offsets, dtype=_np.int64)
+        self.ctx_members = _np.asarray(ctx_members, dtype=_np.int64)
+        self.nbr_offsets = _np.asarray(nbr_offsets, dtype=_np.int64)
+        self.nbr_members = _np.asarray(nbr_members, dtype=_np.int64)
         self._inverse = None
         self._index = None
 
@@ -177,10 +184,10 @@ class CSRSpace:
         """Flatten a :class:`NucleusSpace` into CSR arrays."""
         n = len(space)
         stride = _binomial(space.s, space.r) - 1
-        ctx_offsets = array("q", [0] * (n + 1))
-        ctx_members = array("q")
-        nbr_offsets = array("q", [0] * (n + 1))
-        nbr_members = array("q")
+        ctx_offsets = [0] * (n + 1)
+        ctx_members: List[int] = []
+        nbr_offsets = [0] * (n + 1)
+        nbr_members: List[int] = []
         for i in range(n):
             contexts = space.contexts(i)
             for others in contexts:
@@ -194,19 +201,16 @@ class CSRSpace:
             row = sorted(space.neighbors(i))
             nbr_members.extend(row)
             nbr_offsets[i + 1] = nbr_offsets[i] + len(row)
-        obj = cls.__new__(cls)
-        obj.r = space.r
-        obj.s = space.s
-        obj.stride = stride
-        obj.cliques = list(space.cliques)
-        obj.graph = space.graph
-        obj.ctx_offsets = ctx_offsets
-        obj.ctx_members = ctx_members
-        obj.nbr_offsets = nbr_offsets
-        obj.nbr_members = nbr_members
-        obj._inverse = None
-        obj._index = None
-        return obj
+        return cls(
+            space.r,
+            space.s,
+            space.cliques,
+            ctx_offsets,
+            ctx_members,
+            nbr_offsets,
+            nbr_members,
+            graph=space.graph,
+        )
 
     @classmethod
     def from_graph(
@@ -287,67 +291,8 @@ class CSRSpace:
             cliques, groups = _incidence_triangle_four_clique(graph)
         else:
             cliques, groups = _incidence_generic(graph, r, s)
-        return cls._from_incidence(r, s, cliques, groups, graph=graph)
-
-    @classmethod
-    def _from_incidence(
-        cls,
-        r: int,
-        s: int,
-        cliques: List[Clique],
-        groups: array,
-        graph: Optional[Graph] = None,
-    ) -> "CSRSpace":
-        """Assemble the CSR arrays from the flat s-clique membership groups.
-
-        ``groups`` holds one group of ``C(s, r)`` r-clique indices per
-        s-clique (the sub-cliques in ``combinations`` order, matching the
-        context layout of :class:`NucleusSpace`).  Two passes: count contexts
-        per owner to place the offsets, then scatter the "other members" of
-        every group into the preallocated ``ctx_members``.
-        """
-        n = len(cliques)
-        group_size = _binomial(s, r)
-        stride = group_size - 1
-        num_s = len(groups) // group_size if group_size else 0
-        counts = [0] * n
-        for m in groups:
-            counts[m] += 1
-        ctx_offsets = array("q", bytes(8 * (n + 1)))
-        for i in range(n):
-            ctx_offsets[i + 1] = ctx_offsets[i] + counts[i]
-        ctx_members = array("q", bytes(8 * ctx_offsets[n] * stride))
-        cursor = list(ctx_offsets[:n])
-        for g in range(num_s):
-            base = g * group_size
-            group = groups[base:base + group_size]
-            for i in range(group_size):
-                slot = cursor[group[i]]
-                cursor[group[i]] = slot + 1
-                k = slot * stride
-                for j in range(group_size):
-                    if j != i:
-                        ctx_members[k] = group[j]
-                        k += 1
-        nbr_offsets = array("q", bytes(8 * (n + 1)))
-        nbr_members = array("q")
-        for i in range(n):
-            row = sorted(set(ctx_members[ctx_offsets[i] * stride:ctx_offsets[i + 1] * stride]))
-            nbr_members.extend(row)
-            nbr_offsets[i + 1] = nbr_offsets[i] + len(row)
-        obj = cls.__new__(cls)
-        obj.r = r
-        obj.s = s
-        obj.stride = stride
-        obj.cliques = cliques
-        obj.graph = graph
-        obj.ctx_offsets = ctx_offsets
-        obj.ctx_members = ctx_members
-        obj.nbr_offsets = nbr_offsets
-        obj.nbr_members = nbr_members
-        obj._inverse = None
-        obj._index = None
-        return obj
+        table = _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(s, r))
+        return cls._from_incidence_arrays(r, s, cliques, table, graph)
 
     @classmethod
     def _from_csr_graph(
@@ -372,7 +317,9 @@ class CSRSpace:
             clique_ids, groups = _incidence_arrays_triangle_quad(graph, enum)
         else:
             clique_ids, groups = _incidence_arrays_generic(graph, r, s, enum)
-        return cls._from_incidence_arrays(r, s, clique_ids, groups, graph)
+        return cls._from_incidence_arrays(
+            r, s, CliqueArrayView(clique_ids, graph.labels), groups, graph
+        )
 
     @classmethod
     def _from_csr_graph_parallel(
@@ -403,23 +350,23 @@ class CSRSpace:
         cls,
         r: int,
         s: int,
-        clique_ids,
+        cliques: Sequence[Clique],
         groups,
-        graph: CSRGraph,
+        graph: GraphSource,
     ) -> "CSRSpace":
         """Assemble the CSR buffers from array-shaped incidence.
 
-        ``clique_ids`` is the ``(n, r)`` id table of the r-cliques (rows
-        ascending by vertex id) and ``groups`` the ``(num_s, C(s, r))``
-        table mapping every s-clique to its member r-clique indices.  The
-        vectorised equivalent of :meth:`_from_incidence`: a stable argsort
-        over the group owners places every context slot, one fancy-indexed
-        gather scatters the "other members" rows, and the neighbour relation
-        falls out of one sort-based dedupe over packed (owner, member)
-        keys.  ``cliques`` becomes a lazy :class:`CliqueArrayView` — no
-        per-clique tuples are materialised here.
+        ``cliques`` are the r-cliques (a list of tuples for a dict
+        :class:`Graph`, a lazy :class:`CliqueArrayView` for a
+        :class:`CSRGraph` — no per-clique tuples are materialised here) and
+        ``groups`` the ``(num_s, C(s, r))`` table mapping every s-clique to
+        its member r-clique indices, in ``combinations`` order.  A stable
+        argsort over the group owners places every context slot in
+        s-clique enumeration order, one fancy-indexed gather scatters the
+        "other members" rows, and the neighbour relation falls out of one
+        sort-based dedupe over packed (owner, member) keys.
         """
-        n = len(clique_ids)
+        n = len(cliques)
         group_size = _binomial(s, r)
         stride = group_size - 1
         num_s = len(groups)
@@ -449,19 +396,16 @@ class CSRSpace:
             ctx_members_np = _np.empty(0, dtype=_np.int64)
             nbr_members_np = _np.empty(0, dtype=_np.int64)
             nbr_offsets_np = _np.zeros(n + 1, dtype=_np.int64)
-        obj = cls.__new__(cls)
-        obj.r = r
-        obj.s = s
-        obj.stride = stride
-        obj.cliques = CliqueArrayView(clique_ids, graph.labels)
-        obj.graph = graph
-        obj.ctx_offsets = _as_int64_buffer(ctx_offsets_np)
-        obj.ctx_members = _as_int64_buffer(ctx_members_np)
-        obj.nbr_offsets = _as_int64_buffer(nbr_offsets_np)
-        obj.nbr_members = _as_int64_buffer(nbr_members_np)
-        obj._inverse = None
-        obj._index = None
-        return obj
+        return cls(
+            r,
+            s,
+            cliques,
+            ctx_offsets_np,
+            ctx_members_np,
+            nbr_offsets_np,
+            nbr_members_np,
+            graph=graph,
+        )
 
     # ------------------------------------------------------------------
     # read API (mirrors NucleusSpace)
@@ -497,28 +441,22 @@ class CSRSpace:
         return self._index.get(canonical_clique(tuple(clique)))
 
     def s_degree(self, index: int) -> int:
-        return self.ctx_offsets[index + 1] - self.ctx_offsets[index]
+        return int(self.ctx_offsets[index + 1] - self.ctx_offsets[index])
 
     def s_degrees(self) -> List[int]:
-        off = self.ctx_offsets
-        return [off[i + 1] - off[i] for i in range(len(self))]
+        return _np.diff(self.ctx_offsets).tolist()
 
     def contexts(self, index: int) -> List[Tuple[int, ...]]:
         """Reconstruct the context tuples of one clique (test/compat path)."""
         stride = self.stride
-        members = self.ctx_members
-        start = self.ctx_offsets[index]
-        end = self.ctx_offsets[index + 1]
-        return [
-            tuple(members[c * stride:(c + 1) * stride])
-            for c in range(start, end)
-        ]
+        start, end = self.ctx_offsets[index:index + 2].tolist()
+        rows = self.ctx_members[start * stride:end * stride].reshape(-1, stride)
+        return [tuple(row) for row in rows.tolist()]
 
     def neighbors(self, index: int) -> Tuple[int, ...]:
         """Neighbour indices of one clique, sorted ascending."""
-        return tuple(
-            self.nbr_members[self.nbr_offsets[index]:self.nbr_offsets[index + 1]]
-        )
+        start, end = self.nbr_offsets[index:index + 2].tolist()
+        return tuple(self.nbr_members[start:end].tolist())
 
     def s_clique_groups(self) -> List[Tuple[int, ...]]:
         """Every s-clique exactly once, as its sorted member-index tuple.
@@ -527,18 +465,15 @@ class CSRSpace:
         ``C(s, r)`` context rows (one per member); only the row whose owner is
         the smallest member emits the group, giving one entry per s-clique.
         """
-        stride = self.stride
-        cm = self.ctx_members
-        off = self.ctx_offsets
-        groups: List[Tuple[int, ...]] = []
-        for i in range(len(self)):
-            for c in range(off[i], off[i + 1]):
-                base = c * stride
-                others = cm[base:base + stride]
-                if all(i < o for o in others):
-                    groups.append(tuple(sorted((i, *others))))
-        groups.sort()
-        return groups
+        owners = _np.repeat(
+            _np.arange(len(self), dtype=_np.int64), _np.diff(self.ctx_offsets)
+        )
+        if len(owners) == 0:
+            return []
+        rows = self.ctx_members.reshape(len(owners), self.stride)
+        keep = owners < rows.min(axis=1)
+        full = _np.sort(_np.column_stack((owners[keep], rows[keep])), axis=1)
+        return sorted(tuple(group) for group in full.tolist())
 
     def number_of_s_cliques(self) -> int:
         per_s_clique = self.stride + 1
@@ -552,32 +487,26 @@ class CSRSpace:
     def nbytes(self) -> int:
         """Total size of the flat buffers, in bytes."""
         return sum(
-            a.itemsize * len(a)
+            a.nbytes
             for a in (self.ctx_offsets, self.ctx_members, self.nbr_offsets, self.nbr_members)
         )
 
-    def member_contexts(self) -> Tuple[array, array]:
+    def member_contexts(self) -> Tuple[_np.ndarray, _np.ndarray]:
         """Reverse incidence: for each clique, the context ids it appears in.
 
-        Returns CSR arrays ``(offsets, context_ids)``: clique ``i`` is a
-        *member* (not the owner) of contexts
+        Returns int64 CSR arrays ``(offsets, context_ids)``: clique ``i`` is
+        a *member* (not the owner) of contexts
         ``context_ids[offsets[i] : offsets[i + 1]]``, ascending, where a
         context id ``c`` addresses ``ctx_members[c * stride : (c + 1) *
-        stride]`` and the ρ slot ``c`` of the AND kernel.  Built on first
-        use by a stable sort of the member slots and cached; the
-        incremental-ρ maintenance of :func:`and_decomposition_csr` walks it
-        on every τ decrease.
+        stride]``.  Built on first use by a stable sort of the member slots
+        and cached; the per-visit ``engine="python"`` AND kernel walks it to
+        maintain ρ on every τ decrease, and the level peeling of
+        :mod:`repro.core.levels` to retire contexts.
         """
         if self._inverse is None:
-            members = _np.frombuffer(self.ctx_members, dtype=_np.int64)
-            offsets = array("q", [0]) * (len(self) + 1)
-            ids = array("q", [0]) * len(members)
-            _member_contexts_arrays(
-                members,
-                self.stride,
-                _np.frombuffer(offsets, dtype=_np.int64),
-                _np.frombuffer(ids, dtype=_np.int64),
-            )
+            offsets = _np.empty(len(self) + 1, dtype=_np.int64)
+            ids = _np.empty(len(self.ctx_members), dtype=_np.int64)
+            _member_contexts_arrays(self.ctx_members, self.stride, offsets, ids)
             self._inverse = (offsets, ids)
         return self._inverse
 
@@ -590,33 +519,34 @@ class CSRSpace:
         if self.ctx_offsets[0] != 0 or self.nbr_offsets[0] != 0:
             raise AssertionError("offset arrays must start at 0")
         for off in (self.ctx_offsets, self.nbr_offsets):
-            for i in range(n):
-                if off[i + 1] < off[i]:
-                    raise AssertionError("offsets must be non-decreasing")
+            if (_np.diff(off) < 0).any():
+                raise AssertionError("offsets must be non-decreasing")
         if self.ctx_offsets[n] * self.stride != len(self.ctx_members):
             raise AssertionError("ctx_members length disagrees with offsets * stride")
         if self.nbr_offsets[n] != len(self.nbr_members):
             raise AssertionError("nbr_members length disagrees with offsets")
-        for m in self.ctx_members:
-            if not 0 <= m < n:
-                raise AssertionError(f"context member {m} out of range")
-        for m in self.nbr_members:
-            if not 0 <= m < n:
-                raise AssertionError(f"neighbour {m} out of range")
+        for name in ("ctx_members", "nbr_members"):
+            values = getattr(self, name)
+            bad = values[(values < 0) | (values >= n)]
+            if len(bad):
+                raise AssertionError(f"{name} entry {int(bad[0])} out of range")
         per_s_clique = self.stride + 1
         if per_s_clique and self.ctx_offsets[n] % per_s_clique != 0:
             raise AssertionError(
                 "total context count is not a multiple of C(s, r); "
                 "the space is inconsistent"
             )
-        # neighbour relation must be symmetric
-        pairs = set()
-        for i in range(n):
-            for j in self.neighbors(i):
-                pairs.add((i, j))
-        for i, j in pairs:
-            if (j, i) not in pairs:
-                raise AssertionError(f"neighbour relation not symmetric: {i} -> {j}")
+        # neighbour relation must be symmetric: the packed (i, j) pairs equal
+        # the packed (j, i) pairs as sorted multisets
+        rows = _np.repeat(
+            _np.arange(n, dtype=_np.int64), _np.diff(self.nbr_offsets)
+        )
+        forward = _np.sort(rows * n + self.nbr_members)
+        backward = _np.sort(self.nbr_members * n + rows)
+        mismatch = _np.flatnonzero(forward != backward)
+        if len(mismatch):
+            i, j = divmod(int(forward[mismatch[0]]), n)
+            raise AssertionError(f"neighbour relation not symmetric: {i} -> {j}")
 
     def __getstate__(self):
         return {
@@ -672,7 +602,7 @@ def _incidence_vertex_edge(graph: Graph):
     """(1, 2): r-cliques are vertices, s-cliques are edges."""
     cliques = [(v,) for v in sorted_vertices(graph.vertices())]
     index = {c[0]: i for i, c in enumerate(cliques)}
-    groups = array("q")
+    groups: List[int] = []
     append = groups.append
     for u, v in graph.edges():
         append(index[u])
@@ -690,7 +620,7 @@ def _incidence_edge_triangle(graph: Graph):
             edge = canonical_clique((u, v))
             index[edge] = len(cliques)
             cliques.append(edge)
-    groups = array("q")
+    groups: List[int] = []
     append = groups.append
     has_edge = graph.has_edge
     for u in order:
@@ -719,7 +649,7 @@ def _incidence_triangle_four_clique(graph: Graph):
                     tri = canonical_clique((u, v, w))
                     index[tri] = len(cliques)
                     cliques.append(tri)
-    groups = array("q")
+    groups: List[int] = []
     append = groups.append
     for u in order:
         out = forward[u]
@@ -742,7 +672,7 @@ def _incidence_generic(graph: Graph, r: int, s: int):
         canon = canonical_clique(clique)
         index[canon] = len(cliques)
         cliques.append(canon)
-    groups = array("q")
+    groups: List[int] = []
     append = groups.append
     for big in enumerate_k_cliques(graph, s):
         for sub in combinations(canonical_clique(big), r):
@@ -753,14 +683,6 @@ def _incidence_generic(graph: Graph, r: int, s: int):
 # ----------------------------------------------------------------------
 # array-native incidence enumeration (CSRGraph sources)
 # ----------------------------------------------------------------------
-def _as_int64_buffer(values) -> array:
-    """Copy a numpy int64 array into the canonical ``array('q')`` storage."""
-    values = _np.asarray(values, dtype=_np.int64).reshape(-1)
-    out = array("q", [0]) * len(values)
-    _np.frombuffer(out, dtype=_np.int64)[:] = values
-    return out
-
-
 @kernel
 def _member_contexts_arrays(members, stride: int, offsets, ids) -> None:
     """Fill the reverse incidence of :meth:`CSRSpace.member_contexts`.
@@ -1165,21 +1087,22 @@ def and_decomposition_csr(
     * ``"python"`` — the per-visit interpreted loop.  Semantics match
       :func:`repro.core.asynd.and_decomposition` exactly: same τ
       trajectory, same per-iteration stats.
-    * ``"numpy"`` — the frontier-batched kernel
-      (:func:`_and_csr_numpy`): every pass gathers the ρ segments of the
-      whole active frontier at once, runs the Section 4.4 sustainability
-      check and the segment h-index as one lexsort + prefix-count
-      reduction, scatters τ drops back into the maintained ρ array with
-      ``np.minimum.at`` and computes the next frontier from the neighbour
-      CSR.  κ is the same unique fixed point, but the schedule is Jacobi
-      *within* a pass, so iteration counts and τ trajectories differ from
-      the per-visit engine; ``order``/``seed``/``kappa_hint`` are
-      validated and then ignored (the fixed point is order-independent).
+    * ``"numpy"`` — the frontier-batched round kernel :func:`_and_sweep`
+      run over the single chunk ``[0, n)``, the same kernel the process
+      pool runs per worker chunk: every pass gathers the per-context
+      minima ρ of the whole active frontier from τ, runs the Section 4.4
+      sustainability check and the segment h-index as one packed-key
+      sort + prefix-count reduction, and computes the next frontier from
+      the neighbour CSR.  κ is the same unique fixed point, but the
+      schedule is Jacobi *within* a pass, so iteration counts and τ
+      trajectories differ from the per-visit engine;
+      ``order``/``seed``/``kappa_hint`` are validated and then ignored
+      (the fixed point is order-independent).
 
     ``"auto"`` (default) resolves per request — see
     :func:`_resolve_and_engine` — and ``operations["engine"]`` records the
     tier that ran.  The per-visit tier has three optimisations on top of
-    the flat-array layout (the batched tier keeps the first and third):
+    the flat-array layout (the batched tier keeps the last two):
 
     * **incremental ρ maintenance**: because τ never increases, the per-
       context minima only ever decrease, so the kernel keeps a flat ``rho``
@@ -1247,21 +1170,19 @@ def _and_csr_python(
     stride = space.stride
     # kernel-local plain lists: int indexing on lists is the fastest pure-
     # Python access path, while the canonical storage stays compact arrays
-    ctx_off = list(space.ctx_offsets)
-    nbr_off = list(space.nbr_offsets)
-    nm = list(space.nbr_members)
+    ctx_off = space.ctx_offsets.tolist()
+    nbr_off = space.nbr_offsets.tolist()
+    nm = space.nbr_members.tolist()
     inv_offsets, inv_ids = space.member_contexts()
-    inv_off = list(inv_offsets)
-    inv = list(inv_ids)
+    inv_off = inv_offsets.tolist()
+    inv = inv_ids.tolist()
 
-    tau = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
+    degrees = _np.diff(space.ctx_offsets)
+    tau = degrees.tolist()
     # rho[c] = min over the members of context c of the current tau values;
     # initialised from the S-degrees and maintained on every tau decrease
-    members = _np.frombuffer(space.ctx_members, dtype=_np.int64)
     rho = (
-        _np.asarray(tau, dtype=_np.int64)[members.reshape(ctx_off[n], stride)]
-        .min(axis=1)
-        .tolist()
+        degrees[space.ctx_members.reshape(ctx_off[n], stride)].min(axis=1).tolist()
     )
     perm = processing_order(space, order if order is not None else "natural",
                             seed=seed, kappa_hint=kappa_hint)
@@ -1360,7 +1281,6 @@ def _and_csr_python(
     )
 
 
-@kernel
 def _and_csr_numpy(
     space: CSRSpace,
     *,
@@ -1370,70 +1290,32 @@ def _and_csr_numpy(
     reference_kappa: Optional[List[int]],
     on_iteration: Optional[Callable[[int, List[int]], None]],
 ) -> DecompositionResult:
-    """Frontier-batched AND: each pass sweeps the whole active set at once.
+    """Frontier-batched AND: :func:`_and_sweep` over the one chunk ``[0, n)``.
 
-    Per pass, over the frontier ``F`` (active cliques with τ > 0):
-
-    1. *gather* — the maintained ρ segments of every clique in ``F`` are
-       pulled out with one repeat/arange segment-bookkeeping step (the same
-       idiom :func:`_snd_csr_numpy` uses for its fixed segments, rebuilt
-       here per pass because the frontier shrinks);
-    2. *reduce* — a single comparison + ``bincount`` runs the Section 4.4
-       sustainability check over every segment at once (a clique with at
-       least τ values ≥ τ keeps its τ, exactly the per-visit early exit,
-       vectorised); only the failed segments then pay for the h-index
-       reduction — one sort of a packed ``(segment, -ρ)`` key plus a
-       prefix-count ``bincount``, clamped with the current τ;
-    3. *scatter* — τ drops are pushed into the maintained ρ array through
-       the inverse incidence with ``np.minimum.at`` (duplicate context
-       targets make a plain fancy assignment incorrect), preserving the
-       incremental-ρ optimisation of the per-visit engines;
-    4. *frontier* — the next active set is the union of the changed
-       cliques' neighbour rows, one boolean scatter over the neighbour CSR
-       (the dedup a ``unique``/``bincount`` would do falls out of the
-       idempotent flag writes).
-
-    The batch uses the pass-start τ (Jacobi within a pass, Gauss–Seidel
-    across passes), so iteration counts differ from the per-visit engines;
+    Each pass reads the pass-start τ (Jacobi within a pass, Gauss–Seidel
+    across passes), so iteration counts differ from the per-visit engine;
     κ is the same unique fixed point, which the property tests assert
-    against the dict backend.  Cliques at τ = 0 never re-enter the
-    frontier (never-rescan-at-0), and the counters stay meaningful per
-    batch: ``rho_evaluations`` charges the gathered context total per
-    pass, ``h_index_calls`` the cliques whose sustainability check failed
-    (mirroring the per-visit engines, which only compute h on failure).
+    against the dict backend.  The counters mirror the per-visit engine:
+    only a notification skip counts as skipped (τ = 0 cliques are visited
+    and retired, never gathered), ``rho_evaluations`` charges the gathered
+    context total per pass and ``h_index_calls`` the cliques whose
+    sustainability check failed.
     """
     n = len(space)
-    stride = space.stride
-    # read-only views over the flat int64 buffers (the space outlives the
-    # sweep; only tau/rho/active below are ever written)
-    ctx_off = _np.frombuffer(space.ctx_offsets, dtype=_np.int64)
-    members = _np.frombuffer(space.ctx_members, dtype=_np.int64)
-    nbr_off = _np.frombuffer(space.nbr_offsets, dtype=_np.int64)
-    nbr_mem = _np.frombuffer(space.nbr_members, dtype=_np.int64)
-    inv_offsets, inv_ids = space.member_contexts()
-    inv_off = _np.frombuffer(inv_offsets, dtype=_np.int64)
-    inv = _np.frombuffer(inv_ids, dtype=_np.int64)
-    total = int(ctx_off[n]) if n else 0
-    degrees = ctx_off[1:] - ctx_off[:-1]
-    # packed sort-key base for the h-index reduction: every ρ is bounded by
-    # the maximum context count, so ρ < pack always holds
-    pack = int(degrees.max(initial=0)) + 2
-    tau = degrees.copy()
-    if total:
-        rho = tau[members.reshape(total, stride)].min(axis=1)
-    else:
-        rho = _np.empty(0, dtype=_np.int64)
-    # kernel-local frontier scratch, never a shared/persisted buffer
-    active = _np.ones(n, dtype=bool)  # repro: noqa[ARR002]
-    ref = (
-        _np.asarray(reference_kappa, dtype=_np.int64)
-        if reference_kappa is not None
-        else None
+    tau = _np.diff(space.ctx_offsets)
+    # engine-local frontier flags, never a shared/persisted buffer
+    active = _np.ones(n, dtype=_np.uint8)  # repro: noqa[ARR002]
+    sweep = _and_sweep(
+        space.ctx_offsets,
+        space.ctx_members,
+        space.stride,
+        space.nbr_offsets,
+        space.nbr_members,
+        tau,
+        active,
     )
-    # tolist below: history/callback instrumentation, not the sweep itself
-    history: Optional[List[List[int]]] = (
-        [tau.tolist()] if record_history else None  # repro: noqa[KER001]
-    )
+    count_converged = _make_converged_counter(reference_kappa)
+    history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
     stats: List[IterationStats] = []
     rho_evaluations = 0
     h_calls = 0
@@ -1445,97 +1327,15 @@ def _and_csr_numpy(
         if max_iterations is not None and iteration >= max_iterations:
             break
         iteration += 1
-        # `processed`/`skipped` mirror the per-visit engines: only a
-        # notification skip counts as skipped; τ = 0 cliques are "visited"
-        # (and retired from the active set) even though the batched pass
-        # never gathers their segments
-        if notification:
-            cand = _np.flatnonzero(active)
-            processed = len(cand)
-            frontier = cand[tau[cand] > 0]
-            active[cand[tau[cand] == 0]] = False
-        else:
-            processed = n
-            frontier = _np.flatnonzero(tau > 0)
-        m = len(frontier)
+        updated, processed, evaluated, max_change = sweep(0, n, False, notification)
+        rho_evaluations += evaluated
+        h_calls += updated
         skipped_total += n - processed
-        updated = 0
-        max_change = 0
-        if m:
-            deg = degrees[frontier]
-            tot = int(deg.sum())
-            rho_evaluations += tot
-            cs = _np.cumsum(deg) - deg
-            rep = _np.repeat(_np.arange(m, dtype=_np.int64), deg)
-            pos = _np.arange(tot, dtype=_np.int64) - cs[rep]
-            seg_rho = rho[ctx_off[frontier][rep] + pos]
-            cur = tau[frontier]
-            # Section 4.4 sustainability, batched: clique f keeps τ iff at
-            # least τ of its segment's ρ values are ≥ τ (h ≥ τ ⟺ that
-            # count ≥ τ); everything else must drop this pass
-            sustained = _np.bincount(rep[seg_rho >= cur[rep]], minlength=m)
-            drop_mask = sustained < cur
-            changed = frontier[drop_mask]
-            updated = len(changed)
-            h_calls += updated
-            if notification:
-                active[frontier] = False
-            if updated:
-                # h-index for the failed segments only.  Whole segments are
-                # kept, so positions within kept segments stay contiguous
-                # and `pos[sel]` doubles as the sorted rank sequence.
-                sel = drop_mask[rep]
-                remap = _np.cumsum(drop_mask) - 1
-                rep2 = remap[rep[sel]]
-                if updated * pack <= 2**62:
-                    # single packed-key sort (segment ascending, ρ
-                    # descending), ρ decoded arithmetically afterwards —
-                    # cheaper than argsort + a fancy gather
-                    key = rep2 * pack + (pack - 1 - seg_rho[sel])
-                    key.sort(kind="stable")
-                    sorted_rho = pack - 1 - (key % pack)
-                else:  # pragma: no cover - needs ~2^31 cliques
-                    sub_rho = seg_rho[sel]
-                    sorted_rho = sub_rho[_np.lexsort((-sub_rho, rep2))]
-                # rep2 is non-decreasing, so the sort leaves it unpermuted;
-                # h = #{k : sorted_rho[k] >= k + 1} per segment
-                qualifies = sorted_rho >= pos[sel] + 1
-                h = _np.bincount(rep2[qualifies], minlength=updated)
-                new_values = _np.minimum(h, cur[drop_mask])
-                max_change = int((cur[drop_mask] - new_values).max(initial=0))
-                tau[changed] = new_values
-                # push the drops into every context the changed cliques
-                # participate in; minimum.at because several changed cliques
-                # can share a context slot
-                ideg = inv_off[changed + 1] - inv_off[changed]
-                itot = int(ideg.sum())
-                if itot:
-                    ics = _np.cumsum(ideg) - ideg
-                    irep = _np.repeat(
-                        _np.arange(len(changed), dtype=_np.int64), ideg
-                    )
-                    iidx = inv_off[changed][irep] + (
-                        _np.arange(itot, dtype=_np.int64) - ics[irep]
-                    )
-                    _np.minimum.at(rho, inv[iidx], new_values[irep])
-                if notification:
-                    nd = nbr_off[changed + 1] - nbr_off[changed]
-                    ntot = int(nd.sum())
-                    if ntot:
-                        ncs = _np.cumsum(nd) - nd
-                        nrep = _np.repeat(
-                            _np.arange(len(changed), dtype=_np.int64), nd
-                        )
-                        nidx = nbr_off[changed][nrep] + (
-                            _np.arange(ntot, dtype=_np.int64) - ncs[nrep]
-                        )
-                        active[nbr_mem[nidx]] = True
         converged = updated == 0
         if history is not None:
-            history.append(tau.tolist())  # repro: noqa[KER001]
+            history.append(tau.tolist())
         if on_iteration is not None:
-            on_iteration(iteration, tau.tolist())  # repro: noqa[KER001]
-        converged_count = int((tau == ref).sum()) if ref is not None else -1
+            on_iteration(iteration, tau.tolist())
         stats.append(
             IterationStats(
                 iteration=iteration,
@@ -1543,15 +1343,14 @@ def _and_csr_numpy(
                 processed=processed,
                 skipped=n - processed,
                 max_change=max_change,
-                converged_count=converged_count,
+                converged_count=count_converged(tau),
             )
         )
 
     return DecompositionResult.from_space(
         space,
         algorithm="and",
-        # result materialisation (κ must be a Python list), not the sweep
-        kappa=tau.tolist(),  # repro: noqa[KER001]
+        kappa=tau.tolist(),
         iterations=iteration,
         converged=converged,
         tau_history=history,
@@ -1564,6 +1363,114 @@ def _and_csr_numpy(
             "engine": "numpy",
         },
     )
+
+
+@kernel
+def _and_sweep(ctx_off, members, stride: int, nbr_off, nbr_mem, tau, active):
+    """The AND round kernel: one frontier-batched pass over a chunk.
+
+    Binds the space buffers, the τ array and the byte-wide ``active`` flags
+    (in-memory arrays or memmaps for the serial engine, zero-copy views
+    over shared memory in the pool workers) and returns
+    ``sweep(lo, hi, full, use_active)``.  A call updates ``tau[lo:hi]`` in
+    place and returns ``(updated, processed, rho_evaluations,
+    max_change)``.  Over the frontier ``F`` — the chunk's cliques with
+    τ > 0, restricted to the flagged ones when ``use_active`` and not
+    ``full`` — one call:
+
+    1. *claims* the flags it sweeps (clears them before reading any τ, so
+       a concurrent cross-chunk decrease either lands in the values read
+       or re-raises the flag for the next pass); ``full`` sweeps and
+       clears the whole chunk regardless of flags;
+    2. *gathers* ρ, the minimum of the members' τ of every context of
+       ``F``, column by column over the ``stride`` member slots;
+    3. *reduces* with the Section 4.4 sustainability check — a clique
+       keeps τ iff at least τ of its ρ values are ≥ τ — and computes the
+       h-index of the failed segments only, as one sort of packed
+       ``(segment, -ρ)`` keys plus a prefix-count ``bincount``, clamped
+       with the current τ;
+    4. *publishes* the drops into ``tau`` (the chunk is its only writer)
+       and, with ``use_active``, flags the changed cliques' neighbours,
+       across chunk boundaries too.
+
+    Any τ read is valid, whether the pass-start value (one chunk) or the
+    latest a peer published (many chunks), because τ only decreases.
+    """
+    n = len(tau)
+    total = int(ctx_off[n])
+    columns = members[:total * stride].reshape(total, stride).T
+    degrees = ctx_off[1:] - ctx_off[:-1]
+    # packed sort-key base for the h-index reduction: every ρ is bounded by
+    # the maximum context count, so ρ < pack always holds
+    pack = int(degrees.max(initial=0)) + 2
+
+    def sweep(lo: int, hi: int, full: bool, use_active: bool):
+        if use_active and not full:
+            # scan a private snapshot: peers set flags in this range
+            # while it is read, which flatnonzero must not observe
+            flagged = lo + _np.flatnonzero(active[lo:hi].copy())
+            active[flagged] = 0  # claim before reading any neighbour value
+            frontier = flagged[tau[flagged] > 0]
+            processed = len(flagged)
+        else:
+            if use_active:
+                active[lo:hi] = 0
+            frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
+            processed = hi - lo
+        m = len(frontier)
+        if m == 0:
+            return 0, processed, 0, 0
+        # τ > 0 implies at least one context, so every segment is non-empty
+        deg = degrees[frontier]
+        cs = _np.cumsum(deg) - deg
+        evaluated = int(cs[-1] + deg[-1])
+        rep = _np.repeat(_np.arange(m, dtype=_np.int64), deg)
+        pos = _np.arange(evaluated, dtype=_np.int64) - cs[rep]
+        rows = ctx_off[frontier][rep] + pos
+        seg_rho = tau[columns[0][rows]]
+        for column in columns[1:]:
+            _np.minimum(seg_rho, tau[column[rows]], out=seg_rho)
+        cur = tau[frontier]
+        sustained = _np.bincount(rep[seg_rho >= cur[rep]], minlength=m)
+        drop = sustained < cur
+        changed = frontier[drop]
+        updated = len(changed)
+        if updated == 0:
+            return 0, processed, evaluated, 0
+        # h-index for the failed segments only.  Whole segments are kept,
+        # so positions within kept segments stay contiguous and `pos[sel]`
+        # doubles as the sorted rank sequence.
+        sel = drop[rep]
+        rep2 = (_np.cumsum(drop) - 1)[rep[sel]]
+        if updated * pack <= 2**62:
+            # one packed-key sort (segment ascending, ρ descending), ρ
+            # decoded arithmetically — cheaper than argsort + a gather
+            key = rep2 * pack + (pack - 1 - seg_rho[sel])
+            key.sort(kind="stable")
+            sorted_rho = pack - 1 - (key % pack)
+        else:  # pragma: no cover - needs ~2^31 cliques
+            sub_rho = seg_rho[sel]
+            sorted_rho = sub_rho[_np.lexsort((-sub_rho, rep2))]
+        # rep2 is non-decreasing, so the sort leaves it unpermuted;
+        # h = #{k : sorted_rho[k] >= k + 1} per segment
+        qualifies = sorted_rho >= pos[sel] + 1
+        h = _np.bincount(rep2[qualifies], minlength=updated)
+        old = cur[drop]
+        new_values = _np.minimum(h, old)
+        tau[changed] = new_values
+        if use_active:
+            nd = nbr_off[changed + 1] - nbr_off[changed]
+            ntot = int(nd.sum())
+            if ntot:
+                ncs = _np.cumsum(nd) - nd
+                nrep = _np.repeat(_np.arange(updated, dtype=_np.int64), nd)
+                nidx = nbr_off[changed][nrep] + (
+                    _np.arange(ntot, dtype=_np.int64) - ncs[nrep]
+                )
+                active[nbr_mem[nidx]] = 1
+        return updated, processed, evaluated, int((old - new_values).max())
+
+    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -1581,53 +1488,19 @@ def snd_decomposition_csr(
 ) -> DecompositionResult:
     """Array-native SND (Algorithm 2) over a :class:`CSRSpace`.
 
-    The Jacobi step is vectorised: the per-context minima become one
-    fancy-indexed ``min(axis=1)``, and the per-clique h-indices come from a
-    segment-sorted threshold count.  κ, iteration counts and per-iteration
-    stats are identical to :func:`repro.core.snd.snd_decomposition`.
+    Runs the round kernel :func:`_snd_sweep` over the one chunk ``[0, n)``
+    with two τ buffers swapped every iteration.  κ, iteration counts and
+    per-iteration stats are identical to
+    :func:`repro.core.snd.snd_decomposition`.
     """
     space = _as_csr(source, r, s)
-    return _snd_csr_numpy(
-        space,
-        max_iterations=max_iterations,
-        record_history=record_history,
-        reference_kappa=reference_kappa,
-        on_iteration=on_iteration,
-    )
-
-
-@kernel
-def _snd_csr_numpy(
-    space: CSRSpace,
-    *,
-    max_iterations: Optional[int],
-    record_history: bool,
-    reference_kappa: Optional[List[int]],
-    on_iteration: Optional[Callable[[int, List[int]], None]],
-) -> DecompositionResult:
     n = len(space)
-    stride = space.stride
-    ctx_off = _np.frombuffer(space.ctx_offsets, dtype=_np.int64).copy()
-    members = _np.frombuffer(space.ctx_members, dtype=_np.int64).copy()
-    total = int(ctx_off[n]) if n else 0
-    mem2d = members.reshape(total, stride) if total else members.reshape(0, max(stride, 1))
-    degrees = ctx_off[1:] - ctx_off[:-1]
-    # segment bookkeeping for the vectorised per-clique h-index:
-    # seg_ids[c] = owning clique of context c, pos_in_seg[c] = rank of c
-    # within its clique after the descending sort below
-    seg_ids = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
-    pos_in_seg = _np.arange(total, dtype=_np.int64) - _np.repeat(ctx_off[:-1], degrees)
-    ref = (
-        _np.asarray(reference_kappa, dtype=_np.int64)
-        if reference_kappa is not None
-        else None
-    )
-
-    tau = degrees.copy()
-    # tolist below: history/callback instrumentation, not the sweep itself
-    history: Optional[List[List[int]]] = (
-        [tau.tolist()] if record_history else None  # repro: noqa[KER001]
-    )
+    total = int(space.ctx_offsets[n])
+    sweep = _snd_sweep(space.ctx_offsets, space.ctx_members, space.stride, 0, n)
+    tau = _np.diff(space.ctx_offsets)
+    spare = _np.empty_like(tau)
+    count_converged = _make_converged_counter(reference_kappa)
+    history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
     stats: List[IterationStats] = []
     rho_evaluations = 0
     h_calls = 0
@@ -1638,29 +1511,15 @@ def _snd_csr_numpy(
         if max_iterations is not None and iteration >= max_iterations:
             break
         iteration += 1
-        previous = tau
-        if total:
-            rho = previous[mem2d].min(axis=1)
-            # sort ρ descending within each clique's segment (lexsort is
-            # stable and seg_ids is already non-decreasing, so segments stay
-            # contiguous); h = #{k : sorted_rho[k] >= k + 1} per segment,
-            # a prefix property because sorted_rho falls while k + 1 rises
-            order = _np.lexsort((-rho, seg_ids))
-            qualifies = rho[order] >= pos_in_seg + 1
-            tau = _np.bincount(seg_ids[qualifies], minlength=n)
-        else:
-            tau = _np.zeros(n, dtype=_np.int64)
+        updated, max_change = sweep(tau, spare)
+        tau, spare = spare, tau
         rho_evaluations += total
         h_calls += n
-        changed = tau != previous
-        updated = int(changed.sum())
-        max_change = int((previous - tau).max(initial=0))
         converged = updated == 0
         if history is not None:
-            history.append(tau.tolist())  # repro: noqa[KER001]
+            history.append(tau.tolist())
         if on_iteration is not None:
-            on_iteration(iteration, tau.tolist())  # repro: noqa[KER001]
-        converged_count = int((tau == ref).sum()) if ref is not None else -1
+            on_iteration(iteration, tau.tolist())
         stats.append(
             IterationStats(
                 iteration=iteration,
@@ -1668,14 +1527,14 @@ def _snd_csr_numpy(
                 processed=n,
                 skipped=0,
                 max_change=max_change,
-                converged_count=converged_count,
+                converged_count=count_converged(tau),
             )
         )
 
     return DecompositionResult.from_space(
         space,
         algorithm="snd",
-        kappa=[int(v) for v in tau],
+        kappa=tau.tolist(),
         iterations=iteration,
         converged=converged,
         tau_history=history,
@@ -1686,6 +1545,52 @@ def _snd_csr_numpy(
             "backend": "csr",
         },
     )
+
+
+@kernel
+def _snd_sweep(ctx_off, members, stride: int, lo: int, hi: int):
+    """The SND round kernel: one synchronous Jacobi step over ``[lo, hi)``.
+
+    Binds the space buffers (in-memory, memmapped or shared-memory views)
+    and returns ``sweep(prev, nxt)``, which writes the new τ of the chunk
+    into ``nxt[lo:hi]`` and returns ``(updated, max_change)`` over the
+    chunk.  Per context, ρ is the minimum of the members' ``prev`` values,
+    taken column by column over the ``stride`` member slots; per clique,
+    τ is the h-index of its ρ values.  Only the O(chunk contexts) segment
+    bookkeeping is chunk-local scratch.
+    """
+    lo_c, hi_c = int(ctx_off[lo]), int(ctx_off[hi])
+    columns = members[lo_c * stride:hi_c * stride].reshape(hi_c - lo_c, stride).T
+    offs = ctx_off[lo:hi + 1]
+    degrees = offs[1:] - offs[:-1]
+    # seg_ids[c] = owning clique of context c, pos_in_seg[c] = rank of c
+    # within its clique after the descending sort below
+    seg_ids = _np.repeat(_np.arange(hi - lo, dtype=_np.int64), degrees)
+    pos_in_seg = _np.arange(hi_c - lo_c, dtype=_np.int64) - _np.repeat(
+        offs[:-1] - lo_c, degrees
+    )
+
+    def sweep(prev, nxt):
+        if hi_c > lo_c:
+            rho = prev[columns[0]]
+            for column in columns[1:]:
+                _np.minimum(rho, prev[column], out=rho)
+            # sort ρ descending within each clique's segment (lexsort is
+            # stable and seg_ids is already non-decreasing, so segments stay
+            # contiguous); h = #{k : sorted_rho[k] >= k + 1} per segment,
+            # a prefix property because sorted_rho falls while k + 1 rises
+            order = _np.lexsort((-rho, seg_ids))
+            qualifies = rho[order] >= pos_in_seg + 1
+            new = _np.bincount(seg_ids[qualifies], minlength=hi - lo)
+        else:
+            new = _np.zeros(hi - lo, dtype=_np.int64)
+        old = prev[lo:hi]
+        updated = int((new != old).sum())
+        max_change = int((old - new).max(initial=0))
+        nxt[lo:hi] = new
+        return updated, max_change
+
+    return sweep
 
 
 def chunk_ranges(n: int, num_chunks: int) -> Iterator[Tuple[int, int]]:

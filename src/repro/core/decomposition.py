@@ -103,8 +103,8 @@ def nucleus_decomposition(
         also ``engine=`` selecting the CSR execution tier — see
         :func:`repro.core.csr.and_decomposition_csr`).  The parallel
         dispatch rejects options its runners do not support, including
-        ``engine`` (the process pool always runs its own batched chunk
-        kernel).
+        ``engine`` (the process pool always runs the batched round
+        kernel per chunk).
 
     Returns
     -------

@@ -419,12 +419,11 @@ def _grouped_s_cliques(
     if hasattr(space, "ctx_members"):
         n = len(space)
         stride = space.stride
-        offsets = _np.frombuffer(space.ctx_offsets, dtype=_np.int64)
-        total = int(offsets[n]) if n else 0
+        offsets = space.ctx_offsets
+        total = int(offsets[n])
         if total == 0:
             return [], []
-        member_rows = _np.frombuffer(space.ctx_members, dtype=_np.int64)
-        member_rows = member_rows.reshape(total, stride)
+        member_rows = space.ctx_members.reshape(total, stride)
         owners = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
         keep = owners < member_rows.min(axis=1)
         full = _np.column_stack((owners[keep], member_rows[keep]))

@@ -85,10 +85,10 @@ def _degree_levels_csr(space: CSRSpace) -> List[List[int]]:
     match :func:`_degree_levels_generic` exactly.
     """
     n = len(space)
-    ctx_off = list(space.ctx_offsets)
+    ctx_off = space.ctx_offsets.tolist()
     inv_offsets, inv_ids = space.member_contexts()
-    inv_off = list(inv_offsets)
-    inv = list(inv_ids)
+    inv_off = inv_offsets.tolist()
+    inv = inv_ids.tolist()
     # owner_of[c] = clique owning context row c
     owner_of = [0] * ctx_off[n]
     for i in range(n):

@@ -168,9 +168,11 @@ def _peeling_csr(space: CSRSpace) -> DecompositionResult:
     """
     n = len(space)
     stride = space.stride
-    ctx_off = list(space.ctx_offsets)
-    cm = list(space.ctx_members)
-    degrees = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
+    # read each buffer once into Python ints: the loop below indexes them
+    # per element, and numpy scalars would leak into κ
+    ctx_off = space.ctx_offsets.tolist()
+    cm = space.ctx_members.tolist()
+    degrees = space.s_degrees()
     kappa = [0] * n
     processed = [False] * n
     queue = _BucketQueue(degrees)

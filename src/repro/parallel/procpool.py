@@ -2,13 +2,15 @@
 
 This module is the multi-core path of the local algorithms:
 
-* the flat ``array('q')`` buffers of a :class:`repro.core.csr.CSRSpace` are
+* the numpy int64 buffers of a :class:`repro.core.csr.CSRSpace` are
   placed into :mod:`multiprocessing.shared_memory` segments **once** by the
   parent (:class:`SharedCSRBuffers`);
-* worker processes attach to the segments **zero-copy** (``np.frombuffer`` /
-  ``memoryview.cast`` straight over the shared mapping — no per-worker copy
-  of the space) and sweep contiguous index chunks balanced by context count
-  (:func:`repro.core.csr.weighted_ranges`);
+* worker processes attach to the segments **zero-copy** (``np.frombuffer``
+  straight over the shared mapping — no per-worker copy of the space) and
+  sweep contiguous index chunks balanced by context count
+  (:func:`repro.core.csr.weighted_ranges`) with the same round kernels the
+  serial engines run over the one chunk ``[0, n)``:
+  :func:`repro.core.csr._snd_sweep` and :func:`repro.core.csr._and_sweep`;
 * **SND** runs synchronous Jacobi rounds over a double-buffered shared τ
   array: every round reads the previous buffer and writes its own chunk of
   the next buffer, with a two-phase barrier between rounds (publish
@@ -62,15 +64,20 @@ import sys
 import threading
 import time
 import traceback
-from array import array
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as _np
 
-from repro.core.csr import CSRSpace, _as_csr, snd_decomposition_csr, weighted_ranges
-from repro.core.kernels import kernel
+from repro.core.csr import (
+    CSRSpace,
+    _and_sweep,
+    _as_csr,
+    _snd_sweep,
+    snd_decomposition_csr,
+    weighted_ranges,
+)
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
 from repro.graph.csr_graph import CSRGraph
@@ -92,7 +99,7 @@ __all__ = [
     "process_and_decomposition",
 ]
 
-_ITEMSIZE = 8  # array('q') / int64
+_ITEMSIZE = 8  # int64
 
 # meta segment slots (int64): written by worker 0, read by the parent
 _META_ROUNDS = 0
@@ -295,9 +302,8 @@ class SharedCSRBuffers:
     def create_from(self, tag: str, data) -> shared_memory.SharedMemory:
         """Create a segment holding a copy of an int64 buffer.
 
-        ``data`` is anything with a ``tobytes()`` method — the in-memory
-        ``array('q')`` space buffers and numpy int64 arrays (graph CSR,
-        forward orientation) alike.
+        ``data`` is a numpy int64 array: a space buffer (in memory or
+        memmapped), the graph CSR or its forward orientation.
         """
         raw = data.tobytes()
         shm = self.create(tag, len(raw))
@@ -358,9 +364,20 @@ def _attach(name: str, attached: List[shared_memory.SharedMemory]):
     return shm
 
 
-def _bounds_array(ranges: List[Tuple[int, int]]) -> array:
+def _attach_int64(name: str, attached: List[shared_memory.SharedMemory], count: int):
+    """Attach a named segment as a zero-copy int64 view of ``count`` elements.
+
+    The count is explicit because segment sizes are rounded up to an 8-byte
+    minimum, so they do not encode it.
+    """
+    return _np.frombuffer(
+        _attach(name, attached).buf, dtype=_np.int64, count=count
+    )
+
+
+def _bounds_array(ranges: List[Tuple[int, int]]):
     """Flatten contiguous chunk ranges into a bounds array of k+1 cut points."""
-    return array("q", [lo for lo, _ in ranges] + [ranges[-1][1]])
+    return _np.array([lo for lo, _ in ranges] + [ranges[-1][1]], dtype=_np.int64)
 
 
 def _create_shared_space(
@@ -419,20 +436,13 @@ def _create_shared_graph(
     return (graph.number_of_vertices(), len(graph.indices), len(fidx))
 
 
-def _degrees(space: CSRSpace):
-    """The S-degrees of ``space`` (the initial τ of every sweep), int64."""
-    return _np.diff(_np.asarray(space.ctx_offsets, dtype=_np.int64))
-
-
-def _read_int64(shm: shared_memory.SharedMemory, count: int) -> array:
+def _read_int64(shm: shared_memory.SharedMemory, count: int):
     """Copy ``count`` int64 values out of a segment.
 
     Copies with ``bytes()`` so no view outlives the segment
     (``SharedMemory.close`` refuses to run with exported pointers).
     """
-    out = array("q")
-    out.frombytes(bytes(shm.buf[:count * _ITEMSIZE]))
-    return out
+    return _np.frombuffer(bytes(shm.buf[:count * _ITEMSIZE]), dtype=_np.int64)
 
 
 def _extract_result(arena: SharedCSRBuffers, kind: str, n: int, num_workers: int):
@@ -442,12 +452,12 @@ def _extract_result(arena: SharedCSRBuffers, kind: str, n: int, num_workers: int
     kappa)``.  For SND the final τ lives in whichever Jacobi buffer the
     round parity left it in; AND always updates ``tau_a`` in place.
     """
-    meta_arr = _read_int64(arena.get("meta"), _META_SLOTS)
-    rounds = meta_arr[_META_ROUNDS]
-    converged = bool(meta_arr[_META_CONVERGED])
-    updates_total = meta_arr[_META_UPDATES]
-    rebalances = meta_arr[_META_REBALANCES]
-    processed = sum(_read_int64(arena.get("proc"), num_workers))
+    meta = _read_int64(arena.get("meta"), _META_SLOTS).tolist()
+    rounds = meta[_META_ROUNDS]
+    converged = bool(meta[_META_CONVERGED])
+    updates_total = meta[_META_UPDATES]
+    rebalances = meta[_META_REBALANCES]
+    processed = int(_read_int64(arena.get("proc"), num_workers).sum())
     final_tag = "tau_a" if kind == "and" or rounds % 2 == 0 else "tau_b"
     kappa = _read_int64(arena.get(final_tag), n).tolist()
     return rounds, converged, updates_total, processed, rebalances, kappa
@@ -461,8 +471,8 @@ def _attach_views(
 ) -> dict:
     """Attach to every segment named in ``spec`` and build the typed views.
 
-    Called once per worker process; the views live across jobs (the sweep
-    closures are cached lazily under ``"snd_sweep"`` / ``"and_sweep"``).  A
+    Called once per worker process; the views live across jobs (the round
+    kernels are bound lazily under ``"snd_sweep"`` / ``"and_sweep"``).  A
     graph-first binding starts with only the control + graph segments; the
     space views are attached late by :func:`_attach_space_views` when the
     first sweep job carries the space segment names.
@@ -483,44 +493,42 @@ def _attach_views(
 def _attach_space_views(
     spec: WorkerSpec, attached: List[shared_memory.SharedMemory], views: dict
 ) -> None:
-    """Attach the space segments named in ``spec`` into ``views`` in place."""
+    """Attach the space segments named in ``spec`` into ``views`` in place.
+
+    Every space buffer becomes a zero-copy numpy view; the element counts
+    come from ``spec.n`` / ``spec.stride`` and the offsets.
+    """
     names = spec.names
-    views["off_shm"] = _attach(names["ctx_offsets"], attached)
-    views["cm_shm"] = _attach(names["ctx_members"], attached)
-    views["ctx_off"] = memoryview(views["off_shm"].buf).cast("q")
-    views["tau_shms"] = [
-        _attach(names["tau_a"], attached),
-        _attach(names["tau_b"], attached),
+    n = spec.n
+    ctx_off = _attach_int64(names["ctx_offsets"], attached, n + 1)
+    nbr_off = _attach_int64(names["nbr_offsets"], attached, n + 1)
+    views["ctx_off"] = ctx_off
+    views["members"] = _attach_int64(
+        names["ctx_members"], attached, int(ctx_off[n]) * spec.stride
+    )
+    views["tau"] = [
+        _attach_int64(names["tau_a"], attached, n),
+        _attach_int64(names["tau_b"], attached, n),
     ]
-    views["nbr_off"] = memoryview(_attach(names["nbr_offsets"], attached).buf).cast("q")
-    views["nbr_mem"] = memoryview(_attach(names["nbr_members"], attached).buf).cast("q")
-    views["active"] = memoryview(_attach(names["active"], attached).buf).cast("b")
+    views["nbr_off"] = nbr_off
+    views["nbr_mem"] = _attach_int64(names["nbr_members"], attached, int(nbr_off[n]))
+    # byte-wide shared flags, never reinterpreted as int64 anywhere
+    views["active"] = _np.frombuffer(  # repro: noqa[ARR002]
+        _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
+    )
     views["bounds"] = memoryview(_attach(names["bounds"], attached).buf).cast("q")
 
 
 def _attach_graph_views(
     spec: WorkerSpec, attached: List[shared_memory.SharedMemory], views: dict
 ) -> None:
-    """Attach the shared graph segments as zero-copy numpy views.
-
-    Only graph-first bindings name these segments, and they are only ever
-    created when numpy is available (a :class:`CSRGraph` cannot exist
-    without it), so the views are unconditionally numpy.
-    """
+    """Attach the shared graph segments (graph-first bindings only) as views."""
     names = spec.names
     n, nnz, fnnz = spec.graph_shape
-    views["g_indptr"] = _np.frombuffer(
-        _attach(names["g_indptr"], attached).buf, dtype=_np.int64, count=n + 1
-    )
-    views["g_indices"] = _np.frombuffer(
-        _attach(names["g_indices"], attached).buf, dtype=_np.int64, count=nnz
-    )
-    views["g_fptr"] = _np.frombuffer(
-        _attach(names["g_fptr"], attached).buf, dtype=_np.int64, count=n + 1
-    )
-    views["g_fidx"] = _np.frombuffer(
-        _attach(names["g_fidx"], attached).buf, dtype=_np.int64, count=fnnz
-    )
+    for tag, count in (
+        ("g_indptr", n + 1), ("g_indices", nnz), ("g_fptr", n + 1), ("g_fidx", fnnz),
+    ):
+        views[tag] = _attach_int64(names[tag], attached, count)
 
 
 def _worker_graph(views: dict, spec: WorkerSpec) -> CSRGraph:
@@ -645,8 +653,6 @@ def _round_sync(barrier, counts_mv, wid: int, updated: int, timeout: float) -> i
 
 def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     """Jacobi SND sweeps over one chunk with a double-buffered shared τ."""
-    n = spec.n
-    stride = spec.stride
     lo, hi = spec.bounds
     wid = spec.wid
     timeout = spec.barrier_timeout
@@ -654,15 +660,11 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     counts_mv = views["counts"]
     meta_mv = views["meta"]
     if "snd_sweep" not in views:
-        views["snd_sweep"] = _make_numpy_sweep(
-            views["cm_shm"], views["off_shm"], n, stride, lo, hi
+        views["snd_sweep"] = _snd_sweep(
+            views["ctx_off"], views["members"], spec.stride, lo, hi
         )
-        views["tau_np"] = [
-            _np.frombuffer(s.buf, dtype=_np.int64, count=n)
-            for s in views["tau_shms"]
-        ]
     sweep = views["snd_sweep"]
-    tau_views = views["tau_np"]
+    tau_views = views["tau"]
 
     rounds = 0
     cur = 0
@@ -672,7 +674,7 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
         if max_rounds is not None and rounds >= max_rounds:
             break
         _fire_round_faults(job, rounds)
-        updated = sweep(tau_views[cur], tau_views[1 - cur])
+        updated, _ = sweep(tau_views[cur], tau_views[1 - cur])
         total = _round_sync(barrier, counts_mv, wid, updated, timeout)
         updates_total += total
         rounds += 1
@@ -687,140 +689,7 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
         meta_mv[_META_UPDATES] = updates_total
 
 
-@kernel
-def _make_numpy_sweep(cm_shm, off_shm, n: int, stride: int, lo: int, hi: int):
-    """Vectorised chunk sweep: per-context minima + segment h-index.
-
-    All large inputs are zero-copy views over the shared segments; only the
-    O(chunk contexts) segment bookkeeping (seg ids / in-segment positions)
-    is worker-local scratch.
-    """
-    ctx_off = _np.frombuffer(off_shm.buf, dtype=_np.int64, count=n + 1)
-    lo_c, hi_c = int(ctx_off[lo]), int(ctx_off[hi])
-    members = _np.frombuffer(
-        cm_shm.buf, dtype=_np.int64, count=int(ctx_off[n]) * stride
-    )
-    mem2d = members[lo_c * stride:hi_c * stride].reshape(hi_c - lo_c, stride)
-    offs = ctx_off[lo:hi + 1]
-    degrees = offs[1:] - offs[:-1]
-    seg_ids = _np.repeat(_np.arange(hi - lo, dtype=_np.int64), degrees)
-    pos_in_seg = _np.arange(hi_c - lo_c, dtype=_np.int64) - _np.repeat(
-        offs[:-1] - lo_c, degrees
-    )
-
-    def sweep(prev, nxt) -> int:
-        if hi_c > lo_c:
-            rho = prev[mem2d].min(axis=1)
-            order = _np.lexsort((-rho, seg_ids))
-            qualifies = rho[order] >= pos_in_seg + 1
-            new = _np.bincount(seg_ids[qualifies], minlength=hi - lo)
-        else:
-            new = _np.zeros(hi - lo, dtype=_np.int64)
-        updated = int((new != prev[lo:hi]).sum())
-        nxt[lo:hi] = new
-        return updated
-
-    return sweep
-
-
-@kernel
-def _make_numpy_and_sweep(views: dict, n: int, stride: int):
-    """Batched AND chunk sweep: the worker's whole frontier in one pass.
-
-    All inputs are zero-copy numpy views over the shared segments.  The
-    same frontier-batched reduction as the serial
-    :func:`repro.core.csr._and_csr_numpy` — gather ρ segments with
-    repeat/arange bookkeeping, vectorised Section-4.4 sustainability check,
-    packed-key-sort h-index over the failed segments only, neighbour-flag
-    scatter — except that there is no worker-local maintained ρ array:
-    co-member τ values live in other workers' chunks, so ρ is gathered
-    straight from the live shared τ.  Elementwise int64 reads of a
-    monotonically decreasing shared array are always valid, and the
-    full-verification-sweep termination protocol in :func:`_and_job` holds
-    regardless of which published values a pass observed.
-
-    Bounds are arguments of the returned closure (not baked in like the SND
-    sweep's) so dynamic re-balancing can hand each round a different chunk.
-    """
-    ctx_off = _np.frombuffer(views["off_shm"].buf, dtype=_np.int64, count=n + 1)
-    total = int(ctx_off[n])
-    members = _np.frombuffer(
-        views["cm_shm"].buf, dtype=_np.int64, count=total * stride
-    )
-    mem2d = members.reshape(total, stride)
-    tau = _np.frombuffer(views["tau_shms"][0].buf, dtype=_np.int64, count=n)
-    nbr_off = _np.frombuffer(views["nbr_off"], dtype=_np.int64, count=n + 1)
-    nbr_mem = _np.frombuffer(
-        views["nbr_mem"], dtype=_np.int64, count=int(nbr_off[n])
-    )
-    # byte-wide shared flags, never reinterpreted as int64 anywhere
-    act = _np.frombuffer(views["active"], dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
-    degrees = ctx_off[1:] - ctx_off[:-1]
-    pack = int(degrees.max(initial=0)) + 2
-
-    def sweep(lo: int, hi: int, full_sweep: bool, use_active: bool):
-        if use_active:
-            if full_sweep:
-                act[lo:hi] = 0
-                frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
-                done = hi - lo
-            else:
-                # scan a private snapshot: peers set flags in this range
-                # while it is read, which flatnonzero must not observe
-                flagged = lo + _np.flatnonzero(act[lo:hi].copy())
-                act[flagged] = 0  # claim before reading any neighbour value
-                frontier = flagged[tau[flagged] > 0]
-                done = len(flagged)
-        else:
-            frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
-            done = hi - lo
-        m = len(frontier)
-        if m == 0:
-            return 0, done
-        deg = degrees[frontier]
-        cs = _np.cumsum(deg) - deg
-        tot = int(cs[-1] + deg[-1])
-        if tot == 0:
-            return 0, done
-        rep = _np.repeat(_np.arange(m, dtype=_np.int64), deg)
-        pos = _np.arange(tot, dtype=_np.int64) - cs[rep]
-        seg_rho = tau[mem2d[ctx_off[frontier][rep] + pos]].min(axis=1)
-        cur = tau[frontier]
-        sustained = _np.bincount(rep[seg_rho >= cur[rep]], minlength=m)
-        drop = sustained < cur
-        changed = frontier[drop]
-        updated = len(changed)
-        if updated == 0:
-            return 0, done
-        sel = drop[rep]
-        rep2 = (_np.cumsum(drop) - 1)[rep[sel]]
-        if updated * pack <= 2**62:
-            key = rep2 * pack + (pack - 1 - seg_rho[sel])
-            key.sort(kind="stable")
-            sorted_rho = pack - 1 - (key % pack)
-        else:  # pragma: no cover - needs ~2^31 cliques
-            sub_rho = seg_rho[sel]
-            sorted_rho = sub_rho[_np.lexsort((-sub_rho, rep2))]
-        qualifies = sorted_rho >= pos[sel] + 1
-        h = _np.bincount(rep2[qualifies], minlength=updated)
-        new_values = _np.minimum(h, cur[drop])
-        tau[changed] = new_values  # publish: own chunk only
-        if use_active:
-            nd = nbr_off[changed + 1] - nbr_off[changed]
-            ntot = int(nd.sum())
-            if ntot:
-                ncs = _np.cumsum(nd) - nd
-                nrep = _np.repeat(_np.arange(updated, dtype=_np.int64), nd)
-                nidx = nbr_off[changed][nrep] + (
-                    _np.arange(ntot, dtype=_np.int64) - ncs[nrep]
-                )
-                act[nbr_mem[nidx]] = 1  # cross-chunk notification
-        return updated, done
-
-    return sweep
-
-
-def _rebalance_bounds(bounds_mv, active_mv, ctx_off, n: int, num_workers: int) -> None:
+def _rebalance_bounds(bounds_mv, active, ctx_off, num_workers: int) -> None:
     """Re-split ``[0, n)`` by the surviving active weight (worker 0 only).
 
     Each still-active clique weighs its context count plus one (the same
@@ -831,9 +700,7 @@ def _rebalance_bounds(bounds_mv, active_mv, ctx_off, n: int, num_workers: int) -
     frontier (zero total weight) keeps the previous split — the round then
     sweeps nothing anyway.
     """
-    act = _np.frombuffer(active_mv, dtype=_np.uint8, count=n)  # repro: noqa[ARR002]
-    offs = _np.frombuffer(ctx_off, dtype=_np.int64, count=n + 1)
-    weights = (offs[1:] - offs[:-1] + 1) * (act != 0)
+    weights = (ctx_off[1:] - ctx_off[:-1] + 1) * (active != 0)
     cum = _np.cumsum(weights)
     grand = int(cum[-1])
     if grand == 0:
@@ -848,8 +715,8 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     """Asynchronous AND rounds over one *owned* chunk of a single shared τ.
 
     The worker is the only writer of ``τ[lo:hi]``; within a round it applies
-    its chunk's updates (one batched frontier pass,
-    :func:`_make_numpy_and_sweep`) while neighbours in other chunks are read
+    its chunk's updates (one batched frontier pass of the round kernel
+    :func:`repro.core.csr._and_sweep`) while neighbours in other chunks are read
     at their latest published value — any published value is valid because
     τ only decreases.
 
@@ -880,7 +747,15 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     bounds_mv = views["bounds"]
     use_active = job.notification
     if "and_sweep" not in views:
-        views["and_sweep"] = _make_numpy_and_sweep(views, spec.n, spec.stride)
+        views["and_sweep"] = _and_sweep(
+            views["ctx_off"],
+            views["members"],
+            spec.stride,
+            views["nbr_off"],
+            views["nbr_mem"],
+            views["tau"][0],
+            views["active"],
+        )
     sweep = views["and_sweep"]
     can_rebalance = job.rebalance and use_active and spec.num_workers > 1
 
@@ -902,7 +777,7 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             # stays identical across the pool
             if wid == 0:
                 _rebalance_bounds(
-                    bounds_mv, views["active"], views["ctx_off"], spec.n,
+                    bounds_mv, views["active"], views["ctx_off"],
                     spec.num_workers,
                 )
                 rebalances += 1
@@ -910,7 +785,7 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             lo, hi = bounds_mv[wid], bounds_mv[wid + 1]
         else:
             lo, hi = spec.bounds
-        updated, done = sweep(lo, hi, full_sweep, use_active)
+        updated, done, _, _ = sweep(lo, hi, full_sweep, use_active)
         processed += done
         total = _round_sync(barrier, counts_mv, wid, updated, timeout)
         updates_total += total
@@ -1368,7 +1243,7 @@ class PersistentPool:
         self._teardown(graceful=True)  # rebinding: drop the old workers
         n = len(space)
         ranges = weighted_ranges(space.ctx_offsets, self.workers)
-        degrees = _degrees(space)
+        degrees = _np.diff(space.ctx_offsets)
         self._degree_bytes = degrees.tobytes()
         self._bounds_bytes = _bounds_array(ranges).tobytes()
         self._arena = SharedCSRBuffers(prefix="rp")
@@ -1488,7 +1363,7 @@ class PersistentPool:
         n = len(space)
         ranges = weighted_ranges(space.ctx_offsets, self._num_workers)
         ranges = list(ranges) + [(n, n)] * (self._num_workers - len(ranges))
-        degrees = _degrees(space)
+        degrees = _np.diff(space.ctx_offsets)
         self._degree_bytes = degrees.tobytes()
         self._bounds_bytes = _bounds_array(ranges).tobytes()
         _create_shared_space(

@@ -36,7 +36,7 @@ def simulate_local_scalability(
     the same task multiset, one representative iteration captures the scaling
     shape; the report's speedup is what experiment E5 plots.
     """
-    costs = [max(space.s_degree(i), 1) for i in range(len(space))]
+    costs = [max(d, 1) for d in space.s_degrees()]
     if iterations is not None and iterations > 1:
         costs = costs * iterations
     reports: Dict[int, ScheduleReport] = {}
@@ -74,9 +74,8 @@ def simulate_peeling_scalability(
     from repro.core.levels import degree_levels
 
     levels = degree_levels(space)
-    wave_work = [
-        sum(max(space.s_degree(i), 1) for i in level) for level in levels
-    ]
+    degrees = space.s_degrees()
+    wave_work = [sum(max(degrees[i], 1) for i in level) for level in levels]
     total_work = sum(wave_work)
     reports: Dict[int, ScheduleReport] = {}
     for p in thread_counts:

@@ -283,7 +283,7 @@ def save_bundle(
             ("space.nbr_offsets", space.nbr_offsets),
             ("space.nbr_members", space.nbr_members),
         ):
-            write(name, _np.frombuffer(buf, dtype=_np.int64))
+            write(name, buf)
         ids, labels = _clique_table(space)
         write("space.clique_ids", ids)
         components["space"] = {

@@ -154,7 +154,7 @@ class TestMemberContexts:
         space = CSRSpace.from_graph(graph, *rs)
         offsets, ids = space.member_contexts()
         ref_offsets, ref_ids = member_contexts_reference(space)
-        assert offsets.typecode == ids.typecode == "q"
+        assert offsets.dtype == ids.dtype == np.int64
         assert offsets.tolist() == ref_offsets
         assert ids.tolist() == ref_ids
         assert space.member_contexts() is space.member_contexts()

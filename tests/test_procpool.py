@@ -22,7 +22,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.core.csr import CSRSpace
+from repro.core.csr import CSRSpace, and_decomposition_csr, snd_decomposition_csr
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
@@ -253,6 +253,36 @@ class TestActiveBitmapScan:
                 assert pool.run_and(csr).kappa == exact
                 runs += 1
         assert runs >= 3
+
+
+class TestOneChunkContract:
+    """One worker runs the serial round kernels over the one chunk [0, n).
+
+    The serial engines and the pool workers share one AND and one SND
+    sweep, so a single-worker pool must walk the serial trajectory: the
+    same κ and updates, plus the verification sweep AND adds before it
+    accepts a zero-update notification round as the fixed point.
+    """
+
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
+    def test_single_worker_follows_serial_engine(self, rs):
+        graph = CSRGraph.from_graph(powerlaw_cluster_graph(120, 5, 0.7, seed=13))
+        space = CSRSpace.from_graph(graph, *rs)
+        and_serial = and_decomposition_csr(space, engine="numpy")
+        snd_serial = snd_decomposition_csr(space)
+        with PersistentPool(1) as pool:
+            and_pool = pool.run_and(space)
+            snd_pool = pool.run_snd(space)
+        assert and_pool.kappa == and_serial.kappa
+        assert and_pool.operations["updates"] == sum(
+            st.updated for st in and_serial.iteration_stats
+        )
+        if and_serial.iterations > 1:
+            assert and_pool.iterations == and_serial.iterations + 1
+        else:
+            assert and_pool.iterations == and_serial.iterations
+        assert snd_pool.kappa == snd_serial.kappa
+        assert snd_pool.iterations == snd_serial.iterations
 
 
 class TestPersistentPool:

@@ -13,7 +13,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.csr import CSRSpace, resolve_space, resolve_space_for_backend
+from repro.core.csr import (
+    CSRSpace,
+    and_decomposition_csr,
+    resolve_space,
+    resolve_space_for_backend,
+)
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.hierarchy import build_hierarchy
 from repro.core.peeling import peeling_decomposition
@@ -78,6 +83,24 @@ class TestRoundTrip:
             )
         # the memmapped space is a working kernel substrate
         assert peeling_decomposition(reopened).kappa == result.kappa
+
+    def test_reopened_space_speaks_python_ints(self, saved):
+        path, _, space, result, _ = saved
+        reopened = open_bundle(path).space
+        i = max(range(len(space)), key=space.s_degree)
+        assert type(reopened.s_degree(i)) is int
+        assert all(type(d) is int for d in reopened.s_degrees())
+        assert reopened.s_degrees() == space.s_degrees()
+        assert all(type(j) is int for j in reopened.neighbors(i))
+        assert reopened.neighbors(i) == space.neighbors(i)
+        assert reopened.contexts(i) == space.contexts(i)
+        assert all(type(j) is int for ctx in reopened.contexts(i) for j in ctx)
+        peeled = peeling_decomposition(reopened)
+        visited = and_decomposition_csr(reopened, engine="python")
+        for kappa in (peeled.kappa, visited.kappa):
+            assert kappa == result.kappa
+            assert all(type(k) is int for k in kappa)
+            json.dumps(kappa)
 
     def test_hierarchy_index_identical(self, saved):
         path, _, _, _, hierarchy = saved
