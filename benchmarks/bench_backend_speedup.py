@@ -95,11 +95,11 @@ def test_and_csr_speedup(spaces, smoke_mode, bench_record):
 
 
 def test_and_numpy_speedup(spaces, smoke_mode, bench_record):
-    """Frontier-batched AND tier (engine="numpy") vs the dict backend."""
+    """Frontier-batched AND kernel (a plain CSR request) vs the dict backend."""
     space, csr = spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
     t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
-    t_np, r_np = _best_of(reps, and_decomposition, csr, engine="numpy")
+    t_np, r_np = _best_of(reps, and_decomposition, csr)
     assert r_np.kappa == r_dict.kappa
     speedup = t_dict / t_np
     bench_record(
@@ -192,7 +192,7 @@ def test_three_four_and_numpy_speedup(three_four_spaces, smoke_mode, bench_recor
     space, csr = three_four_spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
     t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
-    t_np, r_np = _best_of(reps, and_decomposition, csr, engine="numpy")
+    t_np, r_np = _best_of(reps, and_decomposition, csr)
     assert r_np.kappa == r_dict.kappa
     speedup = t_dict / t_np
     bench_record(

@@ -41,7 +41,7 @@ def processing_order(
 
     Supported string specifications:
 
-    * ``"natural"`` (default) — index order, which follows the construction
+    * ``"natural"`` (also ``None``) — index order, which follows the construction
       order of the space (lexicographic-ish, like the paper's examples).
     * ``"degree"`` — non-decreasing S-degree, a cheap proxy for κ order.
     * ``"degree_desc"`` — non-increasing S-degree (a worst-case-ish order).
@@ -91,7 +91,7 @@ def and_decomposition(
     r: Optional[int] = None,
     s: Optional[int] = None,
     *,
-    order: OrderSpec = "natural",
+    order: OrderSpec = None,
     seed: Optional[int] = None,
     kappa_hint: Optional[List[int]] = None,
     notification: bool = True,
@@ -100,15 +100,27 @@ def and_decomposition(
     reference_kappa: Optional[List[int]] = None,
     on_iteration: Optional[Callable[[int, List[int]], None]] = None,
     backend: str = "auto",
-    engine: str = "auto",
 ) -> DecompositionResult:
     """Run the asynchronous local algorithm until convergence.
+
+    AND has two schedules with the same unique fixed point κ.  A request
+    that reads the schedule — ``backend="dict"``, any explicit ``order``,
+    ``record_history``, ``on_iteration``, ``reference_kappa`` or
+    ``max_iterations`` — runs the paper's per-visit loop (this module) on
+    the resolved space, through the :class:`SpaceLike` read API, so its τ
+    trajectory and per-iteration stats are the same on either backend.
+    Every other request runs the frontier-batched kernel
+    :func:`repro.core.csr.and_decomposition_csr`, whose passes are Jacobi
+    within a pass, so only its iteration counts differ.
+    ``operations["engine"]`` records which one ran.
 
     Parameters
     ----------
     order, seed, kappa_hint:
         Processing order of the r-cliques within each iteration; see
-        :func:`processing_order`.
+        :func:`processing_order`.  ``None`` (default) leaves the order to
+        the kernel: index order for the per-visit loop, none at all for
+        the batched one.
     notification:
         Enable the notification mechanism: an r-clique is recomputed only if
         one of its neighbours changed since its last computation.  Disable to
@@ -120,37 +132,32 @@ def and_decomposition(
     max_iterations, record_history, reference_kappa, on_iteration:
         Same semantics as in :func:`repro.core.snd.snd_decomposition`.
     backend:
-        ``"dict"`` runs this module's kernel over the tuple/set structure of
-        :class:`NucleusSpace`; ``"csr"`` flattens the space and runs
-        :func:`repro.core.csr.and_decomposition_csr` over flat int arrays;
-        ``"auto"`` (default) means ``"csr"``.  κ is identical
-        either way (the test-suite asserts it); only speed and the
-        operation counters differ.
-    engine:
-        CSR execution tier, forwarded to
-        :func:`repro.core.csr.and_decomposition_csr` — ``"python"``
-        (per-visit), ``"numpy"`` (frontier-batched) or ``"auto"``.  A
-        non-default engine runs on the CSR backend, so it cannot be combined
-        with ``backend="dict"``.
+        ``"dict"`` runs over the tuple/set structure of
+        :class:`NucleusSpace`; ``"csr"`` over the flat int arrays of
+        :class:`CSRSpace`; ``"auto"`` (default) means ``"csr"``.  κ is
+        identical either way (the test-suite asserts it).
+
+    Examples
+    --------
+    >>> from repro.graph.generators import complete_graph
+    >>> plain = and_decomposition(complete_graph(5), 2, 3)
+    >>> visited = and_decomposition(complete_graph(5), 2, 3, order="natural")
+    >>> plain.operations["engine"], visited.operations["engine"]
+    ('numpy', 'python')
+    >>> plain.kappa == visited.kappa
+    True
     """
-    if engine != "auto" and backend not in ("auto", "csr"):
-        raise ValueError(
-            f"engine={engine!r} requires the csr backend, got backend={backend!r}"
-        )
     space, resolved = resolve_space_for_backend(source, r, s, backend)
-    if resolved == "csr":
-        return and_decomposition_csr(
-            space,
-            order=order,
-            seed=seed,
-            kappa_hint=kappa_hint,
-            notification=notification,
-            max_iterations=max_iterations,
-            record_history=record_history,
-            reference_kappa=reference_kappa,
-            on_iteration=on_iteration,
-            engine=engine,
-        )
+    reads_schedule = (
+        resolved == "dict"
+        or order is not None
+        or record_history
+        or on_iteration is not None
+        or reference_kappa is not None
+        or max_iterations is not None
+    )
+    if not reads_schedule:
+        return and_decomposition_csr(space, notification=notification)
     n = len(space)
     tau = space.s_degrees()
     perm = processing_order(space, order, seed=seed, kappa_hint=kappa_hint)
@@ -231,6 +238,7 @@ def and_decomposition(
             "rho_evaluations": rho_evaluations,
             "h_index_calls": h_calls,
             "skipped_cliques": skipped_total,
-            "backend": "dict",
+            "backend": resolved,
+            "engine": "python",
         },
     )

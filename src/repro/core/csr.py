@@ -31,7 +31,9 @@ stats, history and callbacks; the workers of
 :class:`repro.parallel.procpool.PersistentPool` run them over their own
 chunks of shared-memory views.  κ equals the dict-backend implementations
 in :mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
-asserts property-style.
+asserts property-style.  AND's per-visit schedule has no kernel here: the
+one loop in :mod:`repro.core.asynd` runs on this class through its read
+API.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "CSRSpace",
     "GraphSource",
     "BACKENDS",
-    "ENGINES",
     "resolve_backend",
     "resolve_process_backend",
     "and_decomposition_csr",
@@ -72,13 +73,6 @@ __all__ = [
 #: Valid values of the ``backend=`` parameter accepted by the decompositions.
 #: ``"auto"`` means ``"csr"``; the dict backend runs only when asked for.
 BACKENDS = ("auto", "dict", "csr")
-
-#: Valid values of the ``engine=`` parameter of the AND kernels: the CSR
-#: sweep comes in two tiers — ``"python"`` (per-visit interpreted loop,
-#: the exact dict-backend trajectory) and ``"numpy"`` (frontier-batched
-#: array passes; same κ fixed point, different iteration counts).
-#: ``"auto"`` picks per request; see :func:`_resolve_and_engine`.
-ENGINES = ("auto", "python", "numpy")
 
 Clique = Tuple
 
@@ -499,9 +493,8 @@ class CSRSpace:
         ``context_ids[offsets[i] : offsets[i + 1]]``, ascending, where a
         context id ``c`` addresses ``ctx_members[c * stride : (c + 1) *
         stride]``.  Built on first use by a stable sort of the member slots
-        and cached; the per-visit ``engine="python"`` AND kernel walks it to
-        maintain ρ on every τ decrease, and the level peeling of
-        :mod:`repro.core.levels` to retire contexts.
+        and cached; the level peeling of :mod:`repro.core.levels` walks it
+        to retire contexts.
         """
         if self._inverse is None:
             offsets = _np.empty(len(self) + 1, dtype=_np.int64)
@@ -990,35 +983,6 @@ def _as_csr(
 # ----------------------------------------------------------------------
 # AND kernel
 # ----------------------------------------------------------------------
-def _h_below(rho_values: List[int], current: int) -> int:
-    """h-index of ``rho_values`` given that it is known to be ``< current``.
-
-    Called right after the sustainability scan failed at ``current``, so the
-    counting array clamps to ``current - 1`` instead of ``len(rho_values)``:
-    O(len + current) work, usually far less than a full h-index.
-    """
-    limit = current - 1
-    if limit <= 0:
-        return 0
-    counts = [0] * (limit + 1)
-    for v in rho_values:
-        counts[v if v < limit else limit] += 1
-    running = 0
-    for h in range(limit, 0, -1):
-        running += counts[h]
-        if running >= h:
-            return h
-    return 0
-
-
-#: Ordering names accepted by :func:`repro.core.asynd.processing_order`;
-#: the batched engine validates (then ignores) them without paying for the
-#: permutation it would not use.
-_ORDER_NAMES = frozenset(
-    {"natural", "degree", "degree_desc", "random", "kappa", "peel"}
-)
-
-
 def _make_converged_counter(
     reference_kappa: Optional[List[int]],
 ) -> Callable[[Sequence[int]], int]:
@@ -1033,274 +997,32 @@ def _make_converged_counter(
     return lambda tau: int((_np.asarray(tau, dtype=_np.int64) == ref).sum())
 
 
-def _resolve_and_engine(
-    engine: str,
-    *,
-    order,
-    record_history: bool,
-    reference_kappa,
-    on_iteration,
-    max_iterations,
-) -> str:
-    """Resolve an ``engine=`` argument to the tier that will actually run.
-
-    ``"auto"`` routes *trajectory-sensitive* requests — recorded history,
-    per-iteration callbacks, reference-κ instrumentation, iteration caps,
-    or any non-natural processing order — to the per-visit python engine,
-    because only the per-visit schedule reproduces the dict backend's exact
-    τ trajectory.  Plain fixed-point requests take the batched numpy
-    kernel, the fastest tier.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine != "auto":
-        return engine
-    trajectory_sensitive = (
-        record_history
-        or on_iteration is not None
-        or reference_kappa is not None
-        or max_iterations is not None
-        or not (order is None or order == "natural")
-    )
-    return "python" if trajectory_sensitive else "numpy"
-
-
 def and_decomposition_csr(
     source: Union[GraphSource, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
     s: Optional[int] = None,
     *,
-    order=None,
-    seed: Optional[int] = None,
-    kappa_hint: Optional[List[int]] = None,
-    notification: bool = True,
-    max_iterations: Optional[int] = None,
-    record_history: bool = False,
-    reference_kappa: Optional[List[int]] = None,
-    on_iteration: Optional[Callable[[int, List[int]], None]] = None,
-    engine: str = "auto",
-) -> DecompositionResult:
-    """Array-native AND (Algorithm 3) over a :class:`CSRSpace`.
-
-    The sweep runs on one of two kernel tiers, selected by ``engine``:
-
-    * ``"python"`` — the per-visit interpreted loop.  Semantics match
-      :func:`repro.core.asynd.and_decomposition` exactly: same τ
-      trajectory, same per-iteration stats.
-    * ``"numpy"`` — the frontier-batched round kernel :func:`_and_sweep`
-      run over the single chunk ``[0, n)``, the same kernel the process
-      pool runs per worker chunk: every pass gathers the per-context
-      minima ρ of the whole active frontier from τ, runs the Section 4.4
-      sustainability check and the segment h-index as one packed-key
-      sort + prefix-count reduction, and computes the next frontier from
-      the neighbour CSR.  κ is the same unique fixed point, but the
-      schedule is Jacobi *within* a pass, so iteration counts and τ
-      trajectories differ from the per-visit engine;
-      ``order``/``seed``/``kappa_hint`` are validated and then ignored
-      (the fixed point is order-independent).
-
-    ``"auto"`` (default) resolves per request — see
-    :func:`_resolve_and_engine` — and ``operations["engine"]`` records the
-    tier that ran.  The per-visit tier has three optimisations on top of
-    the flat-array layout (the batched tier keeps the last two):
-
-    * **incremental ρ maintenance**: because τ never increases, the per-
-      context minima only ever decrease, so the kernel keeps a flat ``rho``
-      array up to date (every τ drop pushes the new value into the contexts
-      the clique participates in, via :meth:`CSRSpace.member_contexts`) and
-      the hot scan is a bare read-and-compare — no per-context ``min`` and
-      no list building;
-    * the Section 4.4 "is the current value still sustainable?" check runs
-      with early exit: as soon as ``current`` values ``>= current`` have
-      been seen the clique is settled and the rest of its contexts are not
-      even read (``rho_evaluations`` still charges the full context count
-      per scan so the counter stays comparable with the dict backend's);
-    * a clique whose τ reached 0 is never rescanned (τ is non-increasing,
-      it can never change again), so its contexts stop being charged.
-    """
-    space = _as_csr(source, r, s)
-    resolved = _resolve_and_engine(
-        engine,
-        order=order,
-        record_history=record_history,
-        reference_kappa=reference_kappa,
-        on_iteration=on_iteration,
-        max_iterations=max_iterations,
-    )
-    if resolved == "numpy":
-        if isinstance(order, str) and order not in _ORDER_NAMES:
-            raise ValueError(f"unknown ordering {order!r}")
-        return _and_csr_numpy(
-            space,
-            notification=notification,
-            max_iterations=max_iterations,
-            record_history=record_history,
-            reference_kappa=reference_kappa,
-            on_iteration=on_iteration,
-        )
-    return _and_csr_python(
-        space,
-        order=order,
-        seed=seed,
-        kappa_hint=kappa_hint,
-        notification=notification,
-        max_iterations=max_iterations,
-        record_history=record_history,
-        reference_kappa=reference_kappa,
-        on_iteration=on_iteration,
-    )
-
-
-def _and_csr_python(
-    space: CSRSpace,
-    *,
-    order=None,
-    seed: Optional[int] = None,
-    kappa_hint: Optional[List[int]] = None,
     notification: bool = True,
     max_iterations: Optional[int] = None,
     record_history: bool = False,
     reference_kappa: Optional[List[int]] = None,
     on_iteration: Optional[Callable[[int, List[int]], None]] = None,
 ) -> DecompositionResult:
-    """The per-visit interpreted AND engine (see :func:`and_decomposition_csr`)."""
-    from repro.core.asynd import processing_order
+    """Frontier-batched AND (Algorithm 3) over a :class:`CSRSpace`.
 
-    n = len(space)
-    stride = space.stride
-    # kernel-local plain lists: int indexing on lists is the fastest pure-
-    # Python access path, while the canonical storage stays compact arrays
-    ctx_off = space.ctx_offsets.tolist()
-    nbr_off = space.nbr_offsets.tolist()
-    nm = space.nbr_members.tolist()
-    inv_offsets, inv_ids = space.member_contexts()
-    inv_off = inv_offsets.tolist()
-    inv = inv_ids.tolist()
-
-    degrees = _np.diff(space.ctx_offsets)
-    tau = degrees.tolist()
-    # rho[c] = min over the members of context c of the current tau values;
-    # initialised from the S-degrees and maintained on every tau decrease
-    rho = (
-        degrees[space.ctx_members.reshape(ctx_off[n], stride)].min(axis=1).tolist()
-    )
-    perm = processing_order(space, order if order is not None else "natural",
-                            seed=seed, kappa_hint=kappa_hint)
-    active = [True] * n
-    history: Optional[List[List[int]]] = [list(tau)] if record_history else None
-    stats: List[IterationStats] = []
-    rho_evaluations = 0
-    h_calls = 0
-    skipped_total = 0
-    count_converged = _make_converged_counter(reference_kappa)
-
-    def finish_iteration(iteration, updated, processed, skipped, max_change):
-        nonlocal skipped_total, converged
-        skipped_total += skipped
-        converged = updated == 0
-        if history is not None:
-            history.append(list(tau))
-        if on_iteration is not None:
-            on_iteration(iteration, tau)
-        converged_count = count_converged(tau)
-        stats.append(
-            IterationStats(
-                iteration=iteration,
-                updated=updated,
-                processed=processed,
-                skipped=skipped,
-                max_change=max_change,
-                converged_count=converged_count,
-            )
-        )
-
-    iteration = 0
-    converged = n == 0
-    while not converged:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        iteration += 1
-        updated = 0
-        processed = 0
-        max_change = 0
-        for i in perm:
-            if notification and not active[i]:
-                continue
-            processed += 1
-            current = tau[i]
-            if current == 0:
-                # τ is non-increasing: a clique at 0 can never change again
-                # (the dict backend recomputes h([ρ...]) = 0 here)
-                active[i] = False
-                continue
-            seg = rho[ctx_off[i]:ctx_off[i + 1]]
-            rho_evaluations += len(seg)
-            # sustainability scan with early exit over the maintained ρ array
-            need = current
-            for v in seg:
-                if v >= current:
-                    need -= 1
-                    if not need:
-                        break
-            if need:
-                # not sustained: h is < current, so the clique must drop
-                new_value = _h_below(seg, current)
-                h_calls += 1
-                tau[i] = new_value
-                updated += 1
-                change = current - new_value
-                if change > max_change:
-                    max_change = change
-                # push the decrease into every context i participates in
-                # (minima only ever decrease, so a compare-and-store suffices)
-                for p in range(inv_off[i], inv_off[i + 1]):
-                    ctx = inv[p]
-                    if new_value < rho[ctx]:
-                        rho[ctx] = new_value
-                if notification:
-                    for p in range(nbr_off[i], nbr_off[i + 1]):
-                        active[nm[p]] = True
-            active[i] = False
-        finish_iteration(iteration, updated, processed, n - processed, max_change)
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="and",
-        kappa=tau,
-        iterations=iteration,
-        converged=converged,
-        tau_history=history,
-        iteration_stats=stats,
-        operations={
-            "rho_evaluations": rho_evaluations,
-            "h_index_calls": h_calls,
-            "skipped_cliques": skipped_total,
-            "backend": "csr",
-            "engine": "python",
-        },
-    )
-
-
-def _and_csr_numpy(
-    space: CSRSpace,
-    *,
-    notification: bool,
-    max_iterations: Optional[int],
-    record_history: bool,
-    reference_kappa: Optional[List[int]],
-    on_iteration: Optional[Callable[[int, List[int]], None]],
-) -> DecompositionResult:
-    """Frontier-batched AND: :func:`_and_sweep` over the one chunk ``[0, n)``.
-
-    Each pass reads the pass-start τ (Jacobi within a pass, Gauss–Seidel
-    across passes), so iteration counts differ from the per-visit engine;
-    κ is the same unique fixed point, which the property tests assert
-    against the dict backend.  The counters mirror the per-visit engine:
-    only a notification skip counts as skipped (τ = 0 cliques are visited
-    and retired, never gathered), ``rho_evaluations`` charges the gathered
+    Runs the round kernel :func:`_and_sweep` over the one chunk ``[0, n)``,
+    the same kernel the process pool runs per worker chunk.  Each pass
+    reads the pass-start τ (Jacobi within a pass, Gauss–Seidel across
+    passes), so iteration counts and τ trajectories differ from the
+    per-visit schedule of :func:`repro.core.asynd.and_decomposition`; κ is
+    the same unique fixed point, which the property tests assert against
+    the dict backend.  The counters mirror the per-visit loop: only a
+    notification skip counts as skipped (τ = 0 cliques are visited and
+    retired, never gathered), ``rho_evaluations`` charges the gathered
     context total per pass and ``h_index_calls`` the cliques whose
     sustainability check failed.
     """
+    space = _as_csr(source, r, s)
     n = len(space)
     tau = _np.diff(space.ctx_offsets)
     # engine-local frontier flags, never a shared/persisted buffer

@@ -99,12 +99,11 @@ def nucleus_decomposition(
         counters.  κ is unchanged in every recovery path.
     options:
         Forwarded to the selected algorithm (e.g. ``max_iterations``,
-        ``record_history``, ``order``, ``notification``; for serial AND
-        also ``engine=`` selecting the CSR execution tier — see
-        :func:`repro.core.csr.and_decomposition_csr`).  The parallel
-        dispatch rejects options its runners do not support, including
-        ``engine`` (the process pool always runs the batched round
-        kernel per chunk).
+        ``record_history``, ``order``, ``notification``).  For serial
+        AND any option that reads the schedule runs the per-visit loop;
+        see :func:`repro.core.asynd.and_decomposition`.  The parallel
+        dispatch rejects options its runners do not support (the process
+        pool always runs the batched round kernel per chunk).
 
     Returns
     -------

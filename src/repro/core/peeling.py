@@ -98,7 +98,7 @@ def peeling_decomposition(
     r, s:
         The decomposition instance when ``source`` is a graph.
     backend:
-        ``"csr"`` (or ``"auto"`` on a large space, or any :class:`CSRSpace`
+        ``"csr"`` (or ``"auto"``, the default, or any :class:`CSRSpace`
         input) runs the bucket-queue loop over flat CSR arrays; ``"dict"``
         walks the tuple/set structure.  Both drive the identical
         :class:`_BucketQueue` sequence, so κ *and* the recorded peel order

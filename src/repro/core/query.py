@@ -91,7 +91,7 @@ def estimate_local_indices(
     backend:
         Space representation for the ball: ``"dict"``, ``"csr"`` (the ball
         space is built directly by :meth:`CSRSpace.from_graph`) or ``"auto"``
-        (size-based; small balls stay on the dict path).
+        (default; means ``"csr"``).
 
     Returns
     -------

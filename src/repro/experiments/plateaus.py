@@ -108,15 +108,15 @@ def run_notification_savings(
 ) -> List[Dict[str, object]]:
     """Per-iteration processed/skipped counts with and without notification.
 
-    Runs the per-visit engine (the paper's Algorithm 3 schedule) on every
-    dataset size; the batched engine would count a whole frontier pass.
+    The explicit ``order`` runs the per-visit loop (the paper's Algorithm 3
+    schedule); the batched kernel would count a whole frontier pass.
     """
     graph = load_dataset(dataset)
     space = NucleusSpace(graph, r, s)
     rows: List[Dict[str, object]] = []
     for notification in (False, True):
         result = and_decomposition(
-            space, notification=notification, engine="python"
+            space, notification=notification, order="natural"
         )
         label = "on" if notification else "off"
         total_processed = sum(stat.processed for stat in result.iteration_stats)

@@ -1,19 +1,19 @@
-"""Property tests for the frontier-batched AND kernel and its engine seam.
+"""Property tests for the frontier-batched AND kernel and the schedule rule.
 
-The batched numpy tier (``engine="numpy"``) runs a Jacobi-within-pass /
-Gauss–Seidel-across-passes schedule, so its iteration counts and τ
-trajectories legitimately differ from the per-visit engines — what must
-hold, and what these tests enforce, is the *fixed point*: κ parity with the
-dict backend and the per-visit serial CSR kernel on random and degenerate
+The batched kernel (:func:`and_decomposition_csr`) runs a Jacobi-within-
+pass / Gauss–Seidel-across-passes schedule, so its iteration counts and τ
+trajectories legitimately differ from the per-visit loop — what must hold,
+and what these tests enforce, is the *fixed point*: κ parity with the dict
+backend and the per-visit loop over a CSR space on random and degenerate
 inputs, with and without notification, under shuffled orders.  The
-per-visit python tier promises the opposite contract — the exact dict
-trajectory — which ``tests/test_csr.py`` asserts.
+per-visit loop promises the opposite contract — the exact dict trajectory
+on either space — which ``tests/test_csr.py`` asserts.
 """
 
 import pytest
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import ENGINES, and_decomposition_csr, snd_decomposition_csr
+from repro.core.csr import and_decomposition_csr, snd_decomposition_csr
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.generators import (
@@ -58,29 +58,28 @@ class TestBatchedFixedPoint:
             space, backend="dict", notification=notification
         )
         assert reference.converged
-        for engine in ("python", "numpy"):
-            kappa = _kappa(space, notification=notification, engine=engine)
-            assert kappa == reference.kappa, engine
+        assert _kappa(space, notification=notification) == reference.kappa
+        visited = and_decomposition(
+            space.to_csr(), notification=notification, order="natural"
+        )
+        assert visited.kappa == reference.kappa
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_kappa_parity_under_random_orders(self, seed):
         graph = powerlaw_cluster_graph(80, 5, 0.7, seed=17)
         space = NucleusSpace(graph, 2, 3)
         reference = and_decomposition(space, backend="dict")
-        # auto resolves a shuffled order to a per-visit engine...
-        shuffled = and_decomposition_csr(
-            space.to_csr(), order="random", seed=seed
-        )
+        # a shuffled order is a schedule request: the per-visit loop runs
+        # on the CSR space and reaches the order-independent fixed point
+        shuffled = and_decomposition(space.to_csr(), order="random", seed=seed)
         assert shuffled.kappa == reference.kappa
         assert shuffled.operations["engine"] == "python"
-        # ...while the batched engine accepts and ignores it: the fixed
-        # point is order-independent
-        batched = _kappa(space, order="random", seed=seed, engine="numpy")
-        assert batched == reference.kappa
+        assert shuffled.operations["backend"] == "csr"
+        assert _kappa(space) == reference.kappa
 
     def test_batched_engine_records_metadata(self):
         space = NucleusSpace(powerlaw_cluster_graph(50, 4, 0.5, seed=9), 2, 3)
-        result = and_decomposition_csr(space.to_csr(), engine="numpy")
+        result = and_decomposition_csr(space.to_csr())
         ops = result.operations
         assert ops["engine"] == "numpy"
         assert ops["backend"] == "csr"
@@ -97,7 +96,6 @@ class TestBatchedFixedPoint:
         seen = []
         result = and_decomposition_csr(
             space.to_csr(),
-            engine="numpy",
             record_history=True,
             reference_kappa=reference.kappa,
             on_iteration=lambda it, tau: seen.append((it, list(tau))),
@@ -110,45 +108,69 @@ class TestBatchedFixedPoint:
 
 
 class TestEngineSeam:
+    """AND picks its kernel from the call: a request that reads the
+    schedule runs the per-visit loop, every other one the batched kernel;
+    there is no ``engine=`` knob."""
+
     def test_unknown_engine_rejected(self):
-        space = NucleusSpace(complete_graph(4), 1, 2)
-        with pytest.raises(ValueError, match="engine"):
-            and_decomposition_csr(space.to_csr(), engine="fortran")
-        assert ENGINES == ("auto", "python", "numpy")
+        csr = NucleusSpace(complete_graph(4), 1, 2).to_csr()
+        with pytest.raises(TypeError, match="engine"):
+            and_decomposition_csr(csr, engine="fortran")
+        with pytest.raises(TypeError, match="engine"):
+            and_decomposition(csr, engine="numpy")
 
     def test_batched_engine_validates_order_names(self):
-        space = NucleusSpace(complete_graph(4), 1, 2)
+        csr = NucleusSpace(complete_graph(4), 1, 2).to_csr()
+        # the batched kernel has no schedule to order...
+        with pytest.raises(TypeError, match="order"):
+            and_decomposition_csr(csr, order="natural")
+        # ...and an order request runs the per-visit loop, which checks it
         with pytest.raises(ValueError, match="ordering"):
-            and_decomposition_csr(
-                space.to_csr(), engine="numpy", order="sideways"
-            )
+            and_decomposition(csr, order="sideways")
 
-    def test_engine_requires_csr_backend(self):
+    def test_dict_backend_runs_pervisit(self):
+        # the dict backend is a schedule request: it always runs per-visit
         space = NucleusSpace(complete_graph(4), 1, 2)
-        with pytest.raises(ValueError, match="csr"):
-            and_decomposition(space, backend="dict", engine="numpy")
+        result = and_decomposition(space, backend="dict")
+        assert result.operations["backend"] == "dict"
+        assert result.operations["engine"] == "python"
 
-    def test_explicit_engine_forces_csr_resolution(self):
-        # an explicit engine on a graph source routes through the csr backend
-        result = and_decomposition(complete_graph(4), 1, 2, engine="numpy")
+    def test_plain_graph_request_runs_batched(self):
+        # a plain request on a graph source resolves to the batched kernel
+        result = and_decomposition(complete_graph(4), 1, 2)
         assert result.operations["backend"] == "csr"
         assert result.operations["engine"] == "numpy"
 
     def test_auto_routes_trajectory_requests_to_pervisit(self):
         space = NucleusSpace(powerlaw_cluster_graph(40, 4, 0.5, seed=1), 2, 3)
         csr = space.to_csr()
-        plain = and_decomposition_csr(csr)
-        traced = and_decomposition_csr(csr, record_history=True)
+        plain = and_decomposition(csr)
         assert plain.operations["engine"] == "numpy"
-        assert traced.operations["engine"] == "python"
+        unnotified = and_decomposition(csr, notification=False)
+        assert unnotified.operations["engine"] == "numpy"
+        schedule_requests = [
+            {"order": "natural"},
+            {"order": "random", "seed": 3},
+            {"record_history": True},
+            {"on_iteration": lambda it, tau: None},
+            {"reference_kappa": plain.kappa},
+            {"max_iterations": 50},
+        ]
+        for request in schedule_requests:
+            traced = and_decomposition(csr, **request)
+            assert traced.operations["engine"] == "python", request
+            assert traced.kappa == plain.kappa, request
 
     def test_removed_routes_are_rejected(self):
-        """The deleted thread transport, numba tier and ``use_numpy=`` knob
-        fail loudly instead of silently running another route."""
+        """The deleted thread transport, numba tier, ``engine=`` and
+        ``use_numpy=`` knobs fail loudly instead of silently running another
+        route."""
         graph = complete_graph(5)
         csr = NucleusSpace(graph, 2, 3).to_csr()
-        with pytest.raises(ValueError, match=r"'auto', 'python', 'numpy'"):
+        with pytest.raises(TypeError, match="engine"):
             and_decomposition_csr(csr, engine="numba")
+        with pytest.raises(TypeError, match="engine"):
+            nucleus_decomposition(graph, 2, 3, engine="python")
         with pytest.raises(ValueError, match=r"\('process',\)"):
             nucleus_decomposition(graph, 2, 3, parallel="thread")
         with pytest.raises(TypeError, match="use_numpy"):

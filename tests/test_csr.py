@@ -33,6 +33,17 @@ from repro.graph.graph import Graph
 INSTANCES = [(1, 2), (2, 3), (3, 4)]
 
 
+def assert_same_trajectory(a, b):
+    """κ, iteration count, τ history and every per-iteration stats row."""
+    assert a.kappa == b.kappa
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert a.tau_history == b.tau_history
+    assert [s.as_row() for s in a.iteration_stats] == [
+        s.as_row() for s in b.iteration_stats
+    ]
+
+
 def random_graphs():
     return [
         powerlaw_cluster_graph(120, 4, 0.4, seed=42),
@@ -265,15 +276,17 @@ class TestKernelParity:
         space = NucleusSpace(any_graph, *rs)
         csr = space.to_csr()
         reference = and_decomposition(space, backend="dict")
-        # default engine="auto" may pick the batched kernel, whose iteration
-        # counts legitimately differ — κ parity still holds
-        result = and_decomposition_csr(csr)
+        # a plain request runs the batched kernel, whose iteration counts
+        # legitimately differ — κ parity still holds
+        result = and_decomposition(csr)
+        assert result.operations["engine"] == "numpy"
         assert result.kappa == reference.kappa
         assert result.converged and reference.converged
-        # the per-visit python engine reproduces the dict trajectory exactly
-        pervisit = and_decomposition_csr(csr, engine="python")
-        assert pervisit.kappa == reference.kappa
-        assert pervisit.iterations == reference.iterations
+        # an explicit order runs the per-visit loop on the CSR space, which
+        # reproduces the dict trajectory exactly
+        pervisit = and_decomposition(csr, order="natural")
+        assert pervisit.operations["engine"] == "python"
+        assert_same_trajectory(pervisit, reference)
 
     @pytest.mark.parametrize(
         "order", ["natural", "degree", "degree_desc", "random", "peel"]
@@ -283,41 +296,41 @@ class TestKernelParity:
         graph = powerlaw_cluster_graph(100, 4, 0.45, seed=13)
         space = NucleusSpace(graph, *rs)
         csr = space.to_csr()
-        a = and_decomposition(
-            space, order=order, seed=5, record_history=True, backend="dict"
-        )
-        b = and_decomposition_csr(csr, order=order, seed=5, record_history=True)
-        assert a.kappa == b.kappa
-        assert a.tau_history == b.tau_history
-        rows_a = [s.as_row() for s in a.iteration_stats]
-        rows_b = [s.as_row() for s in b.iteration_stats]
-        assert rows_a == rows_b
+        for notification in (True, False):
+            options = dict(
+                order=order,
+                seed=5,
+                record_history=True,
+                notification=notification,
+            )
+            a = and_decomposition(space, backend="dict", **options)
+            b = and_decomposition(csr, **options)
+            assert b.operations["engine"] == "python"
+            assert_same_trajectory(a, b)
 
     def test_and_kappa_order_parity(self):
         graph = powerlaw_cluster_graph(100, 4, 0.45, seed=13)
         space = NucleusSpace(graph, 2, 3)
         hint = peeling_decomposition(space, backend="dict").kappa
         a = and_decomposition(space, order="kappa", kappa_hint=hint, backend="dict")
-        b = and_decomposition_csr(space.to_csr(), order="kappa", kappa_hint=hint)
-        assert a.kappa == b.kappa
+        b = and_decomposition(space.to_csr(), order="kappa", kappa_hint=hint)
+        assert_same_trajectory(a, b)
 
     @pytest.mark.parametrize("notification", [True, False])
     def test_and_notification_parity(self, any_graph, notification):
         space = NucleusSpace(any_graph, 2, 3)
         a = and_decomposition(space, notification=notification, backend="dict")
-        b = and_decomposition_csr(
-            space.to_csr(), notification=notification, engine="python"
+        b = and_decomposition(
+            space.to_csr(), notification=notification, order="natural"
         )
-        assert a.kappa == b.kappa
-        assert a.iterations == b.iterations
+        assert_same_trajectory(a, b)
 
     def test_and_max_iterations_parity(self, any_graph):
         space = NucleusSpace(any_graph, 2, 3)
         for cap in (0, 1, 2):
             a = and_decomposition(space, max_iterations=cap, backend="dict")
-            b = and_decomposition_csr(space.to_csr(), max_iterations=cap)
-            assert a.kappa == b.kappa
-            assert a.converged == b.converged
+            b = and_decomposition(space.to_csr(), max_iterations=cap)
+            assert_same_trajectory(a, b)
 
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_snd_parity(self, any_graph, rs):
@@ -352,7 +365,7 @@ class TestKernelParity:
         space = NucleusSpace(any_graph, 2, 3)
         exact = peeling_decomposition(space, backend="dict").kappa
         a = and_decomposition(space, reference_kappa=exact, backend="dict")
-        b = and_decomposition_csr(space.to_csr(), reference_kappa=exact)
+        b = and_decomposition(space.to_csr(), reference_kappa=exact)
         assert [s.converged_count for s in a.iteration_stats] == [
             s.converged_count for s in b.iteration_stats
         ]

@@ -21,11 +21,16 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: The curated doctest surface: public-API modules whose examples must run.
 DOCTEST_MODULES = [
+    "repro",
+    "repro.core.asynd",
     "repro.core.decomposition",
+    "repro.core.hindex",
+    "repro.core.kernels",
     "repro.core.result",
     "repro.core.intervals",
     "repro.core.csr",
     "repro.graph.csr_graph",
+    "repro.graph.graph",
     "repro.store.bundle",
     "repro.parallel.procpool",
     "repro.resilience.faults",

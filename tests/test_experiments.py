@@ -8,6 +8,9 @@ iteration counts, dynamic scheduling beats static, etc.).
 
 import pytest
 
+from repro.core.asynd import and_decomposition
+from repro.core.space import NucleusSpace
+from repro.datasets.registry import load_dataset
 from repro.experiments.convergence import format_convergence, run_convergence
 from repro.experiments.datasets_table import format_datasets_table, run_datasets_table
 from repro.experiments.iterations import format_iteration_counts, run_iteration_counts
@@ -90,6 +93,17 @@ class TestE3Iterations:
         text = format_iteration_counts(rows)
         assert "Table 4" in text
 
+    def test_and_iters_follow_the_per_visit_schedule(self):
+        """Table 4's natural-order AND column counts per-visit iterations,
+        the dict oracle's, not the batched kernel's passes."""
+        graph = load_dataset("fb")
+        rows = run_iteration_counts(["fb"], include_bound=False)
+        expected = {(1, 2): 10, (2, 3): 5}
+        for row in rows:
+            rs = (row["r"], row["s"])
+            oracle = and_decomposition(NucleusSpace(graph, *rs), backend="dict")
+            assert row["and_iters"] == oracle.iterations == expected[rs]
+
 
 class TestE4Plateaus:
     def test_tau_traces_structure(self):
@@ -109,6 +123,24 @@ class TestE4Plateaus:
         assert on_total["processed"] <= off_total["processed"]
         assert on_total["skipped"] > 0
         assert "notification" in format_notification_savings(rows)
+
+    def test_notification_savings_rows_are_the_dict_schedule(self):
+        rows = run_notification_savings("toy", 1, 2)
+        space = NucleusSpace(load_dataset("toy"), 1, 2)
+        for notification, label in ((False, "off"), (True, "on")):
+            oracle = and_decomposition(
+                space, notification=notification, backend="dict"
+            )
+            expected = [
+                (s.iteration, s.processed, s.skipped, s.updated)
+                for s in oracle.iteration_stats
+            ]
+            got = [
+                (r["iteration"], r["processed"], r["skipped"], r["updated"])
+                for r in rows
+                if r["notification"] == label and r["iteration"] != "total"
+            ]
+            assert got == expected
 
 
 class TestE5Scalability:

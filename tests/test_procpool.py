@@ -268,7 +268,7 @@ class TestOneChunkContract:
     def test_single_worker_follows_serial_engine(self, rs):
         graph = CSRGraph.from_graph(powerlaw_cluster_graph(120, 5, 0.7, seed=13))
         space = CSRSpace.from_graph(graph, *rs)
-        and_serial = and_decomposition_csr(space, engine="numpy")
+        and_serial = and_decomposition_csr(space)
         snd_serial = snd_decomposition_csr(space)
         with PersistentPool(1) as pool:
             and_pool = pool.run_and(space)

@@ -13,9 +13,9 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.asynd import and_decomposition
 from repro.core.csr import (
     CSRSpace,
-    and_decomposition_csr,
     resolve_space,
     resolve_space_for_backend,
 )
@@ -96,11 +96,39 @@ class TestRoundTrip:
         assert reopened.contexts(i) == space.contexts(i)
         assert all(type(j) is int for ctx in reopened.contexts(i) for j in ctx)
         peeled = peeling_decomposition(reopened)
-        visited = and_decomposition_csr(reopened, engine="python")
+        visited = and_decomposition(reopened, order="natural")
+        assert visited.operations["engine"] == "python"
         for kappa in (peeled.kappa, visited.kappa):
             assert kappa == result.kappa
             assert all(type(k) is int for k in kappa)
             json.dumps(kappa)
+
+    @pytest.mark.parametrize("notification", [True, False])
+    @pytest.mark.parametrize(
+        "order", ["natural", "degree", "degree_desc", "random", "peel"]
+    )
+    @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
+    def test_reopened_space_walks_the_dict_schedule(
+        self, tmp_path, rs, order, notification
+    ):
+        """The per-visit loop over a memmapped space is the dict oracle's."""
+        space = NucleusSpace(powerlaw_cluster_graph(60, 3, 0.5, seed=7), *rs)
+        reopened = open_bundle(save_bundle(tmp_path / "b", space=space)).space
+        options = dict(
+            order=order, seed=5, notification=notification, record_history=True
+        )
+        a = and_decomposition(space, backend="dict", **options)
+        b = and_decomposition(reopened, **options)
+        assert b.operations["backend"] == "csr"
+        assert (b.kappa, b.iterations, b.tau_history) == (
+            a.kappa,
+            a.iterations,
+            a.tau_history,
+        )
+        assert [s.as_row() for s in b.iteration_stats] == [
+            s.as_row() for s in a.iteration_stats
+        ]
+        assert all(type(k) is int for k in b.kappa)
 
     def test_hierarchy_index_identical(self, saved):
         path, _, _, _, hierarchy = saved
