@@ -10,16 +10,26 @@ power-law instance used by ``bench_backend_speedup``:
 * ``roundtrip_s`` — ``NucleusSpace`` construction + hierarchy on it (what a
   CSR-backed end-to-end run used to pay);
 * ``dict_s`` — hierarchy construction alone on a prebuilt dict space;
-* ``csr_s`` — hierarchy construction alone on the CSR space (the new
-  end-to-end path; numpy-vectorised s-clique grouping when available).
+* ``csr_s`` — hierarchy construction alone on the CSR space (the
+  end-to-end path: one array pass straight from the CSR arrays).
 
-Forest parity (same rows: ids, k ranges, member counts, densities, parents)
-is asserted in every mode; the speedup target only in full mode, because
-single-shot smoke timings on shared runners are noise.  The recorded ``*_s``
-fields feed the rolling benchmark trend gate (``repro.perf.trend``).
+A second row, ``hierarchy_many_levels``, times the worst case for a
+level-by-level build: a power-law graph united with the complete graphs
+K3 … K159 at (1, 2), so κ_max = 158 and every level is non-empty.  It
+records the array build (``build_s``) next to the union-find reference
+construction kept in ``tests/hierarchy_reference.py`` (``reference_s``).
+
+Forest parity (same rows: ids, k ranges, member counts, densities, parents;
+identical index arrays for the many-level row) is asserted in every mode;
+the speedup target only in full mode, because single-shot smoke timings on
+shared runners are noise.  The many-level row has no timing floor.  The
+recorded ``*_s`` fields feed the rolling benchmark trend gate
+(``repro.perf.trend``).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +37,11 @@ from repro.core.csr import CSRSpace
 from repro.core.hierarchy import build_hierarchy
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
-from repro.graph.generators import powerlaw_cluster_graph
+from repro.graph.generators import complete_graph, powerlaw_cluster_graph, union_of_graphs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from hierarchy_reference import build_hierarchy as reference_hierarchy  # noqa: E402
+from hierarchy_reference import build_interval_index as reference_index  # noqa: E402
 
 FULL_N, SMOKE_N = 2000, 400
 M, P, SEED = 10, 0.9, 5
@@ -93,3 +107,46 @@ def test_hierarchy_csr_vs_dict_roundtrip(workload, smoke_mode, bench_record):
             f"CSR hierarchy construction only {speedup:.2f}x faster than the "
             f"dict round-trip (target {ROUNDTRIP_TARGET}x)"
         )
+
+
+#: complete graphs K3 … K159 give κ_max = 158 at (1, 2)
+MANY_LEVEL_SIZES = range(3, 160)
+
+
+def _forest(hierarchy):
+    return [
+        (n.node_id, n.k_low, n.k_high, tuple(n.clique_indices), n.parent, tuple(n.children))
+        for n in hierarchy.nodes
+    ]
+
+
+def test_hierarchy_many_levels(smoke_mode, bench_record):
+    n = SMOKE_N if smoke_mode else FULL_N
+    graph = union_of_graphs(
+        [powerlaw_cluster_graph(n, M, P, seed=SEED)]
+        + [complete_graph(size) for size in MANY_LEVEL_SIZES]
+    )
+    space = CSRSpace.from_graph(graph, 1, 2)
+    kappa = peeling_decomposition(space).kappa
+    reps = 1 if smoke_mode else 3
+
+    t_build, built = _best_of(reps, build_hierarchy, space, kappa)
+    t_reference, reference = _best_of(1, reference_hierarchy, space, kappa)
+
+    assert max(kappa) == MANY_LEVEL_SIZES[-1] - 1
+    assert built.interval_index() == reference_index(reference)
+    assert _forest(built) == _forest(reference)
+
+    bench_record(
+        name="hierarchy_many_levels",
+        build_s=round(t_build, 4),
+        reference_s=round(t_reference, 4),
+        levels=max(kappa) + 1,
+        nodes=len(built),
+        smoke=smoke_mode,
+    )
+    print(
+        f"\nhierarchy (1,2) over {max(kappa) + 1} levels on {len(space)} vertices, "
+        f"{len(built)} nuclei: array build {t_build * 1000:.1f} ms, "
+        f"reference {t_reference * 1000:.1f} ms"
+    )

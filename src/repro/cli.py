@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.core.csr import resolve_process_backend, resolve_space_for_backend
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.densest import best_nucleus
-from repro.core.hierarchy import build_hierarchy
+from repro.core.hierarchy import NucleusHierarchy, build_hierarchy
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.experiments import tables
 from repro.experiments.convergence import format_convergence, run_convergence_suite
@@ -409,9 +409,11 @@ def _run_decompose_loaded(args: argparse.Namespace) -> None:
 
     No parsing, enumeration or decomposition happens: the summary and the
     κ histogram come off the memmapped result, and the applications
-    (--hierarchy / --densest) reuse the memmapped space and the stored
-    result.  The instance (r, s) and algorithm are whatever was saved;
-    --r/--s/--algorithm/--backend on the command line are ignored.
+    (--hierarchy / --densest) reuse the memmapped space, the stored
+    result and the stored hierarchy index (built afresh only when the
+    bundle holds none).  The instance (r, s) and algorithm are whatever
+    was saved; --r/--s/--algorithm/--backend on the command line are
+    ignored.
     """
     from repro.store import open_bundle
 
@@ -425,7 +427,11 @@ def _run_decompose_loaded(args: argparse.Namespace) -> None:
     ]
     print(tables.format_table(histogram_rows, title="kappa histogram"))
     if args.hierarchy or args.densest:
-        hierarchy = build_hierarchy(bundle.space, result)
+        hierarchy = (
+            NucleusHierarchy.from_index(bundle.space, result, bundle.index)
+            if bundle.has("index")
+            else build_hierarchy(bundle.space, result)
+        )
         if args.hierarchy:
             print(tables.format_table(hierarchy.to_rows(), title="nucleus hierarchy"))
         if args.densest:

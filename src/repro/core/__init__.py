@@ -35,7 +35,7 @@ from repro.core.decomposition import (
     truss_decomposition,
 )
 from repro.core.hierarchy import Nucleus, NucleusHierarchy, build_hierarchy
-from repro.core.intervals import HierarchyIndex, build_interval_index
+from repro.core.intervals import HierarchyIndex
 from repro.core.densest import (
     best_nucleus,
     charikar_densest_subgraph,
@@ -75,7 +75,6 @@ __all__ = [
     "NucleusHierarchy",
     "build_hierarchy",
     "HierarchyIndex",
-    "build_interval_index",
     "best_nucleus",
     "charikar_densest_subgraph",
     "max_core_subgraph",

@@ -81,6 +81,14 @@ Clique = Tuple
 GraphSource = Union[Graph, CSRGraph]
 
 
+def _row_min(rows):
+    """Row minima of a narrow 2-D array, column by column (beats ``min(axis=1)``)."""
+    low = rows[:, 0].copy()
+    for column in range(1, rows.shape[1]):
+        _np.minimum(low, rows[:, column], out=low)
+    return low
+
+
 class CSRSpace:
     """Flat-array view of an (r, s) clique space.
 
@@ -452,21 +460,26 @@ class CSRSpace:
         start, end = self.nbr_offsets[index:index + 2].tolist()
         return tuple(self.nbr_members[start:end].tolist())
 
-    def s_clique_groups(self) -> List[Tuple[int, ...]]:
-        """Every s-clique exactly once, as its sorted member-index tuple.
+    def s_clique_table(self):
+        """Every s-clique exactly once, as an int64 row led by its smallest member.
 
-        Mirrors :meth:`NucleusSpace.s_clique_groups`: each s-clique owns
-        ``C(s, r)`` context rows (one per member); only the row whose owner is
-        the smallest member emits the group, giving one entry per s-clique.
+        Each s-clique owns ``C(s, r)`` context rows (one per member); only
+        the row whose owner is the smallest member is kept.
         """
         owners = _np.repeat(
             _np.arange(len(self), dtype=_np.int64), _np.diff(self.ctx_offsets)
         )
-        if len(owners) == 0:
-            return []
         rows = self.ctx_members.reshape(len(owners), self.stride)
-        keep = owners < rows.min(axis=1)
-        full = _np.sort(_np.column_stack((owners[keep], rows[keep])), axis=1)
+        keep = owners < _row_min(rows)
+        return _np.column_stack((owners[keep], rows[keep]))
+
+    def s_clique_groups(self) -> List[Tuple[int, ...]]:
+        """Every s-clique exactly once, as its sorted member-index tuple.
+
+        Mirrors :meth:`NucleusSpace.s_clique_groups`, built from
+        :meth:`s_clique_table`.
+        """
+        full = _np.sort(self.s_clique_table(), axis=1)
         return sorted(tuple(group) for group in full.tolist())
 
     def number_of_s_cliques(self) -> int:

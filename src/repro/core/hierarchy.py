@@ -8,38 +8,63 @@ with κ >= k (Definition 3): two r-cliques are S-connected when they are
 linked by a chain of r-cliques in which consecutive members share an
 s-clique whose r-cliques all have κ >= k.
 
-Construction is backend-agnostic and array-native: it runs on any space
-satisfying :class:`repro.core.protocol.SpaceLike` (the dict
-:class:`~repro.core.space.NucleusSpace` and the flat-array
-:class:`~repro.core.csr.CSRSpace` both do) and never touches clique tuples
-on the hot path.  Instead of re-discovering the S-connected components from
-scratch at every threshold (the old per-level BFS, O(κ_max · |contexts|)),
-it sweeps the thresholds *descending* with a union-find over the s-clique
-incidence:
+Construction runs on any space satisfying
+:class:`repro.core.protocol.SpaceLike` and is a handful of numpy passes per
+distinct κ value, with no per-clique Python work:
 
-* every s-clique connects its member r-cliques for all thresholds up to the
-  minimum κ among them, so each s-clique is applied exactly once — at that
-  minimum (numpy-vectorised grouping over the arrays of a CSR space);
-* r-cliques enter the structure at their own κ (sorted by κ once, up front);
-* a union-find root therefore *is* the nucleus at the current threshold, a
-  node is emitted whenever a root's member set changes between thresholds,
-  and the absorbed previous nodes become its children.
+* every s-clique becomes star edges from its smallest member to the others,
+  weighted by the minimum κ among its members — the highest threshold at
+  which it connects them (a CSR space yields the s-clique table straight
+  from its arrays, the dict space from :meth:`s_clique_groups`);
+* the thresholds are walked from κ_max down to 0.  A level only adds the
+  edges of its own weight, mapped onto the current components, and merges
+  them with min-label propagation plus pointer jumping, so every component
+  is labelled by its smallest clique index;
+* every component a level touches holds a clique whose κ equals the level
+  (an s-clique's weight is one of its members' κ), so it is a new nucleus
+  and the nuclei it absorbed become its children;
+* ids are ranked by ``(k_low, smallest member)`` and the pre-order is one
+  ``lexsort`` of the root-to-node id paths.
 
-Vertex sets are materialised lazily (:attr:`Nucleus.vertices` resolves clique
-indices through the space only when first read), so κ-only consumers never
-build a single vertex set.  The produced forest — node ids, k ranges, member
-sets, parent/child links — is identical to the historical per-level
-construction, which the parity tests assert across backends.
+The pass emits the :class:`~repro.core.intervals.HierarchyIndex` arrays
+directly; :class:`NucleusHierarchy` owns them.  :class:`Nucleus` objects
+are built only when :attr:`NucleusHierarchy.nodes` is first read, and their
+vertex sets only when :attr:`Nucleus.vertices` is, so the file-to-bundle
+path never builds either.
+
+Examples
+--------
+Two 4-cliques linked through a hub vertex 8: at k <= 2 the whole graph is
+one nucleus (the hub has degree 2), at k = 3 each clique is its own.
+
+>>> from repro.core.hierarchy import build_hierarchy
+>>> from repro.core.peeling import peeling_decomposition
+>>> from repro.core.space import NucleusSpace
+>>> from repro.graph.generators import complete_graph, union_of_graphs
+>>> from repro.graph.graph import Graph
+>>> cliques = union_of_graphs([complete_graph(4), complete_graph(4)])
+>>> graph = Graph([*cliques.edges(), (3, 8), (8, 4)])
+>>> space = NucleusSpace(graph, 1, 2)
+>>> hierarchy = build_hierarchy(space, peeling_decomposition(space))
+>>> [(root.node_id, root.k_low, root.k_high) for root in hierarchy.roots()]
+[(0, 0, 2)]
+>>> hierarchy.node(0).children
+[1, 2]
+>>> [(node.k_low, node.k_high, sorted(node.vertices)) for node in hierarchy.leaves()]
+[(3, 3, [0, 1, 2, 3]), (3, 3, [4, 5, 6, 7])]
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as _np
 
+from repro.core.csr import _row_min
+from repro.core.intervals import INDEX_ARRAYS, HierarchyIndex
 from repro.core.protocol import SpaceLike, space_graph, vertices_of
 from repro.core.result import DecompositionResult
+from repro.core.space import _binomial
 from repro.graph.graph import Vertex
 
 __all__ = ["Nucleus", "NucleusHierarchy", "build_hierarchy"]
@@ -139,46 +164,98 @@ class Nucleus:
 
 
 class NucleusHierarchy:
-    """Forest of nuclei across all k values, with density annotations."""
+    """Forest of nuclei across all k values, owned as interval-index arrays.
 
-    def __init__(
-        self,
-        space: SpaceLike,
-        kappa: Sequence[int],
-        nodes: List[Nucleus],
-    ) -> None:
+    The forest is held as a :class:`~repro.core.intervals.HierarchyIndex`;
+    the selectors below read those arrays and return :class:`Nucleus`
+    objects, which are built for the whole forest the first time
+    :attr:`nodes` is read.
+    """
+
+    def __init__(self, space: SpaceLike, kappa: List[int], index: HierarchyIndex) -> None:
         self.space = space
-        self.kappa = list(kappa)
-        self.nodes = nodes
-        self._by_id = {node.node_id: node for node in nodes}
-        self._interval_index = None
+        self.kappa = kappa
+        self._index = index
+        self._nodes: Optional[List[Nucleus]] = None
+
+    @classmethod
+    def from_index(
+        cls, space: SpaceLike, result_or_kappa, index: HierarchyIndex
+    ) -> "NucleusHierarchy":
+        """Wrap a stored interval index (e.g. a bundle's) without rebuilding.
+
+        ``index`` must have been built for this space and κ; only the sizes
+        are checked.
+        """
+        kappa = _kappa_list(result_or_kappa)
+        if not len(kappa) == len(space) == index.num_cliques():
+            raise ValueError("kappa, space and index cover different clique counts")
+        return cls(space, kappa, index)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._index)
+
+    @property
+    def nodes(self) -> List[Nucleus]:
+        """Every nucleus in id order (built from the arrays on first read)."""
+        if self._nodes is not None:
+            return self._nodes
+        index = self._index
+        pos = index.pre_of_id
+        parent_pos = index.parent[pos]
+        parents = _np.where(parent_pos >= 0, index.node_ids[parent_pos], -1).tolist()
+        children: List[List[int]] = [[] for _ in parents]
+        for node_id, parent in enumerate(parents):
+            if parent >= 0:
+                children[parent].append(node_id)
+        k_low, k_high = index.k_low[pos].tolist(), index.k_high[pos].tolist()
+        lo, hi = index.member_lo[pos].tolist(), index.member_hi[pos].tolist()
+        order = index.clique_order
+        self._nodes = [
+            Nucleus(
+                node_id=node_id,
+                k_low=k_low[node_id],
+                k_high=k_high[node_id],
+                clique_indices=_np.sort(order[lo[node_id]:hi[node_id]]).tolist(),
+                parent=None if parent < 0 else parent,
+                children=children[node_id],
+                space=self.space,
+            )
+            for node_id, parent in enumerate(parents)
+        ]
+        return self._nodes
+
+    def _select(self, mask) -> List[Nucleus]:
+        """The nuclei at the pre-order positions where ``mask`` holds, by id."""
+        nodes = self.nodes
+        return [nodes[i] for i in _np.sort(self._index.node_ids[mask]).tolist()]
 
     def node(self, node_id: int) -> Nucleus:
-        return self._by_id[node_id]
+        self._index.position_of(node_id)  # KeyError for an unknown id
+        return self.nodes[node_id]
 
     def roots(self) -> List[Nucleus]:
         """Nuclei with no parent (the coarsest dense regions)."""
-        return [n for n in self.nodes if n.parent is None]
+        return self._select(self._index.parent < 0)
 
     def leaves(self) -> List[Nucleus]:
         """Nuclei with no children (the densest innermost regions)."""
-        return [n for n in self.nodes if not n.children]
+        index = self._index
+        return self._select(index.post == _np.arange(len(index), dtype=_np.int64))
 
     def nuclei_at(self, k: int) -> List[Nucleus]:
         """All nuclei active at threshold ``k`` (their k range contains ``k``)."""
-        return [n for n in self.nodes if n.active_at(k)]
+        index = self._index
+        return self._select((index.k_low <= k) & (k <= index.k_high))
 
     def max_k(self) -> int:
         """The largest threshold at which any nucleus exists (= max κ index)."""
-        return max((n.k_high for n in self.nodes), default=0)
+        return self._index.max_k()
 
     def density_of(self, node_id: int) -> float:
         """Edge density of the subgraph induced by a nucleus's vertices."""
-        node = self._by_id[node_id]
+        node = self.node(node_id)
         graph = space_graph(self.space)
         if graph is None:
             raise ValueError(
@@ -189,37 +266,28 @@ class NucleusHierarchy:
 
     def depth_of(self, node_id: int) -> int:
         """Number of ancestors of a nucleus (roots have depth 0)."""
-        depth = 0
-        node = self._by_id[node_id]
-        while node.parent is not None:
-            node = self._by_id[node.parent]
-            depth += 1
-        return depth
+        return len(self.path_to_root(node_id)) - 1
 
     def path_to_root(self, node_id: int) -> List[int]:
         """Node ids from the given nucleus up to (and including) its root."""
-        path = [node_id]
-        node = self._by_id[node_id]
-        while node.parent is not None:
-            path.append(node.parent)
-            node = self._by_id[node.parent]
+        index = self._index
+        pos = index.position_of(node_id)
+        path = []
+        while pos >= 0:
+            path.append(int(index.node_ids[pos]))
+            pos = int(index.parent[pos])
         return path
 
-    def interval_index(self):
-        """Euler pre/post-order interval index of this forest (lazy, cached).
+    def interval_index(self) -> HierarchyIndex:
+        """Euler pre/post-order interval index of this forest.
 
-        Returns a :class:`repro.core.intervals.HierarchyIndex`: flat int64
-        arrays answering ancestor/descendant tests with two integer
-        comparisons and member-run queries with binary searches — without
-        walking :class:`Nucleus` objects or materialising vertex sets.  The
-        arrays are what :mod:`repro.store.bundle` persists, so a bundle
+        Returns the :class:`repro.core.intervals.HierarchyIndex` the build
+        produced: flat int64 arrays answering ancestor/descendant tests with
+        two integer comparisons and member-run queries with binary searches.
+        The arrays are what :mod:`repro.store.bundle` persists, so a bundle
         reopened via memmap serves the same queries with zero rebuild.
         """
-        if self._interval_index is None:
-            from repro.core.intervals import build_interval_index
-
-            self._interval_index = build_interval_index(self)
-        return self._interval_index
+        return self._index
 
     def to_rows(self) -> List[Dict[str, object]]:
         """Flatten the hierarchy into table rows (used by examples / CLI)."""
@@ -257,178 +325,190 @@ def build_hierarchy(
 
     Notes
     -----
-    For each threshold ``k`` (k = 0 always yields one nucleus per
-    S-connected component of the whole structure and forms the forest
-    roots), the r-cliques with κ >= k are grouped into S-connected
-    components using only s-cliques whose member r-cliques all satisfy the
-    threshold.  A component identical at consecutive thresholds is a single
-    nucleus with an extended k range, so the forest contains only genuine
-    refinements.  The construction is a single descending union-find sweep
-    (see the module docstring); its output is identical to discovering the
-    components level by level.
+    The nuclei at threshold ``k`` are the S-connected components of the
+    r-cliques with κ >= k; k = 0 gives the forest roots.  A component
+    identical at consecutive thresholds is one nucleus with a k range, so
+    the forest holds only genuine refinements.  All thresholds are resolved
+    in one descending array pass (see the module docstring).
     """
-    kappa = (
-        list(result_or_kappa.kappa)
-        if isinstance(result_or_kappa, DecompositionResult)
-        else list(result_or_kappa)
-    )
-    n = len(space)
-    if len(kappa) != n:
+    kappa = _kappa_list(result_or_kappa)
+    if len(kappa) != len(space):
         raise ValueError("kappa length does not match the clique space")
+    values = _np.asarray(kappa, dtype=_np.int64)
+    if values.size and values.min() < 0:
+        raise ValueError("kappa values must be non-negative")
+    index = _forest_index(_s_clique_table(space), values)
+    return NucleusHierarchy(space, kappa, index)
 
-    groups, group_kappa = _grouped_s_cliques(space, kappa)
-    order = sorted(range(len(groups)), key=lambda g: -group_kappa[g])
 
-    # clique activation buckets: clique i enters the sweep at threshold κ_i
-    buckets: Dict[int, List[int]] = {}
-    for i, k in enumerate(kappa):
-        buckets.setdefault(k, []).append(i)
-    max_k = max(kappa, default=0)
+def _kappa_list(result_or_kappa) -> List[int]:
+    if isinstance(result_or_kappa, DecompositionResult):
+        return list(result_or_kappa.kappa)
+    return list(result_or_kappa)
 
-    # union-find state, all index-addressed (valid only at roots):
-    parent = list(range(n))
-    size = [1] * n
-    members: List[Optional[List[int]]] = [None] * n
-    node_of = [-1] * n           # node carried by the root, -1 = none yet
-    pending: List[List[int]] = [[] for _ in range(n)]  # children-to-be
 
-    # per-node records (renumbered at the end): parallel lists beat object
-    # attribute writes inside the sweep
-    node_k_low: List[int] = []
-    node_k_high: List[int] = []
-    node_indices: List[FrozenIndices] = []
-    node_parent: List[Optional[int]] = []
-    node_children: List[List[int]] = []
+def _s_clique_table(space: SpaceLike):
+    """Every s-clique once, as an int64 row whose first entry is its smallest member."""
+    if hasattr(space, "s_clique_table"):
+        return space.s_clique_table()
+    groups = space.s_clique_groups()
+    return _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(space.s, space.r))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    gptr = 0
-    num_groups = len(order)
-    for k in range(max_k, -1, -1):
-        dirty: List[int] = []
-        for i in buckets.get(k, ()):
-            members[i] = [i]
-            dirty.append(i)
-        while gptr < num_groups and group_kappa[order[gptr]] == k:
-            group = groups[order[gptr]]
-            gptr += 1
-            ra = find(group[0])
-            for m in group[1:]:
-                rb = find(m)
-                if rb == ra:
-                    continue
-                if size[rb] > size[ra]:
-                    ra, rb = rb, ra
-                # merge rb into ra: member lists, carried nodes, pending sets
-                parent[rb] = ra
-                size[ra] += size[rb]
-                members[ra].extend(members[rb])  # type: ignore[union-attr]
-                members[rb] = None
-                pa = pending[ra]
-                if node_of[ra] != -1:
-                    pa.append(node_of[ra])
-                    node_of[ra] = -1
-                if node_of[rb] != -1:
-                    pa.append(node_of[rb])
-                    node_of[rb] = -1
-                pa.extend(pending[rb])
-                pending[rb] = []
-            dirty.append(ra)
-        # every root whose member set changed at this threshold is a new
-        # nucleus; the nodes it absorbed become its children with the k
-        # range they survived ([.., k + 1])
-        for d in dirty:
-            root = find(d)
-            if node_of[root] != -1:
-                continue  # already emitted at this threshold
-            node_id = len(node_k_low)
-            children = pending[root]
-            for child in children:
-                node_parent[child] = node_id
-                node_k_low[child] = k + 1
-            node_k_low.append(k)
-            node_k_high.append(k)
-            node_indices.append(tuple(sorted(members[root])))  # type: ignore[arg-type]
-            node_parent.append(None)
-            node_children.append(children)
-            node_of[root] = node_id
-            pending[root] = []
+def _forest_index(table, kappa) -> HierarchyIndex:
+    """The interval index of the nucleus forest, built level by level.
 
-    # survivors of the k = 0 level are the forest roots
-    for root in {find(i) for i in range(n)}:
-        node_k_low[node_of[root]] = 0
+    ``table`` holds one s-clique per row (smallest member first) and
+    ``kappa`` the int64 κ of every r-clique.  Nodes are first created in
+    sweep order (densest level first), then renumbered and laid out in
+    pre-order.
+    """
+    n = len(kappa)
+    if n == 0:
+        empty = _np.empty(0, dtype=_np.int64)
+        return HierarchyIndex(**{name: empty for name in INDEX_ARRAYS})
 
-    return NucleusHierarchy(
-        space, kappa, _renumbered_nodes(
-            space, node_k_low, node_k_high, node_indices, node_parent,
-            node_children,
-        )
+    # star edges owner -> partner, weighted by the s-clique's minimum κ and
+    # sorted by weight; cliques sorted by κ — each level is one slice of both
+    fan = table.shape[1] - 1
+    weight = _np.repeat(_row_min(kappa[table]), fan)
+    by_weight = _stable_argsort(weight)
+    weight = weight[by_weight]
+    src = _np.repeat(table[:, 0], fan)[by_weight]
+    dst = table[:, 1:].ravel()[by_weight]
+    by_kappa = _stable_argsort(kappa)
+    sorted_kappa = kappa[by_kappa]
+    bounds = [*_np.flatnonzero(_np.diff(sorted_kappa, prepend=-1)).tolist(), n]
+
+    # rep: pointer towards the smallest clique of a clique's component;
+    # node_of: the node a component's smallest clique currently carries.
+    # Every node holds a clique entering at its level, so there are <= n.
+    rep = _np.arange(n, dtype=_np.int64)
+    node_of = _np.full(n, -1, dtype=_np.int64)
+    leaf = _np.empty(n, dtype=_np.int64)
+    seen = _np.zeros(n, dtype=bool)
+    slot = _np.empty(n, dtype=_np.int64)
+    k_high = _np.empty(n, dtype=_np.int64)
+    smallest = _np.empty(n, dtype=_np.int64)
+    k_low = _np.zeros(n, dtype=_np.int64)  # forest roots keep 0
+    parent = _np.full(n, -1, dtype=_np.int64)
+    count = 0
+    for level in range(len(bounds) - 2, -1, -1):
+        entering = by_kappa[bounds[level]:bounds[level + 1]]
+        k = int(kappa[entering[0]])
+        lo, hi = _np.searchsorted(weight, k), _np.searchsorted(weight, k, side="right")
+        a, b = _find(rep, src[lo:hi]), _find(rep, dst[lo:hi])
+        # the level's components: its entering cliques plus the components
+        # its edges touch, compacted to ascending positions 0..m-1.  Every
+        # weight-k edge comes from an s-clique with a member of κ = k, so
+        # each touched component gains a clique: it is a new nucleus, and
+        # the nuclei of the components it absorbed become its children.
+        seen[entering] = seen[a] = seen[b] = True
+        touched = _np.flatnonzero(seen)
+        seen[touched] = False
+        m = len(touched)
+        slot[touched] = _np.arange(m, dtype=_np.int64)
+        label = _min_labels(m, slot[a], slot[b])
+        made = touched[label == _np.arange(m, dtype=_np.int64)]  # smallest clique of each
+        new_ids = _np.arange(count, count + len(made), dtype=_np.int64)
+        absorbed = touched[kappa[touched] > k]
+        children = node_of[absorbed]
+        node_of[made] = new_ids
+        rep[touched] = touched[label]
+        parent[children] = node_of[rep[absorbed]]
+        k_low[children] = k + 1
+        k_high[new_ids] = k
+        smallest[new_ids] = made
+        leaf[entering] = node_of[rep[entering]]
+        count += len(made)
+
+    # stable ids: ascending by the level a nucleus first appears at, then by
+    # its smallest member (nuclei active at one level are disjoint)
+    order = _np.lexsort((smallest[:count], k_low[:count]))
+    new_id = _np.empty(count, dtype=_np.int64)
+    new_id[order] = _np.arange(count, dtype=_np.int64)
+    up = parent[order]
+    up = _np.append(_np.where(up >= 0, new_id[up], -1), -1)  # up[-1]: above a root
+    k_low, k_high, leaf = k_low[order], k_high[order], new_id[leaf]
+
+    # chain[t] is every node's t-th ancestor (-1 past its root); pre-order
+    # is the lexicographic order of the root-to-node id paths, and subtree
+    # sizes count how often a node occurs as an ancestor-or-self
+    chain = [_np.arange(count, dtype=_np.int64)]
+    while True:
+        above = up[chain[-1]]
+        if (above < 0).all():
+            break
+        chain.append(above)
+    chain = _np.stack(chain)
+    depth = (chain >= 0).sum(axis=0) - 1
+    steps = depth - _np.arange(len(chain), dtype=_np.int64)[:, None]
+    paths = _np.where(steps >= 0, _np.take_along_axis(chain, _np.maximum(steps, 0), 0), -1)
+    node_ids = _np.lexsort(paths[::-1])
+    positions = _np.arange(count, dtype=_np.int64)
+    pre_of_id = _np.empty(count, dtype=_np.int64)
+    pre_of_id[node_ids] = positions
+    size = _np.bincount(chain[chain >= 0], minlength=count)
+    post = positions + size[node_ids] - 1
+    up = up[node_ids]
+
+    leaf_pos = pre_of_id[leaf]
+    clique_order = _stable_argsort(leaf_pos)
+    clique_pos = _np.empty(n, dtype=_np.int64)
+    clique_pos[clique_order] = _np.arange(n, dtype=_np.int64)
+    leaf_sorted = leaf_pos[clique_order]
+    return HierarchyIndex(
+        node_ids=node_ids,
+        post=post,
+        parent=_np.where(up >= 0, pre_of_id[up], -1),
+        k_low=k_low[node_ids],
+        k_high=k_high[node_ids],
+        pre_of_id=pre_of_id,
+        leaf_pos=leaf_pos,
+        clique_order=clique_order,
+        clique_pos=clique_pos,
+        member_lo=_np.searchsorted(leaf_sorted, positions, side="left"),
+        member_hi=_np.searchsorted(leaf_sorted, post, side="right"),
     )
 
 
-def _renumbered_nodes(
-    space: SpaceLike,
-    k_low: List[int],
-    k_high: List[int],
-    indices: List[FrozenIndices],
-    parents: List[Optional[int]],
-    children: List[List[int]],
-) -> List[Nucleus]:
-    """Materialise :class:`Nucleus` objects with stable, level-ordered ids.
+def _stable_argsort(values):
+    """Stable argsort; keys that fit in int16 take numpy's radix sort."""
+    if values.size and 0 <= values.min() and values.max() < 2**15:
+        values = values.astype(_np.int16)
+    return _np.argsort(values, kind="stable")
 
-    The sweep emits nodes densest-first; historical (and documented) ids run
-    the other way: ascending by the level a nucleus first appears at, then by
-    its smallest member index — components at one level are disjoint, so the
-    key is unique.  Renumbering here keeps ids, row order and children order
-    byte-identical to the original per-level construction.
+
+def _find(rep, cliques):
+    """Current component label of each clique, compressing their pointers."""
+    root = rep[cliques]
+    while True:
+        above = rep[root]
+        if _np.array_equal(above, root):
+            break
+        root = above
+    rep[cliques] = root
+    return root
+
+
+def _min_labels(size: int, a, b):
+    """Smallest position in each element's component of the graph ``(a, b)``.
+
+    Min-label propagation: every round hooks the larger of two differing
+    labels onto the smaller one, then jumps pointers until every label is
+    its own root; edges inside one component drop out.
     """
-    count = len(k_low)
-    order = sorted(range(count), key=lambda t: (k_low[t], indices[t][0]))
-    new_id = {old: new for new, old in enumerate(order)}
-    nodes: List[Nucleus] = []
-    for new, old in enumerate(order):
-        nodes.append(
-            Nucleus(
-                node_id=new,
-                k_low=k_low[old],
-                k_high=k_high[old],
-                clique_indices=indices[old],
-                parent=new_id[parents[old]] if parents[old] is not None else None,
-                children=sorted(new_id[c] for c in children[old]),
-                space=space,
-            )
-        )
-    return nodes
-
-
-def _grouped_s_cliques(
-    space: SpaceLike, kappa: Sequence[int]
-) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """Every s-clique once, with the minimum κ among its members.
-
-    The minimum κ is the highest threshold at which the s-clique connects
-    its members, i.e. the unique sweep level it must be applied at.  On a
-    CSR space the dedup (owner is the smallest member) and the
-    per-group minima are computed vectorised over the flat arrays; the
-    generic path walks :meth:`SpaceLike.s_clique_groups`.
-    """
-    if hasattr(space, "ctx_members"):
-        n = len(space)
-        stride = space.stride
-        offsets = space.ctx_offsets
-        total = int(offsets[n])
-        if total == 0:
-            return [], []
-        member_rows = space.ctx_members.reshape(total, stride)
-        owners = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets))
-        keep = owners < member_rows.min(axis=1)
-        full = _np.column_stack((owners[keep], member_rows[keep]))
-        kap = _np.asarray(kappa, dtype=_np.int64)
-        minima = kap[full].min(axis=1)
-        return [tuple(row) for row in full.tolist()], minima.tolist()
-    groups = space.s_clique_groups()
-    return groups, [min(kappa[m] for m in group) for group in groups]
+    label = _np.arange(size, dtype=_np.int64)
+    keep = a != b
+    a, b = a[keep], b[keep]
+    while a.size:
+        la, lb = label[a], label[b]
+        _np.minimum.at(label, _np.maximum(la, lb), _np.minimum(la, lb))
+        while True:
+            above = label[label]
+            if _np.array_equal(above, label):
+                break
+            label = above
+        keep = label[a] != label[b]
+        a, b = a[keep], b[keep]
+    return label

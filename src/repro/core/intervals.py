@@ -1,9 +1,9 @@
 """Euler-interval (pre/post-order) labelling of the nucleus hierarchy.
 
-:class:`~repro.core.hierarchy.NucleusHierarchy` answers containment and
-ancestry questions by walking Python ``Nucleus`` objects and materialising
-their member sets.  :class:`HierarchyIndex` is the flat-array counterpart,
-borrowing the interval encoding XPath accelerators use for document trees:
+:class:`HierarchyIndex` is the flat-array form of the nucleus forest that
+:func:`~repro.core.hierarchy.build_hierarchy` emits and
+:class:`~repro.core.hierarchy.NucleusHierarchy` owns.  It borrows the
+interval encoding XPath accelerators use for document trees:
 every node of the forest is labelled with its **pre-order position** and the
 largest pre-order position in its subtree (the inclusive **post** bound), so
 
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 
 import numpy as _np
 
-__all__ = ["HierarchyIndex", "build_interval_index"]
+__all__ = ["HierarchyIndex"]
 
 #: Names of the flat int64 arrays a :class:`HierarchyIndex` consists of,
 #: in the order :meth:`HierarchyIndex.arrays` emits them.  This is the
@@ -251,102 +251,3 @@ class HierarchyIndex:
             f"HierarchyIndex({len(self)} nuclei over "
             f"{self.num_cliques()} r-cliques, max_k={self.max_k()})"
         )
-
-
-def build_interval_index(hierarchy) -> HierarchyIndex:
-    """Label a :class:`~repro.core.hierarchy.NucleusHierarchy` with intervals.
-
-    One depth-first traversal assigns pre/post-order positions (children in
-    ascending id order, matching the deterministic hierarchy layout), then
-    every r-clique is attached to its deepest containing node — the unique
-    chain node whose ``[k_low, k_high]`` range covers the clique's κ — and
-    the member runs are located with two binary searches per node.
-
-    Parameters
-    ----------
-    hierarchy : NucleusHierarchy
-        A built hierarchy (any backend).
-
-    Returns
-    -------
-    HierarchyIndex
-        Flat-array index answering the same containment / ancestry
-        questions as the object API; parity is property-tested in
-        ``tests/test_intervals.py``.
-    """
-    nodes = hierarchy.nodes
-    count = len(nodes)
-    num_cliques = len(hierarchy.kappa)
-    if count == 0:
-        empty = _np.empty(0, dtype=_np.int64)
-        return HierarchyIndex(**{name: empty for name in INDEX_ARRAYS})
-
-    by_id = {node.node_id: node for node in nodes}
-    roots = sorted(node.node_id for node in nodes if node.parent is None)
-
-    node_ids = _np.empty(count, dtype=_np.int64)
-    post = _np.empty(count, dtype=_np.int64)
-    parent = _np.empty(count, dtype=_np.int64)
-    k_low = _np.empty(count, dtype=_np.int64)
-    k_high = _np.empty(count, dtype=_np.int64)
-    pre_of_id = _np.empty(count, dtype=_np.int64)
-
-    # iterative DFS; a sentinel entry (id, True) closes the subtree and
-    # records the inclusive post bound
-    cursor = 0
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node_id, closing = stack.pop()
-        if closing:
-            post[pre_of_id[node_id]] = cursor - 1
-            continue
-        node = by_id[node_id]
-        pos = cursor
-        cursor += 1
-        node_ids[pos] = node_id
-        pre_of_id[node_id] = pos
-        k_low[pos] = node.k_low
-        k_high[pos] = node.k_high
-        parent[pos] = -1 if node.parent is None else pre_of_id[node.parent]
-        stack.append((node_id, True))
-        for child in reversed(node.children):
-            stack.append((child, False))
-
-    # deepest node of every clique: the unique chain node whose k range
-    # covers the clique's kappa (chain ranges tile [0, kappa])
-    kappa = _np.asarray(hierarchy.kappa, dtype=_np.int64)
-    leaf_pos = _np.full(num_cliques, -1, dtype=_np.int64)
-    for node in nodes:
-        members = _np.fromiter(node.clique_indices, dtype=_np.int64,
-                               count=len(node.clique_indices))
-        if members.size == 0:
-            continue
-        km = kappa[members]
-        own = members[(km >= node.k_low) & (km <= node.k_high)]
-        leaf_pos[own] = pre_of_id[node.node_id]
-    if num_cliques and int(leaf_pos.min()) < 0:
-        raise AssertionError(
-            "interval labelling failed: some r-clique belongs to no nucleus"
-        )
-
-    clique_order = _np.argsort(leaf_pos, kind="stable").astype(_np.int64)
-    clique_pos = _np.empty(num_cliques, dtype=_np.int64)
-    clique_pos[clique_order] = _np.arange(num_cliques, dtype=_np.int64)
-    leaf_sorted = leaf_pos[clique_order]
-    positions = _np.arange(count, dtype=_np.int64)
-    member_lo = _np.searchsorted(leaf_sorted, positions, side="left")
-    member_hi = _np.searchsorted(leaf_sorted, post, side="right")
-
-    return HierarchyIndex(
-        node_ids=node_ids,
-        post=post,
-        parent=parent,
-        k_low=k_low,
-        k_high=k_high,
-        pre_of_id=pre_of_id,
-        leaf_pos=leaf_pos,
-        clique_order=clique_order,
-        clique_pos=clique_pos,
-        member_lo=member_lo,
-        member_hi=member_hi,
-    )

@@ -27,6 +27,7 @@ DOCTEST_MODULES = [
     "repro.core.hindex",
     "repro.core.kernels",
     "repro.core.result",
+    "repro.core.hierarchy",
     "repro.core.intervals",
     "repro.core.csr",
     "repro.graph.csr_graph",

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.csr import CSRSpace
 from repro.core.hierarchy import build_hierarchy
-from repro.core.intervals import INDEX_ARRAYS, HierarchyIndex, build_interval_index
+from repro.core.intervals import INDEX_ARRAYS, HierarchyIndex
 from repro.core.peeling import peeling_decomposition
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.generators import (
@@ -213,4 +213,4 @@ class TestStructure:
         # the two hierarchies live over the same index space
         csr_space = CSRSpace.from_graph(graph, r, s)
         csr_hier = build_hierarchy(csr_space, peeling_decomposition(csr_space))
-        assert build_interval_index(dict_hier) == build_interval_index(csr_hier)
+        assert dict_hier.interval_index() == csr_hier.interval_index()
