@@ -33,7 +33,10 @@ chunks of shared-memory views.  κ equals the dict-backend implementations
 in :mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
 asserts property-style.  AND's per-visit schedule has no kernel here: the
 one loop in :mod:`repro.core.asynd` runs on this class through its read
-API.
+API.  The exact baselines share one step, :func:`_retire`, which removes a
+whole frontier of r-cliques at once: the level-synchronous peel of
+:mod:`repro.core.peeling` and the degree levels of :mod:`repro.core.levels`
+drive it.
 """
 
 from __future__ import annotations
@@ -146,7 +149,6 @@ class CSRSpace:
         "ctx_members",
         "nbr_offsets",
         "nbr_members",
-        "_inverse",
         "_index",
     )
 
@@ -175,7 +177,6 @@ class CSRSpace:
         self.ctx_members = _np.asarray(ctx_members, dtype=_np.int64)
         self.nbr_offsets = _np.asarray(nbr_offsets, dtype=_np.int64)
         self.nbr_members = _np.asarray(nbr_members, dtype=_np.int64)
-        self._inverse = None
         self._index = None
 
     # ------------------------------------------------------------------
@@ -498,24 +499,6 @@ class CSRSpace:
             for a in (self.ctx_offsets, self.ctx_members, self.nbr_offsets, self.nbr_members)
         )
 
-    def member_contexts(self) -> Tuple[_np.ndarray, _np.ndarray]:
-        """Reverse incidence: for each clique, the context ids it appears in.
-
-        Returns int64 CSR arrays ``(offsets, context_ids)``: clique ``i`` is
-        a *member* (not the owner) of contexts
-        ``context_ids[offsets[i] : offsets[i + 1]]``, ascending, where a
-        context id ``c`` addresses ``ctx_members[c * stride : (c + 1) *
-        stride]``.  Built on first use by a stable sort of the member slots
-        and cached; the level peeling of :mod:`repro.core.levels` walks it
-        to retire contexts.
-        """
-        if self._inverse is None:
-            offsets = _np.empty(len(self) + 1, dtype=_np.int64)
-            ids = _np.empty(len(self.ctx_members), dtype=_np.int64)
-            _member_contexts_arrays(self.ctx_members, self.stride, offsets, ids)
-            self._inverse = (offsets, ids)
-        return self._inverse
-
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Structural consistency checks (used by tests and debug assertions)."""
@@ -568,7 +551,6 @@ class CSRSpace:
             "ctx_members": self.ctx_members,
             "nbr_offsets": self.nbr_offsets,
             "nbr_members": self.nbr_members,
-            "_inverse": None,  # lazy cache, rebuilt on demand after unpickling
             "_index": None,
         }
 
@@ -689,22 +671,6 @@ def _incidence_generic(graph: Graph, r: int, s: int):
 # ----------------------------------------------------------------------
 # array-native incidence enumeration (CSRGraph sources)
 # ----------------------------------------------------------------------
-@kernel
-def _member_contexts_arrays(members, stride: int, offsets, ids) -> None:
-    """Fill the reverse incidence of :meth:`CSRSpace.member_contexts`.
-
-    ``offsets`` (length ``n + 1``) and ``ids`` (``len(members)``) are
-    preallocated int64 outputs.  A stable argsort of the member slots groups
-    them by member and keeps each group in slot order, so slot ``j`` maps
-    to its context ``j // stride`` with context ids ascending per member,
-    the order a counting sort over the slots produces.
-    """
-    offsets[0] = 0
-    _np.cumsum(_np.bincount(members, minlength=len(offsets) - 1), out=offsets[1:])
-    slots = _np.argsort(members, kind="stable")
-    _np.floor_divide(slots, stride, out=ids)
-
-
 def _stack_rows(rows, width: int):
     """Concatenate ``(m_i, width)`` arrays; the empty list stacks to (0, width)."""
     rows = [r for r in rows if len(r)]
@@ -1326,6 +1292,48 @@ def _snd_sweep(ctx_off, members, stride: int, lo: int, hi: int):
         return updated, max_change
 
     return sweep
+
+
+# ----------------------------------------------------------------------
+# peeling step
+# ----------------------------------------------------------------------
+@kernel
+def _retire(ctx_off, members, deg, gone, front, stamp: int):
+    """The peel step: remove the r-cliques ``front`` as sub-round ``stamp``.
+
+    ``members`` is ``ctx_members`` viewed as ``(contexts, stride)`` rows,
+    ``deg`` the live s-degrees and ``gone`` each clique's removal
+    sub-round (any value above ``stamp`` while it is live); both are
+    updated in place.  A clique's context rows are the s-cliques it lies
+    in, so the step gathers the frontier's own rows and keeps a row iff
+
+    * its s-clique was alive when the sub-round started (no partner was
+      removed in an earlier one), and
+    * its owner is the smallest-index frontier member of that s-clique,
+
+    which is one test: every partner outranks the owner in (removal
+    sub-round, index) order.  Each kept row is one s-clique dying now; its
+    partners that survive the sub-round lose it from ``deg``.  Returns
+    ``(touched, decrements)``: the distinct surviving partners that lost
+    an s-clique, ascending, and the number of decrements applied.
+    """
+    gone[front] = stamp
+    counts = ctx_off[front + 1] - ctx_off[front]
+    starts = ctx_off[front] - (_np.cumsum(counts) - counts)
+    rows = _np.repeat(starts, counts) + _np.arange(int(counts.sum()), dtype=_np.int64)
+    partners = members[rows]
+    # rank = removal sub-round * scale + index; live cliques outrank all
+    scale = len(deg) + 1
+    owner_rank = _np.repeat(front + stamp * scale, counts)
+    columns = partners.T
+    keep = gone[columns[0]] * scale + columns[0] > owner_rank
+    for column in columns[1:]:
+        keep &= gone[column] * scale + column > owner_rank
+    hit = partners[keep].ravel()
+    hit = hit[gone[hit] > stamp]
+    touched, lost = _np.unique(hit, return_counts=True)
+    deg[touched] -= lost
+    return touched, len(hit)
 
 
 def chunk_ranges(n: int, num_chunks: int) -> Iterator[Tuple[int, int]]:

@@ -8,16 +8,20 @@ operator, so the number of levels is an upper bound on the iterations both
 SND and AND need — and a far tighter one than the trivial |R(G)| bound.
 
 The computation is backend-agnostic (any :class:`repro.core.protocol.SpaceLike`
-source works) with a CSR fast path: on flat arrays each s-clique's context
-rows are killed incrementally when its first member is removed — O(contexts)
-total instead of re-scanning every surviving context per round.
+source works).  On a :class:`CSRSpace` each level is one array step, the
+:func:`repro.core.csr._retire` step the exact peeling also runs: it retires
+the level's r-cliques, and only the s-cliques that die with them are touched,
+instead of re-scanning every surviving context per level as the generic
+reference does.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.core.csr import CSRSpace, resolve_space_for_backend
+import numpy as _np
+
+from repro.core.csr import CSRSpace, _retire, resolve_space_for_backend
 from repro.core.protocol import SpaceLike
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.graph import Graph
@@ -76,52 +80,26 @@ def _degree_levels_generic(space: SpaceLike) -> List[List[int]]:
 
 
 def _degree_levels_csr(space: CSRSpace) -> List[List[int]]:
-    """Incremental peeling of whole levels over the flat CSR arrays.
+    """Whole levels peeled over the flat CSR arrays.
 
-    Each context row (an s-clique seen from one owner) dies exactly once —
-    when the first of its members is removed — and decrements only its
-    owner's live count, so the total update work is O(|contexts|) instead of
-    the generic path's full re-scan per round.  Level membership and order
-    match :func:`_degree_levels_generic` exactly.
+    Each level is one :func:`repro.core.csr._retire` step whose frontier is
+    every live r-clique of minimum live S-degree, so the work per level is
+    the removed cliques' own context rows plus one scan of the live degrees.
+    Level membership and order match :func:`_degree_levels_generic` exactly.
     """
     n = len(space)
-    ctx_off = space.ctx_offsets.tolist()
-    inv_offsets, inv_ids = space.member_contexts()
-    inv_off = inv_offsets.tolist()
-    inv = inv_ids.tolist()
-    # owner_of[c] = clique owning context row c
-    owner_of = [0] * ctx_off[n]
-    for i in range(n):
-        for c in range(ctx_off[i], ctx_off[i + 1]):
-            owner_of[c] = i
-
-    removed = [False] * n
-    alive = [True] * ctx_off[n]
-    current = [ctx_off[i + 1] - ctx_off[i] for i in range(n)]
-    remaining = n
-    levels: List[List[int]] = []
-
-    while remaining > 0:
-        minimum = min(current[i] for i in range(n) if not removed[i])
-        level = [i for i in range(n) if not removed[i] and current[i] == minimum]
-        levels.append(level)
-        for i in level:
-            removed[i] = True
-        remaining -= len(level)
-        for i in level:
-            # rows owned by i die with it (their owner is gone: no decrement)
-            for c in range(ctx_off[i], ctx_off[i + 1]):
-                alive[c] = False
-            # rows where i is a non-owner member die too, costing their
-            # owner one live s-clique (unless the owner left this round)
-            for p in range(inv_off[i], inv_off[i + 1]):
-                c = inv[p]
-                if alive[c]:
-                    alive[c] = False
-                    owner = owner_of[c]
-                    if not removed[owner]:
-                        current[owner] -= 1
-    return levels
+    members = space.ctx_members.reshape(-1, space.stride)
+    deg = _np.diff(space.ctx_offsets)
+    gone = _np.full(n, n, dtype=_np.int64)
+    live = _np.arange(n, dtype=_np.int64)
+    levels = []
+    while len(live):
+        live_deg = deg[live]
+        lowest = live_deg == live_deg.min()
+        levels.append(live[lowest])
+        _retire(space.ctx_offsets, members, deg, gone, levels[-1], len(levels) - 1)
+        live = live[~lowest]
+    return [level.tolist() for level in levels]
 
 
 def level_of_each_clique(

@@ -1,21 +1,39 @@
-"""The peeling baseline (Algorithm 1): exact, global, inherently sequential.
+"""The peeling baseline (Algorithm 1): exact and global.
 
-This is the algorithm the paper's local framework is compared against.  It is
-the classic bucket-based minimum-degree removal: repeatedly pick an
-unprocessed r-clique with the minimum current S-degree, fix its κ index to
-that degree, and decrement the degrees of the other r-cliques that share a
-still-live s-clique with it.
+This is the algorithm the paper's local framework is compared against:
+repeatedly remove the r-cliques of minimum current S-degree, fix their κ to
+that degree (never below the running maximum), and decrement the degrees of
+the r-cliques sharing a still-live s-clique with them.  (1, 2) is k-core
+peeling, (2, 3) k-truss peeling; the same code handles any (r, s).
 
-For (1, 2) this is exactly Batagelj–Zaversnik k-core peeling in O(|E|); for
-(2, 3) it is k-truss peeling in O(|Δ|); the same code path handles any
-(r, s) via :class:`repro.core.space.NucleusSpace`.
+``backend="dict"`` runs Algorithm 1 verbatim, one r-clique at a time from a
+bucket queue — the readable oracle.  The CSR route is level-synchronous
+(Julienne-style bucketing, Dhulipala, Blelloch & Shun, SPAA 2017): at level
+``k`` one array step (:func:`repro.core.csr._retire`) removes *every* live
+r-clique of S-degree ``≤ k``, until none is left; then ``k`` rises.  κ is
+identical.  The removal orders break ties within a level differently, and
+both are peel witnesses: κ never decreases along the order, and each
+r-clique is the first-removed member of at most κ of its s-cliques.
+
+>>> from repro.graph.generators import ring_of_cliques
+>>> graph = ring_of_cliques(4, 5)        # four K5s joined in a ring
+>>> result = peeling_decomposition(graph, 2, 3)
+>>> result.kappa.count(3), result.kappa.count(0)   # K5 edges, ring edges
+(40, 4)
+>>> order = result.operations["_peel_order"]
+>>> all(result.kappa[a] <= result.kappa[b] for a, b in zip(order, order[1:]))
+True
+>>> peeling_decomposition(graph, 2, 3, backend="dict").kappa == result.kappa
+True
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.core.csr import CSRSpace, resolve_space_for_backend
+import numpy as _np
+
+from repro.core.csr import CSRSpace, _retire, resolve_space_for_backend
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
 from repro.graph.graph import Graph, sorted_vertices
@@ -73,12 +91,7 @@ def peel_order(space: Union[NucleusSpace, CSRSpace]) -> List[int]:
     This non-decreasing κ order is the best-case processing order for the
     AND algorithm (Theorem 4), so experiments reuse it.
     """
-    result = peeling_decomposition(space)
-    order = result.operations.get("_peel_order")
-    if isinstance(order, list):
-        return order
-    # Fallback: sort by kappa (stable), which is a valid non-decreasing order.
-    return sorted(range(len(result.kappa)), key=lambda i: result.kappa[i])
+    return peeling_decomposition(space).operations["_peel_order"]
 
 
 def peeling_decomposition(
@@ -99,17 +112,20 @@ def peeling_decomposition(
         The decomposition instance when ``source`` is a graph.
     backend:
         ``"csr"`` (or ``"auto"``, the default, or any :class:`CSRSpace`
-        input) runs the bucket-queue loop over flat CSR arrays; ``"dict"``
-        walks the tuple/set structure.  Both drive the identical
-        :class:`_BucketQueue` sequence, so κ *and* the recorded peel order
-        match exactly across backends.
+        input) runs the level-synchronous peel over flat CSR arrays;
+        ``"dict"`` runs Algorithm 1's bucket queue over the tuple/set
+        structure.  κ is identical; the recorded peel orders may break
+        ties within a level differently (see the module docstring).
 
     Returns
     -------
     DecompositionResult
-        κ indices per r-clique; ``operations`` records the number of degree
-        decrements performed (the peeling work measure used in the runtime
-        experiments).
+        κ indices per r-clique.  ``operations["_peel_order"]`` is the
+        removal order, and ``operations["degree_decrements"]`` the peeling
+        work measure used in the runtime experiments: on the dict route,
+        the decrements of neighbours still above the removed clique's
+        degree; on the CSR route, every decrement a batch applies to a
+        surviving partner of a dying s-clique.
     """
     space, resolved = resolve_space_for_backend(source, r, s, backend)
     if resolved == "csr":
@@ -160,56 +176,42 @@ def peeling_decomposition(
 
 
 def _peeling_csr(space: CSRSpace) -> DecompositionResult:
-    """Bucket-queue peeling over flat CSR arrays (fast path).
+    """Level-synchronous peeling over the flat CSR arrays.
 
-    Mirrors the dict-backend loop line for line, but the "is the containing
-    s-clique still alive, and which members need a decrement?" scan runs over
-    ``ctx_members`` slices instead of lists of tuples.
+    At level ``k`` the frontier is every live r-clique with at most ``k``
+    live s-cliques; :func:`repro.core.csr._retire` removes it in one array
+    step, and the cliques that step pushes to ``≤ k`` form the next
+    frontier.  When none is left, ``k`` rises to the minimum live degree.
     """
     n = len(space)
-    stride = space.stride
-    # read each buffer once into Python ints: the loop below indexes them
-    # per element, and numpy scalars would leak into κ
-    ctx_off = space.ctx_offsets.tolist()
-    cm = space.ctx_members.tolist()
-    degrees = space.s_degrees()
-    kappa = [0] * n
-    processed = [False] * n
-    queue = _BucketQueue(degrees)
-    current = list(degrees)
-    decrements = 0
-    max_so_far = 0
-    order: List[int] = []
-
-    for _ in range(n):
-        item = queue.pop_min()
-        processed[item] = True
-        order.append(item)
-        if current[item] > max_so_far:
-            max_so_far = current[item]
-        kappa[item] = max_so_far
-        threshold = current[item]
-        for c in range(ctx_off[item], ctx_off[item + 1]):
-            base = c * stride
-            alive = True
-            for j in range(base, base + stride):
-                if processed[cm[j]]:
-                    # the containing s-clique has already been destroyed
-                    alive = False
-                    break
-            if not alive:
-                continue
-            for j in range(base, base + stride):
-                other = cm[j]
-                if current[other] > threshold:
-                    current[other] -= 1
-                    queue.decrease_key(other, current[other])
-                    decrements += 1
+    ctx_off = space.ctx_offsets
+    members = space.ctx_members.reshape(-1, space.stride)
+    deg = _np.diff(ctx_off)
+    gone = _np.full(n, n, dtype=_np.int64)
+    kappa = _np.zeros(n, dtype=_np.int64)
+    live = _np.arange(n, dtype=_np.int64)
+    front = live[:0]
+    fronts = []
+    k = decrements = 0
+    while True:
+        if not len(front):
+            live = live[gone[live] == n]
+            if not len(live):
+                break
+            live_deg = deg[live]
+            k = int(live_deg.min())
+            front = live[live_deg == k]
+        kappa[front] = k
+        fronts.append(front)
+        touched, lost = _retire(ctx_off, members, deg, gone, front, len(fronts) - 1)
+        decrements += lost
+        front = touched[deg[touched] <= k]
+    order = _np.concatenate(fronts).tolist() if fronts else []
 
     return DecompositionResult.from_space(
         space,
         algorithm="peeling",
-        kappa=kappa,
+        kappa=kappa.tolist(),
         iterations=0,
         converged=True,
         operations={
@@ -232,7 +234,6 @@ def core_numbers_bz(graph: Graph) -> Dict:
     degrees = graph.degrees()
     if not degrees:
         return {}
-    queue = _BucketQueue([0] * 0)  # placeholder, replaced below
     vertices = sorted_vertices(graph.vertices())
     index = {v: i for i, v in enumerate(vertices)}
     keys = [degrees[v] for v in vertices]

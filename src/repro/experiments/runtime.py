@@ -8,7 +8,10 @@ per dataset and instance:
 * wall-clock seconds of each algorithm on the scaled-down stand-ins,
 * the algorithm-specific work counters (degree decrements for peeling,
   ρ evaluations for SND/AND) which are hardware-independent and therefore
-  the more meaningful cross-check of the "who does more work" shape, and
+  the more meaningful cross-check of the "who does more work" shape — on
+  the CSR rows ``peel_work`` counts the level-synchronous peel's batch
+  decrements, every surviving partner of every dying s-clique, so it is
+  not comparable with the dict rows' clamped one-at-a-time count — and
 * the AND/SND work ratio (AND should do strictly less work thanks to fresher
   values and the notification mechanism).
 """

@@ -133,7 +133,8 @@ class SortedRows:
     the matching range one column at a time with ``searchsorted``:
     O(k log n) per lookup instead of comparing the query with every row.
     Equal rows keep their table order, so the lowest index wins, as in a
-    first-hit scan.
+    first-hit scan.  A table already in that order (every array-built
+    space's) is detected in linear time and not sorted.
     """
 
     __slots__ = ("perm", "columns")
@@ -142,8 +143,15 @@ class SortedRows:
         table = np.asarray(table, dtype=np.int64)
         if table.ndim == 1:
             table = table.reshape(-1, 1)
-        table = np.sort(table, axis=1)
-        self.perm = np.lexsort(table.T[::-1])
+        if not (table[:, 1:] >= table[:, :-1]).all():
+            table = np.sort(table, axis=1)
+        # consecutive rows in order iff each row's first differing column rises
+        step = table[1:] - table[:-1]
+        lead = step[np.arange(len(step), dtype=np.int64), (step != 0).argmax(axis=1)]
+        if (lead >= 0).all():
+            self.perm = np.arange(len(table), dtype=np.int64)
+        else:
+            self.perm = np.lexsort(table.T[::-1])
         self.columns = [np.ascontiguousarray(col[self.perm]) for col in table.T]
 
     def find(self, row) -> Optional[int]:

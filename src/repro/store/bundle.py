@@ -539,7 +539,6 @@ class Bundle:
             space.ctx_members = self.load_array("space.ctx_members")
             space.nbr_offsets = self.load_array("space.nbr_offsets")
             space.nbr_members = self.load_array("space.nbr_members")
-            space._inverse = None
             space._index = None
             self._space = space
         return self._space

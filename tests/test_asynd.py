@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.asynd import and_decomposition, processing_order
+from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 
 
@@ -54,6 +56,16 @@ class TestTheorem4BestCaseOrder:
         exact = peeling_decomposition(space).kappa
         result = and_decomposition(space, order="peel")
         # the first pass computes the exact answer; the second detects convergence
+        assert result.iterations <= 2
+        if len(result.iteration_stats) > 1:
+            assert result.iteration_stats[1].updated == 0
+        assert result.kappa == exact
+
+    def test_csr_peel_order_converges_in_one_update_iteration(self):
+        space = CSRSpace.from_graph(powerlaw_cluster_graph(120, 6, 0.8, seed=42), 3, 4)
+        exact = peeling_decomposition(space).kappa
+        assert max(exact) > 1
+        result = and_decomposition(space, order="peel")
         assert result.iterations <= 2
         if len(result.iteration_stats) > 1:
             assert result.iteration_stats[1].updated == 0

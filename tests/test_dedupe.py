@@ -1,5 +1,5 @@
-"""Sort-based dedupe, the vectorised reverse incidence and binary-searched
-clique lookups, each against the implementation it replaced.
+"""Sort-based dedupe, the array degree levels and binary-searched clique
+lookups, each against the implementation it replaced.
 
 The references below are the interpreted or hash-based code paths these
 functions used to be; outputs must match them exactly, buffer for buffer.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.csr import CSRSpace
 from repro.core.decomposition import nucleus_decomposition
+from repro.core.levels import _degree_levels_generic, degree_levels
 from repro.core.space import NucleusSpace
 from repro.graph.csr_graph import CSRGraph, SortedRows, _sorted_unique
 from repro.graph.generators import (
@@ -42,27 +43,6 @@ INSTANCES = [(1, 2), (2, 3), (3, 4), (1, 3)]
 # ----------------------------------------------------------------------
 # references: the code these paths replaced
 # ----------------------------------------------------------------------
-def member_contexts_reference(space):
-    """The interpreted counting sort ``member_contexts`` used to run."""
-    n = len(space)
-    stride = space.stride
-    cm = space.ctx_members
-    counts = [0] * (n + 1)
-    for m in cm:
-        counts[m + 1] += 1
-    offsets = [0] * (n + 1)
-    for i in range(n):
-        offsets[i + 1] = offsets[i] + counts[i + 1]
-    cursor = list(offsets[:n])
-    ids = [0] * len(cm)
-    for c in range(len(cm) // stride if stride else 0):
-        for j in range(c * stride, (c + 1) * stride):
-            m = cm[j]
-            ids[cursor[m]] = c
-            cursor[m] += 1
-    return offsets, ids
-
-
 def degeneracy_order_reference(graph):
     """Batch peeling with the hash-based ``np.unique`` it used to call."""
     n = graph.number_of_vertices()
@@ -146,36 +126,26 @@ class TestSortedUnique:
         assert arr.tolist() == [3, 1, 2, 1]
 
 
-class TestMemberContexts:
+class TestDegreeLevels:
+    """The one-step-per-level CSR peel against the generic re-scan."""
+
     @pytest.mark.parametrize("rs", INSTANCES)
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_array_built_space_matches_counting_sort(self, name, rs):
-        graph = CSRGraph.from_graph(GRAPHS[name])
-        space = CSRSpace.from_graph(graph, *rs)
-        offsets, ids = space.member_contexts()
-        ref_offsets, ref_ids = member_contexts_reference(space)
-        assert offsets.dtype == ids.dtype == np.int64
-        assert offsets.tolist() == ref_offsets
-        assert ids.tolist() == ref_ids
-        assert space.member_contexts() is space.member_contexts()
+    def test_array_built_space_matches_generic(self, name, rs):
+        space = CSRSpace.from_graph(CSRGraph.from_graph(GRAPHS[name]), *rs)
+        assert degree_levels(space) == _degree_levels_generic(space)
 
     @pytest.mark.parametrize("rs", INSTANCES)
     @pytest.mark.parametrize("name", ["powerlaw", "star", "empty"])
-    def test_dict_built_space_matches_counting_sort(self, name, rs):
-        space = NucleusSpace(GRAPHS[name], *rs).to_csr()
-        offsets, ids = space.member_contexts()
-        ref_offsets, ref_ids = member_contexts_reference(space)
-        assert offsets.tolist() == ref_offsets
-        assert ids.tolist() == ref_ids
+    def test_dict_built_space_matches_generic(self, name, rs):
+        space = NucleusSpace(GRAPHS[name], *rs)
+        assert degree_levels(space.to_csr()) == _degree_levels_generic(space)
 
-    def test_memmapped_space_matches_counting_sort(self, tmp_path):
+    def test_memmapped_space_matches_generic(self, tmp_path):
         graph = CSRGraph.from_graph(GRAPHS["dense"])
         space = CSRSpace.from_graph(graph, 3, 4)
         bundle = open_bundle(save_bundle(tmp_path / "b", graph=graph, space=space))
-        offsets, ids = bundle.space.member_contexts()
-        ref_offsets, ref_ids = member_contexts_reference(space)
-        assert offsets.tolist() == ref_offsets
-        assert ids.tolist() == ref_ids
+        assert degree_levels(bundle.space) == _degree_levels_generic(space)
 
 
 class TestCSRGraphBuffers:
@@ -231,10 +201,14 @@ class TestPointLookups:
     def test_sorted_rows_matches_full_scan(self):
         rng = np.random.default_rng(4)
         table = rng.integers(0, 12, (300, 3), dtype=np.int64)
-        rows = SortedRows(table)
-        for row in list(table[:50]) + list(rng.integers(0, 12, (200, 3))):
-            assert rows.find(row.tolist()) == _full_scan(table, row)
-        assert rows.find([1, 2]) is None
+        ordered = np.sort(table, axis=1)
+        # an already ordered table, duplicate rows included, takes no sort
+        ordered = ordered[np.lexsort(ordered.T[::-1])]
+        for table in (table, ordered):
+            rows = SortedRows(table)
+            for row in list(table[:50]) + list(rng.integers(0, 12, (200, 3))):
+                assert rows.find(row.tolist()) == _full_scan(table, row)
+            assert rows.find([1, 2]) is None
         assert SortedRows(np.empty((0, 2), dtype=np.int64)).find([0, 1]) is None
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])

@@ -29,6 +29,7 @@ DOCTEST_MODULES = [
     "repro.core.result",
     "repro.core.hierarchy",
     "repro.core.intervals",
+    "repro.core.peeling",
     "repro.core.csr",
     "repro.graph.csr_graph",
     "repro.graph.graph",

@@ -2,11 +2,44 @@
 
 import networkx as nx
 import pytest
+from peel_witness import assert_peel_witness
 
 from repro.core.peeling import core_numbers_bz, peel_order, peeling_decomposition
 from repro.core.space import NucleusSpace
-from repro.graph.generators import complete_graph, ring_of_cliques
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    erdos_renyi_graph,
+    heterogeneous_cluster_graph,
+    hierarchical_community_graph,
+    planted_clique_graph,
+    powerlaw_cluster_graph,
+    ring_of_cliques,
+    watts_strogatz_graph,
+)
 from repro.graph.graph import Graph
+
+#: Seeded generator families of the parity world: ``family(seed) -> Graph``.
+FAMILIES = {
+    "er": lambda seed: erdos_renyi_graph(40, 0.2, seed=seed),
+    "ba": lambda seed: barabasi_albert_graph(60, 3, seed=seed),
+    "ws": lambda seed: watts_strogatz_graph(50, 6, 0.2, seed=seed),
+    "plc": lambda seed: powerlaw_cluster_graph(60, 4, 0.7, seed=seed),
+    "hetero": lambda seed: heterogeneous_cluster_graph(60, 2, 7, 0.6, seed=seed),
+    "planted": lambda seed: planted_clique_graph(40, 9, 0.1, seed=seed),
+    "hier": lambda seed: hierarchical_community_graph(2, 3, 7, seed=seed),
+}
+
+#: Fixed corner cases of the parity world.
+CORNERS = {
+    "empty": Graph(),
+    "k2": complete_graph(2),
+    "star": Graph(edges=[(0, i) for i in range(1, 9)]),
+    "k7": complete_graph(7),
+    "ring": ring_of_cliques(4, 5),
+}
+
+WORLD_INSTANCES = [(1, 2), (2, 3), (3, 4)]
 
 
 class TestCoreDecomposition:
@@ -110,6 +143,34 @@ class TestPeelOrder:
         order = peel_order(space)
         values = [kappa[i] for i in order]
         assert values == sorted(values)
+
+
+class TestParityWorld:
+    """The level-synchronous CSR peel against Algorithm 1 on a seeded world.
+
+    κ must match exactly; the removal orders may differ within a level, so
+    each is held to the peel-witness conditions instead.
+    """
+
+    @staticmethod
+    def check(graph, r, s):
+        space = NucleusSpace(graph, r, s)
+        reference = peeling_decomposition(space, backend="dict")
+        result = peeling_decomposition(space, backend="csr")
+        assert result.kappa == reference.kappa
+        for run in (reference, result):
+            assert_peel_witness(space, run.kappa, run.operations["_peel_order"])
+
+    @pytest.mark.parametrize("rs", WORLD_INSTANCES)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_graph(self, family, seed, rs):
+        self.check(FAMILIES[family](seed), *rs)
+
+    @pytest.mark.parametrize("rs", WORLD_INSTANCES)
+    @pytest.mark.parametrize("name", sorted(CORNERS))
+    def test_corner_case(self, name, rs):
+        self.check(CORNERS[name], *rs)
 
 
 class TestArguments:
