@@ -7,6 +7,7 @@ deterministic generators.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 from peel_witness import assert_peel_witness
@@ -90,6 +91,27 @@ class TestCSRSpaceStructure:
         assert (
             and_decomposition_csr(clone).kappa == and_decomposition_csr(csr).kappa
         )
+
+    def test_member_contexts_inverse(self):
+        # read from the member side, the context rows name each s-clique
+        # once per partner: every clique that owns a context of an s-clique
+        # appears as a partner in the other members' contexts of it
+        space = NucleusSpace(powerlaw_cluster_graph(60, 4, 0.5, seed=2), 2, 3)
+        csr = space.to_csr()
+        owned = Counter()
+        as_member = Counter()
+        for i in range(len(csr)):
+            for ctx in csr.contexts(i):
+                assert i not in ctx
+                group = tuple(sorted((i,) + ctx))
+                owned[(i, group)] += 1
+                for j in ctx:
+                    as_member[(j, group)] += 1
+        assert owned.keys() == as_member.keys()
+        assert set(owned.values()) == {1}
+        assert set(as_member.values()) == {csr.stride}
+        # every membership is accounted for exactly once
+        assert sum(as_member.values()) == len(csr.ctx_members)
 
     def test_nbytes_positive(self):
         csr = NucleusSpace(ring_of_cliques(3, 4), 1, 2).to_csr()
