@@ -4,11 +4,17 @@ Regenerates the query-driven scenario: estimate core and truss numbers for a
 random sample of vertices/edges from bounded neighbourhoods only.
 """
 
+import random
+
+from repro.core.csr import CSRSpace
+from repro.core.query import estimate_local_indices
+from repro.datasets.registry import load_dataset
 from repro.experiments.query_driven import (
     format_query_driven,
     run_query_driven,
     run_query_driven_suite,
 )
+from repro.store import open_bundle, save_bundle
 
 
 def test_fig10_core_and_truss_queries(benchmark):
@@ -37,3 +43,25 @@ def test_fig10_cost_grows_with_radius(benchmark):
     )
     fractions = [row["mean_ball_fraction"] for row in rows]
     assert fractions == sorted(fractions)
+
+
+def test_fig10_bundle_queries(benchmark, tmp_path):
+    """hops=1 truss queries on a reopened bundle, which slices the stored
+    space, checked against the graph route that enumerates each ball."""
+    graph = load_dataset("fb", "csr")
+    space = CSRSpace.from_graph(graph, 2, 3)
+    bundle = open_bundle(save_bundle(tmp_path / "fb", graph=graph, space=space))
+    queries = random.Random(0).sample(list(space.cliques), 100)
+
+    def serve():
+        return [estimate_local_indices(bundle, [q], 2, 3, hops=1) for q in queries]
+
+    estimates = benchmark.pedantic(serve, rounds=1, iterations=1)
+    for query, sliced in zip(queries, estimates):
+        reference = estimate_local_indices(graph, [query], 2, 3, hops=1)
+        assert dict(sliced) == dict(reference)
+        assert (sliced.ball_size, sliced.subgraph_edges, sliced.iterations) == (
+            reference.ball_size,
+            reference.subgraph_edges,
+            reference.iterations,
+        )

@@ -56,6 +56,8 @@ from repro.graph.csr_graph import (
     CliqueArrayView,
     CSRGraph,
     _check_key_space,
+    _id_mask,
+    _runs,
     _sorted_unique,
 )
 from repro.graph.graph import Graph, sorted_vertices
@@ -98,7 +100,9 @@ class CSRSpace:
     Build one with :meth:`from_graph` (straight from either graph
     representation, no dict space in between), :meth:`from_space` (or
     ``NucleusSpace.to_csr()``); both end in the constructor, which takes
-    prebuilt buffers and stores them as int64 arrays.  The read API mirrors
+    prebuilt buffers and stores them as int64 arrays.  :meth:`restrict`
+    cuts the space of an induced subgraph out of an existing one.  The
+    read API mirrors
     :class:`NucleusSpace` (``__len__``, ``s_degree``, ``s_degrees``,
     ``contexts``, ``neighbors``, ``as_dict``) so ordering helpers and
     result construction work on either representation.
@@ -386,14 +390,8 @@ class CSRSpace:
             )
             others = groups[:, cols].reshape(num_s * group_size, stride)
             ctx_members_np = others[order].reshape(-1)
-            _check_key_space(n, n)
-            pair_keys = _sorted_unique(
-                _np.repeat(flat, stride) * n + others.reshape(-1)
-            )
-            nbr_members_np = pair_keys % n
-            nbr_offsets_np = _np.zeros(n + 1, dtype=_np.int64)
-            _np.cumsum(
-                _np.bincount(pair_keys // n, minlength=n), out=nbr_offsets_np[1:]
+            nbr_offsets_np, nbr_members_np = _neighbour_csr(
+                _np.repeat(flat, stride), others.reshape(-1), n
             )
         else:
             ctx_members_np = _np.empty(0, dtype=_np.int64)
@@ -408,6 +406,81 @@ class CSRSpace:
             nbr_offsets_np,
             nbr_members_np,
             graph=graph,
+        )
+
+    @kernel
+    def restrict(self, vertex_ids) -> "CSRSpace":
+        """The sub-space over the r-cliques whose vertices all lie in ``vertex_ids``.
+
+        ``vertex_ids`` are vertex ids of the clique table, so the space must
+        be array-indexed (built from a :class:`CSRGraph` or reopened from a
+        bundle).  The result equals the space of the induced subgraph on
+        those vertices: an s-clique lies in that subgraph exactly when all
+        of its r-subcliques do, so a context row is kept only when every
+        partner survives.  Surviving cliques keep their relative order and
+        their vertex ids and labels, so ``find_index`` works unchanged.
+
+        Every clique inside the set is led (smallest id) by a member of the
+        set, so the candidates are the runs of the clique table's sorted
+        first column at those ids (:meth:`CliqueArrayView.sorted_rows`);
+        no vertex → clique map is needed.  Partners are checked and
+        renumbered through one global → local table written at the kept
+        indices only, and the neighbour relation is rebuilt by the same
+        sort-based dedupe as :meth:`from_graph`.  The cost follows the
+        cliques led by the set and their contexts, not the whole space.
+
+        Examples
+        --------
+        >>> from repro.graph.csr_graph import CSRGraph
+        >>> graph = CSRGraph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)])
+        >>> space = CSRSpace.from_graph(graph, 2, 3)
+        >>> sub = space.restrict([0, 1, 2])
+        >>> list(sub.cliques), sub.number_of_s_cliques()
+        ([(0, 1), (0, 2), (1, 2)], 1)
+        """
+        view = self.cliques
+        if not isinstance(view, CliqueArrayView):
+            raise ValueError(
+                "restrict needs an array-indexed clique table; build the "
+                "space from a CSRGraph or reopen it from a bundle"
+            )
+        # plain views: a memmap subclass pays wrapping costs on every op
+        ctx_off = _np.asarray(self.ctx_offsets)
+        members = _np.asarray(self.ctx_members).reshape(-1, self.stride)
+        keep_ids = _sorted_unique(_np.asarray(vertex_ids, dtype=_np.int64))
+        in_set = _id_mask(len(view.labels), keep_ids)
+        rows = view.sorted_rows()
+        first = _np.searchsorted(rows.columns[0], keep_ids, "left")
+        last = _np.searchsorted(rows.columns[0], keep_ids, "right")
+        positions = _runs(first, last - first)
+        for column in rows.columns[1:]:
+            positions = positions[in_set[column[positions]]]
+        kept = _np.sort(rows.perm[positions])
+        n = len(kept)
+        counts = ctx_off[kept + 1] - ctx_off[kept]
+        partners = members[_runs(ctx_off[kept], counts)]
+        # global -> local table written at the kept slots only: np.empty
+        # spares an O(len(self)) fill, and an unwritten slot read for a
+        # dropped partner is caught because it cannot map back to it
+        local_of = _np.empty(len(view), dtype=_np.int64)
+        local_of[kept] = _np.arange(n, dtype=_np.int64)
+        local = _np.clip(local_of[partners], 0, max(n - 1, 0))
+        whole = _row_min(kept[local] == partners)  # row-wise AND
+        owners = _np.repeat(_np.arange(n, dtype=_np.int64), counts)[whole]
+        ctx_offsets = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(owners, minlength=n), out=ctx_offsets[1:])
+        ctx_members = local[whole].reshape(-1)
+        nbr_offsets, nbr_members = _neighbour_csr(
+            _np.repeat(owners, self.stride), ctx_members, n
+        )
+        return CSRSpace(
+            self.r,
+            self.s,
+            view.take(kept),
+            ctx_offsets,
+            ctx_members,
+            nbr_offsets,
+            nbr_members,
         )
 
     # ------------------------------------------------------------------
@@ -559,6 +632,20 @@ class CSRSpace:
         state.setdefault("_index", None)
         for name, value in state.items():
             object.__setattr__(self, name, value)
+
+
+@kernel
+def _neighbour_csr(owners, partners, n: int):
+    """``(nbr_offsets, nbr_members)`` of the distinct (owner, partner) pairs.
+
+    One sort-based dedupe over packed ``owner * n + partner`` keys leaves
+    every row's members sorted ascending.
+    """
+    _check_key_space(n, n)
+    keys = _sorted_unique(owners * n + partners)
+    offsets = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(keys // n, minlength=n), out=offsets[1:])
+    return offsets, keys % n
 
 
 # ----------------------------------------------------------------------
@@ -1319,9 +1406,7 @@ def _retire(ctx_off, members, deg, gone, front, stamp: int):
     """
     gone[front] = stamp
     counts = ctx_off[front + 1] - ctx_off[front]
-    starts = ctx_off[front] - (_np.cumsum(counts) - counts)
-    rows = _np.repeat(starts, counts) + _np.arange(int(counts.sum()), dtype=_np.int64)
-    partners = members[rows]
+    partners = members[_runs(ctx_off[front], counts)]
     # rank = removal sub-round * scale + index; live cliques outrank all
     scale = len(deg) + 1
     owner_rank = _np.repeat(front + stamp * scale, counts)

@@ -4,16 +4,34 @@ The global algorithms compute κ for *every* r-clique.  When only a handful
 of vertices or edges are of interest — e.g. "how deep in the core hierarchy
 is this user?" — the local formulation lets us run the τ iteration on a
 bounded neighbourhood of the query instead of the whole graph: take the
-h-hop ball around the queried vertices, build the (r, s) space of the induced
-subgraph, and iterate.  Because the induced subgraph is missing s-cliques
-that straddle the boundary, the estimates are *not* exact, but they improve
-rapidly with the hop radius; experiment E8 quantifies that trade-off.
+h-hop ball around the queried vertices, take the (r, s) space of the induced
+subgraph, and iterate.  The induced subgraph misses the s-cliques that
+straddle the boundary, so an estimate never exceeds the global κ; it
+improves with the hop radius, and experiment E8 quantifies that trade-off.
 
-The pipeline is backend-agnostic: ``backend="csr"`` (or ``"auto"`` on a big
-ball) builds the local space directly with :meth:`CSRSpace.from_graph`, runs
-the array kernels on it, and resolves the queried cliques to indices via the
-space protocol — no :class:`NucleusSpace` and no tuple-keyed κ dict anywhere
-on the path.
+The ball's space comes from one of two routes, with the same estimate:
+
+* a graph source (or a bundle stored for another instance) builds it with
+  :meth:`CSRSpace.from_graph` on the induced subgraph (``backend="dict"``
+  builds a :class:`NucleusSpace` instead);
+* an opened :class:`~repro.store.bundle.Bundle` that stores the requested
+  (r, s) space slices it with :meth:`CSRSpace.restrict`, so no clique is
+  enumerated again.
+
+>>> import tempfile
+>>> from repro.core.csr import CSRSpace
+>>> from repro.graph.csr_graph import CSRGraph
+>>> from repro.graph.generators import ring_of_cliques
+>>> from repro.store import open_bundle, save_bundle
+>>> graph = CSRGraph.from_graph(ring_of_cliques(4, 5))
+>>> query = next(iter(graph.edges()))
+>>> from_graph = estimate_local_indices(graph, [query], 2, 3, hops=1)
+>>> with tempfile.TemporaryDirectory() as tmp:
+...     space = CSRSpace.from_graph(graph, 2, 3)
+...     bundle = open_bundle(save_bundle(tmp + "/b", graph=graph, space=space))
+...     sliced = estimate_local_indices(bundle, [query], 2, 3, hops=1)
+>>> sliced == from_graph, sliced.ball_size == from_graph.ball_size
+(True, True)
 """
 
 from __future__ import annotations
@@ -74,8 +92,10 @@ def estimate_local_indices(
         :class:`~repro.graph.csr_graph.CSRGraph` both the BFS and the
         induced-subgraph construction are numpy-vectorised and the ball's
         space is filled from the batch enumerators.  An opened store
-        :class:`~repro.store.bundle.Bundle` is accepted too — its memmapped
-        graph serves the BFS without any parsing.
+        :class:`~repro.store.bundle.Bundle` is accepted too: its memmapped
+        graph serves the BFS, and when it stores the (r, s) space the ball's
+        space is sliced out of it (:meth:`CSRSpace.restrict`) instead of
+        enumerated; otherwise its graph is used like any other.
     queries:
         Iterable of r-cliques given as vertex sequences — single vertices for
         (1, 2), edges for (2, 3), triangles for (3, 4).  Each query must be a
@@ -89,29 +109,33 @@ def estimate_local_indices(
     max_iterations:
         Optional iteration cap forwarded to the local algorithm.
     backend:
-        Space representation for the ball: ``"dict"``, ``"csr"`` (the ball
-        space is built directly by :meth:`CSRSpace.from_graph`) or ``"auto"``
-        (default; means ``"csr"``).
+        Space representation for the ball: ``"dict"`` (a
+        :class:`NucleusSpace` of the induced subgraph, also on a bundle),
+        ``"csr"`` or ``"auto"`` (default; means ``"csr"``).
 
     Returns
     -------
     QueryEstimate
         Maps each queried r-clique (canonical tuple) to its estimated κ.
-        Because the neighbourhood is truncated, estimates are lower bounds on
-        nothing in particular and upper-bound-ish in practice; accuracy as a
-        function of ``hops`` is an experiment, not a guarantee.
+        The ball's space is the space of an induced subgraph, which holds
+        a subset of the s-cliques, so every converged estimate is at most
+        the clique's global κ.  A bundle's sliced space and the space
+        built from the same graph give the same estimates, ball size,
+        subgraph edge count and iteration count.
 
     Raises
     ------
     ValueError
         If a query is not an r-clique of the graph.
+    StoreFormatError
+        If a bundle source stores no graph.
     """
     from repro.store.bundle import Bundle  # deferred: store imports core
 
-    if isinstance(graph, Bundle):
-        # local estimation needs the graph topology (the ball is carved out
-        # of the adjacency), not a prebuilt global space
-        graph = graph.graph
+    bundle = graph if isinstance(graph, Bundle) else None
+    if bundle is not None:
+        # the ball is carved out of the stored adjacency either way
+        graph = bundle.graph
     query_list: List[Clique] = []
     for q in queries:
         clique = canonical_clique(tuple(q))
@@ -120,18 +144,25 @@ def estimate_local_indices(
         query_list.append(clique)
 
     seeds: List[Vertex] = [v for clique in query_list for v in clique]
-    ball = graph.bfs_ball(seeds, hops)
-    subgraph = graph.subgraph(ball)
-    for clique in query_list:
-        for u in clique:
-            if u not in subgraph:
-                raise ValueError(f"query vertex {u!r} is not in the graph")
-        for i in range(len(clique)):
-            for j in range(i + 1, len(clique)):
-                if not subgraph.has_edge(clique[i], clique[j]):
-                    raise ValueError(f"query {clique!r} is not a clique of the graph")
+    if (
+        bundle is not None
+        and backend in ("auto", "csr")
+        and bundle.has("space")
+        and (bundle.r, bundle.s) == (r, s)
+    ):
+        seed_ids = [i for i in map(graph.find_id, seeds) if i is not None]
+        ball = graph.bfs_ball_ids(seed_ids, hops)
+        _check_queries(graph, query_list)
+        space = bundle.space.restrict(bundle.space_vertex_ids(ball))
+        resolved = "csr"
+        subgraph_edges = graph.edges_within(ball)
+    else:
+        ball = graph.bfs_ball(seeds, hops)
+        subgraph = graph.subgraph(ball)
+        _check_queries(subgraph, query_list)
+        space, resolved = resolve_space_for_backend(subgraph, r, s, backend)
+        subgraph_edges = subgraph.number_of_edges()
 
-    space, resolved = resolve_space_for_backend(subgraph, r, s, backend)
     if algorithm == "and":
         result = and_decomposition(
             space, max_iterations=max_iterations, backend=resolved
@@ -155,9 +186,21 @@ def estimate_local_indices(
     return QueryEstimate(
         estimates,
         ball_size=len(ball),
-        subgraph_edges=subgraph.number_of_edges(),
+        subgraph_edges=subgraph_edges,
         iterations=result.iterations,
     )
+
+
+def _check_queries(graph: GraphSource, query_list: List[Clique]) -> None:
+    """Raise ``ValueError`` unless every query is a clique of ``graph``."""
+    for clique in query_list:
+        for u in clique:
+            if u not in graph:
+                raise ValueError(f"query vertex {u!r} is not in the graph")
+        for i in range(len(clique)):
+            for j in range(i + 1, len(clique)):
+                if not graph.has_edge(clique[i], clique[j]):
+                    raise ValueError(f"query {clique!r} is not a clique of the graph")
 
 
 def query_accuracy(

@@ -65,12 +65,15 @@ class CliqueArrayView:
     lookup index :meth:`find` builds on first use.
     """
 
-    __slots__ = ("ids", "labels", "_lookup")
+    __slots__ = ("ids", "labels", "_label_ids", "_rows", "_base", "_taken")
 
     def __init__(self, ids, labels) -> None:
         self.ids = ids
         self.labels = labels
-        self._lookup = None
+        self._label_ids: Optional[Dict[Vertex, int]] = None
+        self._rows: Optional["SortedRows"] = None
+        self._base: Optional["CliqueArrayView"] = None
+        self._taken = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -89,26 +92,53 @@ class CliqueArrayView:
     def __contains__(self, clique) -> bool:
         return any(c == clique for c in self)
 
+    def label_ids(self) -> Dict[Vertex, int]:
+        """The label → vertex id map, built on first use and cached."""
+        if self._label_ids is None:
+            labels = self.labels
+            plain = labels.tolist() if hasattr(labels, "tolist") else labels
+            self._label_ids = {label: i for i, label in enumerate(plain)}
+        return self._label_ids
+
+    def sorted_rows(self) -> "SortedRows":
+        """The :class:`SortedRows` index over ``ids``, built on first use."""
+        if self._rows is None:
+            self._rows = SortedRows(self.ids)
+        return self._rows
+
+    def take(self, indices) -> "CliqueArrayView":
+        """The view over the rows ``indices`` (an ascending int64 array).
+
+        :meth:`find` on the sub-view asks this view and maps the hit with
+        one binary search over ``indices``, so a taken view never builds a
+        lookup index of its own.
+        """
+        sub = CliqueArrayView(np.asarray(self.ids)[indices], self.labels)
+        sub._base = self
+        sub._taken = indices
+        return sub
+
     def find(self, clique) -> Optional[int]:
         """Index of ``clique`` (vertex labels in any order), or ``None``.
 
-        The label → id map and a :class:`SortedRows` index over ``ids`` are
-        built on first use and cached, so a lookup is a few binary searches
-        and no clique tuple is materialised.
+        The label map (:meth:`label_ids`) and the row index
+        (:meth:`sorted_rows`) are built on first use and cached, so a
+        lookup is a few binary searches and no clique tuple is
+        materialised.
         """
-        if self._lookup is None:
-            labels = self.labels
-            plain = labels.tolist() if hasattr(labels, "tolist") else labels
-            self._lookup = (
-                {label: i for i, label in enumerate(plain)},
-                SortedRows(self.ids),
-            )
-        label_ids, rows = self._lookup
+        if self._base is not None:
+            index = self._base.find(clique)
+            if index is None:
+                return None
+            at = int(np.searchsorted(self._taken, index))
+            found = at < len(self._taken) and int(self._taken[at]) == index
+            return at if found else None
+        label_ids = self.label_ids()
         try:
             row = [label_ids[v] for v in clique]
         except KeyError:
             return None
-        return rows.find(row)
+        return self.sorted_rows().find(row)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, CliqueArrayView)):
@@ -187,15 +217,24 @@ def _sorted_unique(keys):
     return np.concatenate((keys[:1], keys[1:][distinct]))
 
 
+def _id_mask(n: int, ids):
+    """Membership flags over the ids ``0..n-1``: True exactly at ``ids``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def _runs(starts, counts):
+    """Concatenated ``arange(start, start + count)`` over the pairs."""
+    shifts = np.cumsum(counts) - counts
+    return np.repeat(starts - shifts, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
 def _segment_take(ptr, data, rows):
     """Concatenate ``data[ptr[r]:ptr[r+1]]`` for every ``r`` in ``rows``."""
-    counts = ptr[rows + 1] - ptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    starts = ptr[rows]
-    shifts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
-    return data[np.repeat(starts - shifts, counts) + np.arange(total, dtype=np.int64)]
+    return data[_runs(ptr[rows], ptr[rows + 1] - ptr[rows])]
 
 
 def _pairs_within(ptr):
@@ -518,9 +557,7 @@ class CSRGraph:
         """Induced subgraph of the given ids (labels preserved, relabelled
         to a compact id range in the same ascending order)."""
         ids = _sorted_unique(np.asarray(ids, dtype=np.int64))
-        n = self.number_of_vertices()
-        mask = np.zeros(n, dtype=bool)
-        mask[ids] = True
+        mask = _id_mask(self.number_of_vertices(), ids)
         renumber = np.cumsum(mask) - 1  # old id -> new id where mask holds
         counts = self.indptr[ids + 1] - self.indptr[ids]
         rows = np.repeat(ids, counts)
@@ -535,6 +572,13 @@ class CSRGraph:
         else:
             new_labels = [labels[i] for i in ids.tolist()]
         return CSRGraph(indptr, cols, new_labels)
+
+    def edges_within(self, ids) -> int:
+        """Number of edges with both endpoints among the distinct ``ids``:
+        the edge count of ``subgraph_ids(ids)``, without building it."""
+        ids = np.asarray(ids, dtype=np.int64)
+        inside = _id_mask(self.number_of_vertices(), ids)
+        return int(inside[_segment_take(self.indptr, self.indices, ids)].sum()) // 2
 
     # ------------------------------------------------------------------
     # label-facing queries (the Graph-compatible surface)

@@ -421,6 +421,7 @@ class Bundle:
         self._space = None
         self._result = None
         self._index = None
+        self._vertex_map = None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -542,6 +543,27 @@ class Bundle:
             space._index = None
             self._space = space
         return self._space
+
+    def space_vertex_ids(self, graph_ids) -> Any:
+        """Clique-table vertex ids of the stored graph's vertex ids ``graph_ids``.
+
+        The graph and the space carry a label table each: a space built
+        from the stored graph shares its table, one flattened from a
+        :class:`NucleusSpace` labels only the vertices that lie in one of
+        its r-cliques.  The id map is built once, by label, and vertices
+        the space does not label are dropped.
+        """
+        if self._vertex_map is None:
+            labels = self.graph.labels
+            plain = labels.tolist() if hasattr(labels, "tolist") else labels
+            label_ids = self.space.cliques.label_ids()
+            self._vertex_map = _np.fromiter(
+                (label_ids.get(label, -1) for label in plain),
+                dtype=_np.int64,
+                count=len(plain),
+            )
+        ids = self._vertex_map[_np.asarray(graph_ids, dtype=_np.int64)]
+        return ids[ids >= 0]
 
     @property
     def kappa(self) -> Any:

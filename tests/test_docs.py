@@ -30,6 +30,7 @@ DOCTEST_MODULES = [
     "repro.core.hierarchy",
     "repro.core.intervals",
     "repro.core.peeling",
+    "repro.core.query",
     "repro.core.csr",
     "repro.graph.csr_graph",
     "repro.graph.graph",
