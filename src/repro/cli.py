@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["process"],
         default=None,
         help="run the local algorithms on a pool: 'process' shares the CSR "
-        "buffers across worker processes (real multi-core, and also "
-        "parallelises space construction)",
+        "buffers across worker processes (real multi-core; the space is "
+        "built serially first)",
     )
     dec.add_argument(
         "--workers",
@@ -338,14 +338,7 @@ def _run_decompose(args: argparse.Namespace) -> None:
             if args.parallel
             else args.backend
         )
-        # --parallel process also parallelises the space *construction* when
-        # the source is array-native (--edge-list ingestion); registry dict
-        # graphs build serially (identical buffers either way)
-        space, _ = resolve_space_for_backend(
-            graph, args.r, args.s, backend,
-            parallel=args.parallel,
-            workers=args.workers,
-        )
+        space, _ = resolve_space_for_backend(graph, args.r, args.s, backend)
         source = space
     resilience = None
     if args.resilient:

@@ -53,10 +53,13 @@ from repro.core.result import DecompositionResult, IterationStats
 from repro.core.space import NucleusSpace, _binomial
 from repro.graph.cliques import canonical_clique, enumerate_k_cliques
 from repro.graph.csr_graph import (
+    DEFAULT_BATCH_SIZE,
     CliqueArrayView,
     CSRGraph,
     _check_key_space,
+    _chunk_rows_by_pairs,
     _id_mask,
+    _pairs_within,
     _runs,
     _sorted_unique,
 )
@@ -221,29 +224,14 @@ class CSRSpace:
 
     @classmethod
     def from_graph(
-        cls,
-        graph: GraphSource,
-        r: int,
-        s: int,
-        *,
-        parallel: Optional[str] = None,
-        workers: Optional[int] = None,
-        pool=None,
+        cls, graph: GraphSource, r: int, s: int, *, pool=None
     ) -> "CSRSpace":
         """Build the CSR space of ``graph`` directly, without a NucleusSpace.
 
         The dict-of-tuples :class:`NucleusSpace` is convenient for reference
         semantics but expensive to materialise (per-context tuples, per-clique
         neighbour sets) only to be flattened again by :meth:`from_space`.
-        This constructor goes straight from the graph to the flat arrays:
-
-        * **(1, 2)** — vertices and edges, no enumeration machinery at all;
-        * **(2, 3)** — edges plus oriented degeneracy-order triangle listing
-          (one degeneracy ordering shared by the edge indexing and the
-          triangle enumeration, where the dict path computes it twice);
-        * **(3, 4)** — triangles plus oriented 4-clique listing over the same
-          orientation;
-        * **generic r < s** — the shared k-clique enumerator for both levels.
+        This constructor goes straight from the graph to the flat arrays.
 
         For a dict :class:`Graph` source, the clique indexing is identical to
         ``NucleusSpace(graph, r, s)`` (same enumeration order, same canonical
@@ -251,105 +239,74 @@ class CSRSpace:
         comparable, and the context / neighbour structure matches
         :meth:`from_space` exactly.
 
-        A :class:`CSRGraph` source takes the fully array-native route: the
-        clique tables and the s-clique membership groups come from the batch
-        enumerators of :mod:`repro.graph.csr_graph` and the incidence buffers
-        are assembled by a handful of vectorised passes — no per-clique
-        Python tuple is ever created (``cliques`` becomes a lazy
-        :class:`CliqueArrayView`).  Clique *indices* then follow the sorted
-        id order of the array tables rather than the dict enumeration order;
-        κ keyed by clique is identical either way.
+        A :class:`CSRGraph` source takes the array-native route, and no
+        per-clique Python tuple is ever created (``cliques`` becomes a lazy
+        :class:`CliqueArrayView` over a lexicographically sorted id table):
 
-        ``parallel="process"`` (CSRGraph sources only) enumerates the
-        cliques across a shared-memory process pool
-        (:meth:`repro.parallel.procpool.PersistentPool.run_enumerate`) with
-        ``workers`` processes — the resulting buffers are **byte-identical**
-        to the serial construction.  Passing an existing ``pool`` instead
-        reuses its binding, and the same binding then serves a subsequent
-        ``pool.run_and(space)`` / ``run_snd(space)`` without a second fork.
+        * **(1, 2)** — vertices and edges, no enumeration at all;
+        * **(2, 3)** — one triangle pass that carries the forward positions
+          of each triangle's three edges, so its group row is a gather
+          (:func:`_incidence_arrays_edge_triangle`);
+        * **(3, 4)** — the same triangle pass, then one search per pair of
+          triangles that share their first edge tests the pair for a
+          4-clique and names its remaining triangles
+          (:func:`_incidence_arrays_triangle_quad`);
+        * **generic r < s** — the batch k-clique enumerator for both levels
+          plus a row-table lookup (:func:`_incidence_arrays_generic`).
+
+        Clique *indices* follow the sorted id order of the array tables
+        rather than the dict enumeration order; κ keyed by clique is
+        identical either way.
+
+        ``pool`` (a :class:`~repro.parallel.procpool.PersistentPool`) binds
+        the serially built space on that pool: its segments are created and
+        the workers forked now, so a following ``pool.run_and(space)`` or
+        ``run_snd(space)`` sweeps without a second fork.
         """
         if r < 1 or s <= r:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
-        if parallel not in (None, "process"):
-            raise ValueError(
-                f"unknown parallel mode {parallel!r}; expected 'process'"
-            )
-        if (
-            parallel is not None or workers is not None or pool is not None
-        ) and not isinstance(graph, CSRGraph):
-            raise ValueError(
-                "parallel space construction requires a CSRGraph source"
-            )
-        if workers is not None and parallel is None and pool is None:
-            raise ValueError(
-                "workers= requires parallel='process' (or an explicit pool)"
-            )
         if isinstance(graph, CSRGraph):
-            if pool is not None or parallel == "process":
-                return cls._from_csr_graph_parallel(
-                    graph, r, s, workers=workers, pool=pool
-                )
-            return cls._from_csr_graph(graph, r, s)
-        if (r, s) == (1, 2):
-            cliques, groups = _incidence_vertex_edge(graph)
-        elif (r, s) == (2, 3):
-            cliques, groups = _incidence_edge_triangle(graph)
-        elif (r, s) == (3, 4):
-            cliques, groups = _incidence_triangle_four_clique(graph)
+            space = cls._from_csr_graph(graph, r, s)
         else:
-            cliques, groups = _incidence_generic(graph, r, s)
-        table = _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(s, r))
-        return cls._from_incidence_arrays(r, s, cliques, table, graph)
+            if (r, s) == (1, 2):
+                cliques, groups = _incidence_vertex_edge(graph)
+            elif (r, s) == (2, 3):
+                cliques, groups = _incidence_edge_triangle(graph)
+            elif (r, s) == (3, 4):
+                cliques, groups = _incidence_triangle_four_clique(graph)
+            else:
+                cliques, groups = _incidence_generic(graph, r, s)
+            table = _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(s, r))
+            space = cls._from_incidence_arrays(r, s, cliques, table, graph)
+        if pool is not None:
+            pool.bind(space)
+        return space
 
     @classmethod
     def _from_csr_graph(
-        cls, graph: CSRGraph, r: int, s: int, enum=None
-    ) -> "CSRSpace":
-        """Array-native construction from a :class:`CSRGraph` source.
-
-        ``enum`` is the clique-enumeration seam: a callable ``enum(k)``
-        yielding ``(m_i, k)`` id batches whose concatenation equals the
-        serial ``graph.clique_batches(k)`` stream.  Every downstream pass is
-        row-wise (per-row sorts, searchsorted lookups), so any batching of
-        the same stream — including the pool's one-big-batch parallel
-        enumeration — assembles byte-identical buffers.
-        """
-        if enum is None:
-            enum = graph.clique_batches
-        if (r, s) == (1, 2):
-            clique_ids, groups = _incidence_arrays_vertex_edge(graph)
-        elif (r, s) == (2, 3):
-            clique_ids, groups = _incidence_arrays_edge_triangle(graph, enum)
-        elif (r, s) == (3, 4):
-            clique_ids, groups = _incidence_arrays_triangle_quad(graph, enum)
-        else:
-            clique_ids, groups = _incidence_arrays_generic(graph, r, s, enum)
-        return cls._from_incidence_arrays(
-            r, s, CliqueArrayView(clique_ids, graph.labels), groups, graph
-        )
-
-    @classmethod
-    def _from_csr_graph_parallel(
         cls,
         graph: CSRGraph,
         r: int,
         s: int,
         *,
-        workers: Optional[int] = None,
-        pool=None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> "CSRSpace":
-        """Pool-enumerated construction; buffers byte-identical to serial."""
-        # deferred: procpool imports this module at its top level
-        from repro.parallel.procpool import PersistentPool
+        """Array-native construction from a :class:`CSRGraph` source.
 
-        if pool is not None:
-            return cls._from_csr_graph(
-                graph, r, s, enum=_pool_enumerator(pool, graph)
-            )
-        with PersistentPool(workers if workers is not None else 4) as owned:
-            return cls._from_csr_graph(
-                graph, r, s, enum=_pool_enumerator(owned, graph)
-            )
+        ``batch_size`` bounds the candidate pairs of one enumeration chunk;
+        the buffers do not depend on it.
+        """
+        if (r, s) == (1, 2):
+            clique_ids, groups = _incidence_arrays_vertex_edge(graph)
+        elif (r, s) == (2, 3):
+            clique_ids, groups = _incidence_arrays_edge_triangle(graph, batch_size)
+        elif (r, s) == (3, 4):
+            clique_ids, groups = _incidence_arrays_triangle_quad(graph, batch_size)
+        else:
+            clique_ids, groups = _incidence_arrays_generic(graph, r, s)
+        return cls._from_incidence_arrays(
+            r, s, CliqueArrayView(clique_ids, graph.labels), groups, graph
+        )
 
     @classmethod
     @kernel
@@ -390,8 +347,9 @@ class CSRSpace:
             )
             others = groups[:, cols].reshape(num_s * group_size, stride)
             ctx_members_np = others[order].reshape(-1)
+            del others, order
             nbr_offsets_np, nbr_members_np = _neighbour_csr(
-                _np.repeat(flat, stride), others.reshape(-1), n
+                ctx_offsets_np, ctx_members_np, stride, n
             )
         else:
             ctx_members_np = _np.empty(0, dtype=_np.int64)
@@ -471,7 +429,7 @@ class CSRSpace:
         _np.cumsum(_np.bincount(owners, minlength=n), out=ctx_offsets[1:])
         ctx_members = local[whole].reshape(-1)
         nbr_offsets, nbr_members = _neighbour_csr(
-            _np.repeat(owners, self.stride), ctx_members, n
+            ctx_offsets, ctx_members, self.stride, n
         )
         return CSRSpace(
             self.r,
@@ -635,14 +593,19 @@ class CSRSpace:
 
 
 @kernel
-def _neighbour_csr(owners, partners, n: int):
-    """``(nbr_offsets, nbr_members)`` of the distinct (owner, partner) pairs.
+def _neighbour_csr(ctx_offsets, ctx_members, stride: int, n: int):
+    """``(nbr_offsets, nbr_members)``: each clique's distinct context partners.
 
     One sort-based dedupe over packed ``owner * n + partner`` keys leaves
-    every row's members sorted ascending.
+    every row's members sorted ascending.  The keys are built in one
+    buffer from the owner-grouped context rows.
     """
     _check_key_space(n, n)
-    keys = _sorted_unique(owners * n + partners)
+    keys = _np.repeat(
+        _np.arange(n, dtype=_np.int64) * n, (ctx_offsets[1:] - ctx_offsets[:-1]) * stride
+    )
+    keys += ctx_members
+    keys = _sorted_unique(keys)
     offsets = _np.zeros(n + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(keys // n, minlength=n), out=offsets[1:])
     return offsets, keys % n
@@ -778,89 +741,113 @@ def _incidence_arrays_vertex_edge(graph: CSRGraph):
     return clique_ids, graph.edge_array()
 
 
-def _edge_key_table(graph: CSRGraph):
-    """Packed sorted keys of the ``u < v`` edge table (the (2, *) index)."""
-    n = graph.number_of_vertices()
-    _check_key_space(n, n)
-    edges = graph.edge_array()
-    return edges, edges[:, 0] * n + edges[:, 1], n
+#: Sorting networks (compare-exchange column pairs) for 3 and 4 columns.
+_SORTING_NETWORKS = {
+    3: ((0, 1), (1, 2), (0, 1)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+}
 
 
-def _pool_enumerator(pool, graph: CSRGraph):
-    """Adapt ``pool.run_enumerate`` to the builders' ``enum(k)`` seam.
+@kernel
+def _sorted_columns(*columns):
+    """Rows of the parallel int64 ``columns``, each sorted ascending.
 
-    The pool returns each level's cliques as one concatenated table; the
-    builders are row-wise over batches, so one big batch assembles the same
-    buffers as many small ones.
+    A sorting network of column-wise ``minimum`` / ``maximum`` passes: for
+    the three or four columns of a group table this beats
+    ``np.sort(axis=1)``, which sorts every short row on its own.  The
+    columns are fresh gathers owned by the caller and are overwritten, so
+    the network needs one scratch column, not two new ones per exchange.
     """
-    def enum(k: int):
-        table = pool.run_enumerate(graph, k)
-        return [table] if len(table) else []
-
-    return enum
-
-
-def _incidence_arrays_edge_triangle(graph: CSRGraph, enum):
-    """(2, 3): edge table plus batched oriented triangle listing."""
-    edges, ekeys, n = _edge_key_table(graph)
-    group_rows = []
-    for batch in enum(3):
-        t = _np.sort(batch, axis=1)
-        group_rows.append(
-            _np.column_stack(
-                (
-                    _np.searchsorted(ekeys, t[:, 0] * n + t[:, 1]),
-                    _np.searchsorted(ekeys, t[:, 0] * n + t[:, 2]),
-                    _np.searchsorted(ekeys, t[:, 1] * n + t[:, 2]),
-                )
-            )
-        )
-    return edges, _stack_rows(group_rows, 3)
+    cols = list(columns)
+    spare = _np.empty_like(cols[0])
+    for a, b in _SORTING_NETWORKS[len(cols)]:
+        _np.minimum(cols[a], cols[b], out=spare)
+        _np.maximum(cols[a], cols[b], out=cols[b])
+        cols[a], spare = spare, cols[a]
+    return _np.column_stack(cols)
 
 
-def _incidence_arrays_triangle_quad(graph: CSRGraph, enum):
-    """(3, 4): triangle table plus batched oriented 4-clique listing.
+def _incidence_arrays_edge_triangle(graph: CSRGraph, batch_size: int):
+    """(2, 3): the edge table, and each triangle's edges as one gather.
 
-    Triangles are keyed hierarchically — ``edge_id(a, b) * n + c`` — so the
-    packed keys stay inside int64 far beyond what ``n**3`` would allow.
+    A triangle arrives as the forward positions of its three edges
+    (:meth:`CSRGraph.triangle_positions`); ``forward_edge_ids`` maps a
+    position to its row of the edge table, so the group row is those three
+    rows, sorted — no edge is searched for again.
     """
-    edges, ekeys, n = _edge_key_table(graph)
-    _check_key_space(max(len(edges), 1), n)
-    tri = _collect_sorted_batches(enum(3), 3)
+    eid = graph.forward_edge_ids()
+    group_rows = [
+        _sorted_columns(eid[p], eid[q], eid[r])
+        for p, q, r in graph.triangle_positions(batch_size=batch_size)
+    ]
+    return graph.edge_array(), _stack_rows(group_rows, 3)
 
-    def tri_keys(rows):
-        eid = _np.searchsorted(ekeys, rows[:, 0] * n + rows[:, 1])
-        return eid * n + rows[:, 2]
 
-    keys = tri_keys(tri)
-    order = _np.argsort(keys)
-    tri = tri[order]
-    keys = keys[order]
-    sub_cols = _np.array(
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=_np.int64
+def _incidence_arrays_triangle_quad(graph: CSRGraph, batch_size: int):
+    """(3, 4): the triangle table, and each 4-clique's triangles by search.
+
+    Triangles come from one position-carrying pass, keyed ``p * m + q``
+    in ascending order (:meth:`CSRGraph.triangle_positions`).  A 4-clique
+    with rank order ``u, v, w, x`` is a pair of triangles ``i = (u, v, w)``
+    and ``j = (u, v, x)`` sharing the first position ``p`` (of ``u → v``):
+    the key ``q[i] * m + q[j]`` finds ``(u, w, x)`` exactly when the
+    4-clique exists, and ``r[i] * m + r[j]`` then finds ``(v, w, x)``.
+    The pairs are walked per ``p``, in :meth:`CSRGraph.clique_batches`
+    order.  The triangle table itself is in lexicographic id order: each
+    triangle's two lowest edge rows give its sort key.
+    """
+    m = graph.number_of_edges()
+    _check_key_space(m, m)
+    eid = graph.forward_edge_ids()
+    passes = list(graph.triangle_positions(batch_size=batch_size))
+    empty = _np.empty(0, dtype=_np.int64)
+    p, q, r = (
+        [c[0] if len(c) == 1 else _np.concatenate(c) for c in zip(*passes)]
+        if passes else [empty] * 3
     )
+    del passes
+    low = _sorted_columns(eid[p], eid[q], eid[r])
+    order = _np.argsort(low[:, 0] * m + low[:, 1])
+    edges = graph.edge_array()
+    table = _np.column_stack(
+        (edges[low[:, 0], 0], edges[low[:, 0], 1], edges[low[:, 1], 1])
+    )[order]
+    del low
+    lex = _np.empty(len(order), dtype=_np.int64)
+    lex[order] = _np.arange(len(order), dtype=_np.int64)
+    del order
+    keys = p * m + q
+    tptr = _np.zeros(m + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(p, minlength=m), out=tptr[1:])
     group_rows = []
-    for batch in enum(4):
-        q = _np.sort(batch, axis=1)
-        group_rows.append(
-            _np.stack(
-                [_np.searchsorted(keys, tri_keys(q[:, cols])) for cols in sub_cols],
-                axis=1,
-            )
-        )
-    return tri, _stack_rows(group_rows, 4)
+    for lo, hi in _chunk_rows_by_pairs(tptr, batch_size):
+        base = tptr[lo]
+        i, j = _pairs_within(tptr[lo:hi + 1] - base)
+        if i.size == 0:
+            continue
+        i += base
+        j += base
+        wanted = q[i] * m + q[j]
+        k = _np.minimum(_np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[k] == wanted
+        i, j, k = i[hit], j[hit], k[hit]
+        if i.size == 0:
+            continue
+        last = _np.searchsorted(keys, r[i] * m + r[j])
+        group_rows.append(_sorted_columns(lex[i], lex[j], lex[k], lex[last]))
+    return table, _stack_rows(group_rows, 4)
 
 
-def _incidence_arrays_generic(graph: CSRGraph, r: int, s: int, enum):
+def _incidence_arrays_generic(graph: CSRGraph, r: int, s: int):
     """Any r < s: batch enumeration of both levels plus row-table lookup."""
-    table = _collect_sorted_batches(enum(r), r)
+    table = _collect_sorted_batches(graph.clique_batches(r), r)
     order = _np.lexsort(tuple(table[:, j] for j in reversed(range(r))))
     table = table[order]
     sub_cols = [
         _np.array(cols, dtype=_np.int64) for cols in combinations(range(s), r)
     ]
     group_rows = []
-    for batch in enum(s):
+    for batch in graph.clique_batches(s):
         q = _np.sort(batch, axis=1)
         group_rows.append(
             _np.stack(
@@ -988,9 +975,6 @@ def resolve_space_for_backend(
     r: Optional[int],
     s: Optional[int],
     backend: str,
-    *,
-    parallel: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[Union[NucleusSpace, CSRSpace], str]:
     """Resolve source and backend together, skipping the dict detour.
 
@@ -1001,12 +985,6 @@ def resolve_space_for_backend(
     :meth:`CSRGraph.to_graph` for an array source).  Every other
     combination behaves like :func:`resolve_space` followed by
     :func:`resolve_backend`.
-
-    ``parallel="process"`` routes a :class:`CSRGraph` source's space
-    construction through the shared-memory pool enumerator (see
-    :meth:`CSRSpace.from_graph`); the buffers are byte-identical to the
-    serial build.  Other source kinds construct serially regardless — only
-    the array-native path has a batch enumerator to parallelise.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -1018,13 +996,6 @@ def resolve_space_for_backend(
             if isinstance(source, CSRGraph):
                 source = source.to_graph()
             return NucleusSpace(source, r, s), "dict"
-        if parallel == "process" and isinstance(source, CSRGraph):
-            return (
-                CSRSpace.from_graph(
-                    source, r, s, parallel="process", workers=workers
-                ),
-                "csr",
-            )
         return CSRSpace.from_graph(source, r, s), "csr"
     space = resolve_space(source, r, s)
     return space, resolve_backend(backend, space)

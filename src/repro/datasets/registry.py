@@ -157,8 +157,7 @@ REPRESENTATIONS = ("dict", "csr")
 
 
 def load_dataset(
-    name: str, representation: str = "dict", *, cache_dir=None,
-    space=None, parallel=None, workers=None,
+    name: str, representation: str = "dict", *, cache_dir=None, space=None,
 ):
     """Build (and memoise) the named dataset.
 
@@ -179,12 +178,9 @@ def load_dataset(
 
     ``space`` (CSR only) is an ``(r, s)`` pair: the return value becomes a
     ``(graph, space)`` tuple with the decomposition-ready
-    :class:`~repro.core.csr.CSRSpace` built alongside the graph.  With
-    ``parallel="process"`` (and optional ``workers``) the space's clique
-    enumeration runs on the shared-memory pool of
-    :mod:`repro.parallel.procpool` — byte-identical buffers, built faster
-    on multi-core machines.  Spaces are not memoised (they can dwarf the
-    graph); callers wanting reuse should keep the tuple or store a bundle.
+    :class:`~repro.core.csr.CSRSpace` built alongside the graph.  Spaces
+    are not memoised (they can dwarf the graph); callers wanting reuse
+    should keep the tuple or store a bundle.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(
@@ -195,12 +191,10 @@ def load_dataset(
         raise KeyError(
             f"unknown dataset {name!r}; available: {', '.join(DATASETS)}"
         )
-    if space is None and (parallel is not None or workers is not None):
-        raise ValueError("parallel/workers require space=(r, s)")
     if space is not None and representation != "csr":
         raise ValueError(
-            "space=(r, s) requires representation='csr': parallel space "
-            "construction runs on the array-native graph"
+            "space=(r, s) requires representation='csr': the space is "
+            "built from the array-native graph"
         )
     if cache_dir is not None:
         if representation != "csr":
@@ -218,10 +212,7 @@ def load_dataset(
     r, s = space
     from repro.core.csr import CSRSpace
 
-    built = CSRSpace.from_graph(
-        graph, int(r), int(s), parallel=parallel, workers=workers
-    )
-    return graph, built
+    return graph, CSRSpace.from_graph(graph, int(r), int(s))
 
 
 @lru_cache(maxsize=None)

@@ -273,21 +273,30 @@ def _select_rows(ptr, data, rows):
 def _chunk_rows_by_pairs(ptr, batch_size):
     """Split CSR rows into chunks of at most ~``batch_size`` candidate pairs.
 
-    A single row whose pair count alone exceeds the budget still forms its
-    own chunk, so progress is always made.
+    Greedy: a chunk takes rows while their pair total stays within the
+    budget.  A single row whose pair count alone exceeds the budget still
+    forms its own chunk, so progress is always made.  One binary search over
+    the running pair total finds each cut, so the cost grows with the number
+    of chunks, not of rows.
     """
-    lens = ptr[1:] - ptr[:-1]
-    pairs = lens * (lens - 1) // 2
-    n = len(lens)
+    total = _pair_totals(ptr)
     lo = 0
-    while lo < n:
-        budget = 0
-        hi = lo
-        while hi < n and (hi == lo or budget + pairs[hi] <= batch_size):
-            budget += int(pairs[hi])
-            hi += 1
+    while lo < len(total):
+        hi = _next_cut(total, lo, batch_size)
         yield lo, hi
         lo = hi
+
+
+def _pair_totals(ptr):
+    """Running total of the within-row pair counts of a CSR structure."""
+    lens = ptr[1:] - ptr[:-1]
+    return np.cumsum(lens * (lens - 1) // 2)
+
+
+def _next_cut(total, lo: int, budget: int) -> int:
+    """End of the greedy chunk that starts at row ``lo`` (see above)."""
+    spent = int(total[lo - 1]) if lo else 0
+    return max(lo + 1, int(np.searchsorted(total, spent + budget, "right")))
 
 
 class CSRGraph:
@@ -342,7 +351,8 @@ class CSRGraph:
         "_order",
         "_rank",
         "_forward",
-        "_edge_keys_cache",
+        "_forward_keys",
+        "_edge_ids",
     )
 
     def __init__(self, indptr, indices, labels=None) -> None:
@@ -360,7 +370,8 @@ class CSRGraph:
         self._order = None
         self._rank = None
         self._forward = None
-        self._edge_keys_cache = None
+        self._forward_keys = None
+        self._edge_ids = None
 
     # ------------------------------------------------------------------
     # construction
@@ -512,27 +523,6 @@ class CSRGraph:
         )
         keep = rows < self.indices
         return np.column_stack((rows[keep], self.indices[keep]))
-
-    def _edge_keys(self):
-        """Sorted ``u * n + v`` keys of the full symmetric adjacency."""
-        if self._edge_keys_cache is None:
-            n = self.number_of_vertices()
-            _check_key_space(n, n)
-            rows = np.repeat(
-                np.arange(n, dtype=np.int64), self.degree_array()
-            )
-            self._edge_keys_cache = rows * n + self.indices
-        return self._edge_keys_cache
-
-    def has_edge_ids(self, u, v):
-        """Vectorised edge membership for parallel id arrays (bool array)."""
-        keys = np.asarray(u, dtype=np.int64) * self.number_of_vertices() + v
-        table = self._edge_keys()
-        pos = np.searchsorted(table, keys)
-        out = np.zeros(keys.shape, dtype=bool)
-        inside = pos < len(table)
-        out[inside] = table[pos[inside]] == keys[inside]
-        return out
 
     def bfs_ball_ids(self, seed_ids, radius: int):
         """Ids within ``radius`` hops of any seed id (sorted, vectorised)."""
@@ -740,6 +730,85 @@ class CSRGraph:
             self._forward = (fptr, dst)
         return self._forward
 
+    def _forward_sources(self):
+        """Source vertex of every forward position (``fptr`` expanded)."""
+        fptr, _ = self.forward_csr()
+        n = self.number_of_vertices()
+        return np.repeat(np.arange(n, dtype=np.int64), fptr[1:] - fptr[:-1])
+
+    def forward_keys(self):
+        """Sorted ``src * n + rank[dst]`` key of every forward position.
+
+        :meth:`forward_csr` stores the oriented edges by source id, then by
+        target rank, so key ``p`` belongs to position ``p`` and one search
+        for ``v * n + rank[w]`` both tests the edge ``v → w`` and finds its
+        position (:meth:`_pair_test`).  Cached beside the orientation.
+        """
+        if self._forward_keys is None:
+            n = self.number_of_vertices()
+            _check_key_space(n, n)
+            _, fidx = self.forward_csr()
+            self._forward_keys = (
+                self._forward_sources() * n + self.degeneracy_rank()[fidx]
+            )
+        return self._forward_keys
+
+    def forward_edge_ids(self):
+        """Row of :meth:`edge_array` for every forward position (cached).
+
+        One argsort of the ``min * n + max`` keys of the oriented edges:
+        the edge table is those keys in ascending order.
+        """
+        if self._edge_ids is None:
+            n = self.number_of_vertices()
+            _check_key_space(n, n)
+            _, fidx = self.forward_csr()
+            src = self._forward_sources()
+            keys = np.minimum(src, fidx) * n + np.maximum(src, fidx)
+            ids = np.empty(len(keys), dtype=np.int64)
+            ids[np.argsort(keys)] = np.arange(len(keys), dtype=np.int64)
+            self._edge_ids = ids
+        return self._edge_ids
+
+    @kernel
+    def _pair_test(self, v, w):
+        """``(hit, pos)``: whether each edge ``v → w`` exists, and where.
+
+        ``v`` and ``w`` are parallel id arrays with ``rank[v] < rank[w]``
+        (two entries of one rank-sorted candidate row); ``pos`` is the
+        forward position of the edge wherever ``hit`` holds.  This one
+        search is the pair test of every enumeration and space builder.
+        """
+        table = self.forward_keys()
+        keys = v * self.number_of_vertices() + self.degeneracy_rank()[w]
+        if len(keys) == 0:
+            return np.zeros(0, dtype=bool), keys
+        pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        return table[pos] == keys, pos
+
+    def triangle_positions(self, *, batch_size: int = DEFAULT_BATCH_SIZE):
+        """Yield every triangle once, as forward-position triples ``(p, q, r)``.
+
+        For a triangle whose vertices ascend in rank as ``u, v, w``, ``p``
+        is the position of ``u → v``, ``q`` of ``u → w`` and ``r`` of
+        ``v → w``.  Each within-row pair ``(p, q)`` of the forward
+        adjacency costs one :meth:`_pair_test`.  Triangles come in the
+        order of :meth:`clique_batches` ``(3)``, that is by ``p`` then
+        ``q``, so the keys ``p * m + q`` ascend across all chunks.  Source
+        rows are chunked to about ``batch_size`` candidate pairs.
+        """
+        fptr, fidx = self.forward_csr()
+        for lo, hi in _chunk_rows_by_pairs(fptr, batch_size):
+            base = fptr[lo]
+            p, q = _pairs_within(fptr[lo:hi + 1] - base)
+            if p.size == 0:
+                continue
+            p += base
+            q += base
+            hit, r = self._pair_test(fidx[p], fidx[q])
+            if hit.any():
+                yield p[hit], q[hit], r[hit]
+
     def degeneracy(self) -> int:
         """The graph's degeneracy (maximum forward-adjacency row length)."""
         fptr, _ = self.forward_csr()
@@ -757,61 +826,37 @@ class CSRGraph:
         """Total triangle count, early-exiting once ``limit`` is reached."""
         return self.count_k_cliques(3, limit=limit)
 
-    def clique_batches(
-        self,
-        k: int,
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        vertex_range: Optional[Tuple[int, int]] = None,
-    ):
+    def clique_batches(self, k: int, *, batch_size: int = DEFAULT_BATCH_SIZE):
         """Yield every k-clique exactly once, as ``(m, k)`` id-array batches.
 
         The expansion mirrors :func:`repro.graph.cliques.enumerate_k_cliques`
         — each clique is discovered from its lowest-ranked vertex by
         intersecting forward neighbourhoods — but one *array* step extends
         every partial clique of a depth at once: candidate lists live in a
-        CSR structure, the within-row pair generation and the edge-existence
-        tests are single vectorised operations, and prefixes that cannot
-        reach ``k`` vertices are pruned wholesale.  Source vertices are
-        processed in chunks sized by candidate-pair count, so peak memory is
-        bounded by ``batch_size`` regardless of graph size.
-
-        ``vertex_range=(lo, hi)`` restricts enumeration to the cliques whose
-        lowest-*id* source vertex falls in ``lo..hi-1``.  Every clique has
-        exactly one source vertex, so concatenating the batches of any
-        ascending partition of ``[0, n)`` reproduces the unrestricted stream
-        element for element — the invariant the parallel space construction
-        relies on for byte-identical results.
+        CSR structure, the within-row pair generation and the edge tests
+        (:meth:`_pair_test`) are single vectorised operations, and prefixes
+        that cannot reach ``k`` vertices are pruned wholesale.  Source
+        vertices are processed in chunks sized by candidate-pair count, so
+        peak memory is bounded by ``batch_size`` regardless of graph size.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         n = self.number_of_vertices()
-        v_lo, v_hi = (0, n) if vertex_range is None else vertex_range
-        if not 0 <= v_lo <= v_hi <= n:
-            raise ValueError(
-                f"vertex_range {(v_lo, v_hi)!r} outside [0, {n}]"
-            )
         if k == 1:
-            if v_hi > v_lo:
-                yield np.arange(v_lo, v_hi, dtype=np.int64).reshape(v_hi - v_lo, 1)
+            if n:
+                yield np.arange(n, dtype=np.int64).reshape(n, 1)
             return
         fptr, fidx = self.forward_csr()
-        # _chunk_rows_by_pairs reads only consecutive differences, so a
-        # sliced offset view chunks the sub-range with the same boundaries
-        # the full scan would choose inside it
-        sub_ptr = fptr[v_lo:v_hi + 1]
         if k == 2:
-            for lo, hi in _chunk_rows_by_pairs(sub_ptr, batch_size):
-                lo += v_lo
-                hi += v_lo
+            for lo, hi in _chunk_rows_by_pairs(fptr, batch_size):
                 rows = np.repeat(
                     np.arange(lo, hi, dtype=np.int64), fptr[lo + 1:hi + 1] - fptr[lo:hi]
                 )
                 if rows.size:
                     yield np.column_stack((rows, fidx[fptr[lo]:fptr[hi]]))
             return
-        for lo, hi in _chunk_rows_by_pairs(sub_ptr, batch_size):
-            batch = self._expand_chunk(lo + v_lo, hi + v_lo, k, fptr, fidx)
+        for lo, hi in _chunk_rows_by_pairs(fptr, batch_size):
+            batch = self._expand_chunk(lo, hi, k, fptr, fidx)
             if batch is not None and len(batch):
                 yield batch
 
@@ -829,7 +874,7 @@ class CSRGraph:
                 # every remaining candidate completes a clique
                 return np.column_stack((prefixes[row_of], cidx))
             first, second = _pairs_within(cptr)
-            mask = self.has_edge_ids(cidx[first], cidx[second])
+            mask, _ = self._pair_test(cidx[first], cidx[second])
             # new prefixes: one per candidate element; its candidate list is
             # the later same-row elements adjacent to it
             new_counts = np.bincount(first[mask], minlength=cidx.size)
@@ -867,7 +912,7 @@ class CSRGraph:
                 size = int(cidx.size)
                 return size if cap is None else min(size, cap)
             first, second = _pairs_within(cptr)
-            mask = self.has_edge_ids(cidx[first], cidx[second])
+            mask, _ = self._pair_test(cidx[first], cidx[second])
             new_counts = np.bincount(first[mask], minlength=cidx.size)
             new_cidx = cidx[second[mask]]
             new_cptr = np.zeros(cidx.size + 1, dtype=np.int64)
@@ -902,17 +947,12 @@ class CSRGraph:
         fptr, fidx = self.forward_csr()
         if k == 2:
             return int(fptr[n])
-        lens = fptr[1:] - fptr[:-1]
-        pairs = lens * (lens - 1) // 2
+        total = _pair_totals(fptr)
         budget = DEFAULT_BATCH_SIZE if limit is None else PROBE_BATCH_SIZE
         count = 0
         lo = 0
         while lo < n:
-            acc = 0
-            hi = lo
-            while hi < n and (hi == lo or acc + pairs[hi] <= budget):
-                acc += int(pairs[hi])
-                hi += 1
+            hi = _next_cut(total, lo, budget)
             count += self._count_chunk(
                 lo, hi, k, fptr, fidx,
                 cap=None if limit is None else limit - count,

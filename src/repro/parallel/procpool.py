@@ -28,18 +28,11 @@ This module is the multi-core path of the local algorithms:
   exit, worker failure and ``KeyboardInterrupt`` alike, and a failing
   worker aborts the barrier so its peers exit instead of deadlocking.
 
-The same pool also parallelises **clique enumeration** (the dominant cost
-of space *construction* at (3, 4)): :meth:`PersistentPool.run_enumerate`
-places the graph's adjacency and degeneracy-oriented forward CSR into
-shared segments, partitions the vertex range by out-degree weight, and has
-each worker enumerate its range in two phases — count, then fill a shared
-output segment at its offset — so the concatenated rows are byte-identical
-to the serial enumeration stream (each clique is emitted by exactly one
-source vertex, and the ranges partition ``[0, n)`` in ascending order).
-``CSRSpace.from_graph(parallel="process")`` builds on this, and the pool
-binding survives into the subsequent decomposition sweep: the space's
-segments are attached late, over the same worker processes, with no second
-fork.
+Space *construction* stays serial: the parent builds the space
+(:meth:`repro.core.csr.CSRSpace.from_graph`) and the pool shares its
+buffers.  ``CSRSpace.from_graph(..., pool=pool)`` binds the new space at
+once (:meth:`PersistentPool.bind`), so the sweeps that follow run on the
+same single fork batch.
 
 :class:`PersistentPool` is the one parent-side lifecycle: the first call on
 a space forks the workers and creates the segments; subsequent calls only
@@ -87,7 +80,6 @@ from repro.resilience.errors import (
     PoolPoisonedError,
     WorkerCrashError,
 )
-from repro.resilience.faults import ENUM_KINDS as _ENUM_KINDS
 from repro.resilience.faults import get_active as _active_faults
 
 __all__ = [
@@ -172,15 +164,6 @@ class WorkerSpec:
     ``tests/test_procpool_pickling.py`` asserts the round-trip under both
     start methods.  The jobs themselves arrive later as :class:`JobSpec`
     objects over a pipe.
-
-    ``graph_shape`` is set when the binding shares a :class:`CSRGraph` for
-    enumeration jobs: ``(num_vertices, len(indices), len(forward_indices))``
-    — the element counts of the shared graph segments, which cannot be
-    recovered from the segment sizes (they are rounded up to an 8-byte
-    minimum).  Such a binding enumerates over ``vertex_range`` and keeps
-    ``n``/``stride``/``bounds`` empty until a space is attached late via
-    :class:`JobSpec`; the late binding replaces only the sweep geometry, so
-    the vertex range still serves every later enumeration job.
     """
 
     names: Dict[str, str]
@@ -191,24 +174,15 @@ class WorkerSpec:
     barrier_timeout: float
     faults: Optional[Tuple[dict, ...]] = None
     num_workers: int = 0
-    graph_shape: Optional[Tuple[int, int, int]] = None
-    vertex_range: Tuple[int, int] = (0, 0)
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One job (decomposition sweep or enumeration phase), sent down a pipe.
+    """One decomposition sweep (``kind`` ``"snd"`` or ``"and"``), sent down a pipe.
 
     Frozen for the same reason as :class:`WorkerSpec`; per-worker fault
     directives are attached with :func:`dataclasses.replace`, never by
     mutating the shared instance.
-
-    ``kind`` is ``"snd"`` / ``"and"`` for sweeps, ``"enum-count"`` /
-    ``"enum-fill"`` for the two enumeration phases (``k``, and for the fill
-    phase the output segment name plus the per-worker row ``offsets``).
-    ``space_names`` rides on the first sweep job after a graph-first
-    binding: the worker attaches the space segments late and adopts the
-    job's ``n`` / ``stride`` / ``bounds`` as its sweep geometry.
     """
 
     kind: str
@@ -217,13 +191,6 @@ class JobSpec:
     gen: int = 0
     faults: Optional[Tuple[dict, ...]] = None
     rebalance: bool = False
-    k: int = 0
-    out: Optional[str] = None
-    offsets: Optional[Tuple[int, ...]] = None
-    space_names: Optional[Dict[str, str]] = None
-    n: int = 0
-    stride: int = 0
-    bounds: Optional[Tuple[int, int]] = None
 
 
 def _fire_entry_faults(spec: WorkerSpec) -> None:
@@ -247,23 +214,6 @@ def _fire_round_faults(job: JobSpec, round_no: int) -> None:
         if kind == "stall":
             time.sleep(float(directive.get("seconds", 30.0)))
         elif kind == "crash":
-            _fire_fault(directive)
-
-
-def _fire_enum_faults(job: JobSpec, phase: int) -> None:
-    """Run injected enum-crash/enum-stall directives aimed at ``phase``.
-
-    ``phase`` 0 is the count pass, 1 the fill pass — mirroring the ``round``
-    scheduling of the sweep faults.
-    """
-    for directive in job.faults or ():
-        if directive.get("kind") not in _ENUM_KINDS:
-            continue
-        if int(directive.get("phase", 0)) != phase:
-            continue
-        if directive.get("kind") == "enum-stall":
-            time.sleep(float(directive.get("seconds", 30.0)))
-        else:
             _fire_fault(directive)
 
 
@@ -302,8 +252,8 @@ class SharedCSRBuffers:
     def create_from(self, tag: str, data) -> shared_memory.SharedMemory:
         """Create a segment holding a copy of an int64 buffer.
 
-        ``data`` is a numpy int64 array: a space buffer (in memory or
-        memmapped), the graph CSR or its forward orientation.
+        ``data`` is a numpy int64 array: a space buffer, in memory or
+        memmapped.
         """
         raw = data.tobytes()
         shm = self.create(tag, len(raw))
@@ -314,27 +264,6 @@ class SharedCSRBuffers:
         """Return the (parent-side) segment created under ``tag``."""
         name = self.names[tag]
         return next(seg for seg in self._segments if seg.name == name)
-
-    def release(self, tag: str) -> None:
-        """Close and unlink the one segment under ``tag`` (idempotent).
-
-        Used for per-call scratch segments (enumeration output) that must
-        not accumulate across the arena's lifetime the way the binding's
-        own segments do.
-        """
-        name = self.names.pop(tag, None)
-        if name is None:
-            return
-        keep = []
-        for seg in self._segments:
-            if seg.name != name:
-                keep.append(seg)
-                continue
-            with contextlib.suppress(OSError, BufferError):
-                seg.close()
-            with contextlib.suppress(FileNotFoundError):
-                seg.unlink()
-        self._segments = keep
 
     def nbytes(self) -> int:
         return sum(seg.size for seg in self._segments)
@@ -385,17 +314,14 @@ def _create_shared_space(
     space: CSRSpace,
     degrees,
     ranges: List[Tuple[int, int]],
-    *,
-    control: bool = True,
 ) -> None:
     """Create every segment a space binding needs, for any job kind.
 
     That is the context incidence, both Jacobi τ buffers (AND uses only
     ``tau_a``), the CSR neighbour relation, the per-clique active bitmap
-    (AND with notification) and the shared chunk-``bounds`` cut points that
-    dynamic re-balancing rewrites between rounds.  ``control=False`` skips
-    the counts/proc/meta control segments — a pool that bound a graph first
-    already created them (segment tags are create-once).
+    (AND with notification), the shared chunk-``bounds`` cut points that
+    dynamic re-balancing rewrites between rounds, and the counts/proc/meta
+    control segments.
     """
     n = len(space)
     num_workers = len(ranges)
@@ -408,32 +334,9 @@ def _create_shared_space(
     active = arena.create("active", n)
     active.buf[:n] = b"\x01" * n
     arena.create_from("bounds", _bounds_array(ranges))
-    if control:
-        arena.create("counts", num_workers * _ITEMSIZE)
-        arena.create("proc", num_workers * _ITEMSIZE)
-        arena.create("meta", _META_SLOTS * _ITEMSIZE)
-
-
-def _create_shared_graph(
-    arena: SharedCSRBuffers, graph: CSRGraph, num_workers: int
-) -> Tuple[int, int, int]:
-    """Share a :class:`CSRGraph` (adjacency + forward orientation) once.
-
-    Returns the ``graph_shape`` element counts the workers need to view the
-    segments (sizes are rounded up, so they do not encode the counts).  The
-    forward CSR is computed parent-side and shipped rather than recomputed
-    per worker: the degeneracy ordering is deterministic, but every worker
-    paying it again would erase most of the parallel win.
-    """
-    fptr, fidx = graph.forward_csr()
-    arena.create_from("g_indptr", graph.indptr)
-    arena.create_from("g_indices", graph.indices)
-    arena.create_from("g_fptr", fptr)
-    arena.create_from("g_fidx", fidx)
     arena.create("counts", num_workers * _ITEMSIZE)
     arena.create("proc", num_workers * _ITEMSIZE)
     arena.create("meta", _META_SLOTS * _ITEMSIZE)
-    return (graph.number_of_vertices(), len(graph.indices), len(fidx))
 
 
 def _read_int64(shm: shared_memory.SharedMemory, count: int):
@@ -472,29 +375,7 @@ def _attach_views(
     """Attach to every segment named in ``spec`` and build the typed views.
 
     Called once per worker process; the views live across jobs (the round
-    kernels are bound lazily under ``"snd_sweep"`` / ``"and_sweep"``).  A
-    graph-first binding starts with only the control + graph segments; the
-    space views are attached late by :func:`_attach_space_views` when the
-    first sweep job carries the space segment names.
-    """
-    names = spec.names
-    views = {
-        "counts": memoryview(_attach(names["counts"], attached).buf).cast("q"),
-        "proc": memoryview(_attach(names["proc"], attached).buf).cast("q"),
-        "meta": memoryview(_attach(names["meta"], attached).buf).cast("q"),
-    }
-    if "g_indptr" in names:
-        _attach_graph_views(spec, attached, views)
-    if "ctx_offsets" in names:
-        _attach_space_views(spec, attached, views)
-    return views
-
-
-def _attach_space_views(
-    spec: WorkerSpec, attached: List[shared_memory.SharedMemory], views: dict
-) -> None:
-    """Attach the space segments named in ``spec`` into ``views`` in place.
-
+    kernels are bound lazily under ``"snd_sweep"`` / ``"and_sweep"``).
     Every space buffer becomes a zero-copy numpy view; the element counts
     come from ``spec.n`` / ``spec.stride`` and the offsets.
     """
@@ -502,49 +383,26 @@ def _attach_space_views(
     n = spec.n
     ctx_off = _attach_int64(names["ctx_offsets"], attached, n + 1)
     nbr_off = _attach_int64(names["nbr_offsets"], attached, n + 1)
-    views["ctx_off"] = ctx_off
-    views["members"] = _attach_int64(
-        names["ctx_members"], attached, int(ctx_off[n]) * spec.stride
-    )
-    views["tau"] = [
-        _attach_int64(names["tau_a"], attached, n),
-        _attach_int64(names["tau_b"], attached, n),
-    ]
-    views["nbr_off"] = nbr_off
-    views["nbr_mem"] = _attach_int64(names["nbr_members"], attached, int(nbr_off[n]))
-    # byte-wide shared flags, never reinterpreted as int64 anywhere
-    views["active"] = _np.frombuffer(  # repro: noqa[ARR002]
-        _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
-    )
-    views["bounds"] = memoryview(_attach(names["bounds"], attached).buf).cast("q")
-
-
-def _attach_graph_views(
-    spec: WorkerSpec, attached: List[shared_memory.SharedMemory], views: dict
-) -> None:
-    """Attach the shared graph segments (graph-first bindings only) as views."""
-    names = spec.names
-    n, nnz, fnnz = spec.graph_shape
-    for tag, count in (
-        ("g_indptr", n + 1), ("g_indices", nnz), ("g_fptr", n + 1), ("g_fidx", fnnz),
-    ):
-        views[tag] = _attach_int64(names[tag], attached, count)
-
-
-def _worker_graph(views: dict, spec: WorkerSpec) -> CSRGraph:
-    """Rebuild (once) a zero-copy :class:`CSRGraph` over the shared views.
-
-    ``np.ascontiguousarray`` in the constructor passes contiguous int64
-    views through uncopied, and the forward orientation cache is seeded
-    from the shared segments, so no worker recomputes the degeneracy
-    ordering or copies the adjacency.
-    """
-    graph = views.get("graph")
-    if graph is None:
-        graph = CSRGraph(views["g_indptr"], views["g_indices"])
-        graph._forward = (views["g_fptr"], views["g_fidx"])
-        views["graph"] = graph
-    return graph
+    return {
+        "counts": memoryview(_attach(names["counts"], attached).buf).cast("q"),
+        "proc": memoryview(_attach(names["proc"], attached).buf).cast("q"),
+        "meta": memoryview(_attach(names["meta"], attached).buf).cast("q"),
+        "ctx_off": ctx_off,
+        "members": _attach_int64(
+            names["ctx_members"], attached, int(ctx_off[n]) * spec.stride
+        ),
+        "tau": [
+            _attach_int64(names["tau_a"], attached, n),
+            _attach_int64(names["tau_b"], attached, n),
+        ],
+        "nbr_off": nbr_off,
+        "nbr_mem": _attach_int64(names["nbr_members"], attached, int(nbr_off[n])),
+        # byte-wide shared flags, never reinterpreted as int64 anywhere
+        "active": _np.frombuffer(  # repro: noqa[ARR002]
+            _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
+        ),
+        "bounds": memoryview(_attach(names["bounds"], attached).buf).cast("q"),
+    }
 
 
 def _close_attached(
@@ -564,77 +422,11 @@ def _close_attached(
 
 
 def _run_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
-    """Run one job (sweep or enumeration phase) over this worker's chunk."""
+    """Run one sweep job over this worker's chunk."""
     if job.kind == "snd":
         _snd_job(views, spec, job, barrier)
-    elif job.kind == "enum-count":
-        _enum_count_job(views, spec, job)
-    elif job.kind == "enum-fill":
-        _enum_fill_job(views, spec, job)
     else:
         _and_job(views, spec, job, barrier)
-
-
-def _concat_batches(batches, k: int):
-    """Stack ``(m_i, k)`` id batches into one contiguous ``(m, k)`` table."""
-    batches = [b for b in batches if len(b)]
-    if not batches:
-        return _np.empty((0, k), dtype=_np.int64)
-    if len(batches) == 1:
-        return _np.ascontiguousarray(batches[0], dtype=_np.int64)
-    return _np.concatenate(batches)
-
-
-def _enum_count_job(views: dict, spec: WorkerSpec, job: JobSpec) -> None:
-    """Count phase: enumerate this worker's vertex range, publish the count.
-
-    The enumerated rows are kept (worker-local) for the fill phase — the
-    two-phase protocol exists to learn the output offsets, not to save the
-    memory of one range's cliques, and re-enumerating would double the
-    dominant cost.
-    """
-    _fire_enum_faults(job, 0)
-    graph = _worker_graph(views, spec)
-    arr = _concat_batches(
-        graph.clique_batches(job.k, vertex_range=spec.vertex_range), job.k
-    )
-    views["enum_cache"] = (int(job.k), arr)
-    views["counts"][spec.wid] = arr.shape[0]
-
-
-def _enum_fill_job(views: dict, spec: WorkerSpec, job: JobSpec) -> None:
-    """Fill phase: copy the cached rows into the shared output at our offset.
-
-    ``job.offsets[wid]`` is the exclusive row scan of the published counts,
-    so the concatenation of all workers' slices is exactly the ascending
-    vertex-range partition of the serial enumeration stream.  The cache is
-    re-derived defensively if missing (a respawned worker replays the fill
-    after its count result was already collected).
-    """
-    _fire_enum_faults(job, 1)
-    cached = views.pop("enum_cache", None)
-    if cached is not None and cached[0] == int(job.k):
-        arr = cached[1]
-    else:  # pragma: no cover - defensive replay path
-        graph = _worker_graph(views, spec)
-        arr = _concat_batches(
-            graph.clique_batches(job.k, vertex_range=spec.vertex_range), job.k
-        )
-    if arr.size == 0:
-        return
-    shm = shared_memory.SharedMemory(name=job.out)
-    try:
-        dst = _np.frombuffer(
-            shm.buf,
-            dtype=_np.int64,
-            count=arr.size,
-            offset=job.offsets[spec.wid] * int(job.k) * _ITEMSIZE,
-        )
-        dst[:] = arr.reshape(-1)
-        del dst  # unpin before close
-    finally:
-        with contextlib.suppress(BufferError):
-            shm.close()
 
 
 def _round_sync(barrier, counts_mv, wid: int, updated: int, timeout: float) -> int:
@@ -836,18 +628,6 @@ def _persistent_worker_main(
                 break  # parent vanished; nothing left to sweep
             if job is None:
                 break
-            if job.space_names and "ctx_off" not in views:
-                # late space binding: a graph-first pool's first sweep job
-                # carries the space segments plus this worker's sweep
-                # geometry (the enumeration spec's bounds were vertex ranges)
-                spec = replace(
-                    spec,
-                    names={**spec.names, **job.space_names},
-                    n=job.n,
-                    stride=job.stride,
-                    bounds=tuple(job.bounds),
-                )
-                _attach_space_views(spec, attached, views)
             _run_job(views, spec, job, barrier)
             doneq.put((spec.wid, job.gen))
     except threading.BrokenBarrierError:
@@ -915,9 +695,6 @@ class PersistentPool:
     forks:
         Total worker processes forked over the pool's lifetime — one batch
         per binding, **not** per call; tests and benchmarks assert on it.
-    enumerations:
-        Completed :meth:`run_enumerate` calls that actually ran on the
-        workers (the ``k <= 2`` and empty-graph short-circuits don't count).
 
     See Also
     --------
@@ -946,10 +723,6 @@ class PersistentPool:
         self._source = None
         self._source_rs: Optional[tuple] = None
         self._space: Optional[CSRSpace] = None
-        self._graph: Optional[CSRGraph] = None
-        self._pending_space: Optional[tuple] = None
-        self._enum_directives: Dict[int, tuple] = {}
-        self.enumerations = 0
         self._arena: Optional[SharedCSRBuffers] = None
         self._procs: List = []
         self._conns: List = []
@@ -977,6 +750,25 @@ class PersistentPool:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def bind(self, space: CSRSpace) -> None:
+        """Share ``space`` and fork the workers now (idempotent).
+
+        A later :meth:`run_snd` / :meth:`run_and` on the same space only
+        resets the buffers and sends jobs.  ``CSRSpace.from_graph(...,
+        pool=pool)`` calls this, so construction and the sweeps that follow
+        cost one fork batch.
+        """
+        self._check_open()
+        if len(space):  # an empty space never reaches the workers
+            self._bind(space, space, (None, None))
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise PoolPoisonedError(
+                "PersistentPool is closed (shut down or poisoned by a "
+                "failed job); build a new pool to continue"
+            )
 
     # ------------------------------------------------------------------
     def run_snd(
@@ -1025,11 +817,7 @@ class PersistentPool:
         notification: bool,
         rebalance: bool = False,
     ) -> DecompositionResult:
-        if self._closed:
-            raise PoolPoisonedError(
-                "PersistentPool is closed (shut down or poisoned by a "
-                "failed job); build a new pool to continue"
-            )
+        self._check_open()
         if (
             source is self._source
             and (r, s) == self._source_rs
@@ -1098,39 +886,13 @@ class PersistentPool:
         )
 
     # ------------------------------------------------------------------
-    def _send_jobs(self, job: JobSpec, *, enum: bool = False) -> None:
-        """Send ``job`` to every worker, with faults and late space binding.
-
-        A pending late space binding (:meth:`_bind_space_late`) is attached
-        to each worker's copy of the job — segment names plus that worker's
-        sweep bounds — and cleared once delivered.  Fault dispatch consumes
-        the sweep-round kinds for sweep jobs and the enumeration kinds for
-        enumeration jobs, so a mixed plan aims each fault at the right job
-        family.  An enumeration spec is consumed once per enumeration — at
-        the count dispatch — but its directives are re-attached to the fill
-        job too, so a ``phase: 1`` fault reaches the pass it targets.
-        """
-        pending = self._pending_space
+    def _send_jobs(self, job: JobSpec) -> None:
+        """Send ``job`` to every worker, with any injected faults attached."""
         injector = _active_faults()
         for wid, conn in enumerate(self._conns):
             wjob = job
-            if pending is not None:
-                names, n, stride, bounds = pending
-                wjob = replace(
-                    wjob, space_names=names, n=n, stride=stride,
-                    bounds=bounds[wid],
-                )
             if injector is not None:
-                directives, drop_pipe = injector.dispatch_faults(
-                    wid, kinds=_ENUM_KINDS if enum else None
-                )
-                if enum:
-                    if job.kind == "enum-fill":
-                        directives = list(
-                            self._enum_directives.pop(wid, ())
-                        ) + list(directives)
-                    else:
-                        self._enum_directives[wid] = tuple(directives)
+                directives, drop_pipe = injector.dispatch_faults(wid)
                 if drop_pipe:
                     # injected pipe EOF: the worker sees end-of-file and
                     # exits silently; _collect must notice the vanishing
@@ -1143,81 +905,6 @@ class PersistentPool:
             # exit code
             with contextlib.suppress(BrokenPipeError, OSError):
                 conn.send(wjob)
-        self._pending_space = None
-
-    # ------------------------------------------------------------------
-    def run_enumerate(self, graph: CSRGraph, k: int):
-        """Enumerate the ``k``-cliques of ``graph`` across the pool workers.
-
-        Returns the ``(m, k)`` int64 id table, **byte-identical** to
-        ``np.concatenate(list(graph.clique_batches(k)))``: the workers own
-        an ascending partition of the vertex range, every clique is emitted
-        by exactly one source vertex (its lowest-ranked member), and the
-        two-phase count-then-fill protocol writes each worker's rows at its
-        exclusive-scan offset.  The first call binds the graph (shares the
-        adjacency + forward CSR, forks the workers); later calls on the same
-        graph reuse the binding, and a subsequent decomposition of a space
-        built *from this graph* attaches its segments late over the same
-        workers (no second fork).
-
-        ``k <= 2`` and empty graphs short-circuit serially — vertex and
-        edge streams are cheap CSR reads that could never amortise a
-        dispatch.
-        """
-        if self._closed:
-            raise PoolPoisonedError(
-                "PersistentPool is closed (shut down or poisoned by a "
-                "failed job); build a new pool to continue"
-            )
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"need k >= 1, got k={k}")
-        if k <= 2 or graph.number_of_vertices() == 0:
-            return _concat_batches(graph.clique_batches(k), k)
-        try:
-            self._bind_graph(graph)
-            arena = self._arena
-            num_workers = self._num_workers
-            self._generation += 1
-            self._send_jobs(
-                JobSpec(kind="enum-count", gen=self._generation, k=k),
-                enum=True,
-            )
-            self._collect(self._generation)
-            counts = _read_int64(arena.get("counts"), num_workers)
-            offsets: List[int] = []
-            total = 0
-            for c in counts:
-                offsets.append(total)
-                total += int(c)
-            self.enumerations += 1
-            if total == 0:
-                return _np.empty((0, k), dtype=_np.int64)
-            tag = f"enum-{self._generation}"
-            out = arena.create(tag, total * k * _ITEMSIZE)
-            try:
-                self._generation += 1
-                self._send_jobs(
-                    JobSpec(
-                        kind="enum-fill",
-                        gen=self._generation,
-                        k=k,
-                        out=out.name,
-                        offsets=tuple(offsets),
-                    ),
-                    enum=True,
-                )
-                self._collect(self._generation)
-                result = _np.frombuffer(
-                    out.buf, dtype=_np.int64, count=total * k
-                ).reshape(total, k).copy()
-            finally:
-                arena.release(tag)
-            return result
-        except BaseException:
-            self._teardown(graceful=False)
-            self._closed = True
-            raise
 
     # ------------------------------------------------------------------
     def _bind(self, space: CSRSpace, source, rs: tuple) -> None:
@@ -1225,18 +912,6 @@ class PersistentPool:
         if space is self._space:
             # same binding; refresh the source cache key (e.g. the same
             # CSRSpace passed with explicit instead of implicit r/s)
-            self._source = source
-            self._source_rs = rs
-            return
-        if (
-            self._space is None
-            and self._graph is not None
-            and self._procs
-            and getattr(space, "graph", None) is self._graph
-        ):
-            # graph-first binding and the space was built from that very
-            # graph: attach the space segments late over the same workers
-            self._bind_space_late(space)
             self._source = source
             self._source_rs = rs
             return
@@ -1269,44 +944,6 @@ class PersistentPool:
         self._space = space
         self._source = source
         self._source_rs = rs
-
-    def _bind_graph(self, graph: CSRGraph) -> None:
-        """Share ``graph`` and fork enumeration-capable workers (idempotent).
-
-        The vertex range is partitioned by out-degree weight (each vertex's
-        enumeration cost grows with its forward out-degree), reusing the
-        same contiguous-cut balancer as the sweep chunks.  A graph binding
-        that already carries a late-bound space keeps serving enumeration
-        jobs: each worker enumerates its :attr:`WorkerSpec.vertex_range`,
-        which the late space binding leaves untouched.
-        """
-        if graph is self._graph and self._procs:
-            return
-        self._teardown(graceful=True)
-        fptr, _ = graph.forward_csr()
-        ranges = weighted_ranges(fptr, self.workers)
-        self._arena = SharedCSRBuffers(prefix="rp")
-        try:
-            shape = _create_shared_graph(self._arena, graph, len(ranges))
-            names = dict(self._arena.names)
-            self._fork([
-                WorkerSpec(
-                    names=names,
-                    n=0,
-                    stride=0,
-                    bounds=(0, 0),
-                    wid=wid,
-                    barrier_timeout=self.barrier_timeout,
-                    num_workers=len(ranges),
-                    graph_shape=shape,
-                    vertex_range=vertex_range,
-                )
-                for wid, vertex_range in enumerate(ranges)
-            ])
-        except BaseException:
-            self._teardown(graceful=False)
-            raise
-        self._graph = graph
 
     def _fork(self, specs: List[WorkerSpec]) -> None:
         """Start one worker per spec, all sharing one round barrier."""
@@ -1348,41 +985,6 @@ class PersistentPool:
             child_conn.close()
             self._procs.append(proc)
         self.forks += len(specs)
-
-    def _bind_space_late(self, space: CSRSpace) -> None:
-        """Attach ``space`` to an existing graph-first binding (no refork).
-
-        The worker count — and with it the barrier party count — was fixed
-        when the graph binding forked, so the space's weighted ranges are
-        padded with empty ``(n, n)`` chunks up to that count: a padded
-        worker sweeps nothing but still participates in every barrier.
-        The space segments are created here; the job that ships their names
-        to the workers is queued on :attr:`_pending_space` and attached by
-        the next :meth:`_send_jobs`.
-        """
-        n = len(space)
-        ranges = weighted_ranges(space.ctx_offsets, self._num_workers)
-        ranges = list(ranges) + [(n, n)] * (self._num_workers - len(ranges))
-        degrees = _np.diff(space.ctx_offsets)
-        self._degree_bytes = degrees.tobytes()
-        self._bounds_bytes = _bounds_array(ranges).tobytes()
-        _create_shared_space(
-            self._arena, space, degrees, ranges, control=False
-        )
-        space_names = {
-            tag: self._arena.names[tag]
-            for tag in (
-                "ctx_offsets", "ctx_members", "tau_a", "tau_b",
-                "nbr_offsets", "nbr_members", "active", "bounds",
-            )
-        }
-        self._pending_space = (
-            space_names,
-            n,
-            space.stride,
-            [tuple(map(int, b)) for b in ranges],
-        )
-        self._space = space
 
     def _reset_buffers(self) -> None:
         """Re-initialise the per-call buffers (τ, counts, flags, meta)."""
@@ -1459,9 +1061,6 @@ class PersistentPool:
         procs, conns, arena = self._procs, self._conns, self._arena
         self._procs, self._conns, self._arena = [], [], None
         self._space = None
-        self._graph = None
-        self._pending_space = None
-        self._enum_directives = {}
         self._source = None
         self._source_rs = None
         self._num_workers = 0
@@ -1480,13 +1079,6 @@ class PersistentPool:
             arena.destroy()
 
 
-def _pool_space(pool: PersistentPool, source, r, s) -> CSRSpace:
-    """The CSR space of ``source``, enumerated on ``pool`` for a CSRGraph."""
-    if isinstance(source, CSRGraph):
-        return CSRSpace.from_graph(source, r, s, pool=pool)
-    return _as_csr(source, r, s)
-
-
 def process_snd_decomposition(
     source: Union[Graph, CSRGraph, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
@@ -1502,17 +1094,11 @@ def process_snd_decomposition(
     :meth:`CSRSpace.from_graph` (no dict-space detour).  κ and the iteration
     count are identical to :func:`repro.core.snd.snd_decomposition` — the
     synchronous schedule is deterministic regardless of how many workers
-    sweep it.
-
-    A :class:`CSRGraph` source runs the whole path on the one pool
-    binding: the workers enumerate the space's cliques in parallel
-    (:meth:`PersistentPool.run_enumerate`) and then sweep the assembled
-    space without being reforked.
+    sweep it.  A :class:`CSRGraph` source is built serially by the same
+    constructor before the one fork batch.
     """
     with PersistentPool(workers, start_method=start_method) as pool:
-        return pool.run_snd(
-            _pool_space(pool, source, r, s), max_iterations=max_iterations
-        )
+        return pool.run_snd(source, r, s, max_iterations=max_iterations)
 
 
 def process_and_decomposition(
@@ -1537,7 +1123,7 @@ def process_and_decomposition(
     """
     with PersistentPool(workers, start_method=start_method) as pool:
         return pool.run_and(
-            _pool_space(pool, source, r, s),
+            source, r, s,
             max_iterations=max_iterations,
             notification=notification,
         )

@@ -14,13 +14,10 @@ survive *reproducible on demand*:
   detect the silent disappearance;
 * **bundle corruption** — a byte is flipped inside a just-saved store
   buffer, so the next verified open fails its checksum and the cache's
-  quarantine-and-rebuild path runs;
-* **enumeration crash / stall** — same as the sweep-round crash and stall,
-  but fired inside a parallel clique-enumeration job
-  (``PersistentPool.run_enumerate``): ``phase`` 0 hits the count pass,
-  ``phase`` 1 the fill pass.  These kinds are consumed only when an
-  enumeration job is dispatched, so a mixed plan aims each fault at the
-  right job family.
+  quarantine-and-rebuild path runs.
+
+Space construction is serial (the pool only sweeps), so no fault kind
+targets it.
 
 A *fault plan* is a JSON document (or an equivalent Python dict)::
 
@@ -62,7 +59,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 __all__ = [
     "FAULT_KINDS",
     "CRASH_MODES",
-    "ENUM_KINDS",
     "PLAN_ENV",
     "FaultInjector",
     "install",
@@ -75,10 +71,7 @@ __all__ = [
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Every fault kind a plan may request.
-FAULT_KINDS = (
-    "crash-entry", "crash", "stall", "pipe-eof", "corrupt",
-    "enum-crash", "enum-stall",
-)
+FAULT_KINDS = ("crash-entry", "crash", "stall", "pipe-eof", "corrupt")
 
 #: How a crash fault manifests: a raised exception, a raised
 #: ``KeyboardInterrupt``, or a cleanup-free ``os._exit`` (like an OOM kill).
@@ -87,20 +80,17 @@ CRASH_MODES = ("raise", "interrupt", "hard-exit")
 #: Kinds executed inside worker processes at the start of a sweep round.
 _ROUND_KINDS = ("crash", "stall")
 
-#: Kinds executed inside worker processes during an enumeration job.
-ENUM_KINDS = ("enum-crash", "enum-stall")
-
 
 class _Spec:
     """One parsed fault spec plus its remaining-fires budget."""
 
     __slots__ = ("kind", "worker", "round", "mode", "seconds", "buffer",
-                 "offset", "phase", "remaining")
+                 "offset", "remaining")
 
     def __init__(self, raw: Dict[str, Any]) -> None:
         unknown = set(raw) - {
             "kind", "worker", "round", "mode", "seconds", "buffer", "offset",
-            "phase", "times",
+            "times",
         }
         if unknown:
             raise ValueError(f"unknown fault spec fields {sorted(unknown)}")
@@ -121,7 +111,6 @@ class _Spec:
         self.seconds = float(raw.get("seconds", 30.0))
         self.buffer = str(raw.get("buffer", "*"))
         self.offset = int(raw.get("offset", 0))
-        self.phase = int(raw.get("phase", 0))
         self.remaining = int(raw.get("times", 1))
 
     def take(self) -> bool:
@@ -137,11 +126,9 @@ class _Spec:
         out: Dict[str, Any] = {"kind": self.kind}
         if self.kind in _ROUND_KINDS:
             out["round"] = self.round
-        if self.kind in ENUM_KINDS:
-            out["phase"] = self.phase
-        if self.kind in ("crash", "crash-entry", "enum-crash"):
+        if self.kind in ("crash", "crash-entry"):
             out["mode"] = self.mode
-        if self.kind in ("stall", "enum-stall"):
+        if self.kind == "stall":
             out["seconds"] = self.seconds
         return out
 
@@ -199,8 +186,7 @@ class FaultInjector:
         return [s.directive() for s in taken]
 
     def dispatch_faults(
-        self, worker: int, *, pipe: bool = True,
-        kinds: Optional[Tuple[str, ...]] = None,
+        self, worker: int, *, pipe: bool = True
     ) -> Tuple[List[Dict[str, Any]], bool]:
         """``(round directives, drop_pipe)`` for one job dispatch to ``worker``.
 
@@ -209,15 +195,9 @@ class FaultInjector:
         exits, simulating a vanished peer.  One-shot pools have no job pipe;
         they pass ``pipe=False`` so ``pipe-eof`` specs are left unconsumed
         for a later persistent dispatch rather than silently swallowed.
-
-        ``kinds`` selects which in-worker fault family this dispatch may
-        consume: the sweep-round kinds by default, :data:`ENUM_KINDS` when
-        the pool dispatches an enumeration job.  Specs outside the selected
-        family keep their budget for the job family they target.
         """
-        family = _ROUND_KINDS if kinds is None else kinds
         taken = self._consume(
-            lambda s: s.kind in family and s.worker == worker
+            lambda s: s.kind in _ROUND_KINDS and s.worker == worker
         )
         eof = (
             self._consume(lambda s: s.kind == "pipe-eof" and s.worker == worker)

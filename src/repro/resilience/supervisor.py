@@ -52,14 +52,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.csr import (
-    CSRSpace,
     _as_csr,
-    _unwrap_bundle,
     and_decomposition_csr,
     snd_decomposition_csr,
 )
 from repro.core.result import DecompositionResult
-from repro.graph.csr_graph import CSRGraph
 from repro.parallel.procpool import PersistentPool
 from repro.resilience.errors import PoolPoisonedError, ReproError
 
@@ -297,57 +294,13 @@ class SupervisedPool:
         )
 
     # ------------------------------------------------------------------
-    def build_space(self, graph: CSRGraph, r: int, s: int) -> CSRSpace:
-        """Construct the ``(r, s)`` space of ``graph`` on the pool workers.
-
-        Enumeration failures are supervised exactly like sweep failures:
-        retried on a rebuilt pool, then (per policy) degraded to the serial
-        construction — which produces **byte-identical** buffers, so the
-        fallback changes wall-clock only.  On success the pool stays bound
-        to the graph, and a following :meth:`run_and` / :meth:`run_snd` on
-        the returned space sweeps over the same workers without reforking.
-        """
-        if self._closed:
-            raise PoolPoisonedError("SupervisedPool is closed")
-        policy = self.policy
-        last_error: Optional[ReproError] = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                self.events.retries += 1
-                delay = min(
-                    policy.backoff_cap,
-                    policy.backoff_base * (2 ** (attempt - 1)),
-                )
-                if delay > 0:
-                    time.sleep(delay)
-            pool = self._ensure_pool()
-            try:
-                return CSRSpace.from_graph(graph, r, s, pool=pool)
-            except ReproError as exc:
-                if not exc.retryable:
-                    raise
-                last_error = exc
-                continue
-        if policy.serial_fallback:
-            self.events.fallbacks += 1
-            return CSRSpace.from_graph(graph, r, s)
-        raise last_error
-
     # ------------------------------------------------------------------
     def _supervised(self, kind: str, source, r, s, **options) -> DecompositionResult:
         if self._closed:
             raise PoolPoisonedError("SupervisedPool is closed")
         # convert once: retries and the fallback reuse the same space, so a
-        # crashed attempt never pays enumeration again.  A CSRGraph source
-        # builds its space on the pool workers (supervised in its own
-        # right), leaving the binding warm for the sweep below.
-        source = _unwrap_bundle(source, r, s)
-        if isinstance(source, CSRGraph):
-            if r is None or s is None:
-                raise ValueError("r and s are required when passing a graph")
-            space = self.build_space(source, r, s)
-        else:
-            space = _as_csr(source, r, s)
+        # crashed attempt never pays enumeration again
+        space = _as_csr(source, r, s)
         policy = self.policy
         last_error: Optional[ReproError] = None
         for attempt in range(policy.max_retries + 1):

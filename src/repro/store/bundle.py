@@ -419,6 +419,7 @@ class Bundle:
         self._arrays: Dict[str, Any] = {}
         self._graph = None
         self._space = None
+        self._cliques = None
         self._result = None
         self._index = None
         self._vertex_map = None
@@ -526,15 +527,12 @@ class Bundle:
         the incidence buffers stay on disk until the kernels touch them.
         """
         if self._space is None:
-            spec = self._component("space")
             r, s = int(self.manifest["r"]), int(self.manifest["s"])
-            ids = self.load_array("space.clique_ids")
-            labels = _decode_labels(spec["labels"], self.load_array)
             space = CSRSpace.__new__(CSRSpace)
             space.r = r
             space.s = s
             space.stride = _binomial(s, r) - 1
-            space.cliques = CliqueArrayView(ids, labels)
+            space.cliques = self._clique_view()
             space.graph = self.graph if self.has("graph") else None
             space.ctx_offsets = self.load_array("space.ctx_offsets")
             space.ctx_members = self.load_array("space.ctx_members")
@@ -543,6 +541,17 @@ class Bundle:
             space._index = None
             self._space = space
         return self._space
+
+    def _clique_view(self) -> CliqueArrayView:
+        """The stored clique table as a lazy view (cached, shared with
+        :attr:`space`): a point lookup needs only it, not the incidence."""
+        if self._cliques is None:
+            spec = self._component("space")
+            self._cliques = CliqueArrayView(
+                self.load_array("space.clique_ids"),
+                _decode_labels(spec["labels"], self.load_array),
+            )
+        return self._cliques
 
     def space_vertex_ids(self, graph_ids) -> Any:
         """Clique-table vertex ids of the stored graph's vertex ids ``graph_ids``.
@@ -620,15 +629,17 @@ class Bundle:
         Served by the stored space's :class:`CliqueArrayView`: its label
         map and a binary-search index over the memmapped clique table are
         built on the first lookup and cached, so a lookup is a few
-        ``searchsorted`` calls and no per-clique tuple is ever built.
+        ``searchsorted`` calls and no per-clique tuple is ever built.  The
+        incidence buffers are not opened.
         """
-        width = self.load_array("space.clique_ids").shape[1]
+        cliques = self._clique_view()
+        width = cliques.ids.shape[1]
         if len(clique) != width:
             raise ValueError(
                 f"query has {len(clique)} vertices, the space stores "
                 f"{width}-cliques"
             )
-        return self.space.find_index(clique)
+        return cliques.find(clique)
 
     def kappa_of(self, clique: Iterable) -> int:
         """κ of one r-clique, straight off the memmaps (KeyError if absent)."""

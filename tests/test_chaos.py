@@ -154,35 +154,10 @@ class TestAmbientPlan:
 
     def test_matrix_plan_recovers(self, monkeypatch, ambient_plan):
         raw = ambient_plan or json.dumps(self.DEFAULT)
-        kinds = {spec["kind"] for spec in json.loads(raw)["faults"]}
         graph = powerlaw_cluster_graph(110, 3, 0.4, seed=21)
         before = pool_segments()
         monkeypatch.setenv(faults.PLAN_ENV, raw)
         faults._reset_env_cache()
-        if kinds & set(faults.ENUM_KINDS):
-            # Enumeration faults only fire during parallel space
-            # construction, so the acceptance run for those matrix entries
-            # is supervised build_space at (2, 3) (k=2 short-circuits
-            # serially; k=3 dispatches to the pool) instead of the sweep.
-            from repro.graph.csr_graph import CSRGraph
-
-            cg = CSRGraph.from_graph(graph)
-            serial_space = CSRSpace.from_graph(cg, 2, 3)
-            serial = and_decomposition_csr(serial_space)
-            policy = ResiliencePolicy(
-                max_retries=3, backoff_base=0.01,
-                backoff_cap=0.05, job_timeout=2.0,
-            )
-            with SupervisedPool(workers=3, policy=policy) as pool:
-                space = pool.build_space(cg, 2, 3)
-                result = pool.run_and(space)
-                events = pool.events
-            assert space.ctx_members.tobytes() == \
-                serial_space.ctx_members.tobytes()
-            assert result.kappa == serial.kappa
-            assert pool_segments() == before
-            assert events.retries > 0 or events.fallbacks > 0, f"plan={raw}"
-            return
         serial = nucleus_decomposition(graph, 1, 2, algorithm="and")
         result = nucleus_decomposition(
             graph, 1, 2, algorithm="and", parallel="process", workers=3,

@@ -1,13 +1,12 @@
-"""Parallel space construction: byte-identity, pool binding reuse, chaos.
+"""Pool-bound space construction: byte-identity, one fork batch, κ parity.
 
-The contract of ``CSRSpace.from_graph(parallel="process")`` is stronger than
-κ parity: the constructed buffers must be **byte-identical** to the serial
-build — same clique order, same context order, same neighbour lists — so
-that bundles, hierarchies and benchmarks are oblivious to how the space was
-enumerated.  The cases here assert that identity over graph shapes chosen to
-stress the partitioner (empty ranges, one dominant vertex, dense uniform
-work, non-integer labels), across worker counts and start methods, plus the
-supervised recovery path when enumeration jobs crash or stall mid-flight.
+``CSRSpace.from_graph(..., pool=pool)`` builds the space serially and binds
+it on the pool at once.  The buffers must be **byte-identical** to a plain
+build — same clique order, same context order, same neighbour lists — and
+the sweeps that follow must run on the binding's single fork batch.  The
+cases cover graph shapes that stress the chunk partitioner (empty ranges,
+one dominant vertex, dense uniform work, non-integer labels), worker counts
+and start methods.
 """
 
 import random
@@ -26,8 +25,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.parallel.procpool import PersistentPool, process_and_decomposition
-from repro.resilience import faults
-from repro.resilience.supervisor import ResiliencePolicy, SupervisedPool
 
 
 def space_bytes(space: CSRSpace):
@@ -73,10 +70,13 @@ class TestByteIdentity:
         graph = CSRGraph.from_graph(GRAPHS[name]())
         for r, s in [(1, 2), (2, 3), (3, 4)]:
             serial = CSRSpace.from_graph(graph, r, s)
-            par = CSRSpace.from_graph(
-                graph, r, s, parallel="process", workers=workers
-            )
-            assert space_bytes(par) == space_bytes(serial), (name, r, s)
+            with PersistentPool(workers) as pool:
+                bound = CSRSpace.from_graph(graph, r, s, pool=pool)
+                if len(bound):
+                    assert pool.run_snd(bound).kappa == (
+                        peeling_decomposition(serial).kappa
+                    ), (name, r, s)
+            assert space_bytes(bound) == space_bytes(serial), (name, r, s)
 
     def test_spawn_start_method(self):
         """Same identity when the pool forks via spawn (pickled specs)."""
@@ -86,43 +86,33 @@ class TestByteIdentity:
             par = CSRSpace.from_graph(graph, 2, 3, pool=pool)
         assert space_bytes(par) == space_bytes(serial)
 
-    def test_run_enumerate_matches_clique_batches(self):
-        graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 3, 0.5, seed=4))
-        with PersistentPool(3) as pool:
-            for k in (2, 3, 4):
-                serial = np.concatenate(
-                    list(graph.clique_batches(k))
-                    or [np.empty((0, k), dtype=np.int64)]
-                )
-                table = pool.run_enumerate(graph, k)
-                assert table.tobytes() == serial.tobytes(), k
-
     def test_validation(self):
+        """Construction has no parallel mode: the pool only binds a space."""
         graph = CSRGraph.from_graph(ring_of_cliques(3, 4))
-        with pytest.raises(ValueError, match="parallel"):
-            CSRSpace.from_graph(graph, 2, 3, parallel="thread")
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError, match="parallel"):
+            CSRSpace.from_graph(graph, 2, 3, parallel="process")
+        with pytest.raises(TypeError, match="workers"):
             CSRSpace.from_graph(graph, 2, 3, workers=2)
-        with pytest.raises(ValueError, match="CSRGraph"):
-            CSRSpace.from_graph(ring_of_cliques(3, 4), 2, 3, parallel="process")
+        with pytest.raises(ValueError, match="r < s"):
+            CSRSpace.from_graph(graph, 3, 3, pool=object())
 
 
 class TestSharedBinding:
     def test_one_fork_serves_enumeration_and_sweep(self):
-        """Construction and the subsequent sweep reuse one worker batch."""
+        """Construction binds the pool; the sweeps reuse its worker batch."""
         graph = CSRGraph.from_graph(ring_of_cliques(6, 5))
         serial = and_decomposition_csr(CSRSpace.from_graph(graph, 3, 4))
         with PersistentPool(3) as pool:
             space = CSRSpace.from_graph(graph, 3, 4, pool=pool)
-            forks_after_build = pool.forks
+            assert pool.forks == 3, "construction did not bind the pool"
             result = pool.run_and(space)
-            assert pool.forks == forks_after_build, "sweep re-forked the pool"
-            assert pool.enumerations == 2  # k=3 and k=4 enumeration passes
-        assert result.kappa == serial.kappa
+            again = pool.run_snd(space)
+            assert pool.forks == 3, "a sweep re-forked the pool"
+        assert result.kappa == serial.kappa == again.kappa
 
     def test_second_space_on_a_graph_bound_pool(self):
-        """A pool whose graph binding already carries a late-bound space
-        still enumerates over vertex ranges when the graph is rebuilt."""
+        """Building a second space on a bound pool rebinds it to that space
+        with one more fork batch, and both sweeps match exact peeling."""
         graph = CSRGraph.from_graph(powerlaw_cluster_graph(200, 5, 0.5, seed=3))
         serial = CSRSpace.from_graph(graph, 2, 3)
         exact = peeling_decomposition(serial).kappa
@@ -132,9 +122,23 @@ class TestSharedBinding:
             second = CSRSpace.from_graph(graph, 2, 3, pool=pool)
             assert space_bytes(second) == space_bytes(serial)
             assert pool.run_and(second).kappa == exact
+            assert pool.forks == 4
+
+    def test_dataset_space_and_process_route_from_a_csr_graph(self):
+        """``load_dataset(space=)`` and ``parallel="process"`` take a
+        CSRGraph: the space is built serially, κ matches exact peeling."""
+        from repro.datasets.registry import load_dataset
+
+        graph, space = load_dataset("toy", "csr", space=(3, 4))
+        assert space_bytes(space) == space_bytes(CSRSpace.from_graph(graph, 3, 4))
+        exact = peeling_decomposition(space).kappa
+        result = nucleus_decomposition(
+            graph, 3, 4, algorithm="and", parallel="process", workers=2
+        )
+        assert result.kappa == exact
 
     def test_process_decomposition_from_graph_source(self):
-        """The one-shot wrappers route CSRGraph sources through the pool."""
+        """The one-shot wrappers accept CSRGraph sources."""
         from repro.parallel.procpool import (
             process_and_decomposition,
             process_snd_decomposition,
@@ -151,82 +155,6 @@ class TestSharedBinding:
         snd = process_snd_decomposition(graph, 2, 3, workers=2)
         assert snd.kappa == snd_serial.kappa
         assert snd.iterations == snd_serial.iterations
-
-
-CHAOS_POLICY = ResiliencePolicy(
-    max_retries=3,
-    backoff_base=0.01,
-    backoff_cap=0.05,
-    job_timeout=2.0,
-)
-
-
-class TestEnumerationChaos:
-    @pytest.fixture(autouse=True)
-    def _isolated_plan(self, monkeypatch):
-        monkeypatch.delenv(faults.PLAN_ENV, raising=False)
-        faults._reset_env_cache()
-        yield
-        faults._reset_env_cache()
-
-    @pytest.mark.parametrize("phase", [0, 1], ids=["count", "fill"])
-    def test_enum_crash_recovers_byte_identical(self, phase):
-        graph = CSRGraph.from_graph(powerlaw_cluster_graph(70, 3, 0.4, seed=13))
-        serial = CSRSpace.from_graph(graph, 2, 3)
-        plan = {"faults": [{
-            "kind": "enum-crash", "worker": 0, "phase": phase,
-            "mode": "hard-exit",
-        }]}
-        with faults.fault_plan(plan) as injector:
-            with SupervisedPool(workers=2, policy=CHAOS_POLICY) as pool:
-                space = pool.build_space(graph, 2, 3)
-                events = pool.events
-        assert injector.fired.get("enum-crash") == 1
-        assert events.retries > 0 or events.fallbacks > 0
-        assert space_bytes(space) == space_bytes(serial)
-
-    def test_enum_stall_resolves_via_deadline(self):
-        graph = CSRGraph.from_graph(ring_of_cliques(4, 5))
-        serial = CSRSpace.from_graph(graph, 2, 3)
-        plan = {"faults": [{
-            "kind": "enum-stall", "worker": 1, "phase": 0, "seconds": 30.0,
-        }]}
-        with faults.fault_plan(plan) as injector:
-            with SupervisedPool(workers=2, policy=CHAOS_POLICY) as pool:
-                space = pool.build_space(graph, 2, 3)
-        assert injector.fired.get("enum-stall") == 1
-        assert space_bytes(space) == space_bytes(serial)
-
-    def test_unlimited_crashes_fall_back_to_serial(self):
-        graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 3, 0.4, seed=2))
-        serial = CSRSpace.from_graph(graph, 2, 3)
-        plan = {"faults": [
-            {"kind": "enum-crash", "worker": w, "phase": 0,
-             "mode": "hard-exit", "times": -1}
-            for w in range(2)
-        ]}
-        with faults.fault_plan(plan):
-            with SupervisedPool(workers=2, policy=CHAOS_POLICY) as pool:
-                space = pool.build_space(graph, 2, 3)
-                assert pool.events.fallbacks > 0
-        assert space_bytes(space) == space_bytes(serial)
-
-    def test_enum_faults_do_not_fire_on_sweep_jobs(self):
-        """Fault family selection: an enum-crash spec must survive a sweep
-        dispatch untouched and fire on the next enumeration."""
-        graph = CSRGraph.from_graph(ring_of_cliques(4, 4))
-        space_serial = CSRSpace.from_graph(graph, 2, 3)
-        plan = {"faults": [{
-            "kind": "enum-crash", "worker": 0, "phase": 0, "mode": "raise",
-        }]}
-        with faults.fault_plan(plan) as injector:
-            with PersistentPool(2) as pool:
-                pool.run_and(space_serial)  # sweep job: must not consume it
-                assert not injector.fired
-            with SupervisedPool(workers=2, policy=CHAOS_POLICY) as sup:
-                space = sup.build_space(graph, 2, 3)
-        assert injector.fired.get("enum-crash") == 1
-        assert space_bytes(space) == space_bytes(space_serial)
 
 
 class TestProcessAnd:

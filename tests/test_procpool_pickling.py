@@ -28,8 +28,6 @@ EXAMPLES = {
         barrier_timeout=600.0,
         faults=({"kind": "crash-entry", "mode": "raise"},),
         num_workers=3,
-        graph_shape=(40, 180, 90),
-        vertex_range=(10, 25),
     ),
     JobSpec: JobSpec(
         kind="snd",
