@@ -4,20 +4,20 @@
 tuples and neighbour sets of Python ints — convenient to build, expensive to
 iterate: every ρ evaluation in the τ loops pays attribute lookups, generator
 frames and pointer chasing.  :class:`CSRSpace` is the same structure flattened
-into five integer arrays:
+into two integer arrays:
 
 * ``ctx_offsets`` (length ``n + 1``) — clique ``i`` owns contexts
   ``ctx_offsets[i] .. ctx_offsets[i+1]`` (offsets count *contexts*, i.e.
   containing s-cliques);
 * ``ctx_members`` — the other r-cliques of every context, concatenated.
   Each context has exactly ``C(s, r) - 1`` members (the *stride*), so context
-  ``c`` occupies ``ctx_members[c * stride : (c + 1) * stride]``;
-* ``nbr_offsets`` / ``nbr_members`` — the neighbour relation ``Ns(R)`` in the
-  usual CSR layout (members sorted ascending within each row).
+  ``c`` occupies ``ctx_members[c * stride : (c + 1) * stride]``.
 
-The S-degree of clique ``i`` is ``ctx_offsets[i+1] - ctx_offsets[i]``.
+The S-degree of clique ``i`` is ``ctx_offsets[i+1] - ctx_offsets[i]``, and
+its S-neighbours ``Ns(R)`` are the distinct partners of its context rows;
+no separate neighbour relation is stored.
 
-The four incidence buffers are numpy int64 arrays on every route: built in
+Both incidence buffers are numpy int64 arrays on every route: built in
 memory, or read-only memmaps when reopened from an on-disk bundle.  A
 ``CSRSpace`` is cheap to pickle and to place in shared memory (flat buffers,
 no per-element Python objects), which is what the process pool needs.
@@ -125,12 +125,11 @@ class CSRSpace:
         CSR incidence of contexts: the contexts of clique ``i`` occupy
         ``ctx_members[ctx_offsets[i]:ctx_offsets[i + 1]]``, ``stride``
         entries per context.
-    nbr_offsets, nbr_members : flat int64 buffers
-        CSR adjacency of distinct S-neighbours.
 
-    The four incidence buffers are numpy int64 arrays (read-only memmaps
-    when reopened from an on-disk bundle); the read API below returns
-    Python ints and tuples either way.
+    Both incidence buffers are numpy int64 arrays (read-only memmaps when
+    reopened from an on-disk bundle); the read API below returns Python
+    ints and tuples either way.  The S-neighbours of a clique are read off
+    its context rows (:meth:`neighbors`).
 
     Examples
     --------
@@ -154,8 +153,6 @@ class CSRSpace:
         "graph",
         "ctx_offsets",
         "ctx_members",
-        "nbr_offsets",
-        "nbr_members",
         "_index",
     )
 
@@ -166,8 +163,6 @@ class CSRSpace:
         cliques: Sequence[Clique],
         ctx_offsets: Sequence[int],
         ctx_members: Sequence[int],
-        nbr_offsets: Sequence[int],
-        nbr_members: Sequence[int],
         graph: Optional[Graph] = None,
     ) -> None:
         if r < 1 or s <= r:
@@ -182,8 +177,6 @@ class CSRSpace:
         self.graph = graph
         self.ctx_offsets = _np.asarray(ctx_offsets, dtype=_np.int64)
         self.ctx_members = _np.asarray(ctx_members, dtype=_np.int64)
-        self.nbr_offsets = _np.asarray(nbr_offsets, dtype=_np.int64)
-        self.nbr_members = _np.asarray(nbr_members, dtype=_np.int64)
         self._index = None
 
     # ------------------------------------------------------------------
@@ -196,8 +189,6 @@ class CSRSpace:
         stride = _binomial(space.s, space.r) - 1
         ctx_offsets = [0] * (n + 1)
         ctx_members: List[int] = []
-        nbr_offsets = [0] * (n + 1)
-        nbr_members: List[int] = []
         for i in range(n):
             contexts = space.contexts(i)
             for others in contexts:
@@ -208,17 +199,12 @@ class CSRSpace:
                     )
                 ctx_members.extend(others)
             ctx_offsets[i + 1] = ctx_offsets[i] + len(contexts)
-            row = sorted(space.neighbors(i))
-            nbr_members.extend(row)
-            nbr_offsets[i + 1] = nbr_offsets[i] + len(row)
         return cls(
             space.r,
             space.s,
             space.cliques,
             ctx_offsets,
             ctx_members,
-            nbr_offsets,
-            nbr_members,
             graph=space.graph,
         )
 
@@ -236,8 +222,8 @@ class CSRSpace:
         For a dict :class:`Graph` source, the clique indexing is identical to
         ``NucleusSpace(graph, r, s)`` (same enumeration order, same canonical
         tuples), so κ arrays computed on either representation are directly
-        comparable, and the context / neighbour structure matches
-        :meth:`from_space` exactly.
+        comparable, and the context structure matches :meth:`from_space`
+        exactly.
 
         A :class:`CSRGraph` source takes the array-native route, and no
         per-clique Python tuple is ever created (``cliques`` becomes a lazy
@@ -326,9 +312,8 @@ class CSRSpace:
         ``groups`` the ``(num_s, C(s, r))`` table mapping every s-clique to
         its member r-clique indices, in ``combinations`` order.  A stable
         argsort over the group owners places every context slot in
-        s-clique enumeration order, one fancy-indexed gather scatters the
-        "other members" rows, and the neighbour relation falls out of one
-        sort-based dedupe over packed (owner, member) keys.
+        s-clique enumeration order and one fancy-indexed gather scatters the
+        "other members" rows.
         """
         n = len(cliques)
         group_size = _binomial(s, r)
@@ -347,24 +332,9 @@ class CSRSpace:
             )
             others = groups[:, cols].reshape(num_s * group_size, stride)
             ctx_members_np = others[order].reshape(-1)
-            del others, order
-            nbr_offsets_np, nbr_members_np = _neighbour_csr(
-                ctx_offsets_np, ctx_members_np, stride, n
-            )
         else:
             ctx_members_np = _np.empty(0, dtype=_np.int64)
-            nbr_members_np = _np.empty(0, dtype=_np.int64)
-            nbr_offsets_np = _np.zeros(n + 1, dtype=_np.int64)
-        return cls(
-            r,
-            s,
-            cliques,
-            ctx_offsets_np,
-            ctx_members_np,
-            nbr_offsets_np,
-            nbr_members_np,
-            graph=graph,
-        )
+        return cls(r, s, cliques, ctx_offsets_np, ctx_members_np, graph=graph)
 
     @kernel
     def restrict(self, vertex_ids) -> "CSRSpace":
@@ -383,9 +353,8 @@ class CSRSpace:
         first column at those ids (:meth:`CliqueArrayView.sorted_rows`);
         no vertex → clique map is needed.  Partners are checked and
         renumbered through one global → local table written at the kept
-        indices only, and the neighbour relation is rebuilt by the same
-        sort-based dedupe as :meth:`from_graph`.  The cost follows the
-        cliques led by the set and their contexts, not the whole space.
+        indices only.  The cost follows the cliques led by the set and
+        their contexts, not the whole space.
 
         Examples
         --------
@@ -427,18 +396,8 @@ class CSRSpace:
         owners = _np.repeat(_np.arange(n, dtype=_np.int64), counts)[whole]
         ctx_offsets = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(_np.bincount(owners, minlength=n), out=ctx_offsets[1:])
-        ctx_members = local[whole].reshape(-1)
-        nbr_offsets, nbr_members = _neighbour_csr(
-            ctx_offsets, ctx_members, self.stride, n
-        )
         return CSRSpace(
-            self.r,
-            self.s,
-            view.take(kept),
-            ctx_offsets,
-            ctx_members,
-            nbr_offsets,
-            nbr_members,
+            self.r, self.s, view.take(kept), ctx_offsets, local[whole].reshape(-1)
         )
 
     # ------------------------------------------------------------------
@@ -488,9 +447,10 @@ class CSRSpace:
         return [tuple(row) for row in rows.tolist()]
 
     def neighbors(self, index: int) -> Tuple[int, ...]:
-        """Neighbour indices of one clique, sorted ascending."""
-        start, end = self.nbr_offsets[index:index + 2].tolist()
-        return tuple(self.nbr_members[start:end].tolist())
+        """Neighbour indices of one clique: its context partners, sorted, distinct."""
+        start, end = self.ctx_offsets[index:index + 2].tolist()
+        partners = self.ctx_members[start * self.stride:end * self.stride]
+        return tuple(_sorted_unique(partners).tolist())
 
     def s_clique_table(self):
         """Every s-clique exactly once, as an int64 row led by its smallest member.
@@ -525,10 +485,7 @@ class CSRSpace:
 
     def nbytes(self) -> int:
         """Total size of the flat buffers, in bytes."""
-        return sum(
-            a.nbytes
-            for a in (self.ctx_offsets, self.ctx_members, self.nbr_offsets, self.nbr_members)
-        )
+        return self.ctx_offsets.nbytes + self.ctx_members.nbytes
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -536,37 +493,41 @@ class CSRSpace:
         n = len(self)
         if len(self.cliques) != n:
             raise AssertionError("clique list length disagrees with ctx_offsets")
-        if self.ctx_offsets[0] != 0 or self.nbr_offsets[0] != 0:
+        if self.ctx_offsets[0] != 0:
             raise AssertionError("offset arrays must start at 0")
-        for off in (self.ctx_offsets, self.nbr_offsets):
-            if (_np.diff(off) < 0).any():
-                raise AssertionError("offsets must be non-decreasing")
+        if (_np.diff(self.ctx_offsets) < 0).any():
+            raise AssertionError("offsets must be non-decreasing")
         if self.ctx_offsets[n] * self.stride != len(self.ctx_members):
             raise AssertionError("ctx_members length disagrees with offsets * stride")
-        if self.nbr_offsets[n] != len(self.nbr_members):
-            raise AssertionError("nbr_members length disagrees with offsets")
-        for name in ("ctx_members", "nbr_members"):
-            values = getattr(self, name)
-            bad = values[(values < 0) | (values >= n)]
-            if len(bad):
-                raise AssertionError(f"{name} entry {int(bad[0])} out of range")
-        per_s_clique = self.stride + 1
-        if per_s_clique and self.ctx_offsets[n] % per_s_clique != 0:
+        values = self.ctx_members
+        bad = values[(values < 0) | (values >= n)]
+        if len(bad):
+            raise AssertionError(f"ctx_members entry {int(bad[0])} out of range")
+        width = self.stride + 1
+        if self.ctx_offsets[n] % width != 0:
             raise AssertionError(
                 "total context count is not a multiple of C(s, r); "
                 "the space is inconsistent"
             )
-        # neighbour relation must be symmetric: the packed (i, j) pairs equal
-        # the packed (j, i) pairs as sorted multisets
-        rows = _np.repeat(
-            _np.arange(n, dtype=_np.int64), _np.diff(self.nbr_offsets)
+        # context consistency: every s-clique's C(s, r) rows name the same
+        # member set, one row owned by each member.  In lexicographic order
+        # the sorted member sets of all rows are then the sorted s-clique
+        # table with each row repeated C(s, r) times.
+        table = _np.sort(self.s_clique_table(), axis=1)
+        table = table[_np.lexsort(table.T[::-1])]
+        owners = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(self.ctx_offsets))
+        full = _np.sort(
+            _np.column_stack((owners, values.reshape(-1, self.stride))), axis=1
         )
-        forward = _np.sort(rows * n + self.nbr_members)
-        backward = _np.sort(self.nbr_members * n + rows)
-        mismatch = _np.flatnonzero(forward != backward)
-        if len(mismatch):
-            i, j = divmod(int(forward[mismatch[0]]), n)
-            raise AssertionError(f"neighbour relation not symmetric: {i} -> {j}")
+        order = _np.lexsort(full.T[::-1])
+        if len(table) * width != len(full) or (
+            full[order] != _np.repeat(table, width, axis=0)
+        ).any():
+            raise AssertionError("the context rows of an s-clique name different members")
+        if (table[:, 1:] <= table[:, :-1]).any() or (
+            _np.sort(owners[order].reshape(-1, width), axis=1) != table
+        ).any():
+            raise AssertionError("an s-clique's context rows are not one per member")
 
     def __getstate__(self):
         return {
@@ -580,8 +541,6 @@ class CSRSpace:
             "graph": None,
             "ctx_offsets": self.ctx_offsets,
             "ctx_members": self.ctx_members,
-            "nbr_offsets": self.nbr_offsets,
-            "nbr_members": self.nbr_members,
             "_index": None,
         }
 
@@ -590,25 +549,6 @@ class CSRSpace:
         state.setdefault("_index", None)
         for name, value in state.items():
             object.__setattr__(self, name, value)
-
-
-@kernel
-def _neighbour_csr(ctx_offsets, ctx_members, stride: int, n: int):
-    """``(nbr_offsets, nbr_members)``: each clique's distinct context partners.
-
-    One sort-based dedupe over packed ``owner * n + partner`` keys leaves
-    every row's members sorted ascending.  The keys are built in one
-    buffer from the owner-grouped context rows.
-    """
-    _check_key_space(n, n)
-    keys = _np.repeat(
-        _np.arange(n, dtype=_np.int64) * n, (ctx_offsets[1:] - ctx_offsets[:-1]) * stride
-    )
-    keys += ctx_members
-    keys = _sorted_unique(keys)
-    offsets = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(keys // n, minlength=n), out=offsets[1:])
-    return offsets, keys % n
 
 
 # ----------------------------------------------------------------------
@@ -1064,15 +1004,7 @@ def and_decomposition_csr(
     tau = _np.diff(space.ctx_offsets)
     # engine-local frontier flags, never a shared/persisted buffer
     active = _np.ones(n, dtype=_np.uint8)  # repro: noqa[ARR002]
-    sweep = _and_sweep(
-        space.ctx_offsets,
-        space.ctx_members,
-        space.stride,
-        space.nbr_offsets,
-        space.nbr_members,
-        tau,
-        active,
-    )
+    sweep = _and_sweep(space.ctx_offsets, space.ctx_members, space.stride, tau, active)
     count_converged = _make_converged_counter(reference_kappa)
     history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
     stats: List[IterationStats] = []
@@ -1125,7 +1057,7 @@ def and_decomposition_csr(
 
 
 @kernel
-def _and_sweep(ctx_off, members, stride: int, nbr_off, nbr_mem, tau, active):
+def _and_sweep(ctx_off, members, stride: int, tau, active):
     """The AND round kernel: one frontier-batched pass over a chunk.
 
     Binds the space buffers, the τ array and the byte-wide ``active`` flags
@@ -1149,8 +1081,23 @@ def _and_sweep(ctx_off, members, stride: int, nbr_off, nbr_mem, tau, active):
        ``(segment, -ρ)`` keys plus a prefix-count ``bincount``, clamped
        with the current τ;
     4. *publishes* the drops into ``tau`` (the chunk is its only writer)
-       and, with ``use_active``, flags the changed cliques' neighbours,
-       across chunk boundaries too.
+       and, with ``use_active``, *notifies* from the context rows already
+       gathered for the changed cliques: a partner ``p`` of a changed
+       clique ``i`` is flagged, across chunk boundaries too, only where
+       ``τ(p) > τ'(i)``, the new value of ``i``.
+
+    Why the notification is exact: a context of ``p`` that contains ``i``
+    counts toward ``p``'s check (ρ ≥ τ(p)) only while every member's τ is
+    ≥ τ(p).  When τ(p) ≤ τ'(i) ≤ τ(i), ``i`` satisfied that before and
+    still does, so ``i``'s drop cannot change ``p``'s sustained count; a
+    re-check would find ``p`` sustained and leave it.  Because τ only
+    decreases, a later τ(p) stays ≤ τ'(i) and the skip stays safe.  The
+    same holds for a peer's τ(p) read concurrently: a stale (larger) value
+    only wakes ``p`` needlessly, and a fresh one is ``p``'s current τ, which
+    its owner computed with ``i`` at a value ≥ τ(p) either way.  So the
+    frontier of the next pass differs from waking every neighbour only by
+    cliques that would not move, and the τ trajectory (per-pass updates,
+    iterations) is the same.
 
     Any τ read is valid, whether the pass-start value (one chunk) or the
     latest a peer published (many chunks), because τ only decreases.
@@ -1218,15 +1165,12 @@ def _and_sweep(ctx_off, members, stride: int, nbr_off, nbr_mem, tau, active):
         new_values = _np.minimum(h, old)
         tau[changed] = new_values
         if use_active:
-            nd = nbr_off[changed + 1] - nbr_off[changed]
-            ntot = int(nd.sum())
-            if ntot:
-                ncs = _np.cumsum(nd) - nd
-                nrep = _np.repeat(_np.arange(updated, dtype=_np.int64), nd)
-                nidx = nbr_off[changed][nrep] + (
-                    _np.arange(ntot, dtype=_np.int64) - ncs[nrep]
-                )
-                active[nbr_mem[nidx]] = 1
+            # the failed segments' rows, against their owner's new τ
+            changed_rows = rows[sel]
+            bound = new_values[rep2]
+            for column in columns:
+                partners = column[changed_rows]
+                active[partners[tau[partners] > bound]] = 1
         return updated, processed, evaluated, int((old - new_values).max())
 
     return sweep

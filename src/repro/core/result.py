@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.core.space import Clique, NucleusSpace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (csr imports result)
@@ -109,6 +111,11 @@ class DecompositionResult:
     _by_clique: Optional[Dict[Clique, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # memoised (lowest κ, bincount from it), shared by max_kappa and
+    # kappa_histogram
+    _counts: Optional[Tuple[int, Any]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -145,16 +152,24 @@ class DecompositionResult:
             self._by_clique = {c: k for c, k in zip(self.cliques, self.kappa)}
         return self._by_clique
 
+    def _kappa_counts(self) -> Tuple[int, Any]:
+        """``(low, counts)``: ``counts[k - low]`` r-cliques have κ = k."""
+        if self._counts is None:
+            kappa = _np.fromiter(self.kappa, dtype=_np.int64, count=len(self.kappa))
+            low = int(kappa.min(initial=0))
+            self._counts = (low, _np.bincount(kappa - low))
+        return self._counts
+
     def max_kappa(self) -> int:
         """Largest κ index (0 for an empty clique set)."""
-        return max(self.kappa, default=0)
+        low, counts = self._kappa_counts()
+        return low + len(counts) - 1 if len(counts) else 0
 
     def kappa_histogram(self) -> Dict[int, int]:
         """Number of r-cliques per κ value, sorted by κ."""
-        hist: Dict[int, int] = {}
-        for k in self.kappa:
-            hist[k] = hist.get(k, 0) + 1
-        return dict(sorted(hist.items()))
+        low, counts = self._kappa_counts()
+        values = _np.flatnonzero(counts)
+        return dict(zip((values + low).tolist(), counts[values].tolist()))
 
     def vertices_with_kappa_at_least(self, k: int) -> set:
         """Union of vertices of r-cliques whose κ index is >= k."""

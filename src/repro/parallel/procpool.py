@@ -2,9 +2,11 @@
 
 This module is the multi-core path of the local algorithms:
 
-* the numpy int64 buffers of a :class:`repro.core.csr.CSRSpace` are
+* the two numpy int64 incidence buffers of a
+  :class:`repro.core.csr.CSRSpace` (``ctx_offsets``, ``ctx_members``) are
   placed into :mod:`multiprocessing.shared_memory` segments **once** by the
-  parent (:class:`SharedCSRBuffers`);
+  parent (:class:`SharedCSRBuffers`), next to the τ, flag and control
+  segments;
 * worker processes attach to the segments **zero-copy** (``np.frombuffer``
   straight over the shared mapping — no per-worker copy of the space) and
   sweep contiguous index chunks balanced by context count
@@ -20,10 +22,12 @@ This module is the multi-core path of the local algorithms:
   own values plus the neighbours' latest published values.  With
   ``notification=True`` (the default) a shared per-clique *active bitmap*
   carries the paper's notification mechanism across chunk boundaries: a
-  worker sweeps only the active cliques of its chunk, a τ decrease
-  re-activates the neighbours — also those owned by other workers — and
-  termination is confirmed by a full verification sweep, so the result is a
-  true fixed point even under cross-process flag races;
+  worker sweeps only the active cliques of its chunk, and a τ decrease
+  re-activates only the context partners whose τ lies above the new value —
+  also those owned by other workers — read straight off the context rows
+  the sweep already gathered (no neighbour relation is stored).
+  Termination is confirmed by a full verification sweep, so the result is
+  a true fixed point even under cross-process flag races;
 * cleanup is unconditional: segments are closed and unlinked on normal
   exit, worker failure and ``KeyboardInterrupt`` alike, and a failing
   worker aborts the barrier so its peers exit instead of deadlocking.
@@ -318,10 +322,9 @@ def _create_shared_space(
     """Create every segment a space binding needs, for any job kind.
 
     That is the context incidence, both Jacobi τ buffers (AND uses only
-    ``tau_a``), the CSR neighbour relation, the per-clique active bitmap
-    (AND with notification), the shared chunk-``bounds`` cut points that
-    dynamic re-balancing rewrites between rounds, and the counts/proc/meta
-    control segments.
+    ``tau_a``), the per-clique active bitmap (AND with notification), the
+    shared chunk-``bounds`` cut points that dynamic re-balancing rewrites
+    between rounds, and the counts/proc/meta control segments.
     """
     n = len(space)
     num_workers = len(ranges)
@@ -329,8 +332,6 @@ def _create_shared_space(
     arena.create_from("ctx_members", space.ctx_members)
     arena.create_from("tau_a", degrees)
     arena.create("tau_b", n * _ITEMSIZE)
-    arena.create_from("nbr_offsets", space.nbr_offsets)
-    arena.create_from("nbr_members", space.nbr_members)
     active = arena.create("active", n)
     active.buf[:n] = b"\x01" * n
     arena.create_from("bounds", _bounds_array(ranges))
@@ -382,7 +383,6 @@ def _attach_views(
     names = spec.names
     n = spec.n
     ctx_off = _attach_int64(names["ctx_offsets"], attached, n + 1)
-    nbr_off = _attach_int64(names["nbr_offsets"], attached, n + 1)
     return {
         "counts": memoryview(_attach(names["counts"], attached).buf).cast("q"),
         "proc": memoryview(_attach(names["proc"], attached).buf).cast("q"),
@@ -395,8 +395,6 @@ def _attach_views(
             _attach_int64(names["tau_a"], attached, n),
             _attach_int64(names["tau_b"], attached, n),
         ],
-        "nbr_off": nbr_off,
-        "nbr_mem": _attach_int64(names["nbr_members"], attached, int(nbr_off[n])),
         # byte-wide shared flags, never reinterpreted as int64 anywhere
         "active": _np.frombuffer(  # repro: noqa[ARR002]
             _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
@@ -543,8 +541,6 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             views["ctx_off"],
             views["members"],
             spec.stride,
-            views["nbr_off"],
-            views["nbr_mem"],
             views["tau"][0],
             views["active"],
         )

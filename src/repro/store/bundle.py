@@ -80,10 +80,15 @@ __all__ = [
 #: The ``format`` field every manifest must carry.
 FORMAT_NAME = "repro-bundle"
 
-#: Current (and only) major format version.  Readers reject any other value
-#: — forward compatibility is handled by bumping the version, never by
-#: silently reinterpreting buffers (see docs/FORMAT.md).
-FORMAT_VERSION = 1
+#: Major format version written by :func:`save_bundle`.  Forward
+#: compatibility is handled by bumping the version, never by silently
+#: reinterpreting buffers (see docs/FORMAT.md).
+FORMAT_VERSION = 2
+
+#: Versions :func:`open_bundle` reads.  A version-1 bundle also stored
+#: the S-neighbour relation as two more ``space.*`` buffers; its other
+#: buffers mean the same, and the reader ignores those two.
+_READABLE_VERSIONS = (1, 2)
 
 #: File name of the manifest inside a bundle directory.  The manifest is
 #: written last: a directory without one is an incomplete write, not a
@@ -95,8 +100,6 @@ GRAPH_BUFFERS = ("graph.indptr", "graph.indices")
 SPACE_BUFFERS = (
     "space.ctx_offsets",
     "space.ctx_members",
-    "space.nbr_offsets",
-    "space.nbr_members",
     "space.clique_ids",
 )
 RESULT_BUFFERS = ("result.kappa",)
@@ -209,7 +212,7 @@ def save_bundle(
     space : NucleusSpace or CSRSpace, optional
         The (r, s) clique space; a :class:`NucleusSpace` is flattened via
         ``to_csr()`` (identical indexing).  Its clique table and label
-        table are stored alongside the four incidence buffers.
+        table are stored alongside the two incidence buffers.
     result : DecompositionResult, optional
         κ array plus algorithm metadata.  ``tau_history``, per-iteration
         stats and operation counters are *not* persisted (they are
@@ -277,13 +280,8 @@ def save_bundle(
         if isinstance(space, NucleusSpace):
             space = space.to_csr()
         r, s = space.r, space.s
-        for name, buf in (
-            ("space.ctx_offsets", space.ctx_offsets),
-            ("space.ctx_members", space.ctx_members),
-            ("space.nbr_offsets", space.nbr_offsets),
-            ("space.nbr_members", space.nbr_members),
-        ):
-            write(name, buf)
+        write("space.ctx_offsets", space.ctx_offsets)
+        write("space.ctx_members", space.ctx_members)
         ids, labels = _clique_table(space)
         write("space.clique_ids", ids)
         components["space"] = {
@@ -382,10 +380,11 @@ def open_bundle(
             f"{manifest_path} is not a {FORMAT_NAME!r} manifest"
         )
     version = manifest.get("version")
-    if version != FORMAT_VERSION:
+    # JSON true would compare equal to 1
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise StoreFormatError(
             f"unsupported bundle format version {version!r} "
-            f"(this reader supports version {FORMAT_VERSION}); "
+            f"(this reader supports versions {list(_READABLE_VERSIONS)}); "
             "refusing to reinterpret buffers"
         )
     for key in ("components", "buffers"):
@@ -536,8 +535,6 @@ class Bundle:
             space.graph = self.graph if self.has("graph") else None
             space.ctx_offsets = self.load_array("space.ctx_offsets")
             space.ctx_members = self.load_array("space.ctx_members")
-            space.nbr_offsets = self.load_array("space.nbr_offsets")
-            space.nbr_members = self.load_array("space.nbr_members")
             space._index = None
             self._space = space
         return self._space

@@ -35,6 +35,13 @@ from repro.graph.graph import Graph
 INSTANCES = [(1, 2), (2, 3), (3, 4)]
 
 
+def assert_neighbours_match(csr, space):
+    """``csr.neighbors(i)`` is the dict space's neighbour set, for every i."""
+    assert len(csr) == len(space)
+    for i in range(len(space)):
+        assert csr.neighbors(i) == tuple(sorted(space.neighbors(i)))
+
+
 def assert_same_trajectory(a, b):
     """κ, iteration count, τ history and every per-iteration stats row."""
     assert a.kappa == b.kappa
@@ -85,8 +92,7 @@ class TestCSRSpaceStructure:
         assert clone.cliques == csr.cliques
         assert list(clone.ctx_offsets) == list(csr.ctx_offsets)
         assert list(clone.ctx_members) == list(csr.ctx_members)
-        assert list(clone.nbr_offsets) == list(csr.nbr_offsets)
-        assert list(clone.nbr_members) == list(csr.nbr_members)
+        assert_neighbours_match(clone, space)
         # the clone must be fully usable
         assert (
             and_decomposition_csr(clone).kappa == and_decomposition_csr(csr).kappa
@@ -123,6 +129,18 @@ class TestCSRSpaceStructure:
         with pytest.raises(AssertionError):
             csr.validate()
 
+    @pytest.mark.parametrize("rs", INSTANCES + [(2, 4)])
+    def test_validate_catches_an_inconsistent_context_row(self, rs):
+        # an in-range partner swapped for another clique: the s-clique's
+        # context rows then name different member sets
+        csr = NucleusSpace(powerlaw_cluster_graph(40, 4, 0.6, seed=3), *rs).to_csr()
+        csr.validate()
+        for slot in (0, len(csr.ctx_members) - 1):
+            broken = pickle.loads(pickle.dumps(csr))
+            broken.ctx_members[slot] = (broken.ctx_members[slot] + 1) % len(csr)
+            with pytest.raises(AssertionError, match="s-clique"):
+                broken.validate()
+
     def test_as_dict_matches_space(self):
         space = NucleusSpace(ring_of_cliques(3, 4), 1, 2)
         csr = space.to_csr()
@@ -144,8 +162,7 @@ class TestFromGraph:
         assert direct.cliques == via_dict.cliques
         assert list(direct.ctx_offsets) == list(via_dict.ctx_offsets)
         assert list(direct.ctx_members) == list(via_dict.ctx_members)
-        assert list(direct.nbr_offsets) == list(via_dict.nbr_offsets)
-        assert list(direct.nbr_members) == list(via_dict.nbr_members)
+        assert_neighbours_match(direct, NucleusSpace(any_graph, *rs))
 
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_empty_and_tiny_graphs(self, rs):
@@ -177,8 +194,7 @@ class TestFromGraph:
         assert direct.cliques == via_dict.cliques
         assert list(direct.ctx_offsets) == list(via_dict.ctx_offsets)
         assert list(direct.ctx_members) == list(via_dict.ctx_members)
-        assert list(direct.nbr_offsets) == list(via_dict.nbr_offsets)
-        assert list(direct.nbr_members) == list(via_dict.nbr_members)
+        assert_neighbours_match(direct, NucleusSpace(graph, *rs))
 
     def test_kappa_parity_all_algorithms(self, any_graph):
         direct = CSRSpace.from_graph(any_graph, 2, 3)
@@ -416,4 +432,4 @@ class TestEdgeCases:
 
     def test_csr_constructor_validates_rs(self):
         with pytest.raises(ValueError):
-            CSRSpace(2, 2, [], [0], [], [0], [])
+            CSRSpace(2, 2, [], [0], [])

@@ -48,6 +48,32 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 
 
+def _ci_doctest_modules():
+    """Module names the CI docs job passes to ``--doctest-modules``.
+
+    Read as text (no YAML parser needed): the ``src/...py`` lines of the
+    folded command that follows the ``--doctest-modules`` flag.
+    """
+    lines = (REPO / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if line.strip().startswith("python") and "--doctest-modules" in line
+    )
+    modules = []
+    for line in lines[start + 1:]:
+        path = line.strip()
+        if not re.fullmatch(r"src/[\w/]+\.py", path):
+            break
+        parts = path[len("src/"):-len(".py")].split("/")
+        modules.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return modules
+
+
+def test_ci_doctest_list_matches():
+    """The CI job's ``--doctest-modules`` list names the same modules."""
+    assert sorted(_ci_doctest_modules()) == sorted(DOCTEST_MODULES)
+
+
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
 def test_doctests_execute(module_name):
     module = importlib.import_module(module_name)

@@ -6,15 +6,17 @@ no sub-clique is searched for by its vertices.  The generic route —
 ``_incidence_arrays_generic`` over ``clique_batches``, assembled by
 ``_from_incidence_arrays`` — still serves every other (r, s) and is the
 reference here: over a world of graphs (every generator family sampled with
-a fixed seed, plus the degenerate shapes) the clique table and the four
-incidence buffers must match it byte for byte, and κ must equal the dict
-backend's peeling.
+a fixed seed, plus the degenerate shapes) the clique table and the two
+incidence buffers must match it byte for byte, every clique's neighbours
+must equal the reference relation (:mod:`and_reference`), and κ must equal
+the dict backend's peeling.
 """
 
 import random
 
 import numpy as np
 import pytest
+from and_reference import neighbour_rows
 
 from repro.core.csr import CSRSpace, _incidence_arrays_generic
 from repro.core.peeling import peeling_decomposition
@@ -85,13 +87,14 @@ WORLD = _world()
 
 
 def _buffers(space: CSRSpace):
-    """The clique table and the four incidence buffers, as bytes."""
+    """The clique table and both incidence buffers as bytes, and the neighbours."""
+    neighbours = [space.neighbors(i) for i in range(len(space))]
+    assert neighbours == neighbour_rows(space)
     return (
         np.asarray(space.cliques.ids).tobytes(),
         space.ctx_offsets.tobytes(),
         space.ctx_members.tobytes(),
-        space.nbr_offsets.tobytes(),
-        space.nbr_members.tobytes(),
+        neighbours,
     )
 
 

@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from and_reference import neighbour_rows
 
 from repro.core.csr import CSRSpace, and_decomposition_csr
 from repro.core.decomposition import nucleus_decomposition
@@ -29,12 +30,13 @@ from repro.parallel.procpool import PersistentPool, process_and_decomposition
 
 def space_bytes(space: CSRSpace):
     """Everything that must match for two spaces to be interchangeable."""
+    neighbours = [space.neighbors(i) for i in range(len(space))]
+    assert neighbours == neighbour_rows(space)
     return (
         space.stride,
         space.ctx_offsets.tobytes(),
         space.ctx_members.tobytes(),
-        space.nbr_offsets.tobytes(),
-        space.nbr_members.tobytes(),
+        neighbours,
         np.asarray(space.cliques.ids).tobytes(),
     )
 

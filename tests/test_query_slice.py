@@ -204,8 +204,10 @@ def test_restrict_to_every_vertex_keeps_the_space(tmp_path_factory, r, s):
     for source in (space, _save(tmp_path_factory, graph, space).space):
         whole = source.restrict(np.arange(graph.number_of_vertices(), dtype=np.int64))
         whole.validate()
-        for name in ("ctx_offsets", "ctx_members", "nbr_offsets", "nbr_members"):
+        for name in ("ctx_offsets", "ctx_members"):
             assert np.array_equal(getattr(whole, name), getattr(space, name))
+        for i in range(len(space)):
+            assert whole.neighbors(i) == space.neighbors(i)
         assert and_decomposition(whole).kappa == and_decomposition(space).kappa
 
 

@@ -1,5 +1,7 @@
 """Tests for the DecompositionResult container."""
 
+import random
+
 import pytest
 
 from repro.core.decomposition import core_decomposition
@@ -36,6 +38,22 @@ class TestBasics:
     def test_summary_mentions_algorithm(self, sample_result):
         assert "peeling" in sample_result.summary()
         assert "(1,2)" in sample_result.summary()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_histogram_matches_the_counting_loop(self, seed):
+        rng = random.Random(seed)
+        kappa = [rng.choice([0, 1, 2, 7, 40, 1000]) for _ in range(rng.randint(1, 300))]
+        result = DecompositionResult(
+            r=1, s=2, algorithm="and", kappa=kappa, cliques=[None] * len(kappa)
+        )
+        reference = {}
+        for k in kappa:
+            reference[k] = reference.get(k, 0) + 1
+        hist = result.kappa_histogram()
+        assert list(hist.items()) == sorted(reference.items())
+        assert all(type(k) is int and type(c) is int for k, c in hist.items())
+        assert result.max_kappa() == max(kappa)
+        assert type(result.max_kappa()) is int
 
     def test_empty_result_max_kappa(self):
         result = DecompositionResult(r=1, s=2, algorithm="peeling", kappa=[], cliques=[])

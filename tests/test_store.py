@@ -9,6 +9,8 @@ shape error).
 
 import json
 import random
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ from repro.store import (
     open_bundle,
     save_bundle,
 )
+
+
+#: A small (2, 3) bundle (graph, space, result, index) written by the last
+#: version-1 writer, which also stored the neighbour relation.
+V1_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v1"
 
 
 @pytest.fixture()
@@ -76,11 +83,13 @@ class TestRoundTrip:
         reopened = open_bundle(path).space
         assert reopened.r == space.r and reopened.s == space.s
         assert list(reopened.cliques) == list(space.cliques)
-        for name in ("ctx_offsets", "ctx_members", "nbr_offsets", "nbr_members"):
+        for name in ("ctx_offsets", "ctx_members"):
             assert np.array_equal(
                 np.frombuffer(getattr(space, name), dtype=np.int64),
                 np.asarray(getattr(reopened, name)),
             )
+        for i in range(len(space)):
+            assert reopened.neighbors(i) == space.neighbors(i)
         # the memmapped space is a working kernel substrate
         assert peeling_decomposition(reopened).kappa == result.kappa
 
@@ -380,10 +389,16 @@ class TestCorruptionRecovery:
     and *survivable* (the dataset cache quarantines and rebuilds)."""
 
     @pytest.mark.parametrize("buffer_name", ALL_BUFFER_KINDS)
-    def test_verified_open_catches_any_flipped_buffer(self, saved, buffer_name):
+    def test_verified_open_catches_any_flipped_buffer(
+        self, saved, tmp_path, buffer_name
+    ):
         from repro.resilience.faults import FaultInjector
 
         path, *_ = saved
+        if buffer_name not in json.loads((path / MANIFEST_NAME).read_text())["buffers"]:
+            # the neighbour buffers exist in version-1 bundles only; their
+            # checksums are still verified there
+            path = shutil.copytree(V1_BUNDLE, tmp_path / "v1")
         hit = FaultInjector(
             [{"kind": "corrupt", "buffer": buffer_name}]
         ).corrupt_bundle(path)
@@ -452,3 +467,65 @@ class TestCorruptionRecovery:
         with caplog.at_level("WARNING", logger="repro.datasets.registry"):
             load_dataset("fb", "csr", cache_dir=cache)
         assert any("quarantined" in rec.message for rec in caplog.records)
+
+
+# ----------------------------------------------------------------------
+# format versions
+# ----------------------------------------------------------------------
+class TestFormatVersions:
+    """Version 2 dropped the neighbour buffers; version-1 bundles still open
+    and answer exactly like a freshly saved version-2 bundle."""
+
+    @pytest.fixture()
+    def pair(self, tmp_path):
+        graph = CSRGraph.from_graph(powerlaw_cluster_graph(40, 3, 0.5, seed=7))
+        space = CSRSpace.from_graph(graph, 2, 3)
+        result = peeling_decomposition(space)
+        fresh = save_bundle(
+            tmp_path / "v2", graph=graph, space=space, result=result,
+            hierarchy=build_hierarchy(space, result),
+        )
+        return open_bundle(V1_BUNDLE, verify=True), open_bundle(fresh, verify=True)
+
+    def test_versions_on_disk(self, pair):
+        old, new = pair
+        assert old.manifest["version"] == 1
+        assert new.manifest["version"] == FORMAT_VERSION == 2
+        assert "space.nbr_offsets" in old.manifest["buffers"]
+        assert not any("nbr" in name for name in new.manifest["buffers"])
+
+    def test_v1_answers_equal_v2(self, pair):
+        old, new = pair
+        assert np.array_equal(old.kappa, new.kappa)
+        assert old.result.kappa == new.result.kappa
+        for clique in new.space.cliques:
+            assert old.clique_index_of(clique) == new.clique_index_of(clique)
+            assert old.kappa_of(clique) == new.kappa_of(clique)
+        assert old.clique_index_of((0, 99)) is None
+        queries = list(new.space.cliques)[::7]
+        for hops in (0, 1, 2):
+            a = estimate_local_indices(old, queries, 2, 3, hops=hops)
+            b = estimate_local_indices(new, queries, 2, 3, hops=hops)
+            assert dict(a) == dict(b)
+            assert (a.ball_size, a.subgraph_edges, a.iterations) == (
+                b.ball_size, b.subgraph_edges, b.iterations
+            )
+
+    def test_v1_space_ignores_the_neighbour_buffers(self, pair):
+        old, new = pair
+        space = old.space
+        assert not hasattr(space, "nbr_offsets")
+        space.validate()
+        assert [space.neighbors(i) for i in range(len(space))] == [
+            new.space.neighbors(i) for i in range(len(space))
+        ]
+        assert and_decomposition(space).kappa == old.result.kappa
+
+    @pytest.mark.parametrize("version", [3, 0, True, "1", 1.0])
+    def test_other_versions_refused(self, tmp_path, version):
+        path = shutil.copytree(V1_BUNDLE, tmp_path / "other")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["version"] = version
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(StoreFormatError, match="unsupported bundle format version"):
+            open_bundle(path)
