@@ -10,6 +10,10 @@ instance — and asserts the headline target:
 * SND: CSR at least as fast (vectorised Jacobi step);
 * peeling: the level-synchronous CSR peel at least roughly matches dict.
 
+It also records, with no floor, the batched AND against the exact CSR
+peel on the same warm (2, 3) and (3, 4) spaces, with the AND's
+``rho_evaluations`` (context rows gathered).
+
 In smoke mode the graph shrinks and only κ parity plus a sanity bound is
 asserted (single-shot timings on shared CI runners are too noisy for a hard
 ratio); the measured ratios are still recorded into the JSON artifact via
@@ -23,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.asynd import and_decomposition
+from repro.core.csr import and_decomposition_csr
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
@@ -263,3 +268,25 @@ def test_peeling_csr_fast_path(spaces, smoke_mode, bench_record):
     )
     if not smoke_mode:
         assert speedup >= 0.8  # fast path must not regress materially
+
+
+@pytest.mark.parametrize("fixture", ["spaces", "three_four_spaces"])
+def test_and_against_peel(fixture, request, smoke_mode, bench_record):
+    """Batched AND vs the exact CSR peel on one warm space: recorded, no floor."""
+    _, csr = request.getfixturevalue(fixture)
+    t_and, r_and = _best_of(5, and_decomposition_csr, csr)
+    t_peel, r_peel = _best_of(5, peeling_decomposition, csr)
+    assert r_and.kappa == r_peel.kappa
+    bench_record(
+        name=f"and_vs_peel_{csr.r}{csr.s}",
+        and_s=round(t_and, 4),
+        peel_s=round(t_peel, 4),
+        rho_evaluations=r_and.operations["rho_evaluations"],
+        iterations=r_and.iterations,
+        smoke=smoke_mode,
+    )
+    print(
+        f"\nAND ({csr.r},{csr.s}) on {len(csr)} cliques: {t_and * 1000:.1f} ms, "
+        f"peel {t_peel * 1000:.1f} ms, {r_and.operations['rho_evaluations']} "
+        f"context rows gathered"
+    )

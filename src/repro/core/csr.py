@@ -22,21 +22,30 @@ memory, or read-only memmaps when reopened from an on-disk bundle.  A
 ``CSRSpace`` is cheap to pickle and to place in shared memory (flat buffers,
 no per-element Python objects), which is what the process pool needs.
 
-Each local algorithm has one round kernel here, and every tier runs it:
+Each local algorithm has one round kernel that every tier runs:
 :func:`_and_sweep` (one frontier-batched AND pass over a chunk of cliques)
-and :func:`_snd_sweep` (one Jacobi SND step over a chunk).  The serial
-engines of :func:`and_decomposition_csr` / :func:`snd_decomposition_csr`
-run them over the single chunk ``[0, n)`` and keep only the iteration
-stats, history and callbacks; the workers of
+and :func:`_snd_sweep` (one Jacobi SND step over a chunk).  The workers of
 :class:`repro.parallel.procpool.PersistentPool` run them over their own
-chunks of shared-memory views.  κ equals the dict-backend implementations
-in :mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
+chunks of shared-memory views, and the serial engines of
+:func:`and_decomposition_csr` / :func:`snd_decomposition_csr` over the
+single chunk ``[0, n)``.  The serial AND with notification (the default)
+runs :func:`_and_count` instead: one writer can keep a per-clique support
+count up to date, so a pass gathers only the cliques whose τ drops, where
+the pool's chunks gather every flagged clique and check it.  Both take the
+same τ trajectory.  κ equals the dict-backend implementations in
+:mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
 asserts property-style.  AND's per-visit schedule has no kernel here: the
 one loop in :mod:`repro.core.asynd` runs on this class through its read
 API.  The exact baselines share one step, :func:`_retire`, which removes a
 whole frontier of r-cliques at once: the level-synchronous peel of
 :mod:`repro.core.peeling` and the degree levels of :mod:`repro.core.levels`
 drive it.
+
+The AND counters in ``result.operations`` and ``iteration_stats``:
+``processed`` is the number of cliques a pass looks at (every clique in a
+full pass, the counted frontier in a later one), ``skipped`` the rest, and
+``rho_evaluations`` the context rows gathered (see
+:func:`and_decomposition_csr`).
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ __all__ = [
     "resolve_backend",
     "resolve_process_backend",
     "and_decomposition_csr",
+    "support_counts",
     "snd_decomposition_csr",
     "chunk_ranges",
     "weighted_ranges",
@@ -324,7 +334,8 @@ class CSRSpace:
             flat = _np.ascontiguousarray(groups, dtype=_np.int64).reshape(-1)
             _np.cumsum(_np.bincount(flat, minlength=n), out=ctx_offsets_np[1:])
             # context slots grouped by owner, in s-clique enumeration order
-            order = _np.argsort(flat, kind="stable")
+            order = _stable_order(flat, n)
+            del flat
             cols = _np.array(
                 # constant (group_size, stride) pattern table, O(C(s,r)^2)
                 [[j for j in range(group_size) if j != i] for i in range(group_size)],  # repro: noqa[KER001]
@@ -689,6 +700,22 @@ _SORTING_NETWORKS = {
 
 
 @kernel
+def _stable_order(keys, n: int):
+    """``np.argsort(keys, kind="stable")`` for int64 ``keys`` in ``[0, n)``.
+
+    Keys below 2**16 fit one ``uint16`` digit, whose stable argsort numpy
+    runs as a radix sort, several times faster than its merge sort of
+    int64.  Larger keys keep the merge sort: a second radix digit needs the
+    first pass's order, the second pass's order and the radix scratch alive
+    at once, and that raised the truss-pipeline benchmark's peak RSS by
+    about 4.5 MB.
+    """
+    if n > 1 << 16:
+        return _np.argsort(keys, kind="stable")
+    return _np.argsort(keys.astype(_np.uint16), kind="stable")
+
+
+@kernel
 def _sorted_columns(*columns):
     """Rows of the parallel int64 ``columns``, each sorted ascending.
 
@@ -987,24 +1014,46 @@ def and_decomposition_csr(
 ) -> DecompositionResult:
     """Frontier-batched AND (Algorithm 3) over a :class:`CSRSpace`.
 
-    Runs the round kernel :func:`_and_sweep` over the one chunk ``[0, n)``,
-    the same kernel the process pool runs per worker chunk.  Each pass
-    reads the pass-start τ (Jacobi within a pass, Gauss–Seidel across
-    passes), so iteration counts and τ trajectories differ from the
-    per-visit schedule of :func:`repro.core.asynd.and_decomposition`; κ is
-    the same unique fixed point, which the property tests assert against
-    the dict backend.  The counters mirror the per-visit loop: only a
-    notification skip counts as skipped (τ = 0 cliques are visited and
-    retired, never gathered), ``rho_evaluations`` charges the gathered
-    context total per pass and ``h_index_calls`` the cliques whose
-    sustainability check failed.
+    With ``notification`` (the default) each pass is one step of the
+    counted kernel :func:`_and_count`: the first pass checks every clique
+    and seeds the per-clique support counts, and every later pass visits
+    only the cliques whose count has fallen below τ.  Without it every
+    pass is a full sweep of the round kernel :func:`_and_sweep` over the
+    one chunk ``[0, n)``, the kernel the process pool runs per worker
+    chunk.  Each pass reads the pass-start τ (Jacobi within a pass,
+    Gauss–Seidel across passes), so iteration counts and τ trajectories
+    differ from the per-visit schedule of
+    :func:`repro.core.asynd.and_decomposition`; κ is the same unique fixed
+    point, which the property tests assert against the dict backend.  Both
+    routes here take the same τ trajectory.
+
+    The counters, per pass:
+
+    * ``processed`` — the cliques the pass looks at: all ``n`` in a full
+      pass (the first one, or every one without ``notification``); the
+      frontier ``support < τ`` in a later counted pass, which is exactly
+      the cliques that drop, so ``processed == updated`` there;
+    * ``skipped`` — ``n - processed``: the cliques whose count (or, in the
+      pool, whose missing flag) shows they cannot drop;
+    * ``rho_evaluations`` — context rows gathered: every row in a full
+      pass, plus the frontier's rows, gathered once to rank them (their
+      re-read against the published τ is not charged again);
+    * ``h_index_calls`` — the cliques whose τ dropped.
+
+    τ = 0 cliques are looked at in a full pass and never gathered.
     """
     space = _as_csr(source, r, s)
     n = len(space)
     tau = _np.diff(space.ctx_offsets)
-    # engine-local frontier flags, never a shared/persisted buffer
-    active = _np.ones(n, dtype=_np.uint8)  # repro: noqa[ARR002]
-    sweep = _and_sweep(space.ctx_offsets, space.ctx_members, space.stride, tau, active)
+    if notification:
+        support = _np.zeros(n, dtype=_np.int64)
+        step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
+    else:
+        sweep = _and_sweep(space.ctx_offsets, space.ctx_members, space.stride, tau, None)
+
+        def step(first: bool):
+            return sweep(0, n, True, False)
+
     count_converged = _make_converged_counter(reference_kappa)
     history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
     stats: List[IterationStats] = []
@@ -1018,7 +1067,7 @@ def and_decomposition_csr(
         if max_iterations is not None and iteration >= max_iterations:
             break
         iteration += 1
-        updated, processed, evaluated, max_change = sweep(0, n, False, notification)
+        updated, processed, evaluated, max_change = step(iteration == 1)
         rho_evaluations += evaluated
         h_calls += updated
         skipped_total += n - processed
@@ -1056,13 +1105,161 @@ def and_decomposition_csr(
     )
 
 
+def support_counts(space: CSRSpace, tau):
+    """Each clique's support under ``tau``, counted from scratch.
+
+    ``support(R)`` is the number of R's contexts whose partners all have
+    τ ≥ τ(R), that is, the s-cliques whose minimum τ is τ(R).  This is the
+    Section 4.4 sustainability count applied to every clique at once.
+    ``support ≥ τ`` everywhere is the fixed-point condition of the AND: it
+    holds at κ, and any ``tau`` that meets it is ≤ κ.  :func:`_and_count`
+    starts from these counts and keeps them up to date pass by pass.
+    """
+    total = int(space.ctx_offsets[len(space)])
+    columns = space.ctx_members[:total * space.stride].reshape(total, space.stride).T
+    return _support(space.ctx_offsets, columns, _np.asarray(tau, dtype=_np.int64))
+
+
+@kernel
+def _support(ctx_off, columns, tau):
+    """Support counts from one gather per partner column plus a prefix sum."""
+    rho = tau[columns[0]]
+    for column in columns[1:]:
+        _np.minimum(rho, tau[column], out=rho)
+    held = rho >= _np.repeat(tau, ctx_off[1:] - ctx_off[:-1])
+    del rho
+    run = _np.zeros(len(held) + 1, dtype=_np.int64)
+    _np.cumsum(held, out=run[1:])
+    return run[ctx_off[1:]] - run[ctx_off[:-1]]
+
+
+@kernel
+def _and_count(ctx_off, members, stride: int, tau, support):
+    """The counted AND kernel: a serial pass that gathers only cliques that drop.
+
+    Binds the space buffers, the τ array and the int64 ``support`` counts
+    (both updated in place; the engine allocates them, so a caller can read
+    the counts between passes) and returns ``step(first)``, which runs one
+    pass and returns ``(updated, processed, rho_evaluations, max_change)``
+    as :func:`_and_sweep` does.  ``support(R)`` is the number of R's
+    contexts whose partners all have τ ≥ τ(R) (:func:`support_counts`), so
+    the Section 4.4 sustainability check keeps τ(R) iff
+    ``support(R) ≥ τ(R)``.  The ``first`` pass runs that check on every
+    clique, counting each support from scratch (:func:`_support`); every
+    pass then takes the frontier ``support < τ``.  Each clique in it fails
+    the check, so no check runs: the pass gathers the frontier's rows and
+    computes each new τ as the h-index of its segment, one sort of packed
+    ``(segment, -ρ)`` keys as in :func:`_and_sweep`.  The new τ lies
+    strictly below the old one, since an h-index ≥ τ would have passed
+    the check.
+
+    After publishing the new τ, the pass brings the counts up to date from
+    the frontier's rows alone, re-read against the published τ:
+
+    * a changed clique recounts its support from its own rows;
+    * an unchanged partner ``p`` loses an s-clique iff the s-clique's
+      minimum τ over its members fell across τ(p): ``μ_old ≥ τ(p) >
+      μ_new``.  τ only decreases, so no count grows.  An s-clique with
+      several changed members is counted once, from the row of its
+      smallest-index changed member (the rule :func:`_retire` uses), found
+      through a byte flag per clique that marks the pass's changed cliques
+      and is reset after it.
+
+    Every other s-clique keeps all its τ values, so no other count moves.
+    The frontier of each pass is therefore exactly the set of cliques whose
+    check would fail, and the τ trajectory (per-pass updates, iterations)
+    equals :func:`_and_sweep`'s; an empty frontier is the converging pass.
+    The counts have one writer, which is why the pool's chunks keep
+    :func:`_and_sweep`'s flags.
+    """
+    n = len(tau)
+    total = int(ctx_off[n])
+    columns = members[:total * stride].reshape(total, stride).T
+    degrees = ctx_off[1:] - ctx_off[:-1]
+    # packed sort-key base: every ρ is bounded by the maximum context count
+    pack = int(degrees.max(initial=0)) + 2
+    # engine-local scratch: False for the pass's changed cliques, never
+    # shared or persisted
+    still = _np.ones(n, dtype=bool)  # repro: noqa[ARR002]
+
+    def step(first: bool):
+        checked = 0
+        if first:
+            support[:] = _support(ctx_off, columns, tau)
+            checked = total
+        frontier = (support < tau).nonzero()[0]
+        m = len(frontier)
+        processed = n if first else m
+        if m == 0:
+            return 0, processed, checked, 0
+        # support < τ implies τ > 0, so every segment is non-empty
+        deg = degrees[frontier]
+        starts = _np.cumsum(deg) - deg
+        evaluated = int(starts[-1] + deg[-1])
+        pos = _np.arange(evaluated, dtype=_np.int64) - _np.repeat(starts, deg)
+        rows = pos + _np.repeat(ctx_off[frontier], deg)
+        parts = [column[rows] for column in columns]
+        del rows
+        rho = tau[parts[0]]
+        for part in parts[1:]:
+            _np.minimum(rho, tau[part], out=rho)
+        if m * pack <= 2**62:
+            # packed keys ``segment * pack + (pack - 1 - ρ)``: one sort
+            # ranks every segment's ρ descending, and equal keys are equal
+            # values, so any sort order will do
+            key = _np.repeat(_np.arange(pack - 1, m * pack, pack, dtype=_np.int64), deg)
+            key -= rho
+            key.sort()
+            key %= pack
+        else:  # pragma: no cover - needs ~2^31 cliques
+            rep = _np.repeat(_np.arange(m, dtype=_np.int64), deg)
+            key = pack - 1 - rho[_np.lexsort((-rho, rep))]
+        # h = #{k : sorted ρ[k] >= k + 1} per segment, with key = pack - 1 - ρ
+        new = _np.add.reduceat(key <= pack - 2 - pos, starts, dtype=_np.int64)
+        del key, pos
+        old = tau[frontier]
+        tau[frontier] = new
+        # re-read the partners against the published τ
+        fresh = tau[parts[0]]
+        for part in parts[1:]:
+            _np.minimum(fresh, tau[part], out=fresh)
+        bound = _np.repeat(new, deg)
+        support[frontier] = _np.add.reduceat(fresh >= bound, starts, dtype=_np.int64)
+        # μ over the row's s members, before and after the publish.  An
+        # unchanged partner p has τ(p) ≥ μ_old, so it loses the s-clique
+        # (μ_old ≥ τ(p) > μ_new) iff μ fell and τ(p) == μ_old.
+        low = _np.minimum(fresh, bound, out=fresh)
+        high = _np.minimum(rho, _np.repeat(old, deg), out=rho)
+        fell = (low < high).nonzero()[0]
+        if len(fell):
+            high = high[fell]
+            owner = _np.repeat(frontier, deg)[fell]
+            parts = [part[fell] for part in parts]
+            # count each s-clique from one row: the row whose owner has the
+            # smallest index among its changed members
+            still[frontier] = False
+            free = [still[part] for part in parts]
+            lead = free[0] | (parts[0] > owner)
+            for part, flag in zip(parts[1:], free[1:]):
+                lead &= flag | (part > owner)
+            for part, flag in zip(parts, free):
+                flag &= lead
+                flag &= tau[part] == high
+                _np.subtract.at(support, part[flag], 1)
+            still[frontier] = True
+        return m, processed, checked + evaluated, int((old - new).max())
+
+    return step
+
+
 @kernel
 def _and_sweep(ctx_off, members, stride: int, tau, active):
     """The AND round kernel: one frontier-batched pass over a chunk.
 
     Binds the space buffers, the τ array and the byte-wide ``active`` flags
-    (in-memory arrays or memmaps for the serial engine, zero-copy views
-    over shared memory in the pool workers) and returns
+    (in-memory arrays or memmaps for the serial engine, which sweeps fully
+    and passes ``None`` for the flags it never reads; zero-copy views over
+    shared memory in the pool workers) and returns
     ``sweep(lo, hi, full, use_active)``.  A call updates ``tau[lo:hi]`` in
     place and returns ``(updated, processed, rho_evaluations,
     max_change)``.  Over the frontier ``F`` — the chunk's cliques with

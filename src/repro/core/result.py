@@ -44,8 +44,10 @@ class IterationStats:
 
     iteration: int
     updated: int                     # r-cliques whose τ changed this iteration
-    processed: int                   # r-cliques actually recomputed
-    skipped: int                     # r-cliques skipped by the notification mechanism
+    processed: int                   # r-cliques looked at (checked or re-ranked)
+    skipped: int                     # r-cliques not looked at because they cannot drop:
+                                     # support ≥ τ (serial CSR AND) or not notified
+                                     # (per-visit and pool AND)
     max_change: int                  # largest τ decrease observed
     converged_count: int             # r-cliques already equal to their final κ
 

@@ -9,14 +9,20 @@ iterations, per-pass ``updated`` and ``max_change`` — with κ equal to
 peeling, and the kernel may never process more cliques than the reference.
 The pool routes (``PersistentPool``, ``SupervisedPool`` under a fault
 plan) must reach the same κ with notification on and off.
+
+The serial kernel with notification is the counted one
+(``_and_count``): its support counts must equal a from-scratch recount
+(``support_counts``) after every pass, meet ``support ≥ τ`` at
+convergence, and give the reference's passes on degenerate shapes too.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from and_reference import and_wake_all, neighbour_rows
-from repro.core.csr import CSRSpace, and_decomposition_csr
+from repro.core.csr import CSRSpace, _and_count, and_decomposition_csr, support_counts
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph import generators as gen
@@ -105,6 +111,88 @@ def test_neighbors_are_the_distinct_context_partners(name, r, s):
     }
     for i, clique in enumerate(space.cliques):
         assert {space.cliques[j] for j in rows[i]} == by_clique[clique]
+
+
+def _counted_passes(space):
+    """Drive ``_and_count`` pass by pass; yields ``(pass row, tau, support)``."""
+    tau = np.diff(space.ctx_offsets)
+    support = np.zeros(len(space), dtype=np.int64)
+    step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
+    first = True
+    while len(space):
+        row = step(first)
+        first = False
+        yield row, tau, support
+        if row[0] == 0:
+            return
+
+
+@pytest.mark.parametrize("r, s", INSTANCES)
+@pytest.mark.parametrize("name", sorted(WORLD))
+def test_support_counts_match_a_recount_after_every_pass(name, r, s):
+    space = CSRSpace.from_graph(WORLD[name], r, s)
+    passes = 0
+    for _, tau, support in _counted_passes(space):
+        passes += 1
+        assert np.array_equal(support, support_counts(space, tau)), f"pass {passes}"
+    assert passes == and_decomposition_csr(space).iterations
+    assert (support >= tau).all()
+    assert tau.tolist() == peeling_decomposition(space).kappa
+
+
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (3, 4)])
+def test_support_counts_follow_the_definition(r, s):
+    """A context supports its owner iff no partner has a smaller τ."""
+    space = CSRSpace.from_graph(WORLD["planted_clique"], r, s)
+    rng = np.random.default_rng(r * 10 + s)
+    tau = rng.integers(0, 6, len(space))
+    expected = [
+        sum(min(tau[j] for j in ctx) >= tau[i] for ctx in space.contexts(i))
+        for i in range(len(space))
+    ]
+    assert support_counts(space, tau).tolist() == expected
+
+
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (3, 4)])
+def test_support_at_least_kappa_is_kappas_fixed_point(r, s):
+    """``support ≥ τ`` holds at κ and fails once any clique's κ is raised."""
+    space = CSRSpace.from_graph(WORLD["hierarchical_community"], r, s)
+    kappa = np.asarray(peeling_decomposition(space).kappa, dtype=np.int64)
+    assert (support_counts(space, kappa) >= kappa).all()
+    for i in np.flatnonzero(np.diff(space.ctx_offsets))[::7]:
+        raised = kappa.copy()
+        raised[i] += 1
+        assert (support_counts(space, raised) < raised).any()
+
+
+def _degenerate_shapes():
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    return {
+        "empty": CSRGraph.from_edges([]),
+        "k2": CSRGraph.from_edges([(0, 1)]),
+        "star": CSRGraph.from_edges([(0, v) for v in range(1, 8)]),
+        "path": CSRGraph.from_edges([(v, v + 1) for v in range(9)]),
+        "triangle_free": CSRGraph.from_edges(
+            [(u, v) for u in range(4) for v in range(4, 8)]
+        ),
+        "k7": CSRGraph.from_edges(k7),
+    }
+
+
+SHAPES = _degenerate_shapes()
+
+
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_degenerate_shapes_follow_the_reference_passes(name, r, s):
+    space = CSRSpace.from_graph(SHAPES[name], r, s)
+    kappa, passes = and_wake_all(space)
+    rows = [row for row, _, _ in _counted_passes(space)]
+    result = and_decomposition_csr(space)
+    assert result.iterations == len(rows) == len(passes)
+    assert [(u, m) for u, _, _, m in rows] == [(u, m) for u, _, m in passes]
+    assert all(row[1] <= p[1] for row, p in zip(rows, passes))
+    assert result.kappa == kappa == peeling_decomposition(space).kappa
 
 
 @pytest.fixture(scope="module")

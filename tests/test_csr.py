@@ -9,12 +9,14 @@ deterministic generators.
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 from peel_witness import assert_peel_witness
 
 from repro.core.asynd import and_decomposition
 from repro.core.csr import (
     CSRSpace,
+    _stable_order,
     and_decomposition_csr,
     resolve_backend,
     resolve_process_backend,
@@ -225,6 +227,18 @@ class TestFromGraph:
     def test_graph_source_requires_rs(self):
         with pytest.raises(ValueError):
             snd_decomposition_csr(Graph([(0, 1)]))
+
+    @pytest.mark.parametrize(
+        "n, size",
+        [(1, 5), (2, 1000), (300, 5000), (65536, 200000), (65537, 200000),
+         (1 << 20, 100000), (1 << 33, 50000)],
+    )
+    def test_radix_order_is_the_stable_argsort(self, n, size):
+        """One 16-bit radix digit up to n = 65536, the merge sort beyond."""
+        keys = np.random.default_rng(n).integers(0, n, size, dtype=np.int64)
+        # force the largest key, so every digit of n - 1 is exercised
+        keys[size // 2] = n - 1
+        assert np.array_equal(_stable_order(keys, n), np.argsort(keys, kind="stable"))
 
 
 class TestBackendSelection:
