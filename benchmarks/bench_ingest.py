@@ -11,7 +11,10 @@ same edge-list file:
 * ``array_read_s`` / ``array_space_s`` — ``read_edge_list_arrays`` into a
   ``CSRGraph``, then ``CSRSpace.from_graph`` filled from the batch
   enumerators (the ``backend="csr"`` path; no dict adjacency, no per-clique
-  tuples).
+  tuples);
+* ``array_orient_s`` — ``CSRGraph.forward_csr`` alone on a freshly read
+  graph, the degeneracy orientation every space build starts from
+  (recorded for the trend, no floor).
 
 κ parity is asserted in every mode — the two spaces index their cliques
 differently, so the comparison is keyed by clique, and the values must be
@@ -54,12 +57,21 @@ def _best_of(repeats, fn, *args):
     return best, result
 
 
+def _orient_time(path):
+    """Seconds ``forward_csr`` takes on a freshly read graph (no floor)."""
+    graph = read_edge_list_arrays(path)
+    t0 = time.perf_counter()
+    graph.forward_csr()
+    return time.perf_counter() - t0
+
+
 def test_ingest_array_vs_dict(edge_list_path, smoke_mode, bench_record):
     reps = 1 if smoke_mode else 3
 
     t_dict_read, dict_graph = _best_of(reps, read_edge_list, edge_list_path)
     t_dict_space, dict_space = _best_of(reps, NucleusSpace, dict_graph, 2, 3)
     t_array_read, csr_graph = _best_of(reps, read_edge_list_arrays, edge_list_path)
+    t_array_orient = min(_orient_time(edge_list_path) for _ in range(reps))
     t_array_space, csr_space = _best_of(
         reps, CSRSpace.from_graph, csr_graph, 2, 3
     )
@@ -82,6 +94,7 @@ def test_ingest_array_vs_dict(edge_list_path, smoke_mode, bench_record):
         dict_space_s=round(t_dict_space, 4),
         array_read_s=round(t_array_read, 4),
         array_space_s=round(t_array_space, 4),
+        array_orient_s=round(t_array_orient, 4),
         dict_total_s=round(dict_total, 4),
         array_total_s=round(array_total, 4),
         speedup=round(speedup, 2),
@@ -92,8 +105,8 @@ def test_ingest_array_vs_dict(edge_list_path, smoke_mode, bench_record):
         f"\ningest (2,3) on {csr_graph.number_of_edges()} edges: dict "
         f"{dict_total * 1000:.1f} ms (read {t_dict_read * 1000:.1f} + space "
         f"{t_dict_space * 1000:.1f}), array {array_total * 1000:.1f} ms "
-        f"(read {t_array_read * 1000:.1f} + space {t_array_space * 1000:.1f}) "
-        f"-> {speedup:.2f}x"
+        f"(read {t_array_read * 1000:.1f} + space {t_array_space * 1000:.1f}; "
+        f"orient alone {t_array_orient * 1000:.1f}) -> {speedup:.2f}x"
     )
     if not smoke_mode:
         assert speedup >= INGEST_TARGET, (

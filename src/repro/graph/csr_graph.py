@@ -217,6 +217,28 @@ def _sorted_unique(keys):
     return np.concatenate((keys[:1], keys[1:][distinct]))
 
 
+def _compact_labels(labels):
+    """``(uniq, inverse)`` of a 1-D label array, as ``np.unique`` returns them.
+
+    ``uniq`` holds the distinct labels ascending and ``inverse`` (int64)
+    the position of each label in it.  Signed integer labels of span at
+    most ``2 * len(labels)`` are compacted with a presence bitmap: the
+    distinct labels are its set positions, and a label's id is the running
+    count of set positions up to it, minus one.  That is two passes over
+    the bitmap and one gather instead of a sort.
+    """
+    if labels.size and np.issubdtype(labels.dtype, np.signedinteger):
+        low, high = int(labels.min()), int(labels.max())
+        if high - low < 2 * labels.size:
+            offset = labels.astype(np.int64, copy=False) - low
+            present = _id_mask(high - low + 1, offset)
+            ids = np.cumsum(present, dtype=np.int64)
+            ids -= 1
+            return np.flatnonzero(present) + low, ids[offset]
+    uniq, inverse = np.unique(labels, return_inverse=True)
+    return uniq, inverse.astype(np.int64, copy=False)
+
+
 def _id_mask(n: int, ids):
     """Membership flags over the ids ``0..n-1``: True exactly at ``ids``."""
     mask = np.zeros(n, dtype=bool)
@@ -424,14 +446,23 @@ class CSRGraph:
     def from_label_arrays(cls, u, v) -> "CSRGraph":
         """Build from parallel arrays of vertex *labels* (compacted to ids).
 
-        ``np.unique`` assigns ids in sorted label order, which coincides with
+        Ids are assigned in sorted label order, which coincides with
         :func:`sorted_vertices` for homogeneous label types — the invariant
-        the lazy clique materialisation relies on.
+        the lazy clique materialisation relies on.  Signed integer labels
+        whose span ``max - min + 1`` is at most twice the number of
+        endpoints (a bitmap no larger than the input) get their ids from a
+        presence bitmap and its running count; any other labels go through
+        ``np.unique``.  Both give the same ids and the same label table.
+        Self-loops are dropped before ids are assigned, so a label that only
+        appears in a self-loop is no vertex, as in
+        :func:`repro.graph.io.read_edge_list`.
         """
         u = np.asarray(u)
         v = np.asarray(v)
-        uniq, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
+        keep = u != v
+        if not keep.all():
+            u, v = u[keep], v[keep]
+        uniq, inverse = _compact_labels(np.concatenate((u, v)))
         return cls.from_edge_arrays(
             inverse[: len(u)],
             inverse[len(u):],
@@ -716,18 +747,23 @@ class CSRGraph:
         higher-ranked endpoint; rows are indexed by vertex id and sorted by
         rank within each row, so the maximum row length is the graph's
         degeneracy — the bound that keeps enumeration candidate sets small.
+        The layout is one argsort of the packed keys ``src * n + rank[dst]``:
+        the keys are distinct, so any sort kind gives this one order, and
+        the sorted keys are kept as :meth:`forward_keys`.
         """
         if self._forward is None:
             n = self.number_of_vertices()
+            _check_key_space(n, n)
             rank = self.degeneracy_rank()
             rows = np.repeat(np.arange(n, dtype=np.int64), self.degree_array())
             keep = rank[rows] < rank[self.indices]
             src, dst = rows[keep], self.indices[keep]
-            order = np.lexsort((rank[dst], src))
-            src, dst = src[order], dst[order]
+            keys = src * n + rank[dst]
+            order = np.argsort(keys)
             fptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
-            self._forward = (fptr, dst)
+            self._forward = (fptr, dst[order])
+            self._forward_keys = keys[order]
         return self._forward
 
     def _forward_sources(self):
@@ -742,15 +778,10 @@ class CSRGraph:
         :meth:`forward_csr` stores the oriented edges by source id, then by
         target rank, so key ``p`` belongs to position ``p`` and one search
         for ``v * n + rank[w]`` both tests the edge ``v → w`` and finds its
-        position (:meth:`_pair_test`).  Cached beside the orientation.
+        position (:meth:`_pair_test`).  These are the keys the orientation
+        sorted, kept beside it rather than rebuilt.
         """
-        if self._forward_keys is None:
-            n = self.number_of_vertices()
-            _check_key_space(n, n)
-            _, fidx = self.forward_csr()
-            self._forward_keys = (
-                self._forward_sources() * n + self.degeneracy_rank()[fidx]
-            )
+        self.forward_csr()
         return self._forward_keys
 
     def forward_edge_ids(self):

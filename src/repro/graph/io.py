@@ -11,8 +11,9 @@ Two ingestion paths cover the two graph representations:
   :class:`~repro.graph.graph.Graph` (reference semantics);
 * :func:`read_edge_list_arrays` — whole-file numpy parse straight into a
   :class:`~repro.graph.csr_graph.CSRGraph`: the token stream becomes one
-  int64 (or label) array, vertex ids are assigned by ``np.unique``, and the
-  CSR adjacency is assembled without ever materialising a dict adjacency or
+  int64 (or label) array, vertex ids are assigned in sorted label order
+  (:meth:`~repro.graph.csr_graph.CSRGraph.from_label_arrays`), and the CSR
+  adjacency is assembled without ever materialising a dict adjacency or
   per-edge Python tuples.  This is the entry point of the array-native
   ``backend="csr"`` pipeline.
 
@@ -26,7 +27,6 @@ import bz2
 import gzip
 import io as _io
 import json
-import re
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -45,9 +45,10 @@ PathLike = Union[str, Path]
 
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open}
 
-#: Anything outside plain unsigned decimal tokens disqualifies the
-#: ``np.fromstring`` fast path (it stops silently at malformed input).
-_NON_DIGIT = re.compile(r"[^0-9\s]")
+#: Longest token the ``np.fromstring`` route takes: every 18-digit number
+#: fits int64, while a longer one may overflow, which that parser saturates
+#: to the int64 maximum without a word.
+_MAX_PLAIN_TOKEN = 18
 
 
 def _open_text(path: Path):
@@ -123,28 +124,21 @@ def read_edge_list_arrays(
     # column count from the first data line; extra columns beyond the first
     # two (SNAP timestamps etc.) are parsed and dropped, like the dict reader
     columns = len(data.split("\n", 1)[0].split())
-    if not _uniform_columns(np, data, num_lines, columns):
-        # ragged rows: per-line parse, semantics identical to read_edge_list
-        # (each line contributes its first two tokens) — still no dict graph
-        first, second = [], []
-        for lineno, line in enumerate(data.split("\n"), start=1):
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected at least two tokens, "
-                    f"got {line.strip()!r}"
-                )
-            first.append(parts[0])
-            second.append(parts[1])
-        return _pairs_from_label_tokens(np, first, second)
+    uniform, plain = _uniform_columns(np, data, num_lines, columns)
+    if not uniform:
+        return _ragged_pairs(np, path, data)
     if columns < 2:
         raise ValueError(f"{path}: expected at least two tokens per line")
-    values = _parse_int_tokens(np, data, num_lines * columns)
+    values = _parse_int_tokens(np, data, num_lines * columns, plain)
     if values is None:
-        # non-integer labels: tokenise and parse the first two columns per
-        # token exactly like the dict reader's _parse_vertex (extra columns
-        # must not leak into the vertex set), factorise in sorted order
         tokens = data.split()
+        if len(tokens) != num_lines * columns:
+            # a whitespace character other than space, tab or newline split
+            # a token the byte scan counted as one: parse line by line
+            return _ragged_pairs(np, path, data)
+        # non-integer labels: parse the first two columns per token exactly
+        # like the dict reader's _parse_vertex (extra columns must not leak
+        # into the vertex set), factorise in sorted order
         return _pairs_from_label_tokens(
             np, tokens[0::columns], tokens[1::columns]
         )
@@ -153,38 +147,90 @@ def read_edge_list_arrays(
 
 
 def _uniform_columns(np, data, num_lines, columns):
-    """Exact check that every data line has the same token count.
+    """One byte classification of ``data``: ``(uniform, plain)``.
 
-    The whole-stream parsers reshape the flat token array into rows, which
-    is only sound when the file is rectangular; a ragged file whose token
-    total happens to divide evenly would otherwise misparse silently.  The
-    check is a handful of vectorised passes over the raw bytes (token
-    starts = non-space bytes whose predecessor is space/newline/BOF,
-    bucketed per line), so it costs far less than tokenising.
+    ``uniform`` is the exact check that every data line holds ``columns``
+    tokens.  The whole-stream parsers reshape the flat token array into
+    rows, which is only sound when the file is rectangular; a ragged file
+    whose token total happens to divide evenly would otherwise misparse
+    silently.  Tokens are split at space, tab and newline only, so a line
+    that ``str.split`` cuts at any other whitespace counts fewer tokens
+    here, never more.  A token starts at a non-separator byte whose
+    predecessor is a separator.  The file is rectangular when it has
+    ``lines × columns`` starts and every newline falls between start
+    ``k·columns − 1`` and start ``k·columns`` of the sorted start
+    positions: the same answer as counting the starts before each newline
+    with one ``searchsorted``, from two strided comparisons.
+
+    ``plain`` says the stream may go to ``np.fromstring``: every byte is a
+    digit, space, tab or newline, and no token is longer than 18 bytes.
+    The gap between consecutive token starts bounds a token's length, so
+    a token that could overflow int64 (which ``np.fromstring`` saturates
+    silently) cannot hide behind the check.
     """
     buf = np.frombuffer(data.encode("utf-8"), dtype=np.uint8)
-    is_sep = (buf == 32) | (buf == 9)
-    is_newline = buf == 10
-    in_token = ~(is_sep | is_newline)
-    starts = in_token.copy()
-    starts[1:] &= ~in_token[:-1]
-    per_line = np.bincount(
-        np.cumsum(is_newline)[starts], minlength=num_lines
+    newline = buf == 10
+    sep = (buf == 32) | (buf == 9)
+    sep |= newline
+    starts = ~sep
+    plain = np.count_nonzero((buf - np.uint8(48)) < 10) == np.count_nonzero(starts)
+    starts[1:] &= sep[:-1]
+    at = np.flatnonzero(starts)
+    if columns < 1 or len(at) != num_lines * columns:
+        return False, False
+    breaks = np.flatnonzero(newline)
+    if not (
+        (at[columns - 1:-1:columns] < breaks).all()
+        and (at[columns::columns] > breaks).all()
+    ):
+        return False, False
+    plain = bool(
+        plain
+        and len(buf) - at[-1] <= _MAX_PLAIN_TOKEN
+        and (at[1:] - at[:-1]).max(initial=0) <= _MAX_PLAIN_TOKEN + 1
     )
-    return bool((per_line == columns).all())
+    return True, plain
+
+
+def _ragged_pairs(np, path, data):
+    """Per-line parse of ragged rows: each line's first two tokens.
+
+    Semantics identical to :func:`read_edge_list` (a whitespace-only line
+    is skipped, a one-token line raises) — still no dict graph.
+    """
+    first, second = [], []
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected at least two tokens, "
+                f"got {line.strip()!r}"
+            )
+        first.append(parts[0])
+        second.append(parts[1])
+    return _pairs_from_label_tokens(np, first, second)
 
 
 def _pairs_from_label_tokens(np, first, second):
-    """Build a CSRGraph from two parallel token columns via label parsing."""
+    """Build a CSRGraph from two parallel token columns via label parsing.
+
+    Self-loops are dropped before the label table is built, so a label that
+    only appears in a self-loop is no vertex, as in :func:`read_edge_list`.
+    """
     from repro.graph.csr_graph import CSRGraph
 
-    parsed_first = [_parse_vertex(t) for t in first]
-    parsed_second = [_parse_vertex(t) for t in second]
-    labels = sorted_vertices(set(parsed_first) | set(parsed_second))
+    pairs = [
+        (u, v)
+        for u, v in zip(map(_parse_vertex, first), map(_parse_vertex, second))
+        if u != v
+    ]
+    labels = sorted_vertices({label for pair in pairs for label in pair})
     ids = {label: i for i, label in enumerate(labels)}
-    count = len(parsed_first)
-    src = np.fromiter((ids[v] for v in parsed_first), dtype=np.int64, count=count)
-    dst = np.fromiter((ids[v] for v in parsed_second), dtype=np.int64, count=count)
+    count = len(pairs)
+    src = np.fromiter((ids[u] for u, _ in pairs), dtype=np.int64, count=count)
+    dst = np.fromiter((ids[v] for _, v in pairs), dtype=np.int64, count=count)
     return CSRGraph.from_edge_arrays(
         src, dst, num_vertices=len(labels), labels=labels
     )
@@ -198,7 +244,10 @@ def _data_lines(text, comment):
     slicing off the header and *counting* newlines instead of rebuilding the
     file line by line.  Anything irregular (interior comments, blank or
     whitespace-only lines, carriage returns) falls back to an exact
-    line-wise filter; both paths return the same data stream.
+    line-wise filter; both paths return the same data stream.  Lines end at
+    ``\n`` only, as in the dict reader's line iteration: ``str.splitlines``
+    would also cut at form feeds and other separators that the dict reader
+    keeps inside a line.
     """
     # slice off leading comment / blank lines without touching the rest
     pos = 0
@@ -221,7 +270,7 @@ def _data_lines(text, comment):
     if irregular:
         lines = [
             line
-            for line in text.splitlines()
+            for line in text.split("\n")
             if line.strip()
             and not (comment and line.lstrip().startswith(comment))
         ]
@@ -232,17 +281,20 @@ def _data_lines(text, comment):
     return text, text.count("\n") + 1
 
 
-def _parse_int_tokens(np, data, expected):
+def _parse_int_tokens(np, data, expected, plain):
     """Parse the whole token stream as int64, or ``None`` for the label path.
 
     ``np.fromstring(..., sep=' ')`` is the fastest text parser numpy ships
     (deprecated, not removed — hence the targeted warning filter), but it
-    silently stops at the first malformed token, so it is only trusted on a
-    digits-and-whitespace stream whose parsed count matches ``expected``.
-    Streams with signs or stray characters go through ``np.array`` over the
-    split tokens, which still converts in C and raises on bad input.
+    silently stops at the first malformed token and saturates an integer
+    that overflows, so it is only trusted on a ``plain`` stream (digits,
+    space, tab and newline, no token over 18 bytes; see
+    :func:`_uniform_columns`) whose parsed count matches ``expected``.  Any
+    other stream — signs, leading ``+``, other whitespace, non-ASCII digits,
+    long tokens — goes through ``np.array`` over the split tokens, which
+    converts like ``int`` and raises on bad input or overflow.
     """
-    if not _NON_DIGIT.search(data):
+    if plain:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)

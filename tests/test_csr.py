@@ -234,11 +234,27 @@ class TestFromGraph:
          (1 << 20, 100000), (1 << 33, 50000)],
     )
     def test_radix_order_is_the_stable_argsort(self, n, size):
-        """One 16-bit radix digit up to n = 65536, the merge sort beyond."""
+        """One 16-bit radix digit up to n = 65536, the packed-key sort beyond."""
         keys = np.random.default_rng(n).integers(0, n, size, dtype=np.int64)
         # force the largest key, so every digit of n - 1 is exercised
         keys[size // 2] = n - 1
         assert np.array_equal(_stable_order(keys, n), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "n, distinct, size",
+        [(65537, 3, 200000), (1 << 20, 17, 150000), (1 << 33, 1, 50000)],
+    )
+    def test_packed_order_keeps_ties_in_slot_order(self, n, distinct, size):
+        """Above 65536, ties (size >> distinct keys) decide the order."""
+        rng = np.random.default_rng(distinct)
+        values = rng.choice(n, distinct, replace=False).astype(np.int64)
+        keys = values[rng.integers(0, distinct, size)]
+        assert np.array_equal(_stable_order(keys, n), np.argsort(keys, kind="stable"))
+
+    def test_packed_order_refuses_overflowing_keys(self):
+        keys = np.array([3, 0, 2, 1], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            _stable_order(keys, 1 << 62)  # (1 << 62) * 4 slots >= 2**63
 
 
 class TestBackendSelection:

@@ -19,9 +19,16 @@ from repro.core.space import NucleusSpace
 from repro.graph.cliques import enumerate_k_cliques
 from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.generators import (
+    barabasi_albert_graph,
+    complete_graph,
     erdos_renyi_graph,
+    heterogeneous_cluster_graph,
+    hierarchical_community_graph,
+    planted_clique_graph,
     powerlaw_cluster_graph,
     ring_of_cliques,
+    union_of_graphs,
+    watts_strogatz_graph,
 )
 from repro.graph.graph import Graph
 from repro.graph.triangles import degeneracy_ordering, enumerate_triangles
@@ -121,6 +128,56 @@ class TestDegeneracy:
         for v in graph.vertices():
             forward = sum(1 for w in graph.neighbors(v) if pos[w] > pos[v])
             assert forward <= cg.degeneracy()
+
+
+def orientation_graphs():
+    """One seeded sample of every generators.py family, plus the empty
+    graph, K2 and a star."""
+    return [
+        complete_graph(7),
+        erdos_renyi_graph(60, 0.1, seed=11),
+        barabasi_albert_graph(80, 3, seed=12),
+        watts_strogatz_graph(70, 6, 0.2, seed=13),
+        powerlaw_cluster_graph(90, 4, 0.6, seed=14),
+        heterogeneous_cluster_graph(80, 2, 6, 0.5, seed=15),
+        planted_clique_graph(60, 8, 0.08, seed=16),
+        ring_of_cliques(4, 5),
+        hierarchical_community_graph(levels=2, branching=3, leaf_size=5, seed=17),
+        union_of_graphs([complete_graph(4), ring_of_cliques(3, 4)]),
+        Graph(),
+        Graph([(0, 1)]),
+        Graph([(0, leaf) for leaf in range(1, 9)]),
+    ]
+
+
+class TestOrientation:
+    """The packed-key orientation equals the two-key lexsort it replaced."""
+
+    @pytest.mark.parametrize("graph", orientation_graphs())
+    def test_forward_csr_matches_lexsort_reference(self, graph):
+        cg = CSRGraph.from_graph(graph)
+        n = cg.number_of_vertices()
+        rank = cg.degeneracy_rank()
+        rows = np.repeat(np.arange(n, dtype=np.int64), cg.degree_array())
+        keep = rank[rows] < rank[cg.indices]
+        src, dst = rows[keep], cg.indices[keep]
+        order = np.lexsort((rank[dst], src))
+        fptr, fidx = cg.forward_csr()
+        assert np.array_equal(fidx, dst[order])
+        assert np.array_equal(fptr, np.searchsorted(src[order], np.arange(n + 1)))
+        assert fptr.dtype == fidx.dtype == np.int64
+
+    @pytest.mark.parametrize("graph", orientation_graphs())
+    def test_forward_keys_are_the_sorted_orientation_keys(self, graph):
+        cg = CSRGraph.from_graph(graph)
+        n = cg.number_of_vertices()
+        _, fidx = cg.forward_csr()
+        keys = cg.forward_keys()
+        assert np.array_equal(
+            keys, cg._forward_sources() * n + cg.degeneracy_rank()[fidx]
+        )
+        assert np.all(keys[1:] > keys[:-1])
+        assert keys.dtype == np.int64
 
 
 class TestEnumeration:

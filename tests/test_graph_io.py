@@ -2,10 +2,13 @@
 
 import bz2
 import gzip
+import random
 
 import pytest
 
-from repro.graph.graph import Graph
+import repro.graph.csr_graph as csr_graph_module
+import repro.graph.io as io_module
+from repro.graph.graph import Graph, sorted_vertices
 from repro.graph.io import (
     read_edge_list,
     read_edge_list_arrays,
@@ -202,6 +205,198 @@ class TestReadEdgeListArrays:
             read_edge_list(path)
         with pytest.raises(ValueError):
             read_edge_list_arrays(path)
+
+
+#: Every route of read_edge_list_arrays, as TestParserDifferential names them.
+ROUTES = (
+    "fromstring+bitmap", "fromstring+unique", "tokens+bitmap",
+    "tokens+unique", "labels", "ragged", "error",
+)
+
+
+class TestParserDifferential:
+    """Seeded mutations of edge-list text: both readers give the same graph.
+
+    Each case must give the same labels (type and value, in sorted order)
+    and the same edge set from :func:`read_edge_list_arrays` as from the
+    dict reader :func:`read_edge_list`, or make both raise the same error
+    class.  The array reader has several routes, and each named case states
+    the one it takes:
+
+    * ``fromstring`` — digits, space, tab and newline only, no token over
+      18 bytes: ``np.fromstring`` parses the stream;
+    * ``tokens`` — any other byte, or a long token: ``np.array`` converts
+      the split tokens like ``int``;
+    * ``+bitmap`` or ``+unique`` — how ids are assigned to integer labels:
+      a presence bitmap when their span is at most twice the endpoint
+      count, ``np.unique`` otherwise;
+    * ``labels`` — a rectangular file with a token that is no int64;
+    * ``ragged`` — rows whose token counts differ (by space, tab and
+      newline, or by ``str.split``): parsed line by line.
+    """
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The steps each ``read_edge_list_arrays`` call took."""
+        taken = []
+
+        def spy(module, name, record=None):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                taken.append(record(result) if record else name)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(io_module, "_uniform_columns", lambda result: "plain" if result[1] else "")
+        spy(io_module, "_ragged_pairs")
+        spy(io_module, "_pairs_from_label_tokens")
+        spy(csr_graph_module.np, "unique")
+        return taken
+
+    @staticmethod
+    def route_of(taken):
+        if "_ragged_pairs" in taken:
+            return "ragged"
+        if "_pairs_from_label_tokens" in taken:
+            return "labels"
+        parse = "fromstring" if "plain" in taken else "tokens"
+        return parse + ("+unique" if "unique" in taken else "+bitmap")
+
+    @staticmethod
+    def outcome(reader, path):
+        """``(labels, edges)`` a reader gives, or the class of its error."""
+        try:
+            graph = reader(path)
+        except Exception as exc:  # compared by class across the readers
+            return type(exc)
+        labels = [(type(v), v) for v in sorted_vertices(graph.vertices())]
+        return labels, {frozenset(edge) for edge in graph.edges()}
+
+    def check(self, tmp_path, text, routes):
+        """Assert both readers agree on ``text``; return the array route."""
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = self.outcome(read_edge_list, path)
+        del routes[:]
+        got = self.outcome(read_edge_list_arrays, path)
+        assert got == expected, repr(text)
+        if isinstance(got, type):
+            return "error"
+        graph = read_edge_list_arrays(path)
+        # ids follow the sorted label order (the lazy clique views rely on it)
+        assert list(graph.labels) == sorted_vertices(list(graph.labels))
+        return self.route_of(routes)
+
+    @pytest.mark.parametrize(
+        "text, route",
+        [
+            ("0 1\n1 2\n2 0\n", "fromstring+bitmap"),
+            ("0\f1\n1 2\n2 0\n", "ragged"),
+            ("0 1\f\n1 2\n2 0\n", "tokens+bitmap"),
+            ("0\v1\n1 2\n", "ragged"),
+            ("0 1\v\n1 2\n", "tokens+bitmap"),
+            ("0\xa01\n1 2\n", "ragged"),
+            ("0 1\xa0\n1 2\n", "tokens+bitmap"),
+            ("\uff10 1\n1 \uff12\n", "tokens+bitmap"),
+            ("+5 1\n1 2\n", "tokens+bitmap"),
+            ("007 1\n1 2\n", "fromstring+bitmap"),
+            ("9223372036854775807 1\n1 2\n", "tokens+unique"),
+            ("1000000000000000000 1\n1 2\n", "tokens+unique"),
+            ("9223372036854775808 1\n1 2\n", "labels"),
+            ("99999999999999999999 1\n1 2\n", "labels"),
+            ("-3 1\n1 -2\n-2 -3\n", "tokens+bitmap"),
+            ("0 1000\n1000 5000\n", "fromstring+unique"),
+            ("-7 1000000\n", "tokens+unique"),
+            ("4 7", "fromstring+bitmap"),
+            ("0 1  \n1 2 \n2 0\t\n", "fromstring+bitmap"),
+            ("0 1 2\n3 4\n", "ragged"),
+            ("0 1\n2 3 4 5\n", "ragged"),
+            ("0 1 9\n1 2 9\n", "fromstring+bitmap"),
+            ("0 1 x\n1 2 y\n", "labels"),
+            ("0 1\n\f\n1 2\n", "ragged"),
+            ("0 1\n1 2\f3\n", "ragged"),
+            ("0 1\n# c\n1\f2\n3 4\n", "ragged"),
+            ("0 1\n# note\n1 2\n", "fromstring+bitmap"),
+            ("5 5\n0 1\n", "fromstring+bitmap"),
+            ("a b\nb c\nc a\n", "labels"),
+            ("0 1\n2\n", "error"),
+        ],
+        ids=lambda value: value if value in ROUTES else None,
+    )
+    def test_named_cases(self, tmp_path, routes, text, route):
+        assert self.check(tmp_path, text, routes) == route
+
+    SEPARATORS = ("\f", "\v", "\xa0", "\t", "  ", "\x1c", "\u3000")
+    LONG_INTS = (
+        "9223372036854775807", "9223372036854775808",
+        "1" + "0" * 18, "9" * 19, "1" * 20, "-9223372036854775808",
+    )
+
+    @classmethod
+    def mutate(cls, rng, lines):
+        """One seeded mutation of a list of edge-list lines (in place)."""
+        at = rng.randrange(len(lines))
+        tokens = lines[at].split(" ")
+        pick = rng.randrange(len(tokens))
+        kind = rng.randrange(12)
+        if kind == 0:  # another separator between two tokens
+            lines[at] = lines[at].replace(" ", rng.choice(cls.SEPARATORS), 1)
+        elif kind == 1:  # a full-width digit
+            digits = [i for i, ch in enumerate(lines[at]) if ch.isdigit()]
+            if digits:
+                i = rng.choice(digits)
+                ch = chr(0xFF10 + int(lines[at][i]))
+                lines[at] = lines[at][:i] + ch + lines[at][i + 1:]
+        elif kind in (2, 3):  # a sign, leading zeros or a long integer
+            tokens[pick] = rng.choice(("+", "-", "00", "007")) + tokens[pick]
+            if kind == 3:
+                tokens[pick] = rng.choice(cls.LONG_INTS)
+            lines[at] = " ".join(tokens)
+        elif kind == 4:  # sparse labels: spread every integer apart
+            lines[:] = [
+                " ".join(str(int(t) * 10**6) if t.isdigit() else t
+                         for t in line.split(" "))
+                for line in lines
+            ]
+        elif kind == 5:  # trailing whitespace
+            lines[at] += rng.choice((" ", "  ", "\t", " \f"))
+        elif kind == 6:  # a single edge
+            lines[:] = [lines[at]]
+        elif kind == 7:  # a ragged row: one token fewer or more
+            if len(tokens) > 2 and rng.random() < 0.5:
+                tokens.pop()
+            else:
+                tokens.append(str(rng.randrange(50)))
+            lines[at] = " ".join(tokens)
+        elif kind == 8:  # an extra column on every row
+            lines[:] = [f"{line} {rng.randrange(9)}" for line in lines]
+        elif kind == 9:  # a blank, whitespace-only or comment line
+            lines.insert(at, rng.choice(("", " ", "\f", "\xa0", "# c", " # c")))
+        elif kind == 10:  # a self-loop
+            label = str(rng.randrange(30, 40))
+            lines.insert(at, f"{label} {label}")
+        else:  # a negative label
+            tokens[pick] = "-" + str(rng.randrange(1, 30))
+            lines[at] = " ".join(tokens)
+
+    def test_seeded_mutations(self, tmp_path, routes):
+        rng = random.Random(20240607)
+        seen = {}
+        for _ in range(300):
+            lines = [
+                f"{rng.randrange(30)} {rng.randrange(30)}"
+                for _ in range(rng.randrange(1, 12))
+            ]
+            for _ in range(rng.randrange(1, 4)):
+                self.mutate(rng, lines)
+            text = "\n".join(lines) + rng.choice(("", "\n"))
+            route = self.check(tmp_path, text, routes)
+            seen[route] = seen.get(route, 0) + 1
+        # the mutations reach every route, so the agreement is not vacuous
+        assert set(seen) == set(ROUTES), seen
 
 
 def test_json_roundtrip(tmp_path, two_clique_bridge_graph):
