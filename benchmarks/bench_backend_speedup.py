@@ -81,7 +81,7 @@ def _repeats(smoke_mode):
 def test_and_csr_speedup(spaces, smoke_mode, bench_record):
     space, csr = spaces
     reps = _repeats(smoke_mode)
-    t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, and_decomposition, space)
     t_csr, r_csr = _best_of(reps, and_decomposition, csr)
     assert r_csr.kappa == r_dict.kappa
     speedup = t_dict / t_csr
@@ -108,7 +108,7 @@ def test_and_numpy_speedup(spaces, smoke_mode, bench_record):
     """Frontier-batched AND kernel (a plain CSR request) vs the dict backend."""
     space, csr = spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
-    t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, and_decomposition, space)
     t_np, r_np = _best_of(reps, and_decomposition, csr)
     assert r_np.kappa == r_dict.kappa
     speedup = t_dict / t_np
@@ -132,7 +132,7 @@ def test_and_numpy_speedup(spaces, smoke_mode, bench_record):
 def test_snd_csr_speedup(spaces, smoke_mode, bench_record):
     space, csr = spaces
     reps = _repeats(smoke_mode)
-    t_dict, r_dict = _best_of(reps, snd_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, snd_decomposition, space)
     t_csr, r_csr = _best_of(reps, snd_decomposition, csr)
     assert r_csr.kappa == r_dict.kappa
     speedup = t_dict / t_csr
@@ -171,7 +171,7 @@ def test_three_four_and_csr_speedup(three_four_spaces, smoke_mode, bench_record)
     """
     space, csr = three_four_spaces
     reps = _repeats(smoke_mode)
-    t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, and_decomposition, space)
     t_csr, r_csr = _best_of(reps, and_decomposition, csr)
     assert r_csr.kappa == r_dict.kappa
     speedup = t_dict / t_csr
@@ -201,7 +201,7 @@ def test_three_four_and_numpy_speedup(three_four_spaces, smoke_mode, bench_recor
     """
     space, csr = three_four_spaces
     reps = max(_repeats(smoke_mode), 5 if smoke_mode else 0)
-    t_dict, r_dict = _best_of(reps, and_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, and_decomposition, space)
     t_np, r_np = _best_of(reps, and_decomposition, csr)
     assert r_np.kappa == r_dict.kappa
     speedup = t_dict / t_np
@@ -225,7 +225,7 @@ def test_three_four_and_numpy_speedup(three_four_spaces, smoke_mode, bench_recor
 def test_three_four_snd_csr_parity(three_four_spaces, smoke_mode, bench_record):
     space, csr = three_four_spaces
     reps = _repeats(smoke_mode)
-    t_dict, r_dict = _best_of(reps, snd_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, snd_decomposition, space)
     t_csr, r_csr = _best_of(reps, snd_decomposition, csr)
     assert r_csr.kappa == r_dict.kappa
     speedup = t_dict / t_csr
@@ -247,7 +247,7 @@ def test_three_four_snd_csr_parity(three_four_spaces, smoke_mode, bench_record):
 def test_peeling_csr_fast_path(spaces, smoke_mode, bench_record):
     space, csr = spaces
     reps = _repeats(smoke_mode)
-    t_dict, r_dict = _best_of(reps, peeling_decomposition, space, backend="dict")
+    t_dict, r_dict = _best_of(reps, peeling_decomposition, space)
     t_csr, r_csr = _best_of(reps, peeling_decomposition, csr)
     assert r_csr.kappa == r_dict.kappa
     # the routes break ties within a level differently; both orders must

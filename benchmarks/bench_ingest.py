@@ -10,7 +10,7 @@ same edge-list file:
   ``Graph``, then ``NucleusSpace`` construction (the historical path);
 * ``array_read_s`` / ``array_space_s`` — ``read_edge_list_arrays`` into a
   ``CSRGraph``, then ``CSRSpace.from_graph`` filled from the batch
-  enumerators (the ``backend="csr"`` path; no dict adjacency, no per-clique
+  enumerators (the array-native path; no dict adjacency, no per-clique
   tuples);
 * ``array_orient_s`` — ``CSRGraph.forward_csr`` alone on a freshly read
   graph, the degeneracy orientation every space build starts from
@@ -77,9 +77,7 @@ def test_ingest_array_vs_dict(edge_list_path, smoke_mode, bench_record):
     )
 
     # byte-identical kappa, keyed by clique (the index orders differ)
-    dict_kappa = dict_space.as_dict(
-        peeling_decomposition(dict_space, backend="dict").kappa
-    )
+    dict_kappa = dict_space.as_dict(peeling_decomposition(dict_space).kappa)
     csr_kappa = dict(
         zip(csr_space.cliques, peeling_decomposition(csr_space).kappa)
     )

@@ -81,7 +81,7 @@ def bench_csr(bench_graph):
 
 def test_snd_procpool_speedup(bench_graph, bench_csr, smoke_mode, bench_record):
     reps = 1 if smoke_mode else 3
-    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3), backend="dict")
+    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3))
     t_1, r_1 = _best_of(reps, process_snd_decomposition, bench_csr, workers=1)
     t_4, r_4 = _best_of(reps, process_snd_decomposition, bench_csr, workers=4)
     # κ byte-identical across serial dict, 1-worker and 4-worker pools
@@ -111,7 +111,7 @@ def test_snd_procpool_speedup(bench_graph, bench_csr, smoke_mode, bench_record):
 
 
 def test_and_procpool_parity(bench_graph, bench_csr, smoke_mode, bench_record):
-    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3), backend="dict")
+    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3))
     t_pool, r_pool = _best_of(
         1 if smoke_mode else 2, process_and_decomposition, bench_csr, workers=4
     )

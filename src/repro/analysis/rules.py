@@ -25,9 +25,9 @@ array/pool/store stack depends on, grounded in a real past bug.
 ``ERR001``    public paths raise the :mod:`repro.resilience.errors`
               taxonomy, not anonymous ``RuntimeError``/``Exception``,
               and never swallow with a bare ``except:``
-``API001``    public entry points that accept ``backend=``/``parallel=``
-              thread them through to ``nucleus_decomposition`` instead
-              of silently dropping the caller's routing choice
+``API001``    public entry points that accept ``parallel=`` thread it
+              through to ``nucleus_decomposition`` instead of silently
+              dropping the caller's routing choice
 ============  ==========================================================
 
 Every rule is registered at import time; ``python -m repro.analysis`` and
@@ -549,22 +549,23 @@ class ErrorTaxonomyRule(Rule):
 # ----------------------------------------------------------------------
 @register
 class BackendThreadingRule(Rule):
-    """API001 — public entry points thread ``backend=``/``parallel=`` through.
+    """API001 — public entry points thread ``parallel=`` through.
 
-    A public function that accepts a routing parameter and then calls
-    ``nucleus_decomposition`` without forwarding it silently pins the caller
-    to the default backend — the exact bug class PR 4 fixed across the
-    application layer.  Forwarding via ``**options`` counts.
+    A public function that accepts the execution-backend parameter and then
+    calls ``nucleus_decomposition`` without forwarding it silently pins the
+    caller to serial execution.  Forwarding via ``**options`` counts.  (The
+    space representation needs no parameter: the type of the space passed
+    picks the kernels.)
     """
 
     code = "API001"
     name = "backend-threading"
     description = (
-        "public entry point accepts backend=/parallel= but does not forward "
+        "public entry point accepts parallel= but does not forward "
         "it to nucleus_decomposition"
     )
 
-    _ROUTING = ("backend", "parallel")
+    _ROUTING = ("parallel",)
     _TARGET = "nucleus_decomposition"
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:

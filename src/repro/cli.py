@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.csr import resolve_process_backend, resolve_space_for_backend
+from repro.core.csr import resolve_space
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.densest import best_nucleus
 from repro.core.hierarchy import NucleusHierarchy, build_hierarchy
@@ -46,6 +46,7 @@ from repro.experiments.scalability import (
     run_scalability,
 )
 from repro.experiments.tradeoff import format_tradeoff, run_tradeoff
+from repro.graph.io import read_edge_list_arrays
 
 __all__ = ["main", "build_parser"]
 
@@ -114,14 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run on an edge-list file instead of a named dataset "
         "(.gz/.bz2 transparently decompressed; ingested straight into the "
-        "array-native CSRGraph unless --backend dict)",
-    )
-    query.add_argument(
-        "--backend",
-        choices=["auto", "dict", "csr"],
-        default="auto",
-        help="space representation for the exact baseline and every local "
-        "ball ('csr' builds each via CSRSpace.from_graph)",
+        "array-native CSRGraph)",
     )
 
     qual = sub.add_parser("quality", help="Online quality metric")
@@ -135,20 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="decompose an edge-list file instead of a named dataset "
         "(.gz/.bz2 transparently decompressed; ingested straight into the "
-        "array-native CSRGraph unless --backend dict)",
+        "array-native CSRGraph)",
     )
     dec.add_argument("--r", type=int, default=1)
     dec.add_argument("--s", type=int, default=2)
     dec.add_argument(
         "--algorithm", choices=["peeling", "snd", "and"], default="and"
-    )
-    dec.add_argument(
-        "--backend",
-        choices=["auto", "dict", "csr"],
-        default="auto",
-        help="space representation the kernels run on: the tuple/set "
-        "NucleusSpace ('dict') or flat CSR int arrays ('csr'; 'auto', the "
-        "default, means csr); kappa is identical either way",
     )
     dec.add_argument(
         "--parallel",
@@ -276,9 +262,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             format_query_driven(
                 run_query_driven_suite(
                     args.dataset,
-                    backend=args.backend,
                     graph=(
-                        _ingest_edge_list(args.edge_list, args.backend)
+                        read_edge_list_arrays(args.edge_list)
                         if args.edge_list
                         else None
                     ),
@@ -294,38 +279,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _ingest_edge_list(path: str, backend: str):
-    """Load an edge-list file in the representation the backend wants.
-
-    ``backend="dict"`` keeps the reference line-by-line reader; everything
-    else (``csr`` and ``auto``) ingests through
-    :func:`~repro.graph.io.read_edge_list_arrays` into a
-    :class:`~repro.graph.csr_graph.CSRGraph` — no dict adjacency is ever
-    built on the array path.
-    """
-    from repro.graph.io import read_edge_list, read_edge_list_arrays
-
-    if backend != "dict":
-        return read_edge_list_arrays(path)
-    return read_edge_list(path)
-
-
 def _run_decompose(args: argparse.Namespace) -> None:
     if args.load:
         _run_decompose_loaded(args)
         return
     if args.edge_list:
-        graph = _ingest_edge_list(args.edge_list, args.backend)
+        # ingested straight into a CSRGraph: no dict adjacency is built
+        graph = read_edge_list_arrays(args.edge_list)
     else:
-        # registry datasets stay on the dict source regardless of backend:
-        # `CSRSpace.from_graph(Graph)` preserves the dict clique indexing,
-        # keeping --backend csr/dict output byte-identical (iteration counts
-        # included); CSRGraph ingestion is the --edge-list path
+        # registry datasets stay on the dict source: `CSRSpace.from_graph`
+        # preserves its clique indexing
         graph = load_dataset(args.dataset)
     # the applications (--hierarchy / --densest) run on the same space and
     # the same in-memory result as the decomposition — no dict round-trip
-    # and no second decomposition.  backend="csr" therefore feeds the whole
-    # pipeline from one CSRSpace.from_graph construction.
+    # and no second decomposition — so the whole pipeline is fed from one
+    # CSRSpace.from_graph construction.
     run_applications = args.hierarchy or args.densest
     # --save persists the space and the hierarchy interval index alongside
     # the result, so both must exist even when no application was requested
@@ -333,13 +301,7 @@ def _run_decompose(args: argparse.Namespace) -> None:
     space = None
     source = graph
     if need_space:
-        backend = (
-            resolve_process_backend(args.backend)
-            if args.parallel
-            else args.backend
-        )
-        space, _ = resolve_space_for_backend(graph, args.r, args.s, backend)
-        source = space
+        space = source = resolve_space(graph, args.r, args.s)
     resilience = None
     if args.resilient:
         resilience = (
@@ -352,7 +314,6 @@ def _run_decompose(args: argparse.Namespace) -> None:
         args.r,
         args.s,
         algorithm=args.algorithm,
-        backend=args.backend,
         parallel=args.parallel,
         workers=args.workers,
         resilience=resilience,
@@ -405,8 +366,7 @@ def _run_decompose_loaded(args: argparse.Namespace) -> None:
     (--hierarchy / --densest) reuse the memmapped space, the stored
     result and the stored hierarchy index (built afresh only when the
     bundle holds none).  The instance (r, s) and algorithm are whatever
-    was saved; --r/--s/--algorithm/--backend on the command line are
-    ignored.
+    was saved; --r/--s/--algorithm on the command line are ignored.
     """
     from repro.store import open_bundle
 

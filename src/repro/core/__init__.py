@@ -10,18 +10,14 @@ The public entry points most users need are re-exported here:
 * :class:`repro.core.space.NucleusSpace` — the r-clique / s-clique view of a
   graph shared by every algorithm.
 * :class:`repro.core.csr.CSRSpace` — the same view flattened into CSR int
-  arrays; every decomposition accepts ``backend="auto"|"dict"|"csr"`` to pick
-  the representation its kernels run on.
+  arrays.  The space's type picks the kernels: a ``NucleusSpace`` runs the
+  dict kernels (Algorithms 1–3 as written, the readable oracle), anything
+  else — a ``CSRSpace``, a graph, an opened bundle — the CSR kernels.
 """
 
 from repro.core.space import NucleusSpace
 from repro.core.protocol import SpaceLike, space_graph, vertices_of
-from repro.core.csr import (
-    BACKENDS,
-    CSRSpace,
-    and_decomposition_csr,
-    snd_decomposition_csr,
-)
+from repro.core.csr import CSRSpace, and_decomposition_csr, snd_decomposition_csr
 from repro.core.hindex import h_index, sustains_h
 from repro.core.result import DecompositionResult
 from repro.core.peeling import peeling_decomposition
@@ -56,7 +52,6 @@ __all__ = [
     "SpaceLike",
     "space_graph",
     "vertices_of",
-    "BACKENDS",
     "and_decomposition_csr",
     "snd_decomposition_csr",
     "h_index",

@@ -14,11 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.core.csr import (
-    CSRSpace,
-    and_decomposition_csr,
-    resolve_space_for_backend,
-)
+from repro.core.csr import CSRSpace, and_decomposition_csr, resolve_space
 from repro.core.hindex import h_index, sustains_h
 from repro.core.protocol import SpaceLike
 from repro.core.result import DecompositionResult, IterationStats
@@ -99,20 +95,22 @@ def and_decomposition(
     record_history: bool = False,
     reference_kappa: Optional[List[int]] = None,
     on_iteration: Optional[Callable[[int, List[int]], None]] = None,
-    backend: str = "auto",
 ) -> DecompositionResult:
     """Run the asynchronous local algorithm until convergence.
 
     AND has two schedules with the same unique fixed point κ.  A request
-    that reads the schedule — ``backend="dict"``, any explicit ``order``,
-    ``record_history``, ``on_iteration``, ``reference_kappa`` or
+    that reads the schedule — a :class:`NucleusSpace` source, any explicit
+    ``order``, ``record_history``, ``on_iteration``, ``reference_kappa`` or
     ``max_iterations`` — runs the paper's per-visit loop (this module) on
     the resolved space, through the :class:`SpaceLike` read API, so its τ
-    trajectory and per-iteration stats are the same on either backend.
+    trajectory and per-iteration stats are the same on either space.
     Every other request runs the frontier-batched kernel
     :func:`repro.core.csr.and_decomposition_csr`, whose passes are Jacobi
     within a pass, so only its iteration counts differ.
-    ``operations["engine"]`` records which one ran.
+    ``operations["engine"]`` records which one ran, and
+    ``operations["backend"]`` which space it ran on (``"dict"`` for a
+    :class:`NucleusSpace`, ``"csr"`` for everything else, see
+    :func:`repro.core.csr.resolve_space`).
 
     Parameters
     ----------
@@ -131,11 +129,6 @@ def and_decomposition(
         chunk boundaries.
     max_iterations, record_history, reference_kappa, on_iteration:
         Same semantics as in :func:`repro.core.snd.snd_decomposition`.
-    backend:
-        ``"dict"`` runs over the tuple/set structure of
-        :class:`NucleusSpace`; ``"csr"`` over the flat int arrays of
-        :class:`CSRSpace`; ``"auto"`` (default) means ``"csr"``.  κ is
-        identical either way (the test-suite asserts it).
 
     Examples
     --------
@@ -147,9 +140,10 @@ def and_decomposition(
     >>> plain.kappa == visited.kappa
     True
     """
-    space, resolved = resolve_space_for_backend(source, r, s, backend)
+    space = resolve_space(source, r, s)
+    on_dict = not isinstance(space, CSRSpace)
     reads_schedule = (
-        resolved == "dict"
+        on_dict
         or order is not None
         or record_history
         or on_iteration is not None
@@ -238,7 +232,7 @@ def and_decomposition(
             "rho_evaluations": rho_evaluations,
             "h_index_calls": h_calls,
             "skipped_cliques": skipped_total,
-            "backend": resolved,
+            "backend": "dict" if on_dict else "csr",
             "engine": "python",
         },
     )

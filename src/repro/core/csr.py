@@ -78,19 +78,13 @@ from repro.graph.triangles import degeneracy_ordering
 __all__ = [
     "CSRSpace",
     "GraphSource",
-    "BACKENDS",
-    "resolve_backend",
-    "resolve_process_backend",
+    "resolve_space",
     "and_decomposition_csr",
     "support_counts",
     "snd_decomposition_csr",
     "chunk_ranges",
     "weighted_ranges",
 ]
-
-#: Valid values of the ``backend=`` parameter accepted by the decompositions.
-#: ``"auto"`` means ``"csr"``; the dict backend runs only when asked for.
-BACKENDS = ("auto", "dict", "csr")
 
 Clique = Tuple
 
@@ -864,63 +858,20 @@ def _lookup_rows(table, queries):
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# space resolution: the type of the space picks the kernels
 # ----------------------------------------------------------------------
-def resolve_backend(
-    backend: str, space: Union[NucleusSpace, CSRSpace]
-) -> str:
-    """Resolve a ``backend=`` argument to ``"dict"`` or ``"csr"``.
-
-    ``"auto"`` always means the CSR kernels; the dict kernels run only on an
-    explicit ``backend="dict"``.  A prebuilt :class:`CSRSpace` always runs
-    on the CSR kernels — asking for the dict backend on one is an error
-    because the tuple-keyed structure it would need has been discarded.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if isinstance(space, CSRSpace):
-        if backend == "dict":
-            raise ValueError("cannot run the dict backend on a CSRSpace")
-        return "csr"
-    return "dict" if backend == "dict" else "csr"
-
-
-def resolve_process_backend(backend: str) -> str:
-    """Resolve a ``backend=`` argument for a *process-pool* request.
-
-    The shared-memory pool only runs on CSR buffers, so ``"auto"`` always
-    means ``"csr"`` here — regardless of space size, and without building
-    any space to measure.  Asking for the dict backend is an error, not a
-    silent downgrade.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "dict":
-        raise ValueError(
-            "parallel='process' runs on the shared CSR buffers; "
-            "backend='dict' cannot be honoured (use 'csr' or 'auto')"
-        )
-    return "csr"
-
-
-def _unwrap_bundle(source, r: Optional[int], s: Optional[int], *, prefer_graph: bool = False):
+def _unwrap_bundle(source, r: Optional[int], s: Optional[int]):
     """Swap an opened :class:`~repro.store.bundle.Bundle` for a component.
 
     The stored space is used when it matches the requested instance (or no
     instance was requested); otherwise the stored graph, so a bundle saved
-    for one (r, s) still serves as a graph source for another.  With
-    ``prefer_graph`` the graph is taken even when the space matches — the
-    dict backend cannot run on a memmapped :class:`CSRSpace`.
+    for one (r, s) still serves as a graph source for another.
     """
     from repro.store.bundle import Bundle  # deferred: store imports this module
 
     if not isinstance(source, Bundle):
         return source
-    if (
-        not prefer_graph
-        and source.has("space")
-        and (r is None or (source.r, source.s) == (r, s))
-    ):
+    if source.has("space") and (r is None or (source.r, source.s) == (r, s)):
         return source.space
     if source.has("graph"):
         return source.graph
@@ -939,52 +890,21 @@ def resolve_space(
 ) -> Union[NucleusSpace, CSRSpace]:
     """Shared source-resolution for every decomposition entry point.
 
-    A prebuilt space (either representation) passes through; a graph needs
-    explicit ``r``/``s``.  A dict :class:`Graph` gets a fresh
-    :class:`NucleusSpace`; a :class:`CSRGraph` goes straight to
-    :meth:`CSRSpace.from_graph` (it has no dict representation to build).
-    An opened bundle contributes its stored space when the instance matches,
-    its stored graph otherwise (see :func:`_unwrap_bundle`).
+    The space's type picks the kernels: a :class:`CSRSpace` runs the CSR
+    kernels, a :class:`NucleusSpace` the dict kernels (Algorithms 1–3 as
+    written, over the :class:`~repro.core.protocol.SpaceLike` read API).
+    A prebuilt space passes through.  A :class:`Graph` or
+    :class:`CSRGraph` (``r``/``s`` required) is flattened by
+    :meth:`CSRSpace.from_graph` without building the dict space, and an
+    opened bundle gives its stored space when the instance matches, its
+    stored graph otherwise (see :func:`_unwrap_bundle`).
     """
     source = _unwrap_bundle(source, r, s)
-    if isinstance(source, (NucleusSpace, CSRSpace)):
+    if not isinstance(source, (Graph, CSRGraph)):
         return source
     if r is None or s is None:
         raise ValueError("r and s are required when passing a graph")
-    if isinstance(source, CSRGraph):
-        return CSRSpace.from_graph(source, r, s)
-    return NucleusSpace(source, r, s)
-
-
-def resolve_space_for_backend(
-    source: Union[GraphSource, NucleusSpace, CSRSpace],
-    r: Optional[int],
-    s: Optional[int],
-    backend: str,
-) -> Tuple[Union[NucleusSpace, CSRSpace], str]:
-    """Resolve source and backend together, skipping the dict detour.
-
-    A :class:`Graph` or :class:`CSRGraph` source with ``backend="csr"`` or
-    ``"auto"`` is constructed directly via :meth:`CSRSpace.from_graph` —
-    the :class:`NucleusSpace` is never built.  An explicit
-    ``backend="dict"`` builds the :class:`NucleusSpace` (through
-    :meth:`CSRGraph.to_graph` for an array source).  Every other
-    combination behaves like :func:`resolve_space` followed by
-    :func:`resolve_backend`.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    source = _unwrap_bundle(source, r, s, prefer_graph=backend == "dict")
-    if isinstance(source, (Graph, CSRGraph)):
-        if r is None or s is None:
-            raise ValueError("r and s are required when passing a graph")
-        if backend == "dict":
-            if isinstance(source, CSRGraph):
-                source = source.to_graph()
-            return NucleusSpace(source, r, s), "dict"
-        return CSRSpace.from_graph(source, r, s), "csr"
-    space = resolve_space(source, r, s)
-    return space, resolve_backend(backend, space)
+    return CSRSpace.from_graph(source, r, s)
 
 
 def _as_csr(
@@ -992,15 +912,9 @@ def _as_csr(
     r: Optional[int],
     s: Optional[int],
 ) -> CSRSpace:
-    source = _unwrap_bundle(source, r, s)
-    if isinstance(source, (Graph, CSRGraph)):
-        # direct construction: the dict-of-tuples detour is never built
-        if r is None or s is None:
-            raise ValueError("r and s are required when passing a graph")
-        return CSRSpace.from_graph(source, r, s)
-    if isinstance(source, CSRSpace):
-        return source
-    return source.to_csr()
+    """:func:`resolve_space`, with a :class:`NucleusSpace` flattened."""
+    space = resolve_space(source, r, s)
+    return space if isinstance(space, CSRSpace) else space.to_csr()
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import BACKENDS, CSRSpace, resolve_process_backend
+from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.result import DecompositionResult
 from repro.core.snd import snd_decomposition
@@ -35,7 +35,6 @@ __all__ = [
     "core_numbers",
     "truss_numbers",
     "ALGORITHMS",
-    "BACKENDS",
     "PARALLEL_MODES",
 ]
 
@@ -51,7 +50,6 @@ def nucleus_decomposition(
     s: Optional[int] = None,
     *,
     algorithm: str = "and",
-    backend: str = "auto",
     parallel: Optional[str] = None,
     workers: Optional[int] = None,
     resilience=None,
@@ -64,28 +62,24 @@ def nucleus_decomposition(
     source:
         A :class:`Graph` or array-native :class:`CSRGraph` (then ``r`` and
         ``s`` are required) or a prebuilt :class:`NucleusSpace` /
-        :class:`CSRSpace` (then ``r``/``s`` are taken from it).  A
-        ``CSRGraph`` routes to the CSR backend for ``"auto"``/``"csr"``
-        (the space is filled straight from its batch enumerators) and
-        converts through :meth:`CSRGraph.to_graph` only on an explicit
-        ``backend="dict"`` request.  An opened store
-        :class:`~repro.store.bundle.Bundle` is accepted too: its memmapped
-        space is used when the (r, s) instance matches, its stored graph
-        otherwise.
+        :class:`CSRSpace` (then ``r``/``s`` are taken from it).  The type
+        of the space picks the kernels: a ``NucleusSpace`` runs the dict
+        kernels over its tuple/set structure, Algorithms 1–3 as written;
+        everything else runs the CSR kernels over flat int arrays (see
+        :mod:`repro.core.csr`).  A graph is flattened directly by
+        :meth:`CSRSpace.from_graph` — the dict space is never built.  An
+        opened store :class:`~repro.store.bundle.Bundle` is accepted too:
+        its memmapped space is used when the (r, s) instance matches, its
+        stored graph otherwise.  κ does not depend on the space.
     algorithm:
         ``"peeling"`` (exact global baseline, Algorithm 1),
         ``"snd"`` (synchronous local, Algorithm 2) or
         ``"and"`` (asynchronous local, Algorithm 3 — the default).
-    backend:
-        Space representation the kernels run on: ``"dict"`` (the tuple/set
-        :class:`NucleusSpace` structure), ``"csr"`` (flat int arrays, see
-        :mod:`repro.core.csr`) or ``"auto"`` (default; means ``"csr"``).
-        A :class:`Graph` source with ``backend="csr"`` is flattened directly
-        by :meth:`CSRSpace.from_graph` — the dict space is never built.
-        κ is backend-independent.
     parallel:
         ``None`` (serial, the default) or ``"process"`` (SND or AND on the
-        shared-memory process pool of :mod:`repro.parallel.procpool`).
+        shared-memory process pool of :mod:`repro.parallel.procpool`, which
+        runs the CSR kernels on any source; a ``NucleusSpace`` is flattened
+        with :meth:`NucleusSpace.to_csr`).
     workers:
         Worker count for the parallel modes (default 4); requires
         ``parallel``.
@@ -114,7 +108,7 @@ def nucleus_decomposition(
     Raises
     ------
     ValueError
-        Unknown ``algorithm``/``backend``/``parallel`` value, a graph
+        Unknown ``algorithm``/``parallel`` value, a graph
         source without ``r``/``s``, or ``workers`` without ``parallel``.
 
     Examples
@@ -128,12 +122,14 @@ def nucleus_decomposition(
     >>> local.kappa == result.kappa and local.converged
     True
 
-    The backend never changes κ, only the data structures the kernels
+    The space never changes κ, only the data structures the kernels
     run on:
 
-    >>> csr = nucleus_decomposition(graph, 2, 3, algorithm="peeling",
-    ...                             backend="csr")
-    >>> csr.kappa == result.kappa
+    >>> oracle = nucleus_decomposition(NucleusSpace(graph, 2, 3),
+    ...                                algorithm="peeling")
+    >>> oracle.operations["backend"], result.operations["backend"]
+    ('dict', 'csr')
+    >>> oracle.kappa == result.kappa
     True
     """
     if algorithm not in ALGORITHMS:
@@ -145,8 +141,7 @@ def nucleus_decomposition(
 
     if parallel is not None:
         return _parallel_dispatch(
-            source, r, s, algorithm, backend, parallel, workers, resilience,
-            options,
+            source, r, s, algorithm, parallel, workers, resilience, options,
         )
     if workers is not None:
         raise ValueError("workers= requires parallel='process'")
@@ -158,10 +153,10 @@ def nucleus_decomposition(
             raise ValueError(
                 f"peeling accepts no extra options, got {sorted(options)}"
             )
-        return peeling_decomposition(source, r, s, backend=backend)
+        return peeling_decomposition(source, r, s)
     if algorithm == "snd":
-        return snd_decomposition(source, r, s, backend=backend, **options)
-    return and_decomposition(source, r, s, backend=backend, **options)
+        return snd_decomposition(source, r, s, **options)
+    return and_decomposition(source, r, s, **options)
 
 
 def _parallel_dispatch(
@@ -169,7 +164,6 @@ def _parallel_dispatch(
     r: Optional[int],
     s: Optional[int],
     algorithm: str,
-    backend: str,
     parallel: str,
     workers: Optional[int],
     resilience,
@@ -186,9 +180,6 @@ def _parallel_dispatch(
             "parallel execution supports the local algorithms ('snd', 'and'); "
             "peeling is the sequential baseline"
         )
-    # the pool only runs on shared CSR buffers: "auto" always means "csr"
-    # here (no space is built just to measure its size), "dict" is an error
-    resolve_process_backend(backend)
     allowed = (
         {"max_iterations", "notification"}
         if algorithm == "and"

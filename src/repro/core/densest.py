@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Set, Tuple
 
-from repro.core.csr import resolve_space_for_backend
+from repro.core.csr import CSRSpace
 from repro.core.hierarchy import Nucleus, NucleusHierarchy, build_hierarchy
 from repro.core.peeling import peeling_decomposition
 from repro.graph.graph import Graph, Vertex
@@ -71,9 +71,7 @@ def charikar_densest_subgraph(graph: Graph) -> Tuple[Set[Vertex], float]:
     return best_set, best_density
 
 
-def max_core_subgraph(
-    graph: Graph, *, backend: str = "auto"
-) -> Tuple[Set[Vertex], float]:
+def max_core_subgraph(graph: Graph) -> Tuple[Set[Vertex], float]:
     """Vertices of maximum core number and their average-degree density.
 
     The max core is the classic peeling heuristic for dense subgraphs and is
@@ -81,7 +79,7 @@ def max_core_subgraph(
     """
     if graph.number_of_vertices() == 0:
         return set(), 0.0
-    result = peeling_decomposition(graph, 1, 2, backend=backend)
+    result = peeling_decomposition(graph, 1, 2)
     top = result.vertices_with_kappa_at_least(result.max_kappa())
     return top, average_degree_density(graph, top)
 
@@ -93,7 +91,6 @@ def best_nucleus(
     *,
     min_size: int = 3,
     hierarchy: Optional[NucleusHierarchy] = None,
-    backend: str = "auto",
 ) -> Tuple[Optional[Nucleus], float]:
     """The densest nucleus of the (r, s) hierarchy with at least ``min_size`` vertices.
 
@@ -101,15 +98,16 @@ def best_nucleus(
     to compare nuclei; the paper's empirical finding is that (3, 4) nuclei are
     denser than the best k-cores and k-trusses of comparable size.
 
-    A prebuilt ``hierarchy`` can be supplied to avoid recomputation; without
-    one the space is built on the requested ``backend`` (``"csr"`` flattens
-    the graph directly via :meth:`CSRSpace.from_graph` — the dict space is
-    never constructed) and peeling + hierarchy construction run natively on
-    it.  Returns ``(None, 0.0)`` when no nucleus meets the size threshold.
+    A prebuilt ``hierarchy`` can be supplied to avoid recomputation (the
+    dict oracle builds one from a :class:`NucleusSpace`); without one the
+    graph is flattened directly via :meth:`CSRSpace.from_graph` — the dict
+    space is never constructed — and peeling + hierarchy construction run
+    natively on it.  Returns ``(None, 0.0)`` when no nucleus meets the size
+    threshold.
     """
     if hierarchy is None:
-        space, resolved = resolve_space_for_backend(graph, r, s, backend)
-        kappa = peeling_decomposition(space, backend=resolved).kappa
+        space = CSRSpace.from_graph(graph, r, s)
+        kappa = peeling_decomposition(space).kappa
         hierarchy = build_hierarchy(space, kappa)
     best: Optional[Nucleus] = None
     best_density = 0.0

@@ -7,12 +7,14 @@ r-cliques in level ``L_i`` converge within ``i`` iterations of the update
 operator, so the number of levels is an upper bound on the iterations both
 SND and AND need — and a far tighter one than the trivial |R(G)| bound.
 
-The computation is backend-agnostic (any :class:`repro.core.protocol.SpaceLike`
-source works).  On a :class:`CSRSpace` each level is one array step, the
-:func:`repro.core.csr._retire` step the exact peeling also runs: it retires
-the level's r-cliques, and only the s-cliques that die with them are touched,
-instead of re-scanning every surviving context per level as the generic
-reference does.
+The space's type picks the kernel: a :class:`~repro.core.space.NucleusSpace`
+(or any other :class:`repro.core.protocol.SpaceLike`) runs the generic
+reference over its context tuples, and a graph becomes a :class:`CSRSpace`
+(:func:`repro.core.csr.resolve_space`).  On a ``CSRSpace`` each level is one
+array step, the :func:`repro.core.csr._retire` step the exact peeling also
+runs: it retires the level's r-cliques, and only the s-cliques that die with
+them are touched, instead of re-scanning every surviving context per level
+as the generic reference does.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import List, Optional, Union
 
 import numpy as _np
 
-from repro.core.csr import CSRSpace, _retire, resolve_space_for_backend
+from repro.core.csr import CSRSpace, _retire, resolve_space
 from repro.core.protocol import SpaceLike
-from repro.graph.csr_graph import CSRGraph
 from repro.graph.graph import Graph
 
 __all__ = ["degree_levels", "convergence_upper_bound", "level_of_each_clique"]
@@ -33,18 +34,16 @@ def degree_levels(
     source: Union[Graph, SpaceLike],
     r: Optional[int] = None,
     s: Optional[int] = None,
-    *,
-    backend: str = "auto",
 ) -> List[List[int]]:
     """Return the degree levels as lists of r-clique indices.
 
     ``levels[i]`` holds the indices (into the space's clique indexing) of the
     r-cliques forming level ``L_i``.  Every r-clique appears in exactly one
-    level.  ``backend`` selects the space representation when ``source`` is a
-    :class:`Graph` (a prebuilt space is used as-is); the levels are identical
-    either way.
+    level.  A prebuilt space is used as-is; a graph (``r``/``s`` required)
+    is flattened into a :class:`CSRSpace`.  The levels are identical on
+    either space.
     """
-    space = _resolve_space(source, r, s, backend)
+    space = resolve_space(source, r, s)
     if isinstance(space, CSRSpace):
         return _degree_levels_csr(space)
     return _degree_levels_generic(space)
@@ -106,11 +105,9 @@ def level_of_each_clique(
     source: Union[Graph, SpaceLike],
     r: Optional[int] = None,
     s: Optional[int] = None,
-    *,
-    backend: str = "auto",
 ) -> List[int]:
     """Return, for every r-clique index, the index of its degree level."""
-    space = _resolve_space(source, r, s, backend)
+    space = resolve_space(source, r, s)
     levels = degree_levels(space)
     assignment = [0] * len(space)
     for level_index, members in enumerate(levels):
@@ -123,8 +120,6 @@ def convergence_upper_bound(
     source: Union[Graph, SpaceLike],
     r: Optional[int] = None,
     s: Optional[int] = None,
-    *,
-    backend: str = "auto",
 ) -> int:
     """Upper bound on the number of update iterations needed to converge.
 
@@ -133,17 +128,6 @@ def convergence_upper_bound(
     graph converges within ``len(levels) - 1`` iterations, and one extra
     no-change iteration may be needed to *detect* convergence.
     """
-    levels = degree_levels(source, r, s, backend=backend)
+    levels = degree_levels(source, r, s)
     return max(len(levels) - 1, 0)
 
-
-def _resolve_space(
-    source: Union[Graph, CSRGraph, SpaceLike],
-    r: Optional[int],
-    s: Optional[int],
-    backend: str,
-) -> SpaceLike:
-    if not isinstance(source, (Graph, CSRGraph)):
-        return source
-    space, _ = resolve_space_for_backend(source, r, s, backend)
-    return space

@@ -6,8 +6,9 @@ that degree (never below the running maximum), and decrement the degrees of
 the r-cliques sharing a still-live s-clique with them.  (1, 2) is k-core
 peeling, (2, 3) k-truss peeling; the same code handles any (r, s).
 
-``backend="dict"`` runs Algorithm 1 verbatim, one r-clique at a time from a
-bucket queue — the readable oracle.  The CSR route is level-synchronous
+A :class:`NucleusSpace` runs Algorithm 1 verbatim, one r-clique at a time
+from a bucket queue — the readable oracle.  Every other source runs the CSR
+route, which is level-synchronous
 (Julienne-style bucketing, Dhulipala, Blelloch & Shun, SPAA 2017): at level
 ``k`` one array step (:func:`repro.core.csr._retire`) removes *every* live
 r-clique of S-degree ``≤ k``, until none is left; then ``k`` rises.  κ is
@@ -23,7 +24,8 @@ r-clique is the first-removed member of at most κ of its s-cliques.
 >>> order = result.operations["_peel_order"]
 >>> all(result.kappa[a] <= result.kappa[b] for a, b in zip(order, order[1:]))
 True
->>> peeling_decomposition(graph, 2, 3, backend="dict").kappa == result.kappa
+>>> from repro.core.space import NucleusSpace
+>>> peeling_decomposition(NucleusSpace(graph, 2, 3)).kappa == result.kappa
 True
 """
 
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as _np
 
-from repro.core.csr import CSRSpace, _retire, resolve_space_for_backend
+from repro.core.csr import CSRSpace, _retire, resolve_space
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace
 from repro.graph.graph import Graph, sorted_vertices
@@ -98,24 +100,20 @@ def peeling_decomposition(
     source: Union[Graph, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
     s: Optional[int] = None,
-    *,
-    backend: str = "auto",
 ) -> DecompositionResult:
     """Exact (r, s) nucleus decomposition by peeling (Algorithm 1).
 
     Parameters
     ----------
     source:
-        A prebuilt :class:`NucleusSpace` or :class:`CSRSpace`, or a
-        :class:`Graph` (in which case ``r`` and ``s`` must be given).
+        A :class:`NucleusSpace`, which runs Algorithm 1's bucket queue over
+        the tuple/set structure, or anything else
+        :func:`repro.core.csr.resolve_space` accepts (a :class:`CSRSpace`,
+        a graph, an opened bundle), which runs the level-synchronous peel
+        over flat CSR arrays.  κ is identical; the recorded peel orders may
+        break ties within a level differently (see the module docstring).
     r, s:
         The decomposition instance when ``source`` is a graph.
-    backend:
-        ``"csr"`` (or ``"auto"``, the default, or any :class:`CSRSpace`
-        input) runs the level-synchronous peel over flat CSR arrays;
-        ``"dict"`` runs Algorithm 1's bucket queue over the tuple/set
-        structure.  κ is identical; the recorded peel orders may break
-        ties within a level differently (see the module docstring).
 
     Returns
     -------
@@ -127,10 +125,9 @@ def peeling_decomposition(
         degree; on the CSR route, every decrement a batch applies to a
         surviving partner of a dying s-clique.
     """
-    space, resolved = resolve_space_for_backend(source, r, s, backend)
-    if resolved == "csr":
-        csr = space if isinstance(space, CSRSpace) else space.to_csr()
-        return _peeling_csr(csr)
+    space = resolve_space(source, r, s)
+    if isinstance(space, CSRSpace):
+        return _peeling_csr(space)
     degrees = space.s_degrees()
     n = len(space)
     kappa = [0] * n

@@ -12,8 +12,7 @@ improves with the hop radius, and experiment E8 quantifies that trade-off.
 The ball's space comes from one of two routes, with the same estimate:
 
 * a graph source (or a bundle stored for another instance) builds it with
-  :meth:`CSRSpace.from_graph` on the induced subgraph (``backend="dict"``
-  builds a :class:`NucleusSpace` instead);
+  :meth:`CSRSpace.from_graph` on the induced subgraph;
 * an opened :class:`~repro.store.bundle.Bundle` that stores the requested
   (r, s) space slices it with :meth:`CSRSpace.restrict`, so no clique is
   enumerated again.
@@ -39,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import GraphSource, resolve_space_for_backend
+from repro.core.csr import CSRSpace, GraphSource
 from repro.core.snd import snd_decomposition
 from repro.core.space import Clique
 from repro.graph.cliques import canonical_clique
@@ -79,7 +78,6 @@ def estimate_local_indices(
     hops: int = 2,
     algorithm: str = "and",
     max_iterations: Optional[int] = None,
-    backend: str = "auto",
 ) -> QueryEstimate:
     """Estimate κ_s for the queried r-cliques using only a local neighbourhood.
 
@@ -108,10 +106,6 @@ def estimate_local_indices(
         ``"and"`` (default) or ``"snd"`` for the local iteration.
     max_iterations:
         Optional iteration cap forwarded to the local algorithm.
-    backend:
-        Space representation for the ball: ``"dict"`` (a
-        :class:`NucleusSpace` of the induced subgraph, also on a bundle),
-        ``"csr"`` or ``"auto"`` (default; means ``"csr"``).
 
     Returns
     -------
@@ -144,33 +138,23 @@ def estimate_local_indices(
         query_list.append(clique)
 
     seeds: List[Vertex] = [v for clique in query_list for v in clique]
-    if (
-        bundle is not None
-        and backend in ("auto", "csr")
-        and bundle.has("space")
-        and (bundle.r, bundle.s) == (r, s)
-    ):
+    if bundle is not None and bundle.has("space") and (bundle.r, bundle.s) == (r, s):
         seed_ids = [i for i in map(graph.find_id, seeds) if i is not None]
         ball = graph.bfs_ball_ids(seed_ids, hops)
         _check_queries(graph, query_list)
         space = bundle.space.restrict(bundle.space_vertex_ids(ball))
-        resolved = "csr"
         subgraph_edges = graph.edges_within(ball)
     else:
         ball = graph.bfs_ball(seeds, hops)
         subgraph = graph.subgraph(ball)
         _check_queries(subgraph, query_list)
-        space, resolved = resolve_space_for_backend(subgraph, r, s, backend)
+        space = CSRSpace.from_graph(subgraph, r, s)
         subgraph_edges = subgraph.number_of_edges()
 
     if algorithm == "and":
-        result = and_decomposition(
-            space, max_iterations=max_iterations, backend=resolved
-        )
+        result = and_decomposition(space, max_iterations=max_iterations)
     elif algorithm == "snd":
-        result = snd_decomposition(
-            space, max_iterations=max_iterations, backend=resolved
-        )
+        result = snd_decomposition(space, max_iterations=max_iterations)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 

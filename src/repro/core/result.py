@@ -90,7 +90,8 @@ class DecompositionResult:
         Optional per-iteration counters (updates, skips, ...).
     operations:
         Coarse operation counters, e.g. ``{"rho_evaluations": ..., "h_index_calls": ...}``,
-        plus backend metadata (``"backend": "dict" | "csr"``) and internal
+        plus the space the kernels ran on (``"backend": "dict"`` for a
+        :class:`NucleusSpace`, ``"csr"`` otherwise) and internal
         payloads (the peel order).  Counters are backend-dependent: the CSR
         AND kernel charges the full context count per scan (comparable with
         the dict backend) but never rescans cliques whose τ reached 0, so

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Union
 
-from repro.core.csr import (
-    CSRSpace,
-    resolve_space_for_backend,
-    snd_decomposition_csr,
-)
+from repro.core.csr import CSRSpace, resolve_space, snd_decomposition_csr
 from repro.core.hindex import h_index
 from repro.core.result import DecompositionResult, IterationStats
 from repro.core.space import NucleusSpace
@@ -32,14 +28,17 @@ def snd_decomposition(
     record_history: bool = False,
     reference_kappa: Optional[List[int]] = None,
     on_iteration: Optional[Callable[[int, List[int]], None]] = None,
-    backend: str = "auto",
 ) -> DecompositionResult:
     """Run the synchronous local algorithm until convergence.
 
     Parameters
     ----------
     source:
-        A :class:`NucleusSpace` or a :class:`Graph` (then ``r, s`` required).
+        A :class:`NucleusSpace` runs this module's kernel over the tuple/set
+        structure.  Anything else :func:`repro.core.csr.resolve_space`
+        accepts (a :class:`CSRSpace`, a graph with ``r, s``, an opened
+        bundle) runs :func:`repro.core.csr.snd_decomposition_csr` over flat
+        arrays (numpy-vectorised Jacobi step).  κ is identical either way.
     max_iterations:
         Optional cap; if hit before the fixed point the result has
         ``converged=False`` and carries the current τ estimates as ``kappa``.
@@ -54,18 +53,13 @@ def snd_decomposition(
         Optional callback ``f(iteration, tau)`` invoked after each iteration,
         used by the experiment harness to compute online metrics without
         storing full histories.
-    backend:
-        ``"dict"`` runs this module's kernel over :class:`NucleusSpace`;
-        ``"csr"`` runs :func:`repro.core.csr.snd_decomposition_csr` over flat
-        arrays (numpy-vectorised Jacobi step); ``"auto"`` (default) means
-        ``"csr"``.  κ is identical either way.
 
     Returns
     -------
     DecompositionResult
     """
-    space, resolved = resolve_space_for_backend(source, r, s, backend)
-    if resolved == "csr":
+    space = resolve_space(source, r, s)
+    if isinstance(space, CSRSpace):
         return snd_decomposition_csr(
             space,
             max_iterations=max_iterations,

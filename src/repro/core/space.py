@@ -142,8 +142,8 @@ class NucleusSpace:
         The CSR form is index-compatible with this space (clique ``i`` is the
         same r-clique in both), compact, picklable, and what the array-native
         kernels operate on.  The flattening is memoised: the space is
-        immutable after construction, so repeated ``backend="csr"`` runs on
-        the same space reuse one ``CSRSpace`` (and its cached reverse index)
+        immutable after construction, so repeated CSR-kernel runs on the
+        same space reuse one ``CSRSpace`` (and its cached reverse index)
         instead of re-flattening per call.
         """
         from repro.core.csr import CSRSpace

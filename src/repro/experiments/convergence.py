@@ -39,7 +39,7 @@ def run_convergence(
     """
     graph = load_dataset(dataset)
     space = NucleusSpace(graph, r, s)
-    exact = peeling_decomposition(space).kappa
+    exact = peeling_decomposition(space.to_csr()).kappa
 
     rows: List[Dict[str, object]] = []
 
@@ -61,7 +61,7 @@ def run_convergence(
     record(0, space.s_degrees())
     if algorithm == "snd":
         snd_decomposition(
-            space, max_iterations=max_iterations, on_iteration=record
+            space.to_csr(), max_iterations=max_iterations, on_iteration=record
         )
     elif algorithm == "and":
         and_decomposition(

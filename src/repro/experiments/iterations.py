@@ -39,10 +39,10 @@ def run_iteration_counts(
         graph = load_dataset(dataset)
         for r, s in instances:
             space = NucleusSpace(graph, r, s)
-            snd_result = snd_decomposition(space)
+            snd_result = snd_decomposition(space.to_csr())
             and_natural = and_decomposition(space, order="natural")
             and_random = and_decomposition(space, order="random", seed=seed)
-            and_best = and_decomposition(space, order="peel")
+            and_best = and_decomposition(space.to_csr(), order="peel")
             row: Dict[str, object] = {
                 "dataset": dataset,
                 "r": r,

@@ -49,7 +49,7 @@ def run_tau_traces(
     graph = load_dataset(dataset)
     space = NucleusSpace(graph, r, s)
     result = snd_decomposition(
-        space, record_history=True, max_iterations=max_iterations
+        space.to_csr(), record_history=True, max_iterations=max_iterations
     )
     history = result.tau_history or []
     n = len(space)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.csr import resolve_space_for_backend
+from repro.core.csr import CSRSpace
 from repro.core.metrics import accuracy_report, kendall_tau
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
@@ -24,28 +24,19 @@ from repro.experiments.tables import format_table
 __all__ = ["run_quality_metric", "format_quality_metric"]
 
 
-def run_quality_metric(
-    dataset: str,
-    r: int = 2,
-    s: int = 3,
-    *,
-    backend: str = "auto",
-) -> Dict[str, object]:
+def run_quality_metric(dataset: str, r: int = 2, s: int = 3) -> Dict[str, object]:
     """Per-iteration stability vs true accuracy, plus their correlation.
 
     Returns ``{"rows": [...], "correlation": float}`` where ``correlation``
     is the Kendall-Tau between the stability series and the true
     exact-fraction series — high correlation means stability is a trustworthy
     stand-in for accuracy, which is the claim behind the paper's metric.
-    All comparisons are index-aligned over whichever space representation
-    ``backend`` selects.
+    All comparisons are index-aligned over one :class:`CSRSpace`.
     """
     graph = load_dataset(dataset)
-    space, resolved = resolve_space_for_backend(graph, r, s, backend)
-    exact = peeling_decomposition(space, backend=resolved).kappa
-    result = snd_decomposition(
-        space, record_history=True, reference_kappa=exact, backend=resolved
-    )
+    space = CSRSpace.from_graph(graph, r, s)
+    exact = peeling_decomposition(space).kappa
+    result = snd_decomposition(space, record_history=True, reference_kappa=exact)
     history = result.tau_history or []
     n = max(len(space), 1)
 

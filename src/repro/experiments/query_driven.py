@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
-from repro.core.csr import resolve_space_for_backend
+from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.query import estimate_local_indices
 from repro.datasets.registry import load_dataset
@@ -31,27 +31,25 @@ def run_query_driven(
     num_queries: int = 20,
     hop_radii: Sequence[int] = (0, 1, 2, 3),
     seed: int = 13,
-    backend: str = "auto",
     graph=None,
 ) -> List[Dict[str, object]]:
     """Accuracy of query-driven κ estimates as a function of the hop radius.
 
     One row per hop radius with the exact-match fraction, mean absolute
     error, and the mean fraction of the graph's vertices inside the processed
-    neighbourhood (the cost measure).  ``backend`` selects the space
-    representation for both the exact baseline and every local ball; queries
-    are sampled by clique *index* and compared index-to-index, so no
-    tuple-keyed κ dict is ever built.  An explicit ``graph`` (either
+    neighbourhood (the cost measure).  The exact baseline and every local
+    ball run on a :class:`CSRSpace`; queries are sampled by clique *index*
+    and compared index-to-index, so no tuple-keyed κ dict is ever built.  An explicit ``graph`` (either
     representation — e.g. a :class:`~repro.graph.csr_graph.CSRGraph`
     freshly ingested from an edge list, whose h-hop balls are then carved
     out with the vectorised BFS) overrides the dataset lookup; ``dataset``
-    then only labels the rows.  Registry datasets stay on the dict source
-    so the sampled query indices are backend-independent.
+    then only labels the rows.  Registry datasets stay on the dict source,
+    whose clique indexing :meth:`CSRSpace.from_graph` preserves.
     """
     if graph is None:
         graph = load_dataset(dataset)
-    space, resolved = resolve_space_for_backend(graph, r, s, backend)
-    exact_kappa = peeling_decomposition(space, backend=resolved).kappa
+    space = CSRSpace.from_graph(graph, r, s)
+    exact_kappa = peeling_decomposition(space).kappa
 
     rng = random.Random(seed)
     if not len(space):
@@ -66,9 +64,7 @@ def run_query_driven(
         abs_error = 0
         ball_fraction = 0.0
         for query, truth in queries:
-            estimate = estimate_local_indices(
-                graph, [query], r, s, hops=hops, backend=backend
-            )
+            estimate = estimate_local_indices(graph, [query], r, s, hops=hops)
             value = estimate[query]
             if value == truth:
                 matches += 1
@@ -96,7 +92,6 @@ def run_query_driven_suite(
     num_queries: int = 15,
     hop_radii: Sequence[int] = (1, 2, 3),
     seed: int = 13,
-    backend: str = "auto",
     graph=None,
 ) -> List[Dict[str, object]]:
     """Query-driven accuracy for both the core (1,2) and truss (2,3) cases."""
@@ -110,7 +105,6 @@ def run_query_driven_suite(
                 num_queries=num_queries,
                 hop_radii=hop_radii,
                 seed=seed,
-                backend=backend,
                 graph=graph,
             )
         )

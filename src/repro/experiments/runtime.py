@@ -8,10 +8,7 @@ per dataset and instance:
 * wall-clock seconds of each algorithm on the scaled-down stand-ins,
 * the algorithm-specific work counters (degree decrements for peeling,
   ρ evaluations for SND/AND) which are hardware-independent and therefore
-  the more meaningful cross-check of the "who does more work" shape — on
-  the CSR rows ``peel_work`` counts the level-synchronous peel's batch
-  decrements, every surviving partner of every dying s-clique, so it is
-  not comparable with the dict rows' clamped one-at-a-time count — and
+  the more meaningful cross-check of the "who does more work" shape, and
 * the AND/SND work ratio (AND should do strictly less work thanks to fresher
   values and the notification mechanism).
 """
@@ -22,7 +19,6 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
@@ -35,44 +31,32 @@ __all__ = ["run_runtime_comparison", "format_runtime_comparison"]
 def run_runtime_comparison(
     datasets: Sequence[str],
     instances: Sequence[Tuple[int, int]] = ((1, 2), (2, 3)),
-    *,
-    backend: str = "dict",
 ) -> List[Dict[str, object]]:
     """One row per (dataset, r, s) with runtimes and work counters.
 
-    The default stays pinned to the dict backend: this experiment compares
-    the *algorithmic work* counters across algorithms, and the CSR kernels
-    charge ``rho_evaluations`` / ``h_index_calls`` differently (early exits,
-    τ=0 skips), so mixing backends across rows would break comparability
-    with the paper's figures.  ``backend="csr"`` instead runs every
-    algorithm array-natively — the dataset is loaded as a
-    :class:`~repro.graph.csr_graph.CSRGraph` and the space filled straight
-    from its batch enumerators — which is the right mode for timing the
-    production path (counters then compare CSR rows with CSR rows only).
+    Every row runs on a :class:`NucleusSpace`, so every algorithm runs its
+    dict kernel: this experiment compares the *algorithmic work* counters
+    across algorithms, and the CSR kernels charge ``rho_evaluations`` /
+    ``h_index_calls`` differently (early exits, τ=0 skips) and peel in
+    level-synchronous batches, which would break comparability with the
+    paper's figures.
     """
-    if backend not in ("dict", "csr"):
-        raise ValueError(f"backend must be 'dict' or 'csr', got {backend!r}")
     rows: List[Dict[str, object]] = []
     for dataset in datasets:
-        graph = load_dataset(
-            dataset, representation="csr" if backend == "csr" else "dict"
-        )
+        graph = load_dataset(dataset)
         for r, s in instances:
-            if backend == "csr":
-                space = CSRSpace.from_graph(graph, r, s)
-            else:
-                space = NucleusSpace(graph, r, s)
+            space = NucleusSpace(graph, r, s)
 
             start = time.perf_counter()
-            peel = peeling_decomposition(space, backend=backend)
+            peel = peeling_decomposition(space)
             peel_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
-            snd = snd_decomposition(space, backend=backend)
+            snd = snd_decomposition(space)
             snd_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
-            asynchronous = and_decomposition(space, backend=backend)
+            asynchronous = and_decomposition(space)
             and_seconds = time.perf_counter() - start
 
             snd_work = snd.operations.get("rho_evaluations", 0)

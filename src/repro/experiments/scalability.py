@@ -61,7 +61,7 @@ def run_scalability(
     for dataset in datasets:
         graph = load_dataset(dataset)
         space = NucleusSpace(graph, r, s)
-        kappa = peeling_decomposition(space).kappa
+        kappa = peeling_decomposition(space.to_csr()).kappa
         local_dynamic = simulate_local_scalability(
             space, thread_counts, policy="dynamic", chunk_size=chunk_size
         )

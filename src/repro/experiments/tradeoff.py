@@ -41,19 +41,20 @@ def run_tradeoff(
     """
     graph = load_dataset(dataset)
     space = NucleusSpace(graph, r, s)
-    exact = peeling_decomposition(space).kappa
+    exact = peeling_decomposition(space.to_csr()).kappa
 
     runner = snd_decomposition if algorithm == "snd" else and_decomposition
-    # dict backend pinned: the work axis is rho_evaluations, whose accounting
-    # is backend-dependent (the CSR kernels skip and early-exit)
-    full = runner(space, backend="dict")
+    # the dict kernels run on the NucleusSpace: the work axis is
+    # rho_evaluations, which the CSR kernels charge differently (they skip
+    # and early-exit)
+    full = runner(space)
     full_work = max(full.operations.get("rho_evaluations", 1), 1)
     caps = list(iteration_caps) if iteration_caps is not None else [1, 2, 3, 5, 8, 12]
     caps = [c for c in caps if c < full.iterations] + [full.iterations]
 
     rows: List[Dict[str, object]] = []
     for cap in caps:
-        partial = runner(space, max_iterations=cap, backend="dict")
+        partial = runner(space, max_iterations=cap)
         report = accuracy_report(partial.kappa, exact)
         work = partial.operations.get("rho_evaluations", 0)
         rows.append(

@@ -15,7 +15,7 @@ Two ingestion paths cover the two graph representations:
   (:meth:`~repro.graph.csr_graph.CSRGraph.from_label_arrays`), and the CSR
   adjacency is assembled without ever materialising a dict adjacency or
   per-edge Python tuples.  This is the entry point of the array-native
-  ``backend="csr"`` pipeline.
+  pipeline.
 
 Both readers transparently decompress ``.gz`` / ``.bz2`` files and accept an
 optional ``delimiter`` (default: any whitespace).
@@ -104,7 +104,9 @@ def read_edge_list_arrays(
     columns beyond the first two are dropped, self-loops are skipped,
     duplicates collapse, integer tokens become ``int`` labels and anything
     else stays a string.  ``.gz`` / ``.bz2`` are decompressed transparently
-    and ``delimiter`` overrides whitespace splitting.
+    and ``delimiter`` overrides whitespace splitting: a delimited file may
+    hold whitespace inside a field or empty fields, so it is split line by
+    line at the delimiter only, like the dict reader.
     """
     import numpy as np
 
@@ -120,7 +122,7 @@ def read_edge_list_arrays(
             num_vertices=0, labels=[],
         )
     if delimiter is not None:
-        data = data.replace(delimiter, " ")
+        return _ragged_pairs(np, path, data, delimiter)
     # column count from the first data line; extra columns beyond the first
     # two (SNAP timestamps etc.) are parsed and dropped, like the dict reader
     columns = len(data.split("\n", 1)[0].split())
@@ -192,21 +194,23 @@ def _uniform_columns(np, data, num_lines, columns):
     return True, plain
 
 
-def _ragged_pairs(np, path, data):
-    """Per-line parse of ragged rows: each line's first two tokens.
+def _ragged_pairs(np, path, data, delimiter=None):
+    """Per-line parse of ragged or delimited rows: each line's first two fields.
 
-    Semantics identical to :func:`read_edge_list` (a whitespace-only line
-    is skipped, a one-token line raises) — still no dict graph.
+    Semantics identical to :func:`read_edge_list`: a line is stripped, a
+    whitespace-only line is skipped, the rest is split at ``delimiter``
+    (any whitespace when ``None``), and a one-field line raises — still no
+    dict graph.
     """
     first, second = [], []
     for lineno, line in enumerate(data.split("\n"), start=1):
-        parts = line.split()
-        if not parts:
+        line = line.strip()
+        if not line:
             continue
+        parts = line.split(delimiter)
         if len(parts) < 2:
             raise ValueError(
-                f"{path}:{lineno}: expected at least two tokens, "
-                f"got {line.strip()!r}"
+                f"{path}:{lineno}: expected at least two tokens, got {line!r}"
             )
         first.append(parts[0])
         second.append(parts[1])

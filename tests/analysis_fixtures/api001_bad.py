@@ -3,9 +3,9 @@
 from repro.core.decomposition import nucleus_decomposition
 
 
-def run_report(graph, r, s, backend="auto", parallel=None):
+def run_report(graph, r, s, parallel=None):
     return nucleus_decomposition(graph, r, s)
 
 
-def run_half_wired(graph, r, s, backend="auto", parallel=None):
-    return nucleus_decomposition(graph, r, s, backend=backend)
+def run_half_wired(graph, r, s, parallel=None, workers=None):
+    return nucleus_decomposition(graph, r, s, workers=workers)

@@ -88,3 +88,43 @@ def medium_powerlaw_graph() -> Graph:
 @pytest.fixture
 def planted_graph() -> Graph:
     return planted_clique_graph(n=80, clique_size=12, p=0.05, seed=11)
+
+
+def _dict_local_indices(graph, queries, r, s, *, hops, algorithm="and"):
+    """The dict oracle of :func:`repro.core.query.estimate_local_indices`.
+
+    The h-hop ball's induced subgraph is decomposed on a
+    :class:`NucleusSpace`, so the dict kernels run.  ``graph`` is either
+    representation; a :class:`CSRGraph` ball is converted to a dict graph.
+    """
+    from repro.core.asynd import and_decomposition
+    from repro.core.query import QueryEstimate
+    from repro.core.snd import snd_decomposition
+    from repro.core.space import NucleusSpace
+    from repro.graph.cliques import canonical_clique
+
+    cliques = [canonical_clique(tuple(q)) for q in queries]
+    ball = graph.bfs_ball([v for clique in cliques for v in clique], hops)
+    subgraph = graph.subgraph(ball)
+    if not isinstance(subgraph, Graph):
+        subgraph = subgraph.to_graph()
+    space = NucleusSpace(subgraph, r, s)
+    run = and_decomposition if algorithm == "and" else snd_decomposition
+    result = run(space)
+    assert result.operations["backend"] == "dict"
+    estimates = {}
+    for clique in cliques:
+        index = space.find_index(clique)
+        estimates[clique] = 0 if index is None else result.kappa_at(index)
+    return QueryEstimate(
+        estimates,
+        ball_size=len(ball),
+        subgraph_edges=subgraph.number_of_edges(),
+        iterations=result.iterations,
+    )
+
+
+@pytest.fixture
+def dict_local_indices():
+    """The dict oracle of ``estimate_local_indices`` (see above)."""
+    return _dict_local_indices

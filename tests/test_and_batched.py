@@ -4,7 +4,7 @@ The batched kernel (:func:`and_decomposition_csr`) runs a Jacobi-within-
 pass / Gauss–Seidel-across-passes schedule, so its iteration counts and τ
 trajectories legitimately differ from the per-visit loop — what must hold,
 and what these tests enforce, is the *fixed point*: κ parity with the dict
-backend and the per-visit loop over a CSR space on random and degenerate
+kernel on a :class:`NucleusSpace` and the per-visit loop over a CSR space on random and degenerate
 inputs, with and without notification, under shuffled orders.  The
 per-visit loop promises the opposite contract — the exact dict trajectory
 on either space — which ``tests/test_csr.py`` asserts.
@@ -54,9 +54,7 @@ class TestBatchedFixedPoint:
     @pytest.mark.parametrize("notification", [True, False])
     def test_kappa_parity_dict_vs_engines(self, graph, rs, notification):
         space = NucleusSpace(graph, *rs)
-        reference = and_decomposition(
-            space, backend="dict", notification=notification
-        )
+        reference = and_decomposition(space, notification=notification)
         assert reference.converged
         assert _kappa(space, notification=notification) == reference.kappa
         visited = and_decomposition(
@@ -68,7 +66,7 @@ class TestBatchedFixedPoint:
     def test_kappa_parity_under_random_orders(self, seed):
         graph = powerlaw_cluster_graph(80, 5, 0.7, seed=17)
         space = NucleusSpace(graph, 2, 3)
-        reference = and_decomposition(space, backend="dict")
+        reference = and_decomposition(space)
         # a shuffled order is a schedule request: the per-visit loop runs
         # on the CSR space and reaches the order-independent fixed point
         shuffled = and_decomposition(space.to_csr(), order="random", seed=seed)
@@ -92,7 +90,7 @@ class TestBatchedFixedPoint:
     def test_batched_instrumentation_parity(self):
         """history/callback/reference hooks work on the batched tier too."""
         space = NucleusSpace(powerlaw_cluster_graph(50, 4, 0.5, seed=9), 2, 3)
-        reference = and_decomposition(space, backend="dict")
+        reference = and_decomposition(space)
         seen = []
         result = and_decomposition_csr(
             space.to_csr(),
@@ -129,9 +127,9 @@ class TestEngineSeam:
             and_decomposition(csr, order="sideways")
 
     def test_dict_backend_runs_pervisit(self):
-        # the dict backend is a schedule request: it always runs per-visit
+        # a NucleusSpace is a schedule request: it always runs per-visit
         space = NucleusSpace(complete_graph(4), 1, 2)
-        result = and_decomposition(space, backend="dict")
+        result = and_decomposition(space)
         assert result.operations["backend"] == "dict"
         assert result.operations["engine"] == "python"
 

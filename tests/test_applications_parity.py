@@ -11,7 +11,11 @@ same level structure.
 import pytest
 
 from repro.core.csr import CSRSpace
-from repro.core.densest import best_nucleus, max_core_subgraph
+from repro.core.densest import (
+    average_degree_density,
+    best_nucleus,
+    max_core_subgraph,
+)
 from repro.core.hierarchy import build_hierarchy
 from repro.core.levels import (
     convergence_upper_bound,
@@ -56,6 +60,23 @@ def both_spaces(graph, r, s):
     return NucleusSpace(graph, r, s), CSRSpace.from_graph(graph, r, s)
 
 
+def dict_best_nucleus(graph, r, s):
+    """The dict oracle of :func:`best_nucleus`: its hierarchy built on a
+    :class:`NucleusSpace` with the dict peel."""
+    space = NucleusSpace(graph, r, s)
+    hierarchy = build_hierarchy(space, peeling_decomposition(space).kappa)
+    return best_nucleus(graph, r, s, hierarchy=hierarchy)
+
+
+def dict_max_core(graph):
+    """The dict oracle of :func:`max_core_subgraph`: the dict k-core peel."""
+    if graph.number_of_vertices() == 0:
+        return set(), 0.0
+    result = peeling_decomposition(NucleusSpace(graph, 1, 2))
+    top = result.vertices_with_kappa_at_least(result.max_kappa())
+    return top, average_degree_density(graph, top)
+
+
 def forest_shape(hierarchy):
     """Everything that defines the forest, in a comparable form."""
     return [
@@ -77,7 +98,7 @@ class TestHierarchyParity:
     def test_same_forest_on_random_graphs(self, rs):
         for graph in random_graphs():
             dict_space, csr_space = both_spaces(graph, *rs)
-            kappa = peeling_decomposition(dict_space, backend="dict").kappa
+            kappa = peeling_decomposition(dict_space).kappa
             dict_h = build_hierarchy(dict_space, kappa)
             csr_h = build_hierarchy(csr_space, kappa)
             assert forest_shape(dict_h) == forest_shape(csr_h)
@@ -88,7 +109,7 @@ class TestHierarchyParity:
     def test_same_forest_on_degenerate_graphs(self, rs):
         for graph in degenerate_graphs():
             dict_space, csr_space = both_spaces(graph, *rs)
-            kappa = peeling_decomposition(dict_space, backend="dict").kappa
+            kappa = peeling_decomposition(dict_space).kappa
             dict_h = build_hierarchy(dict_space, kappa)
             csr_h = build_hierarchy(csr_space, kappa)
             assert forest_shape(dict_h) == forest_shape(csr_h)
@@ -134,8 +155,8 @@ class TestHierarchyParity:
 class TestDensestParity:
     def test_best_nucleus_backends_agree(self):
         for graph in random_graphs():
-            dict_best, dict_density = best_nucleus(graph, 2, 3, backend="dict")
-            csr_best, csr_density = best_nucleus(graph, 2, 3, backend="csr")
+            dict_best, dict_density = dict_best_nucleus(graph, 2, 3)
+            csr_best, csr_density = best_nucleus(graph, 2, 3)
             assert dict_density == pytest.approx(csr_density)
             assert (dict_best is None) == (csr_best is None)
             if dict_best is not None:
@@ -144,15 +165,15 @@ class TestDensestParity:
 
     def test_best_nucleus_degenerate(self):
         for graph in degenerate_graphs():
-            for backend in ("dict", "csr"):
-                nucleus, density = best_nucleus(graph, 2, 3, backend=backend)
+            for run in (dict_best_nucleus, best_nucleus):
+                nucleus, density = run(graph, 2, 3)
                 if graph.number_of_edges() == 0:
                     assert nucleus is None and density == 0.0
 
     def test_max_core_backends_agree(self):
         for graph in random_graphs():
-            dict_top, dict_density = max_core_subgraph(graph, backend="dict")
-            csr_top, csr_density = max_core_subgraph(graph, backend="csr")
+            dict_top, dict_density = dict_max_core(graph)
+            csr_top, csr_density = max_core_subgraph(graph)
             assert dict_top == csr_top
             assert dict_density == pytest.approx(csr_density)
 
@@ -172,16 +193,15 @@ class TestLevelsParity:
 
     def test_graph_source_backend_routing(self):
         graph = powerlaw_cluster_graph(50, 4, 0.6, seed=7)
-        assert degree_levels(graph, 2, 3, backend="dict") == degree_levels(
-            graph, 2, 3, backend="csr"
-        )
+        # a graph source is flattened into a CSRSpace
+        assert degree_levels(NucleusSpace(graph, 2, 3)) == degree_levels(graph, 2, 3)
 
 
 class TestMetricsParity:
     def test_results_from_different_backends_are_comparable(self):
         graph = powerlaw_cluster_graph(50, 4, 0.6, seed=7)
         dict_space, csr_space = both_spaces(graph, 2, 3)
-        exact = peeling_decomposition(dict_space, backend="dict")
+        exact = peeling_decomposition(dict_space)
         estimate = snd_decomposition(csr_space, max_iterations=2)
         report = accuracy_report_from_results(estimate, exact)
         assert report == accuracy_report(estimate.kappa, exact.kappa)

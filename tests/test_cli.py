@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.space import NucleusSpace
 
 
 class TestParser:
@@ -50,9 +51,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nucleus hierarchy" in out
 
-    def test_decompose_hierarchy_and_densest_on_csr(self, capsys):
+    def test_decompose_hierarchy_and_densest_on_csr(self, capsys, monkeypatch):
         """--hierarchy/--densest run on the in-memory CSR result: one
         decomposition, applications included, no dict space."""
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("decompose built a NucleusSpace")
+
+        monkeypatch.setattr(NucleusSpace, "__init__", forbidden)
         assert (
             main(
                 [
@@ -63,8 +69,6 @@ class TestCommands:
                     "2",
                     "--s",
                     "3",
-                    "--backend",
-                    "csr",
                     "--hierarchy",
                     "--densest",
                 ]
@@ -85,8 +89,19 @@ class TestCommands:
         assert "nucleus hierarchy" not in out
 
     def test_query_command_with_backend(self, capsys):
-        assert main(["query", "--dataset", "toy", "--backend", "csr"]) == 0
+        # the space's type picks the kernels: there is no --backend flag
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--dataset", "toy", "--backend", "csr"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert main(["query", "--dataset", "toy"]) == 0
         assert "Query-driven" in capsys.readouterr().out
+
+    def test_decompose_rejects_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--dataset", "toy", "--backend", "dict"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_convergence_command(self, capsys):
         assert (

@@ -18,12 +18,11 @@ from repro.core.csr import (
     CSRSpace,
     _stable_order,
     and_decomposition_csr,
-    resolve_backend,
-    resolve_process_backend,
+    resolve_space,
     snd_decomposition_csr,
 )
 from repro.core.decomposition import nucleus_decomposition
-from repro.core.peeling import peeling_decomposition
+from repro.core.peeling import peel_order, peeling_decomposition
 from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.generators import (
@@ -200,7 +199,7 @@ class TestFromGraph:
 
     def test_kappa_parity_all_algorithms(self, any_graph):
         direct = CSRSpace.from_graph(any_graph, 2, 3)
-        exact = peeling_decomposition(any_graph, 2, 3, backend="dict")
+        exact = peeling_decomposition(NucleusSpace(any_graph, 2, 3))
         assert peeling_decomposition(direct).kappa == exact.kappa
         assert and_decomposition_csr(direct).kappa == exact.kappa
         assert snd_decomposition_csr(direct).kappa == exact.kappa
@@ -212,15 +211,15 @@ class TestFromGraph:
             CSRSpace.from_graph(Graph(), 0, 2)
 
     def test_csr_backend_skips_dict_space(self, monkeypatch):
-        """backend='csr' with a Graph source must never build a NucleusSpace."""
+        """A Graph source must never build a NucleusSpace."""
         graph = powerlaw_cluster_graph(60, 4, 0.5, seed=2)
-        expected = peeling_decomposition(graph, 2, 3, backend="dict").kappa
+        expected = peeling_decomposition(NucleusSpace(graph, 2, 3)).kappa
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError("NucleusSpace built on the direct CSR path")
 
         monkeypatch.setattr(NucleusSpace, "__init__", forbidden)
-        result = nucleus_decomposition(graph, 2, 3, algorithm="snd", backend="csr")
+        result = nucleus_decomposition(graph, 2, 3, algorithm="snd")
         assert result.kappa == expected
         assert result.operations["backend"] == "csr"
 
@@ -258,72 +257,162 @@ class TestFromGraph:
 
 
 class TestBackendSelection:
-    def test_resolve_backend_values(self):
-        small = NucleusSpace(ring_of_cliques(3, 4), 1, 2)
-        assert resolve_backend("dict", small) == "dict"
-        assert resolve_backend("csr", small) == "csr"
-        assert resolve_backend("auto", small) == "csr"  # a fixed rule, no size probe
-        with pytest.raises(ValueError):
-            resolve_backend("magic", small)
+    """The type of the space picks the kernels; there is no ``backend=``."""
+
+    def test_resolve_space_follows_the_type(self):
+        graph = ring_of_cliques(3, 4)
+        small = NucleusSpace(graph, 1, 2)
+        assert resolve_space(small, None, None) is small
+        csr = small.to_csr()
+        assert resolve_space(csr, None, None) is csr
+        built = resolve_space(graph, 1, 2)
+        assert isinstance(built, CSRSpace)
+        assert built.cliques == small.cliques
 
     def test_auto_picks_csr_for_large_spaces(self):
         space = NucleusSpace(powerlaw_cluster_graph(400, 4, 0.3, seed=4), 1, 2)
-        assert resolve_backend("auto", space) == "csr"
-        result = and_decomposition(space)  # backend="auto"
+        result = and_decomposition(space.to_csr())
         assert result.operations.get("backend") == "csr"
+        assert result.kappa == and_decomposition(space).kappa
 
     def test_auto_routes_large_graph_straight_to_csr(self, monkeypatch):
-        """backend='auto' on a large Graph must never build the dict space."""
+        """A large Graph must never build the dict space."""
         graph = powerlaw_cluster_graph(400, 4, 0.3, seed=4)
-        expected = peeling_decomposition(graph, 1, 2, backend="dict").kappa
+        expected = peeling_decomposition(NucleusSpace(graph, 1, 2)).kappa
 
         def forbidden(self, *args, **kwargs):
-            raise AssertionError("NucleusSpace built on the auto CSR route")
+            raise AssertionError("NucleusSpace built on the graph's CSR route")
 
         monkeypatch.setattr(NucleusSpace, "__init__", forbidden)
-        result = nucleus_decomposition(graph, 1, 2, algorithm="snd", backend="auto")
+        result = nucleus_decomposition(graph, 1, 2, algorithm="snd")
         assert result.kappa == expected
         assert result.operations["backend"] == "csr"
 
     def test_auto_picks_csr_for_small_graph(self, triangle_graph):
         result = nucleus_decomposition(triangle_graph, 1, 2, algorithm="and")
         assert result.operations["backend"] == "csr"
-        explicit = nucleus_decomposition(
-            triangle_graph, 1, 2, algorithm="and", backend="dict"
+        oracle = nucleus_decomposition(
+            NucleusSpace(triangle_graph, 1, 2), algorithm="and"
         )
-        assert explicit.kappa == result.kappa
-
-    def test_resolve_process_backend(self):
-        assert resolve_process_backend("auto") == "csr"
-        assert resolve_process_backend("csr") == "csr"
-        with pytest.raises(ValueError, match="dict"):
-            resolve_process_backend("dict")
-        with pytest.raises(ValueError, match="magic"):
-            resolve_process_backend("magic")
+        assert oracle.operations["backend"] == "dict"
+        assert oracle.kappa == result.kappa
 
     def test_process_pool_never_resolves_dict(self, small_powerlaw_graph):
-        """Regression: a small prebuilt NucleusSpace with backend='auto' and
-        parallel='process' must run on CSR, not fall back to dict sizing."""
+        """Regression: a prebuilt NucleusSpace with parallel='process' runs on
+        the CSR buffers: the pool has no dict kernels."""
         space = NucleusSpace(small_powerlaw_graph, 1, 2)
         result = nucleus_decomposition(
-            space, parallel="process", algorithm="snd", workers=2, backend="auto"
+            space, parallel="process", algorithm="snd", workers=2
         )
         assert result.operations["backend"] == "csr"
         assert result.kappa == peeling_decomposition(space).kappa
 
     def test_csr_space_rejects_dict_backend(self):
         csr = NucleusSpace(ring_of_cliques(3, 4), 1, 2).to_csr()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="backend"):
             and_decomposition(csr, backend="dict")
 
     def test_nucleus_decomposition_forwards_backend(self, triangle_graph):
+        # the space passed is forwarded to the kernels: NucleusSpace runs
+        # the dict kernels, the graph the CSR kernels, with one κ
         for algorithm in ("peeling", "snd", "and"):
             a = nucleus_decomposition(triangle_graph, 1, 2, algorithm=algorithm)
             b = nucleus_decomposition(
-                triangle_graph, 1, 2, algorithm=algorithm, backend="csr"
+                NucleusSpace(triangle_graph, 1, 2), algorithm=algorithm
             )
             assert a.kappa == b.kappa
-            assert b.operations.get("backend") == "csr"
+            assert a.operations.get("backend") == "csr"
+            assert b.operations.get("backend") == "dict"
+
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["nucleus", "csr"])
+    def test_operations_name_the_space_that_ran(self, flat):
+        space = NucleusSpace(powerlaw_cluster_graph(40, 4, 0.5, seed=1), 2, 3)
+        source = space.to_csr() if flat else space
+        backend = "csr" if flat else "dict"
+        runs = {
+            "peeling": peeling_decomposition(source),
+            "snd": snd_decomposition(source),
+            "and": and_decomposition(source),
+            "and-natural": and_decomposition(source, order="natural"),
+            "nucleus": nucleus_decomposition(source, algorithm="snd"),
+        }
+        for name, result in runs.items():
+            assert result.operations["backend"] == backend, name
+        # a NucleusSpace reads the schedule; a CSRSpace runs the batched
+        # kernel unless the call asks for a schedule
+        engine = "numpy" if flat else "python"
+        assert runs["and"].operations["engine"] == engine
+        assert runs["and-natural"].operations["engine"] == "python"
+        # the batched kernel has no dict form: it flattens a NucleusSpace
+        assert and_decomposition_csr(source).operations["backend"] == "csr"
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["nucleus", "csr"])
+    def test_degree_levels_run_on_the_space_given(self, flat, monkeypatch):
+        from repro.core import levels
+
+        space = NucleusSpace(powerlaw_cluster_graph(40, 4, 0.5, seed=1), 2, 3)
+        source = space.to_csr() if flat else space
+        ran = []
+
+        def spy(name):
+            original = getattr(levels, name)
+
+            def kernel(space):
+                ran.append(name)
+                return original(space)
+
+            monkeypatch.setattr(levels, name, kernel)
+
+        spy("_degree_levels_csr")
+        spy("_degree_levels_generic")
+        expected = levels.degree_levels(space.to_csr())
+        del ran[:]
+        assert levels.degree_levels(source) == expected
+        assert ran == ["_degree_levels_csr" if flat else "_degree_levels_generic"]
+
+    def test_backend_keyword_is_gone_everywhere(self, triangle_graph):
+        from repro.core.densest import best_nucleus, max_core_subgraph
+        from repro.core.levels import (
+            convergence_upper_bound,
+            degree_levels,
+            level_of_each_clique,
+        )
+        from repro.core.query import estimate_local_indices
+        from repro.experiments.quality_metric import run_quality_metric
+        from repro.experiments.query_driven import (
+            run_query_driven,
+            run_query_driven_suite,
+        )
+        from repro.experiments.runtime import run_runtime_comparison
+
+        g = triangle_graph
+        calls = [
+            lambda: peeling_decomposition(g, 2, 3, backend="dict"),
+            lambda: snd_decomposition(g, 2, 3, backend="dict"),
+            lambda: and_decomposition(g, 2, 3, backend="csr"),
+            lambda: nucleus_decomposition(g, 2, 3, backend="auto"),
+            lambda: nucleus_decomposition(g, 2, 3, algorithm="snd", backend="csr"),
+            lambda: degree_levels(g, 2, 3, backend="dict"),
+            lambda: level_of_each_clique(g, 2, 3, backend="dict"),
+            lambda: convergence_upper_bound(g, 2, 3, backend="dict"),
+            lambda: estimate_local_indices(g, [(0, 1)], 2, 3, backend="dict"),
+            lambda: max_core_subgraph(g, backend="dict"),
+            lambda: best_nucleus(g, 2, 3, backend="dict"),
+            lambda: run_query_driven("toy", backend="dict"),
+            lambda: run_query_driven_suite("toy", backend="dict"),
+            lambda: run_quality_metric("toy", backend="dict"),
+            lambda: run_runtime_comparison(["toy"], backend="csr"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="backend"):
+                call()
+        # the peeling and process-pool dispatchers validate their options
+        # themselves, and name the unknown one
+        with pytest.raises(ValueError, match="backend"):
+            nucleus_decomposition(g, 2, 3, algorithm="peeling", backend="dict")
+        with pytest.raises(ValueError, match="backend"):
+            nucleus_decomposition(g, 2, 3, parallel="process", backend="csr")
 
 
 class TestKernelParity:
@@ -331,7 +420,7 @@ class TestKernelParity:
     def test_and_kappa_parity(self, any_graph, rs):
         space = NucleusSpace(any_graph, *rs)
         csr = space.to_csr()
-        reference = and_decomposition(space, backend="dict")
+        reference = and_decomposition(space)
         # a plain request runs the batched kernel, whose iteration counts
         # legitimately differ — κ parity still holds
         result = and_decomposition(csr)
@@ -352,30 +441,28 @@ class TestKernelParity:
         graph = powerlaw_cluster_graph(100, 4, 0.45, seed=13)
         space = NucleusSpace(graph, *rs)
         csr = space.to_csr()
+        # "peel" is each space's own peel order, and the two peels break
+        # ties within a level differently: hand the dict side the CSR's
+        dict_order = peel_order(csr) if order == "peel" else order
         for notification in (True, False):
-            options = dict(
-                order=order,
-                seed=5,
-                record_history=True,
-                notification=notification,
-            )
-            a = and_decomposition(space, backend="dict", **options)
-            b = and_decomposition(csr, **options)
+            options = dict(seed=5, record_history=True, notification=notification)
+            a = and_decomposition(space, order=dict_order, **options)
+            b = and_decomposition(csr, order=order, **options)
             assert b.operations["engine"] == "python"
             assert_same_trajectory(a, b)
 
     def test_and_kappa_order_parity(self):
         graph = powerlaw_cluster_graph(100, 4, 0.45, seed=13)
         space = NucleusSpace(graph, 2, 3)
-        hint = peeling_decomposition(space, backend="dict").kappa
-        a = and_decomposition(space, order="kappa", kappa_hint=hint, backend="dict")
+        hint = peeling_decomposition(space).kappa
+        a = and_decomposition(space, order="kappa", kappa_hint=hint)
         b = and_decomposition(space.to_csr(), order="kappa", kappa_hint=hint)
         assert_same_trajectory(a, b)
 
     @pytest.mark.parametrize("notification", [True, False])
     def test_and_notification_parity(self, any_graph, notification):
         space = NucleusSpace(any_graph, 2, 3)
-        a = and_decomposition(space, notification=notification, backend="dict")
+        a = and_decomposition(space, notification=notification)
         b = and_decomposition(
             space.to_csr(), notification=notification, order="natural"
         )
@@ -384,7 +471,7 @@ class TestKernelParity:
     def test_and_max_iterations_parity(self, any_graph):
         space = NucleusSpace(any_graph, 2, 3)
         for cap in (0, 1, 2):
-            a = and_decomposition(space, max_iterations=cap, backend="dict")
+            a = and_decomposition(space, max_iterations=cap)
             b = and_decomposition(space.to_csr(), max_iterations=cap)
             assert_same_trajectory(a, b)
 
@@ -392,7 +479,7 @@ class TestKernelParity:
     def test_snd_parity(self, any_graph, rs):
         space = NucleusSpace(any_graph, *rs)
         csr = space.to_csr()
-        reference = snd_decomposition(space, backend="dict", record_history=True)
+        reference = snd_decomposition(space, record_history=True)
         result = snd_decomposition_csr(csr, record_history=True)
         assert result.kappa == reference.kappa
         assert result.iterations == reference.iterations
@@ -402,7 +489,7 @@ class TestKernelParity:
         space = NucleusSpace(any_graph, 2, 3)
         csr = space.to_csr()
         for cap in (0, 1, 3):
-            a = snd_decomposition(space, max_iterations=cap, backend="dict")
+            a = snd_decomposition(space, max_iterations=cap)
             b = snd_decomposition_csr(csr, max_iterations=cap)
             assert a.kappa == b.kappa and a.converged == b.converged
             assert a.iterations == b.iterations
@@ -410,8 +497,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_peeling_parity(self, any_graph, rs):
         space = NucleusSpace(any_graph, *rs)
-        a = peeling_decomposition(space, backend="dict")
-        b = peeling_decomposition(space, backend="csr")
+        a = peeling_decomposition(space)
+        b = peeling_decomposition(space.to_csr())
         assert a.kappa == b.kappa
         # the routes break ties within a level differently; both orders
         # must still witness κ
@@ -420,8 +507,8 @@ class TestKernelParity:
 
     def test_reference_kappa_counts_match(self, any_graph):
         space = NucleusSpace(any_graph, 2, 3)
-        exact = peeling_decomposition(space, backend="dict").kappa
-        a = and_decomposition(space, reference_kappa=exact, backend="dict")
+        exact = peeling_decomposition(space).kappa
+        a = and_decomposition(space, reference_kappa=exact)
         b = and_decomposition(space.to_csr(), reference_kappa=exact)
         assert [s.converged_count for s in a.iteration_stats] == [
             s.converged_count for s in b.iteration_stats
@@ -435,7 +522,7 @@ class TestKernelParity:
         )
         assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
         trailing = seen[-1][1]
-        exact = peeling_decomposition(space, backend="dict").kappa
+        exact = peeling_decomposition(space).kappa
         assert trailing == exact
 
 
@@ -451,13 +538,13 @@ class TestEdgeCases:
         graph = Graph(edges=[(0, 1)], vertices=[0, 1, 2, 3])
         space = NucleusSpace(graph, 1, 2)
         csr = space.to_csr()
-        ref = and_decomposition(space, backend="dict")
+        ref = and_decomposition(space)
         assert and_decomposition_csr(csr).kappa == ref.kappa
 
     def test_triangle_graph(self, triangle_graph):
         for rs in [(1, 2), (2, 3)]:
             space = NucleusSpace(triangle_graph, *rs)
-            ref = peeling_decomposition(space, backend="dict")
+            ref = peeling_decomposition(space)
             assert and_decomposition_csr(space.to_csr()).kappa == ref.kappa
 
     def test_csr_constructor_validates_rs(self):

@@ -257,7 +257,7 @@ class TestSpaceFromCSRGraph:
         ref = NucleusSpace(graph, r, s)
         assert len(space) == len(ref)
         got = nucleus_decomposition(space, algorithm="and")
-        want = nucleus_decomposition(ref, algorithm="and", backend="dict")
+        want = nucleus_decomposition(ref, algorithm="and")
         assert dict(zip(space.cliques, got.kappa)) == ref.as_dict(want.kappa)
 
     @pytest.mark.parametrize("graph", degenerate_graphs())
@@ -285,14 +285,14 @@ class TestSpaceFromCSRGraph:
 
 
 class TestApplicationsOnCSRGraph:
-    def test_query_estimates_match_dict_graph(self):
+    def test_query_estimates_match_dict_graph(self, dict_local_indices):
         from repro.core.query import estimate_local_indices
 
         graph = powerlaw_cluster_graph(50, 3, 0.5, seed=12)
         cg = CSRGraph.from_graph(graph)
         queries = [tuple(e) for e in list(graph.edges())[:5]]
-        want = estimate_local_indices(graph, queries, 2, 3, hops=1, backend="dict")
-        got = estimate_local_indices(cg, queries, 2, 3, hops=1, backend="csr")
+        want = dict_local_indices(graph, queries, 2, 3, hops=1)
+        got = estimate_local_indices(cg, queries, 2, 3, hops=1)
         assert dict(got) == dict(want)
         assert got.ball_size == want.ball_size
         assert got.subgraph_edges == want.subgraph_edges
@@ -302,17 +302,21 @@ class TestApplicationsOnCSRGraph:
 
         graph = powerlaw_cluster_graph(50, 3, 0.5, seed=12)
         cg = CSRGraph.from_graph(graph)
-        got = degree_levels(cg, 2, 3, backend="csr")
-        want = degree_levels(graph, 2, 3, backend="dict")
+        got = degree_levels(cg, 2, 3)
+        want = degree_levels(NucleusSpace(graph, 2, 3))
         assert len(got) == len(want)
         assert [len(level) for level in got] == [len(level) for level in want]
 
     def test_densest_matches_dict_graph(self):
         from repro.core.densest import best_nucleus
+        from repro.core.hierarchy import build_hierarchy
+        from repro.core.peeling import peeling_decomposition
 
         graph = powerlaw_cluster_graph(50, 3, 0.5, seed=12)
         cg = CSRGraph.from_graph(graph)
-        n_dict, d_dict = best_nucleus(graph, 2, 3, backend="dict")
-        n_csr, d_csr = best_nucleus(cg, 2, 3, backend="csr")
+        space = NucleusSpace(graph, 2, 3)
+        hierarchy = build_hierarchy(space, peeling_decomposition(space).kappa)
+        n_dict, d_dict = best_nucleus(graph, 2, 3, hierarchy=hierarchy)
+        n_csr, d_csr = best_nucleus(cg, 2, 3)
         assert d_csr == pytest.approx(d_dict)
         assert n_csr.vertices == n_dict.vertices

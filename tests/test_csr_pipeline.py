@@ -1,6 +1,6 @@
 """End-to-end CSR pipeline guarantees and result caching.
 
-The headline acceptance property of the backend-agnostic application layer:
+The headline acceptance property of the space-agnostic application layer:
 a CSR-backed end-to-end run (``from_graph`` → kernel → ``build_hierarchy`` →
 densest / levels / query) never constructs a :class:`NucleusSpace` and never
 materialises a tuple-keyed κ dict — asserted here by instrumenting both away.
@@ -48,7 +48,7 @@ class TestNoDictEndToEnd:
         """from_graph → kernel → hierarchy → densest, all without the dict."""
         graph = powerlaw_cluster_graph(80, 4, 0.6, seed=5)
         space = CSRSpace.from_graph(graph, 2, 3)
-        result = nucleus_decomposition(space, algorithm=algorithm, backend="csr")
+        result = nucleus_decomposition(space, algorithm=algorithm)
         assert result.operations["backend"] == "csr"
 
         hierarchy = build_hierarchy(space, result)
@@ -65,7 +65,7 @@ class TestNoDictEndToEnd:
 
     def test_densest_from_graph_without_prebuilt_hierarchy(self, no_dict_structures):
         graph = powerlaw_cluster_graph(60, 4, 0.6, seed=6)
-        nucleus, density = best_nucleus(graph, 2, 3, backend="csr")
+        nucleus, density = best_nucleus(graph, 2, 3)
         assert nucleus is not None
         assert density > 0.0
 
@@ -73,9 +73,7 @@ class TestNoDictEndToEnd:
         graph = powerlaw_cluster_graph(60, 4, 0.6, seed=6)
         space = CSRSpace.from_graph(graph, 2, 3)
         query = space.clique_of(0)
-        estimate = estimate_local_indices(
-            graph, [query], 2, 3, hops=1, backend="csr"
-        )
+        estimate = estimate_local_indices(graph, [query], 2, 3, hops=1)
         assert estimate[query] >= 0
         assert estimate.ball_size >= 2
 
@@ -88,7 +86,7 @@ class TestNoDictEndToEnd:
 class TestArrayIngestEndToEnd:
     """Edge-list file → CSRGraph → CSRSpace → DecompositionResult, with the
     dict graph adjacency and every per-clique Python tuple instrumented away:
-    the ``backend="csr"`` ingestion pipeline must run to a finished result
+    the array-native ingestion pipeline must run to a finished result
     without constructing either, for every r ≤ 3 instance."""
 
     @pytest.fixture(scope="class")
@@ -125,27 +123,24 @@ class TestArrayIngestEndToEnd:
         with monkeypatch.context() as patch:
             self._forbid(patch)
             graph = read_edge_list_arrays(edge_list_path)
-            result = nucleus_decomposition(
-                graph, r, s, algorithm=algorithm, backend="csr"
-            )
+            result = nucleus_decomposition(graph, r, s, algorithm=algorithm)
             assert result.converged
             assert result.operations["backend"] == "csr"
         # instrumentation lifted: κ keyed by clique must match the dict
         # reference pipeline byte for byte
         reference = nucleus_decomposition(
-            read_edge_list(edge_list_path), r, s,
-            algorithm=algorithm, backend="dict",
+            NucleusSpace(read_edge_list(edge_list_path), r, s), algorithm=algorithm
         )
         assert dict(zip(result.cliques, result.kappa)) == reference.as_dict()
 
     def test_auto_backend_on_csr_graph_is_array_native(
         self, edge_list_path, monkeypatch
     ):
-        """``backend="auto"`` must not downgrade a CSRGraph source."""
+        """A CSRGraph source must not be downgraded to the dict kernels."""
         with monkeypatch.context() as patch:
             self._forbid(patch)
             graph = read_edge_list_arrays(edge_list_path)
-            result = nucleus_decomposition(graph, 2, 3, backend="auto")
+            result = nucleus_decomposition(graph, 2, 3)
             assert result.operations["backend"] == "csr"
 
 

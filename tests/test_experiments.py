@@ -101,7 +101,7 @@ class TestE3Iterations:
         expected = {(1, 2): 10, (2, 3): 5}
         for row in rows:
             rs = (row["r"], row["s"])
-            oracle = and_decomposition(NucleusSpace(graph, *rs), backend="dict")
+            oracle = and_decomposition(NucleusSpace(graph, *rs))
             assert row["and_iters"] == oracle.iterations == expected[rs]
 
 
@@ -128,9 +128,7 @@ class TestE4Plateaus:
         rows = run_notification_savings("toy", 1, 2)
         space = NucleusSpace(load_dataset("toy"), 1, 2)
         for notification, label in ((False, "off"), (True, "on")):
-            oracle = and_decomposition(
-                space, notification=notification, backend="dict"
-            )
+            oracle = and_decomposition(space, notification=notification)
             expected = [
                 (s.iteration, s.processed, s.skipped, s.updated)
                 for s in oracle.iteration_stats

@@ -232,7 +232,8 @@ class TestParserDifferential:
       count, ``np.unique`` otherwise;
     * ``labels`` — a rectangular file with a token that is no int64;
     * ``ragged`` — rows whose token counts differ (by space, tab and
-      newline, or by ``str.split``): parsed line by line.
+      newline, or by ``str.split``), or any file read with a
+      ``delimiter``: parsed line by line.
     """
 
     @pytest.fixture
@@ -266,26 +267,26 @@ class TestParserDifferential:
         return parse + ("+unique" if "unique" in taken else "+bitmap")
 
     @staticmethod
-    def outcome(reader, path):
+    def outcome(reader, path, **kwargs):
         """``(labels, edges)`` a reader gives, or the class of its error."""
         try:
-            graph = reader(path)
+            graph = reader(path, **kwargs)
         except Exception as exc:  # compared by class across the readers
             return type(exc)
         labels = [(type(v), v) for v in sorted_vertices(graph.vertices())]
         return labels, {frozenset(edge) for edge in graph.edges()}
 
-    def check(self, tmp_path, text, routes):
+    def check(self, tmp_path, text, routes, **kwargs):
         """Assert both readers agree on ``text``; return the array route."""
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
-        expected = self.outcome(read_edge_list, path)
+        expected = self.outcome(read_edge_list, path, **kwargs)
         del routes[:]
-        got = self.outcome(read_edge_list_arrays, path)
-        assert got == expected, repr(text)
+        got = self.outcome(read_edge_list_arrays, path, **kwargs)
+        assert got == expected, (text, kwargs)
         if isinstance(got, type):
             return "error"
-        graph = read_edge_list_arrays(path)
+        graph = read_edge_list_arrays(path, **kwargs)
         # ids follow the sorted label order (the lazy clique views rely on it)
         assert list(graph.labels) == sorted_vertices(list(graph.labels))
         return self.route_of(routes)
@@ -328,6 +329,27 @@ class TestParserDifferential:
     )
     def test_named_cases(self, tmp_path, routes, text, route):
         assert self.check(tmp_path, text, routes) == route
+
+    @pytest.mark.parametrize(
+        "text, delimiter, route",
+        [
+            ("0,1\n1,2\n2,0\n", ",", "ragged"),
+            ("a b,c\nc,d\n", ",", "ragged"),
+            (" 1 , 2\n2 ,3\n", ",", "ragged"),
+            ("a , b\nb,c\n", ",", "ragged"),
+            ("a\tb,c\nc,d\n", ",", "ragged"),
+            ("0 1\t2\n2\t3 4\n", "\t", "ragged"),
+            ("0,,1\n,2\n", ",", "ragged"),
+            ("0;1;7\n# c\n1;2\n", ";", "ragged"),
+            ("0,1\n2\n", ",", "error"),
+            ("0 1\n", ",", "error"),
+        ],
+        ids=lambda value: value if value in ROUTES else None,
+    )
+    def test_named_delimiter_cases(self, tmp_path, routes, text, delimiter, route):
+        # a delimiter splits at itself only: whitespace stays inside a field
+        # and an empty field is a field, as in the dict reader
+        assert self.check(tmp_path, text, routes, delimiter=delimiter) == route
 
     SEPARATORS = ("\f", "\v", "\xa0", "\t", "  ", "\x1c", "\u3000")
     LONG_INTS = (
@@ -384,8 +406,10 @@ class TestParserDifferential:
 
     def test_seeded_mutations(self, tmp_path, routes):
         rng = random.Random(20240607)
+        delimiters = random.Random(20240608)
         seen = {}
-        for _ in range(300):
+        delimited = {}
+        for case in range(300):
             lines = [
                 f"{rng.randrange(30)} {rng.randrange(30)}"
                 for _ in range(rng.randrange(1, 12))
@@ -395,8 +419,19 @@ class TestParserDifferential:
             text = "\n".join(lines) + rng.choice(("", "\n"))
             route = self.check(tmp_path, text, routes)
             seen[route] = seen.get(route, 0) + 1
+            if case % 2:
+                # the same mutation as a delimited file: every space becomes
+                # the delimiter, so padding turns into empty fields and the
+                # other separators stay inside a field
+                delimiter = delimiters.choice((",", ";", "\t"))
+                route = self.check(
+                    tmp_path, text.replace(" ", delimiter), routes,
+                    delimiter=delimiter,
+                )
+                delimited[route] = delimited.get(route, 0) + 1
         # the mutations reach every route, so the agreement is not vacuous
         assert set(seen) == set(ROUTES), seen
+        assert set(delimited) == {"ragged", "error"}, delimited
 
 
 def test_json_roundtrip(tmp_path, two_clique_bridge_graph):

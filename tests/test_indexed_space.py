@@ -20,6 +20,7 @@ from and_reference import neighbour_rows
 
 from repro.core.csr import CSRSpace, _incidence_arrays_generic
 from repro.core.peeling import peeling_decomposition
+from repro.core.space import NucleusSpace
 from repro.graph import generators as gen
 from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.graph import Graph
@@ -112,7 +113,7 @@ def test_builders_match_the_generic_route(name, r, s):
     csr_graph = CSRGraph.from_graph(graph)
     space = CSRSpace.from_graph(csr_graph, r, s)
     assert _buffers(space) == _buffers(_generic(csr_graph, r, s))
-    exact = peeling_decomposition(graph, r, s, backend="dict").as_dict()
+    exact = peeling_decomposition(NucleusSpace(graph, r, s)).as_dict()
     kappa = peeling_decomposition(space).kappa
     assert dict(zip(space.cliques, kappa)) == exact
 

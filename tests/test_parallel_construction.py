@@ -185,7 +185,7 @@ class TestProcessAnd:
         assert result.operations["backend"] == "csr"
 
     def test_dict_backend_rejected(self):
-        with pytest.raises(ValueError, match="dict"):
+        with pytest.raises(ValueError, match="backend"):
             nucleus_decomposition(
                 ring_of_cliques(3, 4), 2, 3, algorithm="and",
                 parallel="process", backend="dict",

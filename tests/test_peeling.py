@@ -155,8 +155,8 @@ class TestParityWorld:
     @staticmethod
     def check(graph, r, s):
         space = NucleusSpace(graph, r, s)
-        reference = peeling_decomposition(space, backend="dict")
-        result = peeling_decomposition(space, backend="csr")
+        reference = peeling_decomposition(space)
+        result = peeling_decomposition(space.to_csr())
         assert result.kappa == reference.kappa
         for run in (reference, result):
             assert_peel_witness(space, run.kappa, run.operations["_peel_order"])

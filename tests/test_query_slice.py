@@ -277,15 +277,21 @@ def test_space_only_bundle_raises_store_format_error(tmp_path):
         estimate_local_indices(bundle, [(0, 1)], 2, 3, hops=1)
 
 
-def test_dict_backend_on_a_bundle_takes_the_dict_route(truss_bundle, monkeypatch):
+def test_dict_backend_on_a_bundle_takes_the_dict_route(
+    truss_bundle, dict_local_indices
+):
+    # the dict oracle decomposes NucleusSpace(graph.subgraph(ball), r, s):
+    # on the bundle's stored graph it walks the source graph's schedule, and
+    # its estimates are the sliced route's
     source, _, bundle = truss_bundle
-    monkeypatch.setattr(CSRSpace, "restrict", None)
     queries = [next(iter(source.edges()))]
     for hops in HOPS:
-        _assert_same(
-            estimate_local_indices(bundle, queries, 2, 3, hops=hops, backend="dict"),
-            estimate_local_indices(source, queries, 2, 3, hops=hops, backend="dict"),
-        )
+        oracle = dict_local_indices(bundle.graph, queries, 2, 3, hops=hops)
+        _assert_same(oracle, dict_local_indices(source, queries, 2, 3, hops=hops))
+        sliced = estimate_local_indices(bundle, queries, 2, 3, hops=hops)
+        assert dict(sliced) == dict(oracle)
+        assert sliced.ball_size == oracle.ball_size
+        assert sliced.subgraph_edges == oracle.subgraph_edges
 
 
 @pytest.mark.parametrize(

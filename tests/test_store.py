@@ -16,14 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import (
-    CSRSpace,
-    resolve_space,
-    resolve_space_for_backend,
-)
+from repro.core.csr import CSRSpace, resolve_space
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.hierarchy import build_hierarchy
-from repro.core.peeling import peeling_decomposition
+from repro.core.peeling import peel_order, peeling_decomposition
 from repro.core.query import estimate_local_indices
 from repro.core.space import NucleusSpace
 from repro.datasets.registry import load_dataset
@@ -123,11 +119,12 @@ class TestRoundTrip:
         """The per-visit loop over a memmapped space is the dict oracle's."""
         space = NucleusSpace(powerlaw_cluster_graph(60, 3, 0.5, seed=7), *rs)
         reopened = open_bundle(save_bundle(tmp_path / "b", space=space)).space
-        options = dict(
-            order=order, seed=5, notification=notification, record_history=True
-        )
-        a = and_decomposition(space, backend="dict", **options)
-        b = and_decomposition(reopened, **options)
+        options = dict(seed=5, notification=notification, record_history=True)
+        # "peel" is each space's own peel order, and the dict and CSR peels
+        # break ties within a level differently: hand the dict side the CSR's
+        dict_order = peel_order(reopened) if order == "peel" else order
+        a = and_decomposition(space, order=dict_order, **options)
+        b = and_decomposition(reopened, order=order, **options)
         assert b.operations["backend"] == "csr"
         assert (b.kappa, b.iterations, b.tau_history) == (
             a.kappa,
@@ -310,12 +307,6 @@ class TestWiring:
         other = resolve_space(open_bundle(path), 1, 2)
         assert isinstance(other, CSRSpace)
         assert (other.r, other.s) == (1, 2)
-
-    def test_resolve_for_dict_backend_takes_graph(self, saved):
-        path, *_ = saved
-        space, backend = resolve_space_for_backend(open_bundle(path), 2, 3, "dict")
-        assert backend == "dict"
-        assert isinstance(space, NucleusSpace)
 
     def test_nucleus_decomposition_accepts_bundle(self, saved):
         path, _, _, result, _ = saved
