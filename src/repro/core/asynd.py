@@ -100,10 +100,11 @@ def and_decomposition(
 
     AND has two schedules with the same unique fixed point κ.  A request
     that reads the schedule — a :class:`NucleusSpace` source, any explicit
-    ``order``, ``record_history``, ``on_iteration``, ``reference_kappa`` or
-    ``max_iterations`` — runs the paper's per-visit loop (this module) on
-    the resolved space, through the :class:`SpaceLike` read API, so its τ
-    trajectory and per-iteration stats are the same on either space.
+    ``order``, ``notification=False``, ``record_history``,
+    ``on_iteration``, ``reference_kappa`` or ``max_iterations`` — runs the
+    paper's per-visit loop (this module) on the resolved space, through the
+    :class:`SpaceLike` read API, so its τ trajectory and per-iteration
+    stats are the same on either space.
     Every other request runs the frontier-batched kernel
     :func:`repro.core.csr.and_decomposition_csr`, whose passes are Jacobi
     within a pass, so only its iteration counts differ.
@@ -122,11 +123,8 @@ def and_decomposition(
     notification:
         Enable the notification mechanism: an r-clique is recomputed only if
         one of its neighbours changed since its last computation.  Disable to
-        measure the redundant-computation overhead (experiment E4).  The
-        process-pool runner (``nucleus_decomposition(parallel="process",
-        algorithm="and", notification=...)``) honours the same flag via a
-        shared active bitmap that carries notifications across worker
-        chunk boundaries.
+        measure the redundant-computation overhead (experiment E4); the
+        per-visit loop is the only schedule that runs without it.
     max_iterations, record_history, reference_kappa, on_iteration:
         Same semantics as in :func:`repro.core.snd.snd_decomposition`.
 
@@ -145,13 +143,14 @@ def and_decomposition(
     reads_schedule = (
         on_dict
         or order is not None
+        or not notification
         or record_history
         or on_iteration is not None
         or reference_kappa is not None
         or max_iterations is not None
     )
     if not reads_schedule:
-        return and_decomposition_csr(space, notification=notification)
+        return and_decomposition_csr(space)
     n = len(space)
     tau = space.s_degrees()
     perm = processing_order(space, order, seed=seed, kappa_hint=kappa_hint)

@@ -22,28 +22,28 @@ memory, or read-only memmaps when reopened from an on-disk bundle.  A
 ``CSRSpace`` is cheap to pickle and to place in shared memory (flat buffers,
 no per-element Python objects), which is what the process pool needs.
 
-Each local algorithm has one round kernel that every tier runs:
-:func:`_and_sweep` (one frontier-batched AND pass over a chunk of cliques)
-and :func:`_snd_sweep` (one Jacobi SND step over a chunk).  The workers of
+Each local algorithm has one round kernel for a chunk of cliques:
+:func:`_and_sweep` (one frontier-batched AND pass, driven by notification
+flags) and :func:`_snd_sweep` (one Jacobi SND step).  The workers of
 :class:`repro.parallel.procpool.PersistentPool` run them over their own
-chunks of shared-memory views, and the serial engines of
-:func:`and_decomposition_csr` / :func:`snd_decomposition_csr` over the
-single chunk ``[0, n)``.  The serial AND with notification (the default)
-runs :func:`_and_count` instead: one writer can keep a per-clique support
-count up to date, so a pass gathers only the cliques whose τ drops, where
-the pool's chunks gather every flagged clique and check it.  Both take the
-same τ trajectory.  κ equals the dict-backend implementations in
-:mod:`repro.core.asynd` and :mod:`repro.core.snd`, which the test-suite
-asserts property-style.  AND's per-visit schedule has no kernel here: the
-one loop in :mod:`repro.core.asynd` runs on this class through its read
-API.  The exact baselines share one step, :func:`_retire`, which removes a
-whole frontier of r-cliques at once: the level-synchronous peel of
+chunks of shared-memory views, and :func:`snd_decomposition_csr` runs
+:func:`_snd_sweep` over the single chunk ``[0, n)``.  The serial AND,
+:func:`and_decomposition_csr`, runs :func:`_and_count` instead: one writer
+can keep a per-clique support count up to date, so a pass gathers only the
+cliques whose τ drops, where the pool's chunks gather every flagged clique
+and check it.  Both AND kernels take the same τ trajectory.  κ equals the
+dict-backend implementations in :mod:`repro.core.asynd` and
+:mod:`repro.core.snd`, which the test-suite asserts property-style.  AND's
+per-visit schedule has no kernel here: the one loop in
+:mod:`repro.core.asynd` runs on this class through its read API.  The exact
+baselines share one step, :func:`_retire`, which removes a whole frontier
+of r-cliques at once: the level-synchronous peel of
 :mod:`repro.core.peeling` and the degree levels of :mod:`repro.core.levels`
 drive it.
 
 The AND counters in ``result.operations`` and ``iteration_stats``:
-``processed`` is the number of cliques a pass looks at (every clique in a
-full pass, the counted frontier in a later one), ``skipped`` the rest, and
+``processed`` is the number of cliques a pass looks at (every clique in the
+first pass, the counted frontier in a later one), ``skipped`` the rest, and
 ``rho_evaluations`` the context rows gathered (see
 :func:`and_decomposition_csr`).
 """
@@ -920,75 +920,44 @@ def _as_csr(
 # ----------------------------------------------------------------------
 # AND kernel
 # ----------------------------------------------------------------------
-def _make_converged_counter(
-    reference_kappa: Optional[List[int]],
-) -> Callable[[Sequence[int]], int]:
-    """Per-iteration convergence counter against a reference κ array.
-
-    Vectorised: the interpreted ``sum(...)`` over all ``n`` cliques used to
-    dominate instrumented kernel timings.
-    """
-    if reference_kappa is None:
-        return lambda tau: -1
-    ref = _np.asarray(reference_kappa, dtype=_np.int64)
-    return lambda tau: int((_np.asarray(tau, dtype=_np.int64) == ref).sum())
-
-
 def and_decomposition_csr(
     source: Union[GraphSource, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
     s: Optional[int] = None,
     *,
-    notification: bool = True,
     max_iterations: Optional[int] = None,
-    record_history: bool = False,
-    reference_kappa: Optional[List[int]] = None,
-    on_iteration: Optional[Callable[[int, List[int]], None]] = None,
 ) -> DecompositionResult:
     """Frontier-batched AND (Algorithm 3) over a :class:`CSRSpace`.
 
-    With ``notification`` (the default) each pass is one step of the
-    counted kernel :func:`_and_count`: the first pass checks every clique
-    and seeds the per-clique support counts, and every later pass visits
-    only the cliques whose count has fallen below τ.  Without it every
-    pass is a full sweep of the round kernel :func:`_and_sweep` over the
-    one chunk ``[0, n)``, the kernel the process pool runs per worker
-    chunk.  Each pass reads the pass-start τ (Jacobi within a pass,
+    Each pass is one step of the counted kernel :func:`_and_count`: the
+    first pass checks every clique and seeds the per-clique support counts,
+    and every later pass visits only the cliques whose count has fallen
+    below τ.  Each pass reads the pass-start τ (Jacobi within a pass,
     Gauss–Seidel across passes), so iteration counts and τ trajectories
     differ from the per-visit schedule of
     :func:`repro.core.asynd.and_decomposition`; κ is the same unique fixed
-    point, which the property tests assert against the dict backend.  Both
-    routes here take the same τ trajectory.
+    point, which the property tests assert against the dict backend.  The
+    pool's round kernel :func:`_and_sweep` takes the same τ trajectory.
 
     The counters, per pass:
 
-    * ``processed`` — the cliques the pass looks at: all ``n`` in a full
-      pass (the first one, or every one without ``notification``); the
-      frontier ``support < τ`` in a later counted pass, which is exactly
-      the cliques that drop, so ``processed == updated`` there;
-    * ``skipped`` — ``n - processed``: the cliques whose count (or, in the
-      pool, whose missing flag) shows they cannot drop;
-    * ``rho_evaluations`` — context rows gathered: every row in a full
+    * ``processed`` — the cliques the pass looks at: all ``n`` in the
+      first pass; the frontier ``support < τ`` in a later pass, which is
+      exactly the cliques that drop, so ``processed == updated`` there;
+    * ``skipped`` — ``n - processed``: the cliques whose count shows they
+      cannot drop;
+    * ``rho_evaluations`` — context rows gathered: every row in the first
       pass, plus the frontier's rows, gathered once to rank them (their
       re-read against the published τ is not charged again);
     * ``h_index_calls`` — the cliques whose τ dropped.
 
-    τ = 0 cliques are looked at in a full pass and never gathered.
+    τ = 0 cliques are looked at in the first pass and never gathered.
     """
     space = _as_csr(source, r, s)
     n = len(space)
     tau = _np.diff(space.ctx_offsets)
-    if notification:
-        support = _np.zeros(n, dtype=_np.int64)
-        step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
-    else:
-        sweep = _and_sweep(space.ctx_offsets, space.ctx_members, space.stride, tau, None)
-
-        def step(first: bool):
-            return sweep(0, n, True, False)
-
-    count_converged = _make_converged_counter(reference_kappa)
-    history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
+    support = _np.zeros(n, dtype=_np.int64)
+    step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
     stats: List[IterationStats] = []
     rho_evaluations = 0
     h_calls = 0
@@ -1005,10 +974,6 @@ def and_decomposition_csr(
         h_calls += updated
         skipped_total += n - processed
         converged = updated == 0
-        if history is not None:
-            history.append(tau.tolist())
-        if on_iteration is not None:
-            on_iteration(iteration, tau.tolist())
         stats.append(
             IterationStats(
                 iteration=iteration,
@@ -1016,7 +981,7 @@ def and_decomposition_csr(
                 processed=processed,
                 skipped=n - processed,
                 max_change=max_change,
-                converged_count=count_converged(tau),
+                converged_count=-1,
             )
         )
 
@@ -1026,7 +991,6 @@ def and_decomposition_csr(
         kappa=tau.tolist(),
         iterations=iteration,
         converged=converged,
-        tau_history=history,
         iteration_stats=stats,
         operations={
             "rho_evaluations": rho_evaluations,
@@ -1187,17 +1151,14 @@ def _and_count(ctx_off, members, stride: int, tau, support):
 
 @kernel
 def _and_sweep(ctx_off, members, stride: int, tau, active):
-    """The AND round kernel: one frontier-batched pass over a chunk.
+    """The pool's AND round kernel: one frontier-batched pass over a chunk.
 
     Binds the space buffers, the τ array and the byte-wide ``active`` flags
-    (in-memory arrays or memmaps for the serial engine, which sweeps fully
-    and passes ``None`` for the flags it never reads; zero-copy views over
-    shared memory in the pool workers) and returns
-    ``sweep(lo, hi, full, use_active)``.  A call updates ``tau[lo:hi]`` in
-    place and returns ``(updated, processed, rho_evaluations,
-    max_change)``.  Over the frontier ``F`` — the chunk's cliques with
-    τ > 0, restricted to the flagged ones when ``use_active`` and not
-    ``full`` — one call:
+    (zero-copy views over shared memory in the pool workers) and returns
+    ``sweep(lo, hi, full)``.  A call updates ``tau[lo:hi]`` in place and
+    returns ``(updated, processed, rho_evaluations, max_change)``.  Over
+    the frontier ``F`` — the chunk's cliques with τ > 0, restricted to the
+    flagged ones unless ``full`` — one call:
 
     1. *claims* the flags it sweeps (clears them before reading any τ, so
        a concurrent cross-chunk decrease either lands in the values read
@@ -1211,8 +1172,8 @@ def _and_sweep(ctx_off, members, stride: int, tau, active):
        ``(segment, -ρ)`` keys plus a prefix-count ``bincount``, clamped
        with the current τ;
     4. *publishes* the drops into ``tau`` (the chunk is its only writer)
-       and, with ``use_active``, *notifies* from the context rows already
-       gathered for the changed cliques: a partner ``p`` of a changed
+       and *notifies* from the context rows already gathered for the
+       changed cliques: a partner ``p`` of a changed
        clique ``i`` is flagged, across chunk boundaries too, only where
        ``τ(p) > τ'(i)``, the new value of ``i``.
 
@@ -1240,19 +1201,18 @@ def _and_sweep(ctx_off, members, stride: int, tau, active):
     # the maximum context count, so ρ < pack always holds
     pack = int(degrees.max(initial=0)) + 2
 
-    def sweep(lo: int, hi: int, full: bool, use_active: bool):
-        if use_active and not full:
+    def sweep(lo: int, hi: int, full: bool):
+        if full:
+            active[lo:hi] = 0
+            frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
+            processed = hi - lo
+        else:
             # scan a private snapshot: peers set flags in this range
             # while it is read, which flatnonzero must not observe
             flagged = lo + _np.flatnonzero(active[lo:hi].copy())
             active[flagged] = 0  # claim before reading any neighbour value
             frontier = flagged[tau[flagged] > 0]
             processed = len(flagged)
-        else:
-            if use_active:
-                active[lo:hi] = 0
-            frontier = lo + _np.flatnonzero(tau[lo:hi] > 0)
-            processed = hi - lo
         m = len(frontier)
         if m == 0:
             return 0, processed, 0, 0
@@ -1294,13 +1254,12 @@ def _and_sweep(ctx_off, members, stride: int, tau, active):
         old = cur[drop]
         new_values = _np.minimum(h, old)
         tau[changed] = new_values
-        if use_active:
-            # the failed segments' rows, against their owner's new τ
-            changed_rows = rows[sel]
-            bound = new_values[rep2]
-            for column in columns:
-                partners = column[changed_rows]
-                active[partners[tau[partners] > bound]] = 1
+        # the failed segments' rows, against their owner's new τ
+        changed_rows = rows[sel]
+        bound = new_values[rep2]
+        for column in columns:
+            partners = column[changed_rows]
+            active[partners[tau[partners] > bound]] = 1
         return updated, processed, evaluated, int((old - new_values).max())
 
     return sweep
@@ -1309,6 +1268,20 @@ def _and_sweep(ctx_off, members, stride: int, tau, active):
 # ----------------------------------------------------------------------
 # SND kernel
 # ----------------------------------------------------------------------
+def _make_converged_counter(
+    reference_kappa: Optional[List[int]],
+) -> Callable[[Sequence[int]], int]:
+    """Per-iteration convergence counter against a reference κ array.
+
+    Vectorised: the interpreted ``sum(...)`` over all ``n`` cliques used to
+    dominate instrumented kernel timings.
+    """
+    if reference_kappa is None:
+        return lambda tau: -1
+    ref = _np.asarray(reference_kappa, dtype=_np.int64)
+    return lambda tau: int((_np.asarray(tau, dtype=_np.int64) == ref).sum())
+
+
 def snd_decomposition_csr(
     source: Union[GraphSource, NucleusSpace, CSRSpace],
     r: Optional[int] = None,

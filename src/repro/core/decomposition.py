@@ -95,9 +95,9 @@ def nucleus_decomposition(
         Forwarded to the selected algorithm (e.g. ``max_iterations``,
         ``record_history``, ``order``, ``notification``).  For serial
         AND any option that reads the schedule runs the per-visit loop;
-        see :func:`repro.core.asynd.and_decomposition`.  The parallel
-        dispatch rejects options its runners do not support (the process
-        pool always runs the batched round kernel per chunk).
+        see :func:`repro.core.asynd.and_decomposition`.  Peeling takes no
+        option, and the process pool ``max_iterations`` only (it always
+        runs the notified round kernel per chunk).
 
     Returns
     -------
@@ -107,6 +107,8 @@ def nucleus_decomposition(
 
     Raises
     ------
+    TypeError
+        An option the selected route does not take; the message names it.
     ValueError
         Unknown ``algorithm``/``parallel`` value, a graph
         source without ``r``/``s``, or ``workers`` without ``parallel``.
@@ -149,11 +151,7 @@ def nucleus_decomposition(
         raise ValueError("resilience= requires parallel='process'")
 
     if algorithm == "peeling":
-        if options:
-            raise ValueError(
-                f"peeling accepts no extra options, got {sorted(options)}"
-            )
-        return peeling_decomposition(source, r, s)
+        return peeling_decomposition(source, r, s, **options)
     if algorithm == "snd":
         return snd_decomposition(source, r, s, **options)
     return and_decomposition(source, r, s, **options)
@@ -180,16 +178,11 @@ def _parallel_dispatch(
             "parallel execution supports the local algorithms ('snd', 'and'); "
             "peeling is the sequential baseline"
         )
-    allowed = (
-        {"max_iterations", "notification"}
-        if algorithm == "and"
-        else {"max_iterations"}
-    )
-    unsupported = sorted(set(options) - allowed)
+    unsupported = sorted(set(options) - {"max_iterations"})
     if unsupported:
-        raise ValueError(
-            f"parallel='process' with algorithm={algorithm!r} supports the "
-            f"{sorted(allowed)} options only, got {unsupported}"
+        raise TypeError(
+            f"parallel='process' got unexpected keyword arguments {unsupported}; "
+            "it takes max_iterations only"
         )
     policy = None
     if resilience is not None:

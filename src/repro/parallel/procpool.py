@@ -18,11 +18,11 @@ This module is the multi-core path of the local algorithms:
   the next buffer, with a two-phase barrier between rounds (publish
   per-worker update counts, then agree on convergence);
 * **AND** runs the paper's partitioned asynchronous schedule: each worker
-  *owns* one contiguous chunk of τ, updates it in place using the freshest
-  own values plus the neighbours' latest published values.  With
-  ``notification=True`` (the default) a shared per-clique *active bitmap*
-  carries the paper's notification mechanism across chunk boundaries: a
-  worker sweeps only the active cliques of its chunk, and a τ decrease
+  *owns* one static contiguous chunk of τ, updates it in place using the
+  freshest own values plus the neighbours' latest published values.  A
+  shared per-clique *active bitmap* carries the paper's notification
+  mechanism across chunk boundaries: after a first full sweep a worker
+  sweeps only the active cliques of its chunk, and a τ decrease
   re-activates only the context partners whose τ lies above the new value —
   also those owned by other workers — read straight off the context rows
   the sweep already gathered (no neighbour relation is stored).
@@ -101,8 +101,7 @@ _ITEMSIZE = 8  # int64
 _META_ROUNDS = 0
 _META_CONVERGED = 1
 _META_UPDATES = 2
-_META_REBALANCES = 3
-_META_SLOTS = 4
+_META_SLOTS = 3
 
 # how long a shutdown waits on a worker before escalating: graceful join ->
 # terminate (SIGTERM) -> kill (SIGKILL).  A wedged worker can therefore
@@ -177,7 +176,6 @@ class WorkerSpec:
     wid: int
     barrier_timeout: float
     faults: Optional[Tuple[dict, ...]] = None
-    num_workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,8 @@ class JobSpec:
 
     kind: str
     max_iterations: Optional[int] = None
-    notification: bool = True
     gen: int = 0
     faults: Optional[Tuple[dict, ...]] = None
-    rebalance: bool = False
 
 
 def _fire_entry_faults(spec: WorkerSpec) -> None:
@@ -308,33 +304,22 @@ def _attach_int64(name: str, attached: List[shared_memory.SharedMemory], count: 
     )
 
 
-def _bounds_array(ranges: List[Tuple[int, int]]):
-    """Flatten contiguous chunk ranges into a bounds array of k+1 cut points."""
-    return _np.array([lo for lo, _ in ranges] + [ranges[-1][1]], dtype=_np.int64)
-
-
 def _create_shared_space(
-    arena: SharedCSRBuffers,
-    space: CSRSpace,
-    degrees,
-    ranges: List[Tuple[int, int]],
+    arena: SharedCSRBuffers, space: CSRSpace, degrees, num_workers: int
 ) -> None:
     """Create every segment a space binding needs, for any job kind.
 
     That is the context incidence, both Jacobi τ buffers (AND uses only
-    ``tau_a``), the per-clique active bitmap (AND with notification), the
-    shared chunk-``bounds`` cut points that dynamic re-balancing rewrites
-    between rounds, and the counts/proc/meta control segments.
+    ``tau_a``), the per-clique active bitmap (AND), and the
+    counts/proc/meta control segments.
     """
     n = len(space)
-    num_workers = len(ranges)
     arena.create_from("ctx_offsets", space.ctx_offsets)
     arena.create_from("ctx_members", space.ctx_members)
     arena.create_from("tau_a", degrees)
     arena.create("tau_b", n * _ITEMSIZE)
     active = arena.create("active", n)
     active.buf[:n] = b"\x01" * n
-    arena.create_from("bounds", _bounds_array(ranges))
     arena.create("counts", num_workers * _ITEMSIZE)
     arena.create("proc", num_workers * _ITEMSIZE)
     arena.create("meta", _META_SLOTS * _ITEMSIZE)
@@ -352,19 +337,18 @@ def _read_int64(shm: shared_memory.SharedMemory, count: int):
 def _extract_result(arena: SharedCSRBuffers, kind: str, n: int, num_workers: int):
     """Read one finished job's outputs back out of the shared segments.
 
-    Returns ``(rounds, converged, updates_total, processed, rebalances,
-    kappa)``.  For SND the final τ lives in whichever Jacobi buffer the
-    round parity left it in; AND always updates ``tau_a`` in place.
+    Returns ``(rounds, converged, updates_total, processed, kappa)``.  For
+    SND the final τ lives in whichever Jacobi buffer the round parity left
+    it in; AND always updates ``tau_a`` in place.
     """
     meta = _read_int64(arena.get("meta"), _META_SLOTS).tolist()
     rounds = meta[_META_ROUNDS]
     converged = bool(meta[_META_CONVERGED])
     updates_total = meta[_META_UPDATES]
-    rebalances = meta[_META_REBALANCES]
     processed = int(_read_int64(arena.get("proc"), num_workers).sum())
     final_tag = "tau_a" if kind == "and" or rounds % 2 == 0 else "tau_b"
     kappa = _read_int64(arena.get(final_tag), n).tolist()
-    return rounds, converged, updates_total, processed, rebalances, kappa
+    return rounds, converged, updates_total, processed, kappa
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +383,6 @@ def _attach_views(
         "active": _np.frombuffer(  # repro: noqa[ARR002]
             _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
         ),
-        "bounds": memoryview(_attach(names["bounds"], attached).buf).cast("q"),
     }
 
 
@@ -479,28 +462,6 @@ def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
         meta_mv[_META_UPDATES] = updates_total
 
 
-def _rebalance_bounds(bounds_mv, active, ctx_off, num_workers: int) -> None:
-    """Re-split ``[0, n)`` by the surviving active weight (worker 0 only).
-
-    Each still-active clique weighs its context count plus one (the same
-    cost model as :func:`repro.core.csr.weighted_ranges`); inactive cliques
-    weigh nothing, so chunk cuts slide toward whatever region of the space
-    the frontier has contracted to.  Runs between two barriers in
-    :func:`_and_job`, so no peer reads the cut points mid-rewrite.  A dead
-    frontier (zero total weight) keeps the previous split — the round then
-    sweeps nothing anyway.
-    """
-    weights = (ctx_off[1:] - ctx_off[:-1] + 1) * (active != 0)
-    cum = _np.cumsum(weights)
-    grand = int(cum[-1])
-    if grand == 0:
-        return
-    targets = (grand * _np.arange(1, num_workers, dtype=_np.int64)) // num_workers
-    cuts = _np.searchsorted(cum, targets, side="left") + 1
-    for w in range(1, num_workers):
-        bounds_mv[w] = int(cuts[w - 1])
-
-
 def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     """Asynchronous AND rounds over one *owned* chunk of a single shared τ.
 
@@ -510,32 +471,24 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
     at their latest published value — any published value is valid because
     τ only decreases.
 
-    With ``job.notification`` the shared active bitmap restricts a round
-    to the cliques flagged since their last scan: the flag is *claimed*
-    (cleared) before the scan, so a concurrent cross-chunk τ decrease either
-    lands in the values the scan reads or re-raises the flag for the next
-    round.  Because flag stores from another process may still race the
-    snapshot, a zero-update active round is only a *candidate* fixed point:
-    it is confirmed by one full verification sweep, and any update found
-    there resumes the active rounds.  Termination therefore always means a
-    full sweep saw zero updates — exactly the serial criterion — so κ equals
-    the serial kernels' unique fixed point regardless of flag races.
-
-    With ``job.rebalance`` every sparse (non-verification) round first
-    re-splits the chunk bounds by surviving active weight
-    (:func:`_rebalance_bounds`, one extra barrier so every worker reads the
-    same cuts); full sweeps always use the static ``spec.bounds`` so the
-    verification pass deterministically covers the whole space.  The bounds
-    partition ``[0, n)`` disjointly in every round, so the
-    single-writer-per-chunk ownership argument is unchanged.
+    The first round sweeps the whole chunk; later rounds sweep only the
+    cliques flagged in the shared active bitmap since their last scan.  The
+    flag is *claimed* (cleared) before the scan, so a concurrent
+    cross-chunk τ decrease either lands in the values the scan reads or
+    re-raises the flag for the next round.  Because flag stores from
+    another process may still race the snapshot, a zero-update flagged
+    round is only a *candidate* fixed point: it is confirmed by one full
+    verification sweep, and any update found there resumes the flagged
+    rounds.  Termination therefore always means a full sweep saw zero
+    updates — exactly the serial criterion — so κ equals the serial
+    kernels' unique fixed point regardless of flag races.
     """
+    lo, hi = spec.bounds
     wid = spec.wid
     timeout = spec.barrier_timeout
     max_rounds = job.max_iterations
     counts_mv = views["counts"]
     meta_mv = views["meta"]
-    bounds_mv = views["bounds"]
-    use_active = job.notification
     if "and_sweep" not in views:
         views["and_sweep"] = _and_sweep(
             views["ctx_off"],
@@ -545,35 +498,19 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             views["active"],
         )
     sweep = views["and_sweep"]
-    can_rebalance = job.rebalance and use_active and spec.num_workers > 1
 
     rounds = 0
     converged = False
     updates_total = 0
     processed = 0
-    rebalances = 0
-    # the first round always sweeps everything (every flag starts raised);
-    # later the flag is re-entered as the verification sweep before stopping
+    # the first round always sweeps everything; later the flag is
+    # re-entered as the verification sweep before stopping
     full_sweep = True
     while True:
         if max_rounds is not None and rounds >= max_rounds:
             break
         _fire_round_faults(job, rounds)
-        if can_rebalance and not full_sweep:
-            # every worker takes this branch or none does: full_sweep is
-            # derived from the shared round totals, so the barrier count
-            # stays identical across the pool
-            if wid == 0:
-                _rebalance_bounds(
-                    bounds_mv, views["active"], views["ctx_off"],
-                    spec.num_workers,
-                )
-                rebalances += 1
-            barrier.wait(timeout)  # publish the new cuts before anyone reads
-            lo, hi = bounds_mv[wid], bounds_mv[wid + 1]
-        else:
-            lo, hi = spec.bounds
-        updated, done, _, _ = sweep(lo, hi, full_sweep, use_active)
+        updated, done, _, _ = sweep(lo, hi, full_sweep)
         processed += done
         total = _round_sync(barrier, counts_mv, wid, updated, timeout)
         updates_total += total
@@ -583,14 +520,13 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
                 converged = True
                 break
             full_sweep = True  # verify the candidate fixed point fully
-        elif use_active:
+        else:
             full_sweep = False
     views["proc"][wid] = processed
     if wid == 0:
         meta_mv[_META_ROUNDS] = rounds
         meta_mv[_META_CONVERGED] = 1 if converged else 0
         meta_mv[_META_UPDATES] = updates_total
-        meta_mv[_META_REBALANCES] = rebalances
 
 
 def _persistent_worker_main(
@@ -727,7 +663,6 @@ class PersistentPool:
         self._barrier = None
         self._num_workers = 0
         self._degree_bytes = b""
-        self._bounds_bytes = b""
         self._generation = 0
 
     # ------------------------------------------------------------------
@@ -776,8 +711,7 @@ class PersistentPool:
         max_iterations: Optional[int] = None,
     ) -> DecompositionResult:
         """SND Jacobi on the persistent workers; κ, iterations match serial."""
-        return self._run("snd", source, r, s, max_iterations=max_iterations,
-                         notification=False)
+        return self._run("snd", source, r, s, max_iterations=max_iterations)
 
     def run_and(
         self,
@@ -786,20 +720,9 @@ class PersistentPool:
         s: Optional[int] = None,
         *,
         max_iterations: Optional[int] = None,
-        notification: bool = True,
-        rebalance: bool = True,
     ) -> DecompositionResult:
-        """Asynchronous AND on the persistent workers; κ matches serial.
-
-        ``rebalance=True`` (default) re-splits the chunk bounds by surviving
-        active weight at the start of every sparse round, so a frontier that
-        contracts into one region of the space stops idling the workers that
-        own the rest; it changes only who sweeps what, never κ.  Requires
-        ``notification`` (without the active bitmap there is no frontier to
-        re-split) and at least two workers; otherwise it is a no-op.
-        """
-        return self._run("and", source, r, s, max_iterations=max_iterations,
-                         notification=notification, rebalance=rebalance)
+        """Asynchronous AND on the persistent workers; κ matches serial."""
+        return self._run("and", source, r, s, max_iterations=max_iterations)
 
     # ------------------------------------------------------------------
     def _run(
@@ -810,8 +733,6 @@ class PersistentPool:
         s: Optional[int],
         *,
         max_iterations: Optional[int],
-        notification: bool,
-        rebalance: bool = False,
     ) -> DecompositionResult:
         self._check_open()
         if (
@@ -839,16 +760,12 @@ class PersistentPool:
             self._reset_buffers()
             self._generation += 1
             job = JobSpec(
-                kind=kind,
-                max_iterations=max_iterations,
-                notification=notification,
-                gen=self._generation,
-                rebalance=rebalance,
+                kind=kind, max_iterations=max_iterations, gen=self._generation
             )
             self._send_jobs(job)
             self._collect(self._generation)
-            rounds, converged, updates_total, processed, rebalances, kappa = (
-                _extract_result(self._arena, kind, n, self._num_workers)
+            rounds, converged, updates_total, processed, kappa = _extract_result(
+                self._arena, kind, n, self._num_workers
             )
             shared_nbytes = self._arena.nbytes()
         except BaseException:
@@ -869,9 +786,6 @@ class PersistentPool:
             "persistent": True,
             "forks": self.forks,
         }
-        if kind == "and":
-            operations["notification"] = notification
-            operations["rebalances"] = rebalances
         return DecompositionResult.from_space(
             space,
             algorithm=algorithm,
@@ -916,11 +830,10 @@ class PersistentPool:
         ranges = weighted_ranges(space.ctx_offsets, self.workers)
         degrees = _np.diff(space.ctx_offsets)
         self._degree_bytes = degrees.tobytes()
-        self._bounds_bytes = _bounds_array(ranges).tobytes()
         self._arena = SharedCSRBuffers(prefix="rp")
         try:
             # a binding creates every segment any job kind needs
-            _create_shared_space(self._arena, space, degrees, ranges)
+            _create_shared_space(self._arena, space, degrees, len(ranges))
             names = dict(self._arena.names)
             self._fork([
                 WorkerSpec(
@@ -930,7 +843,6 @@ class PersistentPool:
                     bounds=bounds,
                     wid=wid,
                     barrier_timeout=self.barrier_timeout,
-                    num_workers=len(ranges),
                 )
                 for wid, bounds in enumerate(ranges)
             ])
@@ -995,8 +907,6 @@ class PersistentPool:
         ):
             arena.get(tag).buf[:nbytes] = bytes(nbytes)
         arena.get("active").buf[:n] = b"\x01" * n
-        # restore the static chunk split a previous rebalancing job rewrote
-        arena.get("bounds").buf[:len(self._bounds_bytes)] = self._bounds_bytes
 
     def _collect(self, generation: int) -> None:
         """Wait for every worker's done message, failing fast on any death.
@@ -1104,22 +1014,17 @@ def process_and_decomposition(
     *,
     workers: int = 4,
     max_iterations: Optional[int] = None,
-    notification: bool = True,
     start_method: Optional[str] = None,
 ) -> DecompositionResult:
     """Asynchronous AND on a fresh pool with per-chunk τ ownership.
 
     Each worker owns a contiguous chunk of the shared τ array and updates it
-    in place; ``notification=True`` (default) additionally shares a
-    per-clique active bitmap so each round sweeps only the cliques whose
-    neighbourhood changed, with cross-chunk re-activation.  The final κ
-    equals the serial algorithms' output (unique fixed point), though the
-    round count depends on the partitioning.  Source handling is that of
+    in place; a shared per-clique active bitmap makes each round after the
+    first sweep only the cliques whose neighbourhood changed, with
+    cross-chunk re-activation.  The final κ equals the serial algorithms'
+    output (unique fixed point), though the round count depends on the
+    partitioning.  Source handling is that of
     :func:`process_snd_decomposition`.
     """
     with PersistentPool(workers, start_method=start_method) as pool:
-        return pool.run_and(
-            source, r, s,
-            max_iterations=max_iterations,
-            notification=notification,
-        )
+        return pool.run_and(source, r, s, max_iterations=max_iterations)

@@ -285,12 +285,10 @@ class SupervisedPool:
         s: Optional[int] = None,
         *,
         max_iterations: Optional[int] = None,
-        notification: bool = True,
     ) -> DecompositionResult:
         """Supervised AND; κ matches the serial kernels (unique fixed point)."""
         return self._supervised(
-            "and", source, r, s,
-            max_iterations=max_iterations, notification=notification,
+            "and", source, r, s, max_iterations=max_iterations
         )
 
     # ------------------------------------------------------------------
@@ -349,16 +347,8 @@ class SupervisedPool:
     ) -> DecompositionResult:
         """Degrade to the serial CSR kernel; κ is byte-identical by fixed-point
         uniqueness, only wall-clock suffers."""
-        if kind == "snd":
-            result = snd_decomposition_csr(
-                space, max_iterations=options.get("max_iterations")
-            )
-        else:
-            result = and_decomposition_csr(
-                space,
-                max_iterations=options.get("max_iterations"),
-                notification=options.get("notification", True),
-            )
+        serial = snd_decomposition_csr if kind == "snd" else and_decomposition_csr
+        result = serial(space, **options)
         result.algorithm = f"{kind}-serial-fallback"
         result.operations.update(
             parallel="process",

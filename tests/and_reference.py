@@ -1,6 +1,6 @@
 """Reference notification for the batched AND: wake every S-neighbour.
 
-The library's round kernel (:func:`repro.core.csr._and_sweep`) notifies
+The pool's round kernel (:func:`repro.core.csr._and_sweep`) notifies
 from the context rows it has already gathered and flags a partner of a
 changed clique only where the partner's τ lies above the clique's new
 value.  This module keeps the earlier, independent construction as a test
@@ -10,7 +10,8 @@ oracle:
   a CSR pair ``(offsets, members)``, built by one sort-based dedupe of
   packed ``owner * n + partner`` keys over the whole space;
 * :func:`and_wake_all` — the same frontier-batched AND pass, except that
-  every neighbour of a changed clique is flagged.
+  every neighbour of a changed clique is flagged (or, without
+  notification, every clique is swept in every pass).
 
 Parity tests assert that both notifications give the same κ, iterations
 and per-pass ``updated`` / ``max_change``, that the kernel never

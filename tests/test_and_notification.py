@@ -1,17 +1,19 @@
 """The batched AND's notification against a wake-every-neighbour reference.
 
-``_and_sweep`` flags a partner of a changed clique only where the partner's
-τ lies above the clique's new value, reading the partners off the context
-rows it already gathered.  The reference (:mod:`tests.and_reference`) runs
-the same batched pass but wakes every S-neighbour.  Over a seeded world of
-generator graphs the two must follow the same τ trajectory — κ,
-iterations, per-pass ``updated`` and ``max_change`` — with κ equal to
-peeling, and the kernel may never process more cliques than the reference.
-The pool routes (``PersistentPool``, ``SupervisedPool`` under a fault
-plan) must reach the same κ with notification on and off.
+The pool's round kernel ``_and_sweep`` flags a partner of a changed clique
+only where the partner's τ lies above the clique's new value, reading the
+partners off the context rows it already gathered.  The reference
+(:mod:`tests.and_reference`) runs the same batched pass but wakes every
+S-neighbour.  Over a seeded world of generator graphs the two must follow
+the same τ trajectory — κ, iterations, per-pass ``updated`` and
+``max_change`` — with κ equal to peeling, and the kernel may never process
+more cliques than the reference.  The kernel's full passes (the pool's
+first round and its verification sweep) must match the reference's full
+passes exactly.  The pool routes (``PersistentPool`` at one to three
+workers, ``SupervisedPool`` under a fault plan) must reach the same κ.
 
-The serial kernel with notification is the counted one
-(``_and_count``): its support counts must equal a from-scratch recount
+The serial kernel is the counted one (``_and_count``): it must take the
+same trajectory, its support counts must equal a from-scratch recount
 (``support_counts``) after every pass, meet ``support ≥ τ`` at
 convergence, and give the reference's passes on degenerate shapes too.
 """
@@ -22,12 +24,19 @@ import numpy as np
 import pytest
 
 from and_reference import and_wake_all, neighbour_rows
-from repro.core.csr import CSRSpace, _and_count, and_decomposition_csr, support_counts
+from repro.core.csr import (
+    CSRSpace,
+    _and_count,
+    _and_sweep,
+    and_decomposition_csr,
+    support_counts,
+)
+from repro.core.decomposition import nucleus_decomposition
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph import generators as gen
 from repro.graph.csr_graph import CSRGraph
-from repro.parallel.procpool import PersistentPool
+from repro.parallel.procpool import PersistentPool, process_and_decomposition
 from repro.resilience import faults
 from repro.resilience.supervisor import ResiliencePolicy, SupervisedPool
 
@@ -71,21 +80,47 @@ def _world():
 WORLD = _world()
 
 
+def _swept_passes(space, full: bool):
+    """Drive the pool's kernel ``_and_sweep`` over the one chunk ``[0, n)``.
+
+    The first pass sweeps every clique, as a pool worker's first round
+    does; later passes sweep the flagged cliques, or every clique again
+    when ``full``.  Returns ``(kappa, passes)`` in the shape of
+    :func:`and_wake_all`.
+    """
+    n = len(space)
+    tau = np.diff(space.ctx_offsets)
+    active = np.ones(n, dtype=np.uint8)
+    sweep = _and_sweep(space.ctx_offsets, space.ctx_members, space.stride, tau, active)
+    passes = []
+    while n:
+        updated, processed, _, max_change = sweep(0, n, full or not passes)
+        passes.append((updated, processed, max_change))
+        if updated == 0:
+            break
+    return tau.tolist(), passes
+
+
 @pytest.mark.parametrize("notification", [True, False], ids=["notify", "full"])
 @pytest.mark.parametrize("r, s", INSTANCES)
 @pytest.mark.parametrize("name", sorted(WORLD))
 def test_kernel_follows_the_wake_all_trajectory(name, r, s, notification):
     space = CSRSpace.from_graph(WORLD[name], r, s)
-    result = and_decomposition_csr(space, notification=notification)
     kappa, passes = and_wake_all(space, notification=notification)
-    stats = result.iteration_stats
-    assert result.kappa == kappa == peeling_decomposition(space).kappa
-    assert result.iterations == len(passes)
-    assert [st.updated for st in stats] == [p[0] for p in passes]
-    assert [st.max_change for st in stats] == [p[2] for p in passes]
-    assert all(st.processed <= p[1] for st, p in zip(stats, passes))
+    swept, sweeps = _swept_passes(space, full=not notification)
+    assert swept == kappa == peeling_decomposition(space).kappa
+    assert [(u, m) for u, _, m in sweeps] == [(u, m) for u, _, m in passes]
     if not notification:
-        assert [st.processed for st in stats] == [p[1] for p in passes]
+        assert sweeps == passes
+        return
+    assert all(own[1] <= ref[1] for own, ref in zip(sweeps, passes))
+    result = and_decomposition_csr(space)
+    stats = result.iteration_stats
+    assert result.kappa == kappa
+    assert [(st.updated, st.max_change) for st in stats] == [
+        (u, m) for u, _, m in passes
+    ]
+    assert all(st.processed <= p[1] for st, p in zip(stats, passes))
 
 
 def test_notification_skips_cliques_that_cannot_drop():
@@ -207,30 +242,61 @@ def pool_spaces():
     ]
 
 
-def test_persistent_pool_kappa_with_and_without_notification(pool_spaces):
-    with PersistentPool(workers=2) as pool:
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_persistent_pool_kappa_equals_peeling(pool_spaces, workers):
+    with PersistentPool(workers=workers) as pool:
         for space in pool_spaces:
-            exact = peeling_decomposition(space).kappa
-            for notification in (True, False):
-                result = pool.run_and(space, notification=notification)
-                assert result.kappa == exact
-                assert result.converged
+            result = pool.run_and(space)
+            assert result.kappa == peeling_decomposition(space).kappa
+            assert result.converged
 
 
-@pytest.mark.parametrize("notification", [True, False], ids=["notify", "full"])
+# round 0 is the workers' full sweep, round 1 a flagged one
+@pytest.mark.parametrize("crash_round", [1, 0], ids=["notify", "full"])
 def test_supervised_pool_kappa_under_a_fault_plan(
-    pool_spaces, monkeypatch, notification
+    pool_spaces, monkeypatch, crash_round
 ):
     monkeypatch.delenv(faults.PLAN_ENV, raising=False)
     faults._reset_env_cache()
     space = pool_spaces[0]
-    plan = [{"kind": "crash", "worker": 1, "round": 1}]
+    plan = [{"kind": "crash", "worker": 1, "round": crash_round}]
     policy = ResiliencePolicy(backoff_base=0.01, backoff_cap=0.05)
     try:
         with faults.fault_plan({"faults": plan}):
             with SupervisedPool(workers=2, policy=policy) as pool:
-                result = pool.run_and(space, notification=notification)
+                result = pool.run_and(space)
     finally:
         faults._reset_env_cache()
     assert result.kappa == peeling_decomposition(space).kappa
     assert result.operations["resilience"]["retries"] == 1
+
+
+def test_removed_schedule_knobs_raise_type_error(pool_spaces):
+    """The CSR tier has one AND schedule: notified passes, static chunks.
+
+    The full-sweep mode, re-balancing and the batched kernel's trajectory
+    hooks are gone; passing one fails before any worker is forked.
+    """
+    space = pool_spaces[0]
+    with PersistentPool(workers=2) as pool:
+        with SupervisedPool(workers=2) as supervised:
+            calls = {
+                "notification": [
+                    lambda: and_decomposition_csr(space, notification=False),
+                    lambda: pool.run_and(space, notification=False),
+                    lambda: process_and_decomposition(space, notification=False),
+                    lambda: supervised.run_and(space, notification=False),
+                    lambda: nucleus_decomposition(
+                        space, parallel="process", notification=False
+                    ),
+                ],
+                "record_history": [
+                    lambda: and_decomposition_csr(space, record_history=True),
+                ],
+                "rebalance": [lambda: pool.run_and(space, rebalance=False)],
+            }
+            for keyword, rejected in calls.items():
+                for call in rejected:
+                    with pytest.raises(TypeError, match=keyword):
+                        call()
+        assert pool.forks == 0

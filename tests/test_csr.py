@@ -403,16 +403,12 @@ class TestBackendSelection:
             lambda: run_query_driven_suite("toy", backend="dict"),
             lambda: run_quality_metric("toy", backend="dict"),
             lambda: run_runtime_comparison(["toy"], backend="csr"),
+            lambda: nucleus_decomposition(g, 2, 3, algorithm="peeling", backend="dict"),
+            lambda: nucleus_decomposition(g, 2, 3, parallel="process", backend="csr"),
         ]
         for call in calls:
             with pytest.raises(TypeError, match="backend"):
                 call()
-        # the peeling and process-pool dispatchers validate their options
-        # themselves, and name the unknown one
-        with pytest.raises(ValueError, match="backend"):
-            nucleus_decomposition(g, 2, 3, algorithm="peeling", backend="dict")
-        with pytest.raises(ValueError, match="backend"):
-            nucleus_decomposition(g, 2, 3, parallel="process", backend="csr")
 
 
 class TestKernelParity:
@@ -517,7 +513,7 @@ class TestKernelParity:
     def test_on_iteration_callback(self):
         space = NucleusSpace(powerlaw_cluster_graph(60, 4, 0.5, seed=2), 2, 3)
         seen = []
-        and_decomposition_csr(
+        and_decomposition(
             space.to_csr(), on_iteration=lambda it, tau: seen.append((it, list(tau)))
         )
         assert [it for it, _ in seen] == list(range(1, len(seen) + 1))

@@ -38,7 +38,7 @@ class TestNucleusDecomposition:
             nucleus_decomposition(triangle_graph)
 
     def test_peeling_rejects_extra_options(self, triangle_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="max_iterations"):
             nucleus_decomposition(
                 triangle_graph, 1, 2, algorithm="peeling", max_iterations=3
             )

@@ -188,18 +188,18 @@ class TestParallelDispatch:
     def test_process_with_dict_backend_rejected(self, small_powerlaw_graph):
         # there is no backend= knob: the pool rejects it like any option its
         # runners do not take
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             nucleus_decomposition(
                 small_powerlaw_graph, 1, 2, parallel="process", backend="dict"
             )
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             nucleus_decomposition(
                 small_powerlaw_graph, 1, 2, algorithm="and",
                 parallel="process", backend="dict",
             )
 
     def test_process_rejects_serial_only_options(self, small_powerlaw_graph):
-        with pytest.raises(ValueError, match="max_iterations"):
+        with pytest.raises(TypeError, match="'order'"):
             nucleus_decomposition(
                 small_powerlaw_graph,
                 1,

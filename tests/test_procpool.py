@@ -5,7 +5,7 @@ Three contracts under test:
 * the pool output is byte-identical to the serial kernels (and for SND even
   the iteration count matches — the Jacobi schedule is deterministic no
   matter how many workers sweep it), for one-shot and reused pools alike,
-  with and without the AND notification bitmap;
+  with the AND's notification bitmap at one to three workers;
 * every shared-memory segment the parent creates is unlinked again on
   normal exit, on worker failure, on KeyboardInterrupt and on
   ``PersistentPool.close`` — no leaked ``/dev/shm`` entries, no matter how
@@ -142,96 +142,28 @@ class TestNotificationAND:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_active_sweep_parity(self, small_powerlaw_graph, rs, workers):
         csr = CSRSpace.from_graph(small_powerlaw_graph, *rs)
-        exact = peeling_decomposition(csr).kappa
-        for notification in (True, False):
-            result = process_and_decomposition(
-                csr, workers=workers, notification=notification
-            )
-            assert result.kappa == exact
-            assert result.converged
-            assert result.operations["notification"] is notification
+        result = process_and_decomposition(csr, workers=workers)
+        assert result.kappa == peeling_decomposition(csr).kappa
+        assert result.converged
 
     def test_active_sweep_visits_fewer_cliques(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        full = process_and_decomposition(csr, workers=3, notification=False)
-        active = process_and_decomposition(csr, workers=3, notification=True)
-        assert active.kappa == full.kappa
-        # the whole point of the bitmap: strictly fewer clique scans
-        assert active.operations["processed"] < full.operations["processed"]
-        # full sweeps scan every clique every round
-        assert full.operations["processed"] == full.iterations * len(csr)
+        result = process_and_decomposition(csr, workers=3)
+        assert result.kappa == peeling_decomposition(csr).kappa
+        # the whole point of the bitmap: strictly fewer clique scans than
+        # full sweeps would make over the same rounds
+        assert result.operations["processed"] < result.iterations * len(csr)
 
-    def test_dispatch_forwards_notification(self, small_powerlaw_graph):
+    def test_dispatch_rejects_notification(self, small_powerlaw_graph):
         from repro.core.decomposition import nucleus_decomposition
 
-        exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
-        result = nucleus_decomposition(
-            small_powerlaw_graph, 1, 2, algorithm="and", parallel="process",
-            workers=2, notification=False,
-        )
-        assert result.kappa == exact
-        assert result.operations["notification"] is False
-        # snd has no notification mechanism: rejected, not ignored
-        with pytest.raises(ValueError, match="notification"):
-            nucleus_decomposition(
-                small_powerlaw_graph, 1, 2, algorithm="snd",
-                parallel="process", notification=False,
-            )
-
-
-class TestRebalancing:
-    """Dynamic chunk re-balancing on the persistent pool's AND path.
-
-    Re-splitting the chunk bounds by surviving active weight changes only
-    who sweeps what — never κ — and is a no-op without the notification
-    bitmap (full sweeps have nothing to skew) or with a single worker.
-    """
-
-    def test_rebalances_and_preserves_kappa(self, small_powerlaw_graph):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        exact = peeling_decomposition(csr).kappa
-        with PersistentPool(workers=3) as pool:
-            result = pool.run_and(csr)  # rebalance=True is the default
-            assert result.kappa == exact
-            assert result.converged
-            # the workhorse graph takes several sparse rounds, so the
-            # bounds get recut at least once
-            assert result.operations["rebalances"] > 0
-
-    def test_rebalance_off_keeps_static_bounds(self, small_powerlaw_graph):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        exact = peeling_decomposition(csr).kappa
-        with PersistentPool(workers=3) as pool:
-            result = pool.run_and(csr, rebalance=False)
-            assert result.kappa == exact
-            assert result.operations["rebalances"] == 0
-
-    def test_noop_without_notification(self, small_powerlaw_graph):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        with PersistentPool(workers=3) as pool:
-            result = pool.run_and(csr, notification=False)
-            assert result.operations["rebalances"] == 0
-
-    def test_noop_with_single_worker(self, small_powerlaw_graph):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        with PersistentPool(workers=1) as pool:
-            result = pool.run_and(csr)
-            assert result.operations["rebalances"] == 0
-
-    def test_repeated_calls_reset_bounds(self, small_powerlaw_graph):
-        # the re-cut bounds of one call must not leak into the next: the
-        # buffer reset restores the static split, so every call starts
-        # from the same partition and lands on the same κ (round and
-        # rebalance counts may differ — the asynchronous schedule is
-        # timing-dependent across processes, the fixed point is not)
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        exact = peeling_decomposition(csr).kappa
-        with PersistentPool(workers=3) as pool:
-            first = pool.run_and(csr)
-            second = pool.run_and(csr)
-            assert first.kappa == second.kappa == exact
-            assert first.operations["rebalances"] > 0
-            assert second.operations["rebalances"] > 0
+        # the pool always notifies; the knob is rejected, not ignored
+        for algorithm in ("and", "snd"):
+            with pytest.raises(TypeError, match="notification"):
+                nucleus_decomposition(
+                    small_powerlaw_graph, 1, 2, algorithm=algorithm,
+                    parallel="process", workers=2, notification=False,
+                )
 
 
 class TestActiveBitmapScan:
@@ -256,12 +188,13 @@ class TestActiveBitmapScan:
 
 
 class TestOneChunkContract:
-    """One worker runs the serial round kernels over the one chunk [0, n).
+    """One worker runs the pool's round kernels over the one chunk [0, n).
 
-    The serial engines and the pool workers share one AND and one SND
-    sweep, so a single-worker pool must walk the serial trajectory: the
-    same κ and updates, plus the verification sweep AND adds before it
-    accepts a zero-update notification round as the fixed point.
+    The serial SND engine and the pool workers share one sweep, and the
+    pool's flagged AND kernel takes the serial counted AND's trajectory, so
+    a single-worker pool must walk the serial trajectory: the same κ and
+    updates, plus the verification sweep AND adds before it accepts a
+    zero-update notification round as the fixed point.
     """
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
@@ -314,7 +247,6 @@ class TestPersistentPool:
         with PersistentPool(workers=2) as pool:
             assert pool.run_snd(csr).kappa == exact
             assert pool.run_and(csr).kappa == exact
-            assert pool.run_and(csr, notification=False).kappa == exact
             assert pool.run_snd(csr).kappa == exact
             assert pool.forks == 2
 

@@ -27,12 +27,10 @@ EXAMPLES = {
         wid=1,
         barrier_timeout=600.0,
         faults=({"kind": "crash-entry", "mode": "raise"},),
-        num_workers=3,
     ),
     JobSpec: JobSpec(
         kind="snd",
         max_iterations=3,
-        notification=True,
         gen=5,
         faults=({"kind": "stall", "round": 2, "seconds": 0.01},),
     ),
