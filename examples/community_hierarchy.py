@@ -36,8 +36,11 @@ def main() -> None:
         f"{graph.number_of_edges()} edges, 4 planted leaf communities"
     )
 
-    result = truss_decomposition(graph, algorithm="and")
+    # the hierarchy is built on the space the decomposition ran on: κ is
+    # indexed by that space's cliques, and spaces of one graph may index
+    # them differently
     space = NucleusSpace(graph, 2, 3)
+    result = truss_decomposition(space, algorithm="and")
     hierarchy = build_hierarchy(space, result)
 
     print(f"\n{len(hierarchy)} nuclei, max k = {hierarchy.max_k()}\n")

@@ -287,8 +287,9 @@ def _run_decompose(args: argparse.Namespace) -> None:
         # ingested straight into a CSRGraph: no dict adjacency is built
         graph = read_edge_list_arrays(args.edge_list)
     else:
-        # registry datasets stay on the dict source: `CSRSpace.from_graph`
-        # preserves its clique indexing
+        # a registry dataset is a dict Graph; `CSRSpace.from_graph` converts
+        # it to a CSRGraph first, so it gives the same space (and output) as
+        # the same graph read from an edge list
         graph = load_dataset(args.dataset)
     # the applications (--hierarchy / --densest) run on the same space and
     # the same in-memory result as the decomposition — no dict round-trip

@@ -22,6 +22,14 @@ memory, or read-only memmaps when reopened from an on-disk bundle.  A
 ``CSRSpace`` is cheap to pickle and to place in shared memory (flat buffers,
 no per-element Python objects), which is what the process pool needs.
 
+A space built from a graph has one builder, :meth:`CSRSpace.from_graph`
+over a :class:`~repro.graph.csr_graph.CSRGraph` (a dict ``Graph`` is
+converted first), so one graph gives one space whichever class holds it.
+Its cliques are indexed in sorted vertex-id order, not in the enumeration
+order of :class:`repro.core.space.NucleusSpace`; ``NucleusSpace.to_csr()``
+(:meth:`CSRSpace.from_space`) is the flattening that keeps the dict
+space's indexing, for index-aligned comparison against the oracle.
+
 Each local algorithm has one round kernel for a chunk of cliques:
 :func:`_and_sweep` (one frontier-batched AND pass, driven by notification
 flags) and :func:`_snd_sweep` (one Jacobi SND step).  The workers of
@@ -60,7 +68,7 @@ import numpy as _np
 from repro.core.kernels import kernel
 from repro.core.result import DecompositionResult, IterationStats
 from repro.core.space import NucleusSpace, _binomial
-from repro.graph.cliques import canonical_clique, enumerate_k_cliques
+from repro.graph.cliques import canonical_clique
 from repro.graph.csr_graph import (
     DEFAULT_BATCH_SIZE,
     CliqueArrayView,
@@ -72,8 +80,7 @@ from repro.graph.csr_graph import (
     _runs,
     _sorted_unique,
 )
-from repro.graph.graph import Graph, sorted_vertices
-from repro.graph.triangles import degeneracy_ordering
+from repro.graph.graph import Graph
 
 __all__ = [
     "CSRSpace",
@@ -105,8 +112,9 @@ class CSRSpace:
     """Flat-array view of an (r, s) clique space.
 
     Build one with :meth:`from_graph` (straight from either graph
-    representation, no dict space in between), :meth:`from_space` (or
-    ``NucleusSpace.to_csr()``); both end in the constructor, which takes
+    representation through one :class:`CSRGraph` route, no dict space in
+    between) or :meth:`from_space` (``NucleusSpace.to_csr()``, which keeps
+    the dict space's clique indexing); both end in the constructor, which takes
     prebuilt buffers and stores them as int64 arrays.  :meth:`restrict`
     cuts the space of an induced subgraph out of an existing one.  The
     read API mirrors
@@ -122,9 +130,14 @@ class CSRSpace:
         ``C(s, r) − 1`` — partner cliques per context; ``ctx_members`` is
         grouped in runs of this length.
     cliques : sequence
-        The r-clique tuples (or a lazy
-        :class:`~repro.graph.csr_graph.CliqueArrayView`), index-aligned
-        with every other buffer.
+        The r-cliques, index-aligned with every other buffer: a lazy
+        :class:`~repro.graph.csr_graph.CliqueArrayView` for a space built
+        from a graph or reopened from a bundle, a list of tuples for one
+        flattened from a :class:`NucleusSpace`.
+    graph : CSRGraph or Graph, optional
+        The source graph: the :class:`CSRGraph` a graph-built space was
+        enumerated from, the dict graph of a flattened
+        :class:`NucleusSpace`, ``None`` after unpickling.
     ctx_offsets, ctx_members : flat int64 buffers
         CSR incidence of contexts: the contexts of clique ``i`` occupy
         ``ctx_members[ctx_offsets[i]:ctx_offsets[i + 1]]``, ``stride``
@@ -167,7 +180,7 @@ class CSRSpace:
         cliques: Sequence[Clique],
         ctx_offsets: Sequence[int],
         ctx_members: Sequence[int],
-        graph: Optional[Graph] = None,
+        graph: Optional[GraphSource] = None,
     ) -> None:
         if r < 1 or s <= r:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
@@ -223,15 +236,12 @@ class CSRSpace:
         neighbour sets) only to be flattened again by :meth:`from_space`.
         This constructor goes straight from the graph to the flat arrays.
 
-        For a dict :class:`Graph` source, the clique indexing is identical to
-        ``NucleusSpace(graph, r, s)`` (same enumeration order, same canonical
-        tuples), so κ arrays computed on either representation are directly
-        comparable, and the context structure matches :meth:`from_space`
-        exactly.
-
-        A :class:`CSRGraph` source takes the array-native route, and no
-        per-clique Python tuple is ever created (``cliques`` becomes a lazy
-        :class:`CliqueArrayView` over a lexicographically sorted id table):
+        There is one construction path: a dict :class:`Graph` is first
+        converted with :meth:`CSRGraph.from_graph`, so both graph classes
+        give the same buffers, and ``graph`` on the result is always the
+        :class:`CSRGraph` the space was built from.  No per-clique Python
+        tuple is created (``cliques`` is a lazy :class:`CliqueArrayView`
+        over a lexicographically sorted id table):
 
         * **(1, 2)** — vertices and edges, no enumeration at all;
         * **(2, 3)** — one triangle pass that carries the forward positions
@@ -244,9 +254,10 @@ class CSRSpace:
         * **generic r < s** — the batch k-clique enumerator for both levels
           plus a row-table lookup (:func:`_incidence_arrays_generic`).
 
-        Clique *indices* follow the sorted id order of the array tables
-        rather than the dict enumeration order; κ keyed by clique is
-        identical either way.
+        Clique *indices* follow the sorted id order of the array tables,
+        not the enumeration order of ``NucleusSpace(graph, r, s)``; κ keyed
+        by clique (``as_dict``) is identical either way.  For an
+        index-aligned flattening of a dict space use :meth:`from_space`.
 
         ``pool`` (a :class:`~repro.parallel.procpool.PersistentPool`) binds
         the serially built space on that pool: its segments are created and
@@ -255,19 +266,9 @@ class CSRSpace:
         """
         if r < 1 or s <= r:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
-        if isinstance(graph, CSRGraph):
-            space = cls._from_csr_graph(graph, r, s)
-        else:
-            if (r, s) == (1, 2):
-                cliques, groups = _incidence_vertex_edge(graph)
-            elif (r, s) == (2, 3):
-                cliques, groups = _incidence_edge_triangle(graph)
-            elif (r, s) == (3, 4):
-                cliques, groups = _incidence_triangle_four_clique(graph)
-            else:
-                cliques, groups = _incidence_generic(graph, r, s)
-            table = _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(s, r))
-            space = cls._from_incidence_arrays(r, s, cliques, table, graph)
+        if not isinstance(graph, CSRGraph):
+            graph = CSRGraph.from_graph(graph)
+        space = cls._from_csr_graph(graph, r, s)
         if pool is not None:
             pool.bind(space)
         return space
@@ -306,13 +307,12 @@ class CSRSpace:
         s: int,
         cliques: Sequence[Clique],
         groups,
-        graph: GraphSource,
+        graph: CSRGraph,
     ) -> "CSRSpace":
         """Assemble the CSR buffers from array-shaped incidence.
 
-        ``cliques`` are the r-cliques (a list of tuples for a dict
-        :class:`Graph`, a lazy :class:`CliqueArrayView` for a
-        :class:`CSRGraph` — no per-clique tuples are materialised here) and
+        ``cliques`` are the r-cliques (a lazy :class:`CliqueArrayView`; no
+        per-clique tuples are materialised here) and
         ``groups`` the ``(num_s, C(s, r))`` table mapping every s-clique to
         its member r-clique indices, in ``combinations`` order.  A stable
         order of the group owners (:func:`_stable_order`) places every
@@ -563,113 +563,6 @@ class CSRSpace:
         state.setdefault("_index", None)
         for name, value in state.items():
             object.__setattr__(self, name, value)
-
-
-# ----------------------------------------------------------------------
-# direct-from-graph incidence enumeration
-# ----------------------------------------------------------------------
-def _oriented_forward(graph: Graph):
-    """Degeneracy order plus rank-sorted forward adjacency lists.
-
-    One orientation pass serves the edge indexing, the triangle listing and
-    the 4-clique listing of :meth:`CSRSpace.from_graph`; iterating forward
-    neighbourhoods in rank order reproduces the exact enumeration sequence of
-    :func:`repro.graph.cliques.enumerate_k_cliques`, which keeps the clique
-    indexing identical to the :class:`NucleusSpace` construction path.
-    """
-    order = degeneracy_ordering(graph)
-    rank = {v: i for i, v in enumerate(order)}
-    forward = {v: [] for v in order}
-    for u, v in graph.edges():
-        if rank[u] < rank[v]:
-            forward[u].append(v)
-        else:
-            forward[v].append(u)
-    for v in forward:
-        forward[v].sort(key=lambda x: rank[x])
-    return order, forward
-
-
-def _incidence_vertex_edge(graph: Graph):
-    """(1, 2): r-cliques are vertices, s-cliques are edges."""
-    cliques = [(v,) for v in sorted_vertices(graph.vertices())]
-    index = {c[0]: i for i, c in enumerate(cliques)}
-    groups: List[int] = []
-    append = groups.append
-    for u, v in graph.edges():
-        append(index[u])
-        append(index[v])
-    return cliques, groups
-
-
-def _incidence_edge_triangle(graph: Graph):
-    """(2, 3): edge ids from the orientation, oriented triangle listing."""
-    order, forward = _oriented_forward(graph)
-    cliques: List[Clique] = []
-    index = {}
-    for u in order:
-        for v in forward[u]:
-            edge = canonical_clique((u, v))
-            index[edge] = len(cliques)
-            cliques.append(edge)
-    groups: List[int] = []
-    append = groups.append
-    has_edge = graph.has_edge
-    for u in order:
-        out = forward[u]
-        for i, v in enumerate(out):
-            for w in out[i + 1:]:
-                if has_edge(v, w):
-                    a, b, c = canonical_clique((u, v, w))
-                    append(index[(a, b)])
-                    append(index[(a, c)])
-                    append(index[(b, c)])
-    return cliques, groups
-
-
-def _incidence_triangle_four_clique(graph: Graph):
-    """(3, 4): oriented triangle listing, then oriented 4-clique listing."""
-    order, forward = _oriented_forward(graph)
-    has_edge = graph.has_edge
-    cliques: List[Clique] = []
-    index = {}
-    for u in order:
-        out = forward[u]
-        for i, v in enumerate(out):
-            for w in out[i + 1:]:
-                if has_edge(v, w):
-                    tri = canonical_clique((u, v, w))
-                    index[tri] = len(cliques)
-                    cliques.append(tri)
-    groups: List[int] = []
-    append = groups.append
-    for u in order:
-        out = forward[u]
-        for i, v in enumerate(out):
-            out2 = [x for x in out[i + 1:] if has_edge(v, x)]
-            for j, w in enumerate(out2):
-                for x in out2[j + 1:]:
-                    if has_edge(w, x):
-                        quad = canonical_clique((u, v, w, x))
-                        for tri in combinations(quad, 3):
-                            append(index[tri])
-    return cliques, groups
-
-
-def _incidence_generic(graph: Graph, r: int, s: int):
-    """Any r < s: the shared k-clique enumerator for both levels."""
-    cliques: List[Clique] = []
-    index = {}
-    for clique in enumerate_k_cliques(graph, r):
-        canon = canonical_clique(clique)
-        index[canon] = len(cliques)
-        cliques.append(canon)
-    groups: List[int] = []
-    append = groups.append
-    for big in enumerate_k_cliques(graph, s):
-        for sub in combinations(canonical_clique(big), r):
-            append(index[sub])
-    return cliques, groups
 
 
 # ----------------------------------------------------------------------

@@ -124,14 +124,14 @@ def nucleus_decomposition(
     >>> local.kappa == result.kappa and local.converged
     True
 
-    The space never changes κ, only the data structures the kernels
-    run on:
+    The space never changes κ keyed by clique, only the data structures
+    the kernels run on and, with them, the clique indexing:
 
     >>> oracle = nucleus_decomposition(NucleusSpace(graph, 2, 3),
     ...                                algorithm="peeling")
     >>> oracle.operations["backend"], result.operations["backend"]
     ('dict', 'csr')
-    >>> oracle.kappa == result.kappa
+    >>> oracle.as_dict() == result.as_dict()
     True
     """
     if algorithm not in ALGORITHMS:

@@ -184,10 +184,11 @@ class NucleusHierarchy:
     ) -> "NucleusHierarchy":
         """Wrap a stored interval index (e.g. a bundle's) without rebuilding.
 
-        ``index`` must have been built for this space and κ; only the sizes
-        are checked.
+        ``index`` must have been built for this space and κ; a result's
+        clique table is checked against the space's, the index only by
+        size.
         """
-        kappa = _kappa_list(result_or_kappa)
+        kappa = _kappa_list(space, result_or_kappa)
         if not len(kappa) == len(space) == index.num_cliques():
             raise ValueError("kappa, space and index cover different clique counts")
         return cls(space, kappa, index)
@@ -320,8 +321,11 @@ def build_hierarchy(
         The clique space the decomposition was computed on — either
         representation (:class:`NucleusSpace` or :class:`CSRSpace`).
     result_or_kappa:
-        Either a :class:`DecompositionResult` or a sequence of κ values
-        aligned with the space's clique indexing.
+        Either a :class:`DecompositionResult` computed on this space (its
+        clique table must index the space's cliques in the same order,
+        :meth:`DecompositionResult.check_aligned`; ``ValueError``
+        otherwise) or a sequence of κ values aligned with the space's
+        clique indexing.
 
     Notes
     -----
@@ -331,7 +335,7 @@ def build_hierarchy(
     the forest holds only genuine refinements.  All thresholds are resolved
     in one descending array pass (see the module docstring).
     """
-    kappa = _kappa_list(result_or_kappa)
+    kappa = _kappa_list(space, result_or_kappa)
     if len(kappa) != len(space):
         raise ValueError("kappa length does not match the clique space")
     values = _np.asarray(kappa, dtype=_np.int64)
@@ -341,8 +345,10 @@ def build_hierarchy(
     return NucleusHierarchy(space, kappa, index)
 
 
-def _kappa_list(result_or_kappa) -> List[int]:
+def _kappa_list(space: SpaceLike, result_or_kappa) -> List[int]:
+    """The κ list of a result (checked to index the space's cliques) or a sequence."""
     if isinstance(result_or_kappa, DecompositionResult):
+        result_or_kappa.check_aligned(space.cliques)
         return list(result_or_kappa.kappa)
     return list(result_or_kappa)
 

@@ -109,9 +109,12 @@ def assert_comparable(
     """Raise ValueError unless two results are index-aligned.
 
     Two results are comparable when they were computed on the same (r, s)
-    instance and describe the same number of r-cliques; κ arrays are then
-    aligned index-for-index regardless of which backend produced them, so no
-    tuple-keyed reconciliation is ever needed.
+    instance and index the same r-cliques in the same order
+    (:meth:`~repro.core.result.DecompositionResult.check_aligned`); κ
+    arrays are then aligned index-for-index regardless of which kernels
+    produced them, so no tuple-keyed reconciliation is needed.  Results on
+    two spaces that index differently (``CSRSpace.from_graph`` against
+    ``NucleusSpace``) are compared by clique, through ``as_dict()``.
     """
     if (estimate.r, estimate.s) != (exact.r, exact.s):
         raise ValueError(
@@ -119,6 +122,7 @@ def assert_comparable(
             f"({estimate.r},{estimate.s}) vs ({exact.r},{exact.s})"
         )
     _check_lengths(estimate.kappa, exact.kappa)
+    estimate.check_aligned(exact.cliques)
 
 
 def accuracy_report_from_results(

@@ -25,7 +25,7 @@ r-clique is the first-removed member of at most κ of its s-cliques.
 >>> all(result.kappa[a] <= result.kappa[b] for a, b in zip(order, order[1:]))
 True
 >>> from repro.core.space import NucleusSpace
->>> peeling_decomposition(NucleusSpace(graph, 2, 3)).kappa == result.kappa
+>>> peeling_decomposition(NucleusSpace(graph, 2, 3)).as_dict() == result.as_dict()
 True
 """
 

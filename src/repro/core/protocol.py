@@ -50,6 +50,7 @@ except ImportError:  # pragma: no cover - not reachable on supported versions
         return cls
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.graph.csr_graph import CSRGraph
     from repro.graph.graph import Graph, Vertex
 
 __all__ = ["SpaceLike", "space_graph", "vertices_of", "find_index"]
@@ -111,14 +112,16 @@ class SpaceLike(Protocol):
         ...
 
 
-def space_graph(space: SpaceLike) -> Optional["Graph"]:
-    """The source :class:`Graph` of a space, or ``None`` if it was detached.
+def space_graph(space: SpaceLike) -> Optional[Union["Graph", "CSRGraph"]]:
+    """The source graph of a space, or ``None`` if it was detached.
 
-    ``NucleusSpace`` always carries its graph; a ``CSRSpace`` built by
-    ``from_graph`` / ``from_space`` carries it too, but one reconstructed
-    from raw arrays (deserialisation, shared-memory attach in a worker) does
-    not — density queries are a driver-side concern, so the graph reference
-    is deliberately dropped from pickles.
+    ``NucleusSpace`` always carries its :class:`Graph`, and so does its
+    flattening ``to_csr()``; a ``CSRSpace`` built by ``from_graph`` carries
+    the :class:`CSRGraph` it was enumerated from (a dict ``Graph`` source is
+    converted first), and one reopened from a bundle the stored graph.  A
+    space reconstructed from raw arrays (deserialisation, shared-memory
+    attach in a worker) has none — density queries are a driver-side
+    concern, so the graph reference is deliberately dropped from pickles.
     """
     return getattr(space, "graph", None)
 

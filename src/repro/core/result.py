@@ -26,16 +26,29 @@ see :func:`repro.store.save_bundle`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
 from repro.core.space import Clique, NucleusSpace
+from repro.graph.csr_graph import CliqueArrayView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (csr imports result)
     from repro.core.csr import CSRSpace
 
 __all__ = ["DecompositionResult", "IterationStats"]
+
+
+def _same_cliques(a: Sequence[Clique], b: Sequence[Clique]) -> bool:
+    """True when two clique tables list the same r-cliques in the same order."""
+    if a is b:
+        return True
+    if len(a) != len(b):
+        return False
+    if isinstance(a, CliqueArrayView) and isinstance(b, CliqueArrayView):
+        if a.labels is b.labels or list(a.labels) == list(b.labels):
+            return bool(_np.array_equal(a.ids, b.ids))
+    return list(a) == list(b)
 
 
 @dataclass
@@ -149,6 +162,25 @@ class DecompositionResult:
         the result object is immutable by convention once constructed).
         """
         return self._mapping()
+
+    def check_aligned(self, cliques: Sequence[Clique]) -> None:
+        """Raise ValueError unless ``cliques`` index the r-cliques of this result.
+
+        κ travels by index, so a result pairs with a space (or with another
+        result) only when both clique tables list the same r-cliques in the
+        same order; spaces of one graph may index differently
+        (``CSRSpace.from_graph`` sorts by vertex id, ``NucleusSpace``
+        follows its enumeration).  The check is free when both sides hold
+        the same table object, as a result computed on the space does;
+        two :class:`~repro.graph.csr_graph.CliqueArrayView` tables are
+        compared as id arrays, without building a tuple.
+        """
+        if not _same_cliques(self.cliques, cliques):
+            raise ValueError(
+                "the result indexes its r-cliques differently from the space "
+                "(or result) it is paired with; use the space it was computed "
+                "on, or compare by clique with as_dict()"
+            )
 
     def _mapping(self) -> Dict[Clique, int]:
         if self._by_clique is None:

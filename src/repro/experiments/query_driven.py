@@ -43,8 +43,10 @@ def run_query_driven(
     representation — e.g. a :class:`~repro.graph.csr_graph.CSRGraph`
     freshly ingested from an edge list, whose h-hop balls are then carved
     out with the vectorised BFS) overrides the dataset lookup; ``dataset``
-    then only labels the rows.  Registry datasets stay on the dict source,
-    whose clique indexing :meth:`CSRSpace.from_graph` preserves.
+    then only labels the rows.  :meth:`CSRSpace.from_graph` builds one
+    space per graph, whichever class holds it, so a registry dataset and
+    the same graph as a ``CSRGraph`` sample the same queries (cliques
+    indexed in sorted vertex-id order).
     """
     if graph is None:
         graph = load_dataset(dataset)

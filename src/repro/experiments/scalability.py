@@ -61,6 +61,8 @@ def run_scalability(
     for dataset in datasets:
         graph = load_dataset(dataset)
         space = NucleusSpace(graph, r, s)
+        # to_csr() keeps the dict space's clique indexing, so κ lines up
+        # with the cliques the cost model walks
         kappa = peeling_decomposition(space.to_csr()).kappa
         local_dynamic = simulate_local_scalability(
             space, thread_counts, policy="dynamic", chunk_size=chunk_size
@@ -115,9 +117,9 @@ def run_measured_scalability(
     if algorithm not in ("snd", "and"):
         raise ValueError(f"algorithm must be 'snd' or 'and', got {algorithm!r}")
     rows: List[Dict[str, object]] = []
-    # the pool runs on CSR buffers anyway, so feed it from the array-native
-    # substrate: the space is filled straight from the CSRGraph batch
-    # enumerators instead of the dict enumeration
+    # the pool runs on CSR buffers anyway, so load the dataset as the
+    # CSRGraph that CSRSpace.from_graph would convert a dict graph to
+    # (the same space, without the conversion)
     for dataset in datasets:
         graph = load_dataset(dataset, representation="csr")
         space = CSRSpace.from_graph(graph, r, s)

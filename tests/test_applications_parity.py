@@ -57,7 +57,14 @@ def degenerate_graphs():
 
 
 def both_spaces(graph, r, s):
-    return NucleusSpace(graph, r, s), CSRSpace.from_graph(graph, r, s)
+    """The dict space and its index-aligned CSR flattening."""
+    space = NucleusSpace(graph, r, s)
+    return space, space.to_csr()
+
+
+def levels_by_clique(space, levels):
+    """Degree levels with every clique index replaced by its clique."""
+    return [sorted(space.cliques[i] for i in level) for level in levels]
 
 
 def dict_best_nucleus(graph, r, s):
@@ -193,8 +200,14 @@ class TestLevelsParity:
 
     def test_graph_source_backend_routing(self):
         graph = powerlaw_cluster_graph(50, 4, 0.6, seed=7)
-        # a graph source is flattened into a CSRSpace
-        assert degree_levels(NucleusSpace(graph, 2, 3)) == degree_levels(graph, 2, 3)
+        # a graph source is flattened into CSRSpace.from_graph's space, which
+        # indexes its cliques in sorted vertex-id order
+        dict_space = NucleusSpace(graph, 2, 3)
+        assert levels_by_clique(
+            dict_space, degree_levels(dict_space)
+        ) == levels_by_clique(
+            CSRSpace.from_graph(graph, 2, 3), degree_levels(graph, 2, 3)
+        )
 
 
 class TestMetricsParity:
@@ -212,3 +225,13 @@ class TestMetricsParity:
         truss = peeling_decomposition(graph, 2, 3)
         with pytest.raises(ValueError, match="instances"):
             accuracy_report_from_results(core, truss)
+
+    def test_differently_indexed_results_raise(self):
+        """Two spaces of one graph may index its cliques differently: κ
+        arrays of such results are not comparable index for index."""
+        graph = powerlaw_cluster_graph(50, 4, 0.6, seed=7)
+        exact = peeling_decomposition(NucleusSpace(graph, 2, 3))
+        estimate = snd_decomposition(CSRSpace.from_graph(graph, 2, 3))
+        assert estimate.as_dict() == exact.as_dict()
+        with pytest.raises(ValueError, match="indexes its r-cliques"):
+            accuracy_report_from_results(estimate, exact)

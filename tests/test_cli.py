@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.space import NucleusSpace
+from repro.datasets import load_dataset
+from repro.graph.io import write_edge_list
 
 
 class TestParser:
@@ -78,6 +80,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nucleus hierarchy" in out
         assert "densest nucleus" in out
+
+    @pytest.mark.parametrize(
+        "dataset, r, s", [("sw", "2", "3"), ("sw", "3", "4"), ("fb", "2", "3")]
+    )
+    def test_dataset_and_its_edge_list_print_the_same(
+        self, capsys, tmp_path, dataset, r, s
+    ):
+        """One graph gives one space: a registry dataset and the same graph
+        read back from an edge list print the same hierarchy and nucleus."""
+        path = tmp_path / f"{dataset}.txt"
+        write_edge_list(load_dataset(dataset), path)
+        outputs = []
+        for source in (["--dataset", dataset], ["--edge-list", str(path)]):
+            argv = ["decompose", *source, "--r", r, "--s", s, "--hierarchy", "--densest"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "nucleus hierarchy" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_decompose_densest_alone(self, capsys):
         assert (

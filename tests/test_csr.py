@@ -31,6 +31,7 @@ from repro.graph.generators import (
     powerlaw_cluster_graph,
     ring_of_cliques,
 )
+from repro.graph.csr_graph import CSRGraph
 from repro.graph.graph import Graph
 
 INSTANCES = [(1, 2), (2, 3), (3, 4)]
@@ -41,6 +42,15 @@ def assert_neighbours_match(csr, space):
     assert len(csr) == len(space)
     for i in range(len(space)):
         assert csr.neighbors(i) == tuple(sorted(space.neighbors(i)))
+
+
+def assert_same_buffers(a, b):
+    """Two CSR spaces are equal buffer for buffer, labels included."""
+    assert (a.r, a.s) == (b.r, b.s)
+    assert np.array_equal(a.cliques.ids, b.cliques.ids)
+    assert list(a.cliques.labels) == list(b.cliques.labels)
+    assert a.ctx_offsets.tobytes() == b.ctx_offsets.tobytes()
+    assert a.ctx_members.tobytes() == b.ctx_members.tobytes()
 
 
 def assert_same_trajectory(a, b):
@@ -151,19 +161,61 @@ class TestCSRSpaceStructure:
             csr.as_dict(values + [0])
 
 
+def contexts_by_clique(space):
+    """Clique → its contexts, each the sorted tuple of its partner cliques.
+
+    Sorted by ``repr``, so mixed-type labels order too.  Index-free, so two spaces that index the same cliques differently
+    (``CSRSpace.from_graph`` sorts by vertex id, ``NucleusSpace`` follows
+    its enumeration) compare equal exactly when their incidence agrees.
+    """
+    cliques = list(space.cliques)
+    return {
+        cliques[i]: sorted(
+            (tuple(sorted((cliques[p] for p in ctx), key=repr))
+             for ctx in space.contexts(i)),
+            key=repr,
+        )
+        for i in range(len(space))
+    }
+
+
+def neighbours_by_clique(space):
+    """Clique → the set of its S-neighbour cliques."""
+    cliques = list(space.cliques)
+    return {
+        cliques[i]: {cliques[p] for p in space.neighbors(i)}
+        for i in range(len(space))
+    }
+
+
+def assert_same_space_by_clique(direct, space):
+    """``direct`` is ``space`` up to clique indexing: same cliques, contexts
+    and neighbours, each keyed by clique."""
+    assert direct.r == space.r and direct.s == space.s
+    assert len(direct) == len(space)
+    assert contexts_by_clique(direct) == contexts_by_clique(space)
+    assert neighbours_by_clique(direct) == neighbours_by_clique(space)
+
+
+MIXED_LABELS = Graph(
+    edges=[(0, "a"), ("a", "c"), ("c", 0), (0, (1, 2)), ("a", (1, 2)),
+           ("c", (1, 2)), (10, 2), (2, 0)],
+    vertices=["z", 7],
+)
+
+
 class TestFromGraph:
-    """Direct graph-to-CSR construction must equal the dict-then-convert path."""
+    """Direct graph-to-CSR construction holds the dict space's incidence.
+
+    The cliques are indexed in sorted vertex-id order, so the comparison
+    with ``NucleusSpace`` is by clique, not by index.
+    """
 
     @pytest.mark.parametrize("rs", INSTANCES + [(2, 4), (1, 3)])
     def test_structure_identical_to_dict_path(self, any_graph, rs):
-        via_dict = NucleusSpace(any_graph, *rs).to_csr()
         direct = CSRSpace.from_graph(any_graph, *rs)
         direct.validate()
-        assert direct.r == via_dict.r and direct.s == via_dict.s
-        assert direct.cliques == via_dict.cliques
-        assert list(direct.ctx_offsets) == list(via_dict.ctx_offsets)
-        assert list(direct.ctx_members) == list(via_dict.ctx_members)
-        assert_neighbours_match(direct, NucleusSpace(any_graph, *rs))
+        assert_same_space_by_clique(direct, NucleusSpace(any_graph, *rs))
 
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_empty_and_tiny_graphs(self, rs):
@@ -183,26 +235,34 @@ class TestFromGraph:
             Graph(edges=[(0, 1), (2, 3)], vertices=[4, 5]),  # isolated + edges
             Graph(edges=[(0, 1), (1, 2), (2, 3)]),           # path: no s-cliques
             Graph(edges=[("a", "b"), ("b", "c")], vertices=["z"]),  # non-int labels
+            MIXED_LABELS,                                    # mixed label types
         ],
-        ids=["empty", "isolated", "mixed", "path", "labels"],
+        ids=["empty", "isolated", "mixed", "path", "labels", "mixed_types"],
     )
     def test_degenerate_inputs_byte_identical(self, graph, rs):
-        """Empty graphs, isolated vertices and zero-s-clique spaces must
-        flatten to exactly the arrays the dict-then-convert path produces."""
+        """Empty graphs, isolated vertices and zero-s-clique spaces hold the
+        dict space's cliques and incidence, and build the same buffers from
+        either graph class."""
         direct = CSRSpace.from_graph(graph, *rs)
         direct.validate()
-        via_dict = NucleusSpace(graph, *rs).to_csr()
-        assert direct.cliques == via_dict.cliques
-        assert list(direct.ctx_offsets) == list(via_dict.ctx_offsets)
-        assert list(direct.ctx_members) == list(via_dict.ctx_members)
-        assert_neighbours_match(direct, NucleusSpace(graph, *rs))
+        assert_same_space_by_clique(direct, NucleusSpace(graph, *rs))
+        assert_same_buffers(direct, CSRSpace.from_graph(CSRGraph.from_graph(graph), *rs))
+
+    @pytest.mark.parametrize("rs", INSTANCES + [(2, 4), (1, 3)])
+    def test_dict_graph_takes_the_csr_graph_route(self, any_graph, rs):
+        """One builder: a dict Graph gives the buffers of its CSRGraph."""
+        direct = CSRSpace.from_graph(any_graph, *rs)
+        assert isinstance(direct.graph, CSRGraph)
+        assert_same_buffers(
+            direct, CSRSpace.from_graph(CSRGraph.from_graph(any_graph), *rs)
+        )
 
     def test_kappa_parity_all_algorithms(self, any_graph):
         direct = CSRSpace.from_graph(any_graph, 2, 3)
-        exact = peeling_decomposition(NucleusSpace(any_graph, 2, 3))
-        assert peeling_decomposition(direct).kappa == exact.kappa
-        assert and_decomposition_csr(direct).kappa == exact.kappa
-        assert snd_decomposition_csr(direct).kappa == exact.kappa
+        exact = peeling_decomposition(NucleusSpace(any_graph, 2, 3)).as_dict()
+        assert peeling_decomposition(direct).as_dict() == exact
+        assert and_decomposition_csr(direct).as_dict() == exact
+        assert snd_decomposition_csr(direct).as_dict() == exact
 
     def test_invalid_rs(self):
         with pytest.raises(ValueError):
@@ -213,14 +273,14 @@ class TestFromGraph:
     def test_csr_backend_skips_dict_space(self, monkeypatch):
         """A Graph source must never build a NucleusSpace."""
         graph = powerlaw_cluster_graph(60, 4, 0.5, seed=2)
-        expected = peeling_decomposition(NucleusSpace(graph, 2, 3)).kappa
+        expected = peeling_decomposition(NucleusSpace(graph, 2, 3)).as_dict()
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError("NucleusSpace built on the direct CSR path")
 
         monkeypatch.setattr(NucleusSpace, "__init__", forbidden)
         result = nucleus_decomposition(graph, 2, 3, algorithm="snd")
-        assert result.kappa == expected
+        assert result.as_dict() == expected
         assert result.operations["backend"] == "csr"
 
     def test_graph_source_requires_rs(self):

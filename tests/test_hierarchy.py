@@ -1,13 +1,22 @@
 """Tests for nucleus hierarchy construction."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.hierarchy import build_hierarchy
+import repro.core.result as result_module
+
+from repro.core.csr import CSRSpace
+from repro.core.decomposition import truss_decomposition
+from repro.core.hierarchy import NucleusHierarchy, build_hierarchy
+from repro.core.metrics import assert_comparable
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
+from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.generators import (
     complete_graph,
     hierarchical_community_graph,
+    powerlaw_cluster_graph,
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
@@ -153,3 +162,57 @@ class TestHierarchyHelpers:
         result = peeling_decomposition(space)
         hierarchy = build_hierarchy(space, result)
         assert max(hierarchy.depth_of(n.node_id) for n in hierarchy.nodes) >= 1
+
+
+class TestResultAlignment:
+    """A result pairs only with a space (or result) indexing the same cliques."""
+
+    def test_result_of_another_space_is_rejected(self):
+        graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 4, 0.5, seed=2))
+        result = truss_decomposition(graph)
+        dict_space = NucleusSpace(graph.to_graph(), 2, 3)
+        assert len(result) == len(dict_space)
+        with pytest.raises(ValueError, match="indexes its r-cliques"):
+            build_hierarchy(dict_space, result)
+        with pytest.raises(ValueError, match="indexes its r-cliques"):
+            NucleusHierarchy.from_index(
+                dict_space, result, build_hierarchy(dict_space, result.kappa).interval_index()
+            )
+        # the result's own space and κ by clique both work
+        own = CSRSpace.from_graph(graph, 2, 3)
+        assert build_hierarchy(own, result).to_rows()
+        by_clique = result.as_dict()
+        kappa = [by_clique[c] for c in dict_space.cliques]
+        assert len(build_hierarchy(dict_space, kappa)) == len(build_hierarchy(own, result))
+
+    def test_shared_table_is_not_compared(self, monkeypatch):
+        """A result built on the space holds the space's own table: the
+        check is one identity test, whatever the table's size."""
+        space = CSRSpace.from_graph(ring_of_cliques(4, 5), 2, 3)
+        result = peeling_decomposition(space)
+        assert result.cliques is space.cliques
+
+        def forbidden(*args):
+            raise AssertionError("clique table compared element by element")
+
+        monkeypatch.setattr(CliqueArrayView, "__iter__", forbidden)
+        monkeypatch.setattr(CliqueArrayView, "__getitem__", forbidden)
+        monkeypatch.setattr(result_module, "_np", SimpleNamespace(array_equal=forbidden))
+        build_hierarchy(space, result)
+        assert_comparable(result, result)
+
+    def test_array_tables_compare_without_tuples(self, monkeypatch):
+        space = CSRSpace.from_graph(ring_of_cliques(4, 5), 2, 3)
+        result = peeling_decomposition(space)
+        view = space.cliques
+        copy = CliqueArrayView(view.ids.copy(), list(view.labels))
+        swapped = CliqueArrayView(view.ids[::-1].copy(), view.labels)
+
+        def forbidden(*args):
+            raise AssertionError("clique tuple materialised")
+
+        monkeypatch.setattr(CliqueArrayView, "__iter__", forbidden)
+        monkeypatch.setattr(CliqueArrayView, "__getitem__", forbidden)
+        result.check_aligned(copy)
+        with pytest.raises(ValueError, match="indexes its r-cliques"):
+            result.check_aligned(swapped)

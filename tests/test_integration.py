@@ -63,9 +63,9 @@ class TestFullPipeline:
         graph = hierarchical_community_graph(
             levels=2, branching=3, leaf_size=8, p_intra=0.9, p_decay=0.05, seed=21
         )
-        result = truss_decomposition(graph, algorithm="and")
         space = NucleusSpace(graph, 2, 3)
-        hierarchy = build_hierarchy(space, result.kappa)
+        result = truss_decomposition(space, algorithm="and")
+        hierarchy = build_hierarchy(space, result)
         assert len(hierarchy.roots()) >= 1
         deepest = max(hierarchy.depth_of(n.node_id) for n in hierarchy.nodes)
         assert deepest >= 1

@@ -209,8 +209,8 @@ class TestStructure:
         graph, r, s = CASES[2]
         dict_space = NucleusSpace(graph, r, s)
         dict_hier = build_hierarchy(dict_space, peeling_decomposition(dict_space))
-        # CSRSpace.from_graph(Graph) preserves the dict clique indexing, so
-        # the two hierarchies live over the same index space
-        csr_space = CSRSpace.from_graph(graph, r, s)
+        # the flattening keeps the dict clique indexing, so the two
+        # hierarchies live over the same index space
+        csr_space = dict_space.to_csr()
         csr_hier = build_hierarchy(csr_space, peeling_decomposition(csr_space))
         assert dict_hier.interval_index() == csr_hier.interval_index()

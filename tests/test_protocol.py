@@ -11,6 +11,7 @@ import pytest
 from repro.core.csr import CSRSpace
 from repro.core.protocol import SpaceLike, find_index, space_graph, vertices_of
 from repro.core.space import NucleusSpace
+from repro.graph.csr_graph import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     powerlaw_cluster_graph,
@@ -42,8 +43,12 @@ class TestConformance:
         graph = ring_of_cliques(3, 4)
         dict_space = NucleusSpace(graph, 1, 2)
         assert space_graph(dict_space) is graph
-        assert space_graph(CSRSpace.from_graph(graph, 1, 2)) is graph
         assert space_graph(dict_space.to_csr()) is graph
+        # a graph-built space carries the CSRGraph it was enumerated from
+        built = space_graph(CSRSpace.from_graph(graph, 1, 2))
+        assert isinstance(built, CSRGraph)
+        assert built.to_graph() == graph
+        assert space_graph(CSRSpace.from_graph(built, 1, 2)) is built
 
     def test_graph_reference_not_pickled(self):
         import pickle
@@ -67,7 +72,7 @@ class TestSCliqueGroups:
     def test_groups_agree_across_representations(self, rs):
         for graph in _graphs():
             dict_space = NucleusSpace(graph, *rs)
-            csr_space = CSRSpace.from_graph(graph, *rs)
+            csr_space = dict_space.to_csr()
             dict_groups = dict_space.s_clique_groups()
             assert dict_groups == csr_space.s_clique_groups()
             assert len(dict_groups) == dict_space.number_of_s_cliques()
@@ -92,11 +97,13 @@ class TestIndexLookup:
     def test_find_index_agrees_across_representations(self, rs):
         graph = powerlaw_cluster_graph(40, 4, 0.6, seed=2)
         dict_space = NucleusSpace(graph, *rs)
-        csr_space = CSRSpace.from_graph(graph, *rs)
+        csr_space = dict_space.to_csr()
+        built = CSRSpace.from_graph(graph, *rs)
         for i, clique in enumerate(dict_space.cliques):
             shuffled = tuple(reversed(clique))
             assert find_index(dict_space, shuffled) == i
             assert find_index(csr_space, shuffled) == i
+            assert built.cliques[find_index(built, shuffled)] == clique
 
     def test_find_index_missing_returns_none(self):
         graph = Graph([(0, 1), (1, 2)])
@@ -110,7 +117,8 @@ class TestIndexLookup:
             space.index_of((7,))
 
     def test_csr_reverse_index_is_lazy_and_memoised(self):
-        space = CSRSpace.from_graph(Graph([(0, 1), (1, 2)]), 1, 2)
+        # a list-backed space (the flattened dict space) keeps a dict
+        space = NucleusSpace(Graph([(0, 1), (1, 2)]), 1, 2).to_csr()
         assert space._index is None  # nothing built until a tuple lookup
         space.find_index((1,))
         first = space._index

@@ -213,7 +213,19 @@ def test_restrict_to_every_vertex_keeps_the_space(tmp_path_factory, r, s):
 
 def test_restrict_needs_an_array_clique_table(triangle_graph):
     with pytest.raises(ValueError, match="array-indexed"):
-        CSRSpace.from_graph(triangle_graph, 1, 2).restrict([0, 1])
+        NucleusSpace(triangle_graph, 1, 2).to_csr().restrict([0, 1])
+
+
+def test_dict_graph_space_restricts_like_its_csr_graph():
+    """A dict Graph builds its space through its CSRGraph, so every
+    graph-built space can be sliced."""
+    graph = ring_of_cliques(3, 4)
+    csr_graph = CSRGraph.from_graph(graph)
+    ball = csr_graph.bfs_ball_ids([0], 1)
+    sub = CSRSpace.from_graph(graph, 2, 3).restrict(ball)
+    expected = CSRSpace.from_graph(csr_graph, 2, 3).restrict(ball)
+    assert list(sub.cliques) == list(expected.cliques)
+    assert np.array_equal(sub.ctx_members, expected.ctx_members)
 
 
 def test_restricted_view_finds_through_its_base():
