@@ -272,21 +272,31 @@ def test_peeling_csr_fast_path(spaces, smoke_mode, bench_record):
 
 @pytest.mark.parametrize("fixture", ["spaces", "three_four_spaces"])
 def test_and_against_peel(fixture, request, smoke_mode, bench_record):
-    """Batched AND vs the exact CSR peel on one warm space: recorded, no floor."""
+    """Batched AND vs the exact CSR peel on one warm space: recorded, no floor.
+
+    The record also holds the AND's passes and blocks next to SND's
+    iteration count: blocked passes are Gauss–Seidel, so they may take
+    fewer passes than SND's Jacobi steps, never more.
+    """
     _, csr = request.getfixturevalue(fixture)
     t_and, r_and = _best_of(5, and_decomposition_csr, csr)
     t_peel, r_peel = _best_of(5, peeling_decomposition, csr)
-    assert r_and.kappa == r_peel.kappa
+    r_snd = snd_decomposition(csr)
+    assert r_and.kappa == r_peel.kappa == r_snd.kappa
+    assert r_and.iterations <= r_snd.iterations
     bench_record(
         name=f"and_vs_peel_{csr.r}{csr.s}",
         and_s=round(t_and, 4),
         peel_s=round(t_peel, 4),
         rho_evaluations=r_and.operations["rho_evaluations"],
         iterations=r_and.iterations,
+        blocks=r_and.operations["blocks"],
+        snd_iterations=r_snd.iterations,
         smoke=smoke_mode,
     )
     print(
         f"\nAND ({csr.r},{csr.s}) on {len(csr)} cliques: {t_and * 1000:.1f} ms, "
         f"peel {t_peel * 1000:.1f} ms, {r_and.operations['rho_evaluations']} "
-        f"context rows gathered"
+        f"context rows gathered, {r_and.iterations} passes in "
+        f"{r_and.operations['blocks']} blocks, SND {r_snd.iterations} iterations"
     )

@@ -106,8 +106,10 @@ def and_decomposition(
     :class:`SpaceLike` read API, so its τ trajectory and per-iteration
     stats are the same on either space.
     Every other request runs the frontier-batched kernel
-    :func:`repro.core.csr.and_decomposition_csr`, whose passes are Jacobi
-    within a pass, so only its iteration counts differ.
+    :func:`repro.core.csr.and_decomposition_csr`, whose passes lower each
+    frontier in ascending-τ blocks against the τ the earlier blocks
+    published (Jacobi within a block, Gauss–Seidel between blocks), so only
+    its iteration counts differ.
     ``operations["engine"]`` records which one ran, and
     ``operations["backend"]`` which space it ran on (``"dict"`` for a
     :class:`NucleusSpace`, ``"csr"`` for everything else, see

@@ -39,7 +39,10 @@ chunks of shared-memory views, and :func:`snd_decomposition_csr` runs
 :func:`and_decomposition_csr`, runs :func:`_and_count` instead: one writer
 can keep a per-clique support count up to date, so a pass gathers only the
 cliques whose τ drops, where the pool's chunks gather every flagged clique
-and check it.  Both AND kernels take the same τ trajectory.  κ equals the
+and check it.  The serial kernel also lowers a large frontier in
+ascending-τ blocks, each reading the τ the earlier blocks published, so
+its passes are Gauss–Seidel where the pool's are Jacobi; while every
+frontier fits one block the two take the same τ trajectory.  κ equals the
 dict-backend implementations in :mod:`repro.core.asynd` and
 :mod:`repro.core.snd`, which the test-suite asserts property-style.  AND's
 per-visit schedule has no kernel here: the one loop in
@@ -813,6 +816,13 @@ def _as_csr(
 # ----------------------------------------------------------------------
 # AND kernel
 # ----------------------------------------------------------------------
+#: Most cliques :func:`_and_count` lowers against one τ snapshot: a larger
+#: frontier runs as ascending-τ blocks of this size.  On the perfbench
+#: graphs (2-vCPU x86 box) 2048 ran the warm AND fastest of 2048 / 4096 /
+#: 8192, and every 1-hop query ball there stays one block.
+_AND_BLOCK = 2048
+
+
 def and_decomposition_csr(
     source: Union[GraphSource, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
@@ -825,12 +835,15 @@ def and_decomposition_csr(
     Each pass is one step of the counted kernel :func:`_and_count`: the
     first pass checks every clique and seeds the per-clique support counts,
     and every later pass visits only the cliques whose count has fallen
-    below τ.  Each pass reads the pass-start τ (Jacobi within a pass,
-    Gauss–Seidel across passes), so iteration counts and τ trajectories
-    differ from the per-visit schedule of
-    :func:`repro.core.asynd.and_decomposition`; κ is the same unique fixed
-    point, which the property tests assert against the dict backend.  The
-    pool's round kernel :func:`_and_sweep` takes the same τ trajectory.
+    below τ.  A pass lowers a frontier of at most ``_AND_BLOCK`` cliques
+    against the pass-start τ; a larger frontier runs in ascending-τ blocks
+    of that size, each reading the τ the earlier blocks published
+    (Gauss–Seidel between blocks and across passes, Jacobi within a
+    block).  Iteration counts and τ trajectories therefore differ from the
+    per-visit schedule of :func:`repro.core.asynd.and_decomposition` and,
+    once a frontier is blocked, from the pool's round kernel
+    :func:`_and_sweep`; κ is the same unique fixed point, which the
+    property tests assert against the dict backend.
 
     The counters, per pass:
 
@@ -840,11 +853,15 @@ def and_decomposition_csr(
     * ``skipped`` — ``n - processed``: the cliques whose count shows they
       cannot drop;
     * ``rho_evaluations`` — context rows gathered: every row in the first
-      pass, plus the frontier's rows, gathered once to rank them (their
-      re-read against the published τ is not charged again);
+      pass, whose recount ranks the first block, plus the rows of every
+      later block, gathered once to rank them (their re-read against the
+      published τ is not charged again);
     * ``h_index_calls`` — the cliques whose τ dropped.
 
-    τ = 0 cliques are looked at in the first pass and never gathered.
+    ``operations["blocks"]`` is the number of blocks run over all passes:
+    one per pass whose frontier fits one block, more once the blocked
+    path engages.  τ = 0 cliques are looked at in the first pass and never
+    gathered.
     """
     space = _as_csr(source, r, s)
     n = len(space)
@@ -855,6 +872,7 @@ def and_decomposition_csr(
     rho_evaluations = 0
     h_calls = 0
     skipped_total = 0
+    blocks = 0
 
     iteration = 0
     converged = n == 0
@@ -865,6 +883,8 @@ def and_decomposition_csr(
         updated, processed, evaluated, max_change = step(iteration == 1)
         rho_evaluations += evaluated
         h_calls += updated
+        # the frontier is exactly the cliques that drop
+        blocks += -(-updated // _AND_BLOCK)
         skipped_total += n - processed
         converged = updated == 0
         stats.append(
@@ -889,6 +909,7 @@ def and_decomposition_csr(
             "rho_evaluations": rho_evaluations,
             "h_index_calls": h_calls,
             "skipped_cliques": skipped_total,
+            "blocks": blocks,
             "backend": "csr",
             "engine": "numpy",
         },
@@ -907,20 +928,23 @@ def support_counts(space: CSRSpace, tau):
     """
     total = int(space.ctx_offsets[len(space)])
     columns = space.ctx_members[:total * space.stride].reshape(total, space.stride).T
-    return _support(space.ctx_offsets, columns, _np.asarray(tau, dtype=_np.int64))
+    return _support(space.ctx_offsets, columns, _np.asarray(tau, dtype=_np.int64))[0]
 
 
 @kernel
 def _support(ctx_off, columns, tau):
-    """Support counts from one gather per partner column plus a prefix sum."""
+    """``(support, ρ)``: the counts, and the ρ of every context row.
+
+    One gather per partner column gives ρ, and a prefix sum over the rows
+    that hold their owner's τ gives the counts.
+    """
     rho = tau[columns[0]]
     for column in columns[1:]:
         _np.minimum(rho, tau[column], out=rho)
     held = rho >= _np.repeat(tau, ctx_off[1:] - ctx_off[:-1])
-    del rho
     run = _np.zeros(len(held) + 1, dtype=_np.int64)
     _np.cumsum(held, out=run[1:])
-    return run[ctx_off[1:]] - run[ctx_off[:-1]]
+    return run[ctx_off[1:]] - run[ctx_off[:-1]], rho
 
 
 @kernel
@@ -937,14 +961,28 @@ def _and_count(ctx_off, members, stride: int, tau, support):
     ``support(R) ≥ τ(R)``.  The ``first`` pass runs that check on every
     clique, counting each support from scratch (:func:`_support`); every
     pass then takes the frontier ``support < τ``.  Each clique in it fails
-    the check, so no check runs: the pass gathers the frontier's rows and
-    computes each new τ as the h-index of its segment, one sort of packed
-    ``(segment, -ρ)`` keys as in :func:`_and_sweep`.  The new τ lies
-    strictly below the old one, since an h-index ≥ τ would have passed
-    the check.
+    the check, so no check runs.
 
-    After publishing the new τ, the pass brings the counts up to date from
-    the frontier's rows alone, re-read against the published τ:
+    The block rule: a frontier of at most ``_AND_BLOCK`` cliques is one
+    block.  A larger one is sorted by τ, ascending, and cut into
+    consecutive blocks of ``_AND_BLOCK`` cliques, which run one after the
+    other, each one the sub-step below over its own cliques.  A block reads
+    the τ that earlier blocks of the same pass published (Gauss–Seidel
+    between blocks, Jacobi within one), so low-τ cliques drop first and a
+    later block ranks its rows against their new values, as the paper's
+    in-place updates do.  Frontier membership is fixed when the pass
+    starts: counts only fall, so a clique in a later block still fails its
+    check when its block runs, and a clique that starts to fail during the
+    pass waits for the next one.
+
+    The sub-step gathers its cliques' rows and computes each new τ as the
+    h-index of its segment, one sort of packed ``(segment, -ρ)`` keys as in
+    :func:`_and_sweep`.  The new τ lies strictly below the old one, since
+    an h-index ≥ τ would have passed the check.  The first block of the
+    first pass ranks from the ρ the recount computed, since no τ has
+    changed yet.  After publishing the new τ, the sub-step brings the
+    counts up to date from its rows alone, re-read against the published
+    τ:
 
     * a changed clique recounts its support from its own rows;
     * an unchanged partner ``p`` loses an s-clique iff the s-clique's
@@ -952,15 +990,16 @@ def _and_count(ctx_off, members, stride: int, tau, support):
       μ_new``.  τ only decreases, so no count grows.  An s-clique with
       several changed members is counted once, from the row of its
       smallest-index changed member (the rule :func:`_retire` uses), found
-      through a byte flag per clique that marks the pass's changed cliques
+      through a byte flag per clique that marks the block's changed cliques
       and is reset after it.
 
-    Every other s-clique keeps all its τ values, so no other count moves.
-    The frontier of each pass is therefore exactly the set of cliques whose
-    check would fail, and the τ trajectory (per-pass updates, iterations)
-    equals :func:`_and_sweep`'s; an empty frontier is the converging pass.
-    The counts have one writer, which is why the pool's chunks keep
-    :func:`_and_sweep`'s flags.
+    Every other s-clique keeps all its τ values, so no other count moves:
+    the counts equal :func:`support_counts` after every block.  A pass run
+    as one block is one Jacobi step that skips the cliques that cannot
+    drop, the τ trajectory of :func:`_and_sweep`; a blocked pass lowers τ
+    at least as far, elementwise, since τ is monotone.  An empty frontier
+    is the converging pass.  The counts have one writer, which is why the
+    pool's chunks keep :func:`_and_sweep`'s flags.
     """
     n = len(tau)
     total = int(ctx_off[n])
@@ -968,31 +1007,33 @@ def _and_count(ctx_off, members, stride: int, tau, support):
     degrees = ctx_off[1:] - ctx_off[:-1]
     # packed sort-key base: every ρ is bounded by the maximum context count
     pack = int(degrees.max(initial=0)) + 2
-    # engine-local scratch: False for the pass's changed cliques, never
+    # engine-local scratch: False for the block's changed cliques, never
     # shared or persisted
     still = _np.ones(n, dtype=bool)  # repro: noqa[ARR002]
 
-    def step(first: bool):
-        checked = 0
-        if first:
-            support[:] = _support(ctx_off, columns, tau)
-            checked = total
-        frontier = (support < tau).nonzero()[0]
+    def drop(frontier, known):
+        """Lower τ on ``frontier`` and update the counts: ``(gathered, change)``.
+
+        ``known`` is the recount's ρ of every row when no τ has changed
+        since it was taken, else ``None``.
+        """
         m = len(frontier)
-        processed = n if first else m
-        if m == 0:
-            return 0, processed, checked, 0
         # support < τ implies τ > 0, so every segment is non-empty
         deg = degrees[frontier]
         starts = _np.cumsum(deg) - deg
-        evaluated = int(starts[-1] + deg[-1])
-        pos = _np.arange(evaluated, dtype=_np.int64) - _np.repeat(starts, deg)
+        size = int(starts[-1] + deg[-1])
+        pos = _np.arange(size, dtype=_np.int64) - _np.repeat(starts, deg)
         rows = pos + _np.repeat(ctx_off[frontier], deg)
         parts = [column[rows] for column in columns]
+        if known is None:
+            rho = tau[parts[0]]
+            for part in parts[1:]:
+                _np.minimum(rho, tau[part], out=rho)
+            gathered = size
+        else:
+            rho = known[rows]
+            gathered = 0
         del rows
-        rho = tau[parts[0]]
-        for part in parts[1:]:
-            _np.minimum(rho, tau[part], out=rho)
         if m * pack <= 2**62:
             # packed keys ``segment * pack + (pack - 1 - ρ)``: one sort
             # ranks every segment's ρ descending, and equal keys are equal
@@ -1037,7 +1078,38 @@ def _and_count(ctx_off, members, stride: int, tau, support):
                 flag &= tau[part] == high
                 _np.subtract.at(support, part[flag], 1)
             still[frontier] = True
-        return m, processed, checked + evaluated, int((old - new).max())
+        return gathered, int((old - new).max())
+
+    def step(first: bool):
+        checked = 0
+        known = None
+        if first:
+            support[:], known = _support(ctx_off, columns, tau)
+            checked = total
+        frontier = (support < tau).nonzero()[0]
+        m = len(frontier)
+        processed = n if first else m
+        if m == 0:
+            return 0, processed, checked, 0
+        blocks = [frontier]
+        if m > _AND_BLOCK:
+            # ascending τ, ties by index: one sort of packed ``τ * n + index``
+            if n * pack <= 2**62:
+                key = tau[frontier] * n
+                key += frontier
+                key.sort()
+                frontier = key % n
+            else:  # pragma: no cover - needs ~2^31 cliques
+                frontier = frontier[tau[frontier].argsort(kind="stable")]
+            cuts = _np.arange(_AND_BLOCK, m, _AND_BLOCK, dtype=_np.int64)
+            blocks = _np.split(frontier, cuts)
+        change = 0
+        for part in blocks:
+            gathered, moved = drop(part, known)
+            known = None
+            checked += gathered
+            change = max(change, moved)
+        return m, processed, checked, change
 
     return step
 
@@ -1081,7 +1153,9 @@ def _and_sweep(ctx_off, members, stride: int, tau, active):
     its owner computed with ``i`` at a value ≥ τ(p) either way.  So the
     frontier of the next pass differs from waking every neighbour only by
     cliques that would not move, and the τ trajectory (per-pass updates,
-    iterations) is the same.
+    iterations) is the same: Jacobi within a pass.  :func:`_and_count`
+    follows it only while a frontier fits one block; past that its blocks
+    read each other's updates and it drops faster.
 
     Any τ read is valid, whether the pass-start value (one chunk) or the
     latest a peer published (many chunks), because τ only decreases.

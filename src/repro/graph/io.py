@@ -115,8 +115,8 @@ def read_edge_list_arrays(
     path = Path(path)
     with _open_text(path) as handle:
         text = handle.read()
-    data, num_lines = _data_lines(text, comment)
-    if not num_lines:
+    data = _data_lines(text, comment)
+    if not data:
         return CSRGraph.from_edge_arrays(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             num_vertices=0, labels=[],
@@ -126,15 +126,20 @@ def read_edge_list_arrays(
     # column count from the first data line; extra columns beyond the first
     # two (SNAP timestamps etc.) are parsed and dropped, like the dict reader
     columns = len(data.split("\n", 1)[0].split())
-    uniform, plain = _uniform_columns(np, data, num_lines, columns)
-    if not uniform:
+    rows, plain, blank = _uniform_columns(np, data, columns)
+    if blank:
+        # blank or whitespace-only lines break the layout: drop them and
+        # classify what is left
+        data = _kept_lines(data, comment)
+        rows, plain, _ = _uniform_columns(np, data, columns)
+    if not rows:
         return _ragged_pairs(np, path, data)
     if columns < 2:
         raise ValueError(f"{path}: expected at least two tokens per line")
-    values = _parse_int_tokens(np, data, num_lines * columns, plain)
+    values = _parse_int_tokens(np, data, rows * columns, plain)
     if values is None:
         tokens = data.split()
-        if len(tokens) != num_lines * columns:
+        if len(tokens) != rows * columns:
             # a whitespace character other than space, tab or newline split
             # a token the byte scan counted as one: parse line by line
             return _ragged_pairs(np, path, data)
@@ -148,21 +153,27 @@ def read_edge_list_arrays(
     return CSRGraph.from_label_arrays(pairs[:, 0], pairs[:, 1])
 
 
-def _uniform_columns(np, data, num_lines, columns):
-    """One byte classification of ``data``: ``(uniform, plain)``.
+def _uniform_columns(np, data, columns):
+    """One byte classification of ``data``: ``(rows, plain, blank)``.
 
-    ``uniform`` is the exact check that every data line holds ``columns``
-    tokens.  The whole-stream parsers reshape the flat token array into
-    rows, which is only sound when the file is rectangular; a ragged file
-    whose token total happens to divide evenly would otherwise misparse
-    silently.  Tokens are split at space, tab and newline only, so a line
-    that ``str.split`` cuts at any other whitespace counts fewer tokens
-    here, never more.  A token starts at a non-separator byte whose
-    predecessor is a separator.  The file is rectangular when it has
-    ``lines × columns`` starts and every newline falls between start
-    ``k·columns − 1`` and start ``k·columns`` of the sorted start
-    positions: the same answer as counting the starts before each newline
-    with one ``searchsorted``, from two strided comparisons.
+    ``rows`` is the line count when every line holds ``columns`` tokens,
+    and 0 otherwise: the exact check the whole-stream parsers need.  They
+    reshape the flat token array into rows, which is only sound when the
+    file is rectangular; a ragged file whose token total happens to divide
+    evenly would otherwise misparse silently.  Tokens are split at space,
+    tab and newline only, so a line that ``str.split`` cuts at any other
+    whitespace counts fewer tokens here, never more.  A token starts at a
+    non-separator byte whose predecessor is a separator.  The file is
+    rectangular when it has ``lines × columns`` starts and every newline
+    falls between start ``k·columns − 1`` and start ``k·columns`` of the
+    sorted start positions: the same answer as counting the starts before
+    each newline with one ``searchsorted``, from two strided comparisons.
+
+    ``blank`` says, for a file that is not rectangular, that some line
+    holds no token at all (blank or whitespace only), so that dropping the
+    empty lines may make it rectangular.  The first and last lines of
+    ``data`` hold a token (:func:`_data_lines`), so only an inner line can
+    be empty: two consecutive newlines with no start between them.
 
     ``plain`` says the stream may go to ``np.fromstring``: every byte is a
     digit, space, tab or newline, and no token is longer than 18 bytes.
@@ -178,20 +189,22 @@ def _uniform_columns(np, data, num_lines, columns):
     plain = np.count_nonzero((buf - np.uint8(48)) < 10) == np.count_nonzero(starts)
     starts[1:] &= sep[:-1]
     at = np.flatnonzero(starts)
-    if columns < 1 or len(at) != num_lines * columns:
-        return False, False
     breaks = np.flatnonzero(newline)
+    rows = len(breaks) + 1
     if not (
-        (at[columns - 1:-1:columns] < breaks).all()
+        columns >= 1
+        and len(at) == rows * columns
+        and (at[columns - 1:-1:columns] < breaks).all()
         and (at[columns::columns] > breaks).all()
     ):
-        return False, False
+        before = np.searchsorted(at, breaks)
+        return 0, False, bool((before[1:] == before[:-1]).any())
     plain = bool(
         plain
         and len(buf) - at[-1] <= _MAX_PLAIN_TOKEN
         and (at[1:] - at[:-1]).max(initial=0) <= _MAX_PLAIN_TOKEN + 1
     )
-    return True, plain
+    return rows, plain, False
 
 
 def _ragged_pairs(np, path, data, delimiter=None):
@@ -241,17 +254,17 @@ def _pairs_from_label_tokens(np, first, second):
 
 
 def _data_lines(text, comment):
-    """Normalise an edge-list text to pure data: ``(data, line_count)``.
+    """Normalise an edge-list text to data whose first and last lines hold a token.
 
     The fast path handles the overwhelmingly common layout — an optional
-    block of leading comment / blank lines followed by uniform data — by
-    slicing off the header and *counting* newlines instead of rebuilding the
-    file line by line.  Anything irregular (interior comments, blank or
-    whitespace-only lines, carriage returns) falls back to an exact
-    line-wise filter; both paths return the same data stream.  Lines end at
-    ``\n`` only, as in the dict reader's line iteration: ``str.splitlines``
-    would also cut at form feeds and other separators that the dict reader
-    keeps inside a line.
+    block of leading comment / blank lines followed by the data — by
+    slicing off the header and the trailing whitespace instead of
+    rebuilding the file line by line.  A text with a comment or a carriage
+    return inside falls back to :func:`_kept_lines`.  Blank lines inside
+    the data are left for the byte pass of :func:`_uniform_columns` to
+    find.  Lines end at ``\n`` only, as in the dict reader's line
+    iteration: ``str.splitlines`` would also cut at form feeds and other
+    separators that the dict reader keeps inside a line.
     """
     # slice off leading comment / blank lines without touching the rest
     pos = 0
@@ -264,25 +277,18 @@ def _data_lines(text, comment):
             break
         pos = length if newline == -1 else newline + 1
     text = text[pos:]
-    irregular = (
-        (comment and comment in text)
-        or "\n\n" in text
-        or " \n" in text
-        or "\t\n" in text
-        or "\r" in text
+    if (comment and comment in text) or "\r" in text:
+        return _kept_lines(text, comment)
+    return text.rstrip()
+
+
+def _kept_lines(text, comment):
+    """The lines of ``text`` that hold data, joined: no blank or comment line."""
+    return "\n".join(
+        line
+        for line in text.split("\n")
+        if line.strip() and not (comment and line.lstrip().startswith(comment))
     )
-    if irregular:
-        lines = [
-            line
-            for line in text.split("\n")
-            if line.strip()
-            and not (comment and line.lstrip().startswith(comment))
-        ]
-        return "\n".join(lines), len(lines)
-    text = text.rstrip()
-    if not text:
-        return "", 0
-    return text, text.count("\n") + 1
 
 
 def _parse_int_tokens(np, data, expected, plain):

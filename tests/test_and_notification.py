@@ -13,9 +13,13 @@ passes exactly.  The pool routes (``PersistentPool`` at one to three
 workers, ``SupervisedPool`` under a fault plan) must reach the same κ.
 
 The serial kernel is the counted one (``_and_count``): it must take the
-same trajectory, its support counts must equal a from-scratch recount
-(``support_counts``) after every pass, meet ``support ≥ τ`` at
-convergence, and give the reference's passes on degenerate shapes too.
+same trajectory while every frontier fits one block, its support counts
+must equal a from-scratch recount (``support_counts``) after every pass,
+meet ``support ≥ τ`` at convergence, and give the reference's passes on
+degenerate shapes too.  With the block size cut to a few cliques, every
+pass runs blocked: the counts must equal the recount after every block, τ
+must never rise and stay at or below SND's Jacobi trajectory pass for
+pass, and the AND may take no more passes than SND.
 """
 
 import random
@@ -24,6 +28,7 @@ import numpy as np
 import pytest
 
 from and_reference import and_wake_all, neighbour_rows
+from repro.core import csr
 from repro.core.csr import (
     CSRSpace,
     _and_count,
@@ -33,6 +38,7 @@ from repro.core.csr import (
 )
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.peeling import peeling_decomposition
+from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph import generators as gen
 from repro.graph.csr_graph import CSRGraph
@@ -173,6 +179,90 @@ def test_support_counts_match_a_recount_after_every_pass(name, r, s):
     assert passes == and_decomposition_csr(space).iterations
     assert (support >= tau).all()
     assert tau.tolist() == peeling_decomposition(space).kappa
+
+
+class _BlockChecks:
+    """numpy, except that ``split`` checks the counts between blocks.
+
+    ``_and_count`` cuts a large frontier with ``np.split`` and runs the
+    blocks in order, so a generator over the blocks sees the state after
+    each block before it hands out the next one.
+    """
+
+    def __init__(self, space, tau, support):
+        self.space, self.tau, self.support = space, tau, support
+        self.blocks = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def split(self, frontier, cuts):
+        for block in np.split(frontier, cuts):
+            before = self.tau.copy()
+            yield block
+            self.blocks += 1
+            assert (self.tau <= before).all(), f"τ rose in block {self.blocks}"
+            assert np.array_equal(
+                self.support, support_counts(self.space, self.tau)
+            ), f"block {self.blocks}"
+
+
+def _check_blocked_passes(space):
+    """Run ``_and_count`` pass by pass with the checks of the block rule."""
+    n = len(space)
+    jacobi = snd_decomposition(space, record_history=True)
+    tau = np.diff(space.ctx_offsets)
+    support = np.zeros(n, dtype=np.int64)
+    checks = _BlockChecks(space, tau, support)
+    passes = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr, "_np", checks)
+        step = _and_count(
+            space.ctx_offsets, space.ctx_members, space.stride, tau, support
+        )
+        while n:
+            before = tau.copy()
+            updated = step(passes == 0)[0]
+            passes += 1
+            assert (tau <= before).all(), f"τ rose in pass {passes}"
+            assert np.array_equal(support, support_counts(space, tau)), passes
+            jacobi_tau = jacobi.tau_history[min(passes, jacobi.iterations)]
+            assert (tau <= np.asarray(jacobi_tau)).all(), f"pass {passes}"
+            if updated == 0:
+                break
+    assert tau.tolist() == peeling_decomposition(space).kappa
+    assert passes <= jacobi.iterations
+    return passes, checks.blocks
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("r, s", INSTANCES)
+@pytest.mark.parametrize("name", sorted(WORLD))
+def test_blocked_passes_keep_the_counts_and_stay_below_jacobi(
+    name, r, s, block, monkeypatch
+):
+    space = CSRSpace.from_graph(WORLD[name], r, s)
+    monkeypatch.setattr(csr, "_AND_BLOCK", block)
+    passes, checked = _check_blocked_passes(space)
+    result = and_decomposition_csr(space)
+    assert result.iterations == passes
+    assert result.kappa == peeling_decomposition(space).kappa
+    frontiers = [st.updated for st in result.iteration_stats]
+    assert result.operations["blocks"] == sum(-(-m // block) for m in frontiers)
+    assert checked == sum(-(-m // block) for m in frontiers if m > block)
+
+
+def test_a_frontier_past_the_block_size_runs_blocked():
+    """The real block size, on a graph whose first frontier exceeds it."""
+    graph = CSRGraph.from_graph(gen.powerlaw_cluster_graph(3000, 4, 0.7, seed=11))
+    space = CSRSpace.from_graph(graph, 2, 3)
+    result = and_decomposition_csr(space)
+    assert result.iteration_stats[0].updated > csr._AND_BLOCK
+    passes, blocks = _check_blocked_passes(space)
+    assert blocks > 1
+    assert result.iterations == passes
+    assert result.operations["blocks"] > result.iterations
+    assert result.kappa == peeling_decomposition(space).kappa
 
 
 @pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (3, 4)])

@@ -331,6 +331,15 @@ class TestParserDifferential:
         assert self.check(tmp_path, text, routes) == route
 
     @pytest.mark.parametrize(
+        "text", ["0 1\n\n1 2\n2 0\n", "0 1\n \t\n1 2\n\n\n2 0\n", "0 1\n  \n1 2"]
+    )
+    def test_inner_blank_lines_keep_the_whole_stream_route(
+        self, tmp_path, routes, text
+    ):
+        # the byte pass finds the empty lines; the rest is rectangular
+        assert self.check(tmp_path, text, routes) == "fromstring+bitmap"
+
+    @pytest.mark.parametrize(
         "text, delimiter, route",
         [
             ("0,1\n1,2\n2,0\n", ",", "ragged"),
