@@ -79,8 +79,10 @@ from repro.graph.csr_graph import (
     _check_key_space,
     _chunk_rows_by_pairs,
     _id_mask,
+    _key_budget,
     _pairs_within,
     _runs,
+    _sorted_hits,
     _sorted_unique,
 )
 from repro.graph.graph import Graph
@@ -256,6 +258,13 @@ class CSRSpace:
           (:func:`_incidence_arrays_triangle_quad`);
         * **generic r < s** — the batch k-clique enumerator for both levels
           plus a row-table lookup (:func:`_incidence_arrays_generic`).
+
+        Every pair search — the triangle pass's edge test
+        (:meth:`CSRGraph._pair_test`) and the (3, 4) triangle-pair test —
+        sorts its packed needles first and searches them in ascending key
+        order, which costs well under half of a search in generation
+        order; the hits come back in generation order, so the buffers are
+        those of an unsorted search.
 
         Clique *indices* follow the sorted id order of the array tables,
         not the enumeration order of ``NucleusSpace(graph, r, s)``; κ keyed
@@ -669,8 +678,13 @@ def _incidence_arrays_triangle_quad(graph: CSRGraph, batch_size: int):
     the key ``q[i] * m + q[j]`` finds ``(u, w, x)`` exactly when the
     4-clique exists, and ``r[i] * m + r[j]`` then finds ``(v, w, x)``.
     The pairs are walked per ``p``, in :meth:`CSRGraph.clique_batches`
-    order.  The triangle table itself is in lexicographic id order: each
-    triangle's two lowest edge rows give its sort key.
+    order, and each chunk's ``q`` keys are searched in key order with the
+    hits returned in pair order (:func:`_sorted_hits`, the pair test's
+    search).  The triangle table itself is in lexicographic id order: a
+    triangle's two lowest edge rows give its sort key ``low0 * m + low1``,
+    distinct per triangle, so one sort of ``key * L + index`` (``L`` a
+    power of two) yields the order with a mask, cheaper than an
+    ``argsort`` of the keys.
     """
     m = graph.number_of_edges()
     _check_key_space(m, m)
@@ -683,12 +697,21 @@ def _incidence_arrays_triangle_quad(graph: CSRGraph, batch_size: int):
     )
     del passes
     low = _sorted_columns(eid[p], eid[q], eid[r])
-    order = _np.argsort(low[:, 0] * m + low[:, 1])
+    shift = (max(len(p), 1) - 1).bit_length()
+    _check_key_space(m * m, 1 << shift)
+    order = low[:, 0] * m
+    order += low[:, 1]
+    order <<= shift
+    order |= _np.arange(len(p), dtype=_np.int64)
+    order.sort()
+    # the sorted keys name each row's two lowest edges; the mask its triangle
+    low0 = order >> shift
+    low1 = low0 % m
+    low0 //= m
+    order &= (1 << shift) - 1
     edges = graph.edge_array()
-    table = _np.column_stack(
-        (edges[low[:, 0], 0], edges[low[:, 0], 1], edges[low[:, 1], 1])
-    )[order]
-    del low
+    table = _np.column_stack((edges[low0, 0], edges[low0, 1], edges[low1, 1]))
+    del low, low0, low1
     lex = _np.empty(len(order), dtype=_np.int64)
     lex[order] = _np.arange(len(order), dtype=_np.int64)
     del order
@@ -696,19 +719,21 @@ def _incidence_arrays_triangle_quad(graph: CSRGraph, batch_size: int):
     tptr = _np.zeros(m + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(p, minlength=m), out=tptr[1:])
     group_rows = []
-    for lo, hi in _chunk_rows_by_pairs(tptr, batch_size):
+    for lo, hi in _chunk_rows_by_pairs(tptr, _key_budget(m * m, batch_size)):
         base = tptr[lo]
         i, j = _pairs_within(tptr[lo:hi + 1] - base)
         if i.size == 0:
             continue
         i += base
         j += base
-        wanted = q[i] * m + q[j]
-        k = _np.minimum(_np.searchsorted(keys, wanted), len(keys) - 1)
-        hit = keys[k] == wanted
-        i, j, k = i[hit], j[hit], k[hit]
-        if i.size == 0:
+        wanted = q[i] * m
+        wanted += q[j]
+        sel, k = _sorted_hits(keys, wanted, m * m)
+        del wanted
+        if sel.size == 0:
             continue
+        i, j = i[sel], j[sel]
+        del sel
         last = _np.searchsorted(keys, r[i] * m + r[j])
         group_rows.append(_sorted_columns(lex[i], lex[j], lex[k], lex[last]))
     return table, _stack_rows(group_rows, 4)

@@ -32,6 +32,7 @@ construction or kernel execution.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -265,23 +266,85 @@ def _pairs_within(ptr):
     ``ptr`` bounds segments of a flat element array of length ``ptr[-1]``;
     the return value is two int64 arrays of *global element positions*
     ``(first, second)`` covering every within-segment pair exactly once,
-    in segment order, with ``second`` ascending per ``first``.
+    in segment order, with ``second`` ascending per ``first``.  Element
+    ``e`` is first in ``cnt[e]`` pairs (the elements after it in its
+    segment), so ``first`` repeats each element ``cnt[e]`` times and
+    ``second`` counts up from ``e + 1`` along that run: the pair index plus
+    a per-element offset, repeated the same way.  Two pair-length repeats
+    build both arrays.
     """
-    lens = ptr[1:] - ptr[:-1]
     total_elems = int(ptr[-1])
     if total_elems == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    pos = np.arange(total_elems, dtype=np.int64) - np.repeat(ptr[:-1], lens)
-    cnt = np.repeat(lens, lens) - pos - 1  # pairs in which each element is first
-    total = int(cnt.sum())
-    if total == 0:
+    elems = np.arange(total_elems, dtype=np.int64)
+    cnt = np.repeat(ptr[1:], ptr[1:] - ptr[:-1]) - elems - 1
+    # pair t of element e is (e, t - (pairs before e) + e + 1)
+    offset = elems + 1 - (np.cumsum(cnt) - cnt)
+    first = np.repeat(elems, cnt)
+    second = np.repeat(offset, cnt)
+    second += np.arange(len(second), dtype=np.int64)
+    return first, second
+
+
+@kernel
+def _sorted_hits(table, keys, span: int):
+    """``(sel, pos)``: which needles ``keys`` occur in ``table``, and where.
+
+    ``table`` is an ascending int64 array and ``keys`` are int64 needles
+    in ``[0, span)``; ``keys`` is overwritten.  ``sel`` holds the
+    ascending indices of the needles found in ``table`` and ``pos`` their
+    positions there.  ``np.searchsorted`` narrows its range from the
+    previous needle when the needles ascend, which on the build's wedge
+    keys costs well under half of a search in generation order, so the
+    needles are searched in key order: each is packed as
+    ``key * L + index`` (``L`` the least power of two not below
+    ``len(keys)``, so unpacking is a shift and a mask) and one ``sort``
+    orders them, cheaper than an ``argsort``.  The hits' packed
+    ``(index, position)`` pairs are sorted once more to return in needle
+    order.  The packing needs ``span * L < 2**63`` and raises
+    ``OverflowError`` otherwise (:func:`_key_budget` sizes chunks to fit);
+    a position is below ``len(table) <= span / 2``, so the second packing
+    fits whenever the first does.
+    """
+    size = len(keys)
+    if size == 0 or len(table) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    first = np.repeat(np.arange(total_elems, dtype=np.int64), cnt)
-    shifts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(cnt)[:-1]))
-    second = first + 1 + (np.arange(total, dtype=np.int64) - np.repeat(shifts, cnt))
-    return first, second
+    shift = (size - 1).bit_length()
+    _check_key_space(span, 1 << shift)
+    keys <<= shift
+    keys |= np.arange(size, dtype=np.int64)
+    keys.sort()
+    # the last table key at or below a packed needle, scaled by L, is the
+    # needle's own key exactly when the two differ by less than L
+    scaled = table << shift
+    pos = np.searchsorted(scaled, keys, "right")
+    pos -= 1
+    gap = scaled[pos]
+    np.subtract(keys, gap, out=gap)
+    hit = np.flatnonzero(gap.view(np.uint64) < np.uint64(1 << shift))
+    del gap
+    back = keys[hit]
+    back &= (1 << shift) - 1
+    width = (len(table) - 1).bit_length()
+    back <<= width
+    back |= pos[hit]
+    back.sort()
+    sel = back >> width
+    back &= (1 << width) - 1
+    return sel, back
+
+
+def _key_budget(span: int, batch_size: int) -> int:
+    """``batch_size`` capped so that a chunk's packed needles fit int64.
+
+    :func:`_sorted_hits` packs needles in ``[0, span)`` with a factor
+    ``L``, the least power of two not below their count; any count up to
+    the largest power of two ``L`` with ``span * L < 2**63`` fits.
+    """
+    room = (2**63 - 1) // max(span, 1)
+    return min(batch_size, 1 << (room.bit_length() - 1))
 
 
 def _select_rows(ptr, data, rows):
@@ -477,28 +540,38 @@ class CSRGraph:
         vertices: Optional[Iterable[Vertex]] = None,
     ) -> "CSRGraph":
         """Build from an iterable of ``(u, v)`` label pairs (plus isolated
-        vertices), the convenience mirror of ``Graph(edges, vertices)``."""
-        edge_list = [(u, v) for u, v in edges]
-        seen: Set[Vertex] = set()
-        for u, v in edge_list:
-            seen.add(u)
-            seen.add(v)
+        vertices), the convenience mirror of ``Graph(edges, vertices)``.
+
+        Ids follow :func:`sorted_vertices` order; both endpoint columns are
+        mapped to ids in one pass over the flat endpoint list.
+        """
+        ends = [label for u, v in edges for label in (u, v)]
+        seen: Set[Vertex] = set(ends)
         if vertices is not None:
             seen.update(vertices)
         labels = sorted_vertices(seen)
-        ids = {label: i for i, label in enumerate(labels)}
-        src = np.fromiter((ids[u] for u, _ in edge_list), dtype=np.int64,
-                          count=len(edge_list))
-        dst = np.fromiter((ids[v] for _, v in edge_list), dtype=np.int64,
-                          count=len(edge_list))
+        flat = _label_ids(labels, ends, len(ends))
         return cls.from_edge_arrays(
-            src, dst, num_vertices=len(labels), labels=labels
+            flat[0::2], flat[1::2], num_vertices=len(labels), labels=labels
         )
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Convert a dict :class:`Graph` (labels and structure preserved)."""
-        return cls.from_edges(graph.edges(), vertices=graph.vertices())
+        """Convert a dict :class:`Graph` (labels and structure preserved).
+
+        Ids follow :func:`sorted_vertices` order, as in :meth:`from_edges`.
+        Each adjacency set is read once, in id order, so every edge arrives
+        in both directions (:meth:`from_edge_arrays` collapses the pair)
+        and no edge tuple is built.
+        """
+        labels = sorted_vertices(graph.vertices())
+        rows = [graph.neighbors(label) for label in labels]
+        degree = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        src = np.repeat(np.arange(len(labels), dtype=np.int64), degree)
+        dst = _label_ids(labels, chain.from_iterable(rows), int(degree.sum()))
+        return cls.from_edge_arrays(
+            src, dst, num_vertices=len(labels), labels=labels
+        )
 
     def to_graph(self) -> Graph:
         """Convert back to the dict :class:`Graph` reference representation."""
@@ -778,8 +851,9 @@ class CSRGraph:
         :meth:`forward_csr` stores the oriented edges by source id, then by
         target rank, so key ``p`` belongs to position ``p`` and one search
         for ``v * n + rank[w]`` both tests the edge ``v → w`` and finds its
-        position (:meth:`_pair_test`).  These are the keys the orientation
-        sorted, kept beside it rather than rebuilt.
+        position (:meth:`_pair_test`, which sorts its needles before it
+        searches this table).  These are the keys the orientation sorted,
+        kept beside it rather than rebuilt.  A key is below ``n * n``.
         """
         self.forward_csr()
         return self._forward_keys
@@ -802,20 +876,32 @@ class CSRGraph:
         return self._edge_ids
 
     @kernel
-    def _pair_test(self, v, w):
-        """``(hit, pos)``: whether each edge ``v → w`` exists, and where.
+    def _pair_test(self, ids, first, second):
+        """``(sel, pos)``: the pairs ``ids[first] → ids[second]`` that are edges.
 
-        ``v`` and ``w`` are parallel id arrays with ``rank[v] < rank[w]``
-        (two entries of one rank-sorted candidate row); ``pos`` is the
-        forward position of the edge wherever ``hit`` holds.  This one
-        search is the pair test of every enumeration and space builder.
+        ``first`` and ``second`` are parallel index arrays into the id
+        array ``ids``, each pair two entries of one rank-sorted candidate
+        row, so ``v = ids[first]`` and ``w = ids[second]`` have
+        ``rank[v] < rank[w]``.  ``sel`` holds the ascending indices of the
+        pairs that are forward edges and ``pos`` the forward position of
+        each, both from one search of the needles ``v * n + rank[w]`` over
+        :meth:`forward_keys`.  The search runs in key order
+        (:func:`_sorted_hits`), not in the order the candidate pairs are
+        generated.  This is the pair test of every enumeration and space
+        builder; its callers keep only the hits, so none needs a mask over
+        all pairs.  Taking index arrays, not the gathered id columns, lets
+        the needles be built in one buffer: no pair-length id column stays
+        alive through the search, which keeps the triangle pass below the
+        peak allocation of an unsorted search.
         """
-        table = self.forward_keys()
-        keys = v * self.number_of_vertices() + self.degeneracy_rank()[w]
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool), keys
-        pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-        return table[pos] == keys, pos
+        n = self.number_of_vertices()
+        keys = ids[first]
+        keys *= n
+        ranks = ids[second]
+        np.take(self.degeneracy_rank(), ranks, out=ranks)
+        keys += ranks
+        del ranks
+        return _sorted_hits(self.forward_keys(), keys, n * n)
 
     def triangle_positions(self, *, batch_size: int = DEFAULT_BATCH_SIZE):
         """Yield every triangle once, as forward-position triples ``(p, q, r)``.
@@ -823,22 +909,26 @@ class CSRGraph:
         For a triangle whose vertices ascend in rank as ``u, v, w``, ``p``
         is the position of ``u → v``, ``q`` of ``u → w`` and ``r`` of
         ``v → w``.  Each within-row pair ``(p, q)`` of the forward
-        adjacency costs one :meth:`_pair_test`.  Triangles come in the
-        order of :meth:`clique_batches` ``(3)``, that is by ``p`` then
-        ``q``, so the keys ``p * m + q`` ascend across all chunks.  Source
-        rows are chunked to about ``batch_size`` candidate pairs.
+        adjacency costs one :meth:`_pair_test`, which searches a chunk's
+        pairs in key order and returns its hits in pair order.  Triangles
+        come in the order of :meth:`clique_batches` ``(3)``, that is by
+        ``p`` then ``q``, so the keys ``p * m + q`` ascend across all
+        chunks.  Source rows are chunked to about ``batch_size`` candidate
+        pairs, capped so that the packed search keys fit int64
+        (:func:`_key_budget`).
         """
         fptr, fidx = self.forward_csr()
-        for lo, hi in _chunk_rows_by_pairs(fptr, batch_size):
+        n = self.number_of_vertices()
+        for lo, hi in _chunk_rows_by_pairs(fptr, _key_budget(n * n, batch_size)):
             base = fptr[lo]
             p, q = _pairs_within(fptr[lo:hi + 1] - base)
             if p.size == 0:
                 continue
             p += base
             q += base
-            hit, r = self._pair_test(fidx[p], fidx[q])
-            if hit.any():
-                yield p[hit], q[hit], r[hit]
+            sel, r = self._pair_test(fidx, p, q)
+            if sel.size:
+                yield p[sel], q[sel], r
 
     def degeneracy(self) -> int:
         """The graph's degeneracy (maximum forward-adjacency row length)."""
@@ -886,7 +976,7 @@ class CSRGraph:
                 if rows.size:
                     yield np.column_stack((rows, fidx[fptr[lo]:fptr[hi]]))
             return
-        for lo, hi in _chunk_rows_by_pairs(fptr, batch_size):
+        for lo, hi in _chunk_rows_by_pairs(fptr, _key_budget(n * n, batch_size)):
             batch = self._expand_chunk(lo, hi, k, fptr, fidx)
             if batch is not None and len(batch):
                 yield batch
@@ -905,12 +995,12 @@ class CSRGraph:
                 # every remaining candidate completes a clique
                 return np.column_stack((prefixes[row_of], cidx))
             first, second = _pairs_within(cptr)
-            mask, _ = self._pair_test(cidx[first], cidx[second])
+            sel, _ = self._pair_test(cidx, first, second)
             # new prefixes: one per candidate element; its candidate list is
             # the later same-row elements adjacent to it
-            new_counts = np.bincount(first[mask], minlength=cidx.size)
+            new_counts = np.bincount(first[sel], minlength=cidx.size)
             new_prefixes = np.column_stack((prefixes[row_of], cidx))
-            new_cidx = cidx[second[mask]]
+            new_cidx = cidx[second[sel]]
             new_cptr = np.zeros(cidx.size + 1, dtype=np.int64)
             np.cumsum(new_counts, out=new_cptr[1:])
             # prune prefixes that cannot reach k vertices any more
@@ -943,9 +1033,9 @@ class CSRGraph:
                 size = int(cidx.size)
                 return size if cap is None else min(size, cap)
             first, second = _pairs_within(cptr)
-            mask, _ = self._pair_test(cidx[first], cidx[second])
-            new_counts = np.bincount(first[mask], minlength=cidx.size)
-            new_cidx = cidx[second[mask]]
+            sel, _ = self._pair_test(cidx, first, second)
+            new_counts = np.bincount(first[sel], minlength=cidx.size)
+            new_cidx = cidx[second[sel]]
             new_cptr = np.zeros(cidx.size + 1, dtype=np.int64)
             np.cumsum(new_counts, out=new_cptr[1:])
             needed = k - (depth + 1)
@@ -979,7 +1069,8 @@ class CSRGraph:
         if k == 2:
             return int(fptr[n])
         total = _pair_totals(fptr)
-        budget = DEFAULT_BATCH_SIZE if limit is None else PROBE_BATCH_SIZE
+        cap = _key_budget(n * n, DEFAULT_BATCH_SIZE)
+        budget = cap if limit is None else min(PROBE_BATCH_SIZE, cap)
         count = 0
         lo = 0
         while lo < n:
@@ -992,8 +1083,14 @@ class CSRGraph:
             if limit is not None:
                 if count >= limit:
                     return count
-                budget = min(budget * 2, DEFAULT_BATCH_SIZE)
+                budget = min(budget * 2, cap)
         return count
+
+
+def _label_ids(labels, ends, count: int):
+    """Ids of the ``count`` labels ``ends`` in the sorted table ``labels``."""
+    ids = {label: i for i, label in enumerate(labels)}
+    return np.fromiter(map(ids.__getitem__, ends), dtype=np.int64, count=count)
 
 
 def _check_key_space(a: int, b: int) -> None:

@@ -50,6 +50,9 @@ _OPENERS = {".gz": gzip.open, ".bz2": bz2.open}
 #: to the int64 maximum without a word.
 _MAX_PLAIN_TOKEN = 18
 
+#: The ASCII characters ``str.split`` splits at, other than the newline.
+_INNER_SPACE = " \t\v\f\r\x1c\x1d\x1e\x1f"
+
 
 def _open_text(path: Path):
     """Open a text file, transparently decompressing ``.gz`` / ``.bz2``."""
@@ -104,7 +107,10 @@ def read_edge_list_arrays(
     columns beyond the first two are dropped, self-loops are skipped,
     duplicates collapse, integer tokens become ``int`` labels and anything
     else stays a string.  ``.gz`` / ``.bz2`` are decompressed transparently
-    and ``delimiter`` overrides whitespace splitting: a delimited file may
+    and ``delimiter`` overrides whitespace splitting.  A delimited file
+    with no whitespace inside its lines and no empty field splits the same
+    once each delimiter becomes a space, so it takes the whole-stream
+    routes (:func:`_splits_like_whitespace`); any other delimited file may
     hold whitespace inside a field or empty fields, so it is split line by
     line at the delimiter only, like the dict reader.
     """
@@ -122,7 +128,9 @@ def read_edge_list_arrays(
             num_vertices=0, labels=[],
         )
     if delimiter is not None:
-        return _ragged_pairs(np, path, data, delimiter)
+        if not _splits_like_whitespace(data, delimiter):
+            return _ragged_pairs(path, data, delimiter)
+        data = data.replace(delimiter, " ")
     # column count from the first data line; extra columns beyond the first
     # two (SNAP timestamps etc.) are parsed and dropped, like the dict reader
     columns = len(data.split("\n", 1)[0].split())
@@ -133,7 +141,7 @@ def read_edge_list_arrays(
         data = _kept_lines(data, comment)
         rows, plain, _ = _uniform_columns(np, data, columns)
     if not rows:
-        return _ragged_pairs(np, path, data)
+        return _ragged_pairs(path, data)
     if columns < 2:
         raise ValueError(f"{path}: expected at least two tokens per line")
     values = _parse_int_tokens(np, data, rows * columns, plain)
@@ -142,13 +150,11 @@ def read_edge_list_arrays(
         if len(tokens) != rows * columns:
             # a whitespace character other than space, tab or newline split
             # a token the byte scan counted as one: parse line by line
-            return _ragged_pairs(np, path, data)
+            return _ragged_pairs(path, data)
         # non-integer labels: parse the first two columns per token exactly
         # like the dict reader's _parse_vertex (extra columns must not leak
         # into the vertex set), factorise in sorted order
-        return _pairs_from_label_tokens(
-            np, tokens[0::columns], tokens[1::columns]
-        )
+        return _pairs_from_label_tokens(tokens[0::columns], tokens[1::columns])
     pairs = values.reshape(-1, columns)[:, :2]
     return CSRGraph.from_label_arrays(pairs[:, 0], pairs[:, 1])
 
@@ -207,7 +213,35 @@ def _uniform_columns(np, data, columns):
     return rows, plain, False
 
 
-def _ragged_pairs(np, path, data, delimiter=None):
+def _splits_like_whitespace(data, delimiter):
+    """Whether splitting each line of ``data`` at ``delimiter`` gives the
+    same fields as splitting at whitespace after ``replace(delimiter, " ")``.
+
+    It does when every space after the replacement comes from a delimiter
+    and separates two non-empty fields: ``data`` is ASCII and holds no
+    whitespace but newlines, the delimiter is non-empty and holds no
+    whitespace, and no line starts or ends with the delimiter or holds it
+    twice in a row (an empty field).  The check is a handful of substring
+    scans, a small fraction of the per-line split of
+    :func:`_ragged_pairs` that it saves.
+    """
+    if (
+        not delimiter
+        or any(ch.isspace() for ch in delimiter)
+        or not data.isascii()
+        or any(ch in data for ch in _INNER_SPACE)
+    ):
+        return False
+    return not (
+        data.startswith(delimiter)
+        or data.endswith(delimiter)
+        or "\n" + delimiter in data
+        or delimiter + "\n" in data
+        or delimiter * 2 in data
+    )
+
+
+def _ragged_pairs(path, data, delimiter=None):
     """Per-line parse of ragged or delimited rows: each line's first two fields.
 
     Semantics identical to :func:`read_edge_list`: a line is stripped, a
@@ -227,10 +261,10 @@ def _ragged_pairs(np, path, data, delimiter=None):
             )
         first.append(parts[0])
         second.append(parts[1])
-    return _pairs_from_label_tokens(np, first, second)
+    return _pairs_from_label_tokens(first, second)
 
 
-def _pairs_from_label_tokens(np, first, second):
+def _pairs_from_label_tokens(first, second):
     """Build a CSRGraph from two parallel token columns via label parsing.
 
     Self-loops are dropped before the label table is built, so a label that
@@ -238,18 +272,10 @@ def _pairs_from_label_tokens(np, first, second):
     """
     from repro.graph.csr_graph import CSRGraph
 
-    pairs = [
+    return CSRGraph.from_edges(
         (u, v)
         for u, v in zip(map(_parse_vertex, first), map(_parse_vertex, second))
         if u != v
-    ]
-    labels = sorted_vertices({label for pair in pairs for label in pair})
-    ids = {label: i for i, label in enumerate(labels)}
-    count = len(pairs)
-    src = np.fromiter((ids[u] for u, _ in pairs), dtype=np.int64, count=count)
-    dst = np.fromiter((ids[v] for _, v in pairs), dtype=np.int64, count=count)
-    return CSRGraph.from_edge_arrays(
-        src, dst, num_vertices=len(labels), labels=labels
     )
 
 

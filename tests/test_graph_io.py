@@ -232,8 +232,10 @@ class TestParserDifferential:
       count, ``np.unique`` otherwise;
     * ``labels`` — a rectangular file with a token that is no int64;
     * ``ragged`` — rows whose token counts differ (by space, tab and
-      newline, or by ``str.split``), or any file read with a
-      ``delimiter``: parsed line by line.
+      newline, or by ``str.split``), or a file read with a ``delimiter``
+      that has whitespace inside a line or an empty field: parsed line by
+      line.  Any other delimited file has its delimiters replaced by
+      spaces and takes the routes above.
     """
 
     @pytest.fixture
@@ -342,7 +344,7 @@ class TestParserDifferential:
     @pytest.mark.parametrize(
         "text, delimiter, route",
         [
-            ("0,1\n1,2\n2,0\n", ",", "ragged"),
+            ("0,1\n1,2\n2,0\n", ",", "fromstring+bitmap"),
             ("a b,c\nc,d\n", ",", "ragged"),
             (" 1 , 2\n2 ,3\n", ",", "ragged"),
             ("a , b\nb,c\n", ",", "ragged"),
@@ -358,6 +360,31 @@ class TestParserDifferential:
     def test_named_delimiter_cases(self, tmp_path, routes, text, delimiter, route):
         # a delimiter splits at itself only: whitespace stays inside a field
         # and an empty field is a field, as in the dict reader
+        assert self.check(tmp_path, text, routes, delimiter=delimiter) == route
+
+    @pytest.mark.parametrize(
+        "text, delimiter, route",
+        [
+            ("0;1\n1;2\n", ";", "fromstring+bitmap"),
+            ("0::1\n1::2\n", "::", "fromstring+bitmap"),
+            ("0:::1\n1::2\n", "::", "labels"),
+            ("a,b\nb,c\n", ",", "labels"),
+            ("0,1,7\n1,2\n", ",", "ragged"),
+            ("0,1,\n1,2\n", ",", "ragged"),
+            (",0,1\n1,2\n", ",", "ragged"),
+            ("0,1\n1,,2\n", ",", "ragged"),
+            ("0,1\f\n1,2\n", ",", "ragged"),
+            ("0,1\n1,2\xe9\n", ",", "ragged"),
+            ("0 1\n1 2\n", " ", "ragged"),
+            ("0,1\n2\n", ",", "error"),
+        ],
+        ids=lambda value: value if value in ROUTES else None,
+    )
+    def test_delimited_whole_stream_routes(
+        self, tmp_path, routes, text, delimiter, route
+    ):
+        # a delimited file with no whitespace and no empty field takes the
+        # whole-stream routes once its delimiters become spaces
         assert self.check(tmp_path, text, routes, delimiter=delimiter) == route
 
     SEPARATORS = ("\f", "\v", "\xa0", "\t", "  ", "\x1c", "\u3000")
@@ -440,7 +467,7 @@ class TestParserDifferential:
                 delimited[route] = delimited.get(route, 0) + 1
         # the mutations reach every route, so the agreement is not vacuous
         assert set(seen) == set(ROUTES), seen
-        assert set(delimited) == {"ragged", "error"}, delimited
+        assert set(delimited) == set(ROUTES), delimited
 
 
 def test_json_roundtrip(tmp_path, two_clique_bridge_graph):
