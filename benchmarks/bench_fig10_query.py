@@ -5,6 +5,8 @@ random sample of vertices/edges from bounded neighbourhoods only.
 """
 
 import random
+import statistics
+import time
 
 from repro.core.csr import CSRSpace
 from repro.core.query import estimate_local_indices
@@ -45,18 +47,33 @@ def test_fig10_cost_grows_with_radius(benchmark):
     assert fractions == sorted(fractions)
 
 
-def test_fig10_bundle_queries(benchmark, tmp_path):
+def test_fig10_bundle_queries(benchmark, tmp_path, bench_record):
     """hops=1 truss queries on a reopened bundle, which slices the stored
-    space, checked against the graph route that enumerates each ball."""
+    space, checked against the graph route that enumerates each ball.
+
+    The total serving time of the 100 queries (``bundle_query_s``) and the
+    median ball size are recorded for the trend, with no floor: the query
+    kernel is the local AND on each ball.
+    """
     graph = load_dataset("fb", "csr")
     space = CSRSpace.from_graph(graph, 2, 3)
     bundle = open_bundle(save_bundle(tmp_path / "fb", graph=graph, space=space))
     queries = random.Random(0).sample(list(space.cliques), 100)
+    elapsed = []
 
     def serve():
-        return [estimate_local_indices(bundle, [q], 2, 3, hops=1) for q in queries]
+        t0 = time.perf_counter()
+        served = [estimate_local_indices(bundle, [q], 2, 3, hops=1) for q in queries]
+        elapsed.append(time.perf_counter() - t0)
+        return served
 
     estimates = benchmark.pedantic(serve, rounds=1, iterations=1)
+    bench_record(
+        name="bundle_queries",
+        bundle_query_s=round(min(elapsed), 4),
+        queries=len(queries),
+        ball_vertices_p50=statistics.median(e.ball_size for e in estimates),
+    )
     for query, sliced in zip(queries, estimates):
         reference = estimate_local_indices(graph, [query], 2, 3, hops=1)
         assert dict(sliced) == dict(reference)

@@ -42,7 +42,10 @@ cliques whose τ drops, where the pool's chunks gather every flagged clique
 and check it.  The serial kernel also lowers a large frontier in
 ascending-τ blocks, each reading the τ the earlier blocks published, so
 its passes are Gauss–Seidel where the pool's are Jacobi; while every
-frontier fits one block the two take the same τ trajectory.  κ equals the
+frontier fits one block the two take the same τ trajectory.  A space too
+small to block a frontier (at most ``_AND_BLOCK`` cliques) runs
+:func:`_and_jacobi`, plain Jacobi passes with the counted kernel's
+trajectory and counters and none of its count bookkeeping.  κ equals the
 dict-backend implementations in :mod:`repro.core.asynd` and
 :mod:`repro.core.snd`, which the test-suite asserts property-style.  AND's
 per-visit schedule has no kernel here: the one loop in
@@ -615,22 +618,27 @@ def _stable_order(keys, n: int):
     numpy runs as a radix sort, the fastest order there.  A second radix
     digit needs the first pass's order, the second pass's order and the
     radix scratch alive at once, which cost about 4.5 MB of the
-    truss-pipeline benchmark's peak RSS.  Above 2**16 the order is one
-    argsort of the packed keys ``key * L + slot`` (L = ``len(keys)``):
-    they are distinct, so any sort kind returns exactly the stable order,
-    and numpy's default sort of int64 is several times faster than its
-    merge sort.  Only the packed keys and the order are alive during that
-    sort.  Measured at seed 1 of the benchmark workloads (numpy 2.4.6,
-    2-vCPU x86_64 VM): truss (2, 3), n = 79,964, merge 23.7 ms and packed
-    8.7 ms; dense (2, 3), n = 43,314, radix 3.5 ms and packed 8.8 ms.
+    truss-pipeline benchmark's peak RSS.  Above 2**16 the keys are packed
+    as ``key * L + slot``, with ``L`` the least power of two not below
+    ``len(keys)``: they are distinct, so one in-place ``sort`` orders them
+    exactly as the stable argsort would, and the mask ``L - 1`` reads the
+    order back, as in :func:`~repro.graph.csr_graph._sorted_hits`.  Only the
+    packed keys are alive during that sort.  Measured at seed 3 of the
+    benchmark workloads (numpy 2.4.6, 2-vCPU x86_64 VM, median of 21):
+    dense (3, 4), 286,408 keys, sort 3.6 ms against 7.6 ms for an
+    ``argsort`` of ``key * len(keys) + slot``; truss (2, 3), 234,729
+    keys, 2.9 against 6.2 ms.
     """
     if n <= 1 << 16:
         return _np.argsort(keys.astype(_np.uint16), kind="stable")
     size = len(keys)
-    _check_key_space(n, size)
-    packed = keys * size
-    packed += _np.arange(size, dtype=_np.int64)
-    return _np.argsort(packed)
+    shift = (size - 1).bit_length()
+    _check_key_space(n, 1 << shift)
+    packed = keys << shift
+    packed |= _np.arange(size, dtype=_np.int64)
+    packed.sort()
+    packed &= (1 << shift) - 1
+    return packed
 
 
 @kernel
@@ -734,7 +742,19 @@ def _incidence_arrays_triangle_quad(graph: CSRGraph, batch_size: int):
             continue
         i, j = i[sel], j[sel]
         del sel
-        last = _np.searchsorted(keys, r[i] * m + r[j])
+        # every (v, w, x) key is a hit: search the keys in ascending order,
+        # packed ``key * L + index`` as in _sorted_hits, and scatter the
+        # positions back to pair order.  The hits are a subset of the
+        # needles _sorted_hits packed, so this packing fits too.
+        needle = r[i] * m
+        needle += r[j]
+        width = (len(i) - 1).bit_length()
+        needle <<= width
+        needle |= _np.arange(len(i), dtype=_np.int64)
+        needle.sort()
+        last = _np.empty(len(i), dtype=_np.int64)
+        last[needle & ((1 << width) - 1)] = _np.searchsorted(keys, needle >> width)
+        del needle
         group_rows.append(_sorted_columns(lex[i], lex[j], lex[k], lex[last]))
     return table, _stack_rows(group_rows, 4)
 
@@ -844,7 +864,10 @@ def _as_csr(
 #: Most cliques :func:`_and_count` lowers against one τ snapshot: a larger
 #: frontier runs as ascending-τ blocks of this size.  On the perfbench
 #: graphs (2-vCPU x86 box) 2048 ran the warm AND fastest of 2048 / 4096 /
-#: 8192, and every 1-hop query ball there stays one block.
+#: 8192.  A space of at most this many cliques never blocks a frontier,
+#: so :func:`and_decomposition_csr` runs it through :func:`_and_jacobi`;
+#: every dense-communities 1-hop query ball and nearly every truss one
+#: takes that route.
 _AND_BLOCK = 2048
 
 
@@ -857,18 +880,25 @@ def and_decomposition_csr(
 ) -> DecompositionResult:
     """Frontier-batched AND (Algorithm 3) over a :class:`CSRSpace`.
 
-    Each pass is one step of the counted kernel :func:`_and_count`: the
-    first pass checks every clique and seeds the per-clique support counts,
-    and every later pass visits only the cliques whose count has fallen
-    below τ.  A pass lowers a frontier of at most ``_AND_BLOCK`` cliques
-    against the pass-start τ; a larger frontier runs in ascending-τ blocks
-    of that size, each reading the τ the earlier blocks published
-    (Gauss–Seidel between blocks and across passes, Jacobi within a
-    block).  Iteration counts and τ trajectories therefore differ from the
-    per-visit schedule of :func:`repro.core.asynd.and_decomposition` and,
-    once a frontier is blocked, from the pool's round kernel
-    :func:`_and_sweep`; κ is the same unique fixed point, which the
-    property tests assert against the dict backend.
+    On a space of more than ``_AND_BLOCK`` cliques each pass is one step
+    of the counted kernel :func:`_and_count`: the first pass checks every
+    clique and seeds the per-clique support counts, and every later pass
+    visits only the cliques whose count has fallen below τ.  A pass lowers
+    a frontier of at most ``_AND_BLOCK`` cliques against the pass-start τ;
+    a larger frontier runs in ascending-τ blocks of that size, each reading
+    the τ the earlier blocks published (Gauss–Seidel between blocks and
+    across passes, Jacobi within a block).  Iteration counts and τ
+    trajectories therefore differ from the per-visit schedule of
+    :func:`repro.core.asynd.and_decomposition` and, once a frontier is
+    blocked, from the pool's round kernel :func:`_and_sweep`; κ is the
+    same unique fixed point, which the property tests assert against the
+    dict backend.
+
+    A space of at most ``_AND_BLOCK`` cliques, such as a 1-hop query ball,
+    runs :func:`_and_jacobi` instead: every frontier there is one block,
+    and a one-block counted pass is exactly a Jacobi step, so κ,
+    ``iterations``, ``iteration_stats`` and every counter below are the
+    ones :func:`_and_count` gives, without its count bookkeeping.
 
     The counters, per pass:
 
@@ -891,8 +921,11 @@ def and_decomposition_csr(
     space = _as_csr(source, r, s)
     n = len(space)
     tau = _np.diff(space.ctx_offsets)
-    support = _np.zeros(n, dtype=_np.int64)
-    step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
+    buffers = (space.ctx_offsets, space.ctx_members, space.stride, tau)
+    if n <= _AND_BLOCK:
+        step = _and_jacobi(*buffers)
+    else:
+        step = _and_count(*buffers, _np.zeros(n, dtype=_np.int64))
     stats: List[IterationStats] = []
     rho_evaluations = 0
     h_calls = 0
@@ -1021,9 +1054,11 @@ def _and_count(ctx_off, members, stride: int, tau, support):
     Every other s-clique keeps all its τ values, so no other count moves:
     the counts equal :func:`support_counts` after every block.  A pass run
     as one block is one Jacobi step that skips the cliques that cannot
-    drop, the τ trajectory of :func:`_and_sweep`; a blocked pass lowers τ
-    at least as far, elementwise, since τ is monotone.  An empty frontier
-    is the converging pass.  The counts have one writer, which is why the
+    drop, the τ trajectory of :func:`_and_sweep` and of
+    :func:`_and_jacobi`, which is why :func:`and_decomposition_csr` runs
+    only spaces of more than ``_AND_BLOCK`` cliques here; a blocked pass
+    lowers τ at least as far, elementwise, since τ is monotone.  An empty
+    frontier is the converging pass.  The counts have one writer, which is why the
     pool's chunks keep :func:`_and_sweep`'s flags.
     """
     n = len(tau)
@@ -1135,6 +1170,73 @@ def _and_count(ctx_off, members, stride: int, tau, support):
             checked += gathered
             change = max(change, moved)
         return m, processed, checked, change
+
+    return step
+
+
+@kernel
+def _and_jacobi(ctx_off, members, stride: int, tau):
+    """The one-block AND kernel: every pass is one plain Jacobi step.
+
+    Binds the space buffers and the τ array (updated in place) and returns
+    ``step(first)`` with :func:`_and_count`'s contract.  A pass gathers the
+    ρ of every context row against the pass-start τ, takes every clique's
+    h-index with one sort of packed ``(segment, -ρ)`` keys, as
+    :func:`_and_count`'s sub-step does, and publishes the cliques whose τ
+    fell.  Bound, as the engine binds it, with τ at the s-degrees, the
+    h-indices never exceed τ: they start at most the degrees and fall
+    with τ, so a pass lowers τ or leaves it.
+
+    :func:`and_decomposition_csr` runs it on a space of at most
+    ``_AND_BLOCK`` cliques.  There every frontier of :func:`_and_count` is
+    one block, and a one-block counted pass is exactly this step: its
+    frontier ``support < τ`` is the set of cliques whose h-index lies below
+    τ, and it lowers each of them to that h-index against the pass-start
+    τ.  So the trajectory is the same, and the counters are charged as
+    :func:`_and_count` charges them: the first pass processes every clique
+    and evaluates every row, a later pass processes the cliques that drop
+    and evaluates their rows.  Without support counts a pass costs about
+    twenty array calls where the counted pass needs about forty.
+    """
+    n = len(tau)
+    total = int(ctx_off[n])
+    columns = members[:total * stride].reshape(total, stride).T
+    degrees = ctx_off[1:] - ctx_off[:-1]
+    # a clique without contexts owns no row and keeps τ = 0; the others
+    # own consecutive row segments, one per ``live`` clique
+    live = degrees.nonzero()[0]
+    deg = degrees[live]
+    starts = ctx_off[live]
+    # every ρ is bounded by the maximum context count, so ρ < pack
+    pack = int(degrees.max(initial=0)) + 2
+    # a row's key is ``base - ρ`` = ``segment * pack + (pack - 1 - ρ)``:
+    # sorting the keys ranks every segment's ρ descending in place, and
+    # the row at rank k counts toward the h-index (ρ ≥ k + 1) iff its key
+    # is at most ``limit`` = ``base - 1 - k``
+    base = _np.repeat(
+        _np.arange(pack - 1, len(live) * pack, pack, dtype=_np.int64), deg
+    )
+    limit = base - 1
+    limit -= _np.arange(total, dtype=_np.int64)
+    limit += _np.repeat(starts, deg)
+
+    def step(first: bool):
+        rho = tau[columns[0]]
+        for column in columns[1:]:
+            _np.minimum(rho, tau[column], out=rho)
+        key = base - rho
+        key.sort()
+        new = _np.add.reduceat(key <= limit, starts, dtype=_np.int64)
+        drop = tau[live]
+        drop -= new
+        fell = drop.nonzero()[0]
+        updated = len(fell)
+        processed = n if first else updated
+        evaluated = total if first else int(deg[fell].sum())
+        if updated == 0:
+            return 0, processed, evaluated, 0
+        tau[live[fell]] = new[fell]
+        return updated, processed, evaluated, int(drop.max())
 
     return step
 

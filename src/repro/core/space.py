@@ -224,7 +224,8 @@ class NucleusSpace:
         for s_clique in enumerate_k_cliques(self.graph, self.s):
             big = canonical_clique(s_clique)
             sub_indices = [
-                self.index[tuple(sub)] for sub in combinations(big, self.r)
+                self.index[canonical_clique(sub)]
+                for sub in combinations(big, self.r)
             ]
             for i, owner in enumerate(sub_indices):
                 others = tuple(x for j, x in enumerate(sub_indices) if j != i)

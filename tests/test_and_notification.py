@@ -16,10 +16,14 @@ The serial kernel is the counted one (``_and_count``): it must take the
 same trajectory while every frontier fits one block, its support counts
 must equal a from-scratch recount (``support_counts``) after every pass,
 meet ``support ≥ τ`` at convergence, and give the reference's passes on
-degenerate shapes too.  With the block size cut to a few cliques, every
-pass runs blocked: the counts must equal the recount after every block, τ
-must never rise and stay at or below SND's Jacobi trajectory pass for
-pass, and the AND may take no more passes than SND.
+degenerate shapes too.  A space of at most ``_AND_BLOCK`` cliques runs
+plain Jacobi passes (``_and_jacobi``) instead: ``and_decomposition_csr``
+must then give the counted kernel's τ after every pass, its per-pass
+stats and its operations, and the block size must route a space to
+exactly one of the two kernels.  With the block size cut to a few
+cliques, every pass runs blocked: the counts must equal the recount after
+every block, τ must never rise and stay at or below SND's Jacobi
+trajectory pass for pass, and the AND may take no more passes than SND.
 """
 
 import random
@@ -166,6 +170,65 @@ def _counted_passes(space):
         yield row, tau, support
         if row[0] == 0:
             return
+
+
+@pytest.mark.parametrize("max_iterations", [None, 1, 2])
+@pytest.mark.parametrize("r, s", INSTANCES)
+@pytest.mark.parametrize("name", sorted(WORLD))
+def test_one_block_spaces_follow_the_counted_passes(name, r, s, max_iterations):
+    """``_and_jacobi``, pass for pass, against ``_and_count`` on one block."""
+    space = CSRSpace.from_graph(WORLD[name], r, s)
+    n = len(space)
+    assert n <= csr._AND_BLOCK
+    counted = [(row, tau.copy()) for row, tau, _ in _counted_passes(space)]
+    counted = counted[:max_iterations]
+    result = and_decomposition_csr(space, max_iterations=max_iterations)
+    assert result.iterations == len(counted)
+    assert result.converged == (n == 0 or counted[-1][0][0] == 0)
+    assert [
+        (st.updated, st.processed, st.skipped, st.max_change)
+        for st in result.iteration_stats
+    ] == [(u, p, n - p, m) for (u, p, _, m), _ in counted]
+    assert result.operations == {
+        "rho_evaluations": sum(row[2] for row, _ in counted),
+        "h_index_calls": sum(row[0] for row, _ in counted),
+        "skipped_cliques": sum(n - row[1] for row, _ in counted),
+        "blocks": sum(1 for row, _ in counted if row[0]),
+        "backend": "csr",
+        "engine": "numpy",
+    }
+    for k, (_, tau) in enumerate(counted, start=1):
+        kappa = and_decomposition_csr(space, max_iterations=k).kappa
+        assert kappa == tau.tolist(), f"pass {k}"
+
+
+def test_the_block_size_routes_between_the_kernels(monkeypatch):
+    """Up to ``_AND_BLOCK`` cliques run ``_and_jacobi``, more ``_and_count``."""
+    calls = []
+
+    def spy(name):
+        kernel = getattr(csr, name)
+
+        def bind(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(csr, name, bind)
+
+    spy("_and_jacobi")
+    spy("_and_count")
+    for n, kernel in [
+        (csr._AND_BLOCK, "_and_jacobi"),
+        (csr._AND_BLOCK + 1, "_and_count"),
+    ]:
+        calls.clear()
+        # a (1, 2) space of exactly n cliques: the vertices of a path
+        path = CSRGraph.from_edges([(v, v + 1) for v in range(n - 1)])
+        space = CSRSpace.from_graph(path, 1, 2)
+        assert len(space) == n
+        result = and_decomposition_csr(space)
+        assert calls == [kernel]
+        assert result.kappa == peeling_decomposition(space).kappa
 
 
 @pytest.mark.parametrize("r, s", INSTANCES)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.csr import CSRSpace
+from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.cliques import count_k_cliques
 from repro.graph.graph import Graph
@@ -113,6 +115,22 @@ class TestGenericSpace:
         expected = vertex_triangle_counts(small_powerlaw_graph)
         for i, (v,) in enumerate(space.cliques):
             assert space.s_degree(i) == expected[v]
+
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 3), (3, 4), (2, 4), (1, 3)])
+    def test_mixed_labels_match_the_csr_route(self, r, s):
+        # Regression: the generic builder looked up each s-clique's
+        # sub-tuples as sliced, but a slice of a canonical s-clique over
+        # incomparable labels ((2.5, 0) in type-name order) is not always
+        # the canonical r-clique ((0, 2.5)) registered for it: (2, 4)
+        # raised KeyError.
+        ring = [0, "a", 2.5]
+        edges = [(ring[i], ring[(i + 1) % 3]) for i in range(3)]
+        edges += [(v, hub) for v in ring for hub in (1, 2)] + [(1, 2)]
+        g = Graph(edges=edges)
+        space = NucleusSpace(g, r, s)
+        space.validate()
+        expected = peeling_decomposition(CSRSpace.from_graph(g, r, s)).as_dict()
+        assert peeling_decomposition(space).as_dict() == expected
 
 
 class TestHelpers:
