@@ -379,11 +379,15 @@ class CSRSpace:
 
         Every clique inside the set is led (smallest id) by a member of the
         set, so the candidates are the runs of the clique table's sorted
-        first column at those ids (:meth:`CliqueArrayView.sorted_rows`);
-        no vertex → clique map is needed.  Partners are checked and
+        first column at those ids (:meth:`CliqueArrayView.sorted_rows`),
+        read off the pointer table :meth:`SortedRows.lead_runs` keeps over
+        that column.  Partners are checked and
         renumbered through one global → local table written at the kept
-        indices only.  The cost follows the cliques led by the set and
-        their contexts, not the whole space.
+        indices only.  The kept cliques' member slots are one flat gather;
+        a row survives when each of its ``stride`` columns (strided slices
+        of the flat slots) does, and one row mask repeated ``stride``
+        times keeps the surviving slots.  The cost follows the cliques led
+        by the set and their contexts, not the whole space.
 
         Examples
         --------
@@ -402,31 +406,45 @@ class CSRSpace:
             )
         # plain views: a memmap subclass pays wrapping costs on every op
         ctx_off = _np.asarray(self.ctx_offsets)
-        members = _np.asarray(self.ctx_members).reshape(-1, self.stride)
-        keep_ids = _sorted_unique(_np.asarray(vertex_ids, dtype=_np.int64))
+        members = _np.asarray(self.ctx_members)
+        stride = self.stride
+        keep_ids = _np.asarray(vertex_ids, dtype=_np.int64)
+        if not (keep_ids[1:] > keep_ids[:-1]).all():  # a BFS ball is sorted
+            keep_ids = _sorted_unique(keep_ids)
         in_set = _id_mask(len(view.labels), keep_ids)
         rows = view.sorted_rows()
-        first = _np.searchsorted(rows.columns[0], keep_ids, "left")
-        last = _np.searchsorted(rows.columns[0], keep_ids, "right")
+        first, last = rows.lead_runs(keep_ids)
         positions = _runs(first, last - first)
         for column in rows.columns[1:]:
             positions = positions[in_set[column[positions]]]
         kept = _np.sort(rows.perm[positions])
         n = len(kept)
-        counts = ctx_off[kept + 1] - ctx_off[kept]
-        partners = members[_runs(ctx_off[kept], counts)]
+        lo = ctx_off[kept]
+        counts = ctx_off[kept + 1] - lo
+        # the kept cliques' member slots, flat: row c is slots
+        # c * stride .. (c + 1) * stride - 1 of ``partners``
+        partners = members[_runs(lo * stride, counts * stride)]
         # global -> local table written at the kept slots only: np.empty
         # spares an O(len(self)) fill, and an unwritten slot read for a
         # dropped partner is caught because it cannot map back to it
         local_of = _np.empty(len(view), dtype=_np.int64)
         local_of[kept] = _np.arange(n, dtype=_np.int64)
-        local = _np.clip(local_of[partners], 0, max(n - 1, 0))
-        whole = _row_min(kept[local] == partners)  # row-wise AND
+        local = local_of[partners]
+        # into range (``np.clip`` pays a Python-level dtype check per call)
+        _np.minimum(local, max(n - 1, 0), out=local)
+        _np.maximum(local, 0, out=local)
+        # a row survives when every partner does: AND its columns, which
+        # are the strided slices of the flat hits
+        whole = _row_min((kept[local] == partners).reshape(-1, stride))
         owners = _np.repeat(_np.arange(n, dtype=_np.int64), counts)[whole]
         ctx_offsets = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(_np.bincount(owners, minlength=n), out=ctx_offsets[1:])
         return CSRSpace(
-            self.r, self.s, view.take(kept), ctx_offsets, local[whole].reshape(-1)
+            self.r,
+            self.s,
+            view.take(kept),
+            ctx_offsets,
+            local[_np.repeat(whole, stride)],
         )
 
     # ------------------------------------------------------------------
@@ -919,9 +937,35 @@ def and_decomposition_csr(
     gathered.
     """
     space = _as_csr(source, r, s)
+    tau, iterations, converged, stats, operations = _and_passes(
+        space, max_iterations
+    )
+    operations.update(backend="csr", engine="numpy")
+    return DecompositionResult.from_space(
+        space,
+        algorithm="and",
+        kappa=tau.tolist(),
+        iterations=iterations,
+        converged=converged,
+        iteration_stats=stats,
+        operations=operations,
+    )
+
+
+def _and_passes(space: CSRSpace, max_iterations: Optional[int] = None):
+    """The pass loop of :func:`and_decomposition_csr`, with no result built.
+
+    Picks the kernel by size (:func:`_and_jacobi` up to ``_AND_BLOCK``
+    cliques, :func:`_and_count` above), runs passes until one lowers no τ
+    or ``max_iterations`` passes have run, and returns ``(tau, iterations,
+    converged, iteration_stats, operations)``: τ as an int64 array and the
+    counters without the ``backend`` / ``engine`` tags.  A local query
+    reads τ here directly.
+    """
     n = len(space)
-    tau = _np.diff(space.ctx_offsets)
-    buffers = (space.ctx_offsets, space.ctx_members, space.stride, tau)
+    ctx_off = space.ctx_offsets
+    tau = ctx_off[1:] - ctx_off[:-1]
+    buffers = (ctx_off, space.ctx_members, space.stride, tau)
     if n <= _AND_BLOCK:
         step = _and_jacobi(*buffers)
     else:
@@ -955,23 +999,13 @@ def and_decomposition_csr(
                 converged_count=-1,
             )
         )
-
-    return DecompositionResult.from_space(
-        space,
-        algorithm="and",
-        kappa=tau.tolist(),
-        iterations=iteration,
-        converged=converged,
-        iteration_stats=stats,
-        operations={
-            "rho_evaluations": rho_evaluations,
-            "h_index_calls": h_calls,
-            "skipped_cliques": skipped_total,
-            "blocks": blocks,
-            "backend": "csr",
-            "engine": "numpy",
-        },
-    )
+    operations = {
+        "rho_evaluations": rho_evaluations,
+        "h_index_calls": h_calls,
+        "skipped_cliques": skipped_total,
+        "blocks": blocks,
+    }
+    return tau, iteration, converged, stats, operations
 
 
 def support_counts(space: CSRSpace, tau):

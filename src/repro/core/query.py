@@ -15,7 +15,12 @@ The ball's space comes from one of two routes, with the same estimate:
   :meth:`CSRSpace.from_graph` on the induced subgraph;
 * an opened :class:`~repro.store.bundle.Bundle` that stores the requested
   (r, s) space slices it with :meth:`CSRSpace.restrict`, so no clique is
-  enumerated again.
+  enumerated again, and counts the ball's edges only when
+  ``subgraph_edges`` is read.
+
+Either way the default ``"and"`` runs the batched kernel's pass loop
+(the one :func:`~repro.core.csr.and_decomposition_csr` runs) and reads τ
+at the queried indices; no result object is built.
 
 >>> import tempfile
 >>> from repro.core.csr import CSRSpace
@@ -35,13 +40,14 @@ The ball's space comes from one of two routes, with the same estimate:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.asynd import and_decomposition
-from repro.core.csr import CSRSpace, GraphSource
+from repro.core.csr import CSRSpace, GraphSource, _and_passes
 from repro.core.snd import snd_decomposition
 from repro.core.space import Clique
 from repro.graph.cliques import canonical_clique
+from repro.graph.csr_graph import CSRGraph
 from repro.graph.graph import Vertex
 
 __all__ = ["estimate_local_indices", "QueryEstimate"]
@@ -53,6 +59,11 @@ class QueryEstimate(dict):
     Behaves like a plain dict; extra attributes carry the size of the local
     neighbourhood and the number of iterations the local run needed, so
     experiments can report cost alongside accuracy.
+
+    ``subgraph_edges`` is the ball's edge count: an int, or a
+    ``(graph, ball ids)`` pair whose :meth:`CSRGraph.edges_within` count is
+    taken on first read and cached, so a caller that never reads it never
+    pays for it.
     """
 
     def __init__(
@@ -60,13 +71,21 @@ class QueryEstimate(dict):
         values: Dict[Clique, int],
         *,
         ball_size: int,
-        subgraph_edges: int,
+        subgraph_edges: Union[int, Tuple[CSRGraph, Any]],
         iterations: int,
     ) -> None:
         super().__init__(values)
         self.ball_size = ball_size
-        self.subgraph_edges = subgraph_edges
+        self._subgraph_edges = subgraph_edges
         self.iterations = iterations
+
+    @property
+    def subgraph_edges(self) -> int:
+        """Edges of the ball's induced subgraph."""
+        if isinstance(self._subgraph_edges, tuple):
+            graph, ball = self._subgraph_edges
+            self._subgraph_edges = graph.edges_within(ball)
+        return self._subgraph_edges
 
 
 def estimate_local_indices(
@@ -143,7 +162,7 @@ def estimate_local_indices(
         ball = graph.bfs_ball_ids(seed_ids, hops)
         _check_queries(graph, query_list)
         space = bundle.space.restrict(bundle.space_vertex_ids(ball))
-        subgraph_edges = graph.edges_within(ball)
+        subgraph_edges = (graph, ball)  # counted when first read
     else:
         ball = graph.bfs_ball(seeds, hops)
         subgraph = graph.subgraph(ball)
@@ -151,27 +170,29 @@ def estimate_local_indices(
         space = CSRSpace.from_graph(subgraph, r, s)
         subgraph_edges = subgraph.number_of_edges()
 
-    if algorithm == "and":
-        result = and_decomposition(space, max_iterations=max_iterations)
-    elif algorithm == "snd":
-        result = snd_decomposition(space, max_iterations=max_iterations)
+    if algorithm == "and" and max_iterations is None:
+        # the batched kernel's pass loop, read straight off its τ
+        tau, iterations, *_ = _and_passes(space)
+        kappa_at = tau.item
+    elif algorithm in ("and", "snd"):
+        run = and_decomposition if algorithm == "and" else snd_decomposition
+        result = run(space, max_iterations=max_iterations)
+        iterations = result.iterations
+        kappa_at = result.kappa_at
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     estimates: Dict[Clique, int] = {}
     for clique in query_list:
         index = space.find_index(clique)
-        if index is None:
-            # the queried clique has no s-clique in the ball; its local κ is 0
-            estimates[clique] = 0
-        else:
-            estimates[clique] = result.kappa_at(index)
+        # a queried clique with no s-clique in the ball has local κ 0
+        estimates[clique] = 0 if index is None else kappa_at(index)
 
     return QueryEstimate(
         estimates,
         ball_size=len(ball),
         subgraph_edges=subgraph_edges,
-        iterations=result.iterations,
+        iterations=iterations,
     )
 
 

@@ -96,9 +96,7 @@ class CliqueArrayView:
     def label_ids(self) -> Dict[Vertex, int]:
         """The label → vertex id map, built on first use and cached."""
         if self._label_ids is None:
-            labels = self.labels
-            plain = labels.tolist() if hasattr(labels, "tolist") else labels
-            self._label_ids = {label: i for i, label in enumerate(plain)}
+            self._label_ids = _label_map(self.labels)
         return self._label_ids
 
     def sorted_rows(self) -> "SortedRows":
@@ -168,7 +166,7 @@ class SortedRows:
     space's) is detected in linear time and not sorted.
     """
 
-    __slots__ = ("perm", "columns")
+    __slots__ = ("perm", "columns", "_lead")
 
     def __init__(self, table) -> None:
         table = np.asarray(table, dtype=np.int64)
@@ -184,6 +182,24 @@ class SortedRows:
         else:
             self.perm = np.lexsort(table.T[::-1])
         self.columns = [np.ascontiguousarray(col[self.perm]) for col in table.T]
+        self._lead = None
+
+    def lead_runs(self, ids):
+        """``(first, last)``: the sorted rows ``first[k]:last[k]`` are the
+        rows whose first (smallest) id is ``ids[k]``.
+
+        The bounds of every first id are one pointer table over the sorted
+        first column, built on first use, so a call is two gathers and no
+        binary search.
+        """
+        if self._lead is None:
+            column = self.columns[0]
+            top = int(column[-1]) + 1 if len(column) else 0
+            self._lead = column.searchsorted(np.arange(top + 1, dtype=np.int64))
+        # an id past the largest first id leads no row: both bounds are
+        # the end of the table
+        top = len(self._lead) - 1
+        return self._lead[np.minimum(ids, top)], self._lead[np.minimum(ids + 1, top)]
 
     def find(self, row) -> Optional[int]:
         """Table index of the row holding the ids of ``row``, or ``None``."""
@@ -615,7 +631,7 @@ class CSRGraph:
 
     def find_id(self, label: Vertex) -> Optional[int]:
         if self._label_ids is None:
-            self._label_ids = {lab: i for i, lab in enumerate(self.labels)}
+            self._label_ids = _label_map(self.labels)
         return self._label_ids.get(label)
 
     def edge_array(self):
@@ -1087,9 +1103,20 @@ class CSRGraph:
         return count
 
 
+def _label_map(labels) -> Dict[Vertex, int]:
+    """The label → id map of a label table (a list, range or array).
+
+    An array table is read through ``tolist`` first, so the keys are plain
+    Python values: enumerating a memmap would key the map by numpy
+    scalars, which cost more to build and to look up.
+    """
+    plain = labels.tolist() if hasattr(labels, "tolist") else labels
+    return {label: i for i, label in enumerate(plain)}
+
+
 def _label_ids(labels, ends, count: int):
     """Ids of the ``count`` labels ``ends`` in the sorted table ``labels``."""
-    ids = {label: i for i, label in enumerate(labels)}
+    ids = _label_map(labels)
     return np.fromiter(map(ids.__getitem__, ends), dtype=np.int64, count=count)
 
 

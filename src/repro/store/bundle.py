@@ -121,6 +121,16 @@ def _identity_labels(labels: Sequence[Any]) -> bool:
     )
 
 
+def _same_labels(a: Sequence[Any], b: Sequence[Any]) -> bool:
+    """Whether two decoded label tables hold equal labels in the same order."""
+    if len(a) != len(b):
+        return False
+    if isinstance(a, list) or isinstance(b, list):
+        return list(a) == list(b)
+    # ranges and int64 buffers
+    return bool(_np.array_equal(a, b))
+
+
 def _encode_labels(
     labels: Sequence[Any], buffer_name: str, writer: Callable[[str, Any], None]
 ) -> Dict[str, Any]:
@@ -422,6 +432,7 @@ class Bundle:
         self._result = None
         self._index = None
         self._vertex_map = None
+        self._shared_labels: Optional[bool] = None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -556,19 +567,27 @@ class Bundle:
         The graph and the space carry a label table each: a space built
         from the stored graph shares its table, one flattened from a
         :class:`NucleusSpace` labels only the vertices that lie in one of
-        its r-cliques.  The id map is built once, by label, and vertices
-        the space does not label are dropped.
+        its r-cliques.  Whether the two tables are equal is checked once;
+        when they are, an id means the same vertex in both and
+        ``graph_ids`` come back as they are.  Otherwise the id map is built
+        once, by label, and vertices the space does not label are dropped.
         """
-        if self._vertex_map is None:
+        ids = _np.asarray(graph_ids, dtype=_np.int64)
+        if self._shared_labels is None:
             labels = self.graph.labels
-            plain = labels.tolist() if hasattr(labels, "tolist") else labels
-            label_ids = self.space.cliques.label_ids()
-            self._vertex_map = _np.fromiter(
-                (label_ids.get(label, -1) for label in plain),
-                dtype=_np.int64,
-                count=len(plain),
-            )
-        ids = self._vertex_map[_np.asarray(graph_ids, dtype=_np.int64)]
+            space_labels = self.space.cliques.labels
+            self._shared_labels = _same_labels(labels, space_labels)
+            if not self._shared_labels:
+                plain = labels.tolist() if hasattr(labels, "tolist") else labels
+                label_ids = self.space.cliques.label_ids()
+                self._vertex_map = _np.fromiter(
+                    (label_ids.get(label, -1) for label in plain),
+                    dtype=_np.int64,
+                    count=len(plain),
+                )
+        if self._shared_labels:
+            return ids
+        ids = self._vertex_map[ids]
         return ids[ids >= 0]
 
     @property

@@ -211,6 +211,17 @@ class TestPointLookups:
             assert rows.find([1, 2]) is None
         assert SortedRows(np.empty((0, 2), dtype=np.int64)).find([0, 1]) is None
 
+    def test_lead_runs_match_binary_search(self):
+        rng = np.random.default_rng(8)
+        table = rng.integers(0, 12, (300, 3), dtype=np.int64)
+        ids = np.arange(16, dtype=np.int64)  # 12..15 lead no row
+        for table in (table, table[:, :1], np.empty((0, 2), dtype=np.int64)):
+            rows = SortedRows(table)
+            first, last = rows.lead_runs(ids)
+            lead = rows.columns[0]
+            assert np.array_equal(first, np.searchsorted(lead, ids, "left"))
+            assert np.array_equal(last, np.searchsorted(lead, ids, "right"))
+
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
     def test_find_index_on_array_space(self, rs):
         graph = CSRGraph.from_graph(GRAPHS["dense"])

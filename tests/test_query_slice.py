@@ -17,12 +17,13 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.csr as csr_module
 from repro.core.asynd import and_decomposition
-from repro.core.csr import CSRSpace
+from repro.core.csr import _AND_BLOCK, CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.query import estimate_local_indices
 from repro.core.space import NucleusSpace
-from repro.graph.csr_graph import CSRGraph
+from repro.graph.csr_graph import CliqueArrayView, CSRGraph, _runs
 from repro.graph.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -197,6 +198,69 @@ def test_restrict_is_the_induced_subgraph_space(family, r, s):
             assert sub.neighbors(i) == induced.neighbors(i)
 
 
+def _restrict_by_rows(space, vertex_ids):
+    """``(ctx_offsets, ctx_members, clique ids)`` of ``space.restrict``,
+    computed on the ``(contexts, stride)`` row table: the reference for the
+    flat-slot restriction, which must give the same buffers."""
+    stride = space.stride
+    rows = space.cliques.sorted_rows()
+    keep = np.unique(np.asarray(vertex_ids, dtype=np.int64))
+    in_set = np.zeros(len(space.cliques.labels), dtype=bool)
+    in_set[keep] = True
+    candidates = np.flatnonzero(in_set[rows.columns[0]])
+    for column in rows.columns[1:]:
+        candidates = candidates[in_set[column[candidates]]]
+    kept = np.sort(rows.perm[candidates])
+    n = len(kept)
+    ctx_off = np.asarray(space.ctx_offsets)
+    counts = ctx_off[kept + 1] - ctx_off[kept]
+    partners = np.asarray(space.ctx_members).reshape(-1, stride)[
+        _runs(ctx_off[kept], counts)
+    ]
+    local_of = np.full(len(space), -1, dtype=np.int64)
+    local_of[kept] = np.arange(n, dtype=np.int64)
+    local = local_of[partners]
+    whole = (local >= 0).all(axis=1)
+    owners = np.repeat(np.arange(n, dtype=np.int64), counts)[whole]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n))))
+    ids = np.asarray(space.cliques.ids)[kept]
+    return offsets, local[whole].reshape(-1), ids
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("r,s", INSTANCES + [(1, 3), (2, 4)])
+def test_flat_slot_restrict_matches_the_row_table(family, r, s):
+    # at s = r + 1 a context's partners share their one vertex outside the
+    # owner, so they survive together; (1, 3) and (2, 4) need every column
+    source = FAMILIES[family](3)
+    graph = CSRGraph.from_graph(source)
+    rng = np.random.default_rng(len(family) + r)
+    n = graph.number_of_vertices()
+    subsets = [
+        np.arange(n, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        rng.choice(n, size=n // 2, replace=False),
+        graph.bfs_ball_ids([int(rng.integers(n))], 1),
+        graph.bfs_ball_ids([int(rng.integers(n))], 2),
+    ]
+    # a graph-built space and a dict-flattened one, whose table is permuted
+    flattened = NucleusSpace(source, r, s).to_csr()
+    labels = list(graph.labels)
+    id_of = {label: i for i, label in enumerate(labels)}
+    table = np.array(
+        [[id_of[v] for v in clique] for clique in flattened.cliques],
+        dtype=np.int64,
+    ).reshape(len(flattened), r)
+    flattened.cliques = CliqueArrayView(table, labels)
+    for space in (CSRSpace.from_graph(graph, r, s), flattened):
+        for vertex_ids in subsets:
+            sub = space.restrict(vertex_ids)
+            offsets, members, clique_ids = _restrict_by_rows(space, vertex_ids)
+            assert np.array_equal(sub.ctx_offsets, offsets)
+            assert np.array_equal(sub.ctx_members, members)
+            assert np.array_equal(np.asarray(sub.cliques.ids), clique_ids)
+
+
 @pytest.mark.parametrize("r,s", INSTANCES)
 def test_restrict_to_every_vertex_keeps_the_space(tmp_path_factory, r, s):
     graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 4, 0.7, seed=9))
@@ -237,6 +301,57 @@ def test_restricted_view_finds_through_its_base():
     outside = next(c for c in space.cliques if c not in list(sub.cliques))
     assert sub.find_index(outside) is None
     assert sub.find_index((0, 99)) is None
+
+
+# ----------------------------------------------------------------------
+# the bundle route's kernel and its lazy edge count
+# ----------------------------------------------------------------------
+def test_large_ball_runs_the_counted_kernel(tmp_path_factory, monkeypatch):
+    """A 2-hop ball around a hub holds more than ``_AND_BLOCK`` edges, so
+    the query's AND takes the counted kernel, not the one-block one."""
+    graph = CSRGraph.from_graph(powerlaw_cluster_graph(3000, 4, 0.7, seed=1))
+    space = CSRSpace.from_graph(graph, 2, 3)
+    bundle = _save(tmp_path_factory, graph, space)
+    truth = dict(zip(space.cliques, peeling_decomposition(space).kappa))
+    hub = int(graph.degree_array().argmax())
+    queries = [(hub, int(graph.neighbor_ids(hub)[0]))]
+    queries += _query_cliques(space, 2, random.Random(3))
+    sizes = []
+    count = csr_module._and_count
+
+    def spy(ctx_off, *args):
+        sizes.append(len(ctx_off) - 1)
+        return count(ctx_off, *args)
+
+    monkeypatch.setattr(csr_module, "_and_count", spy)
+    for query in queries:
+        reference = estimate_local_indices(graph, [query], 2, 3, hops=2)
+        del sizes[:]
+        sliced = estimate_local_indices(bundle, [query], 2, 3, hops=2)
+        _assert_same(sliced, reference)
+        for clique, value in sliced.items():
+            assert 0 <= value <= truth[clique]
+        if query == queries[0]:
+            assert sizes and sizes[0] > _AND_BLOCK
+
+
+def test_bundle_route_counts_ball_edges_when_read(truss_bundle, monkeypatch):
+    _, graph, bundle = truss_bundle
+    query = [next(iter(graph.edges()))]
+    reference = estimate_local_indices(graph, query, 2, 3, hops=1)
+    calls = []
+    edges_within = CSRGraph.edges_within
+
+    def spy(self, ids):
+        calls.append(len(ids))
+        return edges_within(self, ids)
+
+    monkeypatch.setattr(CSRGraph, "edges_within", spy)
+    sliced = estimate_local_indices(bundle, query, 2, 3, hops=1)
+    assert calls == []
+    assert sliced.subgraph_edges == reference.subgraph_edges
+    assert sliced.subgraph_edges == reference.subgraph_edges
+    assert calls == [sliced.ball_size]
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,9 @@ from repro.core.peeling import peel_order, peeling_decomposition
 from repro.core.query import estimate_local_indices
 from repro.core.space import NucleusSpace
 from repro.datasets.registry import load_dataset
-from repro.graph.csr_graph import CSRGraph
+from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.generators import powerlaw_cluster_graph, ring_of_cliques
+from repro.graph.graph import Graph
 from repro.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -320,6 +321,41 @@ class TestWiring:
         est = estimate_local_indices(bundle, [edge], 2, 3, hops=1)
         ref = estimate_local_indices(graph, [edge], 2, 3, hops=1)
         assert dict(est) == dict(ref)
+
+    @pytest.mark.parametrize(
+        "relabel",
+        [None, lambda v: 10 * v + 3, lambda v: f"v{v}"],
+        ids=["compact", "int", "str"],
+    )
+    def test_shared_label_table_passes_ids_through(
+        self, tmp_path, monkeypatch, relabel
+    ):
+        source = powerlaw_cluster_graph(40, 3, 0.5, seed=2)
+        if relabel is not None:
+            source = Graph((relabel(u), relabel(v)) for u, v in source.edges())
+        graph = CSRGraph.from_graph(source)
+        space = CSRSpace.from_graph(graph, 2, 3)
+        bundle = open_bundle(save_bundle(tmp_path / "b", graph=graph, space=space))
+
+        def refuse(self):
+            raise AssertionError("a shared label table needs no label map")
+
+        monkeypatch.setattr(CliqueArrayView, "label_ids", refuse)
+        ids = np.array([0, 5, 7, 39], dtype=np.int64)
+        assert np.array_equal(bundle.space_vertex_ids(ids), ids)
+        assert np.array_equal(bundle.space_vertex_ids(ids[::-1]), ids[::-1])
+
+    def test_reopened_label_maps_have_plain_keys(self, saved):
+        path, graph, *_ = saved
+        bundle = open_bundle(path)
+        assert isinstance(bundle.graph.labels, np.ndarray)
+        for v in range(graph.number_of_vertices()):
+            label = graph.labels[v]
+            assert bundle.graph.find_id(label) == v
+            assert bundle.graph.find_id(np.int64(label)) == v
+        assert bundle.graph.find_id(10_000) is None
+        keys = bundle.space.cliques.label_ids()
+        assert all(type(key) is int for key in keys)
 
     def test_bundle_without_usable_component_raises(self, tmp_path):
         result = peeling_decomposition(
