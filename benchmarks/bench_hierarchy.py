@@ -19,11 +19,18 @@ K3 … K159 at (1, 2), so κ_max = 158 and every level is non-empty.  It
 records the array build (``build_s``) next to the union-find reference
 construction kept in ``tests/hierarchy_reference.py`` (``reference_s``).
 
+A third row, ``hierarchy_pipeline_scale``, builds the (2, 3) hierarchy at
+the size of the pipeline benchmark's truss workload,
+``powerlaw_cluster_graph(10000, 8, 0.9)`` (1000 vertices in smoke mode),
+from the κ of the AND, and records ``build_s`` next to the same reference
+assert.
+
 Forest parity (same rows: k ranges, member counts, densities, parents, with
 nodes named by their vertices because the dict space indexes the cliques in
 its own order; identical index arrays for the many-level row) is asserted in every mode;
 the speedup target only in full mode, because single-shot smoke timings on
-shared runners are noise.  The many-level row has no timing floor.  The
+shared runners are noise.  The many-level and pipeline-scale rows have no
+timing floor.  The
 recorded ``*_s`` fields feed the rolling benchmark trend gate
 (``repro.perf.trend``).
 """
@@ -34,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.csr import CSRSpace
+from repro.core.csr import CSRSpace, and_decomposition_csr
 from repro.core.hierarchy import build_hierarchy
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
@@ -172,4 +179,34 @@ def test_hierarchy_many_levels(smoke_mode, bench_record):
         f"\nhierarchy (1,2) over {max(kappa) + 1} levels on {len(space)} vertices, "
         f"{len(built)} nuclei: array build {t_build * 1000:.1f} ms, "
         f"reference {t_reference * 1000:.1f} ms"
+    )
+
+
+#: the pipeline benchmark's truss graph, and its smoke-mode stand-in
+PIPELINE_N, PIPELINE_SMOKE_N = 10000, 1000
+PIPELINE_M, PIPELINE_P = 8, 0.9
+
+
+def test_hierarchy_pipeline_scale(smoke_mode, bench_record):
+    n = PIPELINE_SMOKE_N if smoke_mode else PIPELINE_N
+    graph = powerlaw_cluster_graph(n, PIPELINE_M, PIPELINE_P, seed=SEED)
+    space = CSRSpace.from_graph(graph, 2, 3)
+    result = and_decomposition_csr(space)
+    reps = 1 if smoke_mode else 5
+
+    t_build, built = _best_of(reps, build_hierarchy, space, result)
+    t_reference, reference = _best_of(1, reference_hierarchy, space, result.kappa)
+    assert built.interval_index() == reference_index(reference)
+
+    bench_record(
+        name="hierarchy_pipeline_scale",
+        build_s=round(t_build, 4),
+        reference_s=round(t_reference, 4),
+        cliques=len(space),
+        nodes=len(built),
+        smoke=smoke_mode,
+    )
+    print(
+        f"\nhierarchy (2,3) on {len(space)} edges, {len(built)} nuclei: "
+        f"array build {t_build * 1000:.1f} ms, reference {t_reference * 1000:.1f} ms"
     )

@@ -944,7 +944,7 @@ def and_decomposition_csr(
     return DecompositionResult.from_space(
         space,
         algorithm="and",
-        kappa=tau.tolist(),
+        kappa=tau,
         iterations=iterations,
         converged=converged,
         iteration_stats=stats,
@@ -1468,7 +1468,7 @@ def snd_decomposition_csr(
     return DecompositionResult.from_space(
         space,
         algorithm="snd",
-        kappa=tau.tolist(),
+        kappa=tau,
         iterations=iteration,
         converged=converged,
         tau_history=history,

@@ -8,16 +8,22 @@ with κ >= k (Definition 3): two r-cliques are S-connected when they are
 linked by a chain of r-cliques in which consecutive members share an
 s-clique whose r-cliques all have κ >= k.
 
-Construction runs on any space satisfying
-:class:`repro.core.protocol.SpaceLike` and is a handful of numpy passes per
-distinct κ value, with no per-clique Python work:
+Construction reads the incidence arrays of a
+:class:`~repro.core.csr.CSRSpace` (a :class:`NucleusSpace` through its
+memoised ``to_csr()`` flattening, which keeps its clique indexing) and is a
+handful of numpy passes per distinct κ value, with no per-clique Python
+work:
 
-* every s-clique becomes star edges from its smallest member to the others,
-  weighted by the minimum κ among its members — the highest threshold at
-  which it connects them (a CSR space yields the s-clique table straight
-  from its arrays, the dict space from :meth:`s_clique_groups`);
+* every s-clique becomes one star from its smallest member to the others.
+  The star is read straight off the incidence: of an s-clique's
+  ``C(s, r)`` context rows, its *lead* row, the one whose owner is smaller
+  than every partner, lists exactly those others.  The star is weighted
+  by the minimum κ among its members — the highest threshold at which it
+  connects them — and the stars are ordered by weight, one sort over the
+  s-cliques;
 * the thresholds are walked from κ_max down to 0.  A level only adds the
-  edges of its own weight, mapped onto the current components, and merges
+  stars of its own weight, mapped onto the current components (every
+  clique points straight at its component's smallest clique), and merges
   them with min-label propagation plus pointer jumping, so every component
   is labelled by its smallest clique index;
 * every component a level touches holds a clique whose κ equals the level
@@ -60,11 +66,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as _np
 
-from repro.core.csr import _row_min
+from repro.core.csr import CSRSpace, _row_min
 from repro.core.intervals import INDEX_ARRAYS, HierarchyIndex
 from repro.core.protocol import SpaceLike, space_graph, vertices_of
 from repro.core.result import DecompositionResult
-from repro.core.space import _binomial
 from repro.graph.graph import Vertex
 
 __all__ = ["Nucleus", "NucleusHierarchy", "build_hierarchy"]
@@ -338,10 +343,14 @@ def build_hierarchy(
     kappa = _kappa_list(space, result_or_kappa)
     if len(kappa) != len(space):
         raise ValueError("kappa length does not match the clique space")
-    values = _np.asarray(kappa, dtype=_np.int64)
+    if isinstance(result_or_kappa, DecompositionResult):
+        values = result_or_kappa._kappa_values()  # the kernel's own array
+    else:
+        values = _np.asarray(kappa, dtype=_np.int64)
     if values.size and values.min() < 0:
         raise ValueError("kappa values must be non-negative")
-    index = _forest_index(_s_clique_table(space), values)
+    csr = space if isinstance(space, CSRSpace) else space.to_csr()
+    index = _forest_index(csr.ctx_offsets, csr.ctx_members, csr.stride, values)
     return NucleusHierarchy(space, kappa, index)
 
 
@@ -349,22 +358,14 @@ def _kappa_list(space: SpaceLike, result_or_kappa) -> List[int]:
     """The κ list of a result (checked to index the space's cliques) or a sequence."""
     if isinstance(result_or_kappa, DecompositionResult):
         result_or_kappa.check_aligned(space.cliques)
-        return list(result_or_kappa.kappa)
+        return result_or_kappa.kappa
     return list(result_or_kappa)
 
 
-def _s_clique_table(space: SpaceLike):
-    """Every s-clique once, as an int64 row whose first entry is its smallest member."""
-    if hasattr(space, "s_clique_table"):
-        return space.s_clique_table()
-    groups = space.s_clique_groups()
-    return _np.array(groups, dtype=_np.int64).reshape(-1, _binomial(space.s, space.r))
-
-
-def _forest_index(table, kappa) -> HierarchyIndex:
+def _forest_index(ctx_off, members, stride: int, kappa) -> HierarchyIndex:
     """The interval index of the nucleus forest, built level by level.
 
-    ``table`` holds one s-clique per row (smallest member first) and
+    ``ctx_off``/``members``/``stride`` are a CSR space's incidence and
     ``kappa`` the int64 κ of every r-clique.  Nodes are first created in
     sweep order (densest level first), then renumbered and laid out in
     pre-order.
@@ -374,21 +375,30 @@ def _forest_index(table, kappa) -> HierarchyIndex:
         empty = _np.empty(0, dtype=_np.int64)
         return HierarchyIndex(**{name: empty for name in INDEX_ARRAYS})
 
-    # star edges owner -> partner, weighted by the s-clique's minimum κ and
-    # sorted by weight; cliques sorted by κ — each level is one slice of both
-    fan = table.shape[1] - 1
-    weight = _np.repeat(_row_min(kappa[table]), fan)
+    # one star per s-clique, read off its lead context row (the row whose
+    # owner is smaller than every partner): ends[0] holds the owners,
+    # ends[1:] the partners.  The star's weight is the s-clique's minimum κ;
+    # the stars in weight order and the cliques in κ order make each level
+    # one slice of both
+    ctx_off, members = _np.asarray(ctx_off), _np.asarray(members)
+    owners = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(ctx_off))
+    lead = _np.flatnonzero(owners < _row_min(members.reshape(-1, stride)))
+    ends = _np.empty((stride + 1, len(lead)), dtype=_np.int64)
+    ends[0] = owners[lead]
+    lead *= stride
+    for column in range(stride):
+        ends[column + 1] = members[lead + column]
+    weight = kappa[ends].min(axis=0)
     by_weight = _stable_argsort(weight)
     weight = weight[by_weight]
-    src = _np.repeat(table[:, 0], fan)[by_weight]
-    dst = table[:, 1:].ravel()[by_weight]
     by_kappa = _stable_argsort(kappa)
     sorted_kappa = kappa[by_kappa]
     bounds = [*_np.flatnonzero(_np.diff(sorted_kappa, prepend=-1)).tolist(), n]
 
-    # rep: pointer towards the smallest clique of a clique's component;
-    # node_of: the node a component's smallest clique currently carries.
-    # Every node holds a clique entering at its level, so there are <= n.
+    # rep: the smallest clique of a clique's component (flattened after
+    # every level, so one gather reads it); node_of: the node a
+    # component's smallest clique currently carries.  Every node holds a
+    # clique entering at its level, so there are <= n.
     rep = _np.arange(n, dtype=_np.int64)
     node_of = _np.full(n, -1, dtype=_np.int64)
     leaf = _np.empty(n, dtype=_np.int64)
@@ -403,24 +413,26 @@ def _forest_index(table, kappa) -> HierarchyIndex:
         entering = by_kappa[bounds[level]:bounds[level + 1]]
         k = int(kappa[entering[0]])
         lo, hi = _np.searchsorted(weight, k), _np.searchsorted(weight, k, side="right")
-        a, b = _find(rep, src[lo:hi]), _find(rep, dst[lo:hi])
+        ends_at = rep[ends.take(by_weight[lo:hi], axis=1).ravel()]
         # the level's components: its entering cliques plus the components
-        # its edges touch, compacted to ascending positions 0..m-1.  Every
-        # weight-k edge comes from an s-clique with a member of κ = k, so
+        # its stars touch, compacted to ascending positions 0..m-1.  Every
+        # weight-k star comes from an s-clique with a member of κ = k, so
         # each touched component gains a clique: it is a new nucleus, and
         # the nuclei of the components it absorbed become its children.
-        seen[entering] = seen[a] = seen[b] = True
+        seen[entering] = seen[ends_at] = True
         touched = _np.flatnonzero(seen)
         seen[touched] = False
         m = len(touched)
         slot[touched] = _np.arange(m, dtype=_np.int64)
-        label = _min_labels(m, slot[a], slot[b])
+        at = slot[ends_at]
+        label = _min_labels(m, _np.tile(at[:hi - lo], stride), at[hi - lo:])
         made = touched[label == _np.arange(m, dtype=_np.int64)]  # smallest clique of each
         new_ids = _np.arange(count, count + len(made), dtype=_np.int64)
         absorbed = touched[kappa[touched] > k]
         children = node_of[absorbed]
         node_of[made] = new_ids
         rep[touched] = touched[label]
+        rep = rep[rep]  # the re-pointed roots were one step away: flatten again
         parent[children] = node_of[rep[absorbed]]
         k_low[children] = k + 1
         k_high[new_ids] = k
@@ -485,36 +497,23 @@ def _stable_argsort(values):
     return _np.argsort(values, kind="stable")
 
 
-def _find(rep, cliques):
-    """Current component label of each clique, compressing their pointers."""
-    root = rep[cliques]
-    while True:
-        above = rep[root]
-        if _np.array_equal(above, root):
-            break
-        root = above
-    rep[cliques] = root
-    return root
-
-
 def _min_labels(size: int, a, b):
     """Smallest position in each element's component of the graph ``(a, b)``.
 
-    Min-label propagation: every round hooks the larger of two differing
-    labels onto the smaller one, then jumps pointers until every label is
-    its own root; edges inside one component drop out.
+    Min-label propagation: every round hooks the larger of two labels onto
+    the smaller one, then jumps pointers until every label is its own root;
+    edges inside one component drop out.
     """
     label = _np.arange(size, dtype=_np.int64)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    while a.size:
-        la, lb = label[a], label[b]
+    la, lb = a, b  # every label starts as its own position
+    while la.size:
         _np.minimum.at(label, _np.maximum(la, lb), _np.minimum(la, lb))
         while True:
             above = label[label]
             if _np.array_equal(above, label):
                 break
             label = above
-        keep = label[a] != label[b]
-        a, b = a[keep], b[keep]
+        la, lb = label[a], label[b]
+        keep = _np.flatnonzero(la != lb)  # one scan; four gathers beat four masks
+        a, b, la, lb = a[keep], b[keep], la[keep], lb[keep]
     return label

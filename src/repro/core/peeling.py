@@ -208,7 +208,7 @@ def _peeling_csr(space: CSRSpace) -> DecompositionResult:
     return DecompositionResult.from_space(
         space,
         algorithm="peeling",
-        kappa=kappa.tolist(),
+        kappa=kappa,
         iterations=0,
         converged=True,
         operations={

@@ -16,16 +16,18 @@ actually need, and both space classes satisfy it:
   application never needs a tuple-keyed dict (``find_index`` resolves the
   occasional tuple-shaped query back to an index);
 * **s-clique contexts** — ``contexts(i)`` / ``s_degree(i)`` /
-  ``s_clique_groups()`` expose the s-clique incidence the hierarchy and the
-  degree levels traverse;
+  ``s_clique_groups()`` expose the s-clique incidence the degree levels
+  traverse;
 * **S-connectivity neighbours** — ``neighbors(i)``;
 * **vertex materialisation** — ``clique_of(i)`` (and the :func:`vertices_of`
   helper) turn clique indices back into vertex sets, lazily and only where a
   human-facing answer needs them.
 
-Adding a third backend means implementing this protocol; nothing in
-``hierarchy`` / ``densest`` / ``levels`` / ``metrics`` / ``query`` inspects
-the concrete class beyond an optional CSR fast path.
+Adding a third backend means implementing this protocol, plus
+``to_csr()`` for ``hierarchy``, which reads the flat incidence arrays of
+:class:`repro.core.csr.CSRSpace`; nothing in ``densest`` / ``levels`` /
+``metrics`` / ``query`` inspects the concrete class beyond an optional CSR
+fast path.
 """
 
 from __future__ import annotations

@@ -88,7 +88,10 @@ class DecompositionResult:
         (``"peeling"``, ``"snd"``, ``"and"``, ``"query"``).
     kappa:
         Final κ_s index per r-clique index (aligned with ``space.cliques``
-        when a space is attached).
+        when a space is attached).  May be passed as an int64 array, as the
+        CSR kernels do: the result lists it and keeps the array, read-only,
+        for the array readers (:meth:`kappa_histogram`, the hierarchy, the
+        store), so none of them converts the list again.
     cliques:
         The r-clique tuples, index-aligned with ``kappa``.
     iterations:
@@ -132,6 +135,20 @@ class DecompositionResult:
     _counts: Optional[Tuple[int, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # κ as a read-only int64 array (see _kappa_values)
+    _kappa_array: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if isinstance(self.kappa, _np.ndarray):
+            values = self.kappa
+            # an array the result does not own could still change under it
+            if values.dtype != _np.int64 or not values.flags.owndata:
+                values = _np.array(values, dtype=_np.int64)
+            values.flags.writeable = False
+            self._kappa_array = values
+            self.kappa = values.tolist()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -187,12 +204,24 @@ class DecompositionResult:
             self._by_clique = {c: k for c, k in zip(self.cliques, self.kappa)}
         return self._by_clique
 
+    def _kappa_values(self):
+        """κ as a read-only int64 array, index-aligned with :attr:`kappa`.
+
+        The array the result was built from, or (for a result built from a
+        list) the list converted once and kept.
+        """
+        if self._kappa_array is None:
+            values = _np.fromiter(self.kappa, dtype=_np.int64, count=len(self.kappa))
+            values.flags.writeable = False
+            self._kappa_array = values
+        return self._kappa_array
+
     def _kappa_counts(self) -> Tuple[int, Any]:
         """``(low, counts)``: ``counts[k - low]`` r-cliques have κ = k."""
         if self._counts is None:
-            kappa = _np.fromiter(self.kappa, dtype=_np.int64, count=len(self.kappa))
-            low = int(kappa.min(initial=0))
-            self._counts = (low, _np.bincount(kappa - low))
+            kappa = self._kappa_values()
+            low = int(kappa.min(initial=0))  # 0 unless some κ is negative
+            self._counts = (low, _np.bincount(kappa - low if low else kappa))
         return self._counts
 
     def max_kappa(self) -> int:
@@ -233,7 +262,8 @@ class DecompositionResult:
         """Build a result aligned with a :class:`NucleusSpace` or :class:`CSRSpace`.
 
         Both space representations expose index-aligned ``r``, ``s`` and
-        ``cliques``, which is all the result needs.
+        ``cliques``, which is all the result needs.  ``kappa`` is a list or
+        an int64 array; an array the result owns is kept, not copied.
         """
         cliques = space.cliques
         if isinstance(cliques, list):
@@ -244,7 +274,7 @@ class DecompositionResult:
             r=space.r,
             s=space.s,
             algorithm=algorithm,
-            kappa=list(kappa),
+            kappa=kappa if isinstance(kappa, _np.ndarray) else list(kappa),
             cliques=cliques,
             **kwargs,
         )

@@ -347,7 +347,7 @@ def _extract_result(arena: SharedCSRBuffers, kind: str, n: int, num_workers: int
     updates_total = meta[_META_UPDATES]
     processed = int(_read_int64(arena.get("proc"), num_workers).sum())
     final_tag = "tau_a" if kind == "and" or rounds % 2 == 0 else "tau_b"
-    kappa = _read_int64(arena.get(final_tag), n).tolist()
+    kappa = _read_int64(arena.get(final_tag), n)
     return rounds, converged, updates_total, processed, kappa
 
 

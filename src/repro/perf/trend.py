@@ -7,11 +7,14 @@ commit's payload and the current one, it flags
 * **test regressions** — a benchmark test whose wall-clock duration grew by
   more than the threshold (default 25%), and
 * **kernel regressions** — a recorded measurement (``bench_record`` entries
-  such as the backend speedup timings) whose ``*_s`` seconds field grew by
-  more than the threshold.
+  such as the backend speedup timings) whose ``*_s`` seconds field or
+  ``*_us`` / ``*_us_p<NN>`` microseconds field grew by more than the
+  threshold.
 
 Durations below ``min_seconds`` are ignored on both sides: single-shot smoke
-timings of sub-50 ms tests are scheduling noise, not signal.  Tests whose id
+timings of sub-50 ms tests are scheduling noise, not signal.  The floor does
+not apply to ``*_us`` fields (``bench_fig10_query``'s ``query_us_p50``):
+they are medians over many calls, not single-shot timings.  Tests whose id
 matches an ``ignore_tests`` substring (default: the process-pool and
 measured-scalability benches) are excluded from the duration gate for the
 same reason — multi-process wall-clock on a time-sliced shared runner
@@ -47,6 +50,7 @@ import contextlib
 import glob
 import json
 import os
+import re
 import statistics
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -93,11 +97,21 @@ def _test_durations(payload: dict) -> Dict[str, float]:
     }
 
 
-def _kernel_seconds(payload: dict) -> Dict[Tuple[str, str], float]:
-    """Flatten measurement records into ``(name, field) -> seconds``.
+def _unit(field: str) -> Optional[str]:
+    """``"s"`` for a seconds field (``csr_s``), ``"us"`` for a microseconds
+    one (``query_us``, or a percentile of it such as ``query_us_p50``),
+    ``None`` for anything else."""
+    if field.endswith("_s"):
+        return "s"
+    if re.search(r"_us(_p\d+)?$", field):
+        return "us"
+    return None
 
-    Only fields ending in ``_s`` (the convention for kernel wall-clock
-    seconds, e.g. ``csr_s`` / ``dict_s``) participate; ratios and counters
+
+def _kernel_timings(payload: dict) -> Dict[Tuple[str, str], float]:
+    """Flatten measurement records into ``(name, field) -> value``.
+
+    Only timing fields participate (:func:`_unit`); ratios and counters
     are machine-independent enough to not need a gate.
     """
     out: Dict[Tuple[str, str], float] = {}
@@ -106,7 +120,7 @@ def _kernel_seconds(payload: dict) -> Dict[Tuple[str, str], float]:
         if not name:
             continue
         for field, value in rec.items():
-            if field.endswith("_s") and isinstance(value, (int, float)):
+            if _unit(field) and isinstance(value, (int, float)):
                 out[(name, field)] = float(value)
     return out
 
@@ -134,15 +148,18 @@ def compare_payloads(
                 f"(+{(cur / prev - 1.0) * 100.0:.0f}%, threshold "
                 f"{threshold * 100.0:.0f}%)"
             )
-    prev_kernels = _kernel_seconds(previous)
-    for key, cur in _kernel_seconds(current).items():
+    prev_kernels = _kernel_timings(previous)
+    for key, cur in _kernel_timings(current).items():
         prev = prev_kernels.get(key)
-        if prev is None or prev < min_seconds or cur < min_seconds:
+        name, field = key
+        unit = _unit(field)
+        if prev is None or prev <= 0:
+            continue
+        if unit == "s" and (prev < min_seconds or cur < min_seconds):
             continue
         if cur > prev * (1.0 + threshold):
-            name, field = key
             regressions.append(
-                f"kernel {name}.{field}: {prev:.3f}s -> {cur:.3f}s "
+                f"kernel {name}.{field}: {prev:.3f}{unit} -> {cur:.3f}{unit} "
                 f"(+{(cur / prev - 1.0) * 100.0:.0f}%, threshold "
                 f"{threshold * 100.0:.0f}%)"
             )
@@ -214,8 +231,8 @@ def _median_baseline(history: List[dict]) -> dict:
     for payload in history:
         for test, duration in _test_durations(payload).items():
             test_samples.setdefault(test, []).append(duration)
-        for key, seconds in _kernel_seconds(payload).items():
-            kernel_samples.setdefault(key, []).append(seconds)
+        for key, value in _kernel_timings(payload).items():
+            kernel_samples.setdefault(key, []).append(value)
     measurements: Dict[str, dict] = {}
     for (name, field), samples in kernel_samples.items():
         measurements.setdefault(name, {"name": name})[field] = statistics.median(

@@ -91,8 +91,8 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
 #: File name of the manifest inside a bundle directory.  The manifest is
-#: written last: a directory without one is an incomplete write, not a
-#: bundle.
+#: removed first and written last: a directory without one is an
+#: incomplete write, not a bundle.
 MANIFEST_NAME = "manifest.json"
 
 #: Buffer names of each component (docs/FORMAT.md is the normative list).
@@ -142,7 +142,8 @@ def _encode_labels(
     """
     if _identity_labels(labels):
         return {"kind": "identity", "n": len(labels)}
-    values = list(labels)
+    # a reopened bundle's table is an int64 memmap: its items are numpy ints
+    values = labels.tolist() if isinstance(labels, _np.ndarray) else list(labels)
     types = {type(v) for v in values}
     if types <= {int}:
         writer(buffer_name, _np.asarray(values, dtype=_np.int64))
@@ -213,9 +214,12 @@ def save_bundle(
     Parameters
     ----------
     path : str or path-like
-        Target directory (created if absent; existing buffer files are
-        overwritten).  The manifest is written last, atomically, so an
-        interrupted save never masquerades as a valid bundle.
+        Target directory (created if absent).  Saving over a bundle first
+        removes its manifest, so an interrupted save never leaves an old
+        manifest over new buffers; the new manifest is written last,
+        atomically.  Each old buffer file is unlinked just before its new
+        one is written, never truncated: a reader that opened the old
+        bundle keeps reading the old bytes through its memory maps.
     graph : Graph or CSRGraph, optional
         The source graph.  A dict :class:`Graph` is converted to its CSR
         form first — bundles always store flat arrays.
@@ -258,6 +262,8 @@ def save_bundle(
         raise ValueError("save_bundle needs at least one component")
     target = Path(path)
     target.mkdir(parents=True, exist_ok=True)
+    # from here on the directory is not a bundle until the new manifest lands
+    (target / MANIFEST_NAME).unlink(missing_ok=True)
 
     buffers: Dict[str, Dict[str, Any]] = {}
     components: Dict[str, Dict[str, Any]] = {}
@@ -267,12 +273,16 @@ def save_bundle(
         if array.dtype == object:
             raise StoreFormatError(f"buffer {name!r} has object dtype")
         filename = f"{name}.npy"
+        # a new file, not a truncated one: an open reader's memory map of
+        # the old file keeps its bytes (truncation would also make ext4
+        # flush the file's data)
+        (target / filename).unlink(missing_ok=True)
         _np.save(target / filename, array)
         buffers[name] = {
             "file": filename,
             "dtype": array.dtype.str,
             "shape": list(array.shape),
-            "crc32": zlib.crc32(array.tobytes()),
+            "crc32": zlib.crc32(array),
         }
 
     r = s = None
@@ -307,7 +317,7 @@ def save_bundle(
         r, s = result.r, result.s
         if space is not None and len(result.kappa) != len(space):
             raise ValueError("result kappa length disagrees with the space")
-        write("result.kappa", _np.asarray(result.kappa, dtype=_np.int64))
+        write("result.kappa", result._kappa_values())
         components["result"] = {
             "algorithm": result.algorithm,
             "iterations": int(result.iterations),
@@ -506,7 +516,7 @@ class Bundle:
         """Check every buffer's CRC32 against the manifest (reads all data)."""
         for name, entry in self.manifest["buffers"].items():
             array = self.load_array(name)
-            crc = zlib.crc32(_np.ascontiguousarray(array).tobytes())
+            crc = zlib.crc32(_np.ascontiguousarray(array))
             if crc != entry["crc32"]:
                 raise StoreFormatError(
                     f"checksum mismatch for buffer {name!r} in {self.path}: "
@@ -600,13 +610,13 @@ class Bundle:
     def result(self) -> DecompositionResult:
         """The stored decomposition as a :class:`DecompositionResult`.
 
-        κ materialises to a list here (the result API contract); use
-        :attr:`kappa` / :meth:`kappa_of` for lookups that should stay on
-        the memmap.
+        κ materialises to a list here (the result API contract), next to
+        a copy of the stored array; use :attr:`kappa` / :meth:`kappa_of`
+        for lookups that should stay on the memmap.
         """
         if self._result is None:
             spec = self._component("result")
-            kappa = self.kappa.tolist()
+            kappa = self.kappa
             cliques = (
                 self.space.cliques
                 if self.has("space")

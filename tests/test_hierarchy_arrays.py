@@ -38,7 +38,7 @@ from repro.graph.generators import (
 )
 from repro.store import open_bundle, save_bundle
 
-INSTANCES = [(1, 2), (2, 3), (3, 4)]
+INSTANCES = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)]
 
 
 def family_graphs(seed):
@@ -91,6 +91,27 @@ def test_matches_reference_across_many_levels():
     kappa = peeling_decomposition(space).kappa
     assert max(kappa) == 22
     assert_matches_reference(space, kappa)
+
+
+@pytest.mark.parametrize("rs", INSTANCES)
+def test_build_reads_the_incidence_not_the_s_clique_groups(rs, monkeypatch):
+    """The stars come straight from the lead context rows: neither space
+    lists its s-cliques, and a dict space is read through its one
+    memoised flattening."""
+
+    def forbidden(*args):
+        raise AssertionError("the hierarchy listed the s-cliques")
+
+    monkeypatch.setattr(CSRSpace, "s_clique_table", forbidden)
+    monkeypatch.setattr(CSRSpace, "s_clique_groups", forbidden)
+    monkeypatch.setattr(NucleusSpace, "s_clique_groups", forbidden)
+    graph = powerlaw_cluster_graph(40, 4, 0.7, seed=2)
+    dict_space = NucleusSpace(graph, *rs)
+    for space in (dict_space, CSRSpace.from_graph(graph, *rs)):
+        build_hierarchy(space, peeling_decomposition(space))
+    flattened = dict_space.to_csr()
+    build_hierarchy(dict_space, peeling_decomposition(dict_space))
+    assert dict_space.to_csr() is flattened
 
 
 def test_index_arrays_are_flat_int64():

@@ -8,6 +8,7 @@ shape error).
 """
 
 import json
+import os
 import random
 import shutil
 from pathlib import Path
@@ -211,6 +212,79 @@ class TestRoundTrip:
         )
         with pytest.raises(ValueError, match="disagrees"):
             save_bundle(tmp_path / "x", space=space, result=other)
+
+
+# ----------------------------------------------------------------------
+# saving over an existing bundle
+# ----------------------------------------------------------------------
+#: Opens bundle A, memory-maps every buffer, saves a much smaller bundle B
+#: into the same directory, then reads A's maps again.  A writer that
+#: truncates the old files in place changes A's bytes under it and kills
+#: this process with SIGBUS once a map reads past the new end of file.
+OVERWRITE_SCRIPT = """
+import sys
+import numpy as np
+from repro.core.csr import CSRSpace
+from repro.core.hierarchy import build_hierarchy
+from repro.core.peeling import peeling_decomposition
+from repro.graph.csr_graph import CSRGraph
+from repro.graph.generators import complete_graph, powerlaw_cluster_graph
+from repro.store import open_bundle, save_bundle
+
+def parts(graph):
+    graph = CSRGraph.from_graph(graph)
+    space = CSRSpace.from_graph(graph, 2, 3)
+    result = peeling_decomposition(space)
+    return dict(graph=graph, space=space, result=result,
+                hierarchy=build_hierarchy(space, result))
+
+path = sys.argv[1]
+save_bundle(path, **parts(powerlaw_cluster_graph(300, 6, 0.8, seed=1)))
+a = open_bundle(path)
+names = sorted(a.manifest["buffers"])
+before = {name: np.array(a.load_array(name)) for name in names}
+save_bundle(path, **parts(complete_graph(4)))
+changed = [name for name in names if not np.array_equal(a.load_array(name), before[name])]
+assert not changed, changed
+assert open_bundle(path, verify=True).kappa.tolist() == [2] * 6
+print("ok")
+"""
+
+
+class TestOverwrite:
+    def test_open_readers_keep_their_bytes(self, tmp_path):
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", OVERWRITE_SCRIPT, str(tmp_path / "b")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+        assert done.stdout.strip() == "ok"
+
+    def test_interrupted_overwrite_is_not_a_bundle(self, saved, monkeypatch):
+        """A save that fails after its first buffers must not leave the old
+        manifest vouching for the new files."""
+        path, *_ = saved
+        real_save, calls = np.save, []
+
+        def failing_save(file, array, *args, **kwargs):
+            calls.append(file)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return real_save(file, array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        graph = CSRGraph.from_graph(ring_of_cliques(3, 4))
+        space = CSRSpace.from_graph(graph, 2, 3)
+        with pytest.raises(OSError, match="no space"):
+            save_bundle(path, graph=graph, space=space, result=peeling_decomposition(space))
+        with pytest.raises(StoreFormatError, match="not a bundle"):
+            open_bundle(path)
 
 
 # ----------------------------------------------------------------------

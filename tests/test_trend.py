@@ -71,6 +71,24 @@ class TestComparePayloads:
         assert len(lines) == 1
         assert "snd_backend_speedup.csr_s" in lines[0]
 
+    def test_microsecond_medians_gated_below_the_seconds_floor(self):
+        # a per-query median is tiny in seconds but not single-shot noise
+        prev = payload(measurements=[{"name": "fig10_query", "query_us_p50": 800.0}])
+        slower = payload(measurements=[{"name": "fig10_query", "query_us_p50": 1100.0}])
+        within = payload(measurements=[{"name": "fig10_query", "query_us_p50": 1000.0}])
+        lines = compare_payloads(prev, slower, threshold=0.25, min_seconds=0.05)
+        assert len(lines) == 1
+        assert "fig10_query.query_us_p50" in lines[0] and "us" in lines[0]
+        assert compare_payloads(prev, within, threshold=0.25, min_seconds=0.05) == []
+
+    def test_microsecond_medians_gated_against_history(self):
+        history = [
+            payload(measurements=[{"name": "q", "query_us_p50": value}])
+            for value in (790.0, 800.0, 5000.0)
+        ]
+        slower = payload(measurements=[{"name": "q", "query_us_p50": 1010.0}])
+        assert len(compare_to_history(history, slower, threshold=0.25)) == 1
+
     def test_non_seconds_fields_ignored(self):
         # the speedup ratio halves, but ratios are not gated — only *_s are
         prev = payload(measurements=[{"name": "m", "speedup": 10.0}])
