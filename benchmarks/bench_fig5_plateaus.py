@@ -2,7 +2,8 @@
 
 Regenerates (a) the plateau statistics of the k-truss convergence on the
 facebook stand-in and (b) the processed/skipped counts with the notification
-mechanism on and off.
+mechanism on and off.  The plateau test also records the serial SND
+seconds of its instance (``snd_s``, no floor).
 """
 
 from repro.experiments.plateaus import (
@@ -13,7 +14,7 @@ from repro.experiments.plateaus import (
 )
 
 
-def test_fig5_tau_plateaus(benchmark):
+def test_fig5_tau_plateaus(benchmark, record_snd_seconds):
     payload = benchmark.pedantic(
         run_tau_traces, args=("fb", 2, 3), rounds=1, iterations=1
     )
@@ -22,6 +23,7 @@ def test_fig5_tau_plateaus(benchmark):
     stats = payload["plateau_stats"][0]
     assert stats["mean_intermediate_plateau"] >= 0.0
     assert stats["mean_final_plateau"] >= 0.0
+    record_snd_seconds("fig5_snd", "fb", 2, 3)
 
 
 def test_fig5_notification_savings(benchmark):

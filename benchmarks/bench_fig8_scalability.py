@@ -7,7 +7,7 @@ peeling, and dynamic scheduling dominates static when the per-clique work is
 skewed.
 
 Since the shared-memory process pool landed, the experiment also has a
-*measured* series: real wall-clock times of the multi-process SND runner at
+*measured* series: real wall-clock times of the multi-process AND runner at
 1/2/4 workers.  κ parity across worker counts is always asserted; the hard
 speedup target is only asserted when the machine actually has the cores
 (single-shot timings on shared single-core CI runners measure scheduling
@@ -58,7 +58,6 @@ def test_fig8_measured_process_scalability(smoke_mode, bench_record):
         2,
         3,
         worker_counts=WORKER_COUNTS,
-        algorithm="snd",
         repeats=1 if smoke_mode else 3,
     )
     print()
@@ -66,7 +65,7 @@ def test_fig8_measured_process_scalability(smoke_mode, bench_record):
     by_workers = {row["workers"]: row for row in rows}
     for workers, row in by_workers.items():
         bench_record(
-            name="fig8_measured_snd",
+            name="fig8_measured_and",
             workers=workers,
             seconds=row["seconds"],
             speedup=row["speedup"],

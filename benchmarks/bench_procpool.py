@@ -4,11 +4,6 @@ The claims of the shared-memory process backend, measured on the same
 2000-vertex clustered power-law (2, 3) bench graph as
 ``bench_backend_speedup.py``:
 
-* **SND at 4 workers is >= 2x faster than at 1 worker** — asserted only when
-  the machine actually has >= 4 cores and the run is not in smoke mode
-  (single-core CI runners time-slice the workers; the measured ratio is
-  still recorded into the JSON artifact either way so the trajectory is
-  visible per commit);
 * **``CSRSpace.from_graph`` beats dict-then-convert construction** — the
   direct enumerator-to-array path must be faster than building the
   dict-of-tuples ``NucleusSpace`` and flattening it;
@@ -21,8 +16,9 @@ The claims of the shared-memory process backend, measured on the same
   deterministic-ish work counter, asserted in every mode (clique visits
   are not wall-clock).
 
-κ parity is asserted unconditionally: the process-pool output, keyed by
-clique, must equal the serial dict backend's.
+κ parity is asserted unconditionally: the process-pool AND output, keyed
+by clique, must equal the serial dict backend's.  The pool's speedup over
+worker counts is measured by ``bench_fig8_scalability.py``.
 
 Recording convention: multi-process wall-clock timings go into the artifact
 under ``*_seconds`` field names, **not** the ``*_s`` suffix, so the CI trend
@@ -30,33 +26,20 @@ gate (``repro.perf.trend`` compares ``*_s`` kernel timings) does not flag
 scheduling noise from time-sliced shared runners as a kernel regression.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.core.csr import CSRSpace, and_decomposition_csr
-from repro.core.snd import snd_decomposition
+from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.parallel.procpool import (
-    PersistentPool,
-    process_and_decomposition,
-    process_snd_decomposition,
-)
+from repro.parallel.procpool import PersistentPool, process_and_decomposition
 
 FULL_N, SMOKE_N = 2000, 400
 M, P, SEED = 10, 0.9, 5
 
-SND_POOL_TARGET = 2.0      # 4 workers vs 1 worker, needs real cores
 CONSTRUCTION_TARGET = 1.0  # from_graph must at least beat dict-then-convert
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _best_of(repeats, fn, *args, **kwargs):
@@ -91,40 +74,8 @@ def bench_csr(bench_graph):
     return CSRSpace.from_graph(bench_graph, 2, 3)
 
 
-def test_snd_procpool_speedup(bench_graph, bench_csr, smoke_mode, bench_record):
-    reps = 1 if smoke_mode else 3
-    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3))
-    t_1, r_1 = _best_of(reps, process_snd_decomposition, bench_csr, workers=1)
-    t_4, r_4 = _best_of(reps, process_snd_decomposition, bench_csr, workers=4)
-    # κ by clique identical across serial dict, 1-worker and 4-worker pools
-    # (the pools run on the graph-built space, indexed in sorted id order)
-    assert r_1.as_dict() == serial.as_dict()
-    assert r_4.as_dict() == serial.as_dict()
-    assert r_4.iterations == serial.iterations
-    speedup = t_1 / t_4
-    cpus = _available_cpus()
-    bench_record(
-        name="snd_procpool_speedup",
-        workers_1_seconds=round(t_1, 4),
-        workers_4_seconds=round(t_4, 4),
-        speedup=round(speedup, 2),
-        cpus=cpus,
-        smoke=smoke_mode,
-    )
-    print(
-        f"\nSND process pool on {len(bench_csr)} edges ({cpus} cpus): "
-        f"1 worker {t_1 * 1000:.1f} ms, 4 workers {t_4 * 1000:.1f} ms "
-        f"-> {speedup:.2f}x"
-    )
-    if not smoke_mode and cpus >= 4:
-        assert speedup >= SND_POOL_TARGET, (
-            f"process-pool SND speedup {speedup:.2f}x at 4 workers below the "
-            f"{SND_POOL_TARGET}x target on a {cpus}-core machine"
-        )
-
-
 def test_and_procpool_parity(bench_graph, bench_csr, smoke_mode, bench_record):
-    serial = snd_decomposition(NucleusSpace(bench_graph, 2, 3))
+    serial = peeling_decomposition(NucleusSpace(bench_graph, 2, 3))
     t_pool, r_pool = _best_of(
         1 if smoke_mode else 2, process_and_decomposition, bench_csr, workers=4
     )
@@ -149,12 +100,12 @@ def test_persistent_pool_beats_cold_start(bench_csr, smoke_mode, bench_record):
 
     def cold_call(space):
         with PersistentPool(workers) as fresh:
-            return fresh.run_snd(space)
+            return fresh.run_and(space)
 
     t_cold, _ = _best_of(calls, cold_call, bench_csr)
     with PersistentPool(workers) as pool:
-        warm = pool.run_snd(bench_csr)  # untimed: pays the fork + segments once
-        t_warm, r_warm = _best_of(calls, pool.run_snd, bench_csr)
+        warm = pool.run_and(bench_csr)  # untimed: pays the fork + segments once
+        t_warm, r_warm = _best_of(calls, pool.run_and, bench_csr)
         forks = pool.forks
     assert r_warm.kappa == warm.kappa
     assert forks == workers  # all timed calls reused the first fork batch
@@ -167,7 +118,7 @@ def test_persistent_pool_beats_cold_start(bench_csr, smoke_mode, bench_record):
         smoke=smoke_mode,
     )
     print(
-        f"\nSND per call at {workers} workers: cold {t_cold * 1000:.1f} ms, "
+        f"\nAND per call at {workers} workers: cold {t_cold * 1000:.1f} ms, "
         f"persistent {t_warm * 1000:.1f} ms "
         f"({overhead_ratio:.2f}x of cold)"
     )

@@ -42,6 +42,7 @@ SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.core.csr import CSRSpace, snd_decomposition_csr  # noqa: E402
 from repro.core.space import NucleusSpace          # noqa: E402
 from repro.datasets.registry import load_dataset   # noqa: E402
 
@@ -137,6 +138,30 @@ def bench_record(request):
     def _record(**fields):
         fields.setdefault("test", request.node.nodeid)
         _EXTRA.append(fields)
+
+    return _record
+
+
+@pytest.fixture
+def record_snd_seconds(bench_record):
+    """Time serial SND on a dataset's (r, s) space and record it, no floor.
+
+    Usage: ``record_snd_seconds("fig1a_snd", "fb", 2, 3)`` records
+    ``snd_s`` (one call, space built beforehand) and the iteration count.
+    """
+
+    def _record(name, dataset, r, s):
+        space = CSRSpace.from_graph(load_dataset(dataset, representation="csr"), r, s)
+        t0 = time.perf_counter()
+        result = snd_decomposition_csr(space)
+        bench_record(
+            name=name,
+            dataset=dataset,
+            r=r,
+            s=s,
+            snd_s=round(time.perf_counter() - t0, 4),
+            iterations=result.iterations,
+        )
 
     return _record
 

@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-process counts for --measured (speedup is relative to "
         "the first count)",
     )
-    scal.add_argument(
-        "--algorithm",
-        choices=["snd", "and"],
-        default="snd",
-        help="local algorithm timed by --measured",
-    )
 
     runt = sub.add_parser("runtime", help="Figure 7: peeling vs SND vs AND")
     runt.add_argument("--datasets", nargs="+", default=list(SMALL_DATASETS))
@@ -140,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         choices=["process"],
         default=None,
-        help="run the local algorithms on a pool: 'process' shares the CSR "
-        "buffers across worker processes (real multi-core; the space is "
-        "built serially first)",
+        help="run AND on a pool: 'process' shares the CSR buffers across "
+        "worker processes (real multi-core; the space is built serially "
+        "first)",
     )
     dec.add_argument(
         "--workers",
@@ -206,6 +200,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # a silently discarded worker count looks like a slow parallel run;
         # fail loudly instead
         parser.error("--workers requires --parallel process")
+    if args.command == "decompose" and args.parallel and args.algorithm != "and":
+        parser.error("--parallel process runs --algorithm and only")
     if args.command == "decompose" and args.parallel != "process":
         if args.resilient:
             parser.error("--resilient requires --parallel process")
@@ -247,7 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     run_measured_scalability(
                         args.datasets,
                         worker_counts=args.workers,
-                        algorithm=args.algorithm,
                     )
                 )
             )

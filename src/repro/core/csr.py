@@ -30,19 +30,20 @@ order of :class:`repro.core.space.NucleusSpace`; ``NucleusSpace.to_csr()``
 (:meth:`CSRSpace.from_space`) is the flattening that keeps the dict
 space's indexing, for index-aligned comparison against the oracle.
 
-Each local algorithm has one round kernel for a chunk of cliques:
-:func:`_and_sweep` (one frontier-batched AND pass, driven by notification
-flags) and :func:`_snd_sweep` (one Jacobi SND step).  The workers of
-:class:`repro.parallel.procpool.PersistentPool` run them over their own
-chunks of shared-memory views, and :func:`snd_decomposition_csr` runs
-:func:`_snd_sweep` over the single chunk ``[0, n)``.  The serial AND,
-:func:`and_decomposition_csr`, runs :func:`_and_count` instead: one writer
-can keep a per-clique support count up to date, so a pass gathers only the
-cliques whose τ drops, where the pool's chunks gather every flagged clique
-and check it.  The serial kernel also lowers a large frontier in
-ascending-τ blocks, each reading the τ the earlier blocks published, so
-its passes are Gauss–Seidel where the pool's are Jacobi; while every
-frontier fits one block the two take the same τ trajectory.  A space too
+The pool's AND round kernel, :func:`_and_sweep`, runs one frontier-batched
+pass over a chunk of cliques, driven by notification flags: the workers of
+:class:`repro.parallel.procpool.PersistentPool` run it over their own
+chunks of shared-memory views.  The serial local algorithms share one pass
+kernel instead, picked by :func:`_pass_kernel`.  On a space of more than
+``_AND_BLOCK`` cliques it is :func:`_and_count`: one writer can keep a
+per-clique support count up to date, so a pass gathers only the cliques
+whose τ drops, where the pool's chunks gather every flagged clique and
+check it.  The serial AND, :func:`and_decomposition_csr`, lets it lower a
+large frontier in ascending-τ blocks, each reading the τ the earlier blocks
+published, so its passes are Gauss–Seidel where the pool's are Jacobi;
+while every frontier fits one block the two take the same τ trajectory.
+SND, :func:`snd_decomposition_csr`, sets no block limit, so each of its
+passes is exactly one synchronous Jacobi step of Algorithm 2.  A space too
 small to block a frontier (at most ``_AND_BLOCK`` cliques) runs
 :func:`_and_jacobi`, plain Jacobi passes with the counted kernel's
 trajectory and counters and none of its count bookkeeping.  κ equals the
@@ -59,7 +60,8 @@ The AND counters in ``result.operations`` and ``iteration_stats``:
 ``processed`` is the number of cliques a pass looks at (every clique in the
 first pass, the counted frontier in a later one), ``skipped`` the rest, and
 ``rho_evaluations`` the context rows gathered (see
-:func:`and_decomposition_csr`).
+:func:`and_decomposition_csr`).  SND's counters follow the paper's cost
+model instead (see :func:`snd_decomposition_csr`).
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ class CSRSpace:
 
         ``pool`` (a :class:`~repro.parallel.procpool.PersistentPool`) binds
         the serially built space on that pool: its segments are created and
-        the workers forked now, so a following ``pool.run_and(space)`` or
-        ``run_snd(space)`` sweeps without a second fork.
+        the workers forked now, so a following ``pool.run_and(space)``
+        sweeps without a second fork.
         """
         if r < 1 or s <= r:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
@@ -955,21 +957,15 @@ def and_decomposition_csr(
 def _and_passes(space: CSRSpace, max_iterations: Optional[int] = None):
     """The pass loop of :func:`and_decomposition_csr`, with no result built.
 
-    Picks the kernel by size (:func:`_and_jacobi` up to ``_AND_BLOCK``
-    cliques, :func:`_and_count` above), runs passes until one lowers no τ
+    Binds the kernel :func:`_pass_kernel` picks, with blocks of
+    ``_AND_BLOCK`` cliques, runs passes until one lowers no τ
     or ``max_iterations`` passes have run, and returns ``(tau, iterations,
     converged, iteration_stats, operations)``: τ as an int64 array and the
     counters without the ``backend`` / ``engine`` tags.  A local query
     reads τ here directly.
     """
     n = len(space)
-    ctx_off = space.ctx_offsets
-    tau = ctx_off[1:] - ctx_off[:-1]
-    buffers = (ctx_off, space.ctx_members, space.stride, tau)
-    if n <= _AND_BLOCK:
-        step = _and_jacobi(*buffers)
-    else:
-        step = _and_count(*buffers, _np.zeros(n, dtype=_np.int64))
+    tau, step = _pass_kernel(space, _AND_BLOCK)
     stats: List[IterationStats] = []
     rho_evaluations = 0
     h_calls = 0
@@ -1008,6 +1004,22 @@ def _and_passes(space: CSRSpace, max_iterations: Optional[int] = None):
     return tau, iteration, converged, stats, operations
 
 
+def _pass_kernel(space: CSRSpace, block: Optional[int]):
+    """``(tau, step)``: τ at the s-degrees and the pass kernel bound to it.
+
+    A space of at most ``_AND_BLOCK`` cliques runs :func:`_and_jacobi`, any
+    larger one :func:`_and_count` with frontiers of more than ``block``
+    cliques cut into blocks (``None``: never cut, so every pass is one
+    Jacobi step).  ``step(first)`` updates ``tau`` in place.
+    """
+    tau = space.ctx_offsets[1:] - space.ctx_offsets[:-1]
+    buffers = (space.ctx_offsets, space.ctx_members, space.stride, tau)
+    if len(space) <= _AND_BLOCK:
+        return tau, _and_jacobi(*buffers)
+    support = _np.zeros(len(space), dtype=_np.int64)
+    return tau, _and_count(*buffers, support, block)
+
+
 def support_counts(space: CSRSpace, tau):
     """Each clique's support under ``tau``, counted from scratch.
 
@@ -1040,7 +1052,7 @@ def _support(ctx_off, columns, tau):
 
 
 @kernel
-def _and_count(ctx_off, members, stride: int, tau, support):
+def _and_count(ctx_off, members, stride: int, tau, support, block: Optional[int]):
     """The counted AND kernel: a serial pass that gathers only cliques that drop.
 
     Binds the space buffers, the τ array and the int64 ``support`` counts
@@ -1055,17 +1067,17 @@ def _and_count(ctx_off, members, stride: int, tau, support):
     pass then takes the frontier ``support < τ``.  Each clique in it fails
     the check, so no check runs.
 
-    The block rule: a frontier of at most ``_AND_BLOCK`` cliques is one
-    block.  A larger one is sorted by τ, ascending, and cut into
-    consecutive blocks of ``_AND_BLOCK`` cliques, which run one after the
-    other, each one the sub-step below over its own cliques.  A block reads
-    the τ that earlier blocks of the same pass published (Gauss–Seidel
-    between blocks, Jacobi within one), so low-τ cliques drop first and a
-    later block ranks its rows against their new values, as the paper's
-    in-place updates do.  Frontier membership is fixed when the pass
-    starts: counts only fall, so a clique in a later block still fails its
-    check when its block runs, and a clique that starts to fail during the
-    pass waits for the next one.
+    The block rule: a frontier of at most ``block`` cliques, or any
+    frontier when ``block`` is ``None``, is one block.  A larger one is
+    sorted by τ, ascending, and cut into consecutive blocks of ``block``
+    cliques, which run one after the other, each one the sub-step below
+    over its own cliques.  A block reads the τ that earlier blocks of the
+    same pass published (Gauss–Seidel between blocks, Jacobi within one),
+    so low-τ cliques drop first and a later block ranks its rows against
+    their new values, as the paper's in-place updates do.  Frontier
+    membership is fixed when the pass starts: counts only fall, so a clique
+    in a later block still fails its check when its block runs, and a
+    clique that starts to fail during the pass waits for the next one.
 
     The sub-step gathers its cliques' rows and computes each new τ as the
     h-index of its segment, one sort of packed ``(segment, -ρ)`` keys as in
@@ -1089,11 +1101,13 @@ def _and_count(ctx_off, members, stride: int, tau, support):
     the counts equal :func:`support_counts` after every block.  A pass run
     as one block is one Jacobi step that skips the cliques that cannot
     drop, the τ trajectory of :func:`_and_sweep` and of
-    :func:`_and_jacobi`, which is why :func:`and_decomposition_csr` runs
-    only spaces of more than ``_AND_BLOCK`` cliques here; a blocked pass
-    lowers τ at least as far, elementwise, since τ is monotone.  An empty
-    frontier is the converging pass.  The counts have one writer, which is why the
-    pool's chunks keep :func:`_and_sweep`'s flags.
+    :func:`_and_jacobi`, which is why :func:`_pass_kernel` binds this
+    kernel only to spaces of more than ``_AND_BLOCK`` cliques, and why
+    SND, whose τ trajectory is the Jacobi one, binds it with no ``block``.
+    A blocked pass lowers τ at least as far, elementwise, since τ is
+    monotone.  An empty frontier is the converging pass.  The counts have
+    one writer, which is why the pool's chunks keep :func:`_and_sweep`'s
+    flags.
     """
     n = len(tau)
     total = int(ctx_off[n])
@@ -1186,7 +1200,7 @@ def _and_count(ctx_off, members, stride: int, tau, support):
         if m == 0:
             return 0, processed, checked, 0
         blocks = [frontier]
-        if m > _AND_BLOCK:
+        if block is not None and m > block:
             # ascending τ, ties by index: one sort of packed ``τ * n + index``
             if n * pack <= 2**62:
                 key = tau[frontier] * n
@@ -1195,7 +1209,7 @@ def _and_count(ctx_off, members, stride: int, tau, support):
                 frontier = key % n
             else:  # pragma: no cover - needs ~2^31 cliques
                 frontier = frontier[tau[frontier].argsort(kind="stable")]
-            cuts = _np.arange(_AND_BLOCK, m, _AND_BLOCK, dtype=_np.int64)
+            cuts = _np.arange(block, m, block, dtype=_np.int64)
             blocks = _np.split(frontier, cuts)
         change = 0
         for part in blocks:
@@ -1221,8 +1235,8 @@ def _and_jacobi(ctx_off, members, stride: int, tau):
     h-indices never exceed τ: they start at most the degrees and fall
     with τ, so a pass lowers τ or leaves it.
 
-    :func:`and_decomposition_csr` runs it on a space of at most
-    ``_AND_BLOCK`` cliques.  There every frontier of :func:`_and_count` is
+    :func:`_pass_kernel` binds it to a space of at most ``_AND_BLOCK``
+    cliques.  There every frontier of :func:`_and_count` is
     one block, and a one-block counted pass is exactly this step: its
     frontier ``support < τ`` is the set of cliques whose h-index lies below
     τ, and it lowers each of them to that h-index against the pass-start
@@ -1422,22 +1436,23 @@ def snd_decomposition_csr(
 ) -> DecompositionResult:
     """Array-native SND (Algorithm 2) over a :class:`CSRSpace`.
 
-    Runs the round kernel :func:`_snd_sweep` over the one chunk ``[0, n)``
-    with two τ buffers swapped every iteration.  κ, iteration counts and
-    per-iteration stats are identical to
-    :func:`repro.core.snd.snd_decomposition`.
+    Runs the AND's pass kernel (:func:`_pass_kernel`) with no block limit,
+    so every pass is one synchronous Jacobi step: each clique whose
+    h-index over the pass-start τ lies below its τ drops to it, and a
+    clique that cannot drop keeps its τ, which its h-index equals.  κ,
+    iteration counts, ``tau_history`` and per-iteration stats are identical
+    to :func:`repro.core.snd.snd_decomposition`.  The counters follow the
+    paper's cost model, not the kernel's work: every iteration charges
+    every clique (``processed`` = n, ``h_index_calls`` += n) and every
+    context (``rho_evaluations``).
     """
     space = _as_csr(source, r, s)
     n = len(space)
     total = int(space.ctx_offsets[n])
-    sweep = _snd_sweep(space.ctx_offsets, space.ctx_members, space.stride, 0, n)
-    tau = _np.diff(space.ctx_offsets)
-    spare = _np.empty_like(tau)
+    tau, step = _pass_kernel(space, None)
     count_converged = _make_converged_counter(reference_kappa)
     history: Optional[List[List[int]]] = [tau.tolist()] if record_history else None
     stats: List[IterationStats] = []
-    rho_evaluations = 0
-    h_calls = 0
 
     iteration = 0
     converged = n == 0
@@ -1445,10 +1460,7 @@ def snd_decomposition_csr(
         if max_iterations is not None and iteration >= max_iterations:
             break
         iteration += 1
-        updated, max_change = sweep(tau, spare)
-        tau, spare = spare, tau
-        rho_evaluations += total
-        h_calls += n
+        updated, _, _, max_change = step(iteration == 1)
         converged = updated == 0
         if history is not None:
             history.append(tau.tolist())
@@ -1474,57 +1486,11 @@ def snd_decomposition_csr(
         tau_history=history,
         iteration_stats=stats,
         operations={
-            "rho_evaluations": rho_evaluations,
-            "h_index_calls": h_calls,
+            "rho_evaluations": total * iteration,
+            "h_index_calls": n * iteration,
             "backend": "csr",
         },
     )
-
-
-@kernel
-def _snd_sweep(ctx_off, members, stride: int, lo: int, hi: int):
-    """The SND round kernel: one synchronous Jacobi step over ``[lo, hi)``.
-
-    Binds the space buffers (in-memory, memmapped or shared-memory views)
-    and returns ``sweep(prev, nxt)``, which writes the new τ of the chunk
-    into ``nxt[lo:hi]`` and returns ``(updated, max_change)`` over the
-    chunk.  Per context, ρ is the minimum of the members' ``prev`` values,
-    taken column by column over the ``stride`` member slots; per clique,
-    τ is the h-index of its ρ values.  Only the O(chunk contexts) segment
-    bookkeeping is chunk-local scratch.
-    """
-    lo_c, hi_c = int(ctx_off[lo]), int(ctx_off[hi])
-    columns = members[lo_c * stride:hi_c * stride].reshape(hi_c - lo_c, stride).T
-    offs = ctx_off[lo:hi + 1]
-    degrees = offs[1:] - offs[:-1]
-    # seg_ids[c] = owning clique of context c, pos_in_seg[c] = rank of c
-    # within its clique after the descending sort below
-    seg_ids = _np.repeat(_np.arange(hi - lo, dtype=_np.int64), degrees)
-    pos_in_seg = _np.arange(hi_c - lo_c, dtype=_np.int64) - _np.repeat(
-        offs[:-1] - lo_c, degrees
-    )
-
-    def sweep(prev, nxt):
-        if hi_c > lo_c:
-            rho = prev[columns[0]]
-            for column in columns[1:]:
-                _np.minimum(rho, prev[column], out=rho)
-            # sort ρ descending within each clique's segment (lexsort is
-            # stable and seg_ids is already non-decreasing, so segments stay
-            # contiguous); h = #{k : sorted_rho[k] >= k + 1} per segment,
-            # a prefix property because sorted_rho falls while k + 1 rises
-            order = _np.lexsort((-rho, seg_ids))
-            qualifies = rho[order] >= pos_in_seg + 1
-            new = _np.bincount(seg_ids[qualifies], minlength=hi - lo)
-        else:
-            new = _np.zeros(hi - lo, dtype=_np.int64)
-        old = prev[lo:hi]
-        updated = int((new != old).sum())
-        max_change = int((old - new).max(initial=0))
-        nxt[lo:hi] = new
-        return updated, max_change
-
-    return sweep
 
 
 # ----------------------------------------------------------------------

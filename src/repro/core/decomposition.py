@@ -76,10 +76,11 @@ def nucleus_decomposition(
         ``"snd"`` (synchronous local, Algorithm 2) or
         ``"and"`` (asynchronous local, Algorithm 3 — the default).
     parallel:
-        ``None`` (serial, the default) or ``"process"`` (SND or AND on the
+        ``None`` (serial, the default) or ``"process"`` (AND on the
         shared-memory process pool of :mod:`repro.parallel.procpool`, which
         runs the CSR kernels on any source; a ``NucleusSpace`` is flattened
-        with :meth:`NucleusSpace.to_csr`).
+        with :meth:`NucleusSpace.to_csr`).  Peeling and SND have no pool
+        route.
     workers:
         Worker count for the parallel modes (default 4); requires
         ``parallel``.
@@ -110,8 +111,9 @@ def nucleus_decomposition(
     TypeError
         An option the selected route does not take; the message names it.
     ValueError
-        Unknown ``algorithm``/``parallel`` value, a graph
-        source without ``r``/``s``, or ``workers`` without ``parallel``.
+        Unknown ``algorithm``/``parallel`` value, ``parallel`` with an
+        algorithm other than AND, a graph source without ``r``/``s``, or
+        ``workers`` without ``parallel``.
 
     Examples
     --------
@@ -173,10 +175,10 @@ def _parallel_dispatch(
             f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
         )
     workers = 4 if workers is None else workers
-    if algorithm == "peeling":
+    if algorithm != "and":
         raise ValueError(
-            "parallel execution supports the local algorithms ('snd', 'and'); "
-            "peeling is the sequential baseline"
+            f"parallel execution runs AND ('and') only; {algorithm!r} has no "
+            "pool route"
         )
     unsupported = sorted(set(options) - {"max_iterations"})
     if unsupported:
@@ -191,18 +193,11 @@ def _parallel_dispatch(
         policy = coerce_policy(resilience)
     if policy is not None:
         with SupervisedPool(workers=workers, policy=policy) as pool:
-            runner = pool.run_snd if algorithm == "snd" else pool.run_and
-            return runner(source, r, s, **options)
+            return pool.run_and(source, r, s, **options)
 
-    from repro.parallel.procpool import (
-        process_and_decomposition,
-        process_snd_decomposition,
-    )
+    from repro.parallel.procpool import process_and_decomposition
 
-    runner = (
-        process_snd_decomposition if algorithm == "snd" else process_and_decomposition
-    )
-    return runner(source, r, s, workers=workers, **options)
+    return process_and_decomposition(source, r, s, workers=workers, **options)
 
 
 def core_decomposition(

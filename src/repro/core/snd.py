@@ -4,6 +4,12 @@ All r-cliques update their τ estimate from the *previous* iteration's values
 (Jacobi style), so the result of an iteration does not depend on processing
 order and the computation is embarrassingly parallel within an iteration.
 τ_0 is the S-degrees; the fixed point is the κ indices (Theorems 1–3).
+
+This module's loop over a :class:`NucleusSpace` is the readable oracle.
+Every other space runs :func:`repro.core.csr.snd_decomposition_csr`: the
+AND's pass kernel with no block limit, so each pass is exactly one Jacobi
+step, with the same τ trajectory, stats and counters as the oracle.  SND
+has no process-pool route; the pool runs the AND.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ def snd_decomposition(
         structure.  Anything else :func:`repro.core.csr.resolve_space`
         accepts (a :class:`CSRSpace`, a graph with ``r, s``, an opened
         bundle) runs :func:`repro.core.csr.snd_decomposition_csr` over flat
-        arrays (numpy-vectorised Jacobi step).  κ is identical either way.
+        arrays (the AND's pass kernel, one Jacobi step per pass).  κ,
+        iterations, history and stats are identical either way.
     max_iterations:
         Optional cap; if hit before the fixed point the result has
         ``converged=False`` and carries the current τ estimates as ``kappa``.

@@ -95,7 +95,6 @@ def run_measured_scalability(
     s: int = 3,
     *,
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-    algorithm: str = "snd",
     repeats: int = 1,
     max_iterations: Optional[int] = None,
 ) -> List[Dict[str, object]]:
@@ -108,14 +107,12 @@ def run_measured_scalability(
     :class:`~repro.parallel.procpool.PersistentPool` — the workers are
     forked and the shared segments created **once per worker count**, not
     once per run, so the timed repeats measure the sweeps rather than the
-    fork.  Each worker count runs the chosen local algorithm ``repeats``
-    times, keeping the best time.  Speedups are relative to the first worker
-    count in ``worker_counts`` (conventionally 1).  The κ output is asserted
+    fork.  Each worker count runs the AND ``repeats`` times, keeping the
+    best time.  Speedups are relative to the first worker count in
+    ``worker_counts`` (conventionally 1).  The κ output is asserted
     identical across worker counts — a wrong answer computed quickly is not
     a speedup.
     """
-    if algorithm not in ("snd", "and"):
-        raise ValueError(f"algorithm must be 'snd' or 'and', got {algorithm!r}")
     rows: List[Dict[str, object]] = []
     # the pool runs on CSR buffers anyway, so load the dataset as the
     # CSRGraph that CSRSpace.from_graph would convert a dict graph to
@@ -127,13 +124,12 @@ def run_measured_scalability(
         reference_kappa: Optional[List[int]] = None
         for workers in worker_counts:
             with PersistentPool(workers) as pool:
-                run = pool.run_snd if algorithm == "snd" else pool.run_and
                 # untimed warm-up call: binds the space (fork + segments)
-                result = run(space, max_iterations=max_iterations)
+                result = pool.run_and(space, max_iterations=max_iterations)
                 best = float("inf")
                 for _ in range(max(repeats, 1)):
                     t0 = time.perf_counter()
-                    result = run(space, max_iterations=max_iterations)
+                    result = pool.run_and(space, max_iterations=max_iterations)
                     best = min(best, time.perf_counter() - t0)
             if reference_kappa is None:
                 reference_kappa = result.kappa
@@ -148,7 +144,6 @@ def run_measured_scalability(
                     "dataset": dataset,
                     "r": r,
                     "s": s,
-                    "algorithm": algorithm,
                     "workers": workers,
                     "seconds": round(best, 4),
                     "speedup": round(baseline / best, 3) if best > 0 else 0.0,
@@ -165,12 +160,11 @@ def format_measured_scalability(rows: Sequence[Dict[str, object]]) -> str:
             "dataset",
             "r",
             "s",
-            "algorithm",
             "workers",
             "seconds",
             "speedup",
         ],
-        title="Figure 8 (measured) — process-pool wall-clock speedup vs workers",
+        title="Figure 8 (measured) — process-pool AND wall-clock speedup vs workers",
     )
 
 

@@ -10,20 +10,17 @@ dynamic scheduling.  This package provides two complementary pieces:
   load-imbalance behaviour the paper discusses.
 * :class:`repro.parallel.procpool.PersistentPool` — worker *processes*
   attached zero-copy to the CSR buffers via ``multiprocessing.shared_memory``:
-  the real multi-core path (SND Jacobi with a double-buffered shared τ, and
-  an asynchronous AND variant with per-chunk τ ownership and a shared
-  notification bitmap).  The pool keeps its workers and segments alive
-  across decomposition calls so experiment sweeps pay the fork once; a
-  single run is a ``with PersistentPool(...)`` block
-  (:func:`repro.parallel.procpool.process_snd_decomposition`,
-  :func:`repro.parallel.procpool.process_and_decomposition`).
+  the real multi-core path of the AND, with per-chunk τ ownership and a
+  shared notification bitmap.  The pool keeps its workers and segments
+  alive across decomposition calls so experiment sweeps pay the fork once;
+  a single run is a ``with PersistentPool(...)`` block
+  (:func:`repro.parallel.procpool.process_and_decomposition`).
 """
 
 from repro.parallel.procpool import (
     PersistentPool,
     SharedCSRBuffers,
     process_and_decomposition,
-    process_snd_decomposition,
 )
 from repro.parallel.runner import (
     simulate_local_scalability,
@@ -37,7 +34,6 @@ __all__ = [
     "SharedCSRBuffers",
     "SimulatedScheduler",
     "process_and_decomposition",
-    "process_snd_decomposition",
     "simulate_local_scalability",
     "simulate_peeling_scalability",
 ]

@@ -1,6 +1,6 @@
 """Shared-memory process-pool decomposition over CSR buffers.
 
-This module is the multi-core path of the local algorithms:
+This module is the multi-core path of the AND (Algorithm 3):
 
 * the two numpy int64 incidence buffers of a
   :class:`repro.core.csr.CSRSpace` (``ctx_offsets``, ``ctx_members``) are
@@ -10,14 +10,9 @@ This module is the multi-core path of the local algorithms:
 * worker processes attach to the segments **zero-copy** (``np.frombuffer``
   straight over the shared mapping — no per-worker copy of the space) and
   sweep contiguous index chunks balanced by context count
-  (:func:`repro.core.csr.weighted_ranges`) with the same round kernels the
-  serial engines run over the one chunk ``[0, n)``:
-  :func:`repro.core.csr._snd_sweep` and :func:`repro.core.csr._and_sweep`;
-* **SND** runs synchronous Jacobi rounds over a double-buffered shared τ
-  array: every round reads the previous buffer and writes its own chunk of
-  the next buffer, with a two-phase barrier between rounds (publish
-  per-worker update counts, then agree on convergence);
-* **AND** runs the paper's partitioned asynchronous schedule: each worker
+  (:func:`repro.core.csr.weighted_ranges`) with the round kernel
+  :func:`repro.core.csr._and_sweep`;
+* the AND runs the paper's partitioned asynchronous schedule: each worker
   *owns* one static contiguous chunk of τ, updates it in place using the
   freshest own values plus the neighbours' latest published values.  A
   shared per-clique *active bitmap* carries the paper's notification
@@ -25,12 +20,17 @@ This module is the multi-core path of the local algorithms:
   sweeps only the active cliques of its chunk, and a τ decrease
   re-activates only the context partners whose τ lies above the new value —
   also those owned by other workers — read straight off the context rows
-  the sweep already gathered (no neighbour relation is stored).
-  Termination is confirmed by a full verification sweep, so the result is
-  a true fixed point even under cross-process flag races;
+  the sweep already gathered (no neighbour relation is stored).  A
+  two-phase barrier ends every round (publish per-worker update counts,
+  then agree on convergence).  Termination is confirmed by a full
+  verification sweep, so the result is a true fixed point even under
+  cross-process flag races;
 * cleanup is unconditional: segments are closed and unlinked on normal
   exit, worker failure and ``KeyboardInterrupt`` alike, and a failing
   worker aborts the barrier so its peers exit instead of deadlocking.
+
+SND has no pool route: its serial Jacobi passes
+(:func:`repro.core.csr.snd_decomposition_csr`) run the AND's pass kernel.
 
 Space *construction* stays serial: the parent builds the space
 (:meth:`repro.core.csr.CSRSpace.from_graph`) and the pool shares its
@@ -42,12 +42,11 @@ same single fork batch.
 a space forks the workers and creates the segments; subsequent calls only
 reset the τ/meta buffers and send a job description down a pipe, so
 experiment sweeps (many decompositions of the same space) amortise the
-setup across calls.  A single run (:func:`process_snd_decomposition`,
-:func:`process_and_decomposition`) is simply ``with PersistentPool(...)``.
+setup across calls.  A single run (:func:`process_and_decomposition`) is
+simply ``with PersistentPool(...)``.
 
-κ is identical to the serial kernels — byte-for-byte for SND (Jacobi is
-deterministic, so even the iteration count matches) and by fixed-point
-uniqueness for AND — which the test-suite asserts.
+κ equals the serial kernels' by fixed-point uniqueness, which the
+test-suite asserts; the round count depends on the partitioning.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ from repro.core.csr import (
     CSRSpace,
     _and_sweep,
     _as_csr,
-    _snd_sweep,
-    snd_decomposition_csr,
+    and_decomposition_csr,
     weighted_ranges,
 )
 from repro.core.result import DecompositionResult
@@ -91,7 +89,6 @@ __all__ = [
     "WorkerSpec",
     "JobSpec",
     "PersistentPool",
-    "process_snd_decomposition",
     "process_and_decomposition",
 ]
 
@@ -180,14 +177,13 @@ class WorkerSpec:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One decomposition sweep (``kind`` ``"snd"`` or ``"and"``), sent down a pipe.
+    """One AND decomposition, sent down a pipe.
 
     Frozen for the same reason as :class:`WorkerSpec`; per-worker fault
     directives are attached with :func:`dataclasses.replace`, never by
     mutating the shared instance.
     """
 
-    kind: str
     max_iterations: Optional[int] = None
     gen: int = 0
     faults: Optional[Tuple[dict, ...]] = None
@@ -307,17 +303,15 @@ def _attach_int64(name: str, attached: List[shared_memory.SharedMemory], count: 
 def _create_shared_space(
     arena: SharedCSRBuffers, space: CSRSpace, degrees, num_workers: int
 ) -> None:
-    """Create every segment a space binding needs, for any job kind.
+    """Create every segment a space binding needs.
 
-    That is the context incidence, both Jacobi τ buffers (AND uses only
-    ``tau_a``), the per-clique active bitmap (AND), and the
-    counts/proc/meta control segments.
+    That is the context incidence, the τ buffer, the per-clique active
+    bitmap and the counts/proc/meta control segments.
     """
     n = len(space)
     arena.create_from("ctx_offsets", space.ctx_offsets)
     arena.create_from("ctx_members", space.ctx_members)
-    arena.create_from("tau_a", degrees)
-    arena.create("tau_b", n * _ITEMSIZE)
+    arena.create_from("tau", degrees)
     active = arena.create("active", n)
     active.buf[:n] = b"\x01" * n
     arena.create("counts", num_workers * _ITEMSIZE)
@@ -334,20 +328,17 @@ def _read_int64(shm: shared_memory.SharedMemory, count: int):
     return _np.frombuffer(bytes(shm.buf[:count * _ITEMSIZE]), dtype=_np.int64)
 
 
-def _extract_result(arena: SharedCSRBuffers, kind: str, n: int, num_workers: int):
+def _extract_result(arena: SharedCSRBuffers, n: int, num_workers: int):
     """Read one finished job's outputs back out of the shared segments.
 
-    Returns ``(rounds, converged, updates_total, processed, kappa)``.  For
-    SND the final τ lives in whichever Jacobi buffer the round parity left
-    it in; AND always updates ``tau_a`` in place.
+    Returns ``(rounds, converged, updates_total, processed, kappa)``.
     """
     meta = _read_int64(arena.get("meta"), _META_SLOTS).tolist()
     rounds = meta[_META_ROUNDS]
     converged = bool(meta[_META_CONVERGED])
     updates_total = meta[_META_UPDATES]
     processed = int(_read_int64(arena.get("proc"), num_workers).sum())
-    final_tag = "tau_a" if kind == "and" or rounds % 2 == 0 else "tau_b"
-    kappa = _read_int64(arena.get(final_tag), n)
+    kappa = _read_int64(arena.get("tau"), n)
     return rounds, converged, updates_total, processed, kappa
 
 
@@ -360,7 +351,7 @@ def _attach_views(
     """Attach to every segment named in ``spec`` and build the typed views.
 
     Called once per worker process; the views live across jobs (the round
-    kernels are bound lazily under ``"snd_sweep"`` / ``"and_sweep"``).
+    kernel is bound lazily under ``"and_sweep"``).
     Every space buffer becomes a zero-copy numpy view; the element counts
     come from ``spec.n`` / ``spec.stride`` and the offsets.
     """
@@ -375,10 +366,7 @@ def _attach_views(
         "members": _attach_int64(
             names["ctx_members"], attached, int(ctx_off[n]) * spec.stride
         ),
-        "tau": [
-            _attach_int64(names["tau_a"], attached, n),
-            _attach_int64(names["tau_b"], attached, n),
-        ],
+        "tau": _attach_int64(names["tau"], attached, n),
         # byte-wide shared flags, never reinterpreted as int64 anywhere
         "active": _np.frombuffer(  # repro: noqa[ARR002]
             _attach(names["active"], attached).buf, dtype=_np.uint8, count=n
@@ -402,14 +390,6 @@ def _close_attached(
             shm.close()
 
 
-def _run_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
-    """Run one sweep job over this worker's chunk."""
-    if job.kind == "snd":
-        _snd_job(views, spec, job, barrier)
-    else:
-        _and_job(views, spec, job, barrier)
-
-
 def _round_sync(barrier, counts_mv, wid: int, updated: int, timeout: float) -> int:
     """Two-phase round barrier; returns the global update count.
 
@@ -422,44 +402,6 @@ def _round_sync(barrier, counts_mv, wid: int, updated: int, timeout: float) -> i
     total = sum(counts_mv)
     barrier.wait(timeout)
     return total
-
-
-def _snd_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
-    """Jacobi SND sweeps over one chunk with a double-buffered shared τ."""
-    lo, hi = spec.bounds
-    wid = spec.wid
-    timeout = spec.barrier_timeout
-    max_rounds = job.max_iterations
-    counts_mv = views["counts"]
-    meta_mv = views["meta"]
-    if "snd_sweep" not in views:
-        views["snd_sweep"] = _snd_sweep(
-            views["ctx_off"], views["members"], spec.stride, lo, hi
-        )
-    sweep = views["snd_sweep"]
-    tau_views = views["tau"]
-
-    rounds = 0
-    cur = 0
-    converged = False
-    updates_total = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        _fire_round_faults(job, rounds)
-        updated, _ = sweep(tau_views[cur], tau_views[1 - cur])
-        total = _round_sync(barrier, counts_mv, wid, updated, timeout)
-        updates_total += total
-        rounds += 1
-        cur = 1 - cur
-        if total == 0:
-            converged = True
-            break
-    views["proc"][wid] = rounds * (hi - lo)
-    if wid == 0:
-        meta_mv[_META_ROUNDS] = rounds
-        meta_mv[_META_CONVERGED] = 1 if converged else 0
-        meta_mv[_META_UPDATES] = updates_total
 
 
 def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
@@ -494,7 +436,7 @@ def _and_job(views: dict, spec: WorkerSpec, job: JobSpec, barrier) -> None:
             views["ctx_off"],
             views["members"],
             spec.stride,
-            views["tau"][0],
+            views["tau"],
             views["active"],
         )
     sweep = views["and_sweep"]
@@ -560,7 +502,7 @@ def _persistent_worker_main(
                 break  # parent vanished; nothing left to sweep
             if job is None:
                 break
-            _run_job(views, spec, job, barrier)
+            _and_job(views, spec, job, barrier)
             doneq.put((spec.wid, job.gen))
     except threading.BrokenBarrierError:
         sys.exit(3)
@@ -577,7 +519,7 @@ def _persistent_worker_main(
 class PersistentPool:
     """Reusable process pool: fork once per space, decompose many times.
 
-    The first :meth:`run_snd` / :meth:`run_and` call on a space creates the
+    The first :meth:`run_and` call on a space creates the
     shared segments and forks the workers; subsequent calls on the *same*
     space object only reset the τ/meta buffers and send a job description
     down each worker's pipe, so a sweep of many decompositions pays the fork
@@ -589,9 +531,9 @@ class PersistentPool:
     >>> from repro.graph.generators import ring_of_cliques
     >>> space = CSRSpace.from_graph(ring_of_cliques(3, 4), 1, 2)
     >>> with PersistentPool(workers=2) as pool:
-    ...     first = pool.run_snd(space)    # forks + creates segments
+    ...     first = pool.run_and(space)    # forks + creates segments
     ...     second = pool.run_and(space)   # reuses both
-    ...     capped = pool.run_snd(space, max_iterations=2)
+    ...     capped = pool.run_and(space, max_iterations=1)
     >>> first.kappa == second.kappa and pool.forks
     2
 
@@ -685,7 +627,7 @@ class PersistentPool:
     def bind(self, space: CSRSpace) -> None:
         """Share ``space`` and fork the workers now (idempotent).
 
-        A later :meth:`run_snd` / :meth:`run_and` on the same space only
+        A later :meth:`run_and` on the same space only
         resets the buffers and sends jobs.  ``CSRSpace.from_graph(...,
         pool=pool)`` calls this, so construction and the sweeps that follow
         cost one fork batch.
@@ -702,17 +644,6 @@ class PersistentPool:
             )
 
     # ------------------------------------------------------------------
-    def run_snd(
-        self,
-        source: Union[Graph, NucleusSpace, CSRSpace],
-        r: Optional[int] = None,
-        s: Optional[int] = None,
-        *,
-        max_iterations: Optional[int] = None,
-    ) -> DecompositionResult:
-        """SND Jacobi on the persistent workers; κ, iterations match serial."""
-        return self._run("snd", source, r, s, max_iterations=max_iterations)
-
     def run_and(
         self,
         source: Union[Graph, NucleusSpace, CSRSpace],
@@ -722,18 +653,6 @@ class PersistentPool:
         max_iterations: Optional[int] = None,
     ) -> DecompositionResult:
         """Asynchronous AND on the persistent workers; κ matches serial."""
-        return self._run("and", source, r, s, max_iterations=max_iterations)
-
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        kind: str,
-        source,
-        r: Optional[int],
-        s: Optional[int],
-        *,
-        max_iterations: Optional[int],
-    ) -> DecompositionResult:
         self._check_open()
         if (
             source is self._source
@@ -746,10 +665,9 @@ class PersistentPool:
         else:
             space = _as_csr(source, r, s)
         n = len(space)
-        algorithm = f"{kind}-process"
         if n == 0:
-            result = snd_decomposition_csr(space, max_iterations=max_iterations)
-            result.algorithm = algorithm
+            result = and_decomposition_csr(space, max_iterations=max_iterations)
+            result.algorithm = "and-process"
             result.operations = {
                 "workers": 0, "parallel": "process", "backend": "csr",
                 "persistent": True,
@@ -759,13 +677,12 @@ class PersistentPool:
             self._bind(space, source, (r, s))
             self._reset_buffers()
             self._generation += 1
-            job = JobSpec(
-                kind=kind, max_iterations=max_iterations, gen=self._generation
+            self._send_jobs(
+                JobSpec(max_iterations=max_iterations, gen=self._generation)
             )
-            self._send_jobs(job)
             self._collect(self._generation)
             rounds, converged, updates_total, processed, kappa = _extract_result(
-                self._arena, kind, n, self._num_workers
+                self._arena, n, self._num_workers
             )
             shared_nbytes = self._arena.nbytes()
         except BaseException:
@@ -788,7 +705,7 @@ class PersistentPool:
         }
         return DecompositionResult.from_space(
             space,
-            algorithm=algorithm,
+            algorithm="and-process",
             kappa=kappa,
             iterations=rounds,
             converged=converged,
@@ -832,7 +749,6 @@ class PersistentPool:
         self._degree_bytes = degrees.tobytes()
         self._arena = SharedCSRBuffers(prefix="rp")
         try:
-            # a binding creates every segment any job kind needs
             _create_shared_space(self._arena, space, degrees, len(ranges))
             names = dict(self._arena.names)
             self._fork([
@@ -898,9 +814,8 @@ class PersistentPool:
         """Re-initialise the per-call buffers (τ, counts, flags, meta)."""
         arena = self._arena
         n = len(self._space)
-        arena.get("tau_a").buf[:len(self._degree_bytes)] = self._degree_bytes
+        arena.get("tau").buf[:len(self._degree_bytes)] = self._degree_bytes
         for tag, nbytes in (
-            ("tau_b", n * _ITEMSIZE),
             ("counts", self._num_workers * _ITEMSIZE),
             ("proc", self._num_workers * _ITEMSIZE),
             ("meta", _META_SLOTS * _ITEMSIZE),
@@ -985,28 +900,6 @@ class PersistentPool:
             arena.destroy()
 
 
-def process_snd_decomposition(
-    source: Union[Graph, CSRGraph, NucleusSpace, CSRSpace],
-    r: Optional[int] = None,
-    s: Optional[int] = None,
-    *,
-    workers: int = 4,
-    max_iterations: Optional[int] = None,
-    start_method: Optional[str] = None,
-) -> DecompositionResult:
-    """SND on a fresh :class:`PersistentPool` sharing the CSR buffers.
-
-    A :class:`Graph` source is flattened directly with
-    :meth:`CSRSpace.from_graph` (no dict-space detour).  κ and the iteration
-    count are identical to :func:`repro.core.snd.snd_decomposition` — the
-    synchronous schedule is deterministic regardless of how many workers
-    sweep it.  A :class:`CSRGraph` source is built serially by the same
-    constructor before the one fork batch.
-    """
-    with PersistentPool(workers, start_method=start_method) as pool:
-        return pool.run_snd(source, r, s, max_iterations=max_iterations)
-
-
 def process_and_decomposition(
     source: Union[Graph, CSRGraph, NucleusSpace, CSRSpace],
     r: Optional[int] = None,
@@ -1023,8 +916,8 @@ def process_and_decomposition(
     first sweep only the cliques whose neighbourhood changed, with
     cross-chunk re-activation.  The final κ equals the serial algorithms'
     output (unique fixed point), though the round count depends on the
-    partitioning.  Source handling is that of
-    :func:`process_snd_decomposition`.
+    partitioning.  A :class:`Graph` or :class:`CSRGraph` source is built
+    serially by :meth:`CSRSpace.from_graph` before the one fork batch.
     """
     with PersistentPool(workers, start_method=start_method) as pool:
         return pool.run_and(source, r, s, max_iterations=max_iterations)

@@ -18,7 +18,7 @@ fragility into availability:
 * a ``SIGTERM`` handler and an ``atexit`` hook close the pool on the way
   out, so an externally terminated run leaks neither workers nor segments;
 * when the retry budget is exhausted the job **falls back to the serial CSR
-  kernel** — the AND/SND fixed point is unique, so the degraded path
+  kernel** — the AND fixed point is unique, so the degraded path
   returns κ byte-identical to what the healthy pool would have produced.
 
 Every robustness event is counted in :class:`ResilienceEvents` (exposed as
@@ -51,11 +51,7 @@ from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.csr import (
-    _as_csr,
-    and_decomposition_csr,
-    snd_decomposition_csr,
-)
+from repro.core.csr import _as_csr, and_decomposition_csr
 from repro.core.result import DecompositionResult
 from repro.parallel.procpool import PersistentPool
 from repro.resilience.errors import PoolPoisonedError, ReproError
@@ -195,7 +191,7 @@ def reap_orphan_segments(shm_dir: str = _SHM_DIR) -> int:
 class SupervisedPool:
     """A self-healing facade over :class:`PersistentPool`.
 
-    Same ``run_snd`` / ``run_and`` surface and the same κ contract, plus the
+    Same ``run_and`` surface and the same κ contract, plus the
     supervision semantics described in the module docstring.  Use it as a
     context manager (or call :meth:`close`); it owns the underlying pool and
     rebuilds it as needed.
@@ -265,19 +261,6 @@ class SupervisedPool:
         self._closed = True
 
     # ------------------------------------------------------------------
-    def run_snd(
-        self,
-        source,
-        r: Optional[int] = None,
-        s: Optional[int] = None,
-        *,
-        max_iterations: Optional[int] = None,
-    ) -> DecompositionResult:
-        """Supervised SND; κ and iteration count match the serial kernel."""
-        return self._supervised(
-            "snd", source, r, s, max_iterations=max_iterations
-        )
-
     def run_and(
         self,
         source,
@@ -287,13 +270,6 @@ class SupervisedPool:
         max_iterations: Optional[int] = None,
     ) -> DecompositionResult:
         """Supervised AND; κ matches the serial kernels (unique fixed point)."""
-        return self._supervised(
-            "and", source, r, s, max_iterations=max_iterations
-        )
-
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    def _supervised(self, kind: str, source, r, s, **options) -> DecompositionResult:
         if self._closed:
             raise PoolPoisonedError("SupervisedPool is closed")
         # convert once: retries and the fallback reuse the same space, so a
@@ -311,9 +287,8 @@ class SupervisedPool:
                 if delay > 0:
                     time.sleep(delay)
             pool = self._ensure_pool()
-            runner = pool.run_snd if kind == "snd" else pool.run_and
             try:
-                result = runner(space, **options)
+                result = pool.run_and(space, max_iterations=max_iterations)
             except ReproError as exc:
                 if not exc.retryable:
                     raise
@@ -325,7 +300,7 @@ class SupervisedPool:
             return result
         if policy.serial_fallback:
             self.events.fallbacks += 1
-            return self._serial_fallback(kind, space, options, last_error)
+            return self._serial_fallback(space, max_iterations, last_error)
         raise last_error
 
     def _ensure_pool(self) -> PersistentPool:
@@ -343,13 +318,12 @@ class SupervisedPool:
         return self._pool
 
     def _serial_fallback(
-        self, kind: str, space, options: dict, cause: Optional[ReproError]
+        self, space, max_iterations: Optional[int], cause: Optional[ReproError]
     ) -> DecompositionResult:
         """Degrade to the serial CSR kernel; κ is byte-identical by fixed-point
         uniqueness, only wall-clock suffers."""
-        serial = snd_decomposition_csr if kind == "snd" else and_decomposition_csr
-        result = serial(space, **options)
-        result.algorithm = f"{kind}-serial-fallback"
+        result = and_decomposition_csr(space, max_iterations=max_iterations)
+        result.algorithm = "and-serial-fallback"
         result.operations.update(
             parallel="process",
             workers=0,

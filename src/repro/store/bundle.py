@@ -131,32 +131,42 @@ def _same_labels(a: Sequence[Any], b: Sequence[Any]) -> bool:
     return bool(_np.array_equal(a, b))
 
 
-def _encode_labels(
-    labels: Sequence[Any], buffer_name: str, writer: Callable[[str, Any], None]
-) -> Dict[str, Any]:
-    """Persist a vertex-label table; returns its manifest descriptor.
+def _encode_labels(labels: Sequence[Any]) -> Tuple[Dict[str, Any], Any]:
+    """Encode a vertex-label table: ``(manifest descriptor, array or None)``.
 
     Three encodings: ``identity`` (labels are ``0..n-1``, nothing stored),
-    ``buffer`` (homogeneous int or str labels as an ``.npy`` sidecar) and
-    ``json`` (anything JSON-scalar, inline in the manifest).
+    ``buffer`` (homogeneous int or str labels as an ``.npy`` sidecar, the
+    returned array; :func:`_store_labels` names it) and ``json`` (anything
+    JSON-scalar, inline in the manifest).
     """
     if _identity_labels(labels):
-        return {"kind": "identity", "n": len(labels)}
+        return {"kind": "identity", "n": len(labels)}, None
     # a reopened bundle's table is an int64 memmap: its items are numpy ints
     values = labels.tolist() if isinstance(labels, _np.ndarray) else list(labels)
     types = {type(v) for v in values}
     if types <= {int}:
-        writer(buffer_name, _np.asarray(values, dtype=_np.int64))
-        return {"kind": "buffer", "buffer": buffer_name}
+        return {"kind": "buffer"}, _np.asarray(values, dtype=_np.int64)
     if types <= {str}:
-        writer(buffer_name, _np.asarray(values))
-        return {"kind": "buffer", "buffer": buffer_name}
+        return {"kind": "buffer"}, _np.asarray(values)
     if all(isinstance(v, (bool, int, float, str)) for v in values):
-        return {"kind": "json", "values": values}
+        return {"kind": "json", "values": values}, None
     raise StoreFormatError(
         "vertex labels must be int, str, float or bool to be stored; got "
         f"types {sorted(t.__name__ for t in types)}"
     )
+
+
+def _store_labels(
+    encoded: Tuple[Dict[str, Any], Any],
+    buffer_name: str,
+    writer: Callable[[str, Any], None],
+) -> Dict[str, Any]:
+    """Write an encoded label table's array, if any; returns its descriptor."""
+    spec, table = encoded
+    if table is None:
+        return spec
+    writer(buffer_name, table)
+    return dict(spec, buffer=buffer_name)
 
 
 def _decode_labels(spec: Dict[str, Any], loader: Callable[[str], Any]) -> Any:
@@ -286,14 +296,16 @@ def save_bundle(
         }
 
     r = s = None
+    graph_labels = None  # the graph's label table and its encoding
 
     if graph is not None:
         if isinstance(graph, Graph):
             graph = CSRGraph.from_graph(graph)
         write("graph.indptr", graph.indptr)
         write("graph.indices", graph.indices)
+        graph_labels = (graph.labels, _encode_labels(graph.labels))
         components["graph"] = {
-            "labels": _encode_labels(graph.labels, "graph.labels", write)
+            "labels": _store_labels(graph_labels[1], "graph.labels", write)
         }
 
     if space is not None:
@@ -304,8 +316,13 @@ def save_bundle(
         write("space.ctx_members", space.ctx_members)
         ids, labels = _clique_table(space)
         write("space.clique_ids", ids)
+        # a space built from this graph shares its table: encode it once
+        if graph_labels is not None and labels is graph_labels[0]:
+            encoded = graph_labels[1]
+        else:
+            encoded = _encode_labels(labels)
         components["space"] = {
-            "labels": _encode_labels(labels, "space.labels", write)
+            "labels": _store_labels(encoded, "space.labels", write)
         }
 
     if result is not None:

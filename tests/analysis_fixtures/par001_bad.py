@@ -15,5 +15,5 @@ def dispatch(ctx, conn, run, path):
     )
     conn.send({"handle": open(path)})
     proc = ctx.Process(target=run, args=(ctx.Lock(),))
-    job = JobSpec(kind="snd", faults=(ctx.memmap(path),))
+    job = JobSpec(faults=(ctx.memmap(path),))
     return spec, proc, job

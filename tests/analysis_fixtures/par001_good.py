@@ -12,7 +12,7 @@ def dispatch(ctx, conn, run, names):
         wid=0,
         barrier_timeout=600.0,
     )
-    job = JobSpec(kind="snd", gen=1)
+    job = JobSpec(gen=1)
     conn.send(job)
     proc = ctx.Process(target=run, args=(spec,), daemon=True)
     lock = ctx.Lock()  # parent-side only: never enters a payload

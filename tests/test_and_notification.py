@@ -162,7 +162,10 @@ def _counted_passes(space):
     """Drive ``_and_count`` pass by pass; yields ``(pass row, tau, support)``."""
     tau = np.diff(space.ctx_offsets)
     support = np.zeros(len(space), dtype=np.int64)
-    step = _and_count(space.ctx_offsets, space.ctx_members, space.stride, tau, support)
+    step = _and_count(
+        space.ctx_offsets, space.ctx_members, space.stride, tau, support,
+        csr._AND_BLOCK,
+    )
     first = True
     while len(space):
         row = step(first)
@@ -281,7 +284,8 @@ def _check_blocked_passes(space):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csr, "_np", checks)
         step = _and_count(
-            space.ctx_offsets, space.ctx_members, space.stride, tau, support
+            space.ctx_offsets, space.ctx_members, space.stride, tau, support,
+            csr._AND_BLOCK,
         )
         while n:
             before = tau.copy()

@@ -214,6 +214,16 @@ class TestDecomposeWorkers:
         )
         assert "decomposition" in capsys.readouterr().out
 
+    def test_parallel_runs_and_only(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompose", "--dataset", "toy", "--algorithm", "snd",
+                  "--parallel", "process"])
+        assert excinfo.value.code == 2
+        assert "--algorithm and only" in capsys.readouterr().err
+        # the measured scalability times the pool's AND: no algorithm knob
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scalability", "--algorithm", "snd"])
+
     def test_workers_allowed_for_other_commands(self, capsys):
         # scalability --measured has its own --workers; must stay unaffected
         args = build_parser().parse_args(

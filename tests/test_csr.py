@@ -14,7 +14,9 @@ import pytest
 from peel_witness import assert_peel_witness
 
 from repro.core.asynd import and_decomposition
+from repro.core import csr as csr_module
 from repro.core.csr import (
+    _AND_BLOCK,
     CSRSpace,
     _stable_order,
     and_decomposition_csr,
@@ -30,6 +32,7 @@ from repro.graph.generators import (
     planted_clique_graph,
     powerlaw_cluster_graph,
     ring_of_cliques,
+    union_of_graphs,
 )
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.graph import Graph
@@ -62,6 +65,14 @@ def assert_same_trajectory(a, b):
     assert [s.as_row() for s in a.iteration_stats] == [
         s.as_row() for s in b.iteration_stats
     ]
+
+
+def same_counters(a, b):
+    """The two results' ``operations`` agree on every key but ``backend``."""
+    def counters(result):
+        return {k: v for k, v in result.operations.items() if k != "backend"}
+
+    return counters(a) == counters(b)
 
 
 def random_graphs():
@@ -362,7 +373,7 @@ class TestBackendSelection:
         the CSR buffers: the pool has no dict kernels."""
         space = NucleusSpace(small_powerlaw_graph, 1, 2)
         result = nucleus_decomposition(
-            space, parallel="process", algorithm="snd", workers=2
+            space, parallel="process", algorithm="and", workers=2
         )
         assert result.operations["backend"] == "csr"
         assert result.kappa == peeling_decomposition(space).kappa
@@ -531,15 +542,40 @@ class TestKernelParity:
             b = and_decomposition(space.to_csr(), max_iterations=cap)
             assert_same_trajectory(a, b)
 
-    @pytest.mark.parametrize("rs", INSTANCES)
+    @pytest.mark.parametrize("rs", INSTANCES + [(1, 3), (2, 4)])
     def test_snd_parity(self, any_graph, rs):
         space = NucleusSpace(any_graph, *rs)
         csr = space.to_csr()
         reference = snd_decomposition(space, record_history=True)
         result = snd_decomposition_csr(csr, record_history=True)
-        assert result.kappa == reference.kappa
-        assert result.iterations == reference.iterations
-        assert result.tau_history == reference.tau_history
+        assert_same_trajectory(result, reference)
+        assert same_counters(result, reference)
+
+    def test_snd_parity_above_and_block(self, monkeypatch):
+        """Past ``_AND_BLOCK`` cliques SND runs the counted kernel, never
+        blocked, on a space where the AND's blocked path engages."""
+        graph = union_of_graphs(
+            [powerlaw_cluster_graph(600, 5, 0.9, seed=seed) for seed in range(3)]
+        )
+        space = NucleusSpace(graph, 2, 3)
+        csr = space.to_csr()
+        assert len(csr) > _AND_BLOCK
+        blocked = and_decomposition_csr(csr)
+        assert blocked.operations["blocks"] > blocked.iterations
+        bound = []
+        counted = csr_module._and_count
+
+        def spy(*args):
+            bound.append(args[-1])
+            return counted(*args)
+
+        monkeypatch.setattr(csr_module, "_and_count", spy)
+        for cap in (None, 0, 1, 3):
+            reference = snd_decomposition(space, max_iterations=cap, record_history=True)
+            result = snd_decomposition_csr(csr, max_iterations=cap, record_history=True)
+            assert_same_trajectory(result, reference)
+            assert same_counters(result, reference)
+        assert bound == [None] * 4
 
     def test_snd_max_iterations_parity(self, any_graph):
         space = NucleusSpace(any_graph, 2, 3)

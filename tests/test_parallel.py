@@ -6,7 +6,7 @@ from repro.core.csr import CSRSpace, chunk_ranges, weighted_ranges
 from repro.core.decomposition import nucleus_decomposition
 from repro.core.peeling import peeling_decomposition
 from repro.core.space import NucleusSpace
-from repro.parallel.procpool import process_snd_decomposition
+from repro.parallel.procpool import process_and_decomposition
 from repro.parallel.runner import (
     simulate_local_scalability,
     simulate_peeling_scalability,
@@ -122,24 +122,24 @@ class TestSimulatedScheduler:
             SimulatedScheduler(2, chunk_size=0)
 
 
-class TestParallelSnd:
+class TestParallelAnd:
     @pytest.mark.parametrize("r,s", [(1, 2), (2, 3)])
     def test_matches_sequential(self, small_powerlaw_graph, r, s):
         space = NucleusSpace(small_powerlaw_graph, r, s)
         exact = peeling_decomposition(space).kappa
-        result = process_snd_decomposition(space, workers=4)
+        result = process_and_decomposition(space, workers=4)
         assert result.kappa == exact
         assert result.converged
 
     def test_max_iterations(self, small_powerlaw_graph):
         space = NucleusSpace(small_powerlaw_graph, 1, 2)
-        result = process_snd_decomposition(space, workers=2, max_iterations=1)
+        result = process_and_decomposition(space, workers=2, max_iterations=1)
         assert result.iterations == 1
 
     def test_process_mode_matches_sequential(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 2, 3).kappa
         result = nucleus_decomposition(
-            small_powerlaw_graph, 2, 3, algorithm="snd", parallel="process",
+            small_powerlaw_graph, 2, 3, algorithm="and", parallel="process",
             workers=2,
         )
         assert result.kappa == exact
@@ -148,22 +148,17 @@ class TestParallelSnd:
     def test_invalid_parallel_mode(self, small_powerlaw_graph):
         with pytest.raises(ValueError, match="process"):
             nucleus_decomposition(
-                small_powerlaw_graph, 1, 2, algorithm="snd", parallel="fibers"
+                small_powerlaw_graph, 1, 2, algorithm="and", parallel="fibers"
             )
 
 
 class TestParallelDispatch:
     """nucleus_decomposition(parallel=..., workers=...) routing."""
 
-    @pytest.mark.parametrize("algorithm", ["snd", "and"])
-    def test_process_local_algorithms(self, small_powerlaw_graph, algorithm):
+    def test_process_and(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
         result = nucleus_decomposition(
-            small_powerlaw_graph,
-            1,
-            2,
-            algorithm=algorithm,
-            parallel="process",
+            small_powerlaw_graph, 1, 2, algorithm="and", parallel="process",
             workers=2,
         )
         assert result.kappa == exact
@@ -177,6 +172,13 @@ class TestParallelDispatch:
         with pytest.raises(ValueError, match="peeling"):
             nucleus_decomposition(
                 small_powerlaw_graph, 1, 2, algorithm="peeling", parallel="process"
+            )
+
+    def test_parallel_snd_rejected(self, small_powerlaw_graph):
+        # SND has no pool route: the error names the pool's one algorithm
+        with pytest.raises(ValueError, match="runs AND"):
+            nucleus_decomposition(
+                small_powerlaw_graph, 1, 2, algorithm="snd", parallel="process"
             )
 
     def test_unknown_parallel_mode_rejected(self, small_powerlaw_graph):
@@ -214,7 +216,7 @@ class TestParallelDispatch:
             small_powerlaw_graph,
             1,
             2,
-            algorithm="snd",
+            algorithm="and",
             parallel="process",
             workers=2,
             max_iterations=1,

@@ -75,7 +75,7 @@ class TestByteIdentity:
             with PersistentPool(workers) as pool:
                 bound = CSRSpace.from_graph(graph, r, s, pool=pool)
                 if len(bound):
-                    assert pool.run_snd(bound).kappa == (
+                    assert pool.run_and(bound).kappa == (
                         peeling_decomposition(serial).kappa
                     ), (name, r, s)
             assert space_bytes(bound) == space_bytes(serial), (name, r, s)
@@ -108,9 +108,10 @@ class TestSharedBinding:
             space = CSRSpace.from_graph(graph, 3, 4, pool=pool)
             assert pool.forks == 3, "construction did not bind the pool"
             result = pool.run_and(space)
-            again = pool.run_snd(space)
+            again = pool.run_and(space, max_iterations=1)
             assert pool.forks == 3, "a sweep re-forked the pool"
-        assert result.kappa == serial.kappa == again.kappa
+        assert result.kappa == serial.kappa
+        assert again.iterations == 1
 
     def test_second_space_on_a_graph_bound_pool(self):
         """Building a second space on a bound pool rebinds it to that space
@@ -140,23 +141,14 @@ class TestSharedBinding:
         assert result.kappa == exact
 
     def test_process_decomposition_from_graph_source(self):
-        """The one-shot wrappers accept CSRGraph sources."""
-        from repro.parallel.procpool import (
-            process_and_decomposition,
-            process_snd_decomposition,
-        )
-
-        from repro.core.csr import snd_decomposition_csr
+        """The one-shot wrapper accepts CSRGraph sources."""
+        from repro.parallel.procpool import process_and_decomposition
 
         graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 3, 0.4, seed=8))
         space = CSRSpace.from_graph(graph, 2, 3)
-        serial = and_decomposition_csr(space)
+        exact = peeling_decomposition(space).kappa
         result = process_and_decomposition(graph, 2, 3, workers=2)
-        assert result.kappa == serial.kappa
-        snd_serial = snd_decomposition_csr(space)
-        snd = process_snd_decomposition(graph, 2, 3, workers=2)
-        assert snd.kappa == snd_serial.kappa
-        assert snd.iterations == snd_serial.iterations
+        assert result.kappa == and_decomposition_csr(space).kappa == exact
 
 
 class TestProcessAnd:

@@ -2,10 +2,9 @@
 
 Three contracts under test:
 
-* the pool output is byte-identical to the serial kernels (and for SND even
-  the iteration count matches — the Jacobi schedule is deterministic no
-  matter how many workers sweep it), for one-shot and reused pools alike,
-  with the AND's notification bitmap at one to three workers;
+* the pool's AND output is byte-identical to exact peeling and the serial
+  kernels, for one-shot and reused pools alike, with the notification
+  bitmap at one to five workers;
 * every shared-memory segment the parent creates is unlinked again on
   normal exit, on worker failure, on KeyboardInterrupt and on
   ``PersistentPool.close`` — no leaked ``/dev/shm`` entries, no matter how
@@ -22,9 +21,8 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.core.csr import CSRSpace, and_decomposition_csr, snd_decomposition_csr
+from repro.core.csr import CSRSpace, and_decomposition_csr
 from repro.core.peeling import peeling_decomposition
-from repro.core.snd import snd_decomposition
 from repro.core.space import NucleusSpace
 from repro.graph.csr_graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster_graph, ring_of_cliques
@@ -33,7 +31,6 @@ from repro.parallel.procpool import (
     PersistentPool,
     SharedCSRBuffers,
     process_and_decomposition,
-    process_snd_decomposition,
 )
 from repro.resilience import faults
 
@@ -62,54 +59,56 @@ def assert_all_unlinked(names):
             shared_memory.SharedMemory(name=name)
 
 
+def assert_capped_runs(run, csr):
+    """A capped AND run stops after ``cap`` rounds with an upper bound of κ,
+    and the full run that follows still reaches κ."""
+    exact = peeling_decomposition(csr).kappa
+    for cap in (0, 1, 3):
+        capped = run(csr, max_iterations=cap)
+        assert capped.iterations == cap
+        assert not capped.converged
+        assert all(t >= k for t, k in zip(capped.kappa, exact))
+    assert run(csr, max_iterations=0).kappa == csr.s_degrees()
+    assert run(csr).kappa == exact
+
+
 class TestKappaParity:
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3)])
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_snd_matches_serial(self, small_powerlaw_graph, rs, workers):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, *rs)
-        serial = snd_decomposition(csr)
-        exact = peeling_decomposition(csr).kappa
-        result = process_snd_decomposition(csr, workers=workers)
-        assert result.kappa == serial.kappa == exact
-        assert result.iterations == serial.iterations
-        assert result.converged
-        assert result.operations["parallel"] == "process"
-
-    @pytest.mark.parametrize("rs", [(1, 2), (2, 3)])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_and_matches_exact(self, small_powerlaw_graph, rs, workers):
         csr = CSRSpace.from_graph(small_powerlaw_graph, *rs)
         exact = peeling_decomposition(csr).kappa
         result = process_and_decomposition(csr, workers=workers)
-        assert result.kappa == exact
+        assert result.kappa == and_decomposition_csr(csr).kappa == exact
         assert result.converged
+        assert result.operations["parallel"] == "process"
 
     def test_graph_source_and_space_source(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
-        from_graph = process_snd_decomposition(small_powerlaw_graph, 1, 2, workers=2)
-        from_space = process_snd_decomposition(
+        from_graph = process_and_decomposition(small_powerlaw_graph, 1, 2, workers=2)
+        from_space = process_and_decomposition(
             NucleusSpace(small_powerlaw_graph, 1, 2), workers=2
         )
         assert from_graph.kappa == from_space.kappa == exact
 
-    def test_max_iterations_matches_serial(self, small_powerlaw_graph):
+    def test_max_iterations_caps_rounds(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        for cap in (0, 1, 3):
-            serial = snd_decomposition(csr, max_iterations=cap)
-            pooled = process_snd_decomposition(csr, workers=2, max_iterations=cap)
-            assert pooled.kappa == serial.kappa
-            assert pooled.converged == serial.converged
-            assert pooled.iterations == serial.iterations
+        assert_capped_runs(
+            lambda space, **options: process_and_decomposition(
+                space, workers=2, **options
+            ),
+            csr,
+        )
 
     def test_empty_graph(self):
-        result = process_snd_decomposition(Graph(), 1, 2)
+        result = process_and_decomposition(Graph(), 1, 2)
         assert result.kappa == []
         assert result.converged
 
     def test_more_workers_than_cliques(self):
         graph = ring_of_cliques(2, 3)
         exact = peeling_decomposition(graph, 1, 2).kappa
-        result = process_snd_decomposition(graph, 1, 2, workers=64)
+        result = process_and_decomposition(graph, 1, 2, workers=64)
         assert result.kappa == exact
         assert result.operations["workers"] <= len(exact)
 
@@ -117,7 +116,7 @@ class TestKappaParity:
         with pytest.raises(ValueError):
             PersistentPool(0)
         with pytest.raises(ValueError):
-            process_snd_decomposition(ring_of_cliques(2, 3), 1, 2, workers=0)
+            process_and_decomposition(ring_of_cliques(2, 3), 1, 2, workers=0)
 
     @pytest.mark.parametrize("rs", [(2, 3), (3, 4)])
     def test_zero_s_clique_space(self, rs):
@@ -129,10 +128,9 @@ class TestKappaParity:
         path = Graph([(0, 1), (1, 2), (2, 3)])  # no triangles, no 4-cliques
         csr = CSRSpace.from_graph(path, *rs)
         assert len(csr) > 0 if rs == (2, 3) else len(csr) == 0
-        for runner in (process_snd_decomposition, process_and_decomposition):
-            result = runner(csr, workers=2)
-            assert result.kappa == [0] * len(csr)
-            assert result.converged
+        result = process_and_decomposition(csr, workers=2)
+        assert result.kappa == [0] * len(csr)
+        assert result.converged
 
 
 class TestNotificationAND:
@@ -158,12 +156,11 @@ class TestNotificationAND:
         from repro.core.decomposition import nucleus_decomposition
 
         # the pool always notifies; the knob is rejected, not ignored
-        for algorithm in ("and", "snd"):
-            with pytest.raises(TypeError, match="notification"):
-                nucleus_decomposition(
-                    small_powerlaw_graph, 1, 2, algorithm=algorithm,
-                    parallel="process", workers=2, notification=False,
-                )
+        with pytest.raises(TypeError, match="notification"):
+            nucleus_decomposition(
+                small_powerlaw_graph, 1, 2, algorithm="and",
+                parallel="process", workers=2, notification=False,
+            )
 
 
 class TestActiveBitmapScan:
@@ -188,13 +185,12 @@ class TestActiveBitmapScan:
 
 
 class TestOneChunkContract:
-    """One worker runs the pool's round kernels over the one chunk [0, n).
+    """One worker runs the pool's round kernel over the one chunk [0, n).
 
-    The serial SND engine and the pool workers share one sweep, and the
-    pool's flagged AND kernel takes the serial counted AND's trajectory, so
-    a single-worker pool must walk the serial trajectory: the same κ and
-    updates, plus the verification sweep AND adds before it accepts a
-    zero-update notification round as the fixed point.
+    The pool's flagged AND kernel takes the serial counted AND's
+    trajectory, so a single-worker pool must walk the serial trajectory:
+    the same κ and updates, plus the verification sweep the pool adds
+    before it accepts a zero-update notification round as the fixed point.
     """
 
     @pytest.mark.parametrize("rs", [(1, 2), (2, 3), (3, 4)])
@@ -202,10 +198,8 @@ class TestOneChunkContract:
         graph = CSRGraph.from_graph(powerlaw_cluster_graph(120, 5, 0.7, seed=13))
         space = CSRSpace.from_graph(graph, *rs)
         and_serial = and_decomposition_csr(space)
-        snd_serial = snd_decomposition_csr(space)
         with PersistentPool(1) as pool:
             and_pool = pool.run_and(space)
-            snd_pool = pool.run_snd(space)
         assert and_pool.kappa == and_serial.kappa
         assert and_pool.operations["updates"] == sum(
             st.updated for st in and_serial.iteration_stats
@@ -214,57 +208,44 @@ class TestOneChunkContract:
             assert and_pool.iterations == and_serial.iterations + 1
         else:
             assert and_pool.iterations == and_serial.iterations
-        assert snd_pool.kappa == snd_serial.kappa
-        assert snd_pool.iterations == snd_serial.iterations
 
 
 class TestPersistentPool:
     def test_repeated_calls_match_serial(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        serial = snd_decomposition(csr)
         exact = peeling_decomposition(csr).kappa
         with PersistentPool(workers=3) as pool:
             for _ in range(3):  # the buffer reset must make calls identical
-                result = pool.run_snd(csr)
-                assert result.kappa == serial.kappa == exact
-                assert result.iterations == serial.iterations
+                result = pool.run_and(csr)
+                assert result.kappa == exact
                 assert result.converged
                 assert result.operations["persistent"] is True
 
     def test_forks_once_per_space(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
         with PersistentPool(workers=2) as pool:
-            pool.run_snd(csr)
+            pool.run_and(csr)
             forks_after_first = pool.forks
             assert forks_after_first == 2
-            pool.run_snd(csr)
             pool.run_and(csr)
+            pool.run_and(csr, max_iterations=1)
             assert pool.forks == forks_after_first  # reused, not re-forked
-
-    def test_mixed_algorithms_share_one_binding(self, small_powerlaw_graph):
-        csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
-        exact = peeling_decomposition(csr).kappa
-        with PersistentPool(workers=2) as pool:
-            assert pool.run_snd(csr).kappa == exact
-            assert pool.run_and(csr).kappa == exact
-            assert pool.run_snd(csr).kappa == exact
-            assert pool.forks == 2
 
     def test_rebind_to_new_space(self, small_powerlaw_graph):
         first = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
         second = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
         with PersistentPool(workers=2) as pool:
-            assert pool.run_snd(first).kappa == peeling_decomposition(first).kappa
-            assert pool.run_snd(second).kappa == peeling_decomposition(second).kappa
+            assert pool.run_and(first).kappa == peeling_decomposition(first).kappa
+            assert pool.run_and(second).kappa == peeling_decomposition(second).kappa
             assert pool.forks == 4  # one fork batch per binding
             # returning to the first space rebinds again (no space cache)
-            assert pool.run_snd(first).kappa == peeling_decomposition(first).kappa
+            assert pool.run_and(first).kappa == peeling_decomposition(first).kappa
 
     def test_graph_source_converted_once(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
         with PersistentPool(workers=2) as pool:
-            a = pool.run_snd(small_powerlaw_graph, 1, 2)
-            b = pool.run_snd(small_powerlaw_graph, 1, 2)
+            a = pool.run_and(small_powerlaw_graph, 1, 2)
+            b = pool.run_and(small_powerlaw_graph, 1, 2)
             assert a.kappa == b.kappa == exact
             assert pool.forks == 2  # same source object: no reconversion/rebind
 
@@ -272,8 +253,8 @@ class TestPersistentPool:
         """Regression: the reuse cache must key on (r, s), not the source
         object alone — the same Graph at a new instance is a new space."""
         with PersistentPool(workers=2) as pool:
-            cores = pool.run_snd(small_powerlaw_graph, 1, 2)
-            trusses = pool.run_snd(small_powerlaw_graph, 2, 3)
+            cores = pool.run_and(small_powerlaw_graph, 1, 2)
+            trusses = pool.run_and(small_powerlaw_graph, 2, 3)
             assert cores.kappa == peeling_decomposition(
                 small_powerlaw_graph, 1, 2
             ).kappa
@@ -283,19 +264,23 @@ class TestPersistentPool:
             assert len(cores.kappa) != len(trusses.kappa)
             assert pool.forks == 4  # one fork batch per instance binding
 
-    def test_max_iterations_matches_serial(self, small_powerlaw_graph):
+    def test_max_iterations_caps_rounds(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
         with PersistentPool(workers=2) as pool:
-            for cap in (0, 1, 3):
-                serial = snd_decomposition(csr, max_iterations=cap)
-                pooled = pool.run_snd(csr, max_iterations=cap)
-                assert pooled.kappa == serial.kappa
-                assert pooled.converged == serial.converged
-                assert pooled.iterations == serial.iterations
+            assert_capped_runs(pool.run_and, csr)
+            assert pool.forks == 2
+
+    def test_no_snd_route(self):
+        import repro.parallel
+        from repro.resilience.supervisor import SupervisedPool
+
+        assert not hasattr(PersistentPool, "run_snd")
+        assert not hasattr(SupervisedPool, "run_snd")
+        assert not hasattr(repro.parallel, "process_snd_decomposition")
 
     def test_empty_space(self):
         with PersistentPool(workers=2) as pool:
-            result = pool.run_snd(Graph(), 1, 2)
+            result = pool.run_and(Graph(), 1, 2)
             assert result.kappa == []
             assert result.converged
             assert pool.forks == 0  # nothing to sweep, nothing forked
@@ -304,25 +289,25 @@ class TestPersistentPool:
         graph = ring_of_cliques(2, 3)
         exact = peeling_decomposition(graph, 1, 2).kappa
         with PersistentPool(workers=64) as pool:
-            result = pool.run_snd(graph, 1, 2)
+            result = pool.run_and(graph, 1, 2)
             assert result.kappa == exact
             assert result.operations["workers"] <= len(exact)
 
     def test_close_is_idempotent_and_final(self, small_powerlaw_graph):
         pool = PersistentPool(workers=2)
         csr = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
-        pool.run_snd(csr)
+        pool.run_and(csr)
         pool.close()
         pool.close()  # second close must be a no-op
         assert pool.closed
         with pytest.raises(RuntimeError, match="closed"):
-            pool.run_snd(csr)
+            pool.run_and(csr)
 
     def test_segments_unlinked_on_close(
         self, small_powerlaw_graph, captured_segments
     ):
         with PersistentPool(workers=2) as pool:
-            pool.run_snd(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
+            pool.run_and(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
         assert_all_unlinked(captured_segments)
 
     def test_segments_unlinked_on_rebind(
@@ -331,9 +316,9 @@ class TestPersistentPool:
         first = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
         second = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)
         with PersistentPool(workers=2) as pool:
-            pool.run_snd(first)
+            pool.run_and(first)
             first_segments = list(captured_segments)
-            pool.run_snd(second)
+            pool.run_and(second)
             # the old binding's segments are gone as soon as the pool rebinds
             assert_all_unlinked(first_segments)
         assert_all_unlinked(captured_segments)
@@ -344,7 +329,7 @@ class TestPersistentPool:
         with faults.fault_plan({"faults": [{"kind": "crash", "worker": 0}]}):
             pool = PersistentPool(workers=3)
             with pytest.raises(RuntimeError):
-                pool.run_snd(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
+                pool.run_and(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
         assert pool.closed  # a failed job poisons the pool
         assert_all_unlinked(captured_segments)
 
@@ -358,7 +343,7 @@ class TestPersistentPool:
             pool = PersistentPool(workers=3)
             t0 = time.perf_counter()
             with pytest.raises(RuntimeError, match="exit codes"):
-                pool.run_snd(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
+                pool.run_and(CSRSpace.from_graph(small_powerlaw_graph, 1, 2))
         assert time.perf_counter() - t0 < 30.0  # far below barrier_timeout
         assert pool.closed
         assert_all_unlinked(captured_segments)
@@ -366,7 +351,7 @@ class TestPersistentPool:
 
 class TestSegmentLifecycle:
     def test_unlinked_on_normal_exit(self, small_powerlaw_graph, captured_segments):
-        result = process_snd_decomposition(small_powerlaw_graph, 1, 2, workers=2)
+        result = process_and_decomposition(small_powerlaw_graph, 1, 2, workers=2)
         assert result.converged
         assert_all_unlinked(captured_segments)
 
@@ -376,7 +361,7 @@ class TestSegmentLifecycle:
         plan = {"faults": [{"kind": "crash-entry", "worker": 0}]}
         with faults.fault_plan(plan):
             with pytest.raises(RuntimeError, match="injected worker fault"):
-                process_snd_decomposition(small_powerlaw_graph, 1, 2, workers=3)
+                process_and_decomposition(small_powerlaw_graph, 1, 2, workers=3)
         assert_all_unlinked(captured_segments)
 
     def test_unlinked_on_worker_keyboard_interrupt(
@@ -399,7 +384,7 @@ class TestSegmentLifecycle:
         with faults.fault_plan(plan):
             t0 = time.perf_counter()
             with pytest.raises(RuntimeError, match="exit codes"):
-                process_snd_decomposition(small_powerlaw_graph, 1, 2, workers=3)
+                process_and_decomposition(small_powerlaw_graph, 1, 2, workers=3)
         assert time.perf_counter() - t0 < 30.0  # far below barrier_timeout
         assert_all_unlinked(captured_segments)
 
@@ -413,7 +398,7 @@ class TestSegmentLifecycle:
         csr = CSRSpace.from_graph(small_powerlaw_graph, 1, 2)
         pool = InterruptedPool(2)
         with pytest.raises(KeyboardInterrupt):
-            pool.run_snd(csr)
+            pool.run_and(csr)
         assert pool.closed
         assert_all_unlinked(captured_segments)
 

@@ -20,7 +20,7 @@ from repro.parallel.procpool import JobSpec, WorkerSpec
 #: One representative, fully-populated instance per worker-facing dataclass.
 EXAMPLES = {
     WorkerSpec: WorkerSpec(
-        names={"tau_a": "rp-1-abc-tau_a", "meta": "rp-1-abc-meta"},
+        names={"tau": "rp-1-abc-tau", "meta": "rp-1-abc-meta"},
         n=12,
         stride=2,
         bounds=(4, 9),
@@ -29,7 +29,6 @@ EXAMPLES = {
         faults=({"kind": "crash-entry", "mode": "raise"},),
     ),
     JobSpec: JobSpec(
-        kind="snd",
         max_iterations=3,
         gen=5,
         faults=({"kind": "stall", "round": 2, "seconds": 0.01},),
@@ -79,13 +78,13 @@ class TestPlainPickleRoundTrip(unittest.TestCase):
             names={}, n=1, stride=1, bounds=(0, 1), wid=0, barrier_timeout=1.0
         )
         self.assertEqual(pickle.loads(pickle.dumps(spec)), spec)
-        job = JobSpec(kind="and")
+        job = JobSpec()
         self.assertEqual(pickle.loads(pickle.dumps(job)), job)
 
     def test_replace_for_fault_attachment_round_trips(self):
         # the parent attaches per-worker faults with dataclasses.replace;
         # the derived instance must pickle exactly like a directly-built one
-        base = JobSpec(kind="snd", gen=2)
+        base = JobSpec(gen=2)
         derived = dataclasses.replace(
             base, faults=({"kind": "crash", "round": 0},)
         )
@@ -122,7 +121,7 @@ class TestUnpicklablePayloadFailsLoudly(unittest.TestCase):
         # the frozen specs cannot stop a caller putting garbage inside a
         # fault directive dict, but pickling must fail before dispatch, not
         # inside a worker
-        bad = JobSpec(kind="snd", faults=({"hook": _Unpicklable()},))
+        bad = JobSpec(faults=({"hook": _Unpicklable()},))
         with self.assertRaises(TypeError):
             pickle.dumps(bad)
 

@@ -14,11 +14,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.core.csr import (
-    CSRSpace,
-    and_decomposition_csr,
-    snd_decomposition_csr,
-)
+from repro.core.csr import CSRSpace, and_decomposition_csr
 from repro.core.decomposition import nucleus_decomposition
 from repro.resilience import faults
 from repro.resilience.errors import (
@@ -195,18 +191,9 @@ class TestSupervisedPool:
         with faults.fault_plan({"faults": plan}):
             policy = fast_policy(job_timeout=1.0)
             with SupervisedPool(workers=2, policy=policy) as pool:
-                result = pool.run_snd(space)
-        assert result.kappa == snd_decomposition_csr(space).kappa
+                result = pool.run_and(space)
+        assert result.kappa == serial_kappa
         assert result.operations["resilience"]["retries"] == 1
-
-    def test_snd_iteration_count_preserved_across_retry(self, space):
-        serial = snd_decomposition_csr(space)
-        plan = [{"kind": "crash", "worker": 0, "round": 0}]
-        with faults.fault_plan({"faults": plan}):
-            with SupervisedPool(workers=2, policy=fast_policy()) as pool:
-                result = pool.run_snd(space)
-        assert result.kappa == serial.kappa
-        assert result.iterations == serial.iterations
 
     def test_serial_fallback_after_budget(self, space, serial_kappa):
         plan = [{"kind": "crash", "worker": 0, "round": 0, "times": -1}]

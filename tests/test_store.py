@@ -27,6 +27,7 @@ from repro.datasets.registry import load_dataset
 from repro.graph.csr_graph import CliqueArrayView, CSRGraph
 from repro.graph.generators import powerlaw_cluster_graph, ring_of_cliques
 from repro.graph.graph import Graph
+import repro.store.bundle as bundle_module
 from repro.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -418,6 +419,31 @@ class TestWiring:
         ids = np.array([0, 5, 7, 39], dtype=np.int64)
         assert np.array_equal(bundle.space_vertex_ids(ids), ids)
         assert np.array_equal(bundle.space_vertex_ids(ids[::-1]), ids[::-1])
+
+    @pytest.mark.parametrize("relabel", [lambda v: 10 * v + 3, lambda v: f"v{v}"],
+                             ids=["int", "str"])
+    def test_shared_label_table_is_encoded_once(self, tmp_path, monkeypatch, relabel):
+        source = powerlaw_cluster_graph(40, 3, 0.5, seed=2)
+        graph = CSRGraph.from_graph(
+            Graph((relabel(u), relabel(v)) for u, v in source.edges())
+        )
+        space = CSRSpace.from_graph(graph, 2, 3)
+        assert space.cliques.labels is graph.labels
+        encoded = []
+        encode = bundle_module._encode_labels
+
+        def spy(labels):
+            encoded.append(labels)
+            return encode(labels)
+
+        monkeypatch.setattr(bundle_module, "_encode_labels", spy)
+        path = save_bundle(tmp_path / "b", graph=graph, space=space)
+        assert len(encoded) == 1 and encoded[0] is graph.labels
+        assert (path / "graph.labels.npy").read_bytes() == (
+            path / "space.labels.npy"
+        ).read_bytes()
+        bundle = open_bundle(path)
+        assert list(bundle.space.cliques.labels) == list(graph.labels)
 
     def test_reopened_label_maps_have_plain_keys(self, saved):
         path, graph, *_ = saved
