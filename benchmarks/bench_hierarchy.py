@@ -100,12 +100,12 @@ def _best_of(repeats, fn, *args, **kwargs):
 def test_hierarchy_csr_vs_dict_roundtrip(workload, smoke_mode, bench_record):
     graph, csr, kappa = workload
     reps = 1 if smoke_mode else 3
-    by_clique = csr.as_dict(kappa)
 
     def roundtrip():
-        # the dict space indexes the cliques in its own order: κ is re-keyed
+        # the dict space indexes the cliques as the CSR space does, so κ
+        # carries over by index
         space = NucleusSpace(graph, 2, 3)
-        dict_kappa = [by_clique[clique] for clique in space.cliques]
+        dict_kappa = list(kappa)
         return space, dict_kappa, build_hierarchy(space, dict_kappa)
 
     t_roundtrip, (dict_space, dict_kappa, h_roundtrip) = _best_of(reps, roundtrip)

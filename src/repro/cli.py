@@ -54,6 +54,17 @@ SMALL_DATASETS = ("fb", "tw", "sse")
 MEDIUM_DATASETS = ("fb", "tw", "sse", "wgo", "wnd")
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--r``, ``--workers`` and ``--threads``: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -78,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scal = sub.add_parser("scalability", help="Figure 1b/8: speedup vs threads")
     scal.add_argument("--datasets", nargs="+", default=list(MEDIUM_DATASETS))
-    scal.add_argument("--threads", nargs="+", type=int, default=[1, 4, 6, 12, 24])
+    scal.add_argument("--threads", nargs="+", type=_count, default=[1, 4, 6, 12, 24])
     scal.add_argument(
         "--measured",
         action="store_true",
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     scal.add_argument(
         "--workers",
         nargs="+",
-        type=int,
+        type=_count,
         default=[1, 2, 4],
         help="worker-process counts for --measured (speedup is relative to "
         "the first count)",
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(.gz/.bz2 transparently decompressed; ingested straight into the "
         "array-native CSRGraph)",
     )
-    dec.add_argument("--r", type=int, default=1)
+    dec.add_argument("--r", type=_count, default=1)
     dec.add_argument("--s", type=int, default=2)
     dec.add_argument(
         "--algorithm", choices=["peeling", "snd", "and"], default="and"
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dec.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=None,
         help="worker count for --parallel (default 4); requires --parallel",
     )
@@ -196,6 +207,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # a bad instance fails here, before any input is read (a count below 1
+    # already failed in parse_args, before any worker is forked)
+    if args.command == "decompose" and args.load is None and args.r >= args.s:
+        parser.error(f"need --r < --s, got --r {args.r} --s {args.s}")
     if args.command == "decompose" and args.workers is not None and args.parallel is None:
         # a silently discarded worker count looks like a slow parallel run;
         # fail loudly instead

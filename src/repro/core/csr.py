@@ -25,10 +25,9 @@ no per-element Python objects), which is what the process pool needs.
 A space built from a graph has one builder, :meth:`CSRSpace.from_graph`
 over a :class:`~repro.graph.csr_graph.CSRGraph` (a dict ``Graph`` is
 converted first), so one graph gives one space whichever class holds it.
-Its cliques are indexed in sorted vertex-id order, not in the enumeration
-order of :class:`repro.core.space.NucleusSpace`; ``NucleusSpace.to_csr()``
-(:meth:`CSRSpace.from_space`) is the flattening that keeps the dict
-space's indexing, for index-aligned comparison against the oracle.
+Its cliques are indexed in sorted vertex-id order, and so are those of
+:class:`repro.core.space.NucleusSpace`: ``NucleusSpace.to_csr()`` is
+``CSRSpace.from_graph`` on the same graph, index-aligned with the oracle.
 
 The pool's AND round kernel, :func:`_and_sweep`, runs one frontier-batched
 pass over a chunk of cliques, driven by notification flags: the workers of
@@ -123,11 +122,10 @@ class CSRSpace:
 
     Build one with :meth:`from_graph` (straight from either graph
     representation through one :class:`CSRGraph` route, no dict space in
-    between) or :meth:`from_space` (``NucleusSpace.to_csr()``, which keeps
-    the dict space's clique indexing); both end in the constructor, which takes
-    prebuilt buffers and stores them as int64 arrays.  :meth:`restrict`
-    cuts the space of an induced subgraph out of an existing one.  The
-    read API mirrors
+    between; ``NucleusSpace.to_csr()`` is this route too); it ends in the
+    constructor, which takes prebuilt buffers and stores them as int64
+    arrays.  :meth:`restrict` cuts the space of an induced subgraph out of
+    an existing one.  The read API mirrors
     :class:`NucleusSpace` (``__len__``, ``s_degree``, ``s_degrees``,
     ``contexts``, ``neighbors``, ``as_dict``) so ordering helpers and
     result construction work on either representation.
@@ -139,15 +137,14 @@ class CSRSpace:
     stride : int
         ``C(s, r) − 1`` — partner cliques per context; ``ctx_members`` is
         grouped in runs of this length.
-    cliques : sequence
+    cliques : CliqueArrayView
         The r-cliques, index-aligned with every other buffer: a lazy
-        :class:`~repro.graph.csr_graph.CliqueArrayView` for a space built
-        from a graph or reopened from a bundle, a list of tuples for one
-        flattened from a :class:`NucleusSpace`.
-    graph : CSRGraph or Graph, optional
-        The source graph: the :class:`CSRGraph` a graph-built space was
-        enumerated from, the dict graph of a flattened
-        :class:`NucleusSpace`, ``None`` after unpickling.
+        :class:`~repro.graph.csr_graph.CliqueArrayView` over a vertex-id
+        table, in lexicographic order for a space built from a graph.
+    graph : CSRGraph, optional
+        The :class:`CSRGraph` the space was enumerated from (or the stored
+        graph of a reopened bundle); ``None`` after unpickling or
+        :meth:`restrict`.
     ctx_offsets, ctx_members : flat int64 buffers
         CSR incidence of contexts: the contexts of clique ``i`` occupy
         ``ctx_members[ctx_offsets[i]:ctx_offsets[i + 1]]``, ``stride``
@@ -180,71 +177,38 @@ class CSRSpace:
         "graph",
         "ctx_offsets",
         "ctx_members",
-        "_index",
     )
 
     def __init__(
         self,
         r: int,
         s: int,
-        cliques: Sequence[Clique],
+        cliques: CliqueArrayView,
         ctx_offsets: Sequence[int],
         ctx_members: Sequence[int],
-        graph: Optional[GraphSource] = None,
+        graph: Optional[CSRGraph] = None,
     ) -> None:
         if r < 1 or s <= r:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
         self.r = r
         self.s = s
         self.stride = _binomial(s, r) - 1
-        # a lazy id-table view stays lazy; any other sequence is copied
-        self.cliques = (
-            cliques if isinstance(cliques, CliqueArrayView) else list(cliques)
-        )
+        self.cliques = cliques
         self.graph = graph
         self.ctx_offsets = _np.asarray(ctx_offsets, dtype=_np.int64)
         self.ctx_members = _np.asarray(ctx_members, dtype=_np.int64)
-        self._index = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_space(cls, space: NucleusSpace) -> "CSRSpace":
-        """Flatten a :class:`NucleusSpace` into CSR arrays."""
-        n = len(space)
-        stride = _binomial(space.s, space.r) - 1
-        ctx_offsets = [0] * (n + 1)
-        ctx_members: List[int] = []
-        for i in range(n):
-            contexts = space.contexts(i)
-            for others in contexts:
-                if len(others) != stride:
-                    raise ValueError(
-                        f"context of clique {i} has {len(others)} members, "
-                        f"expected C({space.s},{space.r})-1 = {stride}"
-                    )
-                ctx_members.extend(others)
-            ctx_offsets[i + 1] = ctx_offsets[i] + len(contexts)
-        return cls(
-            space.r,
-            space.s,
-            space.cliques,
-            ctx_offsets,
-            ctx_members,
-            graph=space.graph,
-        )
-
-    @classmethod
     def from_graph(
         cls, graph: GraphSource, r: int, s: int, *, pool=None
     ) -> "CSRSpace":
-        """Build the CSR space of ``graph`` directly, without a NucleusSpace.
+        """Build the CSR space of ``graph`` straight from the graph.
 
-        The dict-of-tuples :class:`NucleusSpace` is convenient for reference
-        semantics but expensive to materialise (per-context tuples, per-clique
-        neighbour sets) only to be flattened again by :meth:`from_space`.
-        This constructor goes straight from the graph to the flat arrays.
+        No dict-of-tuples :class:`NucleusSpace` (per-context tuples,
+        per-clique neighbour sets) is materialised on the way.
 
         There is one construction path: a dict :class:`Graph` is first
         converted with :meth:`CSRGraph.from_graph`, so both graph classes
@@ -271,10 +235,10 @@ class CSRSpace:
         order; the hits come back in generation order, so the buffers are
         those of an unsorted search.
 
-        Clique *indices* follow the sorted id order of the array tables,
-        not the enumeration order of ``NucleusSpace(graph, r, s)``; κ keyed
-        by clique (``as_dict``) is identical either way.  For an
-        index-aligned flattening of a dict space use :meth:`from_space`.
+        Clique *indices* follow the sorted id order of the array tables:
+        the r-cliques in lexicographic order of their vertex-id rows.
+        ``NucleusSpace(graph, r, s)`` indexes its cliques the same way, and
+        its ``to_csr()`` is this space.
 
         ``pool`` (a :class:`~repro.parallel.procpool.PersistentPool`) binds
         the serially built space on that pool: its segments are created and
@@ -322,7 +286,7 @@ class CSRSpace:
         cls,
         r: int,
         s: int,
-        cliques: Sequence[Clique],
+        cliques: CliqueArrayView,
         groups,
         graph: CSRGraph,
     ) -> "CSRSpace":
@@ -371,13 +335,12 @@ class CSRSpace:
     def restrict(self, vertex_ids) -> "CSRSpace":
         """The sub-space over the r-cliques whose vertices all lie in ``vertex_ids``.
 
-        ``vertex_ids`` are vertex ids of the clique table, so the space must
-        be array-indexed (built from a :class:`CSRGraph` or reopened from a
-        bundle).  The result equals the space of the induced subgraph on
-        those vertices: an s-clique lies in that subgraph exactly when all
-        of its r-subcliques do, so a context row is kept only when every
-        partner survives.  Surviving cliques keep their relative order and
-        their vertex ids and labels, so ``find_index`` works unchanged.
+        ``vertex_ids`` are vertex ids of the clique table.  The result
+        equals the space of the induced subgraph on those vertices: an
+        s-clique lies in that subgraph exactly when all of its r-subcliques
+        do, so a context row is kept only when every partner survives.
+        Surviving cliques keep their relative order and their vertex ids
+        and labels, so ``find_index`` works unchanged.
 
         Every clique inside the set is led (smallest id) by a member of the
         set, so the candidates are the runs of the clique table's sorted
@@ -401,11 +364,6 @@ class CSRSpace:
         ([(0, 1), (0, 2), (1, 2)], 1)
         """
         view = self.cliques
-        if not isinstance(view, CliqueArrayView):
-            raise ValueError(
-                "restrict needs an array-indexed clique table; build the "
-                "space from a CSRGraph or reopen it from a bundle"
-            )
         # plain views: a memmap subclass pays wrapping costs on every op
         ctx_off = _np.asarray(self.ctx_offsets)
         members = _np.asarray(self.ctx_members)
@@ -461,9 +419,7 @@ class CSRSpace:
     def index_of(self, clique: Sequence) -> int:
         """Index of an r-clique given in any vertex order (KeyError if absent).
 
-        The reverse clique → index mapping is built lazily on first use and
-        memoised, so index-only pipelines (the CSR-native application layer)
-        never pay for it.
+        A binary search of the id table (see :meth:`find_index`).
         """
         found = self.find_index(clique)
         if found is None:
@@ -473,14 +429,11 @@ class CSRSpace:
     def find_index(self, clique: Sequence) -> Optional[int]:
         """Index of an r-clique given in any vertex order, or ``None``.
 
-        An array-built space binary-searches its id table
-        (:meth:`CliqueArrayView.find`); a list-backed one keeps a dict.
+        Binary-searches the id table (:meth:`CliqueArrayView.find`); its
+        label map and row index are built on first use and cached, so
+        index-only pipelines never pay for them.
         """
-        if isinstance(self.cliques, CliqueArrayView):
-            return self.cliques.find(clique)
-        if self._index is None:
-            self._index = {c: i for i, c in enumerate(self.cliques)}
-        return self._index.get(canonical_clique(tuple(clique)))
+        return self.cliques.find(clique)
 
     def s_degree(self, index: int) -> int:
         return int(self.ctx_offsets[index + 1] - self.ctx_offsets[index])
@@ -590,12 +543,10 @@ class CSRSpace:
             "graph": None,
             "ctx_offsets": self.ctx_offsets,
             "ctx_members": self.ctx_members,
-            "_index": None,
         }
 
     def __setstate__(self, state) -> None:
         state.setdefault("graph", None)
-        state.setdefault("_index", None)
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -873,7 +824,7 @@ def _as_csr(
     r: Optional[int],
     s: Optional[int],
 ) -> CSRSpace:
-    """:func:`resolve_space`, with a :class:`NucleusSpace` flattened."""
+    """:func:`resolve_space`, with a :class:`NucleusSpace` replaced by its ``to_csr()``."""
     space = resolve_space(source, r, s)
     return space if isinstance(space, CSRSpace) else space.to_csr()
 

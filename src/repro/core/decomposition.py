@@ -78,8 +78,8 @@ def nucleus_decomposition(
     parallel:
         ``None`` (serial, the default) or ``"process"`` (AND on the
         shared-memory process pool of :mod:`repro.parallel.procpool`, which
-        runs the CSR kernels on any source; a ``NucleusSpace`` is flattened
-        with :meth:`NucleusSpace.to_csr`).  Peeling and SND have no pool
+        runs the CSR kernels on any source; a ``NucleusSpace`` runs on
+        :meth:`NucleusSpace.to_csr`).  Peeling and SND have no pool
         route.
     workers:
         Worker count for the parallel modes (default 4); requires

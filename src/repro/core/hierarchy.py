@@ -10,7 +10,7 @@ s-clique whose r-cliques all have κ >= k.
 
 Construction reads the incidence arrays of a
 :class:`~repro.core.csr.CSRSpace` (a :class:`NucleusSpace` through its
-memoised ``to_csr()`` flattening, which keeps its clique indexing) and is a
+memoised ``to_csr()``, which indexes the cliques alike) and is a
 handful of numpy passes per distinct κ value, with no per-clique Python
 work:
 

@@ -112,9 +112,9 @@ def assert_comparable(
     instance and index the same r-cliques in the same order
     (:meth:`~repro.core.result.DecompositionResult.check_aligned`); κ
     arrays are then aligned index-for-index regardless of which kernels
-    produced them, so no tuple-keyed reconciliation is needed.  Results on
-    two spaces that index differently (``CSRSpace.from_graph`` against
-    ``NucleusSpace``) are compared by clique, through ``as_dict()``.
+    produced them, so no tuple-keyed reconciliation is needed.  Both space
+    tiers of one graph index alike; results on clique tables that differ
+    are compared by clique, through ``as_dict()``.
     """
     if (estimate.r, estimate.s) != (exact.r, exact.s):
         raise ValueError(

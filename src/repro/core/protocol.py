@@ -117,8 +117,8 @@ class SpaceLike(Protocol):
 def space_graph(space: SpaceLike) -> Optional[Union["Graph", "CSRGraph"]]:
     """The source graph of a space, or ``None`` if it was detached.
 
-    ``NucleusSpace`` always carries its :class:`Graph`, and so does its
-    flattening ``to_csr()``; a ``CSRSpace`` built by ``from_graph`` carries
+    ``NucleusSpace`` always carries its :class:`Graph`; a ``CSRSpace``
+    built by ``from_graph`` (``NucleusSpace.to_csr()`` included) carries
     the :class:`CSRGraph` it was enumerated from (a dict ``Graph`` source is
     converted first), and one reopened from a bundle the stored graph.  A
     space reconstructed from raw arrays (deserialisation, shared-memory

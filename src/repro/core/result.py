@@ -185,12 +185,13 @@ class DecompositionResult:
 
         κ travels by index, so a result pairs with a space (or with another
         result) only when both clique tables list the same r-cliques in the
-        same order; spaces of one graph may index differently
-        (``CSRSpace.from_graph`` sorts by vertex id, ``NucleusSpace``
-        follows its enumeration).  The check is free when both sides hold
-        the same table object, as a result computed on the space does;
-        two :class:`~repro.graph.csr_graph.CliqueArrayView` tables are
-        compared as id arrays, without building a tuple.
+        same order.  Both space tiers of one graph list them alike
+        (``NucleusSpace`` and ``CSRSpace.from_graph`` sort by vertex id);
+        a space of another graph, a ``restrict``-ed space or a bundle
+        written in another order does not.  The check is free when both
+        sides hold the same table object, as a result computed on the space
+        does; two :class:`~repro.graph.csr_graph.CliqueArrayView` tables
+        are compared as id arrays, without building a tuple.
         """
         if not _same_cliques(self.cliques, cliques):
             raise ValueError(

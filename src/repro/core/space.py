@@ -10,11 +10,12 @@ SND and AND algorithms actually operate on:
 * the S-degrees (number of containing s-cliques), and
 * the neighbour relation ``Ns(R)`` used by the notification mechanism.
 
-Specialised constructors exist for the three instances studied in the paper —
-(1, 2) vertex/edge, (2, 3) edge/triangle, (3, 4) triangle/4-clique — plus a
-generic path for any r < s.  All of them discover s-clique participation on
-the fly from adjacency intersections (never materialising a hypergraph),
-mirroring the implementation choice in Section 5 of the paper.
+The r-cliques are indexed as :meth:`repro.core.csr.CSRSpace.from_graph`
+indexes them (lexicographic order of their vertex ids, ids given in
+:func:`~repro.graph.graph.sorted_vertices` order), so κ travels by index
+between the two tiers.  One builder serves every r < s: both clique sets are
+enumerated on the fly from adjacency intersections (never materialising a
+hypergraph), mirroring the implementation choice in Section 5 of the paper.
 """
 
 from __future__ import annotations
@@ -45,7 +46,25 @@ class NucleusSpace:
     ----------
     cliques:
         List of canonical r-clique tuples; index ``i`` identifies clique
-        ``cliques[i]`` everywhere else in the package.
+        ``cliques[i]`` everywhere else in the package.  The order is the
+        one :meth:`CSRSpace.from_graph <repro.core.csr.CSRSpace.from_graph>`
+        gives the same graph, and :meth:`to_csr` is that space.
+
+    Examples
+    --------
+    >>> from repro.core.csr import CSRSpace
+    >>> from repro.graph.graph import Graph
+    >>> graph = Graph([(10, 2), (2, 3), (3, 10), (3, 4)])
+    >>> space = NucleusSpace(graph, 2, 3)
+    >>> space.cliques
+    [(2, 3), (2, 10), (3, 4), (3, 10)]
+    >>> space.contexts(0)          # (2, 3) lies in one triangle, with (2, 10), (3, 10)
+    [(1, 3)]
+    >>> csr = space.to_csr()
+    >>> list(csr.cliques) == list(CSRSpace.from_graph(graph, 2, 3).cliques) == space.cliques
+    True
+    >>> csr.contexts(0), space.to_csr() is csr
+    ([(1, 3)], True)
     """
 
     def __init__(self, graph: Graph, r: int, s: int) -> None:
@@ -54,14 +73,7 @@ class NucleusSpace:
         self.graph = graph
         self.r = r
         self.s = s
-        self.cliques: List[Clique] = []
-        self.index: Dict[Clique, int] = {}
-        # _contexts[i] = list with one entry per s-clique containing clique i;
-        # each entry is the tuple of the *other* r-clique indices in that
-        # s-clique.
-        self._contexts: List[List[Tuple[int, ...]]] = []
-        self._neighbors: List[Set[int]] = []
-        self._csr = None  # memoised CSR flattening (see to_csr)
+        self._csr = None  # memoised array twin (see to_csr)
         self._build()
 
     # ------------------------------------------------------------------
@@ -137,114 +149,51 @@ class NucleusSpace:
         return {self.cliques[i]: values[i] for i in range(len(values))}
 
     def to_csr(self) -> "CSRSpace":
-        """Flatten into the CSR array backend (:class:`repro.core.csr.CSRSpace`).
+        """This space on the CSR array tier: ``CSRSpace.from_graph(graph, r, s)``.
 
-        The CSR form is index-compatible with this space (clique ``i`` is the
-        same r-clique in both), compact, picklable, and what the array-native
-        kernels operate on.  The flattening is memoised: the space is
-        immutable after construction, so repeated CSR-kernel runs on the
-        same space reuse one ``CSRSpace`` (and its cached reverse index)
-        instead of re-flattening per call.
+        Both tiers index the r-cliques alike, so clique ``i`` is the same
+        r-clique in both and κ lines up by index.  The CSR space is built
+        once and memoised: the space is immutable after construction, so
+        repeated CSR-kernel runs on it reuse one ``CSRSpace``.
         """
         from repro.core.csr import CSRSpace
 
         if self._csr is None:
-            self._csr = CSRSpace.from_space(self)
+            self._csr = CSRSpace.from_graph(self.graph, self.r, self.s)
         return self._csr
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        if (self.r, self.s) == (1, 2):
-            self._build_vertex_edge()
-        elif (self.r, self.s) == (2, 3):
-            self._build_edge_triangle()
-        elif (self.r, self.s) == (3, 4):
-            self._build_triangle_four_clique()
-        else:
-            self._build_generic()
+        """Index the r-cliques in id order, then attach one context per s-clique member.
 
-    def _register(self, clique: Clique) -> int:
-        idx = self.index.get(clique)
-        if idx is None:
-            idx = len(self.cliques)
-            self.index[clique] = idx
-            self.cliques.append(clique)
-            self._contexts.append([])
-            self._neighbors.append(set())
-        return idx
-
-    def _add_context(self, owner: int, others: Tuple[int, ...]) -> None:
-        self._contexts[owner].append(others)
-        self._neighbors[owner].update(others)
-
-    def _build_vertex_edge(self) -> None:
-        """(1, 2): r-cliques are vertices, s-cliques are edges."""
-        for v in sorted_vertices(self.graph.vertices()):
-            self._register((v,))
-        for u, v in self.graph.edges():
-            iu = self.index[(u,)]
-            iv = self.index[(v,)]
-            self._add_context(iu, (iv,))
-            self._add_context(iv, (iu,))
-
-    def _build_edge_triangle(self) -> None:
-        """(2, 3): r-cliques are edges, s-cliques are triangles."""
-        for edge in enumerate_k_cliques(self.graph, 2):
-            self._register(canonical_clique(edge))
-        for triangle in enumerate_k_cliques(self.graph, 3):
-            tri = canonical_clique(triangle)
-            edge_indices = [
-                self.index[canonical_clique(pair)]
-                for pair in combinations(tri, 2)
-            ]
-            for i, owner in enumerate(edge_indices):
-                others = tuple(e for j, e in enumerate(edge_indices) if j != i)
-                self._add_context(owner, others)
-
-    def _build_triangle_four_clique(self) -> None:
-        """(3, 4): r-cliques are triangles, s-cliques are 4-cliques."""
-        for triangle in enumerate_k_cliques(self.graph, 3):
-            self._register(canonical_clique(triangle))
-        for four in enumerate_k_cliques(self.graph, 4):
-            quad = canonical_clique(four)
-            tri_indices = [
-                self.index[canonical_clique(tri)]
-                for tri in combinations(quad, 3)
-            ]
-            for i, owner in enumerate(tri_indices):
-                others = tuple(t for j, t in enumerate(tri_indices) if j != i)
-                self._add_context(owner, others)
-
-    def _build_generic(self) -> None:
-        """Any r < s: enumerate both clique sets and connect them."""
-        for clique in enumerate_k_cliques(self.graph, self.r):
-            self._register(canonical_clique(clique))
-        for s_clique in enumerate_k_cliques(self.graph, self.s):
-            big = canonical_clique(s_clique)
-            sub_indices = [
-                self.index[canonical_clique(sub)]
-                for sub in combinations(big, self.r)
-            ]
-            for i, owner in enumerate(sub_indices):
-                others = tuple(x for j, x in enumerate(sub_indices) if j != i)
-                self._add_context(owner, others)
-
-    # ------------------------------------------------------------------
-    # restricted spaces (query-driven scenario)
-    # ------------------------------------------------------------------
-    @classmethod
-    def restricted_to(
-        cls, graph: Graph, r: int, s: int, vertices: Set[Vertex]
-    ) -> "NucleusSpace":
-        """Build the space of the subgraph induced by ``vertices``.
-
-        Used by the query-driven estimator: the τ iteration is run on the
-        induced neighbourhood only, so estimates are local both in data and
-        in computation.
+        Vertices are ranked by :func:`sorted_vertices`, the order in which
+        :meth:`CSRGraph.from_graph <repro.graph.csr_graph.CSRGraph.from_graph>`
+        gives ids, and the r-cliques are listed in lexicographic order of
+        their sorted rank tuples: the order of
+        :meth:`CSRSpace.from_graph <repro.core.csr.CSRSpace.from_graph>`.
         """
-        return cls(graph.subgraph(vertices), r, s)
+        graph, r = self.graph, self.r
+        rank = {v: i for i, v in enumerate(sorted_vertices(graph.vertices()))}
+        self.cliques: List[Clique] = sorted(
+            map(canonical_clique, enumerate_k_cliques(graph, r)),
+            key=lambda clique: sorted(rank[v] for v in clique),
+        )
+        self.index: Dict[Clique, int] = {c: i for i, c in enumerate(self.cliques)}
+        # _contexts[i] has one entry per s-clique containing clique i: the
+        # tuple of the *other* r-clique indices in that s-clique
+        self._contexts: List[List[Tuple[int, ...]]] = [[] for _ in self.cliques]
+        self._neighbors: List[Set[int]] = [set() for _ in self.cliques]
+        for s_clique in enumerate_k_cliques(graph, self.s):
+            members = [
+                self.index[canonical_clique(sub)]
+                for sub in combinations(canonical_clique(s_clique), r)
+            ]
+            for i, owner in enumerate(members):
+                others = tuple(members[:i] + members[i + 1:])
+                self._contexts[owner].append(others)
+                self._neighbors[owner].update(others)
 
     def validate(self) -> None:
         """Internal consistency checks (used by tests and debug assertions).

@@ -61,8 +61,8 @@ def run_scalability(
     for dataset in datasets:
         graph = load_dataset(dataset)
         space = NucleusSpace(graph, r, s)
-        # to_csr() keeps the dict space's clique indexing, so κ lines up
-        # with the cliques the cost model walks
+        # to_csr() indexes the cliques as the dict space does, so κ lines
+        # up with the cliques the cost model walks
         kappa = peeling_decomposition(space.to_csr()).kappa
         local_dynamic = simulate_local_scalability(
             space, thread_counts, policy="dynamic", chunk_size=chunk_size

@@ -63,7 +63,7 @@ from repro.core.hierarchy import NucleusHierarchy
 from repro.core.result import DecompositionResult
 from repro.core.space import NucleusSpace, _binomial
 from repro.graph.csr_graph import CliqueArrayView, CSRGraph
-from repro.graph.graph import Graph, sorted_vertices
+from repro.graph.graph import Graph
 from repro.resilience.errors import StoreFormatError
 from repro.resilience.faults import get_active as _active_faults
 
@@ -183,31 +183,6 @@ def _decode_labels(spec: Dict[str, Any], loader: Callable[[str], Any]) -> Any:
     raise StoreFormatError(f"unknown label encoding {kind!r} in manifest")
 
 
-def _clique_table(space: CSRSpace) -> Tuple[Any, Sequence[Any]]:
-    """``(ids, labels)`` of a space's clique table, building one if needed.
-
-    A :class:`CliqueArrayView` already *is* an id table plus a label table.
-    A list-of-tuples clique sequence (dict-built spaces) is converted: the
-    label table is the type-stable sorted union of clique vertices, the id
-    rows follow the clique order so index alignment is preserved
-    byte-for-byte.
-    """
-    cliques = space.cliques
-    if isinstance(cliques, CliqueArrayView):
-        ids = _np.asarray(cliques.ids, dtype=_np.int64)
-        if ids.ndim == 1:
-            ids = ids.reshape(len(ids), 1)
-        return ids, cliques.labels
-    labels = sorted_vertices({v for clique in cliques for v in clique})
-    id_of = {label: i for i, label in enumerate(labels)}
-    ids = _np.fromiter(
-        (id_of[v] for clique in cliques for v in clique),
-        dtype=_np.int64,
-        count=len(cliques) * space.r,
-    ).reshape(len(cliques), space.r)
-    return ids, labels
-
-
 # ----------------------------------------------------------------------
 # saving
 # ----------------------------------------------------------------------
@@ -234,7 +209,7 @@ def save_bundle(
         The source graph.  A dict :class:`Graph` is converted to its CSR
         form first — bundles always store flat arrays.
     space : NucleusSpace or CSRSpace, optional
-        The (r, s) clique space; a :class:`NucleusSpace` is flattened via
+        The (r, s) clique space; a :class:`NucleusSpace` is stored as its
         ``to_csr()`` (identical indexing).  Its clique table and label
         table are stored alongside the two incidence buffers.
     result : DecompositionResult, optional
@@ -314,8 +289,9 @@ def save_bundle(
         r, s = space.r, space.s
         write("space.ctx_offsets", space.ctx_offsets)
         write("space.ctx_members", space.ctx_members)
-        ids, labels = _clique_table(space)
-        write("space.clique_ids", ids)
+        ids = _np.asarray(space.cliques.ids, dtype=_np.int64)
+        write("space.clique_ids", ids.reshape(len(ids), r))
+        labels = space.cliques.labels
         # a space built from this graph shares its table: encode it once
         if graph_labels is not None and labels is graph_labels[0]:
             encoded = graph_labels[1]
@@ -573,7 +549,6 @@ class Bundle:
             space.graph = self.graph if self.has("graph") else None
             space.ctx_offsets = self.load_array("space.ctx_offsets")
             space.ctx_members = self.load_array("space.ctx_members")
-            space._index = None
             self._space = space
         return self._space
 
@@ -592,8 +567,8 @@ class Bundle:
         """Clique-table vertex ids of the stored graph's vertex ids ``graph_ids``.
 
         The graph and the space carry a label table each: a space built
-        from the stored graph shares its table, one flattened from a
-        :class:`NucleusSpace` labels only the vertices that lie in one of
+        from the stored graph shares its table, while a bundle written by
+        an earlier version may label only the vertices that lie in one of
         its r-cliques.  Whether the two tables are equal is checked once;
         when they are, an id means the same vertex in both and
         ``graph_ids`` come back as they are.  Otherwise the id map is built

@@ -224,6 +224,42 @@ class TestDecomposeWorkers:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scalability", "--algorithm", "snd"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--r", "3", "--s", "2"], "--r < --s"),
+            (["--r", "2", "--s", "2"], "--r < --s"),
+            (["--r", "0", "--s", "2"], "at least 1"),
+            (["--parallel", "process", "--workers", "0"], "at least 1"),
+            (["--parallel", "process", "--workers", "-2"], "at least 1"),
+            (["--parallel", "process", "--workers", "x"], "not an integer"),
+        ],
+    )
+    def test_bad_instance_or_workers_exit_before_reading(
+        self, capsys, monkeypatch, argv, message
+    ):
+        """Rejected by the parser (exit 2): no dataset is loaded and no
+        pool is built, so no worker is forked."""
+        import repro.cli as cli
+        from repro.parallel.procpool import PersistentPool
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read input or built a pool")
+
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        monkeypatch.setattr(PersistentPool, "__init__", forbidden)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompose", "--dataset", "toy", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--threads"])
+    def test_scalability_counts_must_be_positive(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scalability", "--measured", flag, "2", "0"])
+        assert excinfo.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
     def test_workers_allowed_for_other_commands(self, capsys):
         # scalability --measured has its own --workers; must stay unaffected
         args = build_parser().parse_args(

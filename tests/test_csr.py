@@ -175,9 +175,9 @@ class TestCSRSpaceStructure:
 def contexts_by_clique(space):
     """Clique → its contexts, each the sorted tuple of its partner cliques.
 
-    Sorted by ``repr``, so mixed-type labels order too.  Index-free, so two spaces that index the same cliques differently
-    (``CSRSpace.from_graph`` sorts by vertex id, ``NucleusSpace`` follows
-    its enumeration) compare equal exactly when their incidence agrees.
+    Sorted by ``repr``, so mixed-type labels order too.  Index-free, so
+    two spaces compare equal exactly when their incidence agrees, whatever
+    the order of their context rows and partners.
     """
     cliques = list(space.cliques)
     return {
@@ -218,15 +218,17 @@ MIXED_LABELS = Graph(
 class TestFromGraph:
     """Direct graph-to-CSR construction holds the dict space's incidence.
 
-    The cliques are indexed in sorted vertex-id order, so the comparison
-    with ``NucleusSpace`` is by clique, not by index.
+    Both index the cliques in sorted vertex-id order; the contexts are
+    compared by clique, so their row and partner order does not matter.
     """
 
     @pytest.mark.parametrize("rs", INSTANCES + [(2, 4), (1, 3)])
     def test_structure_identical_to_dict_path(self, any_graph, rs):
         direct = CSRSpace.from_graph(any_graph, *rs)
         direct.validate()
-        assert_same_space_by_clique(direct, NucleusSpace(any_graph, *rs))
+        dict_space = NucleusSpace(any_graph, *rs)
+        assert list(direct.cliques) == dict_space.cliques
+        assert_same_space_by_clique(direct, dict_space)
 
     @pytest.mark.parametrize("rs", INSTANCES)
     def test_empty_and_tiny_graphs(self, rs):

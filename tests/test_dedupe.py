@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from permuted_space import permuted_space
 
 from repro.core.csr import CSRSpace
 from repro.core.decomposition import nucleus_decomposition
@@ -232,23 +233,13 @@ class TestPointLookups:
         for absent in [(-1,) * rs[0], tuple(range(1000, 1000 + rs[0])), ("x",) * rs[0]]:
             assert space.find_index(absent) is None
         assert space.find_index((0,) * (rs[0] + 1)) is None
-        assert space._index is None  # no clique dict was built
 
-    def test_find_index_on_list_space_keeps_dict(self):
-        space = NucleusSpace(GRAPHS["powerlaw"], 2, 3).to_csr()
-        clique = space.cliques[7]
-        assert space.find_index(tuple(reversed(clique))) == 7
-        assert space._index is not None
-
-    @pytest.mark.parametrize("source", ["arrays", "from_space"])
+    @pytest.mark.parametrize("source", ["arrays", "permuted"])
     def test_bundle_kappa_of_matches_full_scan(self, tmp_path, source):
-        dict_graph = GRAPHS["dense"]
-        if source == "arrays":
-            graph = CSRGraph.from_graph(dict_graph)
-            space = CSRSpace.from_graph(graph, 2, 3)
-        else:
-            # dict enumeration order: the clique table is not lex-sorted
-            space = CSRSpace.from_space(NucleusSpace(dict_graph, 2, 3))
+        space = CSRSpace.from_graph(CSRGraph.from_graph(GRAPHS["dense"]), 2, 3)
+        if source == "permuted":
+            # the clique table is not lex-sorted and has its own labels
+            space = permuted_space(space, 4, own_labels=True)
         result = nucleus_decomposition(space, 2, 3)
         bundle = open_bundle(
             save_bundle(tmp_path / source, space=space, result=result)

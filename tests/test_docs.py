@@ -32,6 +32,7 @@ DOCTEST_MODULES = [
     "repro.core.peeling",
     "repro.core.query",
     "repro.core.csr",
+    "repro.core.space",
     "repro.graph.csr_graph",
     "repro.graph.graph",
     "repro.store.bundle",

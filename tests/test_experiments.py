@@ -98,7 +98,7 @@ class TestE3Iterations:
         the dict oracle's, not the batched kernel's passes."""
         graph = load_dataset("fb")
         rows = run_iteration_counts(["fb"], include_bound=False)
-        expected = {(1, 2): 10, (2, 3): 5}
+        expected = {(1, 2): 10, (2, 3): 7}
         for row in rows:
             rs = (row["r"], row["s"])
             oracle = and_decomposition(NucleusSpace(graph, *rs))

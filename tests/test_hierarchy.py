@@ -170,7 +170,10 @@ class TestResultAlignment:
     def test_result_of_another_space_is_rejected(self):
         graph = CSRGraph.from_graph(powerlaw_cluster_graph(60, 4, 0.5, seed=2))
         result = truss_decomposition(graph)
-        dict_space = NucleusSpace(graph.to_graph(), 2, 3)
+        # the graph mirrored (v -> n - 1 - v): as many cliques, indexed differently
+        n = graph.number_of_vertices()
+        mirror = Graph((n - 1 - u, n - 1 - v) for u, v in graph.to_graph().edges())
+        dict_space = NucleusSpace(mirror, 2, 3)
         assert len(result) == len(dict_space)
         with pytest.raises(ValueError, match="indexes its r-cliques"):
             build_hierarchy(dict_space, result)
@@ -182,7 +185,7 @@ class TestResultAlignment:
         own = CSRSpace.from_graph(graph, 2, 3)
         assert build_hierarchy(own, result).to_rows()
         by_clique = result.as_dict()
-        kappa = [by_clique[c] for c in dict_space.cliques]
+        kappa = [by_clique[tuple(sorted(n - 1 - v for v in c))] for c in dict_space.cliques]
         assert len(build_hierarchy(dict_space, kappa)) == len(build_hierarchy(own, result))
 
     def test_shared_table_is_not_compared(self, monkeypatch):

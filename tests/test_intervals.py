@@ -209,7 +209,7 @@ class TestStructure:
         graph, r, s = CASES[2]
         dict_space = NucleusSpace(graph, r, s)
         dict_hier = build_hierarchy(dict_space, peeling_decomposition(dict_space))
-        # the flattening keeps the dict clique indexing, so the two
+        # to_csr() indexes the cliques as the dict space does, so the two
         # hierarchies live over the same index space
         csr_space = dict_space.to_csr()
         csr_hier = build_hierarchy(csr_space, peeling_decomposition(csr_space))

@@ -86,10 +86,10 @@ class TestKappaParity:
     def test_graph_source_and_space_source(self, small_powerlaw_graph):
         exact = peeling_decomposition(small_powerlaw_graph, 1, 2).kappa
         from_graph = process_and_decomposition(small_powerlaw_graph, 1, 2, workers=2)
-        from_space = process_and_decomposition(
+        on_space = process_and_decomposition(
             NucleusSpace(small_powerlaw_graph, 1, 2), workers=2
         )
-        assert from_graph.kappa == from_space.kappa == exact
+        assert from_graph.kappa == on_space.kappa == exact
 
     def test_max_iterations_caps_rounds(self, small_powerlaw_graph):
         csr = CSRSpace.from_graph(small_powerlaw_graph, 2, 3)

@@ -43,11 +43,12 @@ class TestConformance:
         graph = ring_of_cliques(3, 4)
         dict_space = NucleusSpace(graph, 1, 2)
         assert space_graph(dict_space) is graph
-        assert space_graph(dict_space.to_csr()) is graph
-        # a graph-built space carries the CSRGraph it was enumerated from
-        built = space_graph(CSRSpace.from_graph(graph, 1, 2))
-        assert isinstance(built, CSRGraph)
-        assert built.to_graph() == graph
+        # a graph-built space carries the CSRGraph it was enumerated from,
+        # and the dict space's to_csr() is such a space
+        for space in (dict_space.to_csr(), CSRSpace.from_graph(graph, 1, 2)):
+            built = space_graph(space)
+            assert isinstance(built, CSRGraph)
+            assert built.to_graph() == graph
         assert space_graph(CSRSpace.from_graph(built, 1, 2)) is built
 
     def test_graph_reference_not_pickled(self):
@@ -117,11 +118,12 @@ class TestIndexLookup:
             space.index_of((7,))
 
     def test_csr_reverse_index_is_lazy_and_memoised(self):
-        # a list-backed space (the flattened dict space) keeps a dict
+        # the id table's label map and row index, built on the first lookup
         space = NucleusSpace(Graph([(0, 1), (1, 2)]), 1, 2).to_csr()
-        assert space._index is None  # nothing built until a tuple lookup
-        space.find_index((1,))
-        first = space._index
-        assert first is not None
-        space.find_index((2,))
-        assert space._index is first
+        view = space.cliques
+        assert view._label_ids is None and view._rows is None
+        assert space.find_index((1,)) == 1
+        labels, rows = view._label_ids, view._rows
+        assert labels is not None and rows is not None
+        assert space.find_index((2,)) == 2
+        assert view._label_ids is labels and view._rows is rows

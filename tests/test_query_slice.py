@@ -16,14 +16,14 @@ import random
 
 import numpy as np
 import pytest
+from permuted_space import permuted_space
 
 import repro.core.csr as csr_module
 from repro.core.asynd import and_decomposition
 from repro.core.csr import _AND_BLOCK, CSRSpace
 from repro.core.peeling import peeling_decomposition
 from repro.core.query import estimate_local_indices
-from repro.core.space import NucleusSpace
-from repro.graph.csr_graph import CliqueArrayView, CSRGraph, _runs
+from repro.graph.csr_graph import CSRGraph, _runs
 from repro.graph.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -137,13 +137,16 @@ def test_string_labels(tmp_path_factory, r, s):
 
 @pytest.mark.parametrize("r,s", INSTANCES)
 def test_dict_built_space_bundle(tmp_path_factory, r, s):
-    """A NucleusSpace-flattened bundle: clique table not lex-ordered, and a
-    space label table that differs from the graph's."""
+    """A bundle as earlier versions saved a NucleusSpace: the clique table
+    is not lex-ordered, and (for r > 1) the space's label table differs
+    from the graph's."""
     source = _with_strays(powerlaw_cluster_graph(45, 4, 0.7, seed=5))
-    bundle = _save(tmp_path_factory, source, NucleusSpace(source, r, s))
+    space = permuted_space(CSRSpace.from_graph(source, r, s), r, own_labels=True)
+    bundle = _save(tmp_path_factory, source, space)
+    perm = bundle.space.cliques.sorted_rows().perm
+    assert not np.array_equal(perm, np.arange(len(perm)))
     if r > 1:
-        perm = bundle.space.cliques.sorted_rows().perm
-        assert not np.array_equal(perm, np.arange(len(perm)))
+        assert len(bundle.space.cliques.labels) < len(bundle.graph.labels)
     queries = _query_cliques(bundle.space, 4, random.Random(r + 10))
     _assert_parity(bundle, CSRGraph.from_graph(source), queries, r, s)
 
@@ -243,16 +246,9 @@ def test_flat_slot_restrict_matches_the_row_table(family, r, s):
         graph.bfs_ball_ids([int(rng.integers(n))], 1),
         graph.bfs_ball_ids([int(rng.integers(n))], 2),
     ]
-    # a graph-built space and a dict-flattened one, whose table is permuted
-    flattened = NucleusSpace(source, r, s).to_csr()
-    labels = list(graph.labels)
-    id_of = {label: i for i, label in enumerate(labels)}
-    table = np.array(
-        [[id_of[v] for v in clique] for clique in flattened.cliques],
-        dtype=np.int64,
-    ).reshape(len(flattened), r)
-    flattened.cliques = CliqueArrayView(table, labels)
-    for space in (CSRSpace.from_graph(graph, r, s), flattened):
+    # a graph-built space and one whose clique table is permuted
+    built = CSRSpace.from_graph(graph, r, s)
+    for space in (built, permuted_space(built, r + s)):
         for vertex_ids in subsets:
             sub = space.restrict(vertex_ids)
             offsets, members, clique_ids = _restrict_by_rows(space, vertex_ids)
@@ -273,11 +269,6 @@ def test_restrict_to_every_vertex_keeps_the_space(tmp_path_factory, r, s):
         for i in range(len(space)):
             assert whole.neighbors(i) == space.neighbors(i)
         assert and_decomposition(whole).kappa == and_decomposition(space).kappa
-
-
-def test_restrict_needs_an_array_clique_table(triangle_graph):
-    with pytest.raises(ValueError, match="array-indexed"):
-        NucleusSpace(triangle_graph, 1, 2).to_csr().restrict([0, 1])
 
 
 def test_dict_graph_space_restricts_like_its_csr_graph():

@@ -147,9 +147,3 @@ class TestHelpers:
         space = NucleusSpace(triangle_graph, 1, 2)
         with pytest.raises(ValueError):
             space.as_dict([1])
-
-    def test_restricted_to(self, two_clique_bridge_graph):
-        space = NucleusSpace.restricted_to(
-            two_clique_bridge_graph, 1, 2, set(range(5))
-        )
-        assert len(space) == 5
